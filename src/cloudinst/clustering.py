@@ -5,19 +5,20 @@ A cluster is a maximal group of same-label points connected by hops of
 length strictly less than the radius; stuff-class and unlabeled points never
 participate.  Groups at or below the minimum point count are discarded.
 
-The production path labels connected components incrementally over grid
-candidate pairs, with two shortcuts that matter when shifted points pile up
-around instance centroids: same-label points sharing a fine sub-cell (side
-r/sqrt(3), so provably within r of each other) are pre-merged in one pass,
-and coarse cell pairs whose points already share one component are skipped
-without enumerating their pairs.  The testing oracle below does the same
-thing the slow, obvious way (all O(N^2) pairs through union-find), so the
-two can be compared exactly.
+The production path is grid DBSCAN (Gunawan 2013; de Berg, Gunawan and
+Roeloffzen 2017) on the labelled grid of ``spatial``: the points of one
+(fine cell, label) are a clique, so components are computed over grid
+nodes (up to 64 points of one such clique), and two neighbouring nodes join
+when any of their point pairs is closer than r.  Node pairs, at most
+64 x 64 point pairs each, are tested cheapest first, in chunks; components
+are merged after each chunk, and pairs whose nodes already share a
+component are skipped.  The testing oracle below does the same thing the
+slow, obvious way (all O(N^2) pairs through union-find), so the two can be
+compared exactly.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -27,24 +28,9 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .core import Cluster, OffsetField, Scene, Source, check_offsets, shifted_coords
-from .spatial import GridIndex, radius_squared, squared_distances
+from .spatial import GridIndex, expand_ranges, radius_squared, squared_distances
 
-# enumerate each unordered cell pair once: the zero offset plus half of the
-# non-zero offsets in {-1, 0, 1}^3
-_COARSE_DELTAS = [(0, 0, 0)] + [
-    (a, b, c)
-    for a in (-1, 0, 1)
-    for b in (-1, 0, 1)
-    for c in (-1, 0, 1)
-    if (a, b, c) > (0, 0, 0)
-]
-
-# sub-cell side such that any two points sharing a sub-cell are strictly
-# within the clustering radius (diagonal = r / 1.0001)
-_FINE_FACTOR = 1.0 / (math.sqrt(3.0) * 1.0001)
-
-_MAX_CHUNK = 4_000_000
-_MERGE_EVERY = 150_000  # accumulated edges that trigger a component merge
+_CHUNK = 1 << 17  # point pairs tested between two component merges
 
 
 @dataclass(frozen=True)
@@ -120,23 +106,6 @@ def _clusters_from_components(
     return clusters
 
 
-def _fine_chain_edges(
-    coords: np.ndarray, labels: np.ndarray, radius: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Edges linking consecutive same-label points that share a fine sub-cell.
-
-    Every such pair is within radius by construction, so these unions are
-    always sound; they make dense piles (shifted points around a centroid)
-    one component before any pair enumeration happens.
-    """
-    fine = GridIndex(coords, radius * _FINE_FACTOR)
-    order = np.lexsort((labels, fine._point_codes))
-    codes_s = fine._point_codes[order]
-    labels_s = labels[order]
-    link = (codes_s[1:] == codes_s[:-1]) & (labels_s[1:] == labels_s[:-1])
-    return order[:-1][link], order[1:][link]
-
-
 def cluster_single_set(
     coords: np.ndarray,
     sem_labels: np.ndarray,
@@ -161,99 +130,48 @@ def cluster_single_set(
         )
 
     active_idx = np.flatnonzero(_active_mask(sem_labels, stuff_classes))
-    n_active = active_idx.size
     t_bq = 0.0
     t_cl = 0.0
 
     t0 = time.perf_counter()
-    index = GridIndex(coords[active_idx], params.radius)
-    labels_a = sem_labels[active_idx]
+    grid = GridIndex(coords[active_idx], params.radius, sem_labels[active_idx])
+    pts = grid.coords[grid.order]
     r2 = radius_squared(params.radius)
-    chain_a, chain_b = _fine_chain_edges(index.coords, labels_a, params.radius)
+    # cheapest node pairs first: their merges let costly pairs be skipped;
+    # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
+    a, b = grid.node_pairs()
+    cost = grid.counts[a] * grid.counts[b]
+    cheap = np.argsort(cost.astype(np.int16), kind="stable")
+    a, b, cost = a[cheap], b[cheap], cost[cheap]
+    cum = np.cumsum(cost)
+    comp = grid.node_cell.copy()
     t_bq += time.perf_counter() - t0
 
-    t0 = time.perf_counter()
-    comp = np.arange(n_active, dtype=np.int64)
-    if chain_a.size:
-        comp = _merge_edges(comp, chain_a, chain_b)
-    t_cl += time.perf_counter() - t0
-
-    starts = index._cell_starts
-    counts = index._cell_counts
-    order = index._order
-    pts = index.coords
-    for delta in _COARSE_DELTAS:
+    done = 0
+    while done < a.size:
         t0 = time.perf_counter()
-        same_cell = delta == (0, 0, 0)
-        if same_cell:
-            va = vb = np.flatnonzero(counts > 1)
-        else:
-            va, vb = index.neighbor_cell_pairs(delta)
-        if va.size == 0:
-            t_bq += time.perf_counter() - t0
-            continue
-        # skip cell pairs already inside a single shared component; re-prune
-        # the remaining pairs after every merge so dense regions stop paying
-        # for enumeration as soon as they become one component
-        def prune(va, vb):
-            comp_sorted = comp[order]
-            cmin = np.minimum.reduceat(comp_sorted, starts)
-            cmax = np.maximum.reduceat(comp_sorted, starts)
-            mixed = ~(
-                (cmin[va] == cmax[va]) & (cmin[vb] == cmax[vb]) & (cmin[va] == cmin[vb])
-            )
-            return va[mixed], vb[mixed]
-
-        va, vb = prune(va, vb)
+        stop = int(np.searchsorted(cum, cum[done] - cost[done] + _CHUNK, side="right"))
+        live = done + np.flatnonzero(comp[a[done:stop]] != comp[b[done:stop]])
+        done = stop
+        na, nb = a[live], b[live]
+        item, q = expand_ranges(0, cost[live])
+        qa, qb = np.divmod(q, grid.counts[nb][item])
+        i = grid.starts[na][item] + qa
+        j = grid.starts[nb][item] + qb
+        close = np.zeros(live.size, dtype=bool)
+        close[item[squared_distances(pts[i], pts[j]) < r2]] = True
+        joined = live[close]
         t_bq += time.perf_counter() - t0
-        pend_a: list[np.ndarray] = []
-        pend_b: list[np.ndarray] = []
-        pending = 0
-        while va.size:
+        if joined.size:
             t0 = time.perf_counter()
-            pair_counts = counts[va] * counts[vb]
-            cum = np.concatenate(([0], np.cumsum(pair_counts)))
-            hi = int(np.searchsorted(cum, _MAX_CHUNK, side="right")) - 1
-            hi = min(max(hi, 1), va.size)
-            block = int(cum[hi])
-            cnt = pair_counts[:hi]
-            q = np.arange(block, dtype=np.int64) - np.repeat(cum[:hi], cnt)
-            sb = np.repeat(counts[vb[:hi]], cnt)
-            i = order[np.repeat(starts[va[:hi]], cnt) + q // sb]
-            j = order[np.repeat(starts[vb[:hi]], cnt) + q % sb]
-            va, vb = va[hi:], vb[hi:]
-            if same_cell:
-                keep = i < j
-                i, j = i[keep], j[keep]
-            m = labels_a[i] == labels_a[j]
-            i, j = i[m], j[m]
-            m = comp[i] != comp[j]
-            i, j = i[m], j[m]
-            if i.size:
-                d2 = squared_distances(pts[i], pts[j])
-                close = d2 < r2
-                if close.any():
-                    pend_a.append(i[close])
-                    pend_b.append(j[close])
-                    pending += int(close.sum())
-            t_bq += time.perf_counter() - t0
-            if pending and (pending >= _MERGE_EVERY or not va.size):
-                t0 = time.perf_counter()
-                comp = _merge_edges(
-                    comp, np.concatenate(pend_a), np.concatenate(pend_b)
-                )
-                pend_a.clear()
-                pend_b.clear()
-                pending = 0
-                t_cl += time.perf_counter() - t0
-                t0 = time.perf_counter()
-                if va.size:
-                    va, vb = prune(va, vb)
-                t_bq += time.perf_counter() - t0
+            comp = _merge_edges(comp, a[joined], b[joined])
+            t_cl += time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    point_comp = np.empty(active_idx.size, dtype=np.int64)
+    point_comp[grid.order] = np.repeat(comp, grid.counts)
     clusters = _clusters_from_components(
-        comp, active_idx, sem_labels, params.min_points, source
+        point_comp, active_idx, sem_labels, params.min_points, source
     )
     t_cl += time.perf_counter() - t0
     if timings is not None:
@@ -311,7 +229,8 @@ def connected_components_oracle(
     block = 512
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        d2 = squared_distances(pts[lo:hi, None, :], pts[None, :, :])
+        with np.errstate(over="ignore"):  # far outliers: inf is not < r2
+            d2 = squared_distances(pts[lo:hi, None, :], pts[None, :, :])
         mask = (d2 < r2) & (labels_a[lo:hi, None] == labels_a[None, :])
         rows, cols = np.nonzero(mask)
         rows = rows + lo

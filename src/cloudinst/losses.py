@@ -7,7 +7,7 @@ All reductions accumulate in float64 regardless of input precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,14 +26,6 @@ class LossReport:
     l_offset_dir: float
     l_score: float
     total: float
-    grad_available: dict = field(
-        default_factory=lambda: {
-            "l_sem": False,
-            "l_offset_reg": True,
-            "l_offset_dir": True,
-            "l_score": True,
-        }
-    )
 
 
 def instance_centroids(scene: Scene) -> np.ndarray:

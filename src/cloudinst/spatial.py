@@ -1,24 +1,48 @@
-"""Uniform-grid spatial index for exact fixed-radius neighbor queries.
+"""Uniform-grid spatial index for exact fixed-radius neighbor search.
 
-For queries the cell size equals the query radius, so a ball query only has
-to look at the 27 cells around the center.  Distance tests are done on
-float32 values with a strict ``<`` against r*r, written as the same
-expression everywhere (including the brute-force oracle) so the two routes
-agree bit-for-bit.
+One grid serves both the ball query and the radius clustering.  Cells have
+side r / (sqrt(3) * 1.0001), so any two points sharing a cell are strictly
+within r of each other, and every pair closer than r lies in cells whose
+keys differ by at most two on each axis: the 5x5x5 stencil around a cell.
+Given per-point labels, the points of one (cell, label) form a clique under
+the radius predicate; a node holds up to 64 of them, so that a pair of
+nodes is a bounded unit of work.  Nodes are sorted by (label, y, z, x), so
+the stencil is walked as rows of fixed (dy, dz): one ``searchsorted`` range
+per row covers its whole x-run from -2 to +2.
+
+Cell keys are floor(coord / side) in float64, ranked over the occupied keys
+of each axis with gaps wider than 3 collapsed to 3.  That keeps every
+"within 2 cells" relation, needs no origin, and bounds every key by three
+times the point count, so no finite input can overflow the packed int64
+codes.
+
+Distance tests are done on float32 values with a strict ``<`` against r*r,
+written as the same expression everywhere (including the brute-force
+oracle) so the two routes agree bit-for-bit.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import math
 
 import numpy as np
 
-_KEY_BITS = 21  # per-axis cell key budget inside a packed int64
-_KEY_LIMIT = (1 << _KEY_BITS) - 2
+# cell side as a fraction of the radius: the cell diagonal is r / 1.0001, so
+# points sharing a cell are strictly within r of each other
+_FINE_FACTOR = 1.0 / (math.sqrt(3.0) * 1.0001)
+# cells holding a pair closer than r differ by at most this much on each axis
+_REACH = 2
+# most points in one node, so that a pair of nodes holds at most _BLOCK**2
+# point pairs
+_BLOCK = 64
 
-_QUERY_DELTAS = np.array(
-    [(a, b, c) for a in (-1, 0, 1) for b in (-1, 0, 1) for c in (-1, 0, 1)],
-    dtype=np.int64,
+# stencil rows as (dy, dz, lowest dx, highest dx); the half stencil lists each
+# unordered pair of distinct cells once
+_SPAN = range(-_REACH, _REACH + 1)
+_FULL_ROWS = np.array([(dy, dz, -_REACH, _REACH) for dy in _SPAN for dz in _SPAN])
+_HALF_ROWS = np.array(
+    [(0, 0, 1, _REACH)]
+    + [(dy, dz, -_REACH, _REACH) for dy in _SPAN for dz in _SPAN if (dy, dz) > (0, 0)]
 )
 
 
@@ -35,25 +59,33 @@ def radius_squared(radius: float) -> np.float32:
     return r * r
 
 
-def _pack(keys: np.ndarray) -> np.ndarray:
-    # bias by +1 so neighbor lookups at key -1 stay valid (and unmatched)
-    return (
-        ((keys[..., 0] + 1) << (2 * _KEY_BITS))
-        | ((keys[..., 1] + 1) << _KEY_BITS)
-        | (keys[..., 2] + 1)
-    )
+def expand_ranges(lo, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every position in the ranges [lo, lo + counts), with the range it came from."""
+    owner = np.repeat(np.arange(counts.size), counts)
+    pos = np.arange(owner.size) + (lo - np.cumsum(counts) + counts)[owner]
+    return owner, pos
+
+
+def _ranks(keys: np.ndarray) -> np.ndarray:
+    """Order-preserving int64 codes: key differences up to _REACH stay exact,
+    wider gaps shrink to _REACH + 1."""
+    uniq, inv = np.unique(keys, return_inverse=True)
+    steps = np.minimum(np.diff(uniq), _REACH + 1).astype(np.int64)
+    return np.concatenate(([0], np.cumsum(steps)))[inv]
 
 
 class GridIndex:
-    """Immutable uniform grid over a fixed coordinate set.
+    """Immutable grid over a fixed coordinate set, for one query radius.
 
-    Construction is O(N); every point lands in exactly one cell with key
-    floor((coord - origin) / cell_size).
+    A node is up to _BLOCK points of one occupied cell, or of one (cell,
+    label) when per-point ``labels`` are given; ``node_cell`` numbers the
+    cell of each node.  ``order`` lists the point indices node by node;
+    node k holds ``order[starts[k] : starts[k] + counts[k]]``.
     """
 
-    def __init__(self, coords: np.ndarray, cell_size: float):
-        if not np.isfinite(cell_size) or cell_size <= 0.0:
-            raise ValueError(f"cell size must be positive and finite, got {cell_size}")
+    def __init__(self, coords: np.ndarray, radius: float, labels: np.ndarray | None = None):
+        if not np.isfinite(radius) or radius <= 0.0:
+            raise ValueError(f"radius must be positive and finite, got {radius}")
         coords = np.asarray(coords, dtype=np.float32)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError("coords must have shape (n_points, 3)")
@@ -62,87 +94,68 @@ class GridIndex:
             raise ValueError(f"non-finite coordinate at point {idx}")
         coords = np.ascontiguousarray(coords)
         coords.setflags(write=False)
-
-        self.cell_size = float(cell_size)
+        self.radius = float(radius)
         self.coords = coords
         n = coords.shape[0]
-        if n:
-            origin = coords.min(axis=0)
-        else:
-            origin = np.zeros(3, dtype=np.float32)
-        origin.setflags(write=False)
-        self.origin = origin
 
-        if n:
-            keys = np.floor(
-                (coords.astype(np.float64) - origin.astype(np.float64)) / self.cell_size
-            ).astype(np.int64)
-            if keys.max() > _KEY_LIMIT:
-                raise ValueError(
-                    "coordinate span too large for this cell size "
-                    f"(more than {_KEY_LIMIT} cells on one axis)"
-                )
-        else:
-            keys = np.zeros((0, 3), dtype=np.int64)
-        self._keys = keys
-        codes = _pack(keys)
-        self._point_codes = codes
-        order = np.argsort(codes, kind="stable")
-        if n:
-            uniq, starts, counts = np.unique(
-                codes[order], return_index=True, return_counts=True
-            )
-        else:
-            uniq = starts = counts = np.empty(0, dtype=np.int64)
-        self._order = order
-        self._cell_codes = uniq
-        self._cell_starts = starts.astype(np.int64)
-        self._cell_counts = counts.astype(np.int64)
-        self._cell_keys = keys[order[self._cell_starts]] if n else keys
+        keys = np.floor(coords.astype(np.float64) / (self.radius * _FINE_FACTOR))
+        kx, ky, kz = (_ranks(keys[:, axis]) for axis in range(3))
+        if labels is not None:
+            # each label gets its own block of y keys, spaced so that no row
+            # of the stencil reaches from one label into another
+            ky = _ranks(_ranks(labels) * (ky.max(initial=0) + _REACH + 1) + ky)
+        self._wz = int(kz.max(initial=0)) + _REACH + 1
+        self._row_codes, point_row = np.unique(ky * self._wz + kz, return_inverse=True)
+        self._wx = int(kx.max(initial=0)) + _REACH + 1
+        cell_codes = point_row * self._wx + kx
+
+        order = np.argsort(cell_codes, kind="stable")
+        sorted_codes = cell_codes[order]
+        first = np.diff(sorted_codes, prepend=-1) != 0
+        pos = np.arange(n)
+        starts = np.flatnonzero((pos - np.maximum.accumulate(np.where(first, pos, 0))) % _BLOCK == 0)
+        self.order = order
+        self.starts = starts
+        self.counts = np.diff(starts, append=n)
+        self.node_cell = np.cumsum(first[starts]) - 1
+        self._node_codes = sorted_codes[starts]
+        self._node_row, self._node_x = np.divmod(self._node_codes, self._wx)
+        self._point_node = np.empty(n, dtype=np.int64)
+        self._point_node[order] = np.repeat(np.arange(starts.size), self.counts)
 
     @property
     def n_points(self) -> int:
         return self.coords.shape[0]
 
     @property
+    def n_nodes(self) -> int:
+        return self.starts.size
+
+    @property
     def n_cells(self) -> int:
-        return self._cell_codes.size
+        """Occupied cells, counted once per label they hold."""
+        return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
 
-    @cached_property
-    def cells(self) -> dict[tuple[int, int, int], np.ndarray]:
-        """Cell key -> sorted member indices (built on first access)."""
-        out = {}
-        for c in range(self.n_cells):
-            lo = self._cell_starts[c]
-            members = np.sort(self._order[lo : lo + self._cell_counts[c]])
-            members.setflags(write=False)
-            key = self._cell_keys[c]
-            out[(int(key[0]), int(key[1]), int(key[2]))] = members
-        return out
+    def _stencil_pairs(self, nodes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Every (i, b) such that node b lies in stencil ``rows`` around ``nodes[i]``."""
+        # look each neighbour row up once per occupied row, not once per node
+        own, node_row = np.unique(self._node_row[nodes], return_inverse=True)
+        target = self._row_codes[own] + rows[:, 0, None] * self._wz + rows[:, 1, None]
+        row = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
+        row[self._row_codes[row] != target] = -1
+        row = row[:, node_row]
+        # row-major order gives each searchsorted ascending needles per stencil row
+        k, i = np.nonzero(row >= 0)
+        base = row[k, i] * self._wx + self._node_x[nodes[i]]
+        lo = np.searchsorted(self._node_codes, base + rows[k, 2])
+        hi = np.searchsorted(self._node_codes, base + rows[k, 3], side="right")
+        owner, b = expand_ranges(lo, hi - lo)
+        return i[owner], b
 
-    def _cell_lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Map packed codes to (start, count) pairs; missing cells get count 0."""
-        if self.n_cells == 0:
-            zero = np.zeros(codes.shape, dtype=np.int64)
-            return zero, zero.copy()
-        pos = np.searchsorted(self._cell_codes, codes)
-        pos_c = np.minimum(pos, self.n_cells - 1)
-        hit = self._cell_codes[pos_c] == codes
-        starts = np.where(hit, self._cell_starts[pos_c], 0)
-        counts = np.where(hit, self._cell_counts[pos_c], 0)
-        return starts, counts
-
-    def neighbor_cell_pairs(self, delta: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
-        """Positions (a, b) of existing cell pairs with key_b = key_a + delta."""
-        if self.n_cells == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty.copy()
-        codes = _pack(self._cell_keys + np.asarray(delta, dtype=np.int64))
-        pos = np.searchsorted(self._cell_codes, codes)
-        pos_c = np.minimum(pos, self.n_cells - 1)
-        hit = self._cell_codes[pos_c] == codes
-        a = np.flatnonzero(hit)
-        return a, pos_c[a]
+    def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each unordered pair (a, b) of nodes in distinct cells within the
+        stencil, once."""
+        return self._stencil_pairs(np.arange(self.n_nodes), _HALF_ROWS)
 
 
 def build_index(coords: np.ndarray, radius: float) -> GridIndex:
@@ -153,25 +166,17 @@ def build_index(coords: np.ndarray, radius: float) -> GridIndex:
 def ball_query(index: GridIndex, center_idx: int, radius: float) -> np.ndarray:
     """All point indices strictly within ``radius`` of the center point.
 
-    Includes the center itself; output sorted ascending.  Only the 27 cells
-    around the center are examined, which covers every candidate because the
-    cell size equals the radius.
+    Includes the center itself; output sorted ascending.  Only the nodes in
+    the 5x5x5 stencil around the center's cell are examined, which covers
+    every candidate.
     """
-    if radius != index.cell_size:
-        raise ValueError(
-            f"query radius {radius} does not match index cell size {index.cell_size}"
-        )
+    if radius != index.radius:
+        raise ValueError(f"query radius {radius} does not match index radius {index.radius}")
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
-    codes = _pack(index._keys[center_idx][None, :] + _QUERY_DELTAS)
-    starts, counts = index._cell_lookup(codes)
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    take = np.repeat(starts, counts) + (
-        np.arange(total, dtype=np.int64) - np.repeat(np.cumsum(counts) - counts, counts)
-    )
-    cand = index._order[take]
+    _, nodes = index._stencil_pairs(index._point_node[[center_idx]], _FULL_ROWS)
+    _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
+    cand = index.order[take]
     d2 = squared_distances(index.coords[cand], index.coords[center_idx])
     return np.sort(cand[d2 < radius_squared(radius)])
 
@@ -181,5 +186,6 @@ def brute_force_query(coords: np.ndarray, center_idx: int, radius: float) -> np.
     coords = np.asarray(coords, dtype=np.float32)
     if center_idx < 0 or center_idx >= coords.shape[0]:
         raise IndexError(f"center index {center_idx} out of range")
-    d2 = squared_distances(coords, coords[center_idx])
+    with np.errstate(over="ignore"):  # far outliers: inf is not < r2
+        d2 = squared_distances(coords, coords[center_idx])
     return np.flatnonzero(d2 < radius_squared(radius)).astype(np.int64)

@@ -9,6 +9,7 @@ from cloudinst.clustering import (
 )
 from cloudinst.core import Source
 from cloudinst.losses import offset_targets
+from cloudinst.spatial import radius_squared, squared_distances
 
 from conftest import random_cluster_inputs, two_object_scene
 
@@ -80,6 +81,85 @@ def test_grid_equals_oracle_fuzz(seed):
             got = cluster_single_set(coords, labels, {0}, params, Source.ORIGINAL)
             want = connected_components_oracle(coords, labels, {0}, params)
             assert clusters_as_sets(got) == clusters_as_sets(want)
+
+
+def _assert_matches_oracle(coords, labels, radii=(0.02, 0.05), min_points=(1, 4)):
+    for radius in radii:
+        for mp in min_points:
+            params = ClusterParams(radius=radius, min_points=mp)
+            got = cluster_single_set(coords, labels, {0}, params, Source.ORIGINAL)
+            want = connected_components_oracle(coords, labels, {0}, params)
+            assert clusters_as_sets(got) == clusters_as_sets(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mixed_label_piles_equal_oracle(seed):
+    # shifted points of noisy-label objects: dense piles of several labels,
+    # each pile well inside one fine cell, plus a halo reaching nearby cells
+    rng = np.random.default_rng(100 + seed)
+    centers = rng.uniform(0, 0.3, (4, 3))
+    parts = []
+    for c in centers:
+        parts.append(c + rng.normal(0, 1e-4, (int(rng.integers(50, 150)), 3)))
+        parts.append(c + rng.normal(0, 0.02, (int(rng.integers(10, 40)), 3)))
+    coords = np.concatenate(parts).astype(np.float32)
+    labels = rng.choice([-1, 0, 1, 2, 3], coords.shape[0], p=[0.05, 0.05, 0.7, 0.1, 0.1])
+    _assert_matches_oracle(coords, labels.astype(np.int32))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairs_one_ulp_from_radius_equal_oracle(seed):
+    # isolated pairs: the second point is the float32 rounding of a point at
+    # exactly r, then nudged by up to one ulp per coordinate, so the pair
+    # distance sits within an ulp of r on either side
+    rng = np.random.default_rng(200 + seed)
+    radius = float(rng.choice([0.02, 0.03, 0.05]))
+    n_pairs = 150
+    base = rng.uniform(0, 2, (n_pairs, 3)).astype(np.float32)
+    direction = rng.normal(size=(n_pairs, 3))
+    direction[: n_pairs // 3] = np.eye(3)[rng.integers(0, 3, n_pairs // 3)]
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    other = (base + radius * direction).astype(np.float32)
+    nudge = rng.integers(-1, 2, other.shape)
+    other = np.where(nudge > 0, np.nextafter(other, np.float32(np.inf)), other)
+    other = np.where(nudge < 0, np.nextafter(other, np.float32(-np.inf)), other)
+    coords = np.concatenate([base, other])
+    labels = np.ones(coords.shape[0], dtype=np.int32)
+    d = np.sqrt(((base.astype(np.float64) - other) ** 2).sum(axis=1))
+    assert np.abs(d - radius).max() <= 3 * np.spacing(np.float32(2.0 + radius))
+    inside = squared_distances(base, other) < radius_squared(radius)
+    assert inside.any() and not inside.all()  # both sides of r are covered
+    _assert_matches_oracle(coords, labels, radii=(radius,), min_points=(1,))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_chains_just_under_radius_equal_oracle(seed):
+    # chains whose hops sit just under r cross dozens of cells; one hop at or
+    # over r splits a chain, so the oracle decides where each one breaks
+    rng = np.random.default_rng(300 + seed)
+    radius = 0.03
+    parts, labels = [], []
+    for k in range(3):
+        step = rng.normal(size=3)
+        step *= radius * (1 - rng.uniform(0, 1e-5)) / np.linalg.norm(step)
+        n = int(rng.integers(100, 250))
+        parts.append(rng.uniform(0, 0.5, 3) + np.arange(n)[:, None] * step)
+        labels.append(np.full(n, 1 + k % 2))
+    coords = np.concatenate(parts).astype(np.float32)
+    _assert_matches_oracle(coords, np.concatenate(labels).astype(np.int32), radii=(radius,))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_far_outliers_equal_oracle(seed):
+    # a few points moved 1e4 to 1e36 m away, some onto each other
+    rng = np.random.default_rng(400 + seed)
+    coords, labels = random_cluster_inputs(400 + seed)
+    far = rng.choice(coords.shape[0], 5, replace=False)
+    shift = 10.0 ** rng.uniform(4, 36, (5, 1)) * rng.choice([-1.0, 1.0], (5, 3))
+    coords[far] = (coords[far] + shift).astype(np.float32)
+    coords[far[1]] = coords[far[0]]
+    labels[far[1]] = labels[far[0]]
+    _assert_matches_oracle(coords, labels)
 
 
 def test_output_canonical_order_and_invariants():

@@ -1,0 +1,35 @@
+"""Smoke test: the demos that drive ball_query, cluster_single_set and
+run_bench still run to completion."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_demo(name: str) -> str:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_demo_02_grid_matches_oracles():
+    out = run_demo("02_radius_search_and_clustering.py")
+    assert "(grid == brute force: True)" in out
+    assert "(matches O(N^2) oracle: True)" in out
+
+
+@pytest.mark.parametrize("name", ["03_dual_set_grouping.py", "06_benchmark.py"])
+def test_demo_runs(name):
+    assert run_demo(name).strip()

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cloudinst.clustering import ClusterParams
-from cloudinst.core import Cluster, OffsetField, Source, ground_truth_instances
+from cloudinst.clustering import ClusterParams, cluster_single_set, connected_components_oracle
+from cloudinst.core import Cluster, OffsetField, Source, ground_truth_instances, shifted_coords
 from cloudinst.losses import offset_targets
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel, iou
@@ -210,3 +210,35 @@ def test_pipeline_single_set_ablation_p_vs_q():
         )
         preds = run_pipeline(scene, offsets, config)
         assert len(preds) == expected, sets
+
+
+def test_far_offset_outlier_keeps_scene_running():
+    # one finite offset of 5e4 m on an instance point used to make the grid
+    # reject the shifted set ("coordinate span too large"); a low density
+    # keeps the O(N^2) oracle on the collapsed shifted set quick
+    scene, offsets = generate_scene(GenConfig(seed=3, n_objects=4, density=400.0))
+    moved = np.array(offsets.offsets)
+    k = int(np.flatnonzero(scene.inst_ids >= 0)[0])
+    moved[k] = [5e4, 0.0, 0.0]
+    field = OffsetField(moved.copy())
+    preds = run_pipeline(scene, field, PipelineConfig(scorer=Scorer.ORACLE))
+    assert preds
+    params = ClusterParams()
+    for coords, source in (
+        (scene.coords, Source.ORIGINAL),
+        (shifted_coords(scene, field), Source.SHIFTED),
+    ):
+        got = cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, source)
+        want = connected_components_oracle(
+            coords, scene.sem_labels, scene.stuff_classes, params, source
+        )
+        assert [c.point_idx.tolist() for c in got] == [c.point_idx.tolist() for c in want]
+
+    # non-finite input is still refused
+    moved[k] = [np.inf, 0.0, 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        OffsetField(moved)
+    coords = np.array(scene.coords)
+    coords[k] = [np.nan, 0.0, 0.0]
+    with pytest.raises(ValueError, match="non-finite"):
+        cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, Source.ORIGINAL)

@@ -13,8 +13,7 @@ def test_single_point_index():
     idx = build_index(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), 0.03)
     assert idx.n_points == 1
     assert idx.n_cells == 1
-    ((key, members),) = idx.cells.items()
-    assert members.tolist() == [0]
+    assert ball_query(idx, 0, 0.03).tolist() == [0]
 
 
 def test_far_points_land_in_distinct_cells():
@@ -27,9 +26,10 @@ def test_every_point_in_exactly_one_cell():
     rng = np.random.default_rng(0)
     coords = rng.uniform(0, 2, (10_000, 3)).astype(np.float32)
     idx = build_index(coords, 0.05)
-    seen = np.concatenate([m for m in idx.cells.values()])
-    assert seen.size == 10_000
-    assert np.array_equal(np.sort(seen), np.arange(10_000))
+    assert 0 < idx.n_cells <= 10_000
+    assert np.array_equal(np.sort(idx.order), np.arange(10_000))
+    for center in range(0, 10_000, 97):
+        assert center in ball_query(idx, center, 0.05)
 
 
 def test_isolated_point_returns_itself():
@@ -98,7 +98,8 @@ def test_empty_index_is_valid():
     idx = build_index(np.zeros((0, 3), dtype=np.float32), 0.03)
     assert idx.n_points == 0
     assert idx.n_cells == 0
-    assert idx.cells == {}
+    with pytest.raises(IndexError):
+        ball_query(idx, 0, 0.03)
 
 
 def test_center_index_bounds():
@@ -117,3 +118,31 @@ def test_float64_input_cast_consistently():
         a = ball_query(idx, center, 0.06)
         b = brute_force_query(coords64, center, 0.06)
         assert np.array_equal(a, b)
+
+
+def test_far_outliers_match_brute_force():
+    # keys are ranked per axis, so spans of 1e36 m neither overflow nor
+    # separate close pairs that sit next to a huge gap
+    rng = np.random.default_rng(4)
+    coords = rng.uniform(0, 0.3, (600, 3)).astype(np.float32)
+    far = rng.choice(600, 6, replace=False)
+    coords[far] += (10.0 ** rng.uniform(4, 36, (6, 1)) * rng.choice([-1, 1], (6, 3))).astype(np.float32)
+    coords[far[1]] = coords[far[0]]
+    idx = build_index(coords, 0.05)
+    for center in list(far) + list(range(0, 600, 23)):
+        assert np.array_equal(
+            ball_query(idx, int(center), 0.05), brute_force_query(coords, int(center), 0.05)
+        )
+    assert ball_query(idx, int(far[0]), 0.05).tolist() == sorted(far[:2].tolist())
+
+
+def test_dense_pile_matches_brute_force():
+    # a pile far denser than one node holds, next to a sparse halo
+    rng = np.random.default_rng(5)
+    pile = rng.normal(0.5, 1e-4, (300, 3))
+    halo = rng.uniform(0.4, 0.6, (200, 3))
+    coords = np.concatenate([pile, halo]).astype(np.float32)
+    idx = build_index(coords, 0.03)
+    assert idx.n_cells < idx.n_nodes
+    for center in range(0, 500, 7):
+        assert np.array_equal(ball_query(idx, center, 0.03), brute_force_query(coords, center, 0.03))
