@@ -28,7 +28,13 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .core import Cluster, OffsetField, Scene, Source, check_offsets, shifted_coords
-from .spatial import GridIndex, expand_ranges, radius_squared, squared_distances
+from .spatial import (
+    GridIndex,
+    check_radius,
+    expand_ranges,
+    radius_squared,
+    squared_distances,
+)
 
 _CHUNK = 1 << 17  # point pairs tested between two component merges
 
@@ -45,8 +51,7 @@ class ClusterParams:
     min_points: int = 50
 
     def __post_init__(self):
-        if not np.isfinite(self.radius) or self.radius <= 0.0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        check_radius(self.radius)
         if self.min_points < 1:
             raise ValueError(f"min_points must be >= 1, got {self.min_points}")
 
@@ -129,12 +134,18 @@ def cluster_single_set(
             f"got {coords.shape[0]} coordinates but {sem_labels.shape[0]} labels"
         )
 
-    active_idx = np.flatnonzero(_active_mask(sem_labels, stuff_classes))
+    with np.errstate(over="ignore"):
+        coords32 = coords.astype(np.float32)
+    # a finite point beyond the float32 range is infinitely far from every
+    # point under the float32 distance test, so it joins no cluster, as in
+    # the oracle; non-finite input still reaches GridIndex, which rejects it
+    lost = np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1)
+    active_idx = np.flatnonzero(_active_mask(sem_labels, stuff_classes) & ~lost)
     t_bq = 0.0
     t_cl = 0.0
 
     t0 = time.perf_counter()
-    grid = GridIndex(coords[active_idx], params.radius, sem_labels[active_idx])
+    grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
     pts = grid.coords[grid.order]
     r2 = radius_squared(params.radius)
     # cheapest node pairs first: their merges let costly pairs be skipped;
@@ -213,7 +224,8 @@ def connected_components_oracle(
     Same contract as cluster_single_set, O(N^2); exists so the grid path can
     be checked exactly against an independent implementation.
     """
-    coords = np.asarray(coords, dtype=np.float32)
+    with np.errstate(over="ignore"):  # beyond float32 range: inf, never joined
+        coords = np.asarray(coords, dtype=np.float32)
     sem_labels = np.asarray(sem_labels, dtype=np.int32)
     if sem_labels.shape != (coords.shape[0],):
         raise ValueError(
@@ -229,7 +241,7 @@ def connected_components_oracle(
     block = 512
     for lo in range(0, n, block):
         hi = min(lo + block, n)
-        with np.errstate(over="ignore"):  # far outliers: inf is not < r2
+        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are not < r2
             d2 = squared_distances(pts[lo:hi, None, :], pts[None, :, :])
         mask = (d2 < r2) & (labels_a[lo:hi, None] == labels_a[None, :])
         rows, cols = np.nonzero(mask)

@@ -51,19 +51,21 @@ def match_and_pr(
     n_points: int | None = None,
 ) -> MatchResult:
     """Match one class's predictions to its ground truth and build the PR curve."""
+    order, gt_cls, ious = _class_ious(preds, gt, class_id, n_points)
+    return _greedy_match(order, gt_cls, ious, iou_thresh)
+
+
+def _class_ious(
+    preds: list[InstancePrediction],
+    gt: list[GroundTruthInstance],
+    class_id: int,
+    n_points: int | None,
+) -> tuple[list[int], list[int], np.ndarray]:
+    """One class's predictions in matching order, its ground-truth indices,
+    and the IoU matrix between them."""
     order = _class_pred_order(preds, class_id)
     gt_cls = [k for k, g in enumerate(gt) if g.class_id == class_id]
-    n_gt = len(gt_cls)
-    if not order:
-        empty = np.empty(0)
-        return MatchResult(
-            pred_order=np.empty(0, dtype=np.int64),
-            matched_gt=np.empty(0, dtype=np.int64),
-            precision=empty,
-            recall=empty.copy(),
-            n_gt=n_gt,
-        )
-    if n_points is None:
+    if order and n_points is None:
         masks = [preds[k].point_idx for k in order] + [gt[k].point_idx for k in gt_cls]
         n_points = int(max(m[-1] for m in masks)) + 1
     ious = pairwise_iou(
@@ -71,6 +73,15 @@ def match_and_pr(
         [gt[k].point_idx for k in gt_cls],
         n_points,
     )
+    return order, gt_cls, ious
+
+
+def _greedy_match(
+    order: list[int], gt_cls: list[int], ious: np.ndarray, iou_thresh: float
+) -> MatchResult:
+    """Greedy matching of predictions ``order`` (best first) to ground truth
+    ``gt_cls``, given their (len(order), len(gt_cls)) IoU matrix."""
+    n_gt = len(gt_cls)
     taken = np.zeros(n_gt, dtype=bool)
     matched = np.full(len(order), -1, dtype=np.int64)
     tp = np.zeros(len(order), dtype=np.float64)
@@ -161,18 +172,21 @@ def evaluate(
 
     ap: dict = {c: {} for c in classes}
     matches50: dict = {}
-    filtered = [p for p in preds if p.score >= score_filter]
     prec50: dict = {}
     rec50: dict = {}
     for c in classes:
+        # one IoU matrix per class serves every threshold and the filtered
+        # pass: the score filter keeps a subsequence of the class order
+        order, gt_cls, ious = _class_ious(preds, gt, c, n_points)
         for t in all_thresholds:
-            res = match_and_pr(preds, gt, c, t, n_points)
+            res = _greedy_match(order, gt_cls, ious, t)
             ap[c][t] = average_precision(res.precision, res.recall)
             if t == 0.5:
                 matches50[c] = list(
                     zip(res.pred_order.tolist(), res.matched_gt.tolist())
                 )
-        resf = match_and_pr(filtered, gt, c, 0.5, n_points)
+        kept = [i for i, k in enumerate(order) if preds[k].score >= score_filter]
+        resf = _greedy_match([order[i] for i in kept], gt_cls, ious[kept], 0.5)
         n_pred = resf.pred_order.size
         n_tp = int((resf.matched_gt >= 0).sum())
         prec50[c] = n_tp / n_pred if n_pred else 0.0

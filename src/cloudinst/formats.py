@@ -1,31 +1,37 @@
 """Text file formats: scene (.sc1), offsets (.off1), predictions (.pred1), PLY export.
 
-All writers are byte-stable: the same object always serializes to the same
-bytes, and every numeric field round-trips exactly (floats are written with
-enough significant digits for their storage precision).
+Every format, the scorer file (.scorer) too, is header lines plus rows of
+numbers, read by one row reader and written by one row writer.  Loaders
+raise only ``FormatError``, naming the first faulty line.  All writers are
+byte-stable: the same object always serializes to the same bytes, and every
+numeric field round-trips exactly (floats are written with enough
+significant digits for their storage precision).
 """
 
 from __future__ import annotations
 
 import colorsys
+import re
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import (
-    FormatError,
-    InstancePrediction,
-    OffsetField,
-    Scene,
-    SceneError,
-)
+from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneError
 
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
+_CHUNK = 4096  # rows converted or formatted at once: bounds the Python objects held
 
 
 def _read_lines(path) -> list[str]:
-    text = Path(path).read_text(encoding="ascii")
+    # text mode ends lines at "\r" and "\r\n" too; a byte above 0x7f
+    # decodes to the lone surrogate U+DC80 + (byte - 0x80)
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
+    if not text.isascii():
+        pos = re.search("[^\x00-\x7f]", text).start()
+        lineno = text.count("\n", 0, pos) + 1
+        raise FormatError(f"line {lineno}: non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}")
     lines = text.split("\n")
     # a single trailing newline is the normal write shape
     while lines and lines[-1] == "":
@@ -47,35 +53,114 @@ def _parse_float(tok: str, lineno: int, what: str) -> float:
         raise FormatError(f"line {lineno}: {what} is not a number: {tok!r}") from None
 
 
+def _header(lines: list[str], tag: str, *names: str) -> list[int]:
+    """The integers of line 1, which must read ``<tag> <name>...``."""
+    toks = lines[0].split() if lines else []
+    if len(toks) != 1 + len(names) or toks[0] != tag:
+        expected = " ".join([tag] + [f"<{name}>" for name in names])
+        raise FormatError(f"line 1: malformed header, expected '{expected}'")
+    return [_parse_int(tok, 1, name) for tok, name in zip(toks[1:], names)]
+
+
+def _column(tokens: list[str], dtype) -> np.ndarray:
+    """Tokens converted as Python's int or float would; ValueError or
+    OverflowError when one does not convert or does not fit ``dtype``."""
+    if not np.issubdtype(dtype, np.integer):
+        with np.errstate(over="ignore"):  # float32 overflow gives inf, as assignment does
+            return np.array(tokens, dtype=np.float64).astype(dtype)
+    values = np.array(tokens, dtype=np.int64)
+    if np.any(values.astype(dtype) != values):
+        raise OverflowError(f"integer out of range for {np.dtype(dtype)}")
+    return values.astype(dtype)
+
+
+def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
+    """Parse ``lines``, the first of them line ``lineno`` of the file, as a table.
+
+    ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
+    group comes back as one ``(len(lines), count)`` array, converted in one
+    numpy call per column and chunk of rows.  A faulty table raises
+    ``FormatError`` for its first faulty line: a wrong field count, or the
+    first bad field on it.
+    """
+    width = sum(count for _, _, count in fields)
+    parts: list[list[np.ndarray]] = [[] for _ in fields]
+    for lo in range(0, len(lines), _CHUNK):
+        rows = list(map(str.split, lines[lo : lo + _CHUNK]))
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        wrong = np.flatnonzero(sizes != width)
+        good = rows[: wrong[0]] if wrong.size else rows
+        if good:
+            _convert(good, lineno + lo, fields, width, parts)
+        if wrong.size:
+            k = int(wrong[0])
+            raise FormatError(f"line {lineno + lo + k}: expected {width} fields, got {sizes[k]}")
+    return [
+        np.concatenate(part) if part else np.empty((0, count), dtype)
+        for part, (_, dtype, count) in zip(parts, fields)
+    ]
+
+
+def _convert(rows: list[list[str]], lineno: int, fields, width: int, parts) -> None:
+    """Append each field group of ``rows`` to its list in ``parts``."""
+    flat = list(chain.from_iterable(rows))
+    try:
+        col = 0
+        for (_, dtype, count), part in zip(fields, parts):
+            if count == width:  # one call for a group that fills the row
+                block = _column(flat, dtype)
+            else:
+                columns = [_column(flat[col + k :: width], dtype) for k in range(count)]
+                block = np.stack(columns, axis=1)
+            part.append(block.reshape(len(rows), count))
+            col += count
+    except (ValueError, OverflowError):
+        # name the first token that does not convert
+        specs = [(name, dtype) for name, dtype, count in fields for _ in range(count)]
+        for line, toks in enumerate(rows, start=lineno):
+            for tok, (name, dtype) in zip(toks, specs):
+                try:
+                    _column([tok], dtype)
+                except (ValueError, OverflowError):
+                    parse = _parse_int if np.issubdtype(dtype, np.integer) else _parse_float
+                    parse(tok, line, name)
+                    raise FormatError(f"line {line}: {name} is out of range: {tok!r}") from None
+        raise
+
+
+def _rows_text(header: list[str], blocks) -> str:
+    """The ``header`` lines, then per block ``(row_fmt, columns)`` one line
+    ``row_fmt % row`` per row, a row joining that row of every column.
+    Values print as the Python int or float they equal (via object arrays)."""
+    out = [line + "\n" for line in header]
+    for row_fmt, columns in blocks:
+        for lo in range(0, len(columns[0]), _CHUNK):
+            table = np.column_stack(
+                [np.asarray(c[lo : lo + _CHUNK], dtype=object) for c in columns]
+            )
+            out.append((row_fmt + "\n") * len(table) % tuple(table.ravel()))
+    return "".join(out)
+
+
+def _write_text(path, text: str) -> None:
+    Path(path).write_text(text, encoding="ascii", newline="\n")
+
+
 def save_scene(scene: Scene, path) -> None:
     """Write a scene in format v1 (.sc1). See load_scene for the layout."""
     has_scores = scene.sem_scores is not None
     stuff = sorted(scene.stuff_classes)
-    lines = [
+    header = [
         f"SC1 {scene.n_points} {scene.n_classes}",
         "STUFF " + " ".join([str(len(stuff))] + [str(c) for c in stuff]),
         f"SCORES {1 if has_scores else 0}",
     ]
-    coords = scene.coords
-    colors = scene.colors
-    labels = scene.sem_labels
-    insts = scene.inst_ids
-    scores = scene.sem_scores
-    for i in range(scene.n_points):
-        parts = [
-            _F32 % coords[i, 0],
-            _F32 % coords[i, 1],
-            _F32 % coords[i, 2],
-            str(int(colors[i, 0])),
-            str(int(colors[i, 1])),
-            str(int(colors[i, 2])),
-            str(int(labels[i])),
-            str(int(insts[i])),
-        ]
-        if has_scores:
-            parts.extend(_F32 % v for v in scores[i])
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    columns = [scene.coords, scene.colors, scene.sem_labels, scene.inst_ids]
+    row_fmt = " ".join([_F32] * 3 + ["%d"] * 5)
+    if has_scores:
+        columns.append(scene.sem_scores)
+        row_fmt += f" {_F32}" * scene.n_classes
+    _write_text(path, _rows_text(header, [(row_fmt, columns)]))
 
 
 def load_scene(path) -> Scene:
@@ -91,67 +176,41 @@ def load_scene(path) -> Scene:
     lines = _read_lines(path)
     if len(lines) < 3:
         raise FormatError("line 1: truncated file, expected SC1 header")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "SC1":
-        raise FormatError("line 1: malformed header, expected 'SC1 <n_points> <n_classes>'")
-    n_points = _parse_int(head[1], 1, "n_points")
-    n_classes = _parse_int(head[2], 1, "n_classes")
+    n_points, n_classes = _header(lines, "SC1", "n_points", "n_classes")
     if n_points < 0 or n_classes < 1:
         raise FormatError("line 1: n_points must be >= 0 and n_classes >= 1")
 
-    stuff_toks = lines[1].split()
+    stuff_toks = lines[1].split(None, 2)
     if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":
         raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
     k = _parse_int(stuff_toks[1], 2, "stuff count")
-    if len(stuff_toks) != 2 + k:
-        raise FormatError(f"line 2: expected {k} stuff class ids, got {len(stuff_toks) - 2}")
-    stuff = frozenset(_parse_int(t, 2, "stuff class id") for t in stuff_toks[2:])
+    (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
 
     score_toks = lines[2].split()
     if len(score_toks) != 2 or score_toks[0] != "SCORES" or score_toks[1] not in ("0", "1"):
         raise FormatError("line 3: malformed scores header, expected 'SCORES <0|1>'")
     has_scores = score_toks[1] == "1"
 
-    n_fields = 8 + (n_classes if has_scores else 0)
     if len(lines) != 3 + n_points:
         raise FormatError(
             f"line {min(len(lines), 3 + n_points) + 1}: expected {n_points} point lines, "
             f"found {len(lines) - 3}"
         )
-
-    coords = np.empty((n_points, 3), dtype=np.float32)
-    colors = np.empty((n_points, 3), dtype=np.int64)
-    labels = np.empty(n_points, dtype=np.int32)
-    insts = np.empty(n_points, dtype=np.int32)
-    scores = np.empty((n_points, n_classes), dtype=np.float32) if has_scores else None
-
-    for i in range(n_points):
-        lineno = 4 + i
-        toks = lines[3 + i].split()
-        if len(toks) != n_fields:
-            raise FormatError(
-                f"line {lineno}: expected {n_fields} fields, got {len(toks)}"
-            )
-        coords[i, 0] = _parse_float(toks[0], lineno, "x")
-        coords[i, 1] = _parse_float(toks[1], lineno, "y")
-        coords[i, 2] = _parse_float(toks[2], lineno, "z")
-        colors[i, 0] = _parse_int(toks[3], lineno, "r")
-        colors[i, 1] = _parse_int(toks[4], lineno, "g")
-        colors[i, 2] = _parse_int(toks[5], lineno, "b")
-        labels[i] = _parse_int(toks[6], lineno, "sem label")
-        insts[i] = _parse_int(toks[7], lineno, "instance id")
-        if has_scores:
-            scores[i] = [_parse_float(t, lineno, "score") for t in toks[8:]]
+    fields = [(axis, np.float32, 1) for axis in "xyz"] + [(ch, np.int64, 1) for ch in "rgb"]
+    fields += [("sem label", np.int32, 1), ("instance id", np.int32, 1)]
+    if has_scores:
+        fields.append(("score", np.float32, n_classes))
+    cols = _read_rows(lines[3:], 4, fields)
 
     try:
         return Scene(
             n_classes=n_classes,
-            coords=coords,
-            colors=colors,
-            sem_labels=labels,
-            inst_ids=insts,
-            stuff_classes=stuff,
-            sem_scores=scores,
+            coords=np.hstack(cols[0:3]),
+            colors=np.hstack(cols[3:6]),
+            sem_labels=cols[6][:, 0],
+            inst_ids=cols[7][:, 0],
+            stuff_classes=frozenset(stuff[0].tolist()),
+            sem_scores=cols[8] if has_scores else None,
         )
     except SceneError as err:
         if err.point_index is not None:
@@ -160,22 +219,14 @@ def load_scene(path) -> Scene:
 
 
 def save_offsets(offsets: OffsetField, path) -> None:
-    lines = [f"OFF1 {offsets.n_points}"]
-    off = offsets.offsets
-    for i in range(offsets.n_points):
-        lines.append(f"{_F64 % off[i, 0]} {_F64 % off[i, 1]} {_F64 % off[i, 2]}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    header = [f"OFF1 {offsets.n_points}"]
+    _write_text(path, _rows_text(header, [(" ".join([_F64] * 3), [offsets.offsets])]))
 
 
 def load_offsets(path) -> OffsetField:
     """Parse a format v1 offset file: ``OFF1 <n>`` then n ``dx dy dz`` lines."""
     lines = _read_lines(path)
-    if not lines:
-        raise FormatError("line 1: empty file, expected OFF1 header")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "OFF1":
-        raise FormatError("line 1: malformed header, expected 'OFF1 <n_points>'")
-    n = _parse_int(head[1], 1, "n_points")
+    (n,) = _header(lines, "OFF1", "n_points")
     if n < 0:
         raise FormatError("line 1: n_points must be >= 0")
     if len(lines) != 1 + n:
@@ -183,13 +234,7 @@ def load_offsets(path) -> OffsetField:
             f"line {min(len(lines), 1 + n) + 1}: expected {n} offset lines, "
             f"found {len(lines) - 1}"
         )
-    out = np.empty((n, 3), dtype=np.float64)
-    for i in range(n):
-        lineno = 2 + i
-        toks = lines[1 + i].split()
-        if len(toks) != 3:
-            raise FormatError(f"line {lineno}: expected 3 fields, got {len(toks)}")
-        out[i] = [_parse_float(t, lineno, "offset") for t in toks]
+    (out,) = _read_rows(lines[1:], 2, [("offset", np.float64, 3)])
     try:
         return OffsetField(out)
     except SceneError as err:
@@ -199,15 +244,15 @@ def load_offsets(path) -> OffsetField:
 
 
 def predictions_text(preds: list[InstancePrediction]) -> str:
-    lines = [f"PRED1 {len(preds)}"]
+    blocks = []
     for p in preds:
-        lines.append(f"{p.class_id} {_F64 % p.score} {p.size}")
-        lines.append(" ".join(str(int(i)) for i in p.point_idx))
-    return "\n".join(lines) + "\n"
+        blocks.append(("%d " + _F64 + " %d", [[p.class_id], [p.score], [p.size]]))
+        blocks.append((" ".join(["%d"] * p.size), [p.point_idx[None, :]]))
+    return _rows_text([f"PRED1 {len(preds)}"], blocks)
 
 
 def save_predictions(preds: list[InstancePrediction], path) -> None:
-    Path(path).write_text(predictions_text(preds), encoding="ascii", newline="\n")
+    _write_text(path, predictions_text(preds))
 
 
 def load_predictions(path) -> list[InstancePrediction]:
@@ -218,12 +263,7 @@ def load_predictions(path) -> list[InstancePrediction]:
     in the file is free; duplicates are rejected.
     """
     lines = _read_lines(path)
-    if not lines:
-        raise FormatError("line 1: empty file, expected PRED1 header")
-    head = lines[0].split()
-    if len(head) != 2 or head[0] != "PRED1":
-        raise FormatError("line 1: malformed header, expected 'PRED1 <m>'")
-    m = _parse_int(head[1], 1, "prediction count")
+    (m,) = _header(lines, "PRED1", "prediction count")
     if m < 0:
         raise FormatError("line 1: prediction count must be >= 0")
     if len(lines) != 1 + 2 * m:
@@ -231,24 +271,11 @@ def load_predictions(path) -> list[InstancePrediction]:
             f"line {len(lines) + 1}: expected {2 * m} prediction lines, "
             f"found {len(lines) - 1}"
         )
+    head = [("class", np.int64, 1), ("score", np.float64, 1), ("point count", np.int64, 1)]
     preds = []
-    for k in range(m):
-        lineno = 2 + 2 * k
-        toks = lines[lineno - 1].split()
-        if len(toks) != 3:
-            raise FormatError(f"line {lineno}: expected '<class> <score> <n>'")
-        class_id = _parse_int(toks[0], lineno, "class")
-        score = _parse_float(toks[1], lineno, "score")
-        n = _parse_int(toks[2], lineno, "point count")
-        idx_toks = lines[lineno].split()
-        if len(idx_toks) != n:
-            raise FormatError(
-                f"line {lineno + 1}: expected {n} point indices, got {len(idx_toks)}"
-            )
-        idx = np.array(
-            [_parse_int(t, lineno + 1, "point index") for t in idx_toks],
-            dtype=np.int64,
-        )
+    for lineno in range(2, 2 + 2 * m, 2):
+        class_id, score, n = (c[0, 0].item() for c in _read_rows([lines[lineno - 1]], lineno, head))
+        (idx,) = _read_rows([lines[lineno]], lineno + 1, [("point index", np.int64, n)])
         uniq = np.unique(idx)
         if uniq.size != idx.size:
             raise FormatError(f"line {lineno + 1}: duplicate point index")
@@ -284,22 +311,8 @@ def export_ply(scene: Scene, preds: list[InstancePrediction], path) -> None:
         fresh = p.point_idx[~painted[p.point_idx]]
         colors[fresh] = prediction_color(k)
         painted[fresh] = True
-    lines = [
-        "ply",
-        "format ascii 1.0",
-        f"element vertex {n}",
-        "property float x",
-        "property float y",
-        "property float z",
-        "property uchar red",
-        "property uchar green",
-        "property uchar blue",
-        "end_header",
-    ]
-    coords = scene.coords
-    for i in range(n):
-        lines.append(
-            f"{_F32 % coords[i, 0]} {_F32 % coords[i, 1]} {_F32 % coords[i, 2]} "
-            f"{colors[i, 0]} {colors[i, 1]} {colors[i, 2]}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    header = ["ply", "format ascii 1.0", f"element vertex {n}"]
+    header += [f"property float {axis}" for axis in "xyz"]
+    header += [f"property uchar {ch}" for ch in ("red", "green", "blue")] + ["end_header"]
+    row_fmt = " ".join([_F32] * 3 + ["%d"] * 3)
+    _write_text(path, _rows_text(header, [(row_fmt, [scene.coords, colors])]))

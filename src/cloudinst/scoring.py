@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,6 +27,7 @@ from .core import (
     Scene,
     check_offsets,
 )
+from .formats import _F64, _header, _read_lines, _read_rows, _rows_text, _write_text
 from .losses import gradient_check
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
@@ -274,50 +274,30 @@ class ScorerModel:
 
 
 def save_scorer(model: ScorerModel, path) -> None:
-    fmt = "%.17g"
-    lines = [f"SCORER1 {model.descriptor_dim} {model.hidden}"]
-    lines.append(" ".join(fmt % v for v in model.mean))
-    lines.append(" ".join(fmt % v for v in model.std))
-    for row in model.w1:
-        lines.append(" ".join(fmt % v for v in row))
-    lines.append(" ".join(fmt % v for v in model.b1))
-    lines.append(" ".join(fmt % v for v in model.w2))
-    lines.append(fmt % model.b2)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii", newline="\n")
+    d, h = model.descriptor_dim, model.hidden
+    blocks = [
+        (" ".join([_F64] * d), [np.vstack([model.mean, model.std, model.w1])]),
+        (" ".join([_F64] * h), [np.vstack([model.b1, model.w2])]),
+        (_F64, [[model.b2]]),
+    ]
+    _write_text(path, _rows_text([f"SCORER1 {d} {h}"], blocks))
 
 
 def load_scorer(path) -> ScorerModel:
-    lines = [l for l in Path(path).read_text(encoding="ascii").split("\n") if l.strip()]
-    if not lines:
-        raise FormatError("line 1: empty scorer file")
-    head = lines[0].split()
-    if len(head) != 3 or head[0] != "SCORER1":
-        raise FormatError("line 1: malformed header, expected 'SCORER1 <dim> <hidden>'")
-    try:
-        d, h = int(head[1]), int(head[2])
-    except ValueError:
-        raise FormatError("line 1: dimensions are not integers") from None
+    """Parse ``SCORER1 <dim> <hidden>`` and the rows mean, std, w1..., b1, w2,
+    b2.  Blank lines are skipped; line numbers in errors do not count them."""
+    lines = [line for line in _read_lines(path) if line.strip()]
+    d, h = _header(lines, "SCORER1", "dim", "hidden")
+    if d < 1 or h < 1:
+        raise FormatError("line 1: dimensions must be >= 1")
     expect = 1 + 2 + h + 3
     if len(lines) != expect:
         raise FormatError(f"expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
-
-    def row(k: int, n: int) -> np.ndarray:
-        toks = lines[k].split()
-        if len(toks) != n:
-            raise FormatError(f"line {k + 1}: expected {n} values, got {len(toks)}")
-        try:
-            return np.array([float(t) for t in toks], dtype=np.float64)
-        except ValueError:
-            raise FormatError(f"line {k + 1}: non-numeric value") from None
-
-    mean = row(1, d)
-    std = row(2, d)
-    w1 = np.stack([row(3 + i, d) for i in range(h)])
-    b1 = row(3 + h, h)
-    w2 = row(4 + h, h)
-    b2 = float(row(5 + h, 1)[0])
+    (by_dim,) = _read_rows(lines[1 : 3 + h], 2, [("value", np.float64, d)])
+    (by_hidden,) = _read_rows(lines[3 + h : 5 + h], 4 + h, [("value", np.float64, h)])
+    (b2,) = _read_rows(lines[5 + h :], 6 + h, [("value", np.float64, 1)])
     try:
-        return ScorerModel(mean=mean, std=std, w1=w1, b1=b1, w2=w2, b2=b2)
+        return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
     except ValueError as err:
         raise FormatError(str(err)) from err
 

@@ -59,6 +59,22 @@ def radius_squared(radius: float) -> np.float32:
     return r * r
 
 
+def check_radius(radius: float) -> None:
+    """Reject a radius unless it is positive and its float32 square is a
+    normal finite number.
+
+    Every distance test compares a float32 square against r*r, and the
+    clique cells rely on that comparison: with r*r rounded to 0 or to inf,
+    points sharing a cell can join although the test keeps them apart.
+    """
+    with np.errstate(over="ignore", under="ignore"):
+        r2 = radius_squared(radius)
+    if not (radius > 0 and np.isfinite(r2) and r2 >= np.finfo(np.float32).tiny):
+        raise ValueError(
+            f"radius must be positive with a normal finite float32 square, got {radius}"
+        )
+
+
 def expand_ranges(lo, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every position in the ranges [lo, lo + counts), with the range it came from."""
     owner = np.repeat(np.arange(counts.size), counts)
@@ -84,8 +100,7 @@ class GridIndex:
     """
 
     def __init__(self, coords: np.ndarray, radius: float, labels: np.ndarray | None = None):
-        if not np.isfinite(radius) or radius <= 0.0:
-            raise ValueError(f"radius must be positive and finite, got {radius}")
+        check_radius(radius)
         coords = np.asarray(coords, dtype=np.float32)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError("coords must have shape (n_points, 3)")

@@ -210,3 +210,13 @@ def test_missing_file_is_runtime_error(capsys, tmp_path):
     )
     assert code == 2
     assert "error" in err
+
+
+def test_cluster_radius_with_underflowing_square_exits_2(capsys, tmp_path):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    code, _, err = run(
+        capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets),
+        "--scorer", "oracle", "--radius", "1e-30",
+    )
+    assert code == 2
+    assert "radius" in err

@@ -9,7 +9,7 @@ from cloudinst.clustering import (
 )
 from cloudinst.core import Source
 from cloudinst.losses import offset_targets
-from cloudinst.spatial import radius_squared, squared_distances
+from cloudinst.spatial import GridIndex, radius_squared, squared_distances
 
 from conftest import random_cluster_inputs, two_object_scene
 
@@ -151,7 +151,8 @@ def test_long_chains_just_under_radius_equal_oracle(seed):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_far_outliers_equal_oracle(seed):
-    # a few points moved 1e4 to 1e36 m away, some onto each other
+    # a few points moved 1e4 to 1e36 m away, some onto each other, and one
+    # to a finite 1e39 m, beyond the float32 range
     rng = np.random.default_rng(400 + seed)
     coords, labels = random_cluster_inputs(400 + seed)
     far = rng.choice(coords.shape[0], 5, replace=False)
@@ -159,6 +160,9 @@ def test_far_outliers_equal_oracle(seed):
     coords[far] = (coords[far] + shift).astype(np.float32)
     coords[far[1]] = coords[far[0]]
     labels[far[1]] = labels[far[0]]
+    coords = coords.astype(np.float64)
+    coords[far[4], seed % 3] = 1e39 * (-1.0) ** seed
+    labels[far[4]] = 1  # not stuff, so the point reaches the grid
     _assert_matches_oracle(coords, labels)
 
 
@@ -256,3 +260,13 @@ def test_params_validation():
         ClusterParams(radius=0.0)
     with pytest.raises(ValueError):
         ClusterParams(min_points=0)
+
+
+@pytest.mark.parametrize("radius", [1e-30, 1e20])
+def test_radius_whose_float32_square_is_not_normal_rejected(radius):
+    # float32 r*r underflows to 0 (1e-30) or overflows to inf (1e20); the
+    # clique cells would then join points the distance test keeps apart
+    with pytest.raises(ValueError, match="radius"):
+        ClusterParams(radius=radius, min_points=1)
+    with pytest.raises(ValueError, match="radius"):
+        GridIndex(np.zeros((3, 3), dtype=np.float32), radius)

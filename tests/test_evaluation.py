@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
+from cloudinst import evaluation
+from cloudinst.clustering import ClusterParams
 from cloudinst.core import GroundTruthInstance, InstancePrediction, ground_truth_instances
 from cloudinst.evaluation import average_precision, evaluate, match_and_pr
-from cloudinst.synth import GenConfig, generate_scene
+from cloudinst.pipeline import PipelineConfig, run_pipeline
+from cloudinst.scoring import Scorer
+from cloudinst.synth import GenConfig, generate_sample, generate_scene
 
 from conftest import make_scene
 
@@ -170,3 +174,34 @@ def test_score_filter_only_affects_precision_recall(simple_scene):
     assert res.mrec50 == 0.5  # but the filtered recall misses instance 1
     res_nofilter = evaluate(preds, simple_scene, score_filter=0.0)
     assert res_nofilter.mrec50 == 1.0
+
+
+def test_evaluate_builds_one_iou_matrix_per_class(monkeypatch):
+    clean, observed, offsets = generate_sample(
+        GenConfig(seed=2, sigma0=0.01, beta=2.0, p_sem=0.05, sem_temperature=0.5)
+    )
+    config = PipelineConfig(
+        scorer=Scorer.ORACLE, nms_iou=0.9, cluster_params=ClusterParams(min_points=5)
+    )
+    preds = run_pipeline(observed, offsets, config)
+    filtered = [p for p in preds if p.score >= evaluation.PR_SCORE_FILTER]
+    assert 0 < len(filtered) < len(preds)
+
+    calls = []
+    real = evaluation.pairwise_iou
+    monkeypatch.setattr(
+        evaluation, "pairwise_iou", lambda *args: calls.append(1) or real(*args)
+    )
+    res = evaluate(preds, clean)
+    assert len(calls) == len(res.classes)
+    # the filtered pass slices the class's matrix; a fresh match agrees
+    monkeypatch.undo()
+    gts = ground_truth_instances(clean)
+    for c in res.classes:
+        m = match_and_pr(filtered, gts, c, 0.5, clean.n_points)
+        n_tp = int((m.matched_gt >= 0).sum())
+        assert res.prec50_classwise[c] == (n_tp / m.pred_order.size if m.pred_order.size else 0.0)
+        assert res.rec50_classwise[c] == n_tp / m.n_gt
+        for t in res.thresholds:
+            m = match_and_pr(preds, gts, c, t, clean.n_points)
+            assert res.ap[c][t] == average_precision(m.precision, m.recall)

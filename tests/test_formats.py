@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from cloudinst.core import FormatError, InstancePrediction, OffsetField, SceneError
 from cloudinst.formats import (
@@ -12,6 +14,7 @@ from cloudinst.formats import (
     save_scene,
 )
 from cloudinst.core import scenes_equal
+from cloudinst.scoring import ScorerModel, load_scorer, save_scorer
 from cloudinst.synth import GenConfig, generate_scene
 
 from conftest import make_scene
@@ -225,3 +228,252 @@ def test_export_ply_out_of_range_index(tmp_path, simple_scene):
     pred = InstancePrediction(point_idx=[99], class_id=1, score=1.0)
     with pytest.raises(SceneError, match="references point"):
         export_ply(simple_scene, [pred], tmp_path / "x.ply")
+
+
+# --- every loader raises only FormatError, naming the line -----------------
+
+LOADERS = {
+    "sc1": load_scene,
+    "off1": load_offsets,
+    "pred1": load_predictions,
+    "scorer": load_scorer,
+}
+
+# small valid files, one per format
+VALID = {
+    "sc1": (
+        "SC1 3 3\nSTUFF 1 0\nSCORES 1\n"
+        "0.5 0.25 0 10 20 30 1 0 0.1 0.8 0.1\n"
+        "0.5 0.26 0 10 20 30 1 0 0.2 0.7 0.1\n"
+        "1 1 1 0 0 0 0 -1 0.9 0.05 0.05\n"
+    ),
+    "off1": "OFF1 2\n0.1 -0.2 1e-17\n5 6 7\n",
+    "pred1": "PRED1 2\n2 0.75 3\n0 4 7\n1 1 1\n1\n",
+    "scorer": "SCORER1 2 2\n0 0.5\n1 2\n0.1 -0.2\n0.3 0.4\n0 0\n1 -1\n0.25\n",
+}
+
+
+def test_valid_files_load(tmp_path):
+    for kind, text in VALID.items():
+        path = tmp_path / f"v.{kind}"
+        path.write_text(text)
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize(
+    "kind,data,line",
+    [
+        ("sc1", VALID["sc1"].encode().replace(b"0.26", b"0.2\xe9"), 5),
+        ("off1", b"OFF1 1\n0 0 \xff\n", 2),
+        ("pred1", b"PRED1 1\n2 0.5 1\n\x807\n", 3),
+        ("scorer", b"SCORER1 2 2\xa0\n", 1),
+    ],
+    ids=["sc1", "off1", "pred1", "scorer"],
+)
+def test_non_ascii_byte_names_its_line(tmp_path, kind, data, line):
+    path = tmp_path / f"bad.{kind}"
+    path.write_bytes(data)
+    with pytest.raises(FormatError, match=f"line {line}: non-ASCII byte"):
+        LOADERS[kind](path)
+
+
+TOKENS = ["1_0", "+5", "07", "-0", "1.0", "1e5", "nan", "inf", "0x10"]
+INTEGERS = {"1_0", "+5", "07", "-0"}
+FINITE = INTEGERS | {"1.0", "1e5"}
+
+
+def _rows_for(tok: str) -> int:
+    """Body size for a count field holding ``tok``."""
+    try:
+        return max(int(tok), 0)
+    except ValueError:
+        return 1
+
+
+def _token_file(kind: str, int_tok: str = "1", float_tok: str = "0.5") -> str:
+    """One int field and one float field of each format, filled with tokens."""
+    if kind == "sc1":  # int: red; float: x
+        return f"SC1 1 3\nSTUFF 0\nSCORES 0\n{float_tok} 0 0 {int_tok} 2 3 1 0\n"
+    if kind == "off1":  # int: point count; float: dx
+        return f"OFF1 {int_tok}\n" + f"{float_tok} 0 0\n" * _rows_for(int_tok)
+    if kind == "pred1":  # int: class; float: score
+        return f"PRED1 1\n{int_tok} {float_tok} 1\n3\n"
+    h = _rows_for(int_tok)  # scorer; int: hidden size; float: first w1 value
+    zeros = " ".join(["0"] * h)
+    return (
+        f"SCORER1 2 {int_tok}\n0 0\n1 1\n{float_tok} 0\n" + "0 0\n" * (h - 1)
+        + f"{zeros}\n{zeros}\n0\n"
+    )
+
+
+# accepted tokens per (format, field); every other token is a FormatError
+ACCEPTED = {
+    ("sc1", "int"): INTEGERS,
+    ("sc1", "float"): FINITE,
+    ("off1", "int"): INTEGERS,
+    ("off1", "float"): FINITE,
+    ("pred1", "int"): INTEGERS,
+    ("pred1", "float"): {"-0", "1.0"},  # scores lie in [0, 1]
+    ("scorer", "int"): INTEGERS - {"-0"},  # at least one hidden unit
+    ("scorer", "float"): FINITE,
+}
+
+
+@pytest.mark.parametrize("kind,field", sorted(ACCEPTED))
+@pytest.mark.parametrize("tok", TOKENS)
+def test_token_table(tmp_path, kind, field, tok):
+    path = tmp_path / f"t.{kind}"
+    path.write_text(_token_file(kind, **{f"{field}_tok": tok}))
+    if tok in ACCEPTED[kind, field]:
+        LOADERS[kind](path)
+    else:
+        with pytest.raises(FormatError):
+            LOADERS[kind](path)
+
+
+def test_first_faulty_line_and_field_are_named(tmp_path):
+    # a bad value on line 5 and a wrong field count on line 9: line 5 wins
+    rows = ["0 0 0 1 2 3 1 -1"] * 6
+    rows[1] = "0 0 zz 1 2 q 1 -1"
+    rows[5] = "0 0 0 1 2 3 1"
+    path = tmp_path / "two.sc1"
+    path.write_text("SC1 6 3\nSTUFF 0\nSCORES 0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match="line 5: z is not a number: 'zz'"):
+        load_scene(path)
+    rows[1] = "0 0 0 1 2 3 1 -1"
+    path.write_text("SC1 6 3\nSTUFF 0\nSCORES 0\n" + "\n".join(rows) + "\n")
+    with pytest.raises(FormatError, match="line 9: expected 8 fields, got 7"):
+        load_scene(path)
+
+
+@pytest.mark.parametrize(
+    "kind,text,match",
+    [
+        ("sc1", "SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 0 1 2 3 1 2147483648\n", "line 4: instance id"),
+        ("sc1", "SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 0 1 2 9223372036854775808 1 -1\n", "line 4: b"),
+        ("pred1", "PRED1 1\n2 0.5 1\n9223372036854775808\n", "line 3: point index"),
+    ],
+    ids=["int32", "int64", "index"],
+)
+def test_integer_beyond_its_column_is_a_format_error(tmp_path, kind, text, match):
+    path = tmp_path / f"big.{kind}"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=match + " is out of range"):
+        LOADERS[kind](path)
+
+
+_BYTES = st.one_of(st.sampled_from(b" \t\r\n-+._eExn0123456789"), st.integers(0, 255))
+
+
+@st.composite
+def _garbled(draw, text: str) -> bytes:
+    """``text`` truncated at a byte, or with bytes or lines replaced, deleted
+    or duplicated."""
+    data = bytearray(text.encode("ascii"))
+    for _ in range(draw(st.integers(1, 3))):
+        if not data:
+            break
+        i = draw(st.integers(0, len(data) - 1))
+        j = draw(st.integers(i, min(len(data), i + 4)))
+        op = draw(st.sampled_from(
+            ["truncate", "replace", "delete", "duplicate", "drop line", "repeat line"]
+        ))
+        if op == "truncate":
+            del data[i:]
+        elif op == "replace":
+            data[i] = draw(_BYTES)
+        elif op == "delete":
+            del data[i:j]
+        elif op == "duplicate":
+            data[i:i] = data[i:j]
+        else:
+            lines = bytes(data).split(b"\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            if op == "drop line":
+                del lines[k]
+            else:
+                lines.insert(k, lines[k])
+            data = bytearray(b"\n".join(lines))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(
+    derandomize=True, deadline=None, max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_garbled_files_raise_only_format_error(tmp_path, kind, data):
+    path = tmp_path / f"g.{kind}"
+    path.write_bytes(data.draw(_garbled(VALID[kind])))
+    try:
+        LOADERS[kind](path)
+    except FormatError:
+        pass
+
+
+def _reference_text(header, rows):
+    """The per-row loop the writers replaced, kept as their reference."""
+    return "\n".join(header + [" ".join(row) for row in rows]) + "\n"
+
+
+@pytest.mark.parametrize("with_scores", [True, False])
+def test_writers_match_the_per_row_reference(tmp_path, with_scores):
+    cfg = GenConfig(seed=5, n_objects=3, density=300.0, stuff_density=10.0)
+    scene, offsets = generate_scene(cfg)
+    if not with_scores:
+        scene = make_scene(
+            scene.coords, scene.sem_labels, scene.inst_ids, n_classes=scene.n_classes,
+            stuff_classes=scene.stuff_classes, sem_scores=None, colors=scene.colors,
+        )
+    f32 = lambda v: "%.9g" % v  # noqa: E731
+    f64 = lambda v: "%.17g" % v  # noqa: E731
+    rows = []
+    for i in range(scene.n_points):
+        row = [f32(v) for v in scene.coords[i]] + [str(int(v)) for v in scene.colors[i]]
+        row += [str(int(scene.sem_labels[i])), str(int(scene.inst_ids[i]))]
+        if with_scores:
+            row += [f32(v) for v in scene.sem_scores[i]]
+        rows.append(row)
+    stuff = sorted(scene.stuff_classes)
+    header = [
+        f"SC1 {scene.n_points} {scene.n_classes}",
+        " ".join(["STUFF", str(len(stuff))] + [str(c) for c in stuff]),
+        f"SCORES {int(with_scores)}",
+    ]
+    save_scene(scene, tmp_path / "s.sc1")
+    assert (tmp_path / "s.sc1").read_text() == _reference_text(header, rows)
+
+    save_offsets(offsets, tmp_path / "o.off1")
+    want = _reference_text(
+        [f"OFF1 {offsets.n_points}"], [[f64(v) for v in row] for row in offsets.offsets]
+    )
+    assert (tmp_path / "o.off1").read_text() == want
+
+    preds = [
+        InstancePrediction(point_idx=[0, 4, 7], class_id=2, score=0.75),
+        InstancePrediction(point_idx=np.arange(1, scene.n_points, 3), class_id=3, score=1 / 3),
+    ]
+    save_predictions(preds, tmp_path / "p.pred1")
+    rows = []
+    for p in preds:
+        rows += [[str(p.class_id), f64(p.score), str(p.size)], [str(int(i)) for i in p.point_idx]]
+    assert (tmp_path / "p.pred1").read_text() == _reference_text([f"PRED1 {len(preds)}"], rows)
+
+    export_ply(scene, preds, tmp_path / "v.ply")
+    body = (tmp_path / "v.ply").read_text().split("\n")[10:-1]
+    assert body == [
+        " ".join([f32(v) for v in scene.coords[i]] + line.split()[3:])
+        for i, line in enumerate(body)
+    ]
+
+
+def test_scorer_file_layout(tmp_path):
+    model = ScorerModel.default(hidden=3, seed=1)
+    path = tmp_path / "m.scorer"
+    save_scorer(model, path)
+    lines = path.read_text().split("\n")
+    assert lines[0] == "SCORER1 8 3"
+    assert lines[3] == " ".join("%.17g" % v for v in model.w1[0])
+    back = load_scorer(path)
+    assert np.array_equal(back.w1, model.w1) and back.b2 == model.b2

@@ -214,25 +214,31 @@ def test_pipeline_single_set_ablation_p_vs_q():
 
 def test_far_offset_outlier_keeps_scene_running():
     # one finite offset of 5e4 m on an instance point used to make the grid
-    # reject the shifted set ("coordinate span too large"); a low density
-    # keeps the O(N^2) oracle on the collapsed shifted set quick
+    # reject the shifted set ("coordinate span too large"), and one of 1e39 m
+    # overflowed float32 ("non-finite coordinate"); a low density keeps the
+    # O(N^2) oracle on the collapsed shifted set quick
     scene, offsets = generate_scene(GenConfig(seed=3, n_objects=4, density=400.0))
     moved = np.array(offsets.offsets)
     k = int(np.flatnonzero(scene.inst_ids >= 0)[0])
-    moved[k] = [5e4, 0.0, 0.0]
-    field = OffsetField(moved.copy())
-    preds = run_pipeline(scene, field, PipelineConfig(scorer=Scorer.ORACLE))
-    assert preds
     params = ClusterParams()
-    for coords, source in (
-        (scene.coords, Source.ORIGINAL),
-        (shifted_coords(scene, field), Source.SHIFTED),
-    ):
-        got = cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, source)
-        want = connected_components_oracle(
-            coords, scene.sem_labels, scene.stuff_classes, params, source
-        )
-        assert [c.point_idx.tolist() for c in got] == [c.point_idx.tolist() for c in want]
+    for far in (5e4, 1e39):
+        moved[k] = [far, 0.0, 0.0]
+        field = OffsetField(moved.copy())
+        preds = run_pipeline(scene, field, PipelineConfig(scorer=Scorer.ORACLE))
+        assert preds, far
+        for coords, source in (
+            (scene.coords, Source.ORIGINAL),
+            (shifted_coords(scene, field), Source.SHIFTED),
+        ):
+            got = cluster_single_set(
+                coords, scene.sem_labels, scene.stuff_classes, params, source
+            )
+            want = connected_components_oracle(
+                coords, scene.sem_labels, scene.stuff_classes, params, source
+            )
+            assert [c.point_idx.tolist() for c in got] == [
+                c.point_idx.tolist() for c in want
+            ], far
 
     # non-finite input is still refused
     moved[k] = [np.inf, 0.0, 0.0]
