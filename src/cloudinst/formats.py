@@ -1,8 +1,9 @@
 """Text file formats: scene (.sc1), offsets (.off1), predictions (.pred1), PLY export.
 
 Every format, the scorer file (.scorer) too, is header lines plus rows of
-numbers, read by one row reader and written by one row writer.  Loaders
-raise only ``FormatError``, naming the first faulty line.  All writers are
+numbers, read by one row reader (numpy's C reader, and a token walk for
+what it refuses) and written by one row writer.  Loaders raise only
+``FormatError``, naming the first faulty line.  All writers are
 byte-stable: the same object always serializes to the same bytes, and every
 numeric field round-trips exactly (floats are written with enough
 significant digits for their storage precision).
@@ -12,7 +13,8 @@ from __future__ import annotations
 
 import colorsys
 import re
-from itertools import chain
+import warnings
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +23,8 @@ from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneErro
 
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
-_CHUNK = 4096  # rows converted or formatted at once: bounds the Python objects held
+_CHUNK = 4096  # rows formatted at once: bounds the Python objects held
+_WIDE = {"i": np.int64, "f": np.float64}  # parse dtype per kind, narrowed after
 
 
 def _read_lines(path) -> list[str]:
@@ -62,70 +65,64 @@ def _header(lines: list[str], tag: str, *names: str) -> list[int]:
     return [_parse_int(tok, 1, name) for tok, name in zip(toks[1:], names)]
 
 
-def _column(tokens: list[str], dtype) -> np.ndarray:
-    """Tokens converted as Python's int or float would; ValueError or
-    OverflowError when one does not convert or does not fit ``dtype``."""
-    if not np.issubdtype(dtype, np.integer):
-        with np.errstate(over="ignore"):  # float32 overflow gives inf, as assignment does
-            return np.array(tokens, dtype=np.float64).astype(dtype)
-    values = np.array(tokens, dtype=np.int64)
-    if np.any(values.astype(dtype) != values):
-        raise OverflowError(f"integer out of range for {np.dtype(dtype)}")
-    return values.astype(dtype)
+def _narrow(block: np.ndarray, dtype) -> np.ndarray:
+    """``block`` cast to ``dtype``: OverflowError for an int that does not fit, inf
+    for a float beyond float32."""
+    with np.errstate(over="ignore"):
+        out = block.astype(dtype)
+    if out.dtype.kind == "i" and np.any(out != block):
+        raise OverflowError(f"integer out of range for {out.dtype}")
+    return out
 
 
 def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     """Parse ``lines``, the first of them line ``lineno`` of the file, as a table.
 
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
-    group comes back as one ``(len(lines), count)`` array, converted in one
-    numpy call per column and chunk of rows.  A faulty table raises
-    ``FormatError`` for its first faulty line: a wrong field count, or the
-    first bad field on it.
+    group comes back as one ``(len(lines), count)`` array.  numpy's C reader
+    parses the table in one call, each group as one int64 or float64 subarray
+    field, which ``_narrow`` then casts.  What that reader refuses, warns
+    about or miscounts (it skips blank lines), what does not narrow, and a row
+    wider than the first line can hold (loadtxt sizes its work per column) go
+    to ``_walk_rows``, which accepts what Python's ``int``/``float`` accept
+    (``1_0``) or raises ``FormatError`` for the first faulty line.
     """
     width = sum(count for _, _, count in fields)
-    parts: list[list[np.ndarray]] = [[] for _ in fields]
-    for lo in range(0, len(lines), _CHUNK):
-        rows = list(map(str.split, lines[lo : lo + _CHUNK]))
-        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        wrong = np.flatnonzero(sizes != width)
-        good = rows[: wrong[0]] if wrong.size else rows
-        if good:
-            _convert(good, lineno + lo, fields, width, parts)
-        if wrong.size:
-            k = int(wrong[0])
-            raise FormatError(f"line {lineno + lo + k}: expected {width} fields, got {sizes[k]}")
+    if lines and 0 < width <= (len(lines[0]) + 1) // 2:
+        wide = [(f"f{k}", _WIDE[np.dtype(dt).kind], (n,)) for k, (_, dt, n) in enumerate(fields)]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = np.loadtxt(lines, dtype=wide, comments=None, ndmin=1)
+            if len(table) == len(lines):
+                return [_narrow(table[f"f{k}"], dt) for k, (_, dt, _) in enumerate(fields)]
+        except (ValueError, OverflowError, Warning):
+            pass
+    return _walk_rows(lines, lineno, fields)
+
+
+def _walk_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
+    """``_read_rows`` token by token with Python's ``int`` and ``float`` into typed
+    buffers; a fault is the first line's wrong field count or first bad field."""
+    width = sum(count for _, _, count in fields)
+    ranges = [np.iinfo(dt) if np.dtype(dt).kind == "i" else None for _, dt, _ in fields]
+    cols = [array("d" if info is None else "q") for info in ranges]
+    for at, line in enumerate(lines, start=lineno):
+        toks = line.split()
+        if len(toks) != width:
+            raise FormatError(f"line {at}: expected {width} fields, got {len(toks)}")
+        pos = 0
+        for (name, _, count), info, col in zip(fields, ranges, cols):
+            for tok in toks[pos : pos + count]:
+                value = _parse_float(tok, at, name) if info is None else _parse_int(tok, at, name)
+                if info is not None and not info.min <= value <= info.max:
+                    raise FormatError(f"line {at}: {name} is out of range: {tok!r}")
+                col.append(value)
+            pos += count
     return [
-        np.concatenate(part) if part else np.empty((0, count), dtype)
-        for part, (_, dtype, count) in zip(parts, fields)
+        _narrow(np.asarray(col).reshape(len(lines), count), dtype)
+        for col, (_, dtype, count) in zip(cols, fields)
     ]
-
-
-def _convert(rows: list[list[str]], lineno: int, fields, width: int, parts) -> None:
-    """Append each field group of ``rows`` to its list in ``parts``."""
-    flat = list(chain.from_iterable(rows))
-    try:
-        col = 0
-        for (_, dtype, count), part in zip(fields, parts):
-            if count == width:  # one call for a group that fills the row
-                block = _column(flat, dtype)
-            else:
-                columns = [_column(flat[col + k :: width], dtype) for k in range(count)]
-                block = np.stack(columns, axis=1)
-            part.append(block.reshape(len(rows), count))
-            col += count
-    except (ValueError, OverflowError):
-        # name the first token that does not convert
-        specs = [(name, dtype) for name, dtype, count in fields for _ in range(count)]
-        for line, toks in enumerate(rows, start=lineno):
-            for tok, (name, dtype) in zip(toks, specs):
-                try:
-                    _column([tok], dtype)
-                except (ValueError, OverflowError):
-                    parse = _parse_int if np.issubdtype(dtype, np.integer) else _parse_float
-                    parse(tok, line, name)
-                    raise FormatError(f"line {line}: {name} is out of range: {tok!r}") from None
-        raise
 
 
 def _rows_text(header: list[str], blocks) -> str:
@@ -177,8 +174,9 @@ def load_scene(path) -> Scene:
     if len(lines) < 3:
         raise FormatError("line 1: truncated file, expected SC1 header")
     n_points, n_classes = _header(lines, "SC1", "n_points", "n_classes")
-    if n_points < 0 or n_classes < 1:
-        raise FormatError("line 1: n_points must be >= 0 and n_classes >= 1")
+    if n_points < 0 or not 1 <= n_classes <= np.iinfo(np.int32).max:
+        # a class id beyond int32 cannot be a sem label, nor size a score array
+        raise FormatError("line 1: n_points must be >= 0 and n_classes in [1, 2147483647]")
 
     stuff_toks = lines[1].split(None, 2)
     if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":

@@ -7,6 +7,7 @@ All reductions accumulate in float64 regardless of input precision.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,16 +43,23 @@ def instance_centroids(scene: Scene) -> np.ndarray:
     return sums / counts[:, None]
 
 
+# offset_targets per scene: a Scene is frozen and its arrays are read-only
+_TARGETS: weakref.WeakKeyDictionary[Scene, OffsetField] = weakref.WeakKeyDictionary()
+
+
 def offset_targets(scene: Scene) -> OffsetField:
-    """Ideal offsets: centroid minus position on instances, zero elsewhere."""
-    targets = np.zeros((scene.n_points, 3), dtype=np.float64)
-    if scene.n_instances:
-        centroids = instance_centroids(scene)
-        on_inst = scene.inst_ids >= 0
-        targets[on_inst] = (
-            centroids[scene.inst_ids[on_inst]] - scene.coords[on_inst].astype(np.float64)
-        )
-    return OffsetField(targets)
+    """Ideal offsets: centroid minus position on instances, zero elsewhere.
+    Computed once per scene; the field returned is read-only."""
+    if scene not in _TARGETS:
+        targets = np.zeros((scene.n_points, 3), dtype=np.float64)
+        if scene.n_instances:
+            centroids = instance_centroids(scene)
+            on_inst = scene.inst_ids >= 0
+            targets[on_inst] = (
+                centroids[scene.inst_ids[on_inst]] - scene.coords[on_inst].astype(np.float64)
+            )
+        _TARGETS[scene] = OffsetField(targets)
+    return _TARGETS[scene]
 
 
 def semantic_loss(sem_scores: np.ndarray, gt_labels: np.ndarray) -> float:

@@ -285,17 +285,22 @@ def save_scorer(model: ScorerModel, path) -> None:
 
 def load_scorer(path) -> ScorerModel:
     """Parse ``SCORER1 <dim> <hidden>`` and the rows mean, std, w1..., b1, w2,
-    b2.  Blank lines are skipped; line numbers in errors do not count them."""
-    lines = [line for line in _read_lines(path) if line.strip()]
+    b2.  Blank lines are skipped; errors name the line as the file numbers it."""
+    numbered = [(at, line) for at, line in enumerate(_read_lines(path), start=1) if line.strip()]
+    lines = [line for _, line in numbered]
     d, h = _header(lines, "SCORER1", "dim", "hidden")
     if d < 1 or h < 1:
         raise FormatError("line 1: dimensions must be >= 1")
     expect = 1 + 2 + h + 3
     if len(lines) != expect:
         raise FormatError(f"expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
-    (by_dim,) = _read_rows(lines[1 : 3 + h], 2, [("value", np.float64, d)])
-    (by_hidden,) = _read_rows(lines[3 + h : 5 + h], 4 + h, [("value", np.float64, h)])
-    (b2,) = _read_rows(lines[5 + h :], 6 + h, [("value", np.float64, 1)])
+
+    def rows(lo: int, hi: int, width: int) -> np.ndarray:
+        return np.vstack(
+            [_read_rows([line], at, [("value", np.float64, width)])[0] for at, line in numbered[lo:hi]]
+        )
+
+    by_dim, by_hidden, b2 = rows(1, 3 + h, d), rows(3 + h, 5 + h, h), rows(5 + h, 6 + h, 1)
     try:
         return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
     except ValueError as err:

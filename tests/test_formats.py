@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cloudinst.core import FormatError, InstancePrediction, OffsetField, SceneError
+from cloudinst import formats
 from cloudinst.formats import (
+    _read_rows,
+    _walk_rows,
     export_ply,
     load_offsets,
     load_predictions,
@@ -59,6 +62,7 @@ def test_instance_spanning_two_labels_names_line(tmp_path):
         ("SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 0 1 2 3 1\n", "line 4: expected 8 fields"),
         ("SC1 2 3\nSTUFF 0\nSCORES 0\n0 0 0 1 2 3 1 -1\n", "expected 2 point lines"),
         ("SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 zz 1 2 3 1 -1\n", "line 4"),
+        ("SC1 0 99999999999999999999\nSTUFF 0\nSCORES 1\n", "line 1: .*n_classes"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, match):
@@ -477,3 +481,112 @@ def test_scorer_file_layout(tmp_path):
     assert lines[3] == " ".join("%.17g" % v for v in model.w1[0])
     back = load_scorer(path)
     assert np.array_equal(back.w1, model.w1) and back.b2 == model.b2
+
+
+@pytest.mark.parametrize("n_classes,ok", [(2147483647, True), (2147483648, False)])
+def test_class_count_is_bounded_by_int32_labels(tmp_path, n_classes, ok):
+    path = tmp_path / "wide.sc1"
+    path.write_text(f"SC1 0 {n_classes}\nSTUFF 0\nSCORES 1\n")
+    if ok:
+        assert load_scene(path).sem_scores.shape == (0, n_classes)
+    else:
+        with pytest.raises(FormatError, match="line 1: n_points must be >= 0 and n_classes"):
+            load_scene(path)
+
+
+def test_scorer_errors_name_the_line_in_the_file(tmp_path):
+    path = tmp_path / "blank.scorer"
+    rows = VALID["scorer"].split("\n")
+    path.write_text("\n".join(rows[:1] + [""] + rows[1:]))  # a blank line 2
+    load_scorer(path)
+    rows[2] = "1 zz"
+    path.write_text("\n".join(rows[:1] + ["", " "] + rows[1:]))
+    with pytest.raises(FormatError, match="line 5: value is not a number: 'zz'"):
+        load_scorer(path)
+
+
+# --- the C reader agrees with the per-token reference walk ---------------
+
+_I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)
+_PLAIN = ["0", "1", "-3", "42", "+5", "07", "-0"]  # valid in every column
+_EXOTIC = [
+    "2.5", "1e5", "-1e-50", "1e-320", "1_0", "1.", ".5", "nan", "-nan", "Infinity", "1e400",
+    "0x10", "1e39", "zz", "#1", "1\x002", "\x00", "",
+] + [str(v) for info in (_I64, _I32) for v in (info.min - 1, info.min, info.max, info.max + 1)]
+_SEPS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", "\x00"]
+
+
+@st.composite
+def _table(draw):
+    """``(lines, fields)``: field groups of every dtype, rows of vocabulary
+    tokens joined by whitespace (or NUL), some rows blank or of wrong width."""
+    dtypes = st.sampled_from([np.int32, np.int64, np.float32, np.float64])
+    fields = [
+        (f"g{k}", draw(dtypes), draw(st.integers(0, 3)))
+        for k in range(draw(st.integers(1, 4)))
+    ]
+    width = sum(count for _, _, count in fields)
+    # plain tokens, with one exotic token or with all of them mixed in
+    mix = draw(st.sampled_from([[], [draw(st.sampled_from(_EXOTIC))] * 3, _EXOTIC]))
+    vocab = st.sampled_from(_PLAIN + mix)
+    ragged = draw(st.booleans())  # some rows blank or of a wrong width
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        if ragged and draw(st.integers(0, 3)) == 0:  # blank or whitespace only
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\x1c \x0c"])))
+            continue
+        n = draw(st.sampled_from([width, width + 1, max(width - 1, 0)])) if ragged else width
+        toks = [draw(vocab) for _ in range(n)]
+        seps = [draw(st.sampled_from(_SEPS)) for _ in range(n + 1)]
+        lines.append(seps[0] + "".join(t + s for t, s in zip(toks, seps[1:])))
+    return lines, fields
+
+
+def _outcome(reader, lines, lineno, fields):
+    try:
+        return [(a.dtype, a.shape, a.tobytes()) for a in reader(lines, lineno, fields)]
+    except FormatError as err:
+        return str(err)
+
+
+@settings(derandomize=True, deadline=None, max_examples=1000)
+@given(table=_table(), lineno=st.integers(1, 10**6))
+@example(table=(["1 #1"], [("g", np.int64, 1)]), lineno=1)  # no comments
+@example(table=(["1", "", "2"], [("g", np.int64, 1)]), lineno=1)  # no skipped lines
+@example(table=(["1_0 -nan"], [("g", np.float64, 2)]), lineno=1)
+@example(table=(["2147483648"], [("g", np.int32, 1)]), lineno=1)
+def test_read_rows_matches_the_reference_walk(table, lineno):
+    lines, fields = table
+    assert _outcome(_read_rows, lines, lineno, fields) == _outcome(
+        _walk_rows, lines, lineno, fields
+    )
+
+
+def test_writer_output_never_takes_the_walk(tmp_path, monkeypatch):
+    def walk(lines, lineno, fields):
+        raise AssertionError(f"walked {len(lines)} lines from line {lineno}")
+
+    scene, offsets = generate_scene(GenConfig(seed=4, n_objects=3, density=300.0))
+    # an empty STUFF list is one blank row, which only the walk reads
+    assert scene.stuff_classes and scene.sem_scores is not None
+    bare = make_scene(
+        scene.coords, scene.sem_labels, scene.inst_ids, n_classes=scene.n_classes,
+        stuff_classes=scene.stuff_classes, sem_scores=None, colors=scene.colors,
+    )
+    preds = [
+        InstancePrediction(point_idx=[3], class_id=2, score=1.0),
+        InstancePrediction(point_idx=np.arange(0, scene.n_points, 2), class_id=3, score=1 / 3),
+    ]
+    model = ScorerModel.default(hidden=5, seed=2)
+    save_scene(scene, tmp_path / "s.sc1")
+    save_scene(bare, tmp_path / "b.sc1")
+    save_offsets(offsets, tmp_path / "o.off1")
+    save_predictions(preds, tmp_path / "p.pred1")
+    save_scorer(model, tmp_path / "m.scorer")
+    monkeypatch.setattr(formats, "_walk_rows", walk)
+    assert scenes_equal(load_scene(tmp_path / "s.sc1"), scene)
+    assert scenes_equal(load_scene(tmp_path / "b.sc1"), bare)
+    assert np.array_equal(load_offsets(tmp_path / "o.off1").offsets, offsets.offsets)
+    back = load_predictions(tmp_path / "p.pred1")
+    assert [p.point_idx.tolist() for p in back] == [p.point_idx.tolist() for p in preds]
+    assert np.array_equal(load_scorer(tmp_path / "m.scorer").w1, model.w1)
