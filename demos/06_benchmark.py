@@ -15,8 +15,6 @@ print(f"scene: {scene.n_points} points, {scene.n_instances} instances")
 pipeline = ci.PipelineConfig(scorer=ci.Scorer.MODEL)
 model = ci.ScorerModel.default()
 
-for workers, label in ((1, "single-threaded"), (2, "dual clustering in parallel")):
-    result = run_bench(scene, offsets, pipeline, model=model, repeats=3,
-                       max_workers=workers)
-    row = "  ".join(f"{s}={result.stage_ms[s]:.1f}" for s in STAGES)
-    print(f"{label:28s} total {result.total_ms:6.1f} ms   {row}")
+result = run_bench(scene, offsets, pipeline, model=model, repeats=3)
+row = "  ".join(f"{s}={result.stage_ms[s]:.1f}" for s in STAGES)
+print(f"total {result.total_ms:6.1f} ms   {row}")

@@ -34,17 +34,13 @@ def run_bench(
     config: PipelineConfig,
     model: ScorerModel | None = None,
     repeats: int = 3,
-    max_workers: int = 1,
 ) -> BenchResult:
     """Run the pipeline ``repeats`` times (after one unmeasured warm-up) and
     average per-stage wall times from a monotonic clock.
-
-    In multi-threaded runs the two clustering passes overlap, so the sum of
-    stage times can exceed the total.
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
-    run_pipeline(scene, offsets, config, model=model, max_workers=max_workers)
+    run_pipeline(scene, offsets, config, model=model)
 
     sums = {s: 0.0 for s in STAGES}
     total = 0.0
@@ -52,10 +48,7 @@ def run_bench(
     for _ in range(repeats):
         timings: dict = {}
         t0 = time.perf_counter()
-        preds = run_pipeline(
-            scene, offsets, config, model=model,
-            max_workers=max_workers, timings=timings,
-        )
+        preds = run_pipeline(scene, offsets, config, model=model, timings=timings)
         total += time.perf_counter() - t0
         n_preds = len(preds)
         for s in STAGES:

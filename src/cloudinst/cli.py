@@ -88,7 +88,8 @@ def _build_parser() -> _Parser:
     c.add_argument("--min-points", type=int, default=50)
     c.add_argument("--nms-iou", type=float, default=0.3)
     c.add_argument("--min-score", type=float, default=None)
-    c.add_argument("--threads", type=int, default=1, help="0 = all cores")
+    # ignored (clustering is sequential); perfbench/run.py still passes it
+    c.add_argument("--threads", help=argparse.SUPPRESS)
     c.add_argument("--out", default=None, help="predictions path (default: stdout)")
 
     e = sub.add_parser("evaluate", help="score predictions against a scene's ground truth")
@@ -101,7 +102,6 @@ def _build_parser() -> _Parser:
     b.add_argument("--scene", required=True)
     b.add_argument("--offsets", required=True)
     b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--threads", type=int, default=1, help="0 = all cores")
     b.add_argument("--scorer", choices=[s.value for s in Scorer], default="model")
     b.add_argument("--model", default=None)
     b.add_argument("--radius", type=float, default=0.03)
@@ -131,12 +131,6 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     if explicit is not None:
         return Path(explicit)
     return Path(scene_path).with_suffix(".off1")
-
-
-def _workers(threads: int) -> int:
-    if threads < 0:
-        raise ValueError("--threads must be >= 0")
-    return 2 if threads == 0 else threads
 
 
 def _load_pair(scene_path: str, offsets_path: str) -> tuple[Scene, OffsetField]:
@@ -203,10 +197,7 @@ def _cmd_cluster(args) -> int:
     scene, offsets = _load_pair(args.scene, args.offsets)
     _check_scorer_inputs(scene, args.scorer)
     model = _resolve_model(args)
-    preds = run_pipeline(
-        scene, offsets, _pipeline_config(args, args.sets),
-        model=model, max_workers=_workers(args.threads),
-    )
+    preds = run_pipeline(scene, offsets, _pipeline_config(args, args.sets), model=model)
     if args.out is not None:
         save_predictions(preds, args.out)
         print(f"wrote {len(preds)} predictions to {args.out}")
@@ -256,7 +247,7 @@ def _cmd_bench(args) -> int:
     model = _resolve_model(args, allow_default=True)
     result = bench_mod.run_bench(
         scene, offsets, _pipeline_config(args, "both"), model=model,
-        repeats=args.repeats, max_workers=_workers(args.threads),
+        repeats=args.repeats,
     )
     sep = "\t" if args.tsv else "  "
     print(sep.join(["stage"] + list(bench_mod.STAGES) + ["total"]))

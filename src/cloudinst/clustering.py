@@ -20,7 +20,6 @@ compared exactly.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,7 +122,10 @@ def cluster_single_set(
 
     Output clusters are disjoint, label-homogeneous, sorted by their minimum
     member index, with members sorted ascending; the result is independent
-    of input point order up to this canonical form.
+    of input point order up to this canonical form.  ``timings`` receives the
+    seconds spent testing point pairs and merging components, under
+    ``bq_p``/``cl_p`` for the original set and ``bq_q``/``cl_q`` for the
+    shifted one.
     """
     coords = np.asarray(coords)
     sem_labels = np.asarray(sem_labels, dtype=np.int32)
@@ -186,8 +188,9 @@ def cluster_single_set(
     )
     t_cl += time.perf_counter() - t0
     if timings is not None:
-        timings["ball_query"] = timings.get("ball_query", 0.0) + t_bq
-        timings["components"] = timings.get("components", 0.0) + t_cl
+        tag = "p" if source == Source.ORIGINAL else "q"
+        timings[f"bq_{tag}"] = t_bq
+        timings[f"cl_{tag}"] = t_cl
     return clusters
 
 
@@ -273,45 +276,21 @@ def cluster_dual_set(
     scene: Scene,
     offsets: OffsetField,
     params: ClusterParams,
-    max_workers: int = 1,
     timings: dict | None = None,
 ) -> list[Cluster]:
     """Cluster both coordinate sets and pool the results.
 
-    Runs the same algorithm on the original coordinates and on the
+    Runs the same algorithm on the original coordinates and then on the
     offset-shifted ones; the two cluster lists are concatenated without
     deduplication (overlaps are resolved later by scored NMS).
     """
     check_offsets(scene, offsets)
-    q = shifted_coords(scene, offsets)
-    t_p: dict = {}
-    t_q: dict = {}
-
-    def run_p():
-        return cluster_single_set(
-            scene.coords, scene.sem_labels, scene.stuff_classes, params,
-            Source.ORIGINAL, timings=t_p,
-        )
-
-    def run_q():
-        return cluster_single_set(
-            q, scene.sem_labels, scene.stuff_classes, params,
-            Source.SHIFTED, timings=t_q,
-        )
-
-    if max_workers != 1:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            fut_p = pool.submit(run_p)
-            fut_q = pool.submit(run_q)
-            clusters_p = fut_p.result()
-            clusters_q = fut_q.result()
-    else:
-        clusters_p = run_p()
-        clusters_q = run_q()
-
-    if timings is not None:
-        timings["bq_p"] = t_p.get("ball_query", 0.0)
-        timings["cl_p"] = t_p.get("components", 0.0)
-        timings["bq_q"] = t_q.get("ball_query", 0.0)
-        timings["cl_q"] = t_q.get("components", 0.0)
+    clusters_p = cluster_single_set(
+        scene.coords, scene.sem_labels, scene.stuff_classes, params,
+        Source.ORIGINAL, timings=timings,
+    )
+    clusters_q = cluster_single_set(
+        shifted_coords(scene, offsets), scene.sem_labels, scene.stuff_classes,
+        params, Source.SHIFTED, timings=timings,
+    )
     return clusters_p + clusters_q

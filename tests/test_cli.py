@@ -1,8 +1,11 @@
+import importlib
+from pathlib import Path
+
 import numpy as np
 
 from cloudinst.cli import dispatch
 from cloudinst.formats import load_predictions, load_scene
-from cloudinst.scoring import load_scorer
+from cloudinst.scoring import ScorerModel, load_scorer, save_scorer
 
 
 def run(capsys, *argv):
@@ -135,6 +138,19 @@ def test_cli_workflow_bit_identical_across_runs(capsys, tmp_path):
         assert code == 0
         evals.append(out)
     assert evals[0] == evals[1]
+
+
+def test_benchmark_cluster_command_line_runs(capsys, tmp_path, monkeypatch):
+    # the benchmark's `cluster` arguments (perfbench/run.py) must stay valid
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    cluster_args = importlib.import_module("run").cluster_args
+    scene, offsets = gen_scene(capsys, tmp_path)
+    model = tmp_path / "m.scorer"
+    save_scorer(ScorerModel.default(), model)
+    out = tmp_path / "bench.pred1"
+    argv = cluster_args({"scene": str(scene), "offsets": str(offsets)}, str(model), str(out))
+    assert dispatch(argv) == 0, capsys.readouterr().err
+    assert load_predictions(out)
 
 
 def test_p_vs_both_ablation_improves_ap50(capsys, tmp_path):

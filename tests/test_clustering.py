@@ -239,14 +239,6 @@ def test_adjacent_objects_merge_in_p_separate_in_q():
     assert len(dual) == len(p) + len(q)
 
 
-def test_dual_set_thread_invariance(simple_scene, zero_offsets):
-    params = ClusterParams(radius=0.03, min_points=1)
-    serial = cluster_dual_set(simple_scene, zero_offsets, params, max_workers=1)
-    threaded = cluster_dual_set(simple_scene, zero_offsets, params, max_workers=2)
-    assert clusters_as_sets(serial) == clusters_as_sets(threaded)
-    assert [c.source for c in serial] == [c.source for c in threaded]
-
-
 def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="labels"):
         cluster_single_set(

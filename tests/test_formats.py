@@ -503,6 +503,15 @@ def test_scorer_errors_name_the_line_in_the_file(tmp_path):
     path.write_text("\n".join(rows[:1] + ["", " "] + rows[1:]))
     with pytest.raises(FormatError, match="line 5: value is not a number: 'zz'"):
         load_scorer(path)
+    for text, error in [
+        ("\nSCORER1 2 x", "line 2: hidden is not an integer: 'x'"),
+        ("\n\nSCORER1 0 2", "line 3: dimensions must be >= 1"),
+        ("\nSCORER1 2 2\n0 0.5", "line 3: expected 8 lines for a 2x2 scorer, got 2"),
+        (VALID["scorer"] + "\n9 9\n", "line 10: expected 8 lines for a 2x2 scorer, got 9"),
+    ]:
+        path.write_text(text)
+        with pytest.raises(FormatError, match=f"^{error}$"):
+            load_scorer(path)
 
 
 # --- the C reader agrees with the per-token reference walk ---------------

@@ -168,7 +168,7 @@ def test_adjacent_objects_dual_set_recovers_both():
     assert min(best) >= 0.9
 
 
-def test_pipeline_deterministic_and_thread_invariant():
+def test_pipeline_deterministic():
     scene, offsets = generate_scene(
         GenConfig(seed=2, n_objects=3, density=700.0, stuff_density=20.0,
                   min_object_points=60)
@@ -177,13 +177,31 @@ def test_pipeline_deterministic_and_thread_invariant():
     runs = [
         run_pipeline(scene, offsets, config),
         run_pipeline(scene, offsets, config),
-        run_pipeline(scene, offsets, config, max_workers=2),
     ]
     for other in runs[1:]:
         assert len(other) == len(runs[0])
         for a, b in zip(runs[0], other):
             assert np.array_equal(a.point_idx, b.point_idx)
             assert a.class_id == b.class_id and a.score == b.score
+
+
+@pytest.mark.parametrize(
+    "sets, stages",
+    [
+        ("both", {"bq_p", "cl_p", "bq_q", "cl_q"}),
+        ("p", {"bq_p", "cl_p"}),
+        ("q", {"bq_q", "cl_q"}),
+    ],
+)
+def test_timings_name_each_clustered_set(sets, stages):
+    scene = two_object_scene(gap=0.02, n_per_object=64, spacing=0.01)
+    config = PipelineConfig(
+        cluster_params=ClusterParams(0.03, 20), scorer=Scorer.ORACLE, cluster_sets=sets
+    )
+    timings = {}
+    run_pipeline(scene, offset_targets(scene), config, timings=timings)
+    assert set(timings) == stages | {"scoring", "nms"}
+    assert all(v >= 0.0 for v in timings.values())
 
 
 def test_min_score_filter_applies_after_nms():
