@@ -54,14 +54,11 @@ from .scoring import (
     Scorer,
     ScorerModel,
     ScorerTraining,
-    best_iou,
     cluster_descriptor,
-    iou,
     load_scorer,
     save_scorer,
     score_clusters,
     score_loss,
-    soft_label,
     train_scorer,
 )
 from .spatial import GridIndex, ball_query, brute_force_query, build_index

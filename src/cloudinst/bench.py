@@ -1,5 +1,7 @@
 """Wall-clock benchmark of the inference pipeline, broken down by stage:
-ball query and component labeling on each coordinate set, scoring, and NMS.
+on each coordinate set, enumerating and testing point pairs (``bq_p``,
+``bq_q``) and merging components into clusters (``cl_p``, ``cl_q``); then
+scoring and NMS.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ Roeloffzen 2017) on the labelled grid of ``spatial``: the points of one
 (fine cell, label) are a clique, so components are computed over grid
 nodes (up to 64 points of one such clique), and two neighbouring nodes join
 when any of their point pairs is closer than r.  Node pairs, at most
-64 x 64 point pairs each, are tested cheapest first, in chunks; components
-are merged after each chunk, and pairs whose nodes already share a
-component are skipped.  The testing oracle below does the same thing the
-slow, obvious way (all O(N^2) pairs through union-find), so the two can be
-compared exactly.
+64 x 64 point pairs each, are tested in rounds: a round tests the cheapest
+live pairs, at least one and up to _CHUNK point pairs, then merges the
+components they join and drops every pair whose nodes now share one.  The
+testing oracle below does the same thing the slow, obvious way (all O(N^2)
+pairs through union-find), so the two can be compared exactly.
 """
 
 from __future__ import annotations
@@ -27,13 +27,7 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 from .core import Cluster, OffsetField, Scene, Source, check_offsets, shifted_coords
-from .spatial import (
-    GridIndex,
-    check_radius,
-    expand_ranges,
-    radius_squared,
-    squared_distances,
-)
+from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
 
 _CHUNK = 1 << 17  # point pairs tested between two component merges
 
@@ -55,16 +49,9 @@ class ClusterParams:
             raise ValueError(f"min_points must be >= 1, got {self.min_points}")
 
 
-def _stuff_array(stuff_classes) -> np.ndarray:
-    return np.fromiter(sorted(int(c) for c in stuff_classes), dtype=np.int32)
-
-
 def _active_mask(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
-    active = sem_labels >= 0
-    stuff = _stuff_array(stuff_classes)
-    if stuff.size:
-        active &= ~np.isin(sem_labels, stuff)
-    return active
+    stuff = np.fromiter((int(c) for c in stuff_classes), dtype=np.int64)
+    return (sem_labels >= 0) & ~np.isin(sem_labels, stuff)
 
 
 def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
@@ -78,36 +65,31 @@ def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> 
     return labels[comp]
 
 
+def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
+    """Whether any point of node a[k] lies closer than r to any point of node
+    b[k], for pairs sorted by ``cost``."""
+    # single-point pairs lead, and are tested without expansion
+    ones = int(np.searchsorted(cost, 2))
+    item, q = expand_ranges(0, cost[ones:])
+    qa, qb = np.divmod(q, grid.counts[b[ones:]][item])
+    i = np.concatenate((grid.starts[a[:ones]], grid.starts[a[ones:]][item] + qa))
+    j = np.concatenate((grid.starts[b[:ones]], grid.starts[b[ones:]][item] + qb))
+    x, y, z = xyz  # the expression of squared_distances, one axis per array
+    dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+    hit = np.zeros(a.size, dtype=bool)
+    hit[np.concatenate((np.arange(ones), ones + item))[dx * dx + dy * dy + dz * dz < r2]] = True
+    return hit
+
+
 def _clusters_from_components(
-    comp: np.ndarray,
-    global_idx: np.ndarray,
-    sem_labels: np.ndarray,
-    min_points: int,
-    source: Source,
+    comp: np.ndarray, global_idx: np.ndarray, sem_labels: np.ndarray, min_points: int, source: Source
 ) -> list[Cluster]:
     """Group points by component id, size-filter, and order canonically."""
-    if comp.size == 0:
-        return []
-    counts = np.bincount(comp)
-    keep = counts[comp] > min_points
-    sel = np.flatnonzero(keep)
-    if sel.size == 0:
-        return []
+    sel = np.flatnonzero(np.bincount(comp)[comp] > min_points)
     order = sel[np.argsort(comp[sel], kind="stable")]
-    bounds = np.flatnonzero(np.diff(comp[order], prepend=-1))
-    bounds = np.append(bounds, order.size)
-    clusters = []
-    for k in range(bounds.size - 1):
-        members = global_idx[order[bounds[k] : bounds[k + 1]]]
-        clusters.append(
-            Cluster(
-                point_idx=members,
-                class_id=int(sem_labels[members[0]]),
-                source=source,
-            )
-        )
-    clusters.sort(key=lambda c: c.min_index)
-    return clusters
+    groups = np.split(global_idx[order], np.flatnonzero(np.diff(comp[order])) + 1)
+    clusters = [Cluster(m, int(sem_labels[m[0]]), source) for m in groups if m.size]
+    return sorted(clusters, key=lambda c: c.min_index)
 
 
 def cluster_single_set(
@@ -141,51 +123,45 @@ def cluster_single_set(
     # a finite point beyond the float32 range is infinitely far from every
     # point under the float32 distance test, so it joins no cluster, as in
     # the oracle; non-finite input still reaches GridIndex, which rejects it
-    lost = np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1)
-    active_idx = np.flatnonzero(_active_mask(sem_labels, stuff_classes) & ~lost)
-    t_bq = 0.0
-    t_cl = 0.0
+    active = _active_mask(sem_labels, stuff_classes)
+    if not np.isfinite(coords32).all():
+        active &= ~(np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1))
+    active_idx = np.flatnonzero(active)
+    t_bq = t_cl = 0.0
 
     t0 = time.perf_counter()
     grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
-    pts = grid.coords[grid.order]
+    xyz = np.ascontiguousarray(grid.coords[grid.order].T)
     r2 = radius_squared(params.radius)
     # cheapest node pairs first: their merges let costly pairs be skipped;
     # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
     a, b = grid.node_pairs()
-    cost = grid.counts[a] * grid.counts[b]
-    cheap = np.argsort(cost.astype(np.int16), kind="stable")
+    counts = grid.counts.astype(np.int16)
+    cost = counts[a] * counts[b]
+    cheap = np.argsort(cost, kind="stable")
     a, b, cost = a[cheap], b[cheap], cost[cheap]
-    cum = np.cumsum(cost)
-    comp = grid.node_cell.copy()
+    comp = grid.node_cell.copy()  # node pairs join distinct cells: all live
     t_bq += time.perf_counter() - t0
 
-    done = 0
-    while done < a.size:
+    while a.size:
         t0 = time.perf_counter()
-        stop = int(np.searchsorted(cum, cum[done] - cost[done] + _CHUNK, side="right"))
-        live = done + np.flatnonzero(comp[a[done:stop]] != comp[b[done:stop]])
-        done = stop
-        na, nb = a[live], b[live]
-        item, q = expand_ranges(0, cost[live])
-        qa, qb = np.divmod(q, grid.counts[nb][item])
-        i = grid.starts[na][item] + qa
-        j = grid.starts[nb][item] + qb
-        close = np.zeros(live.size, dtype=bool)
-        close[item[squared_distances(pts[i], pts[j]) < r2]] = True
-        joined = live[close]
+        # a round: the cheapest live pairs up to _CHUNK point pairs, at least one
+        take = max(1, int(np.searchsorted(np.cumsum(cost[:_CHUNK]), _CHUNK, side="right")))
+        close = _touching(xyz, grid, a[:take], b[:take], cost[:take], r2)
+        ja, jb = a[:take][close], b[:take][close]
+        a, b, cost = a[take:], b[take:], cost[take:]
         t_bq += time.perf_counter() - t0
-        if joined.size:
+        if ja.size:
             t0 = time.perf_counter()
-            comp = _merge_edges(comp, a[joined], b[joined])
+            comp = _merge_edges(comp, ja, jb)
+            live = comp[a] != comp[b]  # drop the pairs this merge joined
+            a, b, cost = a[live], b[live], cost[live]
             t_cl += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     point_comp = np.empty(active_idx.size, dtype=np.int64)
     point_comp[grid.order] = np.repeat(comp, grid.counts)
-    clusters = _clusters_from_components(
-        point_comp, active_idx, sem_labels, params.min_points, source
-    )
+    clusters = _clusters_from_components(point_comp, active_idx, sem_labels, params.min_points, source)
     t_cl += time.perf_counter() - t0
     if timings is not None:
         tag = "p" if source == Source.ORIGINAL else "q"

@@ -81,25 +81,47 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
 
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
     group comes back as one ``(len(lines), count)`` array.  numpy's C reader
-    parses the table in one call, each group as one int64 or float64 subarray
-    field, which ``_narrow`` then casts.  What that reader refuses, warns
-    about or miscounts (it skips blank lines), what does not narrow, and a row
-    wider than the first line can hold (loadtxt sizes its work per column) go
-    to ``_walk_rows``, which accepts what Python's ``int``/``float`` accept
-    (``1_0``) or raises ``FormatError`` for the first faulty line.
+    (``_c_rows``) parses the table in one call.  When it refuses the table,
+    halving the refused block down to one line finds the first line it
+    refuses, and ``_walk_rows`` reads from that line on: it accepts what
+    Python's ``int``/``float`` accept (``1_0``) or raises ``FormatError`` for
+    the first faulty line.  A row wider than the first line can hold goes to
+    the walk at once, as loadtxt sizes its work per column.
     """
     width = sum(count for _, _, count in fields)
-    if lines and 0 < width <= (len(lines[0]) + 1) // 2:
-        wide = [(f"f{k}", _WIDE[np.dtype(dt).kind], (n,)) for k, (_, dt, n) in enumerate(fields)]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                table = np.loadtxt(lines, dtype=wide, comments=None, ndmin=1)
-            if len(table) == len(lines):
-                return [_narrow(table[f"f{k}"], dt) for k, (_, dt, _) in enumerate(fields)]
-        except (ValueError, OverflowError, Warning):
-            pass
-    return _walk_rows(lines, lineno, fields)
+    if not (lines and 0 < width <= (len(lines[0]) + 1) // 2):
+        return _walk_rows(lines, lineno, fields)
+    table = _c_rows(lines, fields)
+    if table is not None:
+        return table
+    parts, done, bad = [], 0, len(lines)  # read lines[:done]; lines[done:bad] refused
+    while bad - done > 1:
+        mid = (done + bad) // 2
+        part = _c_rows(lines[done:mid], fields)
+        if part is None:
+            bad = mid
+        else:
+            parts.append(part)
+            done = mid
+    parts.append(_walk_rows(lines[done:], lineno + done, fields))
+    return [np.concatenate(group) for group in zip(*parts)]
+
+
+def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
+    """``lines`` through numpy's C reader, each group as one int64 or float64
+    subarray field that ``_narrow`` then casts; None for a table the reader
+    refuses, warns about or miscounts (it skips blank lines), or that does
+    not narrow."""
+    wide = [(f"f{k}", _WIDE[np.dtype(dt).kind], (n,)) for k, (_, dt, n) in enumerate(fields)]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=wide, comments=None, ndmin=1)
+        if len(table) == len(lines):
+            return [_narrow(table[f"f{k}"], dt) for k, (_, dt, _) in enumerate(fields)]
+    except (ValueError, OverflowError, Warning):
+        pass
+    return None
 
 
 def _walk_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:

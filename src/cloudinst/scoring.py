@@ -42,16 +42,6 @@ class Scorer(enum.Enum):
     MODEL = "model"
 
 
-def iou(a: np.ndarray, b: np.ndarray) -> float:
-    """Intersection over union of two sorted, duplicate-free index sets."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.size == 0 and b.size == 0:
-        raise ValueError("IoU of two empty sets is undefined")
-    inter = np.intersect1d(a, b, assume_unique=True).size
-    return inter / (a.size + b.size - inter)
-
-
 def pairwise_iou(
     masks_a: list[np.ndarray], masks_b: list[np.ndarray], n_points: int
 ) -> np.ndarray:
@@ -74,20 +64,13 @@ def pairwise_iou(
     return inter / union
 
 
-def best_iou(cluster: Cluster, gt: list[GroundTruthInstance]) -> float:
-    """Largest IoU of the cluster against any ground-truth instance.
-
-    The max runs over every instance regardless of class.
-    """
-    if not gt:
-        raise ValueError("no ground-truth instances")
-    return max(iou(cluster.point_idx, g.point_idx) for g in gt)
-
-
 def best_ious(
     clusters: list[Cluster], gt: list[GroundTruthInstance], n_points: int
 ) -> np.ndarray:
-    """Vectorized best_iou for a cluster list."""
+    """Largest IoU of each cluster against any ground-truth instance.
+
+    The max runs over every instance regardless of class.
+    """
     if not gt:
         raise ValueError("no ground-truth instances")
     if not clusters:
@@ -98,24 +81,10 @@ def best_ious(
     return mat.max(axis=1)
 
 
-def soft_label(
-    iou_val: float, low: float = SOFT_LOW, high: float = SOFT_HIGH
-) -> float:
-    """Score target from an IoU: 0 below ``low``, 1 above ``high``, linear between."""
-    if not 0.0 <= iou_val <= 1.0:
-        raise ValueError(f"IoU {iou_val} outside [0, 1]")
-    if not low < high:
-        raise ValueError("low threshold must be below high threshold")
-    if iou_val < low:
-        return 0.0
-    if iou_val > high:
-        return 1.0
-    return (iou_val - low) / (high - low)
-
-
 def soft_labels(
     ious: np.ndarray, low: float = SOFT_LOW, high: float = SOFT_HIGH
 ) -> np.ndarray:
+    """Score targets from IoUs: 0 below ``low``, 1 above ``high``, linear between."""
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size and (ious.min() < 0.0 or ious.max() > 1.0):
         raise ValueError("IoU outside [0, 1]")

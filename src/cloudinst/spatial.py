@@ -8,13 +8,14 @@ Given per-point labels, the points of one (cell, label) form a clique under
 the radius predicate; a node holds up to 64 of them, so that a pair of
 nodes is a bounded unit of work.  Nodes are sorted by (label, y, z, x), so
 the stencil is walked as rows of fixed (dy, dz): one ``searchsorted`` range
-per row covers its whole x-run from -2 to +2.
+per row covers its whole x-run from -2 to +2, and the nodes of the own row
+need no search, as they follow in node order.
 
 Cell keys are floor(coord / side) in float64, ranked over the occupied keys
 of each axis with gaps wider than 3 collapsed to 3.  That keeps every
 "within 2 cells" relation, needs no origin, and bounds every key by three
 times the point count, so no finite input can overflow the packed int64
-codes.
+codes.  Dense keys are ranked through a table, others by sorting.
 
 Distance tests are done on float32 values with a strict ``<`` against r*r,
 written as the same expression everywhere (including the brute-force
@@ -36,14 +37,11 @@ _REACH = 2
 # point pairs
 _BLOCK = 64
 
-# stencil rows as (dy, dz, lowest dx, highest dx); the half stencil lists each
-# unordered pair of distinct cells once
+# stencil rows as (dy, dz), each from dx = -2 to +2; with the (0, 0) row
+# from dx = +1, the half stencil lists each unordered pair of distinct cells once
 _SPAN = range(-_REACH, _REACH + 1)
-_FULL_ROWS = np.array([(dy, dz, -_REACH, _REACH) for dy in _SPAN for dz in _SPAN])
-_HALF_ROWS = np.array(
-    [(0, 0, 1, _REACH)]
-    + [(dy, dz, -_REACH, _REACH) for dy in _SPAN for dz in _SPAN if (dy, dz) > (0, 0)]
-)
+_FULL_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN])
+_HALF_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN if (dy, dz) > (0, 0)])
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -82,10 +80,21 @@ def expand_ranges(lo, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return owner, pos
 
 
+def _unique(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for integer-valued keys; keys
+    spanning less than 8 values per key are counted in a table, not sorted."""
+    if not keys.size or np.ptp(keys) >= 8 * keys.size:
+        return np.unique(keys, return_inverse=True)
+    lo = keys.min()
+    k = (keys - lo).astype(np.int64)
+    seen = np.bincount(k) > 0
+    return np.flatnonzero(seen) + lo, (np.cumsum(seen) - 1)[k]
+
+
 def _ranks(keys: np.ndarray) -> np.ndarray:
     """Order-preserving int64 codes: key differences up to _REACH stay exact,
     wider gaps shrink to _REACH + 1."""
-    uniq, inv = np.unique(keys, return_inverse=True)
+    uniq, inv = _unique(keys)
     steps = np.minimum(np.diff(uniq), _REACH + 1).astype(np.int64)
     return np.concatenate(([0], np.cumsum(steps)))[inv]
 
@@ -118,13 +127,13 @@ class GridIndex:
         if labels is not None:
             # each label gets its own block of y keys, spaced so that no row
             # of the stencil reaches from one label into another
-            ky = _ranks(_ranks(labels) * (ky.max(initial=0) + _REACH + 1) + ky)
+            ky = _ranks(_ranks(np.asarray(labels, np.int64)) * (ky.max(initial=0) + _REACH + 1) + ky)
         self._wz = int(kz.max(initial=0)) + _REACH + 1
-        self._row_codes, point_row = np.unique(ky * self._wz + kz, return_inverse=True)
+        self._row_codes, point_row = _unique(ky * self._wz + kz)
         self._wx = int(kx.max(initial=0)) + _REACH + 1
         cell_codes = point_row * self._wx + kx
 
-        order = np.argsort(cell_codes, kind="stable")
+        order = np.argsort(cell_codes)
         sorted_codes = cell_codes[order]
         first = np.diff(sorted_codes, prepend=-1) != 0
         pos = np.arange(n)
@@ -133,8 +142,8 @@ class GridIndex:
         self.starts = starts
         self.counts = np.diff(starts, append=n)
         self.node_cell = np.cumsum(first[starts]) - 1
+        self._cell_start = np.append(np.flatnonzero(first[starts]), starts.size)
         self._node_codes = sorted_codes[starts]
-        self._node_row, self._node_x = np.divmod(self._node_codes, self._wx)
         self._point_node = np.empty(n, dtype=np.int64)
         self._point_node[order] = np.repeat(np.arange(starts.size), self.counts)
 
@@ -151,26 +160,39 @@ class GridIndex:
         """Occupied cells, counted once per label they hold."""
         return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
 
-    def _stencil_pairs(self, nodes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Every (i, b) such that node b lies in stencil ``rows`` around ``nodes[i]``."""
-        # look each neighbour row up once per occupied row, not once per node
-        own, node_row = np.unique(self._node_row[nodes], return_inverse=True)
+    def _row_ranges(self, nodes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Node ranges [lo, hi) that cover stencil ``rows`` around
+        ``nodes[who]``, for sorted ``nodes``."""
+        # look each neighbour row up once per occupied row, and search only
+        # from the nodes of rows whose neighbour row exists
+        node_row = self._node_codes[nodes] // self._wx
+        run = np.flatnonzero(np.diff(node_row, prepend=-1))
+        own = node_row[run]
         target = self._row_codes[own] + rows[:, 0, None] * self._wz + rows[:, 1, None]
-        row = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
-        row[self._row_codes[row] != target] = -1
-        row = row[:, node_row]
-        # row-major order gives each searchsorted ascending needles per stencil row
-        k, i = np.nonzero(row >= 0)
-        base = row[k, i] * self._wx + self._node_x[nodes[i]]
-        lo = np.searchsorted(self._node_codes, base + rows[k, 2])
-        hi = np.searchsorted(self._node_codes, base + rows[k, 3], side="right")
-        owner, b = expand_ranges(lo, hi - lo)
-        return i[owner], b
+        at = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
+        k, u = np.nonzero(self._row_codes[at] == target)
+        item, who = expand_ranges(run[u], np.diff(run, append=nodes.size)[u])
+        # stencil row by stencil row, each searchsorted gets ascending needles
+        base = self._node_codes[nodes[who]] + ((at[k, u] - own[u]) * self._wx)[item]
+        lo = np.searchsorted(self._node_codes, base - _REACH)
+        hi = np.searchsorted(self._node_codes, base + _REACH, side="right")
+        return who, lo, hi
 
     def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes in distinct cells within the
         stencil, once."""
-        return self._stencil_pairs(np.arange(self.n_nodes), _HALF_ROWS)
+        nodes = np.arange(self.n_nodes)
+        who, lo, hi = self._row_ranges(nodes, _HALF_ROWS)
+        # the (0, 0) row needs no search: from dx = +1 to +2 it holds the
+        # nodes of the next one or two cells, if at most two codes on
+        code = np.append(self._node_codes[self._cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
+        reach = sum(code[s : s + self.n_cells] - code[: self.n_cells] <= _REACH for s in (1, 2))
+        reach += np.arange(1, self.n_cells + 1)
+        who = np.concatenate((nodes, who))
+        lo = np.concatenate((self._cell_start[self.node_cell + 1], lo))
+        hi = np.concatenate((self._cell_start[reach[self.node_cell]], hi))
+        item, b = expand_ranges(lo, hi - lo)
+        return who[item], b
 
 
 def build_index(coords: np.ndarray, radius: float) -> GridIndex:
@@ -189,7 +211,8 @@ def ball_query(index: GridIndex, center_idx: int, radius: float) -> np.ndarray:
         raise ValueError(f"query radius {radius} does not match index radius {index.radius}")
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
-    _, nodes = index._stencil_pairs(index._point_node[[center_idx]], _FULL_ROWS)
+    _, lo, hi = index._row_ranges(index._point_node[[center_idx]], _FULL_ROWS)
+    _, nodes = expand_ranges(lo, hi - lo)
     _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
     cand = index.order[take]
     d2 = squared_distances(index.coords[cand], index.coords[center_idx])

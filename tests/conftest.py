@@ -6,6 +6,18 @@ import pytest
 from cloudinst.core import OffsetField, Scene
 
 
+def iou(a, b) -> float:
+    """Scalar IoU of two sorted, duplicate-free index sets: the reference for
+    the library's IoU matrices."""
+    inter = np.intersect1d(a, b, assume_unique=True).size
+    return inter / (len(a) + len(b) - inter)
+
+
+def best_iou(cluster, gt) -> float:
+    """Scalar best IoU of one cluster over every instance, of any class."""
+    return max(iou(cluster.point_idx, g.point_idx) for g in gt)
+
+
 def make_scene(
     coords,
     sem_labels,

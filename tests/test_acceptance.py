@@ -16,7 +16,7 @@ from cloudinst.clustering import ClusterParams, cluster_single_set, connected_co
 from cloudinst.core import InstancePrediction, Source
 from cloudinst.losses import gradient_check
 from cloudinst.pipeline import nms
-from cloudinst.scoring import ScoreTargets, score_loss, scorer_objective, soft_label
+from cloudinst.scoring import ScoreTargets, score_loss, scorer_objective, soft_labels
 from cloudinst.spatial import ball_query, brute_force_query, build_index
 
 
@@ -96,9 +96,7 @@ def test_criterion_03_loss_analytics():
         "reg=0 at oracle": abs(reg) <= 1e-6,
         "dir=-1 at oracle": abs(direc + 1.0) <= 1e-6,
         "dir scale-invariant": abs(dir_a - dir_b) <= 1e-6,
-        "soft_label anchors": (
-            soft_label(0.2) == 0.0 and soft_label(0.5) == 0.5 and soft_label(0.8) == 1.0
-        ),
+        "soft_label anchors": soft_labels(np.array([0.2, 0.5, 0.8])).tolist() == [0.0, 0.5, 1.0],
         "bce(0.5,0.5)=ln2": abs(bce - np.log(2.0)) <= 1e-9,
     }
     ok = all(checks.values())

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
+from cloudinst import clustering
 from cloudinst.clustering import (
     ClusterParams,
     cluster_dual_set,
     cluster_single_set,
     connected_components_oracle,
 )
-from cloudinst.core import Source
+from cloudinst.core import Source, shifted_coords
 from cloudinst.losses import offset_targets
 from cloudinst.spatial import GridIndex, radius_squared, squared_distances
+from cloudinst.synth import GenConfig, generate_sample
 
 from conftest import random_cluster_inputs, two_object_scene
 
@@ -92,8 +94,7 @@ def _assert_matches_oracle(coords, labels, radii=(0.02, 0.05), min_points=(1, 4)
             assert clusters_as_sets(got) == clusters_as_sets(want)
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_mixed_label_piles_equal_oracle(seed):
+def _piles(seed):
     # shifted points of noisy-label objects: dense piles of several labels,
     # each pile well inside one fine cell, plus a halo reaching nearby cells
     rng = np.random.default_rng(100 + seed)
@@ -104,11 +105,10 @@ def test_mixed_label_piles_equal_oracle(seed):
         parts.append(c + rng.normal(0, 0.02, (int(rng.integers(10, 40)), 3)))
     coords = np.concatenate(parts).astype(np.float32)
     labels = rng.choice([-1, 0, 1, 2, 3], coords.shape[0], p=[0.05, 0.05, 0.7, 0.1, 0.1])
-    _assert_matches_oracle(coords, labels.astype(np.int32))
+    return coords, labels.astype(np.int32), {}
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_pairs_one_ulp_from_radius_equal_oracle(seed):
+def _near_r(seed):
     # isolated pairs: the second point is the float32 rounding of a point at
     # exactly r, then nudged by up to one ulp per coordinate, so the pair
     # distance sits within an ulp of r on either side
@@ -129,11 +129,10 @@ def test_pairs_one_ulp_from_radius_equal_oracle(seed):
     assert np.abs(d - radius).max() <= 3 * np.spacing(np.float32(2.0 + radius))
     inside = squared_distances(base, other) < radius_squared(radius)
     assert inside.any() and not inside.all()  # both sides of r are covered
-    _assert_matches_oracle(coords, labels, radii=(radius,), min_points=(1,))
+    return coords, labels, {"radii": (radius,), "min_points": (1,)}
 
 
-@pytest.mark.parametrize("seed", range(6))
-def test_long_chains_just_under_radius_equal_oracle(seed):
+def _chains(seed):
     # chains whose hops sit just under r cross dozens of cells; one hop at or
     # over r splits a chain, so the oracle decides where each one breaks
     rng = np.random.default_rng(300 + seed)
@@ -146,11 +145,10 @@ def test_long_chains_just_under_radius_equal_oracle(seed):
         parts.append(rng.uniform(0, 0.5, 3) + np.arange(n)[:, None] * step)
         labels.append(np.full(n, 1 + k % 2))
     coords = np.concatenate(parts).astype(np.float32)
-    _assert_matches_oracle(coords, np.concatenate(labels).astype(np.int32), radii=(radius,))
+    return coords, np.concatenate(labels).astype(np.int32), {"radii": (radius,)}
 
 
-@pytest.mark.parametrize("seed", range(8))
-def test_far_outliers_equal_oracle(seed):
+def _far_outliers(seed):
     # a few points moved 1e4 to 1e36 m away, some onto each other, and one
     # to a finite 1e39 m, beyond the float32 range
     rng = np.random.default_rng(400 + seed)
@@ -163,7 +161,80 @@ def test_far_outliers_equal_oracle(seed):
     coords = coords.astype(np.float64)
     coords[far[4], seed % 3] = 1e39 * (-1.0) ** seed
     labels[far[4]] = 1  # not stuff, so the point reaches the grid
-    _assert_matches_oracle(coords, labels)
+    return coords, labels, {}
+
+
+# the oracle families, each with its seed count
+_FAMILIES = {
+    "piles": (_piles, 8), "near_r": (_near_r, 6), "chains": (_chains, 6),
+    "far_outliers": (_far_outliers, 8),
+}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_mixed_label_piles_equal_oracle(seed):
+    coords, labels, kw = _piles(seed)
+    _assert_matches_oracle(coords, labels, **kw)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_pairs_one_ulp_from_radius_equal_oracle(seed):
+    coords, labels, kw = _near_r(seed)
+    _assert_matches_oracle(coords, labels, **kw)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_long_chains_just_under_radius_equal_oracle(seed):
+    coords, labels, kw = _chains(seed)
+    _assert_matches_oracle(coords, labels, **kw)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_far_outliers_equal_oracle(seed):
+    coords, labels, kw = _far_outliers(seed)
+    _assert_matches_oracle(coords, labels, **kw)
+
+
+@pytest.mark.parametrize("budget", [1, 4096, clustering._CHUNK])
+@pytest.mark.parametrize("family", sorted(_FAMILIES))
+def test_result_does_not_depend_on_round_budget(monkeypatch, family, budget):
+    # with a budget of one point pair, every round holds a single node pair
+    monkeypatch.setattr(clustering, "_CHUNK", budget)
+    build, n_seeds = _FAMILIES[family]
+    for seed in range(n_seeds):
+        coords, labels, kw = build(seed)
+        _assert_matches_oracle(coords, labels, **kw)
+
+
+def test_every_round_but_the_last_fills_its_budget(monkeypatch):
+    # the shifted set of a scene with boundary-weighted offset noise: dense
+    # piles and a halo, so that most node pairs die by a merge before their
+    # turn; a round spends its budget on live pairs, so rounds stay few
+    _, observed, offsets = generate_sample(GenConfig(seed=1, n_objects=4, sigma0=0.01, beta=2.0))
+    budget = 8192
+    monkeypatch.setattr(clustering, "_CHUNK", budget)
+    tested, merges = [], []
+    touching, merge_edges = clustering._touching, clustering._merge_edges
+
+    def counting_touching(xyz, grid, a, b, cost, r2):
+        tested.append(int(cost.sum()))
+        return touching(xyz, grid, a, b, cost, r2)
+
+    def counting_merge(comp, edges_a, edges_b):
+        merges.append(edges_a.size)
+        return merge_edges(comp, edges_a, edges_b)
+
+    monkeypatch.setattr(clustering, "_touching", counting_touching)
+    monkeypatch.setattr(clustering, "_merge_edges", counting_merge)
+    q = shifted_coords(observed, offsets)
+    params = ClusterParams(0.03, 50)
+    got = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
+    assert len(tested) >= 5 and len(merges) >= 5
+    assert min(tested[:-1]) >= budget - 64**2
+    assert len(tested) <= len(merges) + 1
+    monkeypatch.setattr(clustering, "_CHUNK", 1 << 17)
+    want = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
+    assert clusters_as_sets(got) == clusters_as_sets(want)
 
 
 def test_output_canonical_order_and_invariants():

@@ -599,3 +599,30 @@ def test_writer_output_never_takes_the_walk(tmp_path, monkeypatch):
     back = load_predictions(tmp_path / "p.pred1")
     assert [p.point_idx.tolist() for p in back] == [p.point_idx.tolist() for p in preds]
     assert np.array_equal(load_scorer(tmp_path / "m.scorer").w1, model.w1)
+
+
+def test_read_rows_walks_only_from_the_first_refused_line(monkeypatch):
+    # a large table whose only fault is its last line, and one whose middle
+    # line only the walk reads: the C reader keeps every line before it
+    fields = [("a", np.int32, 1), ("b", np.float64, 2)]
+    lines = [f"{k} {k / 7!r} -{k}" for k in range(40_000)]
+    walk = formats._walk_rows
+    walked = []
+
+    def counting_walk(lines, lineno, fields):
+        walked.append((lineno, len(lines)))
+        return walk(lines, lineno, fields)
+
+    for at, token, n_walked in [(len(lines) - 1, "zz", 1), (20_000, "1_0", 20_000)]:
+        table = list(lines)
+        table[at] = f"{token} 1 2"
+        want = _outcome(walk, table, 5, fields)
+        walked.clear()
+        monkeypatch.setattr(formats, "_walk_rows", counting_walk)
+        got = _outcome(_read_rows, table, 5, fields)
+        monkeypatch.setattr(formats, "_walk_rows", walk)
+        assert got == want
+        assert walked == [(5 + at, n_walked)]
+    assert _outcome(_read_rows, lines[:-1] + ["zz 1 2"], 5, fields) == (
+        "line 40004: a is not an integer: 'zz'"
+    )

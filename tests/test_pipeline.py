@@ -5,10 +5,10 @@ from cloudinst.clustering import ClusterParams, cluster_single_set, connected_co
 from cloudinst.core import Cluster, OffsetField, Source, ground_truth_instances, shifted_coords
 from cloudinst.losses import offset_targets
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
-from cloudinst.scoring import Scorer, ScorerModel, iou
+from cloudinst.scoring import Scorer, ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import make_scene, two_object_scene
+from conftest import iou, make_scene, two_object_scene
 
 
 def cl(idx, cls=1, source=Source.ORIGINAL):

@@ -7,23 +7,20 @@ from cloudinst.scoring import (
     ScoreTargets,
     Scorer,
     ScorerModel,
-    best_iou,
     best_ious,
     cluster_descriptor,
-    iou,
     load_scorer,
     pairwise_iou,
     save_scorer,
     score_clusters,
     score_loss,
     scorer_objective,
-    soft_label,
     soft_labels,
     train_scorer,
 )
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import make_scene, two_object_scene
+from conftest import best_iou, iou, make_scene, two_object_scene
 
 
 def gt(idx, cls=1):
@@ -35,11 +32,10 @@ def cl(idx, cls=1, source=Source.ORIGINAL):
 
 
 def test_iou_basic_cases():
-    assert iou(np.array([1, 2, 3]), np.array([1, 2, 3])) == 1.0
-    assert iou(np.array([1, 2]), np.array([5, 6])) == 0.0
-    assert iou(np.array([1, 2, 3, 4]), np.arange(3, 9)) == 0.25
-    with pytest.raises(ValueError, match="empty"):
-        iou(np.array([]), np.array([]))
+    masks = [np.array([1, 2, 3]), np.array([1, 2]), np.array([1, 2, 3, 4])]
+    others = [np.array([1, 2, 3]), np.array([5, 6]), np.arange(3, 9)]
+    mat = pairwise_iou(masks, others, 10)
+    assert [mat[0, 0], mat[1, 1], mat[2, 2]] == [1.0, 0.0, 0.25]
 
 
 def test_pairwise_iou_matches_scalar():
@@ -54,16 +50,15 @@ def test_pairwise_iou_matches_scalar():
 
 def test_best_iou_exact_match_and_disjoint():
     instances = [gt(np.array([0, 1, 2])), gt(np.array([5, 6]), cls=2)]
-    assert best_iou(cl(np.array([0, 1, 2])), instances) == 1.0
-    assert best_iou(cl(np.array([10, 11])), instances) == 0.0
+    assert best_ious([cl(np.array([0, 1, 2])), cl(np.array([10, 11]))], instances, 12).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="no ground-truth"):
-        best_iou(cl(np.array([0])), [])
+        best_ious([cl(np.array([0]))], [], 1)
 
 
 def test_best_iou_ignores_class():
     # the max runs over every instance, even with a different class
     instances = [gt(np.array([0, 1, 2, 3]), cls=3)]
-    assert best_iou(cl(np.array([0, 1, 2, 3]), cls=1), instances) == 1.0
+    assert best_ious([cl(np.array([0, 1, 2, 3]), cls=1)], instances, 4).tolist() == [1.0]
 
 
 def test_best_ious_matches_loop():
@@ -76,13 +71,11 @@ def test_best_ious_matches_loop():
 
 
 def test_soft_label_paper_anchors():
-    assert soft_label(0.20) == 0.0
-    assert soft_label(0.80) == 1.0
-    assert soft_label(0.50) == 0.5
+    assert soft_labels(np.array([0.20, 0.80, 0.50])).tolist() == [0.0, 1.0, 0.5]
     with pytest.raises(ValueError):
-        soft_label(1.5)
+        soft_labels(np.array([1.5]))
     with pytest.raises(ValueError):
-        soft_label(0.5, low=0.8, high=0.2)
+        soft_labels(np.array([0.5]), low=0.8, high=0.2)
 
 
 def test_soft_label_monotone_continuous_clamped():
