@@ -76,8 +76,9 @@ def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
     j = np.concatenate((grid.starts[b[:ones]], grid.starts[b[ones:]][item] + qb))
     x, y, z = xyz  # the expression of squared_distances, one axis per array
     dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+    item = np.concatenate((np.arange(ones), ones + item))
     hit = np.zeros(a.size, dtype=bool)
-    hit[np.concatenate((np.arange(ones), ones + item))[dx * dx + dy * dy + dz * dz < r2]] = True
+    hit[item[dx * dx + dy * dy + dz * dz < r2]] = True
     return hit
 
 

@@ -50,7 +50,8 @@ def test_pairwise_iou_matches_scalar():
 
 def test_best_iou_exact_match_and_disjoint():
     instances = [gt(np.array([0, 1, 2])), gt(np.array([5, 6]), cls=2)]
-    assert best_ious([cl(np.array([0, 1, 2])), cl(np.array([10, 11]))], instances, 12).tolist() == [1.0, 0.0]
+    clusters = [cl(np.array([0, 1, 2])), cl(np.array([10, 11]))]
+    assert best_ious(clusters, instances, 12).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="no ground-truth"):
         best_ious([cl(np.array([0]))], [], 1)
 
