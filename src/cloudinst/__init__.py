@@ -31,9 +31,11 @@ from .formats import (
     load_offsets,
     load_predictions,
     load_scene,
+    load_scorer,
     save_offsets,
     save_predictions,
     save_scene,
+    save_scorer,
 )
 from .losses import (
     LossReport,
@@ -54,9 +56,6 @@ from .scoring import (
     Scorer,
     ScorerModel,
     ScorerTraining,
-    cluster_descriptor,
-    load_scorer,
-    save_scorer,
     score_clusters,
     score_loss,
     train_scorer,

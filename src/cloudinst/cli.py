@@ -24,10 +24,12 @@ from .formats import (
     load_offsets,
     load_predictions,
     load_scene,
+    load_scorer,
     predictions_text,
     save_offsets,
     save_predictions,
     save_scene,
+    save_scorer,
 )
 from .losses import (
     gradient_check,
@@ -42,8 +44,6 @@ from .scoring import (
     SOFT_LOW,
     Scorer,
     ScorerModel,
-    load_scorer,
-    save_scorer,
     scorer_objective,
     train_scorer,
 )

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
-from .core import Cluster, OffsetField, Scene, Source, check_offsets, shifted_coords
+from .core import Cluster, OffsetField, Scene, Source, check_offsets, never_clustered, shifted_coords
 from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
 
 _CHUNK = 1 << 17  # point pairs tested between two component merges
@@ -47,11 +47,6 @@ class ClusterParams:
         check_radius(self.radius)
         if self.min_points < 1:
             raise ValueError(f"min_points must be >= 1, got {self.min_points}")
-
-
-def _active_mask(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
-    stuff = np.fromiter((int(c) for c in stuff_classes), dtype=np.int64)
-    return (sem_labels >= 0) & ~np.isin(sem_labels, stuff)
 
 
 def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
@@ -124,7 +119,7 @@ def cluster_single_set(
     # a finite point beyond the float32 range is infinitely far from every
     # point under the float32 distance test, so it joins no cluster, as in
     # the oracle; non-finite input still reaches GridIndex, which rejects it
-    active = _active_mask(sem_labels, stuff_classes)
+    active = ~never_clustered(sem_labels, stuff_classes)
     if not np.isfinite(coords32).all():
         active &= ~(np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1))
     active_idx = np.flatnonzero(active)
@@ -211,7 +206,7 @@ def connected_components_oracle(
         raise ValueError(
             f"got {coords.shape[0]} coordinates but {sem_labels.shape[0]} labels"
         )
-    active_idx = np.flatnonzero(_active_mask(sem_labels, stuff_classes))
+    active_idx = np.flatnonzero(~never_clustered(sem_labels, stuff_classes))
     n = active_idx.size
     pts = coords[active_idx]
     labels_a = sem_labels[active_idx]

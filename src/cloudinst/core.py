@@ -44,6 +44,16 @@ def argmax_labels(sem_scores: np.ndarray) -> np.ndarray:
     return np.argmax(sem_scores, axis=1).astype(np.int32)
 
 
+def never_clustered(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
+    """Boolean mask of points that can never join a cluster.
+
+    Unlabeled (-1) points are treated like stuff: they are excluded from
+    clustering rather than grouped by guesswork.
+    """
+    stuff = np.fromiter((int(c) for c in stuff_classes), dtype=np.int64)
+    return (sem_labels < 0) | np.isin(sem_labels, stuff)
+
+
 def _as_readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
@@ -190,16 +200,8 @@ class Scene:
         return int(self.inst_ids.max() + 1) if self.inst_ids.size else 0
 
     def stuff_mask(self) -> np.ndarray:
-        """Boolean mask of points that can never join a cluster.
-
-        Unlabeled (-1) points are treated like stuff: they are excluded from
-        clustering rather than grouped by guesswork.
-        """
-        mask = self.sem_labels < 0
-        if self.stuff_classes:
-            stuff_arr = np.fromiter(self.stuff_classes, dtype=np.int32)
-            mask = mask | np.isin(self.sem_labels, stuff_arr)
-        return mask
+        """Boolean mask of points that can never join a cluster."""
+        return never_clustered(self.sem_labels, self.stuff_classes)
 
 
 def scenes_equal(a: Scene, b: Scene) -> bool:

@@ -1,12 +1,12 @@
-"""Text file formats: scene (.sc1), offsets (.off1), predictions (.pred1), PLY export.
+"""Text file formats: scene (.sc1), offsets (.off1), predictions (.pred1),
+scorer (.scorer), PLY export.
 
-Every format, the scorer file (.scorer) too, is header lines plus rows of
-numbers, read by one row reader (numpy's C reader, and a token walk for
-what it refuses) and written by one row writer.  Loaders raise only
-``FormatError``, naming the first faulty line.  All writers are
-byte-stable: the same object always serializes to the same bytes, and every
-numeric field round-trips exactly (floats are written with enough
-significant digits for their storage precision).
+Every format is header lines plus rows of numbers, read by one row reader
+(numpy's C reader, and a token walk for what it refuses) and written by one
+row writer.  Loaders raise only ``FormatError``, naming the first faulty
+line.  All writers are byte-stable: the same object always serializes to the
+same bytes, and every numeric field round-trips exactly (floats are written
+with enough significant digits for their storage precision).
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneError
+from .scoring import ScorerModel
 
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
@@ -305,6 +306,43 @@ def load_predictions(path) -> list[InstancePrediction]:
         except SceneError as err:
             raise FormatError(f"line {lineno}: {err}") from err
     return preds
+
+
+def save_scorer(model: ScorerModel, path) -> None:
+    d, h = model.descriptor_dim, model.hidden
+    blocks = [
+        (" ".join([_F64] * d), [np.vstack([model.mean, model.std, model.w1])]),
+        (" ".join([_F64] * h), [np.vstack([model.b1, model.w2])]),
+        (_F64, [[model.b2]]),
+    ]
+    _write_text(path, _rows_text([f"SCORER1 {d} {h}"], blocks))
+
+
+def load_scorer(path) -> ScorerModel:
+    """Parse ``SCORER1 <dim> <hidden>`` and the rows mean, std, w1..., b1, w2,
+    b2.  Blank lines are skipped; errors name the line as the file numbers it."""
+    numbered = [(at, line) for at, line in enumerate(_read_lines(path), start=1) if line.strip()]
+    lines = [line for _, line in numbered]
+    head = numbered[0][0] if numbered else 1
+    d, h = _header(lines, head, "SCORER1", "dim", "hidden")
+    if d < 1 or h < 1:
+        raise FormatError(f"line {head}: dimensions must be >= 1")
+    expect = 1 + 2 + h + 3
+    if len(lines) != expect:
+        # the first surplus line, or the last line of a short file
+        at = numbered[min(expect, len(lines) - 1)][0]
+        raise FormatError(f"line {at}: expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
+
+    def rows(lo: int, hi: int, width: int) -> np.ndarray:
+        return np.vstack(
+            [_read_rows([line], at, [("value", np.float64, width)])[0] for at, line in numbered[lo:hi]]
+        )
+
+    by_dim, by_hidden, b2 = rows(1, 3 + h, d), rows(3 + h, 5 + h, h), rows(5 + h, 6 + h, 1)
+    try:
+        return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
+    except ValueError as err:
+        raise FormatError(str(err)) from err
 
 
 def prediction_color(index: int) -> tuple[int, int, int]:

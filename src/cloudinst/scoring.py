@@ -9,6 +9,12 @@ Three interchangeable scorers rank candidate clusters for NMS:
 
 Soft score targets come from the best IoU through a clamped linear ramp
 between a low and a high threshold.
+
+Descriptors come from one pass over all clusters: their member indices are
+concatenated once, coordinates and offsets are gathered once, and every
+per-cluster statistic is a segment reduction (``reduceat``) over that array.
+SEMPROB scoring shares the mean-probability reduction.  The scorer file
+format lives in ``formats``.
 """
 
 from __future__ import annotations
@@ -19,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .core import (
-    Cluster,
-    FormatError,
-    GroundTruthInstance,
-    OffsetField,
-    Scene,
-    check_offsets,
-)
-from .formats import _F64, _header, _read_lines, _read_rows, _rows_text, _write_text
+from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets
 from .losses import gradient_check
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
@@ -130,10 +128,22 @@ def score_loss(pred_scores: np.ndarray, targets: ScoreTargets) -> float:
     return float(-(t * np.log(s) + (1.0 - t) * np.log(1.0 - s)).mean())
 
 
-def cluster_descriptor(
-    cluster: Cluster, scene: Scene, offsets: OffsetField
+def _members(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """All member indices end to end, with each cluster's size and start."""
+    sizes = np.array([c.point_idx.size for c in clusters], dtype=np.int64)
+    return np.concatenate([c.point_idx for c in clusters]), sizes, np.cumsum(sizes) - sizes
+
+
+def _mean_class_prob(clusters, sem_scores, idx, sizes, starts) -> np.ndarray:
+    """Mean semantic probability of each cluster's class over its members."""
+    cls = np.repeat(np.array([c.class_id for c in clusters], dtype=np.int64), sizes)
+    return np.add.reduceat(sem_scores[idx, cls].astype(np.float64), starts) / sizes
+
+
+def cluster_descriptors(
+    clusters: list[Cluster], scene: Scene, offsets: OffsetField
 ) -> np.ndarray:
-    """Handcrafted 8-dim descriptor of a cluster.
+    """Handcrafted 8-dim descriptor of each cluster, one row per cluster.
 
     [log point count, bbox extent x/y/z in original space, mean and stdev of
     member distance to the cluster's shifted-space centroid, mean semantic
@@ -143,36 +153,25 @@ def cluster_descriptor(
     Every entry is invariant under global translation of the scene.
     """
     check_offsets(scene, offsets)
-    idx = cluster.point_idx
+    if not clusters:
+        return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float64)
+    idx, sizes, starts = _members(clusters)
     p = scene.coords[idx].astype(np.float64)
     q = p + offsets.offsets[idx]
-    extent = p.max(axis=0) - p.min(axis=0)
-    dq = np.linalg.norm(q - q.mean(axis=0), axis=1)
+    out = np.empty((len(clusters), DESCRIPTOR_DIM), dtype=np.float64)
+    out[:, 0] = np.log(sizes)
+    out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
+    centroid = np.add.reduceat(q, starts) / sizes[:, None]
+    diff = q - np.repeat(centroid, sizes, axis=0)
+    dq = np.sqrt((diff * diff).sum(axis=1))
+    out[:, 4] = np.add.reduceat(dq, starts) / sizes
+    spread = dq - np.repeat(out[:, 4], sizes)
+    out[:, 5] = np.sqrt(np.add.reduceat(spread * spread, starts) / sizes)
+    out[:, 6] = 1.0
     if scene.sem_scores is not None:
-        mean_prob = float(scene.sem_scores[idx, cluster.class_id].mean(dtype=np.float64))
-    else:
-        mean_prob = 1.0
-    return np.array(
-        [
-            np.log(float(idx.size)),
-            extent[0],
-            extent[1],
-            extent[2],
-            dq.mean(),
-            dq.std(),
-            mean_prob,
-            float(cluster.source.value),
-        ],
-        dtype=np.float64,
-    )
-
-
-def cluster_descriptors(
-    clusters: list[Cluster], scene: Scene, offsets: OffsetField
-) -> np.ndarray:
-    return np.array(
-        [cluster_descriptor(c, scene, offsets) for c in clusters], dtype=np.float64
-    ).reshape(len(clusters), DESCRIPTOR_DIM)
+        out[:, 6] = _mean_class_prob(clusters, scene.sem_scores, idx, sizes, starts)
+    out[:, 7] = [float(c.source.value) for c in clusters]
+    return out
 
 
 @dataclass(frozen=True)
@@ -242,43 +241,6 @@ class ScorerModel:
         return 1.0 / (1.0 + np.exp(-z))
 
 
-def save_scorer(model: ScorerModel, path) -> None:
-    d, h = model.descriptor_dim, model.hidden
-    blocks = [
-        (" ".join([_F64] * d), [np.vstack([model.mean, model.std, model.w1])]),
-        (" ".join([_F64] * h), [np.vstack([model.b1, model.w2])]),
-        (_F64, [[model.b2]]),
-    ]
-    _write_text(path, _rows_text([f"SCORER1 {d} {h}"], blocks))
-
-
-def load_scorer(path) -> ScorerModel:
-    """Parse ``SCORER1 <dim> <hidden>`` and the rows mean, std, w1..., b1, w2,
-    b2.  Blank lines are skipped; errors name the line as the file numbers it."""
-    numbered = [(at, line) for at, line in enumerate(_read_lines(path), start=1) if line.strip()]
-    lines = [line for _, line in numbered]
-    head = numbered[0][0] if numbered else 1
-    d, h = _header(lines, head, "SCORER1", "dim", "hidden")
-    if d < 1 or h < 1:
-        raise FormatError(f"line {head}: dimensions must be >= 1")
-    expect = 1 + 2 + h + 3
-    if len(lines) != expect:
-        # the first surplus line, or the last line of a short file
-        at = numbered[min(expect, len(lines) - 1)][0]
-        raise FormatError(f"line {at}: expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
-
-    def rows(lo: int, hi: int, width: int) -> np.ndarray:
-        return np.vstack(
-            [_read_rows([line], at, [("value", np.float64, width)])[0] for at, line in numbered[lo:hi]]
-        )
-
-    by_dim, by_hidden, b2 = rows(1, 3 + h, d), rows(3 + h, 5 + h, h), rows(5 + h, 6 + h, 1)
-    try:
-        return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
-    except ValueError as err:
-        raise FormatError(str(err)) from err
-
-
 def score_clusters(
     clusters: list[Cluster],
     scene: Scene,
@@ -298,15 +260,14 @@ def score_clusters(
     if scorer is Scorer.SEMPROB:
         if scene.sem_scores is None:
             raise ValueError("semantic-probability scoring needs sem_scores")
-        return np.array(
-            [
-                float(scene.sem_scores[c.point_idx, c.class_id].mean(dtype=np.float64))
-                for c in clusters
-            ],
-            dtype=np.float64,
-        )
+        return _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
     if model is None:
         raise ValueError("model scoring needs a trained ScorerModel")
+    if model.descriptor_dim != DESCRIPTOR_DIM:
+        raise ValueError(
+            f"scorer model takes {model.descriptor_dim}-dim descriptors, "
+            f"clusters have {DESCRIPTOR_DIM}-dim descriptors"
+        )
     return model.scores(cluster_descriptors(clusters, scene, offsets))
 
 

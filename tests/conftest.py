@@ -1,9 +1,10 @@
-"""Shared scene builders for the test suite."""
+"""Shared scene builders for the test suite, and scalar references for the
+library's vectorised paths."""
 
 import numpy as np
 import pytest
 
-from cloudinst.core import OffsetField, Scene
+from cloudinst.core import OffsetField, Scene, check_offsets
 
 
 def iou(a, b) -> float:
@@ -16,6 +17,40 @@ def iou(a, b) -> float:
 def best_iou(cluster, gt) -> float:
     """Scalar best IoU of one cluster over every instance, of any class."""
     return max(iou(cluster.point_idx, g.point_idx) for g in gt)
+
+
+def cluster_descriptor(cluster, scene, offsets) -> np.ndarray:
+    """Scalar 8-dim descriptor of one cluster: the reference for the rows of
+    ``cluster_descriptors``.
+
+    [log point count, bbox extent x/y/z in original space, mean and stdev of
+    member distance to the cluster's shifted-space centroid, mean semantic
+    probability of the cluster's class (1.0 when scores are absent), source
+    flag].
+    """
+    check_offsets(scene, offsets)
+    idx = cluster.point_idx
+    p = scene.coords[idx].astype(np.float64)
+    q = p + offsets.offsets[idx]
+    extent = p.max(axis=0) - p.min(axis=0)
+    dq = np.linalg.norm(q - q.mean(axis=0), axis=1)
+    if scene.sem_scores is not None:
+        mean_prob = float(scene.sem_scores[idx, cluster.class_id].mean(dtype=np.float64))
+    else:
+        mean_prob = 1.0
+    return np.array(
+        [
+            np.log(float(idx.size)),
+            extent[0],
+            extent[1],
+            extent[2],
+            dq.mean(),
+            dq.std(),
+            mean_prob,
+            float(cluster.source.value),
+        ],
+        dtype=np.float64,
+    )
 
 
 def make_scene(

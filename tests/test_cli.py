@@ -4,8 +4,8 @@ from pathlib import Path
 import numpy as np
 
 from cloudinst.cli import dispatch
-from cloudinst.formats import load_predictions, load_scene
-from cloudinst.scoring import ScorerModel, load_scorer, save_scorer
+from cloudinst.formats import load_predictions, load_scene, load_scorer, save_scorer
+from cloudinst.scoring import ScorerModel
 
 
 def run(capsys, *argv):
@@ -89,6 +89,25 @@ def test_cluster_model_requires_model_file(capsys, tmp_path):
     )
     assert code == 2
     assert "--model" in err
+
+
+def test_cluster_scorer_of_the_wrong_width_exits_2(capsys, tmp_path):
+    # a 2-dim scorer loads, but cannot score 8-dim cluster descriptors
+    scene, offsets = gen_scene(capsys, tmp_path)
+    model = tmp_path / "narrow.scorer"
+    save_scorer(
+        ScorerModel(mean=np.zeros(2), std=np.ones(2), w1=np.zeros((2, 2)),
+                    b1=np.zeros(2), w2=np.zeros(2), b2=0.0),
+        model,
+    )
+    assert load_scorer(model).descriptor_dim == 2
+    code, _, err = run(
+        capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets),
+        "--scorer", "model", "--model", str(model), "--out", str(tmp_path / "p.pred1"),
+    )
+    assert code == 2
+    assert "scorer model takes 2-dim descriptors, clusters have 8-dim descriptors" in err
+    assert "broadcast" not in err
 
 
 def test_evaluate_table_and_tsv(capsys, tmp_path):

@@ -1,5 +1,7 @@
-"""Smoke test: the demos that drive ball_query, cluster_single_set and
-run_bench still run to completion."""
+"""Smoke test: the demos still run to completion.  They drive the formats and
+PLY export (01), ball_query and cluster_single_set (02), dual-set grouping
+(03), train_scorer, the scorer file and all three scorers through
+run_pipeline (05), and run_bench (06)."""
 
 import os
 import subprocess
@@ -24,12 +26,18 @@ def run_demo(name: str) -> str:
     return proc.stdout
 
 
+def test_demo_01_formats_round_trip():
+    assert "round-trip equal: True" in run_demo("01_scenes_and_formats.py")
+
+
 def test_demo_02_grid_matches_oracles():
     out = run_demo("02_radius_search_and_clustering.py")
     assert "(grid == brute force: True)" in out
     assert "(matches O(N^2) oracle: True)" in out
 
 
-@pytest.mark.parametrize("name", ["03_dual_set_grouping.py", "06_benchmark.py"])
+@pytest.mark.parametrize(
+    "name", ["03_dual_set_grouping.py", "05_scorer_training_and_nms.py", "06_benchmark.py"]
+)
 def test_demo_runs(name):
     assert run_demo(name).strip()

@@ -12,12 +12,14 @@ from cloudinst.formats import (
     load_offsets,
     load_predictions,
     load_scene,
+    load_scorer,
     save_offsets,
     save_predictions,
     save_scene,
+    save_scorer,
 )
 from cloudinst.core import scenes_equal
-from cloudinst.scoring import ScorerModel, load_scorer, save_scorer
+from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
 from conftest import make_scene

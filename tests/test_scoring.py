@@ -1,17 +1,20 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, Source
+from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, Source, argmax_labels
+from cloudinst.formats import load_scorer, save_scorer
 from cloudinst.losses import gradient_check, offset_targets
 from cloudinst.scoring import (
     ScoreTargets,
     Scorer,
     ScorerModel,
     best_ious,
-    cluster_descriptor,
-    load_scorer,
+    cluster_descriptors,
     pairwise_iou,
-    save_scorer,
     score_clusters,
     score_loss,
     scorer_objective,
@@ -20,7 +23,7 @@ from cloudinst.scoring import (
 )
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import best_iou, iou, make_scene, two_object_scene
+from conftest import best_iou, cluster_descriptor, iou, make_scene, two_object_scene
 
 
 def gt(idx, cls=1):
@@ -126,7 +129,7 @@ def test_score_loss_minimized_at_target():
 def test_descriptor_singleton_and_translation_invariance():
     scene = make_scene([[1, 2, 3], [5, 5, 5]], [1, 1], [0, 1])
     offsets = OffsetField(np.zeros((2, 3)))
-    d = cluster_descriptor(cl(np.array([0])), scene, offsets)
+    (d,) = cluster_descriptors([cl(np.array([0]))], scene, offsets)
     assert d.shape == (8,)
     assert d[0] == 0.0  # log(1)
     assert np.allclose(d[1:6], 0.0)  # extents and spread
@@ -134,7 +137,7 @@ def test_descriptor_singleton_and_translation_invariance():
     assert d[7] == 0.0
 
     moved = make_scene(np.asarray(scene.coords) + 10.0, scene.sem_labels, scene.inst_ids)
-    d2 = cluster_descriptor(cl(np.array([0])), moved, offsets)
+    (d2,) = cluster_descriptors([cl(np.array([0]))], moved, offsets)
     assert np.allclose(d, d2, atol=1e-5)
 
 
@@ -142,15 +145,85 @@ def test_descriptor_translation_invariance_multi_point():
     scene = two_object_scene(gap=0.5)
     offsets = offset_targets(scene)
     cluster = cl(np.arange(30), cls=1)
-    d = cluster_descriptor(cluster, scene, offsets)
+    (d,) = cluster_descriptors([cluster], scene, offsets)
     moved = make_scene(np.asarray(scene.coords) + 10.0, scene.sem_labels, scene.inst_ids)
-    d2 = cluster_descriptor(cluster, moved, offsets)
+    (d2,) = cluster_descriptors([cluster], moved, offsets)
     assert np.abs(d - d2).max() <= 1e-5
     assert d[7] == 0.0
-    d3 = cluster_descriptor(
-        cl(np.arange(30), cls=1, source=Source.SHIFTED), scene, offsets
+    (d3,) = cluster_descriptors(
+        [cl(np.arange(30), cls=1, source=Source.SHIFTED)], scene, offsets
     )
     assert d3[7] == 1.0
+
+
+def descriptor_inputs(seed, sizes, with_scores, n_classes=4):
+    """A scene of random points around a random origin, random offsets, and
+    one cluster per entry of ``sizes`` (random members, class and source)."""
+    rng = np.random.default_rng(seed)
+    n = max(sizes)
+    coords = rng.uniform(-1.0, 1.0, (n, 3)) * rng.uniform(0.01, 5.0) + rng.uniform(-100, 100, 3)
+    scores = rng.dirichlet(np.full(n_classes, 0.5), n).astype(np.float32)
+    scene = make_scene(
+        coords, argmax_labels(scores), np.full(n, -1), n_classes=n_classes,
+        sem_scores=scores if with_scores else None,
+    )
+    offsets = OffsetField(rng.normal(0.0, rng.uniform(0.001, 1.0), (n, 3)))
+    clusters = [
+        Cluster(
+            point_idx=np.sort(rng.choice(n, size, replace=False)),
+            class_id=int(rng.integers(n_classes)),
+            source=Source(int(rng.integers(2))),
+        )
+        for size in sizes
+    ]
+    return scene, offsets, clusters
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.one_of(st.just(1), st.integers(2, 300)), min_size=1, max_size=6),
+    big=st.booleans(),
+    with_scores=st.booleans(),
+)
+def test_cluster_descriptors_match_scalar_reference(seed, sizes, big, with_scores):
+    # one cluster past numpy's 8,192-element reduction buffer when ``big``
+    sizes = sizes + [8_193 + seed % 1_000] if big else sizes
+    scene, offsets, clusters = descriptor_inputs(seed, sizes, with_scores)
+    got = cluster_descriptors(clusters, scene, offsets)
+    ref = np.array([cluster_descriptor(c, scene, offsets) for c in clusters])
+    assert got.shape == (len(clusters), 8)
+    exact = [0, 1, 2, 3, 7]
+    assert np.array_equal(got[:, exact], ref[:, exact])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+    if with_scores:
+        semprob = score_clusters(clusters, scene, offsets, Scorer.SEMPROB)
+        loop = np.array(
+            [scene.sem_scores[c.point_idx, c.class_id].mean(dtype=np.float64) for c in clusters]
+        )
+        assert np.all(np.abs(semprob - loop) <= 1e-12 * np.maximum(1.0, loop))
+
+
+def test_cluster_descriptors_of_no_clusters(simple_scene, zero_offsets):
+    assert cluster_descriptors([], simple_scene, zero_offsets).shape == (0, 8)
+
+
+def test_descriptor_spread_of_a_collapsed_cloud():
+    # offsets that send every member onto one centre, as oracle offsets do:
+    # the shifted points differ only by rounding (~4e-17 m from their exact
+    # centroid), and so must the distance columns; a row-by-row centroid sum,
+    # as in the scalar reference, misses by ~4e-13 m on this cloud
+    rng = np.random.default_rng(5)
+    coords = rng.uniform(0.0, 3.0, (9_000, 3)).astype(np.float32)
+    scene = make_scene(coords, np.ones(9_000), np.zeros(9_000))
+    centre = np.array([1.2345678901234, 1.5432109876543, 0.9876543210987])
+    offsets = OffsetField(centre - coords.astype(np.float64))
+    (d,) = cluster_descriptors([cl(np.arange(9_000))], scene, offsets)
+    q = coords.astype(np.float64) + offsets.offsets
+    exact = np.array([math.fsum(q[:, j]) / q.shape[0] for j in range(3)])
+    dq = np.linalg.norm(q - exact, axis=1)
+    assert abs(d[4] - math.fsum(dq) / dq.size) <= 1e-15
+    assert d[5] <= 1e-15
 
 
 def test_score_clusters_variants(simple_scene, zero_offsets):
