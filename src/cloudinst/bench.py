@@ -1,7 +1,8 @@
 """Wall-clock benchmark of the inference pipeline, broken down by stage:
-on each coordinate set, enumerating and testing point pairs (``bq_p``,
+on each coordinate set, building the grid and testing point pairs (``bq_p``,
 ``bq_q``) and merging components into clusters (``cl_p``, ``cl_q``); then
-scoring and NMS.
+scoring and NMS.  The stage times are the pipeline's spans, read from one
+``trace.recording()`` per measured run.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from dataclasses import dataclass
 from .core import OffsetField, Scene
 from .pipeline import PipelineConfig, run_pipeline
 from .scoring import ScorerModel
+from .trace import recording
 
 STAGES = ("bq_p", "cl_p", "bq_q", "cl_q", "scoring", "nms")
 
@@ -48,13 +50,13 @@ def run_bench(
     total = 0.0
     n_preds = 0
     for _ in range(repeats):
-        timings: dict = {}
-        t0 = time.perf_counter()
-        preds = run_pipeline(scene, offsets, config, model=model, timings=timings)
-        total += time.perf_counter() - t0
+        with recording() as spans:
+            t0 = time.perf_counter()
+            preds = run_pipeline(scene, offsets, config, model=model)
+            total += time.perf_counter() - t0
         n_preds = len(preds)
         for s in STAGES:
-            sums[s] += timings.get(s, 0.0)
+            sums[s] += spans.get(s, 0.0)
     return BenchResult(
         stage_ms={s: 1000.0 * sums[s] / repeats for s in STAGES},
         total_ms=1000.0 * total / repeats,

@@ -19,7 +19,6 @@ pairs through union-find), so the two can be compared exactly.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,6 +27,7 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import Cluster, OffsetField, Scene, Source, check_offsets, never_clustered, shifted_coords
 from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
+from .trace import span
 
 _CHUNK = 1 << 17  # point pairs tested between two component merges
 
@@ -94,16 +94,15 @@ def cluster_single_set(
     stuff_classes,
     params: ClusterParams,
     source: Source,
-    timings: dict | None = None,
 ) -> list[Cluster]:
     """Cluster one coordinate set (original or shifted).
 
     Output clusters are disjoint, label-homogeneous, sorted by their minimum
     member index, with members sorted ascending; the result is independent
-    of input point order up to this canonical form.  ``timings`` receives the
-    seconds spent testing point pairs and merging components, under
-    ``bq_p``/``cl_p`` for the original set and ``bq_q``/``cl_q`` for the
-    shifted one.
+    of input point order up to this canonical form.  The grid build and the
+    point-pair tests run in the span ``bq_p`` on the original set (``bq_q``
+    on the shifted one), component merging and cluster assembly in ``cl_p``
+    (``cl_q``); see ``trace``.
     """
     coords = np.asarray(coords)
     sem_labels = np.asarray(sem_labels, dtype=np.int32)
@@ -123,47 +122,38 @@ def cluster_single_set(
     if not np.isfinite(coords32).all():
         active &= ~(np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1))
     active_idx = np.flatnonzero(active)
-    t_bq = t_cl = 0.0
+    tag = "p" if source == Source.ORIGINAL else "q"
 
-    t0 = time.perf_counter()
-    grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
-    xyz = np.ascontiguousarray(grid.coords[grid.order].T)
-    r2 = radius_squared(params.radius)
-    # cheapest node pairs first: their merges let costly pairs be skipped;
-    # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
-    a, b = grid.node_pairs()
-    counts = grid.counts.astype(np.int16)
-    cost = counts[a] * counts[b]
-    cheap = np.argsort(cost, kind="stable")
-    a, b, cost = a[cheap], b[cheap], cost[cheap]
-    comp = grid.node_cell.copy()  # node pairs join distinct cells: all live
-    t_bq += time.perf_counter() - t0
+    with span(f"bq_{tag}"):
+        grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
+        xyz = np.ascontiguousarray(grid.coords[grid.order].T)
+        r2 = radius_squared(params.radius)
+        # cheapest node pairs first: their merges let costly pairs be skipped;
+        # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
+        a, b = grid.node_pairs()
+        counts = grid.counts.astype(np.int16)
+        cost = counts[a] * counts[b]
+        cheap = np.argsort(cost, kind="stable")
+        a, b, cost = a[cheap], b[cheap], cost[cheap]
+        comp = grid.node_cell.copy()  # node pairs join distinct cells: all live
 
     while a.size:
-        t0 = time.perf_counter()
-        # a round: the cheapest live pairs up to _CHUNK point pairs, at least one
-        take = max(1, int(np.searchsorted(np.cumsum(cost[:_CHUNK]), _CHUNK, side="right")))
-        close = _touching(xyz, grid, a[:take], b[:take], cost[:take], r2)
-        ja, jb = a[:take][close], b[:take][close]
-        a, b, cost = a[take:], b[take:], cost[take:]
-        t_bq += time.perf_counter() - t0
+        with span(f"bq_{tag}"):
+            # a round: the cheapest live pairs up to _CHUNK point pairs, at least one
+            take = max(1, int(np.searchsorted(np.cumsum(cost[:_CHUNK]), _CHUNK, side="right")))
+            close = _touching(xyz, grid, a[:take], b[:take], cost[:take], r2)
+            ja, jb = a[:take][close], b[:take][close]
+            a, b, cost = a[take:], b[take:], cost[take:]
         if ja.size:
-            t0 = time.perf_counter()
-            comp = _merge_edges(comp, ja, jb)
-            live = comp[a] != comp[b]  # drop the pairs this merge joined
-            a, b, cost = a[live], b[live], cost[live]
-            t_cl += time.perf_counter() - t0
+            with span(f"cl_{tag}"):
+                comp = _merge_edges(comp, ja, jb)
+                live = comp[a] != comp[b]  # drop the pairs this merge joined
+                a, b, cost = a[live], b[live], cost[live]
 
-    t0 = time.perf_counter()
-    point_comp = np.empty(active_idx.size, dtype=np.int64)
-    point_comp[grid.order] = np.repeat(comp, grid.counts)
-    clusters = _clusters_from_components(point_comp, active_idx, sem_labels, params.min_points, source)
-    t_cl += time.perf_counter() - t0
-    if timings is not None:
-        tag = "p" if source == Source.ORIGINAL else "q"
-        timings[f"bq_{tag}"] = t_bq
-        timings[f"cl_{tag}"] = t_cl
-    return clusters
+    with span(f"cl_{tag}"):
+        point_comp = np.empty(active_idx.size, dtype=np.int64)
+        point_comp[grid.order] = np.repeat(comp, grid.counts)
+        return _clusters_from_components(point_comp, active_idx, sem_labels, params.min_points, source)
 
 
 class _UnionFind:
@@ -248,21 +238,18 @@ def cluster_dual_set(
     scene: Scene,
     offsets: OffsetField,
     params: ClusterParams,
-    timings: dict | None = None,
+    sources=(Source.ORIGINAL, Source.SHIFTED),
 ) -> list[Cluster]:
-    """Cluster both coordinate sets and pool the results.
+    """Cluster each coordinate set of ``sources`` and pool the results.
 
-    Runs the same algorithm on the original coordinates and then on the
-    offset-shifted ones; the two cluster lists are concatenated without
-    deduplication (overlaps are resolved later by scored NMS).
+    Runs the same algorithm on the original coordinates and on the
+    offset-shifted ones (both by default), in the order given; the cluster
+    lists are concatenated without deduplication (overlaps are resolved
+    later by scored NMS).
     """
     check_offsets(scene, offsets)
-    clusters_p = cluster_single_set(
-        scene.coords, scene.sem_labels, scene.stuff_classes, params,
-        Source.ORIGINAL, timings=timings,
-    )
-    clusters_q = cluster_single_set(
-        shifted_coords(scene, offsets), scene.sem_labels, scene.stuff_classes,
-        params, Source.SHIFTED, timings=timings,
-    )
-    return clusters_p + clusters_q
+    clusters = []
+    for source in map(Source, sources):
+        coords = scene.coords if source == Source.ORIGINAL else shifted_coords(scene, offsets)
+        clusters += cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, source)
+    return clusters

@@ -114,9 +114,7 @@ def average_precision(precision: np.ndarray, recall: np.ndarray) -> float:
     if precision.size == 0:
         return 0.0
     mrec = np.concatenate(([0.0], recall, [recall[-1]]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(mpre.size - 1, 0, -1):
-        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
 
@@ -149,13 +147,13 @@ class EvalResult:
 def evaluate(
     preds: list[InstancePrediction],
     scene: Scene,
-    thresholds: tuple[float, ...] = AP_THRESHOLDS,
     score_filter: float = PR_SCORE_FILTER,
 ) -> EvalResult:
     """Score predictions against the scene's ground-truth instances.
 
-    AP integrates over all predictions; the score filter applies only to the
-    precision/recall numbers (mPrec50/mRec50).
+    AP integrates over all predictions at each of ``AP_THRESHOLDS`` and at
+    0.25; the score filter applies only to the precision/recall numbers
+    (mPrec50/mRec50).
     """
     gt = ground_truth_instances(scene)
     if not gt:
@@ -168,7 +166,7 @@ def evaluate(
             )
     classes = tuple(sorted({g.class_id for g in gt}))
     n_points = scene.n_points
-    all_thresholds = tuple(thresholds) + (0.25,)
+    all_thresholds = AP_THRESHOLDS + (0.25,)
 
     ap: dict = {c: {} for c in classes}
     matches50: dict = {}
@@ -192,7 +190,7 @@ def evaluate(
         prec50[c] = n_tp / n_pred if n_pred else 0.0
         rec50[c] = n_tp / resf.n_gt if resf.n_gt else 0.0
 
-    ap_classwise = {c: float(np.mean([ap[c][t] for t in thresholds])) for c in classes}
+    ap_classwise = {c: float(np.mean([ap[c][t] for t in AP_THRESHOLDS])) for c in classes}
     ap50_classwise = {c: ap[c][0.5] for c in classes}
     ap25_classwise = {c: ap[c][0.25] for c in classes}
     return EvalResult(

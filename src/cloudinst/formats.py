@@ -207,6 +207,8 @@ def load_scene(path) -> Scene:
         raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
     k = _parse_int(stuff_toks[1], 2, "stuff count")
     (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
+    if np.any((stuff < 0) | (stuff >= n_classes)):
+        raise FormatError("line 2: stuff class id out of range")
 
     score_toks = lines[2].split()
     if len(score_toks) != 2 or score_toks[0] != "SCORES" or score_toks[1] not in ("0", "1"):
@@ -301,6 +303,8 @@ def load_predictions(path) -> list[InstancePrediction]:
         uniq = np.unique(idx)
         if uniq.size != idx.size:
             raise FormatError(f"line {lineno + 1}: duplicate point index")
+        if uniq.size and uniq[0] < 0:
+            raise FormatError(f"line {lineno + 1}: prediction contains a negative point index")
         try:
             preds.append(InstancePrediction(point_idx=uniq, class_id=class_id, score=score))
         except SceneError as err:
@@ -342,7 +346,9 @@ def load_scorer(path) -> ScorerModel:
     try:
         return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
     except ValueError as err:
-        raise FormatError(str(err)) from err
+        # the model checks its rows in file order for a non-finite value, then the std row
+        bad = [k for k, row in enumerate((*by_dim, *by_hidden, *b2)) if not np.isfinite(row).all()]
+        raise FormatError(f"line {numbered[1 + (bad + [1])[0]][0]}: {err}") from err
 
 
 def prediction_color(index: int) -> tuple[int, int, int]:

@@ -4,23 +4,17 @@ from (scene, offsets) to instance predictions.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .clustering import ClusterParams, cluster_dual_set, cluster_single_set
-from .core import (
-    Cluster,
-    InstancePrediction,
-    OffsetField,
-    Scene,
-    Source,
-    check_offsets,
-    ground_truth_instances,
-    shifted_coords,
-)
+from .clustering import ClusterParams, cluster_dual_set
+from .core import Cluster, InstancePrediction, OffsetField, Scene, Source, ground_truth_instances
 from .scoring import Scorer, ScorerModel, pairwise_iou, score_clusters
+from .trace import span
+
+# PipelineConfig.cluster_sets -> the coordinate sets clustered
+_SOURCES = {"both": (Source.ORIGINAL, Source.SHIFTED), "p": (Source.ORIGINAL,), "q": (Source.SHIFTED,)}
 
 
 @dataclass(frozen=True)
@@ -43,7 +37,7 @@ class PipelineConfig:
             raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
         if self.min_score is not None and not 0.0 <= self.min_score <= 1.0:
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
-        if self.cluster_sets not in ("p", "q", "both"):
+        if self.cluster_sets not in _SOURCES:
             raise ValueError(f"cluster_sets must be 'p', 'q' or 'both', got {self.cluster_sets!r}")
 
 
@@ -82,26 +76,14 @@ def run_pipeline(
     offsets: OffsetField,
     config: PipelineConfig,
     model: ScorerModel | None = None,
-    timings: dict | None = None,
 ) -> list[InstancePrediction]:
     """Cluster, score, suppress, and emit final instance predictions.
 
     Each prediction carries its cluster's semantic class and the score it
-    won NMS with.  Deterministic for fixed inputs and config.
+    won NMS with.  Deterministic for fixed inputs and config.  Scoring and
+    NMS run in the spans ``scoring`` and ``nms``; see ``trace``.
     """
-    check_offsets(scene, offsets)
-    if config.cluster_sets == "both":
-        clusters = cluster_dual_set(scene, offsets, config.cluster_params, timings=timings)
-    elif config.cluster_sets == "p":
-        clusters = cluster_single_set(
-            scene.coords, scene.sem_labels, scene.stuff_classes,
-            config.cluster_params, Source.ORIGINAL, timings=timings,
-        )
-    else:
-        clusters = cluster_single_set(
-            shifted_coords(scene, offsets), scene.sem_labels, scene.stuff_classes,
-            config.cluster_params, Source.SHIFTED, timings=timings,
-        )
+    clusters = cluster_dual_set(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
 
     gt = None
     if config.scorer is Scorer.ORACLE:
@@ -109,15 +91,10 @@ def run_pipeline(
         if not gt:
             raise ValueError("oracle scoring needs a scene with instances")
 
-    t0 = time.perf_counter()
-    scores = score_clusters(clusters, scene, offsets, config.scorer, model=model, gt=gt)
-    if timings is not None:
-        timings["scoring"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    kept = nms(clusters, scores, config.nms_iou)
-    if timings is not None:
-        timings["nms"] = time.perf_counter() - t0
+    with span("scoring"):
+        scores = score_clusters(clusters, scene, offsets, config.scorer, model=model, gt=gt)
+    with span("nms"):
+        kept = nms(clusters, scores, config.nms_iou)
 
     preds = []
     for k in kept:

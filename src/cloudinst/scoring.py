@@ -29,6 +29,7 @@ from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offset
 from .losses import gradient_check
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
+GRAD_TOLERANCE = 1e-5  # train_scorer's check of its analytic gradient
 SOFT_LOW = 0.25
 SOFT_HIGH = 0.75
 DESCRIPTOR_DIM = 8
@@ -124,8 +125,19 @@ def score_loss(pred_scores: np.ndarray, targets: ScoreTargets) -> float:
         raise ValueError("score/target length mismatch")
     if s.size == 0:
         raise ValueError("no clusters to score")
+    return _bce(s, t)
+
+
+def _bce(s: np.ndarray, t: np.ndarray) -> float:
+    """Mean BCE of scores ``s``, clipped by SCORE_EPS, against targets ``t``."""
     s = np.clip(s, SCORE_EPS, 1.0 - SCORE_EPS)
     return float(-(t * np.log(s) + (1.0 - t) * np.log(1.0 - s)).mean())
+
+
+def _forward(x_norm: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
+    """Hidden layer and scores sigmoid(w2 . tanh(W1 x + b1) + b2) of normalized ``x_norm``."""
+    h = np.tanh(x_norm @ w1.T + b1)
+    return h, 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
 
 
 def _members(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -236,9 +248,7 @@ class ScorerModel:
     def scores(self, descriptors: np.ndarray) -> np.ndarray:
         """Sigmoid network output for raw (unnormalized) descriptors."""
         x = (np.asarray(descriptors, dtype=np.float64) - self.mean) / self.std
-        hidden = np.tanh(x @ self.w1.T + self.b1)
-        z = hidden @ self.w2 + self.b2
-        return 1.0 / (1.0 + np.exp(-z))
+        return _forward(x, self.w1, self.b1, self.w2, self.b2)[1]
 
 
 def score_clusters(
@@ -288,19 +298,13 @@ def scorer_objective(
 ) -> tuple[float, np.ndarray]:
     """Soft-label BCE over normalized descriptors, with its analytic gradient.
 
-    Standard backprop through sigmoid(w2 . tanh(W1 x + b1) + b2); the
+    Standard backprop through the network of ``_forward``; the
     BCE-through-sigmoid derivative collapses to (score - target).
     """
-    dim = x_norm.shape[1]
-    w1, b1, w2, b2 = _unpack_params(theta, hidden, dim)
-    m = x_norm.shape[0]
-    pre = x_norm @ w1.T + b1
-    h = np.tanh(pre)
-    z = h @ w2 + b2
-    s = 1.0 / (1.0 + np.exp(-z))
-    sc = np.clip(s, SCORE_EPS, 1.0 - SCORE_EPS)
-    loss = float(-(targets * np.log(sc) + (1.0 - targets) * np.log(1.0 - sc)).mean())
-    dz = (s - targets) / m
+    w1, b1, w2, b2 = _unpack_params(theta, hidden, x_norm.shape[1])
+    h, s = _forward(x_norm, w1, b1, w2, b2)
+    loss = _bce(s, targets)
+    dz = (s - targets) / x_norm.shape[0]
     gw2 = h.T @ dz
     gb2 = dz.sum()
     dh = dz[:, None] * w2[None, :] * (1.0 - h * h)
@@ -361,9 +365,9 @@ def train_scorer(
     cluster_params=None,
     low: float = SOFT_LOW,
     high: float = SOFT_HIGH,
-    grad_tolerance: float = 1e-5,
 ) -> ScorerTraining:
-    """Full-batch gradient descent on the soft-label BCE.
+    """Full-batch gradient descent on the soft-label BCE, from the weights of
+    ``ScorerModel.default(hidden, seed)``.
 
     Deterministic given the seed.  The analytic gradient is verified against
     central differences at the initial weights before any step is taken.
@@ -372,25 +376,16 @@ def train_scorer(
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)
     x_norm = (x - mean) / std
-    dim = x.shape[1]
-
-    rng = np.random.default_rng(seed)
-    theta = np.concatenate(
-        [
-            rng.uniform(-0.5, 0.5, hidden * dim),
-            np.zeros(hidden),
-            rng.uniform(-0.5, 0.5, hidden),
-            [0.0],
-        ]
-    )
+    start = ScorerModel.default(hidden, seed)
+    theta = _pack_params(start.w1, start.b1, start.w2, start.b2)
 
     check_n = min(x_norm.shape[0], 64)
     grad_error = gradient_check(
         lambda t: scorer_objective(t, x_norm[:check_n], y[:check_n], hidden), theta
     )
-    if grad_error > grad_tolerance:
+    if grad_error > GRAD_TOLERANCE:
         raise ValueError(
-            f"scorer gradient check failed: {grad_error:.3e} > {grad_tolerance:.0e}"
+            f"scorer gradient check failed: {grad_error:.3e} > {GRAD_TOLERANCE:.0e}"
         )
 
     initial_loss, _ = scorer_objective(theta, x_norm, y, hidden)
@@ -401,7 +396,7 @@ def train_scorer(
             raise ValueError("training diverged to a non-finite loss")
         theta = theta - lr * grad
     loss, _ = scorer_objective(theta, x_norm, y, hidden)
-    w1, b1, w2, b2 = _unpack_params(theta, hidden, dim)
+    w1, b1, w2, b2 = _unpack_params(theta, hidden, DESCRIPTOR_DIM)
     model = ScorerModel(mean=mean, std=std, w1=w1, b1=b1, w2=w2, b2=float(b2))
     return ScorerTraining(
         model=model,

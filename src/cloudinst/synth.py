@@ -50,7 +50,6 @@ class GenConfig:
     room: tuple[float, float, float] = (5.0, 5.0, 2.5)
     n_objects: int = 6
     thing_classes: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    class_weights: tuple[float, ...] | None = None
     stuff_classes: tuple[int, ...] = (0, 1)
     n_classes: int = 8
     density: float = 3000.0  # object surface points per m^2
@@ -79,12 +78,6 @@ class GenConfig:
             raise ValueError("thing and stuff classes overlap")
         if any(c < 0 or c >= self.n_classes for c in all_ids):
             raise ValueError("class id out of range")
-        if self.class_weights is not None and (
-            len(self.class_weights) != len(self.thing_classes)
-            or any(w < 0 for w in self.class_weights)
-            or sum(self.class_weights) <= 0
-        ):
-            raise ValueError("class_weights must be non-negative, one per thing class")
         if self.density <= 0 or self.stuff_density < 0:
             raise ValueError("densities must be positive (stuff may be 0)")
         if self.min_gap < 0:
@@ -202,22 +195,18 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
     """
     plan_rng = _rng(config.seed, 0)
     lx, ly, lz = config.room
-    weights = None
-    if config.class_weights is not None:
-        weights = np.asarray(config.class_weights, dtype=np.float64)
-        weights = weights / weights.sum()
 
     # plan classes and sizes
     classes = []
     if config.same_class_gap is not None:
         while len(classes) < config.n_objects:
-            c = int(plan_rng.choice(np.asarray(config.thing_classes), p=weights))
+            c = int(plan_rng.choice(np.asarray(config.thing_classes)))
             classes.append(c)
             if len(classes) < config.n_objects:
                 classes.append(c)  # adjacent partner, same class
     else:
         classes = [
-            int(plan_rng.choice(np.asarray(config.thing_classes), p=weights))
+            int(plan_rng.choice(np.asarray(config.thing_classes)))
             for _ in range(config.n_objects)
         ]
 

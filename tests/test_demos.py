@@ -1,7 +1,8 @@
 """Smoke test: the demos still run to completion.  They drive the formats and
 PLY export (01), ball_query and cluster_single_set (02), dual-set grouping
-(03), train_scorer, the scorer file and all three scorers through
-run_pipeline (05), and run_bench (06)."""
+(03), the losses, ScoreTargets/score_loss and gradient checks (04),
+train_scorer, the scorer file and all three scorers through run_pipeline
+(05), and run_bench (06)."""
 
 import os
 import subprocess
@@ -37,7 +38,13 @@ def test_demo_02_grid_matches_oracles():
 
 
 @pytest.mark.parametrize(
-    "name", ["03_dual_set_grouping.py", "05_scorer_training_and_nms.py", "06_benchmark.py"]
+    "name",
+    [
+        "03_dual_set_grouping.py",
+        "04_losses_and_gradients.py",
+        "05_scorer_training_and_nms.py",
+        "06_benchmark.py",
+    ],
 )
 def test_demo_runs(name):
     assert run_demo(name).strip()

@@ -69,6 +69,27 @@ def test_average_precision_empty_and_perfect():
     assert average_precision(np.array([1.0]), np.array([1.0])) == 1.0
 
 
+def reference_average_precision(precision, recall):
+    """All-point AP with the precision envelope built by a right-to-left loop."""
+    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mpre = np.concatenate(([0.0], precision, [0.0]))
+    for i in range(mpre.size - 1, 0, -1):
+        mpre[i - 1] = max(mpre[i - 1], mpre[i])
+    steps = np.flatnonzero(mrec[1:] != mrec[:-1])
+    return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_average_precision_matches_the_loop_envelope(seed):
+    rng = np.random.default_rng(seed)
+    n_gt = int(rng.integers(1, 30))
+    tp = np.cumsum(rng.random(int(rng.integers(1, 60))) < rng.random())
+    tp = np.minimum(tp, n_gt)  # at most n_gt true positives
+    ranks = np.arange(1, tp.size + 1)
+    precision, recall = tp / ranks, tp / n_gt
+    assert average_precision(precision, recall) == reference_average_precision(precision, recall)
+
+
 def test_evaluate_perfect_predictions(simple_scene):
     preds = [
         pred([0, 1, 2], cls=1, score=0.9),

@@ -65,6 +65,7 @@ def test_instance_spanning_two_labels_names_line(tmp_path):
         ("SC1 2 3\nSTUFF 0\nSCORES 0\n0 0 0 1 2 3 1 -1\n", "expected 2 point lines"),
         ("SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 zz 1 2 3 1 -1\n", "line 4"),
         ("SC1 0 99999999999999999999\nSTUFF 0\nSCORES 1\n", "line 1: .*n_classes"),
+        ("SC1 1 3\nSTUFF 1 7\nSCORES 0\n0 0 0 1 2 3 1 -1\n", "^line 2: stuff class id out of range$"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, match):
@@ -207,6 +208,13 @@ def test_predictions_unsorted_indices_accepted_duplicates_rejected(tmp_path):
         load_predictions(path)
     path.write_text("PRED1 1\n2 1.5 1\n7\n")
     with pytest.raises(FormatError, match="score"):
+        load_predictions(path)
+
+
+def test_predictions_negative_index_names_its_line(tmp_path):
+    path = tmp_path / "p.pred1"
+    path.write_text("PRED1 2\n1 0.5 2\n0 1\n2 0.5 2\n3 -4\n")
+    with pytest.raises(FormatError, match="^line 5: prediction contains a negative point index$"):
         load_predictions(path)
 
 
@@ -510,6 +518,9 @@ def test_scorer_errors_name_the_line_in_the_file(tmp_path):
         ("\n\nSCORER1 0 2", "line 3: dimensions must be >= 1"),
         ("\nSCORER1 2 2\n0 0.5", "line 3: expected 8 lines for a 2x2 scorer, got 2"),
         (VALID["scorer"] + "\n9 9\n", "line 10: expected 8 lines for a 2x2 scorer, got 9"),
+        ("SCORER1 1 1\n0\n0\n1\n0\n1\n0", "line 3: normalization stdev entries must be >= 1e-8"),
+        ("SCORER1 1 1\n0\n1\nnan\n0\n1\n0", "line 4: non-finite scorer model weights"),
+        ("SCORER1 1 1\n0\n1\n1\n0\n1\ninf", "line 7: non-finite scorer model weights"),
     ]:
         path.write_text(text)
         with pytest.raises(FormatError, match=f"^{error}$"):

@@ -7,6 +7,7 @@ from cloudinst.losses import offset_targets
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
+from cloudinst.trace import recording
 
 from conftest import iou, make_scene, two_object_scene
 
@@ -198,10 +199,10 @@ def test_timings_name_each_clustered_set(sets, stages):
     config = PipelineConfig(
         cluster_params=ClusterParams(0.03, 20), scorer=Scorer.ORACLE, cluster_sets=sets
     )
-    timings = {}
-    run_pipeline(scene, offset_targets(scene), config, timings=timings)
-    assert set(timings) == stages | {"scoring", "nms"}
-    assert all(v >= 0.0 for v in timings.values())
+    with recording() as spans:
+        run_pipeline(scene, offset_targets(scene), config)
+    assert set(spans) == stages | {"scoring", "nms"}
+    assert all(v >= 0.0 for v in spans.values())
 
 
 def test_min_score_filter_applies_after_nms():
