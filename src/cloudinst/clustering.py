@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .core import Cluster, OffsetField, Scene, Source, check_offsets, never_clustered, shifted_coords
 from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
@@ -50,14 +48,24 @@ class ClusterParams:
 
 
 def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
-    """Fold a batch of edges into the running component labels."""
-    n = comp.size
-    graph = sp.coo_matrix(
-        (np.ones(edges_a.size, dtype=np.int8), (comp[edges_a], comp[edges_b])),
-        shape=(n, n),
-    )
-    labels = connected_components(graph, directed=False)[1]
-    return labels[comp]
+    """Fold a batch of edges into the running component labels.
+
+    Labels are node ids, so they index a parent array (Shiloach and Vishkin
+    1982): each edge hooks its larger root to the smallest root it meets
+    (``minimum.at``, so a star settles in two rounds), pointer jumping
+    flattens the trees, and the edges still open go round again.
+    """
+    root = np.arange(comp.size)
+    a, b = comp[edges_a], comp[edges_b]
+    while a.size:
+        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
+        up = root[root]
+        while (up != root).any():
+            root, up = up, up[up]
+        a, b = root[a], root[b]
+        still_open = a != b
+        a, b = a[still_open], b[still_open]
+    return root[comp]
 
 
 def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:

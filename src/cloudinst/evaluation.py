@@ -48,10 +48,9 @@ def match_and_pr(
     gt: list[GroundTruthInstance],
     class_id: int,
     iou_thresh: float,
-    n_points: int | None = None,
 ) -> MatchResult:
     """Match one class's predictions to its ground truth and build the PR curve."""
-    order, gt_cls, ious = _class_ious(preds, gt, class_id, n_points)
+    order, gt_cls, ious = _class_ious(preds, gt, class_id)
     return _greedy_match(order, gt_cls, ious, iou_thresh)
 
 
@@ -59,20 +58,12 @@ def _class_ious(
     preds: list[InstancePrediction],
     gt: list[GroundTruthInstance],
     class_id: int,
-    n_points: int | None,
 ) -> tuple[list[int], list[int], np.ndarray]:
     """One class's predictions in matching order, its ground-truth indices,
     and the IoU matrix between them."""
     order = _class_pred_order(preds, class_id)
     gt_cls = [k for k, g in enumerate(gt) if g.class_id == class_id]
-    if order and n_points is None:
-        masks = [preds[k].point_idx for k in order] + [gt[k].point_idx for k in gt_cls]
-        n_points = int(max(m[-1] for m in masks)) + 1
-    ious = pairwise_iou(
-        [preds[k].point_idx for k in order],
-        [gt[k].point_idx for k in gt_cls],
-        n_points,
-    )
+    ious = pairwise_iou([preds[k].point_idx for k in order], [gt[k].point_idx for k in gt_cls])
     return order, gt_cls, ious
 
 
@@ -165,7 +156,6 @@ def evaluate(
                 f"but the scene has {scene.n_points} points"
             )
     classes = tuple(sorted({g.class_id for g in gt}))
-    n_points = scene.n_points
     all_thresholds = AP_THRESHOLDS + (0.25,)
 
     ap: dict = {c: {} for c in classes}
@@ -175,7 +165,7 @@ def evaluate(
     for c in classes:
         # one IoU matrix per class serves every threshold and the filtered
         # pass: the score filter keeps a subsequence of the class order
-        order, gt_cls, ious = _class_ious(preds, gt, c, n_points)
+        order, gt_cls, ious = _class_ious(preds, gt, c)
         for t in all_thresholds:
             res = _greedy_match(order, gt_cls, ious, t)
             ap[c][t] = average_precision(res.precision, res.recall)

@@ -206,6 +206,8 @@ def load_scene(path) -> Scene:
     if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":
         raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
     k = _parse_int(stuff_toks[1], 2, "stuff count")
+    if k < 0:
+        raise FormatError("line 2: stuff count must be >= 0")
     (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
     if np.any((stuff < 0) | (stuff >= n_classes)):
         raise FormatError("line 2: stuff class id out of range")
@@ -292,7 +294,7 @@ def load_predictions(path) -> list[InstancePrediction]:
         raise FormatError("line 1: prediction count must be >= 0")
     if len(lines) != 1 + 2 * m:
         raise FormatError(
-            f"line {len(lines) + 1}: expected {2 * m} prediction lines, "
+            f"line {min(len(lines), 1 + 2 * m) + 1}: expected {2 * m} prediction lines, "
             f"found {len(lines) - 1}"
         )
     head = [("class", np.int64, 1), ("score", np.float64, 1), ("point count", np.int64, 1)]

@@ -60,10 +60,8 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
         range(len(clusters)),
         key=lambda k: (-scores[k], clusters[k].source.value, clusters[k].min_index),
     )
-    n_points = int(max(c.point_idx[-1] for c in clusters)) + 1
-    ious = pairwise_iou(
-        [c.point_idx for c in clusters], [c.point_idx for c in clusters], n_points
-    )
+    masks = [c.point_idx for c in clusters]
+    ious = pairwise_iou(masks, masks)
     kept: list[int] = []
     for k in order:
         if not kept or bool((ious[k, kept] < iou_thresh).all()):

@@ -23,10 +23,10 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets
 from .losses import gradient_check
+from .spatial import expand_ranges
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
 GRAD_TOLERANCE = 1e-5  # train_scorer's check of its analytic gradient
@@ -41,31 +41,32 @@ class Scorer(enum.Enum):
     MODEL = "model"
 
 
-def pairwise_iou(
-    masks_a: list[np.ndarray], masks_b: list[np.ndarray], n_points: int
-) -> np.ndarray:
-    """Dense (len_a, len_b) IoU matrix via sparse incidence multiplication."""
-    if not masks_a or not masks_b:
-        return np.zeros((len(masks_a), len(masks_b)), dtype=np.float64)
+def pairwise_iou(masks_a: list[np.ndarray], masks_b: list[np.ndarray]) -> np.ndarray:
+    """Dense (len_a, len_b) IoU matrix of duplicate-free masks.
 
-    def incidence(masks):
-        idx = np.concatenate(masks)
-        ptr = np.concatenate(([0], np.cumsum([m.size for m in masks])))
-        data = np.ones(idx.size, dtype=np.float64)
-        return sp.csr_matrix((data, idx, ptr), shape=(len(masks), n_points))
-
-    ia = incidence(masks_a)
-    ib = incidence(masks_b)
-    inter = np.asarray((ia @ ib.T).todense())
-    sa = np.array([m.size for m in masks_a], dtype=np.float64)
-    sb = np.array([m.size for m in masks_b], dtype=np.float64)
+    Each point shared by mask i of A and mask j of B adds one to their
+    intersection: B's entries are sorted by point, a count per point id
+    gives the range of B's entries on each point of A, and ``bincount``
+    sums the (i, j) pairs of those ranges.
+    """
+    sa = np.array([m.size for m in masks_a], dtype=np.int64)
+    sb = np.array([m.size for m in masks_b], dtype=np.int64)
+    if not sa.size or not sb.size:
+        return np.zeros((sa.size, sb.size), dtype=np.float64)
+    pa = np.concatenate(masks_a)
+    pb = np.concatenate(masks_b)
+    owner_b = np.repeat(np.arange(sb.size), sb)[np.argsort(pb, kind="stable")]
+    per_point = np.bincount(pb, minlength=pa.max(initial=0) + 1)
+    count = per_point[pa]
+    item, pos = expand_ranges(np.cumsum(per_point)[pa] - count, count)
+    pair = np.repeat(np.arange(sa.size) * sb.size, sa)[item] + owner_b[pos]
+    inter = np.bincount(pair, minlength=sa.size * sb.size).reshape(sa.size, sb.size)
+    inter = inter.astype(np.float64)
     union = sa[:, None] + sb[None, :] - inter
     return inter / union
 
 
-def best_ious(
-    clusters: list[Cluster], gt: list[GroundTruthInstance], n_points: int
-) -> np.ndarray:
+def best_ious(clusters: list[Cluster], gt: list[GroundTruthInstance]) -> np.ndarray:
     """Largest IoU of each cluster against any ground-truth instance.
 
     The max runs over every instance regardless of class.
@@ -74,10 +75,7 @@ def best_ious(
         raise ValueError("no ground-truth instances")
     if not clusters:
         return np.zeros(0, dtype=np.float64)
-    mat = pairwise_iou(
-        [c.point_idx for c in clusters], [g.point_idx for g in gt], n_points
-    )
-    return mat.max(axis=1)
+    return pairwise_iou([c.point_idx for c in clusters], [g.point_idx for g in gt]).max(axis=1)
 
 
 def soft_labels(
@@ -266,7 +264,7 @@ def score_clusters(
     if scorer is Scorer.ORACLE:
         if not gt:
             raise ValueError("oracle scoring needs ground-truth instances")
-        return best_ious(clusters, gt, scene.n_points)
+        return best_ious(clusters, gt)
     if scorer is Scorer.SEMPROB:
         if scene.sem_scores is None:
             raise ValueError("semantic-probability scoring needs sem_scores")
@@ -350,7 +348,7 @@ def harvest_training_set(
         if not gt:
             raise ValueError("training scene has no ground-truth instances")
         xs.append(cluster_descriptors(clusters, scene, offsets))
-        ys.append(soft_labels(best_ious(clusters, gt, scene.n_points), low, high))
+        ys.append(soft_labels(best_ious(clusters, gt), low, high))
     if not xs:
         raise ValueError("corpus produced no clusters to train on")
     return np.concatenate(xs), np.concatenate(ys)

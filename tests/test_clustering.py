@@ -1,9 +1,12 @@
+import time
+
 import numpy as np
 import pytest
 
 from cloudinst import clustering
 from cloudinst.clustering import (
     ClusterParams,
+    _UnionFind,
     cluster_dual_set,
     cluster_single_set,
     connected_components_oracle,
@@ -235,6 +238,32 @@ def test_every_round_but_the_last_fills_its_budget(monkeypatch):
     monkeypatch.setattr(clustering, "_CHUNK", 1 << 17)
     want = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
     assert clusters_as_sets(got) == clusters_as_sets(want)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_merge_edges_matches_union_find(seed):
+    rng = np.random.default_rng(seed)
+    n = 400
+    comp = np.sort(rng.integers(0, n // 2, n))  # labels are node ids, as in a grid
+    a, b = rng.integers(0, n, (2, int(rng.integers(0, 300))))
+    uf = _UnionFind(n)
+    for x, y in zip(comp[a].tolist(), comp[b].tolist()):
+        uf.union(x, y)
+    want = np.array([uf.find(x) for x in comp.tolist()])
+    got = clustering._merge_edges(comp, a, b)
+    # the same partition: equal labels exactly where the reference's are equal
+    assert np.array_equal(got[:, None] == got[None, :], want[:, None] == want[None, :])
+
+
+def test_merge_edges_settles_a_large_star_quickly():
+    # the centre has the largest id and the leaves come in increasing order:
+    # hooking by plain assignment keeps only the last leaf's hook and needs a
+    # round per leaf (seconds); hooking to the smallest root needs two rounds
+    n = 20_000
+    start = time.perf_counter()
+    comp = clustering._merge_edges(np.arange(n + 1), np.arange(n), np.full(n, n))
+    assert time.perf_counter() - start < 1.0
+    assert np.unique(comp).size == 1
 
 
 def test_output_canonical_order_and_invariants():

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -160,3 +165,16 @@ def test_prediction_score_range():
 def test_ground_truth_instance_requires_members():
     with pytest.raises(SceneError):
         GroundTruthInstance(point_idx=[], class_id=1)
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter: pytest or another test may have loaded scipy here
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = "import cloudinst, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

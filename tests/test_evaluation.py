@@ -219,10 +219,10 @@ def test_evaluate_builds_one_iou_matrix_per_class(monkeypatch):
     monkeypatch.undo()
     gts = ground_truth_instances(clean)
     for c in res.classes:
-        m = match_and_pr(filtered, gts, c, 0.5, clean.n_points)
+        m = match_and_pr(filtered, gts, c, 0.5)
         n_tp = int((m.matched_gt >= 0).sum())
         assert res.prec50_classwise[c] == (n_tp / m.pred_order.size if m.pred_order.size else 0.0)
         assert res.rec50_classwise[c] == n_tp / m.n_gt
         for t in res.thresholds:
-            m = match_and_pr(preds, gts, c, t, clean.n_points)
+            m = match_and_pr(preds, gts, c, t)
             assert res.ap[c][t] == average_precision(m.precision, m.recall)

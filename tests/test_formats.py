@@ -66,13 +66,17 @@ def test_instance_spanning_two_labels_names_line(tmp_path):
         ("SC1 1 3\nSTUFF 0\nSCORES 0\n0 0 zz 1 2 3 1 -1\n", "line 4"),
         ("SC1 0 99999999999999999999\nSTUFF 0\nSCORES 1\n", "line 1: .*n_classes"),
         ("SC1 1 3\nSTUFF 1 7\nSCORES 0\n0 0 0 1 2 3 1 -1\n", "^line 2: stuff class id out of range$"),
+        ("SC1 0 3\nSTUFF -1\nSCORES 0\n", "^line 2: stuff count must be >= 0$"),
+        ("PRED1 1\n1 0.5 2\n0 1\n3 0.5 1\n7\n", "^line 4: expected 2 prediction lines, found 4$"),
+        ("PRED1 2\n1 0.5 1\n0\n", "^line 4: expected 4 prediction lines, found 2$"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, match):
-    path = tmp_path / "bad.sc1"
+    path = tmp_path / "bad"
     path.write_text(content)
+    load = load_predictions if content.startswith("PRED1") else load_scene
     with pytest.raises(FormatError, match=match):
-        load_scene(path)
+        load(path)
 
 
 def test_roundtrip_identity_many_seeded_scenes(tmp_path):

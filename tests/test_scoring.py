@@ -37,7 +37,7 @@ def cl(idx, cls=1, source=Source.ORIGINAL):
 def test_iou_basic_cases():
     masks = [np.array([1, 2, 3]), np.array([1, 2]), np.array([1, 2, 3, 4])]
     others = [np.array([1, 2, 3]), np.array([5, 6]), np.arange(3, 9)]
-    mat = pairwise_iou(masks, others, 10)
+    mat = pairwise_iou(masks, others)
     assert [mat[0, 0], mat[1, 1], mat[2, 2]] == [1.0, 0.0, 0.25]
 
 
@@ -45,31 +45,50 @@ def test_pairwise_iou_matches_scalar():
     rng = np.random.default_rng(0)
     masks_a = [np.sort(rng.choice(100, size=rng.integers(1, 40), replace=False)) for _ in range(8)]
     masks_b = [np.sort(rng.choice(100, size=rng.integers(1, 40), replace=False)) for _ in range(5)]
-    mat = pairwise_iou(masks_a, masks_b, 100)
+    mat = pairwise_iou(masks_a, masks_b)
     for i, a in enumerate(masks_a):
         for j, b in enumerate(masks_b):
             assert abs(mat[i, j] - iou(a, b)) <= 1e-12
 
 
+def test_pairwise_iou_counts_points_shared_with_several_masks():
+    # point 4 lies in three masks of B, and A's first mask meets all of them
+    masks_a = [np.arange(10), np.array([4]), np.array([3, 4, 12]), np.array([20, 21])]
+    masks_b = [np.array([0, 4, 5]), np.array([4, 9, 12]), np.array([3, 4]), np.array([30])]
+    for a_side, b_side in ((masks_a, masks_b), (masks_b, masks_a), (masks_a, masks_a)):
+        mat = pairwise_iou(a_side, b_side)
+        assert mat.shape == (len(a_side), len(b_side))
+        for i, a in enumerate(a_side):
+            for j, b in enumerate(b_side):
+                assert mat[i, j] == iou(a, b)
+
+
+@pytest.mark.parametrize("n_a,n_b", [(0, 2), (2, 0), (0, 0)])
+def test_pairwise_iou_with_an_empty_side(n_a, n_b):
+    masks = [np.array([0, 1]), np.array([1, 2, 3])]
+    mat = pairwise_iou(masks[:n_a], masks[:n_b])
+    assert mat.shape == (n_a, n_b) and mat.dtype == np.float64
+
+
 def test_best_iou_exact_match_and_disjoint():
     instances = [gt(np.array([0, 1, 2])), gt(np.array([5, 6]), cls=2)]
     clusters = [cl(np.array([0, 1, 2])), cl(np.array([10, 11]))]
-    assert best_ious(clusters, instances, 12).tolist() == [1.0, 0.0]
+    assert best_ious(clusters, instances).tolist() == [1.0, 0.0]
     with pytest.raises(ValueError, match="no ground-truth"):
-        best_ious([cl(np.array([0]))], [], 1)
+        best_ious([cl(np.array([0]))], [])
 
 
 def test_best_iou_ignores_class():
     # the max runs over every instance, even with a different class
     instances = [gt(np.array([0, 1, 2, 3]), cls=3)]
-    assert best_ious([cl(np.array([0, 1, 2, 3]), cls=1)], instances, 4).tolist() == [1.0]
+    assert best_ious([cl(np.array([0, 1, 2, 3]), cls=1)], instances).tolist() == [1.0]
 
 
 def test_best_ious_matches_loop():
     rng = np.random.default_rng(1)
     instances = [gt(np.sort(rng.choice(200, 30, replace=False)), cls=int(k)) for k in range(4)]
     clusters = [cl(np.sort(rng.choice(200, 25, replace=False))) for _ in range(6)]
-    batch = best_ious(clusters, instances, 200)
+    batch = best_ious(clusters, instances)
     for k, c in enumerate(clusters):
         assert abs(batch[k] - best_iou(c, instances)) <= 1e-12
 
