@@ -3,14 +3,17 @@ train-scorer.
 
 Exit codes: 0 success, 1 usage error, 2 validation or runtime error.
 Diagnostics go to stderr; results go to stdout or to --out files.  The
-parsed argparse namespace is the run's configuration; every numeric default
-matches the library defaults (radius 0.03, min points 50, NMS IoU 0.3, soft
-thresholds 0.25/0.75, precision/recall score filter 0.2).
+parsed argparse namespace is the run's configuration.  Its defaults are
+read from the library (``ClusterParams``, ``PipelineConfig``, ``GenConfig``,
+``GRAD_TOLERANCE`` and the keyword defaults of ``train_scorer`` and
+``run_bench``), and the library checks every input: this module parses,
+dispatches and prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from pathlib import Path
 
@@ -18,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import ClusterParams
-from .core import FormatError, OffsetField, Scene, SceneError
+from .core import FormatError, OffsetField, SceneError
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -39,15 +42,16 @@ from .losses import (
     offset_regression_loss,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .scoring import (
-    SOFT_HIGH,
-    SOFT_LOW,
-    Scorer,
-    ScorerModel,
-    scorer_objective,
-    train_scorer,
-)
+from .scoring import GRAD_TOLERANCE, Scorer, ScorerModel, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample
+
+_GEN = GenConfig()
+_PIPELINE = PipelineConfig()
+_CLUSTER = ClusterParams()
+
+
+def _default(fn, name: str):
+    return inspect.signature(fn).parameters[name].default
 
 
 class _UsageError(Exception):
@@ -59,35 +63,44 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _add_cluster_params(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--radius", type=float, default=_CLUSTER.radius)
+    p.add_argument("--min-points", type=int, default=_CLUSTER.min_points)
+
+
+def _add_pipeline_options(p: argparse.ArgumentParser, scorer: str) -> None:
+    """The options ``cluster`` and ``bench`` share."""
+    p.add_argument("--scene", required=True)
+    p.add_argument("--offsets", required=True)
+    p.add_argument("--scorer", choices=[s.value for s in Scorer], default=scorer)
+    p.add_argument("--model", default=None, help="scorer model path (.scorer)")
+    _add_cluster_params(p)
+    p.add_argument("--nms-iou", type=float, default=_PIPELINE.nms_iou)
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="cloudinst", description=__doc__.split("\n")[0])
     sub = p.add_subparsers(dest="command")
 
     g = sub.add_parser("generate", help="write a synthetic scene (.sc1) and offsets (.off1)")
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--seed", type=int, default=_GEN.seed)
     g.add_argument("--out", required=True, help="scene output path (.sc1)")
     g.add_argument("--offsets-out", default=None, help="offset output path (default: scene path with .off1)")
-    g.add_argument("--n-objects", type=int, default=6)
-    g.add_argument("--room", type=float, nargs=3, default=[5.0, 5.0, 2.5], metavar=("LX", "LY", "LZ"))
-    g.add_argument("--density", type=float, default=3000.0)
-    g.add_argument("--stuff-density", type=float, default=60.0)
-    g.add_argument("--min-gap", type=float, default=0.15)
-    g.add_argument("--same-class-gap", type=float, default=None)
-    g.add_argument("--p-sem", type=float, default=0.0)
-    g.add_argument("--temperature", type=float, default=0.0)
-    g.add_argument("--sigma0", type=float, default=0.0)
-    g.add_argument("--beta", type=float, default=0.0)
+    g.add_argument("--n-objects", type=int, default=_GEN.n_objects)
+    g.add_argument("--room", type=float, nargs=3, default=list(_GEN.room), metavar=("LX", "LY", "LZ"))
+    g.add_argument("--density", type=float, default=_GEN.density)
+    g.add_argument("--stuff-density", type=float, default=_GEN.stuff_density)
+    g.add_argument("--min-gap", type=float, default=_GEN.min_gap)
+    g.add_argument("--same-class-gap", type=float, default=_GEN.same_class_gap)
+    g.add_argument("--p-sem", type=float, default=_GEN.p_sem)
+    g.add_argument("--temperature", type=float, default=_GEN.sem_temperature)
+    g.add_argument("--sigma0", type=float, default=_GEN.sigma0)
+    g.add_argument("--beta", type=float, default=_GEN.beta)
 
     c = sub.add_parser("cluster", help="run clustering + scoring + NMS, write predictions (.pred1)")
-    c.add_argument("--scene", required=True)
-    c.add_argument("--offsets", required=True)
-    c.add_argument("--set", choices=["p", "q", "both"], default="both", dest="sets")
-    c.add_argument("--scorer", choices=[s.value for s in Scorer], default="oracle")
-    c.add_argument("--model", default=None, help="scorer model path (required for --scorer model)")
-    c.add_argument("--radius", type=float, default=0.03)
-    c.add_argument("--min-points", type=int, default=50)
-    c.add_argument("--nms-iou", type=float, default=0.3)
-    c.add_argument("--min-score", type=float, default=None)
+    _add_pipeline_options(c, scorer=Scorer.ORACLE.value)
+    c.add_argument("--set", choices=["p", "q", "both"], default=_PIPELINE.cluster_sets, dest="sets")
+    c.add_argument("--min-score", type=float, default=_PIPELINE.min_score)
     # ignored (clustering is sequential); perfbench/run.py still passes it
     c.add_argument("--threads", help=argparse.SUPPRESS)
     c.add_argument("--out", default=None, help="predictions path (default: stdout)")
@@ -99,31 +112,24 @@ def _build_parser() -> _Parser:
     e.add_argument("--tsv", action="store_true")
 
     b = sub.add_parser("bench", help="time the pipeline stages on a scene")
-    b.add_argument("--scene", required=True)
-    b.add_argument("--offsets", required=True)
-    b.add_argument("--repeats", type=int, default=3)
-    b.add_argument("--scorer", choices=[s.value for s in Scorer], default="model")
-    b.add_argument("--model", default=None)
-    b.add_argument("--radius", type=float, default=0.03)
-    b.add_argument("--min-points", type=int, default=50)
-    b.add_argument("--nms-iou", type=float, default=0.3)
+    _add_pipeline_options(b, scorer=_PIPELINE.scorer.value)
+    b.add_argument("--repeats", type=int, default=_default(bench_mod.run_bench, "repeats"))
     b.add_argument("--tsv", action="store_true")
 
     gc = sub.add_parser("gradcheck", help="verify analytic loss gradients against central differences")
     gc.add_argument("--seed", type=int, default=0)
-    gc.add_argument("--tolerance", type=float, default=1e-5)
+    gc.add_argument("--tolerance", type=float, default=GRAD_TOLERANCE)
 
     t = sub.add_parser("train-scorer", help="train the cluster scorer on scene/offset file pairs")
     t.add_argument("scenes", nargs="+", help=".sc1 paths; offsets are read from matching .off1 files")
     t.add_argument("--out", required=True, help="model output path")
-    t.add_argument("--hidden", type=int, default=16)
-    t.add_argument("--lr", type=float, default=0.5)
-    t.add_argument("--epochs", type=int, default=400)
-    t.add_argument("--seed", type=int, default=0)
-    t.add_argument("--radius", type=float, default=0.03)
-    t.add_argument("--min-points", type=int, default=50)
-    t.add_argument("--soft-low", type=float, default=SOFT_LOW)
-    t.add_argument("--soft-high", type=float, default=SOFT_HIGH)
+    t.add_argument("--hidden", type=int, default=_default(train_scorer, "hidden"))
+    t.add_argument("--lr", type=float, default=_default(train_scorer, "lr"))
+    t.add_argument("--epochs", type=int, default=_default(train_scorer, "epochs"))
+    t.add_argument("--seed", type=int, default=_default(train_scorer, "seed"))
+    _add_cluster_params(t)
+    t.add_argument("--soft-low", type=float, default=_default(train_scorer, "low"))
+    t.add_argument("--soft-high", type=float, default=_default(train_scorer, "high"))
     return p
 
 
@@ -131,16 +137,6 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     if explicit is not None:
         return Path(explicit)
     return Path(scene_path).with_suffix(".off1")
-
-
-def _load_pair(scene_path: str, offsets_path: str) -> tuple[Scene, OffsetField]:
-    scene = load_scene(scene_path)
-    offsets = load_offsets(offsets_path)
-    if offsets.n_points != scene.n_points:
-        raise SceneError(
-            f"offset file has {offsets.n_points} points, scene has {scene.n_points}"
-        )
-    return scene, offsets
 
 
 def _cmd_generate(args) -> int:
@@ -164,13 +160,17 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _pipeline_config(args, sets: str) -> PipelineConfig:
+def _cluster_params(args) -> ClusterParams:
+    return ClusterParams(radius=args.radius, min_points=args.min_points)
+
+
+def _pipeline_config(args) -> PipelineConfig:
     return PipelineConfig(
-        cluster_params=ClusterParams(radius=args.radius, min_points=args.min_points),
+        cluster_params=_cluster_params(args),
         scorer=Scorer(args.scorer),
         nms_iou=args.nms_iou,
-        min_score=getattr(args, "min_score", None),
-        cluster_sets=sets,
+        min_score=getattr(args, "min_score", _PIPELINE.min_score),
+        cluster_sets=getattr(args, "sets", _PIPELINE.cluster_sets),
     )
 
 
@@ -186,18 +186,10 @@ def _resolve_model(args, allow_default: bool = False) -> ScorerModel | None:
     return load_scorer(args.model)
 
 
-def _check_scorer_inputs(scene: Scene, scorer: str) -> None:
-    if scorer == "oracle" and scene.n_instances == 0:
-        raise SceneError("--scorer oracle needs a scene with ground-truth instances")
-    if scorer == "semprob" and scene.sem_scores is None:
-        raise SceneError("--scorer semprob needs a scene with semantic scores")
-
-
 def _cmd_cluster(args) -> int:
-    scene, offsets = _load_pair(args.scene, args.offsets)
-    _check_scorer_inputs(scene, args.scorer)
     model = _resolve_model(args)
-    preds = run_pipeline(scene, offsets, _pipeline_config(args, args.sets), model=model)
+    scene, offsets = load_scene(args.scene), load_offsets(args.offsets)
+    preds = run_pipeline(scene, offsets, _pipeline_config(args), model=model)
     if args.out is not None:
         save_predictions(preds, args.out)
         print(f"wrote {len(preds)} predictions to {args.out}")
@@ -208,56 +200,28 @@ def _cmd_cluster(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     scene = load_scene(args.scene)
-    preds = load_predictions(args.preds)
-    result = evaluate(preds, scene, score_filter=args.score_filter)
-    sep = "\t" if args.tsv else "  "
-    header = sep.join(["class", "AP", "AP50", "AP25", "Prec50", "Rec50"])
-    print(header)
-    for c in result.classes:
-        print(
-            sep.join(
-                [str(c)]
-                + [
-                    f"{v:.4f}"
-                    for v in (
-                        result.ap_classwise[c],
-                        result.ap50_classwise[c],
-                        result.ap25_classwise[c],
-                        result.prec50_classwise[c],
-                        result.rec50_classwise[c],
-                    )
-                ]
-            )
-        )
-    print(
-        sep.join(
-            ["mean"]
-            + [
-                f"{v:.4f}"
-                for v in (result.map, result.ap50, result.ap25, result.mprec50, result.mrec50)
-            ]
-        )
+    r = evaluate(load_predictions(args.preds), scene, score_filter=args.score_filter)
+    columns = (
+        r.ap_classwise, r.ap50_classwise, r.ap25_classwise, r.prec50_classwise, r.rec50_classwise
     )
+    rows = [[str(c)] + [col[c] for col in columns] for c in r.classes]
+    rows.append(["mean", r.map, r.ap50, r.ap25, r.mprec50, r.mrec50])
+    sep = "\t" if args.tsv else "  "
+    print(sep.join(["class", "AP", "AP50", "AP25", "Prec50", "Rec50"]))
+    for name, *values in rows:
+        print(sep.join([name] + [f"{v:.4f}" for v in values]))
     return 0
 
 
 def _cmd_bench(args) -> int:
-    scene, offsets = _load_pair(args.scene, args.offsets)
-    _check_scorer_inputs(scene, args.scorer)
     model = _resolve_model(args, allow_default=True)
+    scene, offsets = load_scene(args.scene), load_offsets(args.offsets)
     result = bench_mod.run_bench(
-        scene, offsets, _pipeline_config(args, "both"), model=model,
-        repeats=args.repeats,
+        scene, offsets, _pipeline_config(args), model=model, repeats=args.repeats
     )
     sep = "\t" if args.tsv else "  "
     print(sep.join(["stage"] + list(bench_mod.STAGES) + ["total"]))
-    print(
-        sep.join(
-            ["ms"]
-            + [f"{v:.2f}" for v in result.row()]
-            + [f"{result.total_ms:.2f}"]
-        )
-    )
+    print(sep.join(["ms"] + [f"{v:.2f}" for v in result.row() + [result.total_ms]]))
     print(
         f"points={result.n_points} predictions={result.n_predictions} "
         f"repeats={result.repeats}",
@@ -323,17 +287,14 @@ def _gradcheck_scorer_data(rng) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _cmd_train_scorer(args) -> int:
-    corpus = []
-    for scene_path in args.scenes:
-        scene, offsets = _load_pair(scene_path, str(_offsets_path(scene_path, None)))
-        corpus.append((scene, offsets))
+    corpus = [(load_scene(p), load_offsets(_offsets_path(p, None))) for p in args.scenes]
     result = train_scorer(
         corpus,
         hidden=args.hidden,
         lr=args.lr,
         epochs=args.epochs,
         seed=args.seed,
-        cluster_params=ClusterParams(radius=args.radius, min_points=args.min_points),
+        cluster_params=_cluster_params(args),
         low=args.soft_low,
         high=args.soft_high,
     )

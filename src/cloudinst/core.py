@@ -245,6 +245,7 @@ class OffsetField:
 
 
 def check_offsets(scene: Scene, offsets: OffsetField) -> None:
+    """SceneError unless ``offsets`` holds one vector per point of ``scene``."""
     if offsets.n_points != scene.n_points:
         raise SceneError(
             f"offset field has {offsets.n_points} points, scene has {scene.n_points}"
@@ -311,6 +312,16 @@ class InstancePrediction:
     @property
     def size(self) -> int:
         return self.point_idx.size
+
+
+def check_predictions(scene: Scene, preds: list[InstancePrediction]) -> None:
+    """SceneError unless every prediction indexes points of ``scene``."""
+    for k, p in enumerate(preds):
+        if p.point_idx[-1] >= scene.n_points:
+            raise SceneError(
+                f"prediction {k} references point {int(p.point_idx[-1])} "
+                f"but the scene has {scene.n_points} points"
+            )
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import GroundTruthInstance, InstancePrediction, Scene, ground_truth_instances
+from .core import (
+    GroundTruthInstance,
+    InstancePrediction,
+    Scene,
+    check_predictions,
+    ground_truth_instances,
+)
 from .scoring import pairwise_iou
 
 AP_THRESHOLDS = tuple(np.arange(50, 100, 5) / 100.0)  # 0.50 ... 0.95
@@ -149,12 +155,7 @@ def evaluate(
     gt = ground_truth_instances(scene)
     if not gt:
         raise ValueError("scene has no ground-truth instances to evaluate against")
-    for k, p in enumerate(preds):
-        if p.point_idx[-1] >= scene.n_points:
-            raise ValueError(
-                f"prediction {k} references point {int(p.point_idx[-1])} "
-                f"but the scene has {scene.n_points} points"
-            )
+    check_predictions(scene, preds)
     classes = tuple(sorted({g.class_id for g in gt}))
     all_thresholds = AP_THRESHOLDS + (0.25,)
 

@@ -15,11 +15,12 @@ import colorsys
 import re
 import warnings
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneError
+from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneError, check_predictions
 from .scoring import ScorerModel
 
 _F32 = "%.9g"  # round-trips float32
@@ -65,6 +66,29 @@ def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
         expected = " ".join([tag] + [f"<{name}>" for name in names])
         raise FormatError(f"line {lineno}: malformed header, expected '{expected}'")
     return [_parse_int(tok, lineno, name) for tok, name in zip(toks[1:], names)]
+
+
+def _body(lines: list[str], head: int, count: int, what: str) -> list[str]:
+    """The ``count`` lines after the ``head`` header lines, which must be all
+    the rest of the file."""
+    if len(lines) != head + count:
+        raise FormatError(
+            f"line {min(len(lines), head + count) + 1}: expected {count} {what} lines, "
+            f"found {len(lines) - head}"
+        )
+    return lines[head:]
+
+
+@contextmanager
+def _point_lines(first: int):
+    """Re-raise a SceneError as a FormatError naming the line of its point,
+    point 0 being on line ``first``."""
+    try:
+        yield
+    except SceneError as err:
+        if err.point_index is None:
+            raise FormatError(str(err)) from err
+        raise FormatError(f"line {first + err.point_index}: {err}") from err
 
 
 def _narrow(block: np.ndarray, dtype) -> np.ndarray:
@@ -217,18 +241,13 @@ def load_scene(path) -> Scene:
         raise FormatError("line 3: malformed scores header, expected 'SCORES <0|1>'")
     has_scores = score_toks[1] == "1"
 
-    if len(lines) != 3 + n_points:
-        raise FormatError(
-            f"line {min(len(lines), 3 + n_points) + 1}: expected {n_points} point lines, "
-            f"found {len(lines) - 3}"
-        )
+    body = _body(lines, 3, n_points, "point")
     fields = [(axis, np.float32, 1) for axis in "xyz"] + [(ch, np.int64, 1) for ch in "rgb"]
     fields += [("sem label", np.int32, 1), ("instance id", np.int32, 1)]
     if has_scores:
         fields.append(("score", np.float32, n_classes))
-    cols = _read_rows(lines[3:], 4, fields)
-
-    try:
+    cols = _read_rows(body, 4, fields)
+    with _point_lines(4):
         return Scene(
             n_classes=n_classes,
             coords=np.hstack(cols[0:3]),
@@ -238,10 +257,6 @@ def load_scene(path) -> Scene:
             stuff_classes=frozenset(stuff[0].tolist()),
             sem_scores=cols[8] if has_scores else None,
         )
-    except SceneError as err:
-        if err.point_index is not None:
-            raise FormatError(f"line {4 + err.point_index}: {err}") from err
-        raise FormatError(str(err)) from err
 
 
 def save_offsets(offsets: OffsetField, path) -> None:
@@ -255,18 +270,9 @@ def load_offsets(path) -> OffsetField:
     (n,) = _header(lines, 1, "OFF1", "n_points")
     if n < 0:
         raise FormatError("line 1: n_points must be >= 0")
-    if len(lines) != 1 + n:
-        raise FormatError(
-            f"line {min(len(lines), 1 + n) + 1}: expected {n} offset lines, "
-            f"found {len(lines) - 1}"
-        )
-    (out,) = _read_rows(lines[1:], 2, [("offset", np.float64, 3)])
-    try:
+    (out,) = _read_rows(_body(lines, 1, n, "offset"), 2, [("offset", np.float64, 3)])
+    with _point_lines(2):
         return OffsetField(out)
-    except SceneError as err:
-        if err.point_index is not None:
-            raise FormatError(f"line {2 + err.point_index}: {err}") from err
-        raise FormatError(str(err)) from err
 
 
 def predictions_text(preds: list[InstancePrediction]) -> str:
@@ -292,15 +298,13 @@ def load_predictions(path) -> list[InstancePrediction]:
     (m,) = _header(lines, 1, "PRED1", "prediction count")
     if m < 0:
         raise FormatError("line 1: prediction count must be >= 0")
-    if len(lines) != 1 + 2 * m:
-        raise FormatError(
-            f"line {min(len(lines), 1 + 2 * m) + 1}: expected {2 * m} prediction lines, "
-            f"found {len(lines) - 1}"
-        )
+    _body(lines, 1, 2 * m, "prediction")
     head = [("class", np.int64, 1), ("score", np.float64, 1), ("point count", np.int64, 1)]
     preds = []
     for lineno in range(2, 2 + 2 * m, 2):
         class_id, score, n = (c[0, 0].item() for c in _read_rows([lines[lineno - 1]], lineno, head))
+        if n < 0:
+            raise FormatError(f"line {lineno}: point count must be >= 0")
         (idx,) = _read_rows([lines[lineno]], lineno + 1, [("point index", np.int64, n)])
         uniq = np.unique(idx)
         if uniq.size != idx.size:
@@ -369,12 +373,8 @@ def export_ply(scene: Scene, preds: list[InstancePrediction], path) -> None:
     n = scene.n_points
     colors = np.full((n, 3), 128, dtype=np.int64)
     painted = np.zeros(n, dtype=bool)
+    check_predictions(scene, preds)
     for k, p in enumerate(preds):
-        if p.point_idx[-1] >= n:
-            raise SceneError(
-                f"prediction {k} references point {int(p.point_idx[-1])} "
-                f"but the scene has {n} points"
-            )
         fresh = p.point_idx[~painted[p.point_idx]]
         colors[fresh] = prediction_color(k)
         painted[fresh] = True

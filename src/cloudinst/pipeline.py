@@ -10,7 +10,7 @@ import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, InstancePrediction, OffsetField, Scene, Source, ground_truth_instances
-from .scoring import Scorer, ScorerModel, pairwise_iou, score_clusters
+from .scoring import Scorer, ScorerModel, check_scorer_inputs, pairwise_iou, score_clusters
 from .trace import span
 
 # PipelineConfig.cluster_sets -> the coordinate sets clustered
@@ -78,16 +78,14 @@ def run_pipeline(
     """Cluster, score, suppress, and emit final instance predictions.
 
     Each prediction carries its cluster's semantic class and the score it
-    won NMS with.  Deterministic for fixed inputs and config.  Scoring and
-    NMS run in the spans ``scoring`` and ``nms``; see ``trace``.
+    won NMS with.  Deterministic for fixed inputs and config.  Offsets that
+    do not cover the scene and inputs the scorer lacks raise before any
+    clustering.  Scoring and NMS run in the spans ``scoring`` and ``nms``;
+    see ``trace``.
     """
+    gt = ground_truth_instances(scene) if config.scorer is Scorer.ORACLE else None
+    check_scorer_inputs(config.scorer, scene, model, gt)
     clusters = cluster_dual_set(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
-
-    gt = None
-    if config.scorer is Scorer.ORACLE:
-        gt = ground_truth_instances(scene)
-        if not gt:
-            raise ValueError("oracle scoring needs a scene with instances")
 
     with span("scoring"):
         scores = score_clusters(clusters, scene, offsets, config.scorer, model=model, gt=gt)

@@ -203,6 +203,8 @@ class ScorerModel:
         w2 = np.asarray(self.w2, dtype=np.float64)
         d = mean.size
         h = b1.size
+        if d < 1 or h < 1:
+            raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
         if std.shape != (d,) or w1.shape != (h, d) or w2.shape != (h,):
             raise ValueError("inconsistent scorer model shapes")
         for arr in (mean, std, w1, b1, w2):
@@ -249,6 +251,29 @@ class ScorerModel:
         return _forward(x, self.w1, self.b1, self.w2, self.b2)[1]
 
 
+def check_scorer_inputs(
+    scorer: Scorer,
+    scene: Scene,
+    model: ScorerModel | None = None,
+    gt: list[GroundTruthInstance] | None = None,
+) -> None:
+    """ValueError unless ``scorer`` has what it reads: ORACLE ground-truth
+    instances, SEMPROB the scene's ``sem_scores``, MODEL a model that takes
+    ``DESCRIPTOR_DIM``-dim descriptors."""
+    scorer = Scorer(scorer)
+    if scorer is Scorer.ORACLE and not gt:
+        raise ValueError("oracle scoring needs ground-truth instances")
+    if scorer is Scorer.SEMPROB and scene.sem_scores is None:
+        raise ValueError("semprob scoring needs a scene with sem_scores")
+    if scorer is Scorer.MODEL and model is None:
+        raise ValueError("model scoring needs a trained ScorerModel")
+    if scorer is Scorer.MODEL and model.descriptor_dim != DESCRIPTOR_DIM:
+        raise ValueError(
+            f"scorer model takes {model.descriptor_dim}-dim descriptors, "
+            f"clusters have {DESCRIPTOR_DIM}-dim descriptors"
+        )
+
+
 def score_clusters(
     clusters: list[Cluster],
     scene: Scene,
@@ -259,23 +284,13 @@ def score_clusters(
 ) -> np.ndarray:
     """Score each cluster in [0, 1] with the selected scorer."""
     scorer = Scorer(scorer)
+    check_scorer_inputs(scorer, scene, model, gt)
     if not clusters:
         return np.zeros(0, dtype=np.float64)
     if scorer is Scorer.ORACLE:
-        if not gt:
-            raise ValueError("oracle scoring needs ground-truth instances")
         return best_ious(clusters, gt)
     if scorer is Scorer.SEMPROB:
-        if scene.sem_scores is None:
-            raise ValueError("semantic-probability scoring needs sem_scores")
         return _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
-    if model is None:
-        raise ValueError("model scoring needs a trained ScorerModel")
-    if model.descriptor_dim != DESCRIPTOR_DIM:
-        raise ValueError(
-            f"scorer model takes {model.descriptor_dim}-dim descriptors, "
-            f"clusters have {DESCRIPTOR_DIM}-dim descriptors"
-        )
     return model.scores(cluster_descriptors(clusters, scene, offsets))
 
 

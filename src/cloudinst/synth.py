@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene
+from .core import OffsetField, Scene, check_offsets
 from .losses import instance_centroids, offset_targets
 
 # class id -> primitive kind and base full dimensions (meters), cycled
@@ -452,8 +452,7 @@ def perturb_offsets(
     """
     if sigma0 < 0 or beta < 0:
         raise ValueError("sigma0 and beta must be >= 0")
-    if offsets.n_points != scene.n_points:
-        raise ValueError("offset field length does not match the scene")
+    check_offsets(scene, offsets)
     if sigma0 == 0.0:
         return offsets
     out = np.array(offsets.offsets, copy=True)

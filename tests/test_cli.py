@@ -3,9 +3,12 @@ from pathlib import Path
 
 import numpy as np
 
-from cloudinst.cli import dispatch
+from cloudinst.cli import _build_parser, dispatch
+from cloudinst.clustering import ClusterParams
 from cloudinst.formats import load_predictions, load_scene, load_scorer, save_scorer
-from cloudinst.scoring import ScorerModel
+from cloudinst.pipeline import PipelineConfig
+from cloudinst.scoring import GRAD_TOLERANCE, SOFT_HIGH, SOFT_LOW, ScorerModel
+from cloudinst.synth import GenConfig
 
 
 def run(capsys, *argv):
@@ -236,6 +239,45 @@ def test_train_scorer_writes_loadable_model(capsys, tmp_path):
     model = load_scorer(model_path)
     assert model.hidden == 16
     assert "loss" in out
+
+
+def test_train_scorer_with_zero_hidden_units_exits_2(capsys, tmp_path):
+    scene, _ = gen_scene(capsys, tmp_path)
+    model_path = tmp_path / "m.scorer"
+    code, _, err = run(
+        capsys, "train-scorer", str(scene), "--out", str(model_path), "--hidden", "0",
+    )
+    assert code == 2
+    assert "dimensions must be >= 1" in err
+    assert not model_path.exists()
+
+
+def test_defaults_are_the_library_defaults():
+    parse = _build_parser().parse_args
+    gen = GenConfig()
+    g = parse(["generate", "--out", "x.sc1"])
+    assert tuple(g.room) == gen.room
+    for dest, name in [
+        ("seed", "seed"), ("n_objects", "n_objects"), ("density", "density"),
+        ("stuff_density", "stuff_density"), ("min_gap", "min_gap"),
+        ("same_class_gap", "same_class_gap"), ("p_sem", "p_sem"),
+        ("temperature", "sem_temperature"), ("sigma0", "sigma0"), ("beta", "beta"),
+    ]:
+        assert getattr(g, dest) == getattr(gen, name), dest
+
+    params, pipeline = ClusterParams(), PipelineConfig()
+    files = ["--scene", "s.sc1", "--offsets", "s.off1"]
+    c = parse(["cluster", *files])
+    b = parse(["bench", *files])
+    t = parse(["train-scorer", "s.sc1", "--out", "m.scorer"])
+    for args in (c, b, t):
+        assert (args.radius, args.min_points) == (params.radius, params.min_points)
+    for args in (c, b):
+        assert args.nms_iou == pipeline.nms_iou
+    assert (c.sets, c.min_score) == (pipeline.cluster_sets, pipeline.min_score)
+    assert b.scorer == pipeline.scorer.value
+    assert (t.soft_low, t.soft_high) == (SOFT_LOW, SOFT_HIGH)
+    assert parse(["gradcheck"]).tolerance == GRAD_TOLERANCE
 
 
 def test_missing_file_is_runtime_error(capsys, tmp_path):

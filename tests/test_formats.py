@@ -69,6 +69,7 @@ def test_instance_spanning_two_labels_names_line(tmp_path):
         ("SC1 0 3\nSTUFF -1\nSCORES 0\n", "^line 2: stuff count must be >= 0$"),
         ("PRED1 1\n1 0.5 2\n0 1\n3 0.5 1\n7\n", "^line 4: expected 2 prediction lines, found 4$"),
         ("PRED1 2\n1 0.5 1\n0\n", "^line 4: expected 4 prediction lines, found 2$"),
+        ("PRED1 1\n1 0.5 -1\n5\n", "^line 2: point count must be >= 0$"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, match):

@@ -4,6 +4,7 @@ import pytest
 from cloudinst.clustering import ClusterParams, cluster_single_set, connected_components_oracle
 from cloudinst.core import Cluster, OffsetField, Source, ground_truth_instances, shifted_coords
 from cloudinst.losses import offset_targets
+from cloudinst import pipeline
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
@@ -154,6 +155,32 @@ def test_all_stuff_scene_yields_no_predictions():
     assert preds == []
     with pytest.raises(ValueError, match="instances"):
         run_pipeline(scene, offsets, PipelineConfig(scorer=Scorer.ORACLE))
+
+
+NARROW_MODEL = ScorerModel(
+    mean=np.zeros(2), std=np.ones(2), w1=np.zeros((2, 2)), b1=np.zeros(2), w2=np.zeros(2), b2=0.0
+)
+
+
+@pytest.mark.parametrize(
+    "scorer,model,match",
+    [
+        (Scorer.SEMPROB, None, "sem_scores"),
+        (Scorer.MODEL, None, "ScorerModel"),
+        (Scorer.MODEL, NARROW_MODEL, "takes 2-dim descriptors"),
+    ],
+)
+def test_missing_scorer_inputs_raise_before_clustering(monkeypatch, scorer, model, match):
+    both = two_object_scene(gap=0.2)
+    scene = make_scene(both.coords, both.sem_labels, both.inst_ids, sem_scores=None)
+    offsets = offset_targets(scene)
+
+    def no_clustering(*args, **kwargs):
+        raise AssertionError("clustered before checking the scorer's inputs")
+
+    monkeypatch.setattr(pipeline, "cluster_dual_set", no_clustering)
+    with pytest.raises(ValueError, match=match):
+        run_pipeline(scene, offsets, PipelineConfig(scorer=scorer), model=model)
 
 
 def test_adjacent_objects_dual_set_recovers_both():

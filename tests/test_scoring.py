@@ -296,6 +296,15 @@ def test_scorer_model_validation_and_roundtrip(tmp_path):
     assert (tmp_path / "m2.scorer").read_bytes() == path.read_bytes()
 
 
+def test_scorer_model_rejects_zero_sizes():
+    # hidden 0: the file it would save reads "SCORER1 8 0", which load_scorer refuses
+    with pytest.raises(ValueError, match="dimensions must be >= 1, got 8x0"):
+        ScorerModel.default(hidden=0)
+    with pytest.raises(ValueError, match="dimensions must be >= 1, got 0x2"):
+        ScorerModel(mean=np.zeros(0), std=np.ones(0), w1=np.zeros((2, 0)),
+                    b1=np.zeros(2), w2=np.zeros(2), b2=0.0)
+
+
 def test_scorer_objective_gradient():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 8))
