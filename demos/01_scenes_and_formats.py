@@ -21,7 +21,7 @@ spread = np.linalg.norm(q[on_inst] - cents[scene.inst_ids[on_inst]], axis=1)
 print(f"max distance of shifted points to their centroid: {spread.max():.2e} m")
 
 # distances from points to their instance centroids concentrate well below 1 m
-hist = ci.distance_histogram(scene, bin_width=0.1, max_dist=2.0)
+hist = ci.distance_histogram(scene)
 print("distance histogram (0.1 m bins):", np.round(hist[:6], 3), "...")
 
 # save and re-load: the text formats round-trip exactly

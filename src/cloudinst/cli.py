@@ -128,8 +128,6 @@ def _build_parser() -> _Parser:
     t.add_argument("--epochs", type=int, default=_default(train_scorer, "epochs"))
     t.add_argument("--seed", type=int, default=_default(train_scorer, "seed"))
     _add_cluster_params(t)
-    t.add_argument("--soft-low", type=float, default=_default(train_scorer, "low"))
-    t.add_argument("--soft-high", type=float, default=_default(train_scorer, "high"))
     return p
 
 
@@ -295,8 +293,6 @@ def _cmd_train_scorer(args) -> int:
         epochs=args.epochs,
         seed=args.seed,
         cluster_params=_cluster_params(args),
-        low=args.soft_low,
-        high=args.soft_high,
     )
     save_scorer(result.model, args.out)
     print(

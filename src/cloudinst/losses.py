@@ -16,6 +16,9 @@ from .core import OffsetField, Scene, check_offsets
 
 LOG_EPS = 1e-12  # clamp inside log() for cross entropy
 DIR_EPS = 1e-8  # offsets or targets shorter than this skip the direction term
+FD_STEP = 1e-4  # central-difference step of gradient_check
+HIST_BIN = 0.1  # distance_histogram bin width, m
+HIST_MAX = 2.0  # distance_histogram regular-bin range, m
 
 
 @dataclass(frozen=True)
@@ -160,10 +163,11 @@ def total_loss(
     )
 
 
-def gradient_check(func, x0: np.ndarray, step: float = 1e-4) -> float:
+def gradient_check(func, x0: np.ndarray) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    ``func(x)`` must return ``(value, grad)``.  The relative error of
+    ``func(x)`` must return ``(value, grad)``; the differences step by
+    ``FD_STEP`` on each side.  The relative error of
     component k is |ga - gn| / max(1, |ga|, |gn|); the max over components is
     returned.  Evaluation happens in float64.
     """
@@ -175,32 +179,28 @@ def gradient_check(func, x0: np.ndarray, step: float = 1e-4) -> float:
     num = np.empty_like(x0)
     for k in range(x0.size):
         xp = x0.copy()
-        xp[k] += step
+        xp[k] += FD_STEP
         fp = func(xp)[0]
         xm = x0.copy()
-        xm[k] -= step
+        xm[k] -= FD_STEP
         fm = func(xm)[0]
         if not (np.isfinite(fp) and np.isfinite(fm)):
             raise ValueError(f"non-finite loss evaluation at component {k}")
-        num[k] = (fp - fm) / (2.0 * step)
+        num[k] = (fp - fm) / (2.0 * FD_STEP)
     denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(num)))
     return float((np.abs(grad - num) / denom).max())
 
 
-def distance_histogram(
-    scene: Scene, bin_width: float = 0.1, max_dist: float = 2.0
-) -> np.ndarray:
+def distance_histogram(scene: Scene) -> np.ndarray:
     """Normalized histogram of point-to-centroid distances over instance points.
 
-    Regular bins of ``bin_width`` cover [0, max_dist); everything at or
-    beyond ``max_dist`` lands in one overflow bin at the end.  Fractions sum
-    to 1.
+    Regular bins of ``HIST_BIN`` cover [0, HIST_MAX); everything at or
+    beyond ``HIST_MAX`` lands in one overflow bin at the end, 21 bins in
+    all.  Fractions sum to 1.
     """
-    if bin_width <= 0 or max_dist <= 0:
-        raise ValueError("bin_width and max_dist must be positive")
     mask, targets = _instance_mask_and_targets(scene)
     d = np.linalg.norm(targets[mask], axis=1)
-    n_regular = int(np.floor(max_dist / bin_width + 1e-9))
-    idx = np.minimum((d / bin_width).astype(np.int64), n_regular)
+    n_regular = round(HIST_MAX / HIST_BIN)
+    idx = np.minimum((d / HIST_BIN).astype(np.int64), n_regular)
     counts = np.bincount(idx, minlength=n_regular + 1).astype(np.float64)
     return counts / counts.sum()

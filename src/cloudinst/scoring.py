@@ -8,7 +8,7 @@ Three interchangeable scorers rank candidate clusters for NMS:
   handcrafted per-cluster descriptors, trained with soft-label BCE.
 
 Soft score targets come from the best IoU through a clamped linear ramp
-between a low and a high threshold.
+between the paper's fixed thresholds ``SOFT_LOW`` and ``SOFT_HIGH``.
 
 Descriptors come from one pass over all clusters: their member indices are
 concatenated once, coordinates and offsets are gathered once, and every
@@ -20,17 +20,18 @@ format lives in ``formats``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets
+from .clustering import ClusterParams, cluster_dual_set
+from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances
 from .losses import gradient_check
 from .spatial import expand_ranges
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
 GRAD_TOLERANCE = 1e-5  # train_scorer's check of its analytic gradient
-SOFT_LOW = 0.25
+SOFT_LOW = 0.25  # soft-label ramp thresholds theta_l, theta_h of the paper
 SOFT_HIGH = 0.75
 DESCRIPTOR_DIM = 8
 
@@ -78,41 +79,31 @@ def best_ious(clusters: list[Cluster], gt: list[GroundTruthInstance]) -> np.ndar
     return pairwise_iou([c.point_idx for c in clusters], [g.point_idx for g in gt]).max(axis=1)
 
 
-def soft_labels(
-    ious: np.ndarray, low: float = SOFT_LOW, high: float = SOFT_HIGH
-) -> np.ndarray:
-    """Score targets from IoUs: 0 below ``low``, 1 above ``high``, linear between."""
+def soft_labels(ious: np.ndarray) -> np.ndarray:
+    """Score targets from IoUs: 0 below ``SOFT_LOW``, 1 above ``SOFT_HIGH``,
+    linear between."""
     ious = np.asarray(ious, dtype=np.float64)
     if ious.size and (ious.min() < 0.0 or ious.max() > 1.0):
         raise ValueError("IoU outside [0, 1]")
-    if not low < high:
-        raise ValueError("low threshold must be below high threshold")
-    return np.clip((ious - low) / (high - low), 0.0, 1.0)
+    return np.clip((ious - SOFT_LOW) / (SOFT_HIGH - SOFT_LOW), 0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class ScoreTargets:
-    """Per-cluster best IoU plus the derived soft score labels."""
+    """Per-cluster best IoU plus the soft score labels ``soft_labels``
+    derives from it; an IoU outside [0, 1] raises."""
 
     iou: np.ndarray
-    soft: np.ndarray
-    low: float = SOFT_LOW
-    high: float = SOFT_HIGH
+    soft: np.ndarray = field(init=False)
 
     def __post_init__(self):
         iou_arr = np.asarray(self.iou, dtype=np.float64)
-        soft = np.asarray(self.soft, dtype=np.float64)
-        if not np.array_equal(soft, soft_labels(iou_arr, self.low, self.high)):
-            raise ValueError("soft labels do not match the IoU ramp")
+        object.__setattr__(self, "soft", soft_labels(iou_arr))
         object.__setattr__(self, "iou", iou_arr)
-        object.__setattr__(self, "soft", soft)
 
     @classmethod
-    def from_ious(
-        cls, ious: np.ndarray, low: float = SOFT_LOW, high: float = SOFT_HIGH
-    ) -> "ScoreTargets":
-        ious = np.asarray(ious, dtype=np.float64)
-        return cls(iou=ious, soft=soft_labels(ious, low, high), low=low, high=high)
+    def from_ious(cls, ious: np.ndarray) -> "ScoreTargets":
+        return cls(iou=ious)
 
 
 def score_loss(pred_scores: np.ndarray, targets: ScoreTargets) -> float:
@@ -184,6 +175,11 @@ def cluster_descriptors(
     return out
 
 
+def _check_dims(d: int, h: int) -> None:
+    if d < 1 or h < 1:
+        raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
+
+
 @dataclass(frozen=True)
 class ScorerModel:
     """Descriptor normalization plus one tanh hidden layer and a sigmoid output."""
@@ -203,8 +199,7 @@ class ScorerModel:
         w2 = np.asarray(self.w2, dtype=np.float64)
         d = mean.size
         h = b1.size
-        if d < 1 or h < 1:
-            raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
+        _check_dims(d, h)
         if std.shape != (d,) or w1.shape != (h, d) or w2.shape != (h,):
             raise ValueError("inconsistent scorer model shapes")
         for arr in (mean, std, w1, b1, w2):
@@ -234,8 +229,9 @@ class ScorerModel:
     @classmethod
     def default(cls, hidden: int = 16, seed: int = 0) -> "ScorerModel":
         """Untrained model with identity normalization and small seeded weights."""
-        rng = np.random.default_rng(seed)
         d = DESCRIPTOR_DIM
+        _check_dims(d, hidden)
+        rng = np.random.default_rng(seed)
         return cls(
             mean=np.zeros(d),
             std=np.ones(d),
@@ -337,20 +333,12 @@ class ScorerTraining:
     n_clusters: int
 
 
-def harvest_training_set(
-    corpus,
-    cluster_params=None,
-    low: float = SOFT_LOW,
-    high: float = SOFT_HIGH,
-) -> tuple[np.ndarray, np.ndarray]:
+def harvest_training_set(corpus, cluster_params=None) -> tuple[np.ndarray, np.ndarray]:
     """Descriptors and soft labels from dual-set clustering of a corpus.
 
     ``corpus`` is an iterable of (scene, offsets) pairs; scenes must carry
     ground-truth instances.
     """
-    from .clustering import ClusterParams, cluster_dual_set
-    from .core import ground_truth_instances
-
     if cluster_params is None:
         cluster_params = ClusterParams()
     xs = []
@@ -363,7 +351,7 @@ def harvest_training_set(
         if not gt:
             raise ValueError("training scene has no ground-truth instances")
         xs.append(cluster_descriptors(clusters, scene, offsets))
-        ys.append(soft_labels(best_ious(clusters, gt), low, high))
+        ys.append(soft_labels(best_ious(clusters, gt)))
     if not xs:
         raise ValueError("corpus produced no clusters to train on")
     return np.concatenate(xs), np.concatenate(ys)
@@ -376,16 +364,15 @@ def train_scorer(
     epochs: int = 400,
     seed: int = 0,
     cluster_params=None,
-    low: float = SOFT_LOW,
-    high: float = SOFT_HIGH,
 ) -> ScorerTraining:
     """Full-batch gradient descent on the soft-label BCE, from the weights of
-    ``ScorerModel.default(hidden, seed)``.
+    ``ScorerModel.default(hidden, seed)``.  Labels follow the fixed
+    ``SOFT_LOW``/``SOFT_HIGH`` ramp of ``soft_labels``.
 
     Deterministic given the seed.  The analytic gradient is verified against
     central differences at the initial weights before any step is taken.
     """
-    x, y = harvest_training_set(corpus, cluster_params, low, high)
+    x, y = harvest_training_set(corpus, cluster_params)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)
     x_norm = (x - mean) / std

@@ -27,6 +27,7 @@ _SHAPES = (
 )
 
 _MAX_TEMPERATURE = 1000.0
+MAX_PLACE_TRIES = 500  # placement attempts per object before generation fails
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -43,7 +44,8 @@ class GenConfig:
     in adjacent pairs at exactly that surface gap (it may be below the
     clustering radius to force original-space merging).  Noise parameters
     are consumed by ``generate_sample``; ``generate_scene`` always emits
-    oracle labels and offsets.
+    oracle labels and offsets.  Each object gets ``MAX_PLACE_TRIES``
+    placement attempts before generation fails.
     """
 
     seed: int = 0
@@ -64,7 +66,6 @@ class GenConfig:
     sem_temperature: float = 0.0
     sigma0: float = 0.0
     beta: float = 0.0
-    max_place_tries: int = 500
 
     def __post_init__(self):
         if len(self.room) != 3 or any(v <= 0 for v in self.room):
@@ -224,7 +225,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
             and placed[-1]["class_id"] == class_id
         )
         ok = False
-        for _ in range(config.max_place_tries):
+        for _ in range(MAX_PLACE_TRIES):
             if is_partner:
                 prev = placed[-1]
                 axis = int(plan_rng.integers(0, 2))
@@ -271,7 +272,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         if not ok:
             raise ValueError(
                 f"could not place object {k} (class {class_id}) within the room "
-                f"after {config.max_place_tries} tries"
+                f"after {MAX_PLACE_TRIES} tries"
             )
         placed.append(
             {"kind": kind, "dims": dims, "center": center, "class_id": class_id,

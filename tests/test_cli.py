@@ -1,3 +1,4 @@
+import argparse
 import importlib
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from cloudinst.cli import _build_parser, dispatch
 from cloudinst.clustering import ClusterParams
 from cloudinst.formats import load_predictions, load_scene, load_scorer, save_scorer
 from cloudinst.pipeline import PipelineConfig
-from cloudinst.scoring import GRAD_TOLERANCE, SOFT_HIGH, SOFT_LOW, ScorerModel
+from cloudinst.scoring import GRAD_TOLERANCE, ScorerModel
 from cloudinst.synth import GenConfig
 
 
@@ -244,12 +245,13 @@ def test_train_scorer_writes_loadable_model(capsys, tmp_path):
 def test_train_scorer_with_zero_hidden_units_exits_2(capsys, tmp_path):
     scene, _ = gen_scene(capsys, tmp_path)
     model_path = tmp_path / "m.scorer"
-    code, _, err = run(
-        capsys, "train-scorer", str(scene), "--out", str(model_path), "--hidden", "0",
-    )
-    assert code == 2
-    assert "dimensions must be >= 1" in err
-    assert not model_path.exists()
+    for hidden in ("0", "-1"):
+        code, _, err = run(
+            capsys, "train-scorer", str(scene), "--out", str(model_path), "--hidden", hidden,
+        )
+        assert code == 2
+        assert f"dimensions must be >= 1, got 8x{hidden}" in err
+        assert not model_path.exists()
 
 
 def test_defaults_are_the_library_defaults():
@@ -276,8 +278,38 @@ def test_defaults_are_the_library_defaults():
         assert args.nms_iou == pipeline.nms_iou
     assert (c.sets, c.min_score) == (pipeline.cluster_sets, pipeline.min_score)
     assert b.scorer == pipeline.scorer.value
-    assert (t.soft_low, t.soft_high) == (SOFT_LOW, SOFT_HIGH)
     assert parse(["gradcheck"]).tolerance == GRAD_TOLERANCE
+
+
+def test_option_strings_are_pinned():
+    # one row per subcommand: adding or removing a knob shows up here
+    expected = {
+        "generate": {
+            "--seed", "--out", "--offsets-out", "--n-objects", "--room", "--density",
+            "--stuff-density", "--min-gap", "--same-class-gap", "--p-sem", "--temperature",
+            "--sigma0", "--beta",
+        },
+        "cluster": {
+            "--scene", "--offsets", "--scorer", "--model", "--radius", "--min-points",
+            "--nms-iou", "--set", "--min-score", "--threads", "--out",
+        },
+        "evaluate": {"--scene", "--preds", "--score-filter", "--tsv"},
+        "bench": {
+            "--scene", "--offsets", "--scorer", "--model", "--radius", "--min-points",
+            "--nms-iou", "--repeats", "--tsv",
+        },
+        "gradcheck": {"--seed", "--tolerance"},
+        "train-scorer": {
+            "--out", "--hidden", "--lr", "--epochs", "--seed", "--radius", "--min-points",
+        },
+    }
+    parser = _build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    found = {
+        name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert found == expected
 
 
 def test_missing_file_is_runtime_error(capsys, tmp_path):

@@ -221,7 +221,7 @@ def test_histogram_mass_at_zero_and_normalization():
         [[1, 1, 0], [1, 1, 0], [3, 3, 0], [3, 3, 0]],
         [1, 1, 2, 2], [0, 0, 1, 1],
     )
-    hist = distance_histogram(scene, bin_width=0.1, max_dist=2.0)
+    hist = distance_histogram(scene)
     assert hist.shape == (21,)
     assert hist[0] == 1.0
     assert abs(hist.sum() - 1.0) <= 1e-9
@@ -232,7 +232,7 @@ def test_histogram_synthetic_corpus_concentrates_below_one_meter():
     for seed in range(5):
         scene, _ = generate_scene(GenConfig(seed=seed, n_objects=4, density=400.0,
                                             stuff_density=10.0, min_object_points=30))
-        hist = distance_histogram(scene, bin_width=0.1, max_dist=2.0)
+        hist = distance_histogram(scene)
         assert abs(hist.sum() - 1.0) <= 1e-9
         masses.append(hist[:10].sum())
     assert min(masses) > 0.95

@@ -97,8 +97,6 @@ def test_soft_label_paper_anchors():
     assert soft_labels(np.array([0.20, 0.80, 0.50])).tolist() == [0.0, 1.0, 0.5]
     with pytest.raises(ValueError):
         soft_labels(np.array([1.5]))
-    with pytest.raises(ValueError):
-        soft_labels(np.array([0.5]), low=0.8, high=0.2)
 
 
 def test_soft_label_monotone_continuous_clamped():
@@ -112,8 +110,8 @@ def test_soft_label_monotone_continuous_clamped():
 
 
 def test_score_targets_enforce_ramp_consistency():
-    with pytest.raises(ValueError, match="ramp"):
-        ScoreTargets(iou=np.array([0.9]), soft=np.array([0.2]))
+    with pytest.raises(ValueError, match="IoU outside"):
+        ScoreTargets(iou=np.array([1.5]))
     t = ScoreTargets.from_ious(np.array([0.0, 0.5, 1.0]))
     assert t.soft.tolist() == [0.0, 0.5, 1.0]
 
@@ -300,6 +298,8 @@ def test_scorer_model_rejects_zero_sizes():
     # hidden 0: the file it would save reads "SCORER1 8 0", which load_scorer refuses
     with pytest.raises(ValueError, match="dimensions must be >= 1, got 8x0"):
         ScorerModel.default(hidden=0)
+    with pytest.raises(ValueError, match="dimensions must be >= 1, got 8x-1"):
+        ScorerModel.default(hidden=-1)
     with pytest.raises(ValueError, match="dimensions must be >= 1, got 0x2"):
         ScorerModel(mean=np.zeros(0), std=np.ones(0), w1=np.zeros((2, 0)),
                     b1=np.zeros(2), w2=np.zeros(2), b2=0.0)

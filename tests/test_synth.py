@@ -207,7 +207,7 @@ def test_density_dip_thins_one_side():
 
 def test_placement_failure_raises():
     cfg = GenConfig(seed=0, room=(1.0, 1.0, 2.0), n_objects=30, density=100.0,
-                    min_gap=0.5, max_place_tries=20, min_object_points=10)
+                    min_gap=0.5, min_object_points=10)
     with pytest.raises(ValueError, match="could not place"):
         generate_scene(cfg)
 
