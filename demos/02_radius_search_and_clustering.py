@@ -13,7 +13,7 @@ coords = rng.uniform(0, 1, (5000, 3)).astype(np.float32)
 # the grid gives exactly the same answer as scanning every point
 index = ci.build_index(coords, radius=0.05)
 center = 123
-fast = ci.ball_query(index, center, 0.05)
+fast = ci.ball_query(index, center)
 slow = ci.brute_force_query(coords, center, 0.05)
 print(f"neighbors of point {center}: {fast.size} (grid == brute force: {np.array_equal(fast, slow)})")
 

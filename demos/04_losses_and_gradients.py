@@ -29,7 +29,7 @@ print(f"scaled x7:     reg = {ci.offset_regression_loss(scaled, scene):.4f}, "
 
 # score BCE against soft labels derived from cluster IoU; its minimum over
 # the scores sits exactly at the targets (value = mean target entropy)
-targets = ScoreTargets.from_ious(np.array([0.1, 0.5, 0.9]))
+targets = ScoreTargets(np.array([0.1, 0.5, 0.9]))
 print("soft labels for IoUs 0.1/0.5/0.9:", targets.soft)
 print("BCE at its minimum (s = targets):",
       score_loss(targets.soft.clip(1e-6, 1 - 1e-6), targets))

@@ -272,9 +272,9 @@ def _cmd_gradcheck(args) -> int:
     }
     failed = False
     for name, err in errors.items():
-        status = "ok" if err <= args.tolerance else "FAIL"
-        print(f"{name}: max relative error {err:.3e} [{status}]")
-        failed = failed or err > args.tolerance
+        ok = err <= args.tolerance  # false for a NaN error or tolerance
+        print(f"{name}: max relative error {err:.3e} [{'ok' if ok else 'FAIL'}]")
+        failed = failed or not ok
     return 2 if failed else 0
 
 

@@ -163,7 +163,10 @@ class Scene:
                         f"instance point {idx} has a stuff-class label", idx
                     )
             ids = insts[on_instance]
-            uniq = np.unique(ids)
+            order = np.argsort(ids, kind="stable")
+            sorted_ids = ids[order]
+            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-2))
+            uniq = sorted_ids[starts]
             if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
                 expect = np.arange(uniq.size)
                 gap = int(uniq[np.flatnonzero(uniq != expect)[0]])
@@ -172,10 +175,7 @@ class Scene:
                     f"instance ids are not contiguous (id {gap} at point {idx})", idx
                 )
             # one semantic label per instance id
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
             sorted_lab = inst_labels[order]
-            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-2))
             firsts = np.repeat(sorted_lab[starts], np.diff(np.append(starts, ids.size)))
             mism = sorted_lab != firsts
             if np.any(mism):
@@ -198,10 +198,6 @@ class Scene:
     @property
     def n_instances(self) -> int:
         return int(self.inst_ids.max() + 1) if self.inst_ids.size else 0
-
-    def stuff_mask(self) -> np.ndarray:
-        """Boolean mask of points that can never join a cluster."""
-        return never_clustered(self.sem_labels, self.stuff_classes)
 
 
 def scenes_equal(a: Scene, b: Scene) -> bool:

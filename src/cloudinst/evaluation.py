@@ -150,8 +150,10 @@ def evaluate(
 
     AP integrates over all predictions at each of ``AP_THRESHOLDS`` and at
     0.25; the score filter applies only to the precision/recall numbers
-    (mPrec50/mRec50).
+    (mPrec50/mRec50), and must lie in [0, 1].
     """
+    if not 0.0 <= score_filter <= 1.0:
+        raise ValueError(f"score_filter must be in [0, 1], got {score_filter}")
     gt = ground_truth_instances(scene)
     if not gt:
         raise ValueError("scene has no ground-truth instances to evaluate against")

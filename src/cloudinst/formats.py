@@ -306,13 +306,13 @@ def load_predictions(path) -> list[InstancePrediction]:
         if n < 0:
             raise FormatError(f"line {lineno}: point count must be >= 0")
         (idx,) = _read_rows([lines[lineno]], lineno + 1, [("point index", np.int64, n)])
-        uniq = np.unique(idx)
-        if uniq.size != idx.size:
+        idx = np.sort(idx.ravel())
+        if np.any(idx[1:] == idx[:-1]):
             raise FormatError(f"line {lineno + 1}: duplicate point index")
-        if uniq.size and uniq[0] < 0:
+        if idx.size and idx[0] < 0:
             raise FormatError(f"line {lineno + 1}: prediction contains a negative point index")
         try:
-            preds.append(InstancePrediction(point_idx=uniq, class_id=class_id, score=score))
+            preds.append(InstancePrediction(point_idx=idx, class_id=class_id, score=score))
         except SceneError as err:
             raise FormatError(f"line {lineno}: {err}") from err
     return preds

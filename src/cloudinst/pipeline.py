@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
-from .core import Cluster, InstancePrediction, OffsetField, Scene, Source, ground_truth_instances
+from .core import Cluster, InstancePrediction, OffsetField, Scene, Source
 from .scoring import Scorer, ScorerModel, check_scorer_inputs, pairwise_iou, score_clusters
 from .trace import span
 
@@ -83,12 +83,11 @@ def run_pipeline(
     clustering.  Scoring and NMS run in the spans ``scoring`` and ``nms``;
     see ``trace``.
     """
-    gt = ground_truth_instances(scene) if config.scorer is Scorer.ORACLE else None
-    check_scorer_inputs(config.scorer, scene, model, gt)
+    check_scorer_inputs(config.scorer, scene, model)
     clusters = cluster_dual_set(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
 
     with span("scoring"):
-        scores = score_clusters(clusters, scene, offsets, config.scorer, model=model, gt=gt)
+        scores = score_clusters(clusters, scene, offsets, config.scorer, model=model)
     with span("nms"):
         kept = nms(clusters, scores, config.nms_iou)
 

@@ -81,9 +81,9 @@ def best_ious(clusters: list[Cluster], gt: list[GroundTruthInstance]) -> np.ndar
 
 def soft_labels(ious: np.ndarray) -> np.ndarray:
     """Score targets from IoUs: 0 below ``SOFT_LOW``, 1 above ``SOFT_HIGH``,
-    linear between."""
+    linear between.  An IoU outside [0, 1], NaN included, raises."""
     ious = np.asarray(ious, dtype=np.float64)
-    if ious.size and (ious.min() < 0.0 or ious.max() > 1.0):
+    if ious.size and not (ious.min() >= 0.0 and ious.max() <= 1.0):
         raise ValueError("IoU outside [0, 1]")
     return np.clip((ious - SOFT_LOW) / (SOFT_HIGH - SOFT_LOW), 0.0, 1.0)
 
@@ -100,10 +100,6 @@ class ScoreTargets:
         iou_arr = np.asarray(self.iou, dtype=np.float64)
         object.__setattr__(self, "soft", soft_labels(iou_arr))
         object.__setattr__(self, "iou", iou_arr)
-
-    @classmethod
-    def from_ious(cls, ious: np.ndarray) -> "ScoreTargets":
-        return cls(iou=ious)
 
 
 def score_loss(pred_scores: np.ndarray, targets: ScoreTargets) -> float:
@@ -247,17 +243,12 @@ class ScorerModel:
         return _forward(x, self.w1, self.b1, self.w2, self.b2)[1]
 
 
-def check_scorer_inputs(
-    scorer: Scorer,
-    scene: Scene,
-    model: ScorerModel | None = None,
-    gt: list[GroundTruthInstance] | None = None,
-) -> None:
-    """ValueError unless ``scorer`` has what it reads: ORACLE ground-truth
-    instances, SEMPROB the scene's ``sem_scores``, MODEL a model that takes
-    ``DESCRIPTOR_DIM``-dim descriptors."""
+def check_scorer_inputs(scorer: Scorer, scene: Scene, model: ScorerModel | None = None) -> None:
+    """ValueError unless ``scorer`` has what it reads: ORACLE the scene's
+    ground-truth instances, SEMPROB its ``sem_scores``, MODEL a model that
+    takes ``DESCRIPTOR_DIM``-dim descriptors."""
     scorer = Scorer(scorer)
-    if scorer is Scorer.ORACLE and not gt:
+    if scorer is Scorer.ORACLE and not scene.n_instances:
         raise ValueError("oracle scoring needs ground-truth instances")
     if scorer is Scorer.SEMPROB and scene.sem_scores is None:
         raise ValueError("semprob scoring needs a scene with sem_scores")
@@ -276,15 +267,15 @@ def score_clusters(
     offsets: OffsetField,
     scorer: Scorer,
     model: ScorerModel | None = None,
-    gt: list[GroundTruthInstance] | None = None,
 ) -> np.ndarray:
-    """Score each cluster in [0, 1] with the selected scorer."""
+    """Score each cluster in [0, 1] with the selected scorer; ORACLE scores
+    against the scene's own instances."""
     scorer = Scorer(scorer)
-    check_scorer_inputs(scorer, scene, model, gt)
+    check_scorer_inputs(scorer, scene, model)
     if not clusters:
         return np.zeros(0, dtype=np.float64)
     if scorer is Scorer.ORACLE:
-        return best_ious(clusters, gt)
+        return best_ious(clusters, ground_truth_instances(scene))
     if scorer is Scorer.SEMPROB:
         return _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
     return model.scores(cluster_descriptors(clusters, scene, offsets))
@@ -371,7 +362,13 @@ def train_scorer(
 
     Deterministic given the seed.  The analytic gradient is verified against
     central differences at the initial weights before any step is taken.
+    ``epochs`` below 0 and an ``lr`` that is not a positive finite number
+    raise before any clustering.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    if not (np.isfinite(lr) and lr > 0):
+        raise ValueError(f"lr must be a positive finite number, got {lr}")
     x, y = harvest_training_set(corpus, cluster_params)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)

@@ -200,15 +200,13 @@ def build_index(coords: np.ndarray, radius: float) -> GridIndex:
     return GridIndex(coords, radius)
 
 
-def ball_query(index: GridIndex, center_idx: int, radius: float) -> np.ndarray:
-    """All point indices strictly within ``radius`` of the center point.
+def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
+    """All point indices strictly within the index radius of the center point.
 
     Includes the center itself; output sorted ascending.  Only the nodes in
     the 5x5x5 stencil around the center's cell are examined, which covers
     every candidate.
     """
-    if radius != index.radius:
-        raise ValueError(f"query radius {radius} does not match index radius {index.radius}")
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
     _, lo, hi = index._row_ranges(index._point_node[[center_idx]], _FULL_ROWS)
@@ -216,7 +214,7 @@ def ball_query(index: GridIndex, center_idx: int, radius: float) -> np.ndarray:
     _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
     cand = index.order[take]
     d2 = squared_distances(index.coords[cand], index.coords[center_idx])
-    return np.sort(cand[d2 < radius_squared(radius)])
+    return np.sort(cand[d2 < radius_squared(index.radius)])
 
 
 def brute_force_query(coords: np.ndarray, center_idx: int, radius: float) -> np.ndarray:

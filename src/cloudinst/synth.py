@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene, check_offsets
+from .core import OffsetField, Scene, check_offsets, never_clustered
 from .losses import instance_centroids, offset_targets
 
 # class id -> primitive kind and base full dimensions (meters), cycled
@@ -28,6 +28,10 @@ _SHAPES = (
 
 _MAX_TEMPERATURE = 1000.0
 MAX_PLACE_TRIES = 500  # placement attempts per object before generation fails
+# class layout of every generated scene: floor and walls, then the objects
+STUFF_CLASSES = (0, 1)
+THING_CLASSES = (2, 3, 4, 5, 6, 7)
+N_CLASSES = 8
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -36,10 +40,32 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     )
 
 
+def _check(name: str, value, ok: bool, rule: str) -> None:
+    """ValueError naming ``name`` unless ``value`` is finite (neither NaN
+    nor inf) and ``ok``, the caller's range test."""
+    if not (ok and np.all(np.isfinite(value))):
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def _check_label_noise(p_sem: float, temperature: float) -> None:
+    _check("p_sem", p_sem, 0.0 <= p_sem <= 1.0, "in [0, 1]")
+    _check(
+        "sem_temperature", temperature, 0.0 <= temperature <= _MAX_TEMPERATURE,
+        f"in [0, {_MAX_TEMPERATURE}]",
+    )
+
+
+def _check_offset_noise(sigma0: float, beta: float) -> None:
+    _check("sigma0", sigma0, sigma0 >= 0, "finite and >= 0")
+    _check("beta", beta, beta >= 0, "finite and >= 0")
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Scene generation knobs: geometry, density, adjacency, and noise.
 
+    Every scene has ``N_CLASSES`` classes: ``STUFF_CLASSES`` are the floor
+    and the walls, objects draw theirs from ``THING_CLASSES``.
     ``same_class_gap`` switches the generator to placing same-class objects
     in adjacent pairs at exactly that surface gap (it may be below the
     clustering radius to force original-space merging).  Noise parameters
@@ -51,9 +77,6 @@ class GenConfig:
     seed: int = 0
     room: tuple[float, float, float] = (5.0, 5.0, 2.5)
     n_objects: int = 6
-    thing_classes: tuple[int, ...] = (2, 3, 4, 5, 6, 7)
-    stuff_classes: tuple[int, ...] = (0, 1)
-    n_classes: int = 8
     density: float = 3000.0  # object surface points per m^2
     stuff_density: float = 60.0  # floor/wall points per m^2
     min_gap: float = 0.15  # min surface gap between unrelated objects
@@ -68,35 +91,20 @@ class GenConfig:
     beta: float = 0.0
 
     def __post_init__(self):
-        if len(self.room) != 3 or any(v <= 0 for v in self.room):
-            raise ValueError("room extents must be three positive lengths")
+        room, scale, gap = self.room, self.size_scale, self.same_class_gap
+        _check("room", room, len(room) == 3 and min(room) > 0, "three positive finite lengths")
         if self.n_objects < 0:
             raise ValueError("n_objects must be >= 0")
-        if not self.thing_classes:
-            raise ValueError("at least one thing class is required")
-        all_ids = set(self.thing_classes) | set(self.stuff_classes)
-        if set(self.thing_classes) & set(self.stuff_classes):
-            raise ValueError("thing and stuff classes overlap")
-        if any(c < 0 or c >= self.n_classes for c in all_ids):
-            raise ValueError("class id out of range")
-        if self.density <= 0 or self.stuff_density < 0:
-            raise ValueError("densities must be positive (stuff may be 0)")
-        if self.min_gap < 0:
-            raise ValueError("min_gap must be >= 0")
-        if self.same_class_gap is not None and self.same_class_gap <= 0:
-            raise ValueError("same_class_gap must be positive")
-        if not 0 < self.size_scale[0] <= self.size_scale[1]:
-            raise ValueError("size_scale must be an increasing positive range")
-        if not 0.0 <= self.density_dip < 1.0:
-            raise ValueError("density_dip must be in [0, 1)")
-        if not 0.0 <= self.dip_fraction < 1.0:
-            raise ValueError("dip_fraction must be in [0, 1)")
-        if not 0.0 <= self.p_sem <= 1.0:
-            raise ValueError("p_sem must be in [0, 1]")
-        if self.sem_temperature < 0 or self.sem_temperature > _MAX_TEMPERATURE:
-            raise ValueError(f"sem_temperature must be in [0, {_MAX_TEMPERATURE}]")
-        if self.sigma0 < 0 or self.beta < 0:
-            raise ValueError("sigma0 and beta must be >= 0")
+        _check("density", self.density, self.density > 0, "positive and finite")
+        _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
+        _check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
+        if gap is not None:
+            _check("same_class_gap", gap, gap > 0, "positive and finite")
+        _check("size_scale", scale, 0 < scale[0] <= scale[1], "an increasing positive finite range")
+        _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
+        _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
+        _check_label_noise(self.p_sem, self.sem_temperature)
+        _check_offset_noise(self.sigma0, self.beta)
 
 
 def _shape_for_class(class_id: int) -> tuple[str, tuple[float, ...]]:
@@ -201,13 +209,13 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
     classes = []
     if config.same_class_gap is not None:
         while len(classes) < config.n_objects:
-            c = int(plan_rng.choice(np.asarray(config.thing_classes)))
+            c = int(plan_rng.choice(np.asarray(THING_CLASSES)))
             classes.append(c)
             if len(classes) < config.n_objects:
                 classes.append(c)  # adjacent partner, same class
     else:
         classes = [
-            int(plan_rng.choice(np.asarray(config.thing_classes)))
+            int(plan_rng.choice(np.asarray(THING_CLASSES)))
             for _ in range(config.n_objects)
         ]
 
@@ -310,10 +318,8 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         colors_parts.append(np.tile(color, (n, 1)))
 
     stuff_rng = _rng(config.seed, 1)
-    stuff_ids = tuple(sorted(config.stuff_classes))
-    if stuff_ids and config.stuff_density > 0:
-        floor_class = stuff_ids[0]
-        wall_class = stuff_ids[1] if len(stuff_ids) > 1 else stuff_ids[0]
+    if config.stuff_density > 0:
+        floor_class, wall_class = STUFF_CLASSES
         n_floor = int(round(lx * ly * config.stuff_density))
         floor = np.column_stack(
             [
@@ -351,17 +357,17 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         insts = np.zeros(0, dtype=np.int32)
         colors = np.zeros((0, 3), dtype=np.int64)
 
-    scores = np.zeros((coords.shape[0], config.n_classes), dtype=np.float32)
+    scores = np.zeros((coords.shape[0], N_CLASSES), dtype=np.float32)
     labeled = labels >= 0
     scores[np.flatnonzero(labeled), labels[labeled]] = 1.0
 
     scene = Scene(
-        n_classes=config.n_classes,
+        n_classes=N_CLASSES,
         coords=coords,
         colors=colors,
         sem_labels=labels,
         inst_ids=insts,
-        stuff_classes=frozenset(config.stuff_classes),
+        stuff_classes=frozenset(STUFF_CLASSES),
         sem_scores=scores,
     )
     return scene, offset_targets(scene)
@@ -400,17 +406,14 @@ def perturb_semantics(
     -1, remaining ids are kept contiguous) so every scene invariant still
     holds; evaluate noisy predictions against the clean original scene.
     """
-    if not 0.0 <= p_sem <= 1.0:
-        raise ValueError("p_sem must be in [0, 1]")
-    if temperature < 0 or temperature > _MAX_TEMPERATURE:
-        raise ValueError(f"temperature must be in [0, {_MAX_TEMPERATURE}]")
+    _check_label_noise(p_sem, temperature)
     things = sorted(set(range(scene.n_classes)) - scene.stuff_classes)
     if p_sem > 0 and len(things) < 2:
         raise ValueError("need at least 2 non-stuff classes to flip labels")
 
     labels = np.array(scene.sem_labels, copy=True)
     insts = np.array(scene.inst_ids, copy=True)
-    eligible = np.flatnonzero(~scene.stuff_mask())
+    eligible = np.flatnonzero(~never_clustered(scene.sem_labels, scene.stuff_classes))
     rng = _rng(seed, 101)
     if p_sem > 0 and eligible.size:
         flip = eligible[rng.random(eligible.size) < p_sem]
@@ -451,8 +454,7 @@ def perturb_offsets(
 
     Stuff and unassigned points are untouched.  Deterministic in the seed.
     """
-    if sigma0 < 0 or beta < 0:
-        raise ValueError("sigma0 and beta must be >= 0")
+    _check_offset_noise(sigma0, beta)
     check_offsets(scene, offsets)
     if sigma0 == 0.0:
         return offsets

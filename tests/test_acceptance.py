@@ -64,7 +64,7 @@ def test_criterion_02_ball_query_oracle_equivalence():
         radius = float(rng.uniform(0.02, 0.08))
         index = build_index(coords, radius)
         for center in rng.integers(0, 5000, 100):
-            a = ball_query(index, int(center), radius)
+            a = ball_query(index, int(center))
             b = brute_force_query(coords, int(center), radius)
             if not np.array_equal(a, b):
                 mismatches += 1
@@ -90,7 +90,7 @@ def test_criterion_03_loss_analytics():
     random_scaled = ci.OffsetField(np.asarray(random_offsets.offsets) * 7.0)
     dir_a = ci.offset_direction_loss(random_offsets, scene)
     dir_b = ci.offset_direction_loss(random_scaled, scene)
-    bce = score_loss(np.array([0.5]), ScoreTargets.from_ious(np.array([0.5])))
+    bce = score_loss(np.array([0.5]), ScoreTargets(np.array([0.5])))
 
     checks = {
         "reg=0 at oracle": abs(reg) <= 1e-6,

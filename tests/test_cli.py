@@ -3,6 +3,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cloudinst.cli import _build_parser, dispatch
 from cloudinst.clustering import ClusterParams
@@ -252,6 +253,61 @@ def test_train_scorer_with_zero_hidden_units_exits_2(capsys, tmp_path):
         assert code == 2
         assert f"dimensions must be >= 1, got 8x{hidden}" in err
         assert not model_path.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,field",
+    [
+        (["--sigma0", "nan", "--beta", "2"], "sigma0"),
+        (["--room", "nan", "5", "2.5"], "room"),
+        (["--density", "inf"], "density"),
+    ],
+)
+def test_generate_with_a_non_finite_float_exits_2(capsys, tmp_path, argv, field):
+    out = tmp_path / "a.sc1"
+    code, _, err = run(capsys, "generate", "--seed", "1", "--out", str(out), *argv)
+    assert code == 2
+    assert f"error: {field} must be" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_evaluate_with_a_nan_score_filter_exits_2(capsys, tmp_path):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    preds = tmp_path / "p.pred1"
+    code, _, err = run(
+        capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets),
+        "--scorer", "oracle", "--min-points", "40", "--out", str(preds),
+    )
+    assert code == 0, err
+    code, out, err = run(
+        capsys, "evaluate", "--scene", str(scene), "--preds", str(preds), "--score-filter", "nan"
+    )
+    assert code == 2
+    assert "score_filter must be in [0, 1], got nan" in err
+    assert out == ""
+
+
+def test_gradcheck_with_a_nan_tolerance_fails(capsys):
+    code, out, _ = run(capsys, "gradcheck", "--seed", "0", "--tolerance", "nan")
+    assert code == 2
+    assert out.count("[FAIL]") == 3
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["--epochs", "-3"], "epochs must be >= 0, got -3"),
+        (["--lr", "nan"], "lr must be a positive finite number, got nan"),
+        (["--lr", "0"], "lr must be a positive finite number, got 0.0"),
+    ],
+)
+def test_train_scorer_with_a_bad_schedule_exits_2(capsys, tmp_path, argv, message):
+    scene, _ = gen_scene(capsys, tmp_path)
+    model_path = tmp_path / "m.scorer"
+    code, _, err = run(capsys, "train-scorer", str(scene), "--out", str(model_path), *argv)
+    assert code == 2
+    assert f"error: {message}" in err
+    assert not model_path.exists()
 
 
 def test_defaults_are_the_library_defaults():

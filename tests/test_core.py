@@ -17,6 +17,7 @@ from cloudinst.core import (
     argmax_labels,
     check_offsets,
     ground_truth_instances,
+    never_clustered,
     scenes_equal,
     shifted_coords,
 )
@@ -108,7 +109,7 @@ def test_stuff_mask_covers_unlabeled():
     scene = make_scene(
         [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [0, 1, -1], [-1, -1, -1]
     )
-    assert scene.stuff_mask().tolist() == [True, False, True]
+    assert never_clustered(scene.sem_labels, scene.stuff_classes).tolist() == [True, False, True]
 
 
 def test_ground_truth_instances(simple_scene):

@@ -197,6 +197,12 @@ def test_score_filter_only_affects_precision_recall(simple_scene):
     assert res_nofilter.mrec50 == 1.0
 
 
+@pytest.mark.parametrize("score_filter", [float("nan"), -0.1, 1.5])
+def test_score_filter_outside_unit_interval_rejected(simple_scene, score_filter):
+    with pytest.raises(ValueError, match="score_filter must be in"):
+        evaluate([pred([0, 1, 2], cls=1, score=0.9)], simple_scene, score_filter=score_filter)
+
+
 def test_evaluate_builds_one_iou_matrix_per_class(monkeypatch):
     clean, observed, offsets = generate_sample(
         GenConfig(seed=2, sigma0=0.01, beta=2.0, p_sem=0.05, sem_temperature=0.5)

@@ -112,23 +112,25 @@ def test_soft_label_monotone_continuous_clamped():
 def test_score_targets_enforce_ramp_consistency():
     with pytest.raises(ValueError, match="IoU outside"):
         ScoreTargets(iou=np.array([1.5]))
-    t = ScoreTargets.from_ious(np.array([0.0, 0.5, 1.0]))
+    with pytest.raises(ValueError, match="IoU outside"):
+        ScoreTargets(np.array([np.nan, 0.5]))
+    t = ScoreTargets(np.array([0.0, 0.5, 1.0]))
     assert t.soft.tolist() == [0.0, 0.5, 1.0]
 
 
 def test_score_loss_values():
-    ones = ScoreTargets.from_ious(np.array([1.0, 1.0]))
+    ones = ScoreTargets(np.array([1.0, 1.0]))
     assert score_loss(np.array([1.0, 1.0]), ones) <= 1e-6
-    half = ScoreTargets.from_ious(np.array([0.5]))
+    half = ScoreTargets(np.array([0.5]))
     assert abs(score_loss(np.array([0.5]), half) - np.log(2)) <= 1e-9
     with pytest.raises(ValueError, match="no clusters"):
-        score_loss(np.array([]), ScoreTargets.from_ious(np.array([])))
+        score_loss(np.array([]), ScoreTargets(np.array([])))
 
 
 def test_score_loss_matches_scalar_oracle():
     rng = np.random.default_rng(2)
     s = rng.uniform(0.01, 0.99, 40)
-    t = ScoreTargets.from_ious(rng.uniform(0, 1, 40))
+    t = ScoreTargets(rng.uniform(0, 1, 40))
     total = 0.0
     for k in range(40):
         total += -(t.soft[k] * np.log(s[k]) + (1 - t.soft[k]) * np.log(1 - s[k]))
@@ -136,7 +138,7 @@ def test_score_loss_matches_scalar_oracle():
 
 
 def test_score_loss_minimized_at_target():
-    targets = ScoreTargets.from_ious(np.array([0.6]))
+    targets = ScoreTargets(np.array([0.6]))
     t = targets.soft[0]
     grid = np.linspace(0.01, 0.99, 99)
     losses = [score_loss(np.array([s]), targets) for s in grid]
@@ -245,11 +247,7 @@ def test_descriptor_spread_of_a_collapsed_cloud():
 
 def test_score_clusters_variants(simple_scene, zero_offsets):
     clusters = [cl(np.array([0, 1, 2])), cl(np.array([3, 4]))]
-    instances = [
-        GroundTruthInstance(point_idx=np.array([0, 1, 2]), class_id=1),
-        GroundTruthInstance(point_idx=np.array([3, 4]), class_id=1),
-    ]
-    oracle = score_clusters(clusters, simple_scene, zero_offsets, Scorer.ORACLE, gt=instances)
+    oracle = score_clusters(clusters, simple_scene, zero_offsets, Scorer.ORACLE)
     assert np.allclose(oracle, [1.0, 1.0])
     semprob = score_clusters(clusters, simple_scene, zero_offsets, Scorer.SEMPROB)
     assert np.allclose(semprob, [1.0, 1.0])
@@ -265,8 +263,9 @@ def test_score_clusters_variants(simple_scene, zero_offsets):
 
 def test_score_clusters_missing_inputs(simple_scene, zero_offsets):
     clusters = [cl(np.array([0, 1, 2]))]
+    no_instances = make_scene(simple_scene.coords, simple_scene.sem_labels, np.full(7, -1))
     with pytest.raises(ValueError, match="oracle"):
-        score_clusters(clusters, simple_scene, zero_offsets, Scorer.ORACLE)
+        score_clusters(clusters, no_instances, zero_offsets, Scorer.ORACLE)
     with pytest.raises(ValueError, match="ScorerModel"):
         score_clusters(clusters, simple_scene, zero_offsets, Scorer.MODEL)
     no_scores = make_scene(
@@ -363,6 +362,25 @@ def test_oracle_scores_upper_bound_other_scorers_per_scene():
             ap[scorer] = evaluate(preds, clean).ap50
         assert ap[Scorer.ORACLE] >= ap[Scorer.MODEL] - 1e-9, (seed, ap)
         assert ap[Scorer.ORACLE] >= ap[Scorer.SEMPROB] - 1e-9, (seed, ap)
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"epochs": -3}, "epochs must be >= 0, got -3"),
+        ({"lr": float("nan")}, "lr must be a positive finite number, got nan"),
+        ({"lr": float("inf")}, "lr must be a positive finite number, got inf"),
+        ({"lr": 0.0}, "lr must be a positive finite number, got 0.0"),
+        ({"lr": -0.5}, "lr must be a positive finite number, got -0.5"),
+    ],
+)
+def test_train_scorer_rejects_bad_schedule(kwargs, message):
+    def corpus():
+        raise AssertionError("the schedule is checked before any clustering")
+        yield
+
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        train_scorer(corpus(), **kwargs)
 
 
 def test_train_scorer_empty_corpus_rejected():

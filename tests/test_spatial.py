@@ -13,7 +13,7 @@ def test_single_point_index():
     idx = build_index(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), 0.03)
     assert idx.n_points == 1
     assert idx.n_cells == 1
-    assert ball_query(idx, 0, 0.03).tolist() == [0]
+    assert ball_query(idx, 0).tolist() == [0]
 
 
 def test_far_points_land_in_distinct_cells():
@@ -29,20 +29,20 @@ def test_every_point_in_exactly_one_cell():
     assert 0 < idx.n_cells <= 10_000
     assert np.array_equal(np.sort(idx.order), np.arange(10_000))
     for center in range(0, 10_000, 97):
-        assert center in ball_query(idx, center, 0.05)
+        assert center in ball_query(idx, center)
 
 
 def test_isolated_point_returns_itself():
     coords = np.array([[0, 0, 0], [5, 5, 5]], dtype=np.float32)
     idx = build_index(coords, 0.03)
-    assert ball_query(idx, 0, 0.03).tolist() == [0]
+    assert ball_query(idx, 0).tolist() == [0]
 
 
 def test_collinear_chain_geometry():
     coords = np.array([[0, 0, 0], [0.02, 0, 0], [0.04, 0, 0]], dtype=np.float32)
     idx = build_index(coords, 0.03)
-    assert ball_query(idx, 1, 0.03).tolist() == [0, 1, 2]
-    assert ball_query(idx, 0, 0.03).tolist() == [0, 1]
+    assert ball_query(idx, 1).tolist() == [0, 1, 2]
+    assert ball_query(idx, 0).tolist() == [0, 1]
 
 
 def test_exact_radius_distance_excluded():
@@ -51,7 +51,7 @@ def test_exact_radius_distance_excluded():
     d2 = (coords[1, 0] - coords[0, 0]) ** 2
     assert d2 == radius_squared(r)  # exactly on the boundary
     idx = build_index(coords, r)
-    assert ball_query(idx, 0, r).tolist() == [0]
+    assert ball_query(idx, 0).tolist() == [0]
     assert brute_force_query(coords, 0, r).tolist() == [0]
 
 
@@ -60,7 +60,7 @@ def test_grid_matches_brute_force_fuzz():
     coords = rng.uniform(0, 1, (5000, 3)).astype(np.float32)
     idx = build_index(coords, 0.05)
     for center in rng.integers(0, 5000, 500):
-        a = ball_query(idx, int(center), 0.05)
+        a = ball_query(idx, int(center))
         b = brute_force_query(coords, int(center), 0.05)
         assert np.array_equal(a, b)
 
@@ -74,8 +74,8 @@ def test_query_invariant_under_permutation():
     inv = np.empty(400, dtype=np.int64)
     inv[perm] = np.arange(400)
     for center in range(0, 400, 37):
-        a = ball_query(idx_a, center, 0.05)
-        b = ball_query(idx_b, int(inv[center]), 0.05)
+        a = ball_query(idx_a, center)
+        b = ball_query(idx_b, int(inv[center]))
         assert np.array_equal(a, np.sort(perm[b]))
 
 
@@ -88,24 +88,18 @@ def test_build_index_validation():
         build_index(np.zeros((3, 2), dtype=np.float32), 0.1)
 
 
-def test_radius_mismatch_rejected():
-    idx = build_index(np.zeros((1, 3), dtype=np.float32), 0.03)
-    with pytest.raises(ValueError, match="does not match"):
-        ball_query(idx, 0, 0.05)
-
-
 def test_empty_index_is_valid():
     idx = build_index(np.zeros((0, 3), dtype=np.float32), 0.03)
     assert idx.n_points == 0
     assert idx.n_cells == 0
     with pytest.raises(IndexError):
-        ball_query(idx, 0, 0.03)
+        ball_query(idx, 0)
 
 
 def test_center_index_bounds():
     idx = build_index(np.zeros((2, 3), dtype=np.float32), 0.03)
     with pytest.raises(IndexError):
-        ball_query(idx, 5, 0.03)
+        ball_query(idx, 5)
     with pytest.raises(IndexError):
         brute_force_query(np.zeros((2, 3), dtype=np.float32), -1, 0.03)
 
@@ -115,7 +109,7 @@ def test_float64_input_cast_consistently():
     coords64 = rng.uniform(0, 1, (1000, 3))
     idx = build_index(coords64, 0.06)
     for center in (0, 17, 999):
-        a = ball_query(idx, center, 0.06)
+        a = ball_query(idx, center)
         b = brute_force_query(coords64, center, 0.06)
         assert np.array_equal(a, b)
 
@@ -131,9 +125,9 @@ def test_far_outliers_match_brute_force():
     idx = build_index(coords, 0.05)
     for center in list(far) + list(range(0, 600, 23)):
         assert np.array_equal(
-            ball_query(idx, int(center), 0.05), brute_force_query(coords, int(center), 0.05)
+            ball_query(idx, int(center)), brute_force_query(coords, int(center), 0.05)
         )
-    assert ball_query(idx, int(far[0]), 0.05).tolist() == sorted(far[:2].tolist())
+    assert ball_query(idx, int(far[0])).tolist() == sorted(far[:2].tolist())
 
 
 def test_dense_pile_matches_brute_force():
@@ -145,4 +139,4 @@ def test_dense_pile_matches_brute_force():
     idx = build_index(coords, 0.03)
     assert idx.n_cells < idx.n_nodes
     for center in range(0, 500, 7):
-        assert np.array_equal(ball_query(idx, center, 0.03), brute_force_query(coords, center, 0.03))
+        assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, 0.03))

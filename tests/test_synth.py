@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cloudinst.clustering import ClusterParams, cluster_single_set
-from cloudinst.core import Source, ground_truth_instances, scenes_equal
+from cloudinst.core import Source, ground_truth_instances, never_clustered, scenes_equal
 from cloudinst.losses import instance_centroids
 from cloudinst.synth import (
     GenConfig,
@@ -42,7 +42,7 @@ def test_generated_scenes_satisfy_invariants():
             assert np.unique(scene.sem_labels[g.point_idx]).size == 1
         # spatial disjointness: instance bounding boxes do not interpenetrate
         assert offsets.n_points == scene.n_points
-        stuff = scene.stuff_mask()
+        stuff = never_clustered(scene.sem_labels, scene.stuff_classes)
         assert np.all(offsets.offsets[stuff] == 0.0)
 
 
@@ -60,7 +60,7 @@ def test_perturb_semantics_identity_and_total_flip():
     same = perturb_semantics(scene, p_sem=0.0, temperature=0.0, seed=5)
     assert scenes_equal(scene, same)
     flipped = perturb_semantics(scene, p_sem=1.0, temperature=0.0, seed=5)
-    mask = ~scene.stuff_mask()
+    mask = ~never_clustered(scene.sem_labels, scene.stuff_classes)
     assert np.all(flipped.sem_labels[mask] != scene.sem_labels[mask])
     assert np.array_equal(
         flipped.sem_labels[~mask], scene.sem_labels[~mask]
@@ -72,7 +72,7 @@ def test_perturb_semantics_flip_fraction_binomial():
     cfg = GenConfig(seed=7, n_objects=16, density=9000.0, stuff_density=10.0,
                     room=(7.0, 7.0, 3.0), min_object_points=100)
     scene, _ = generate_scene(cfg)
-    eligible = (~scene.stuff_mask()).sum()
+    eligible = (~never_clustered(scene.sem_labels, scene.stuff_classes)).sum()
     assert eligible >= 100_000
     p = 0.3
     noisy = perturb_semantics(scene, p_sem=p, temperature=0.0, seed=9)
@@ -98,9 +98,9 @@ def test_perturb_semantics_flips_stay_non_stuff_and_scores_follow():
 
 
 def test_perturb_semantics_requires_two_thing_classes():
-    scene, _ = generate_scene(
-        small_cfg(seed=1, thing_classes=(1,), stuff_classes=(0,), n_classes=2)
-    )
+    from conftest import make_scene
+
+    scene = make_scene([[0, 0, 0], [1, 0, 0]], [0, 1], [-1, 0], n_classes=2)
     with pytest.raises(ValueError, match="at least 2"):
         perturb_semantics(scene, p_sem=0.5, temperature=0.0, seed=0)
 
@@ -111,7 +111,7 @@ def test_perturb_offsets_identity_and_determinism():
     a = perturb_offsets(offsets, scene, 0.01, 2.0, seed=1)
     b = perturb_offsets(offsets, scene, 0.01, 2.0, seed=1)
     assert np.array_equal(a.offsets, b.offsets)
-    stuff = scene.stuff_mask()
+    stuff = never_clustered(scene.sem_labels, scene.stuff_classes)
     assert np.array_equal(a.offsets[stuff], offsets.offsets[stuff])
 
 
@@ -216,10 +216,32 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(room=(0, 1, 1))
     with pytest.raises(ValueError):
-        GenConfig(thing_classes=(2,), stuff_classes=(2,))
-    with pytest.raises(ValueError):
         GenConfig(p_sem=1.5)
     with pytest.raises(ValueError):
         GenConfig(density=-1)
     with pytest.raises(ValueError):
         GenConfig(same_class_gap=0.0)
+    # every float rule refuses NaN and inf and names its field
+    nan, inf = float("nan"), float("inf")
+    for bad in (nan, inf):
+        for name, value in [
+            ("room", (bad, 5.0, 2.5)), ("density", bad), ("stuff_density", bad),
+            ("min_gap", bad), ("same_class_gap", bad), ("size_scale", (0.7, bad)),
+            ("density_dip", bad), ("dip_fraction", bad), ("p_sem", bad),
+            ("sem_temperature", bad), ("sigma0", bad), ("beta", bad),
+        ]:
+            with pytest.raises(ValueError, match=f"^{name} must be"):
+                GenConfig(**{name: value})
+
+
+def test_noise_rules_refuse_nan_and_inf():
+    scene, offsets = generate_scene(small_cfg(seed=1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="^p_sem must be"):
+            perturb_semantics(scene, p_sem=bad, temperature=0.0, seed=0)
+        with pytest.raises(ValueError, match="^sem_temperature must be"):
+            perturb_semantics(scene, p_sem=0.1, temperature=bad, seed=0)
+        with pytest.raises(ValueError, match="^sigma0 must be"):
+            perturb_offsets(offsets, scene, bad, 2.0, seed=0)
+        with pytest.raises(ValueError, match="^beta must be"):
+            perturb_offsets(offsets, scene, 0.01, bad, seed=0)
