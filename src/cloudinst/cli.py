@@ -327,7 +327,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (SceneError, FormatError, ValueError, OSError) as err:
+    except (SceneError, FormatError, ValueError, OSError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

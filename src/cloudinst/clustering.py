@@ -70,16 +70,13 @@ def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> 
 
 def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
     """Whether any point of node a[k] lies closer than r to any point of node
-    b[k], for pairs sorted by ``cost``."""
-    # single-point pairs lead, and are tested without expansion
-    ones = int(np.searchsorted(cost, 2))
-    item, q = expand_ranges(0, cost[ones:])
-    qa, qb = np.divmod(q, grid.counts[b[ones:]][item])
-    i = np.concatenate((grid.starts[a[:ones]], grid.starts[a[ones:]][item] + qa))
-    j = np.concatenate((grid.starts[b[:ones]], grid.starts[b[ones:]][item] + qb))
+    b[k], ``cost[k]`` being the product of their point counts."""
+    item, q = expand_ranges(0, cost)
+    qa, qb = np.divmod(q, grid.counts[b][item])
+    i = grid.starts[a][item] + qa
+    j = grid.starts[b][item] + qb
     x, y, z = xyz  # the expression of squared_distances, one axis per array
     dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
-    item = np.concatenate((np.arange(ones), ones + item))
     hit = np.zeros(a.size, dtype=bool)
     hit[item[dx * dx + dy * dy + dz * dz < r2]] = True
     return hit

@@ -2,11 +2,12 @@
 scorer (.scorer), PLY export.
 
 Every format is header lines plus rows of numbers, read by one row reader
-(numpy's C reader, and a token walk for what it refuses) and written by one
-row writer.  Loaders raise only ``FormatError``, naming the first faulty
-line.  All writers are byte-stable: the same object always serializes to the
-same bytes, and every numeric field round-trips exactly (floats are written
-with enough significant digits for their storage precision).
+and written by one row writer.  What numpy's C reader accepts is the grammar
+of every numeric field, headers included; a token walk only names the fault
+in a line it refuses.  Loaders raise only ``FormatError``, naming the first
+faulty line.  All writers are byte-stable: the same object always serializes
+to the same bytes, and every numeric field round-trips exactly (floats are
+written with enough significant digits for their storage precision).
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from __future__ import annotations
 import colorsys
 import re
 import warnings
-from array import array
 from contextlib import contextmanager
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -44,18 +45,23 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
+# Python's int and float, less the "_" digit separators numpy's reader refuses
 def _parse_int(tok: str, lineno: int, what: str) -> int:
     try:
-        return int(tok)
+        if "_" not in tok:
+            return int(tok)
     except ValueError:
-        raise FormatError(f"line {lineno}: {what} is not an integer: {tok!r}") from None
+        pass
+    raise FormatError(f"line {lineno}: {what} is not an integer: {tok!r}")
 
 
 def _parse_float(tok: str, lineno: int, what: str) -> float:
     try:
-        return float(tok)
+        if "_" not in tok:
+            return float(tok)
     except ValueError:
-        raise FormatError(f"line {lineno}: {what} is not a number: {tok!r}") from None
+        pass
+    raise FormatError(f"line {lineno}: {what} is not a number: {tok!r}")
 
 
 def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
@@ -106,30 +112,32 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
 
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
     group comes back as one ``(len(lines), count)`` array.  numpy's C reader
-    (``_c_rows``) parses the table in one call.  When it refuses the table,
-    halving the refused block down to one line finds the first line it
-    refuses, and ``_walk_rows`` reads from that line on: it accepts what
-    Python's ``int``/``float`` accept (``1_0``) or raises ``FormatError`` for
-    the first faulty line.  A row wider than the first line can hold goes to
-    the walk at once, as loadtxt sizes its work per column.
+    (``_c_rows``) parses the table in one call, and what it accepts is the
+    grammar of every field.  When it refuses the table, halving the refused
+    block down to one line finds the first line it refuses, and ``_fault``
+    names what is wrong there.  A table of no columns is a run of blank
+    lines.  A row wider than the first line can hold is named at once, as
+    loadtxt sizes its work per column.
     """
     width = sum(count for _, _, count in fields)
-    if not (lines and 0 < width <= (len(lines[0]) + 1) // 2):
-        return _walk_rows(lines, lineno, fields)
+    if not (lines and width):
+        for at, line in enumerate(lines):
+            if line.split():
+                _fault(line, lineno + at, fields)
+        return [np.zeros((len(lines), count), dtype) for _, dtype, count in fields]
+    if width > (len(lines[0]) + 1) // 2:
+        _fault(lines[0], lineno, fields)
     table = _c_rows(lines, fields)
     if table is not None:
         return table
-    parts, done, bad = [], 0, len(lines)  # read lines[:done]; lines[done:bad] refused
+    done, bad = 0, len(lines)  # lines[:done] read; lines[done:bad] refused
     while bad - done > 1:
         mid = (done + bad) // 2
-        part = _c_rows(lines[done:mid], fields)
-        if part is None:
+        if _c_rows(lines[done:mid], fields) is None:
             bad = mid
         else:
-            parts.append(part)
             done = mid
-    parts.append(_walk_rows(lines[done:], lineno + done, fields))
-    return [np.concatenate(group) for group in zip(*parts)]
+    _fault(lines[done], lineno + done, fields)
 
 
 def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
@@ -149,28 +157,20 @@ def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
     return None
 
 
-def _walk_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
-    """``_read_rows`` token by token with Python's ``int`` and ``float`` into typed
-    buffers; a fault is the first line's wrong field count or first bad field."""
+def _fault(line: str, lineno: int, fields) -> NoReturn:
+    """Raise the ``FormatError`` of ``line``, line ``lineno`` of the file,
+    which ``_c_rows`` refuses: its wrong field count or its first bad field."""
+    toks = line.split()
     width = sum(count for _, _, count in fields)
-    ranges = [np.iinfo(dt) if np.dtype(dt).kind == "i" else None for _, dt, _ in fields]
-    cols = [array("d" if info is None else "q") for info in ranges]
-    for at, line in enumerate(lines, start=lineno):
-        toks = line.split()
-        if len(toks) != width:
-            raise FormatError(f"line {at}: expected {width} fields, got {len(toks)}")
-        pos = 0
-        for (name, _, count), info, col in zip(fields, ranges, cols):
-            for tok in toks[pos : pos + count]:
-                value = _parse_float(tok, at, name) if info is None else _parse_int(tok, at, name)
-                if info is not None and not info.min <= value <= info.max:
-                    raise FormatError(f"line {at}: {name} is out of range: {tok!r}")
-                col.append(value)
-            pos += count
-    return [
-        _narrow(np.asarray(col).reshape(len(lines), count), dtype)
-        for col, (_, dtype, count) in zip(cols, fields)
-    ]
+    if len(toks) != width:
+        raise FormatError(f"line {lineno}: expected {width} fields, got {len(toks)}")
+    columns = [(name, dtype) for name, dtype, count in fields for _ in range(count)]
+    for tok, (name, dtype) in zip(toks, columns):
+        if np.dtype(dtype).kind == "f":
+            _parse_float(tok, lineno, name)
+        elif not np.iinfo(dtype).min <= _parse_int(tok, lineno, name) <= np.iinfo(dtype).max:
+            raise FormatError(f"line {lineno}: {name} is out of range: {tok!r}")
+    raise FormatError(f"line {lineno}: unreadable row")
 
 
 def _rows_text(header: list[str], blocks) -> str:
@@ -329,32 +329,23 @@ def save_scorer(model: ScorerModel, path) -> None:
 
 
 def load_scorer(path) -> ScorerModel:
-    """Parse ``SCORER1 <dim> <hidden>`` and the rows mean, std, w1..., b1, w2,
-    b2.  Blank lines are skipped; errors name the line as the file numbers it."""
-    numbered = [(at, line) for at, line in enumerate(_read_lines(path), start=1) if line.strip()]
-    lines = [line for _, line in numbered]
-    head = numbered[0][0] if numbered else 1
-    d, h = _header(lines, head, "SCORER1", "dim", "hidden")
+    """Parse ``SCORER1 <dim> <hidden>``, then ``2 + hidden`` rows of ``dim``
+    values (mean, std, the rows of w1), two rows of ``hidden`` values (b1,
+    w2) and the one value b2."""
+    lines = _read_lines(path)
+    d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
     if d < 1 or h < 1:
-        raise FormatError(f"line {head}: dimensions must be >= 1")
-    expect = 1 + 2 + h + 3
-    if len(lines) != expect:
-        # the first surplus line, or the last line of a short file
-        at = numbered[min(expect, len(lines) - 1)][0]
-        raise FormatError(f"line {at}: expected {expect} lines for a {d}x{h} scorer, got {len(lines)}")
-
-    def rows(lo: int, hi: int, width: int) -> np.ndarray:
-        return np.vstack(
-            [_read_rows([line], at, [("value", np.float64, width)])[0] for at, line in numbered[lo:hi]]
-        )
-
-    by_dim, by_hidden, b2 = rows(1, 3 + h, d), rows(3 + h, 5 + h, h), rows(5 + h, 6 + h, 1)
+        raise FormatError("line 1: dimensions must be >= 1")
+    body = _body(lines, 1, 2 + h + 3, "model")
+    (by_dim,) = _read_rows(body[: 2 + h], 2, [("value", np.float64, d)])
+    (by_hidden,) = _read_rows(body[2 + h : 4 + h], 4 + h, [("value", np.float64, h)])
+    (b2,) = _read_rows(body[4 + h :], 6 + h, [("value", np.float64, 1)])
     try:
         return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
     except ValueError as err:
         # the model checks its rows in file order for a non-finite value, then the std row
         bad = [k for k, row in enumerate((*by_dim, *by_hidden, *b2)) if not np.isfinite(row).all()]
-        raise FormatError(f"line {numbered[1 + (bad + [1])[0]][0]}: {err}") from err
+        raise FormatError(f"line {2 + (bad + [1])[0]}: {err}") from err
 
 
 def prediction_color(index: int) -> tuple[int, int, int]:

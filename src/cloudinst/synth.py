@@ -47,6 +47,10 @@ def _check(name: str, value, ok: bool, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, (int, np.integer))
+
+
 def _check_label_noise(p_sem: float, temperature: float) -> None:
     _check("p_sem", p_sem, 0.0 <= p_sem <= 1.0, "in [0, 1]")
     _check(
@@ -92,15 +96,19 @@ class GenConfig:
 
     def __post_init__(self):
         room, scale, gap = self.room, self.size_scale, self.same_class_gap
+        objects, points = self.n_objects, self.min_object_points
         _check("room", room, len(room) == 3 and min(room) > 0, "three positive finite lengths")
-        if self.n_objects < 0:
-            raise ValueError("n_objects must be >= 0")
+        _check("n_objects", objects, _is_int(objects) and objects >= 0, "an integer >= 0")
         _check("density", self.density, self.density > 0, "positive and finite")
         _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
         _check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
         if gap is not None:
             _check("same_class_gap", gap, gap > 0, "positive and finite")
-        _check("size_scale", scale, 0 < scale[0] <= scale[1], "an increasing positive finite range")
+        _check(
+            "size_scale", scale, len(scale) == 2 and 0 < scale[0] <= scale[1],
+            "an increasing positive finite range",
+        )
+        _check("min_object_points", points, _is_int(points) and points >= 1, "an integer >= 1")
         _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
         _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)

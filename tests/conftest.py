@@ -4,7 +4,7 @@ library's vectorised paths."""
 import numpy as np
 import pytest
 
-from cloudinst.core import OffsetField, Scene, check_offsets
+from cloudinst.core import FormatError, OffsetField, Scene, check_offsets
 
 
 def iou(a, b) -> float:
@@ -51,6 +51,43 @@ def cluster_descriptor(cluster, scene, offsets) -> np.ndarray:
         ],
         dtype=np.float64,
     )
+
+
+def walk_rows(lines, lineno, fields) -> list[np.ndarray]:
+    """Token-by-token reference for ``formats._read_rows``: Python's ``int`` and
+    ``float`` without ``_`` digit separators, each group narrowed to its dtype,
+    and the first faulty line's wrong field count or first bad field named."""
+    width = sum(count for _, _, count in fields)
+    cols = [[] for _ in fields]
+    for at, line in enumerate(lines, start=lineno):
+        toks = line.split()
+        if len(toks) != width:
+            raise FormatError(f"line {at}: expected {width} fields, got {len(toks)}")
+        pos = 0
+        for (name, dtype, count), col in zip(fields, cols):
+            for tok in toks[pos : pos + count]:
+                col.append(_reference_value(tok, at, name, dtype))
+            pos += count
+    out = []
+    for col, (_, dtype, count) in zip(cols, fields):
+        wide = np.array(col, dtype=np.float64 if np.dtype(dtype).kind == "f" else np.int64)
+        with np.errstate(over="ignore"):  # a float beyond float32 becomes inf
+            out.append(wide.reshape(len(lines), count).astype(dtype))
+    return out
+
+
+def _reference_value(tok: str, at: int, name: str, dtype):
+    is_float = np.dtype(dtype).kind == "f"
+    try:
+        if "_" in tok:
+            raise ValueError(tok)
+        value = float(tok) if is_float else int(tok)
+    except ValueError:
+        noun = "a number" if is_float else "an integer"
+        raise FormatError(f"line {at}: {name} is not {noun}: {tok!r}") from None
+    if not is_float and not np.iinfo(dtype).min <= value <= np.iinfo(dtype).max:
+        raise FormatError(f"line {at}: {name} is out of range: {tok!r}")
+    return value
 
 
 def make_scene(

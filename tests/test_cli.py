@@ -271,6 +271,15 @@ def test_generate_with_a_non_finite_float_exits_2(capsys, tmp_path, argv, field)
     assert list(tmp_path.iterdir()) == []
 
 
+def test_generate_that_cannot_allocate_exits_2(capsys, tmp_path):
+    # numpy refuses a 9 PiB request before allocating anything
+    out = tmp_path / "y.sc1"
+    code, _, err = run(capsys, "generate", "--out", str(out), "--density", "1e15")
+    assert code == 2
+    assert err.startswith("error: Unable to allocate")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_with_a_nan_score_filter_exits_2(capsys, tmp_path):
     scene, offsets = gen_scene(capsys, tmp_path)
     preds = tmp_path / "p.pred1"

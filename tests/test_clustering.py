@@ -266,6 +266,27 @@ def test_merge_edges_settles_a_large_star_quickly():
     assert np.unique(comp).size == 1
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_touching_matches_brute_force_for_pairs_in_any_order(seed):
+    rng = np.random.default_rng(seed)
+    radius = 0.03
+    # dense piles (many-point nodes) among sparse points (single-point nodes)
+    piles = rng.uniform(0, 0.3, (8, 3))[rng.integers(0, 8, 600)] + rng.normal(0, 0.01, (600, 3))
+    coords = np.concatenate([piles, rng.uniform(0, 0.3, (300, 3))]).astype(np.float32)
+    grid = GridIndex(coords, radius, rng.integers(1, 3, coords.shape[0]))
+    xyz = np.ascontiguousarray(grid.coords[grid.order].T)
+    a, b = grid.node_pairs()
+    shuffle = rng.permutation(a.size)
+    a, b = a[shuffle], b[shuffle]
+    cost = grid.counts[a] * grid.counts[b]
+    r2 = radius_squared(radius)
+    got = clustering._touching(xyz, grid, a, b, cost.astype(np.int16), r2)
+    node = [xyz.T[lo : lo + n] for lo, n in zip(grid.starts, grid.counts)]
+    want = [(squared_distances(node[i][:, None], node[j][None]) < r2).any() for i, j in zip(a, b)]
+    assert np.array_equal(got, want)
+    assert (cost == 1).any() and (cost > 1).any() and got.any() and not got.all()
+
+
 def test_output_canonical_order_and_invariants():
     coords, labels = random_cluster_inputs(99, n_max=250)
     params = ClusterParams(radius=0.05, min_points=2)

@@ -7,7 +7,6 @@ from cloudinst.core import FormatError, InstancePrediction, OffsetField, SceneEr
 from cloudinst import formats
 from cloudinst.formats import (
     _read_rows,
-    _walk_rows,
     export_ply,
     load_offsets,
     load_predictions,
@@ -22,7 +21,7 @@ from cloudinst.core import scenes_equal
 from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import make_scene
+from conftest import make_scene, walk_rows
 
 VALID_TWO_POINT = """SC1 2 3
 STUFF 1 0
@@ -297,7 +296,7 @@ def test_non_ascii_byte_names_its_line(tmp_path, kind, data, line):
 
 
 TOKENS = ["1_0", "+5", "07", "-0", "1.0", "1e5", "nan", "inf", "0x10"]
-INTEGERS = {"1_0", "+5", "07", "-0"}
+INTEGERS = {"+5", "07", "-0"}  # no "_" digit separators
 FINITE = INTEGERS | {"1.0", "1e5"}
 
 
@@ -510,19 +509,16 @@ def test_class_count_is_bounded_by_int32_labels(tmp_path, n_classes, ok):
 
 
 def test_scorer_errors_name_the_line_in_the_file(tmp_path):
-    path = tmp_path / "blank.scorer"
+    path = tmp_path / "bad.scorer"
     rows = VALID["scorer"].split("\n")
-    path.write_text("\n".join(rows[:1] + [""] + rows[1:]))  # a blank line 2
-    load_scorer(path)
-    rows[2] = "1 zz"
-    path.write_text("\n".join(rows[:1] + ["", " "] + rows[1:]))
-    with pytest.raises(FormatError, match="line 5: value is not a number: 'zz'"):
-        load_scorer(path)
     for text, error in [
-        ("\nSCORER1 2 x", "line 2: hidden is not an integer: 'x'"),
-        ("\n\nSCORER1 0 2", "line 3: dimensions must be >= 1"),
-        ("\nSCORER1 2 2\n0 0.5", "line 3: expected 8 lines for a 2x2 scorer, got 2"),
-        (VALID["scorer"] + "\n9 9\n", "line 10: expected 8 lines for a 2x2 scorer, got 9"),
+        ("\n".join(rows[:1] + [""] + rows[2:]), "line 2: expected 2 fields, got 0"),  # blank
+        ("\n".join(rows[:2] + ["1 zz"] + rows[3:]), "line 3: value is not a number: 'zz'"),
+        ("\nSCORER1 2 2", "line 1: malformed header, expected 'SCORER1 <dim> <hidden>'"),
+        ("SCORER1 2 x", "line 1: hidden is not an integer: 'x'"),
+        ("SCORER1 0 2", "line 1: dimensions must be >= 1"),
+        ("SCORER1 2 2\n0 0.5", "line 3: expected 7 model lines, found 1"),
+        (VALID["scorer"] + "\n9 9\n", "line 9: expected 7 model lines, found 9"),
         ("SCORER1 1 1\n0\n0\n1\n0\n1\n0", "line 3: normalization stdev entries must be >= 1e-8"),
         ("SCORER1 1 1\n0\n1\nnan\n0\n1\n0", "line 4: non-finite scorer model weights"),
         ("SCORER1 1 1\n0\n1\n1\n0\n1\ninf", "line 7: non-finite scorer model weights"),
@@ -530,6 +526,25 @@ def test_scorer_errors_name_the_line_in_the_file(tmp_path):
         path.write_text(text)
         with pytest.raises(FormatError, match=f"^{error}$"):
             load_scorer(path)
+
+
+@pytest.mark.parametrize(
+    "kind,text,error",
+    [
+        ("sc1", "SC1 1_0 3\nSTUFF 0\nSCORES 0\n", "line 1: n_points is not an integer: '1_0'"),
+        ("sc1", "SC1 0 1_0\nSTUFF 0\nSCORES 0\n", "line 1: n_classes is not an integer: '1_0'"),
+        ("sc1", "SC1 0 3\nSTUFF 1_0\nSCORES 0\n", "line 2: stuff count is not an integer: '1_0'"),
+        ("off1", "OFF1 1_0\n", "line 1: n_points is not an integer: '1_0'"),
+        ("pred1", "PRED1 1_0\n", "line 1: prediction count is not an integer: '1_0'"),
+        ("scorer", "SCORER1 1_0 2\n", "line 1: dim is not an integer: '1_0'"),
+        ("scorer", "SCORER1 2 1_0\n", "line 1: hidden is not an integer: '1_0'"),
+    ],
+)
+def test_digit_separators_are_refused_in_headers(tmp_path, kind, text, error):
+    path = tmp_path / f"h.{kind}"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        LOADERS[kind](path)
 
 
 # --- the C reader agrees with the per-token reference walk ---------------
@@ -585,20 +600,20 @@ def _outcome(reader, lines, lineno, fields):
 def test_read_rows_matches_the_reference_walk(table, lineno):
     lines, fields = table
     assert _outcome(_read_rows, lines, lineno, fields) == _outcome(
-        _walk_rows, lines, lineno, fields
+        walk_rows, lines, lineno, fields
     )
 
 
 def test_writer_output_never_takes_the_walk(tmp_path, monkeypatch):
-    def walk(lines, lineno, fields):
-        raise AssertionError(f"walked {len(lines)} lines from line {lineno}")
+    def fault(line, lineno, fields):
+        raise AssertionError(f"named a fault on line {lineno}: {line!r}")
 
     scene, offsets = generate_scene(GenConfig(seed=4, n_objects=3, density=300.0))
-    # an empty STUFF list is one blank row, which only the walk reads
     assert scene.stuff_classes and scene.sem_scores is not None
+    # an empty STUFF list is a table of no columns: one blank row
     bare = make_scene(
         scene.coords, scene.sem_labels, scene.inst_ids, n_classes=scene.n_classes,
-        stuff_classes=scene.stuff_classes, sem_scores=None, colors=scene.colors,
+        stuff_classes=frozenset(), sem_scores=None, colors=scene.colors,
     )
     preds = [
         InstancePrediction(point_idx=[3], class_id=2, score=1.0),
@@ -610,7 +625,7 @@ def test_writer_output_never_takes_the_walk(tmp_path, monkeypatch):
     save_offsets(offsets, tmp_path / "o.off1")
     save_predictions(preds, tmp_path / "p.pred1")
     save_scorer(model, tmp_path / "m.scorer")
-    monkeypatch.setattr(formats, "_walk_rows", walk)
+    monkeypatch.setattr(formats, "_fault", fault)
     assert scenes_equal(load_scene(tmp_path / "s.sc1"), scene)
     assert scenes_equal(load_scene(tmp_path / "b.sc1"), bare)
     assert np.array_equal(load_offsets(tmp_path / "o.off1").offsets, offsets.offsets)
@@ -619,28 +634,30 @@ def test_writer_output_never_takes_the_walk(tmp_path, monkeypatch):
     assert np.array_equal(load_scorer(tmp_path / "m.scorer").w1, model.w1)
 
 
-def test_read_rows_walks_only_from_the_first_refused_line(monkeypatch):
-    # a large table whose only fault is its last line, and one whose middle
-    # line only the walk reads: the C reader keeps every line before it
+def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
+    # one fault in a large table: the C reader runs at most ceil(log2 n) + 1
+    # times on fewer than 2n lines in all, and the fault namer runs once
     fields = [("a", np.int32, 1), ("b", np.float64, 2)]
     lines = [f"{k} {k / 7!r} -{k}" for k in range(40_000)]
-    walk = formats._walk_rows
-    walked = []
+    c_rows, fault = formats._c_rows, formats._fault
+    read, named = [], []
 
-    def counting_walk(lines, lineno, fields):
-        walked.append((lineno, len(lines)))
-        return walk(lines, lineno, fields)
+    def counting_c_rows(lines, fields):
+        read.append(len(lines))
+        return c_rows(lines, fields)
 
-    for at, token, n_walked in [(len(lines) - 1, "zz", 1), (20_000, "1_0", 20_000)]:
+    def counting_fault(line, lineno, fields):
+        named.append(lineno)
+        fault(line, lineno, fields)
+
+    monkeypatch.setattr(formats, "_c_rows", counting_c_rows)
+    monkeypatch.setattr(formats, "_fault", counting_fault)
+    for at, token in [(40_000, "zz"), (20_000, "1_0"), (1, "zz")]:
         table = list(lines)
-        table[at] = f"{token} 1 2"
-        want = _outcome(walk, table, 5, fields)
-        walked.clear()
-        monkeypatch.setattr(formats, "_walk_rows", counting_walk)
-        got = _outcome(_read_rows, table, 5, fields)
-        monkeypatch.setattr(formats, "_walk_rows", walk)
-        assert got == want
-        assert walked == [(5 + at, n_walked)]
-    assert _outcome(_read_rows, lines[:-1] + ["zz 1 2"], 5, fields) == (
-        "line 40004: a is not an integer: 'zz'"
-    )
+        table[at - 1] = f"{token} 1 2"
+        read.clear()
+        named.clear()
+        with pytest.raises(FormatError, match=f"^line {at}: a is not an integer: '{token}'$"):
+            _read_rows(table, 1, fields)
+        assert len(read) <= 17 and sum(read) < 80_000
+        assert named == [at]
