@@ -23,7 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Cluster, OffsetField, Scene, Source, check_offsets, never_clustered, shifted_coords
+from .core import (
+    Cluster, OffsetField, Scene, Source, check_offsets, is_int, never_clustered, shifted_coords,
+)
 from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
 from .trace import span
 
@@ -35,7 +37,7 @@ class ClusterParams:
     """Clustering radius (meters) and minimum cluster point count.
 
     Clusters are kept only when their size is strictly greater than
-    ``min_points``.
+    ``min_points``, an integer >= 1.
     """
 
     radius: float = 0.03
@@ -43,8 +45,8 @@ class ClusterParams:
 
     def __post_init__(self):
         check_radius(self.radius)
-        if self.min_points < 1:
-            raise ValueError(f"min_points must be >= 1, got {self.min_points}")
+        if not (is_int(self.min_points) and self.min_points >= 1):
+            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points}")
 
 
 def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:

@@ -44,13 +44,33 @@ def argmax_labels(sem_scores: np.ndarray) -> np.ndarray:
     return np.argmax(sem_scores, axis=1).astype(np.int32)
 
 
+def is_int(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer."""
+    return isinstance(value, (int, np.integer))
+
+
+def stuff_ids(ids) -> frozenset[int]:
+    """``ids`` as Python ints; SceneError for an id that is not integral
+    (``1.0`` and ``np.int64(1)`` are, ``1.5`` and ``"1"`` are not)."""
+    out = set()
+    for c in ids:
+        try:
+            k = int(c)
+        except (TypeError, ValueError, OverflowError):
+            k = None
+        if k is None or k != c:
+            raise SceneError(f"stuff class id must be an integer, got {c!r}")
+        out.add(k)
+    return frozenset(out)
+
+
 def never_clustered(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
     """Boolean mask of points that can never join a cluster.
 
     Unlabeled (-1) points are treated like stuff: they are excluded from
     clustering rather than grouped by guesswork.
     """
-    stuff = np.fromiter((int(c) for c in stuff_classes), dtype=np.int64)
+    stuff = np.fromiter(stuff_ids(stuff_classes), dtype=np.int64)
     return (sem_labels < 0) | np.isin(sem_labels, stuff)
 
 
@@ -85,7 +105,7 @@ class Scene:
         colors_in = np.asarray(self.colors)
         labels = _as_readonly(np.asarray(self.sem_labels, dtype=np.int32))
         insts = _as_readonly(np.asarray(self.inst_ids, dtype=np.int32))
-        stuff = frozenset(int(c) for c in self.stuff_classes)
+        stuff = stuff_ids(self.stuff_classes)
         scores = self.sem_scores
 
         if coords.ndim != 2 or coords.shape[1] != 3:

@@ -2,12 +2,13 @@
 scorer (.scorer), PLY export.
 
 Every format is header lines plus rows of numbers, read by one row reader
-and written by one row writer.  What numpy's C reader accepts is the grammar
-of every numeric field, headers included; a token walk only names the fault
-in a line it refuses.  Loaders raise only ``FormatError``, naming the first
-faulty line.  All writers are byte-stable: the same object always serializes
-to the same bytes, and every numeric field round-trips exactly (floats are
-written with enough significant digits for their storage precision).
+and written by one row writer.  numpy's C reader is the only number parser:
+it reads every numeric field, header integers included, and names the fault
+in a line it refuses by reading its tokens one by one.  Loaders raise only
+``FormatError``, naming the first faulty line.  All writers are byte-stable:
+the same object always serializes to the same bytes, and every numeric field
+round-trips exactly (floats are written with enough significant digits for
+their storage precision).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .scoring import ScorerModel
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
 _CHUNK = 4096  # rows formatted at once: bounds the Python objects held
-_WIDE = {"i": np.int64, "f": np.float64}  # parse dtype per kind, narrowed after
+_DIGITS = re.compile("[+-]?[0-9]+")  # an integer token the reader refuses only for its range
 
 
 def _read_lines(path) -> list[str]:
@@ -45,25 +46,6 @@ def _read_lines(path) -> list[str]:
     return lines
 
 
-# Python's int and float, less the "_" digit separators numpy's reader refuses
-def _parse_int(tok: str, lineno: int, what: str) -> int:
-    try:
-        if "_" not in tok:
-            return int(tok)
-    except ValueError:
-        pass
-    raise FormatError(f"line {lineno}: {what} is not an integer: {tok!r}")
-
-
-def _parse_float(tok: str, lineno: int, what: str) -> float:
-    try:
-        if "_" not in tok:
-            return float(tok)
-    except ValueError:
-        pass
-    raise FormatError(f"line {lineno}: {what} is not a number: {tok!r}")
-
-
 def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
     """The integers of ``lines[0]``, line ``lineno`` of the file, which must
     read ``<tag> <name>...``."""
@@ -71,7 +53,13 @@ def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
     if len(toks) != 1 + len(names) or toks[0] != tag:
         expected = " ".join([tag] + [f"<{name}>" for name in names])
         raise FormatError(f"line {lineno}: malformed header, expected '{expected}'")
-    return [_parse_int(tok, lineno, name) for tok, name in zip(toks[1:], names)]
+    return _ints(toks[1:], lineno, names)
+
+
+def _ints(toks: list[str], lineno: int, names) -> list[int]:
+    """``toks``, on line ``lineno`` of the file, read as one int64 row."""
+    cols = _read_rows([" ".join(toks)], lineno, [(name, np.int64, 1) for name in names])
+    return [col.item() for col in cols]
 
 
 def _body(lines: list[str], head: int, count: int, what: str) -> list[str]:
@@ -97,27 +85,17 @@ def _point_lines(first: int):
         raise FormatError(f"line {first + err.point_index}: {err}") from err
 
 
-def _narrow(block: np.ndarray, dtype) -> np.ndarray:
-    """``block`` cast to ``dtype``: OverflowError for an int that does not fit, inf
-    for a float beyond float32."""
-    with np.errstate(over="ignore"):
-        out = block.astype(dtype)
-    if out.dtype.kind == "i" and np.any(out != block):
-        raise OverflowError(f"integer out of range for {out.dtype}")
-    return out
-
-
 def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     """Parse ``lines``, the first of them line ``lineno`` of the file, as a table.
 
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
-    group comes back as one ``(len(lines), count)`` array.  numpy's C reader
-    (``_c_rows``) parses the table in one call, and what it accepts is the
-    grammar of every field.  When it refuses the table, halving the refused
-    block down to one line finds the first line it refuses, and ``_fault``
-    names what is wrong there.  A table of no columns is a run of blank
-    lines.  A row wider than the first line can hold is named at once, as
-    loadtxt sizes its work per column.
+    group comes back as one ``(len(lines), count)`` array of its dtype.
+    numpy's C reader (``_c_rows``) parses the table in one call, and what it
+    accepts is the grammar of every field.  When it refuses the table,
+    halving the refused block down to one line finds the first line it
+    refuses, and ``_fault`` names what is wrong there.  A table of no columns
+    is a run of blank lines.  A row wider than the first line can hold is
+    named at once, as loadtxt sizes its work per column.
     """
     width = sum(count for _, _, count in fields)
     if not (lines and width):
@@ -141,35 +119,42 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
 
 
 def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
-    """``lines`` through numpy's C reader, each group as one int64 or float64
-    subarray field that ``_narrow`` then casts; None for a table the reader
-    refuses, warns about or miscounts (it skips blank lines), or that does
-    not narrow."""
-    wide = [(f"f{k}", _WIDE[np.dtype(dt).kind], (n,)) for k, (_, dt, n) in enumerate(fields)]
+    """``lines`` through ``_loadtxt``, each group as one C-contiguous array;
+    None for a table it refuses or miscounts (the reader skips blank lines)."""
+    table = _loadtxt(lines, fields)
+    if table is None or len(table) != len(lines):
+        return None
+    return [np.ascontiguousarray(table[f"f{k}"]) for k in range(len(fields))]
+
+
+def _loadtxt(lines: list[str], fields):
+    """``lines`` through numpy's C reader, each group one subarray field of
+    its dtype, or None for text it refuses or warns about."""
+    dtype = [(f"f{k}", dt, (n,)) for k, (_, dt, n) in enumerate(fields)]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = np.loadtxt(lines, dtype=wide, comments=None, ndmin=1)
-        if len(table) == len(lines):
-            return [_narrow(table[f"f{k}"], dt) for k, (_, dt, _) in enumerate(fields)]
-    except (ValueError, OverflowError, Warning):
-        pass
-    return None
+            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+    except (ValueError, Warning):
+        return None
 
 
 def _fault(line: str, lineno: int, fields) -> NoReturn:
     """Raise the ``FormatError`` of ``line``, line ``lineno`` of the file,
-    which ``_c_rows`` refuses: its wrong field count or its first bad field."""
+    which ``_c_rows`` refuses: its wrong field count, or the first token the
+    C reader refuses alone in its column's dtype."""
     toks = line.split()
     width = sum(count for _, _, count in fields)
     if len(toks) != width:
         raise FormatError(f"line {lineno}: expected {width} fields, got {len(toks)}")
     columns = [(name, dtype) for name, dtype, count in fields for _ in range(count)]
     for tok, (name, dtype) in zip(toks, columns):
-        if np.dtype(dtype).kind == "f":
-            _parse_float(tok, lineno, name)
-        elif not np.iinfo(dtype).min <= _parse_int(tok, lineno, name) <= np.iinfo(dtype).max:
-            raise FormatError(f"line {lineno}: {name} is out of range: {tok!r}")
+        if _loadtxt([tok], [(name, dtype, 1)]) is None:
+            if np.dtype(dtype).kind == "f":
+                what = "is not a number"
+            else:
+                what = "is out of range" if _DIGITS.fullmatch(tok) else "is not an integer"
+            raise FormatError(f"line {lineno}: {name} {what}: {tok!r}")
     raise FormatError(f"line {lineno}: unreadable row")
 
 
@@ -229,17 +214,16 @@ def load_scene(path) -> Scene:
     stuff_toks = lines[1].split(None, 2)
     if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":
         raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
-    k = _parse_int(stuff_toks[1], 2, "stuff count")
+    (k,) = _ints(stuff_toks[1:2], 2, ["stuff count"])
     if k < 0:
         raise FormatError("line 2: stuff count must be >= 0")
     (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
     if np.any((stuff < 0) | (stuff >= n_classes)):
         raise FormatError("line 2: stuff class id out of range")
 
-    score_toks = lines[2].split()
-    if len(score_toks) != 2 or score_toks[0] != "SCORES" or score_toks[1] not in ("0", "1"):
-        raise FormatError("line 3: malformed scores header, expected 'SCORES <0|1>'")
-    has_scores = score_toks[1] == "1"
+    (has_scores,) = _header(lines[2:], 3, "SCORES", "scores flag")
+    if has_scores not in (0, 1):
+        raise FormatError("line 3: scores flag must be 0 or 1")
 
     body = _body(lines, 3, n_points, "point")
     fields = [(axis, np.float32, 1) for axis in "xyz"] + [(ch, np.int64, 1) for ch in "rgb"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene, check_offsets, never_clustered
+from .core import OffsetField, Scene, check_offsets, is_int, never_clustered
 from .losses import instance_centroids, offset_targets
 
 # class id -> primitive kind and base full dimensions (meters), cycled
@@ -47,8 +47,12 @@ def _check(name: str, value, ok: bool, rule: str) -> None:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer))
+def _point_count(planned: float, fields: str) -> int:
+    """``planned`` rounded to a point count; ValueError naming ``fields``,
+    the knobs it grows with, when no array can hold that many points."""
+    if not planned <= np.iinfo(np.intp).max:  # also refuses nan
+        raise ValueError(f"{fields} too large: {planned:.3g} points, more than an array holds")
+    return int(round(planned))
 
 
 def _check_label_noise(p_sem: float, temperature: float) -> None:
@@ -98,7 +102,7 @@ class GenConfig:
         room, scale, gap = self.room, self.size_scale, self.same_class_gap
         objects, points = self.n_objects, self.min_object_points
         _check("room", room, len(room) == 3 and min(room) > 0, "three positive finite lengths")
-        _check("n_objects", objects, _is_int(objects) and objects >= 0, "an integer >= 0")
+        _check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
         _check("density", self.density, self.density > 0, "positive and finite")
         _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
         _check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
@@ -108,7 +112,7 @@ class GenConfig:
             "size_scale", scale, len(scale) == 2 and 0 < scale[0] <= scale[1],
             "an increasing positive finite range",
         )
-        _check("min_object_points", points, _is_int(points) and points >= 1, "an integer >= 1")
+        _check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
         _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
         _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)
@@ -303,7 +307,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         obj_rng = _rng(config.seed, 10 + k)
         n = max(
             config.min_object_points,
-            int(round(_surface_area(obj["kind"], obj["dims"]) * config.density)),
+            _point_count(_surface_area(obj["kind"], obj["dims"]) * config.density, "density"),
         )
         pts = _sample_surface(obj_rng, obj["kind"], obj["dims"], n)
         if config.density_dip > 0.0 and config.dip_fraction > 0.0:
@@ -328,7 +332,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
     stuff_rng = _rng(config.seed, 1)
     if config.stuff_density > 0:
         floor_class, wall_class = STUFF_CLASSES
-        n_floor = int(round(lx * ly * config.stuff_density))
+        n_floor = _point_count(lx * ly * config.stuff_density, "room and stuff_density")
         floor = np.column_stack(
             [
                 stuff_rng.uniform(0, lx, n_floor),
@@ -343,7 +347,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         for fixed_axis, fixed_val, ua, ub in (
             (0, 0.0, ly, lz), (0, lx, ly, lz), (1, 0.0, lx, lz), (1, ly, lx, lz),
         ):
-            n_wall = int(round(ua * ub * config.stuff_density))
+            n_wall = _point_count(ua * ub * config.stuff_density, "room and stuff_density")
             wall = np.empty((n_wall, 3))
             wall[:, fixed_axis] = fixed_val
             other = 1 - fixed_axis

@@ -280,6 +280,23 @@ def test_generate_that_cannot_allocate_exits_2(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "argv,fields",
+    [
+        (["--room", "1e200", "1e200", "2.5", "--n-objects", "0"], "room and stuff_density"),
+        (["--density", "1e300"], "density"),
+        (["--room", "1e300", "5", "2.5", "--n-objects", "0"], "room and stuff_density"),
+    ],
+)
+def test_generate_of_more_points_than_an_array_holds_exits_2(capsys, tmp_path, argv, fields):
+    # the planned point count is refused before the array it sizes is made
+    out = tmp_path / "z.sc1"
+    code, _, err = run(capsys, "generate", "--out", str(out), *argv)
+    assert code == 2
+    assert err.startswith(f"error: {fields} too large: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evaluate_with_a_nan_score_filter_exits_2(capsys, tmp_path):
     scene, offsets = gen_scene(capsys, tmp_path)
     preds = tmp_path / "p.pred1"

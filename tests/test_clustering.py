@@ -371,8 +371,9 @@ def test_length_mismatch_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(radius=0.0)
-    with pytest.raises(ValueError):
-        ClusterParams(min_points=0)
+    for min_points in (0, float("nan"), float("inf"), 2.5):
+        with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
+            ClusterParams(min_points=min_points)
 
 
 @pytest.mark.parametrize("radius", [1e-30, 1e20])

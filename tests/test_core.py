@@ -22,6 +22,8 @@ from cloudinst.core import (
     shifted_coords,
 )
 
+from cloudinst.clustering import ClusterParams, cluster_single_set
+
 from conftest import make_scene
 
 
@@ -110,6 +112,24 @@ def test_stuff_mask_covers_unlabeled():
         [[0, 0, 0], [1, 0, 0], [2, 0, 0]], [0, 1, -1], [-1, -1, -1]
     )
     assert never_clustered(scene.sem_labels, scene.stuff_classes).tolist() == [True, False, True]
+
+
+@pytest.mark.parametrize("stuff", [[1.5], ["1"], [float("nan")], [None]])
+def test_non_integral_stuff_class_id_rejected(stuff):
+    coords, labels = np.zeros((2, 3), np.float32), np.array([0, 1], np.int32)
+    with pytest.raises(SceneError, match="stuff class id must be an integer"):
+        make_scene(coords, labels, [-1, -1], stuff_classes=frozenset(stuff))
+    with pytest.raises(SceneError, match="stuff class id must be an integer"):
+        never_clustered(labels, stuff)
+    with pytest.raises(SceneError, match="stuff class id must be an integer"):
+        cluster_single_set(coords, labels, stuff, ClusterParams(0.03, 1), Source.ORIGINAL)
+
+
+@pytest.mark.parametrize("stuff", [1, np.int64(1), 1.0])
+def test_integral_stuff_class_ids_load(stuff):
+    scene = make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], stuff_classes={stuff})
+    assert scene.stuff_classes == {1} and all(type(c) is int for c in scene.stuff_classes)
+    assert never_clustered(scene.sem_labels, [stuff]).tolist() == [False, True]
 
 
 def test_ground_truth_instances(simple_scene):

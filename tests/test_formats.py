@@ -547,6 +547,49 @@ def test_digit_separators_are_refused_in_headers(tmp_path, kind, text, error):
         LOADERS[kind](path)
 
 
+_BIG = "99999999999999999999"  # beyond int64
+
+
+@pytest.mark.parametrize(
+    "kind,text,error",
+    [
+        ("sc1", f"SC1 {_BIG} 3\nSTUFF 0\nSCORES 0\n", f"line 1: n_points is out of range: '{_BIG}'"),
+        ("sc1", f"SC1 0 3\nSTUFF {_BIG}\nSCORES 0\n", f"line 2: stuff count is out of range: '{_BIG}'"),
+        ("sc1", f"SC1 0 3\nSTUFF 0\nSCORES {_BIG}\n", f"line 3: scores flag is out of range: '{_BIG}'"),
+        ("off1", f"OFF1 {_BIG}\n", f"line 1: n_points is out of range: '{_BIG}'"),
+        ("pred1", f"PRED1 {_BIG}\n", f"line 1: prediction count is out of range: '{_BIG}'"),
+        ("scorer", f"SCORER1 {_BIG} 2\n", f"line 1: dim is out of range: '{_BIG}'"),
+        ("scorer", f"SCORER1 2 -{_BIG}\n", f"line 1: hidden is out of range: '-{_BIG}'"),
+    ],
+)
+def test_header_integer_beyond_int64_is_named_on_its_line(tmp_path, kind, text, error):
+    path = tmp_path / f"h.{kind}"
+    path.write_text(text)
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize(
+    "flag,error",
+    [
+        ("+1", None),
+        ("01", None),
+        ("x", "line 3: scores flag is not an integer: 'x'"),
+        ("1.0", "line 3: scores flag is not an integer: '1.0'"),
+        ("-1", "line 3: scores flag must be 0 or 1"),
+        ("1 1", "line 3: malformed header, expected 'SCORES <scores flag>'"),
+    ],
+)
+def test_scores_flag_is_an_integer_of_0_or_1(tmp_path, flag, error):
+    path = tmp_path / "f.sc1"
+    path.write_text(f"SC1 1 2\nSTUFF 0\nSCORES {flag}\n0 0 0 1 2 3 1 -1 0 1\n")
+    if error is None:
+        assert load_scene(path).sem_scores.tolist() == [[0.0, 1.0]]
+    else:
+        with pytest.raises(FormatError, match=f"^{error}$"):
+            load_scene(path)
+
+
 # --- the C reader agrees with the per-token reference walk ---------------
 
 _I64, _I32 = np.iinfo(np.int64), np.iinfo(np.int32)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from cloudinst.spatial import (
+    _FINE_FACTOR,
+    GridIndex,
     ball_query,
     brute_force_query,
     build_index,
@@ -140,3 +142,35 @@ def test_dense_pile_matches_brute_force():
     assert idx.n_cells < idx.n_nodes
     for center in range(0, 500, 7):
         assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, 0.03))
+
+
+def _two_label_cloud(seed):
+    """A sparse two-label cloud, a same-label pile of 150 points inside one
+    cell (three nodes), and a block far beyond a collapsed key gap."""
+    rng = np.random.default_rng(seed)
+    spread = rng.uniform(0, 1, (1500, 3))
+    pile = 0.5 + rng.uniform(0, 1e-3, (150, 3))
+    far = 40 + rng.uniform(0, 0.3, (200, 3))
+    coords = np.concatenate([spread, pile, far]).astype(np.float32)
+    labels = rng.integers(0, 2, coords.shape[0])
+    labels[1500:1650] = 1
+    return coords, labels
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_node_pairs_match_brute_force(seed):
+    r = 0.1
+    coords, labels = _two_label_cloud(seed)
+    grid = GridIndex(coords, r, labels)
+    assert np.bincount(grid.node_cell).max() >= 3
+    a, b = grid.node_pairs()
+    assert (a != b).all()
+    pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
+    assert len(pairs) == a.size
+    # nodes of one cell share its key: compare each node by its first point
+    first = grid.order[grid.starts]
+    keys = np.floor(coords[first].astype(np.float64) / (r * _FINE_FACTOR))
+    near = (np.abs(keys[:, None] - keys[None]) <= 2).all(axis=2)
+    near &= labels[first][:, None] == labels[first][None]
+    near &= grid.node_cell[:, None] != grid.node_cell[None]
+    assert pairs == set(map(tuple, np.argwhere(np.triu(near)).tolist()))
