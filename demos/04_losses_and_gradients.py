@@ -5,7 +5,7 @@
 import numpy as np
 
 import cloudinst as ci
-from cloudinst.scoring import ScoreTargets, score_loss
+from cloudinst.scoring import score_loss, soft_labels
 
 scene, oracle = ci.generate_scene(
     ci.GenConfig(seed=1, n_objects=3, density=500.0, stuff_density=10.0)
@@ -29,10 +29,10 @@ print(f"scaled x7:     reg = {ci.offset_regression_loss(scaled, scene):.4f}, "
 
 # score BCE against soft labels derived from cluster IoU; its minimum over
 # the scores sits exactly at the targets (value = mean target entropy)
-targets = ScoreTargets(np.array([0.1, 0.5, 0.9]))
-print("soft labels for IoUs 0.1/0.5/0.9:", targets.soft)
-print("BCE at its minimum (s = targets):",
-      score_loss(targets.soft.clip(1e-6, 1 - 1e-6), targets))
+ious = np.array([0.1, 0.5, 0.9])
+soft = soft_labels(ious)
+print("soft labels for IoUs 0.1/0.5/0.9:", soft)
+print("BCE at its minimum (s = targets):", score_loss(soft.clip(1e-6, 1 - 1e-6), ious))
 
 # analytic gradients agree with central differences
 n = scene.n_points

@@ -52,7 +52,6 @@ from .losses import (
 )
 from .pipeline import PipelineConfig, nms, run_pipeline
 from .scoring import (
-    ScoreTargets,
     Scorer,
     ScorerModel,
     ScorerTraining,

@@ -199,10 +199,10 @@ def _cmd_cluster(args) -> int:
 def _cmd_evaluate(args) -> int:
     scene = load_scene(args.scene)
     r = evaluate(load_predictions(args.preds), scene, score_filter=args.score_filter)
-    columns = (
-        r.ap_classwise, r.ap50_classwise, r.ap25_classwise, r.prec50_classwise, r.rec50_classwise
-    )
-    rows = [[str(c)] + [col[c] for col in columns] for c in r.classes]
+    rows = [
+        [str(c), r.ap_classwise[c], r.ap[c][0.5], r.ap[c][0.25], r.prec50_classwise[c], r.rec50_classwise[c]]
+        for c in r.classes
+    ]
     rows.append(["mean", r.map, r.ap50, r.ap25, r.mprec50, r.mrec50])
     sep = "\t" if args.tsv else "  "
     print(sep.join(["class", "AP", "AP50", "AP25", "Prec50", "Rec50"]))

@@ -26,7 +26,9 @@ import numpy as np
 from .core import (
     Cluster, OffsetField, Scene, Source, check_offsets, is_int, never_clustered, shifted_coords,
 )
-from .spatial import GridIndex, check_radius, expand_ranges, radius_squared, squared_distances
+from .spatial import (
+    GridIndex, check_labels, check_radius, expand_ranges, radius_squared, squared_distances,
+)
 from .trace import span
 
 _CHUNK = 1 << 17  # point pairs tested between two component merges
@@ -115,10 +117,7 @@ def cluster_single_set(
     sem_labels = np.asarray(sem_labels, dtype=np.int32)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must have shape (n_points, 3)")
-    if sem_labels.shape != (coords.shape[0],):
-        raise ValueError(
-            f"got {coords.shape[0]} coordinates but {sem_labels.shape[0]} labels"
-        )
+    check_labels(coords.shape[0], sem_labels)
 
     with np.errstate(over="ignore"):
         coords32 = coords.astype(np.float32)
@@ -199,10 +198,7 @@ def connected_components_oracle(
     with np.errstate(over="ignore"):  # beyond float32 range: inf, never joined
         coords = np.asarray(coords, dtype=np.float32)
     sem_labels = np.asarray(sem_labels, dtype=np.int32)
-    if sem_labels.shape != (coords.shape[0],):
-        raise ValueError(
-            f"got {coords.shape[0]} coordinates but {sem_labels.shape[0]} labels"
-        )
+    check_labels(coords.shape[0], sem_labels)
     active_idx = np.flatnonzero(~never_clustered(sem_labels, stuff_classes))
     n = active_idx.size
     pts = coords[active_idx]

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -68,9 +69,11 @@ def never_clustered(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
     """Boolean mask of points that can never join a cluster.
 
     Unlabeled (-1) points are treated like stuff: they are excluded from
-    clustering rather than grouped by guesswork.
+    clustering rather than grouped by guesswork.  A stuff id beyond int64
+    equals no label, so it masks nothing.
     """
-    stuff = np.fromiter(stuff_ids(stuff_classes), dtype=np.int64)
+    lo, hi = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+    stuff = np.array([c for c in stuff_ids(stuff_classes) if lo <= c <= hi], dtype=np.int64)
     return (sem_labels < 0) | np.isin(sem_labels, stuff)
 
 
@@ -78,6 +81,14 @@ def _as_readonly(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
+
+
+def _instance_groups(inst_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points with an instance id (>= 0) ordered by id, ascending within
+    an id, and the position where each id's run starts in that order."""
+    on_inst = np.flatnonzero(inst_ids >= 0)
+    members = on_inst[np.argsort(inst_ids[on_inst], kind="stable")]
+    return members, np.flatnonzero(np.diff(inst_ids[members], prepend=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,8 +122,9 @@ class Scene:
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise SceneError("coords must have shape (n_points, 3)")
         n = coords.shape[0]
-        if self.n_classes < 1:
-            raise SceneError("n_classes must be at least 1")
+        if not (is_int(self.n_classes) and self.n_classes >= 1):
+            raise SceneError(f"n_classes must be an integer >= 1, got {self.n_classes!r}")
+        n_classes = int(self.n_classes)
         if colors_in.shape != (n, 3):
             raise SceneError("colors must have shape (n_points, 3)")
         if labels.shape != (n,) or insts.shape != (n,):
@@ -125,7 +137,7 @@ class Scene:
             raise SceneError(f"color component out of [0, 255] at point {idx}", idx)
         colors = _as_readonly(colors_in.astype(np.uint8))
 
-        bad = (labels < -1) | (labels >= self.n_classes)
+        bad = (labels < -1) | (labels >= n_classes)
         if np.any(bad):
             idx = int(np.flatnonzero(bad)[0])
             raise SceneError(
@@ -134,12 +146,12 @@ class Scene:
         if np.any(insts < -1):
             idx = int(np.flatnonzero(insts < -1)[0])
             raise SceneError(f"instance id {int(insts[idx])} invalid at point {idx}", idx)
-        if any(c < 0 or c >= self.n_classes for c in stuff):
+        if any(c < 0 or c >= n_classes for c in stuff):
             raise SceneError("stuff class id out of range")
 
         if scores is not None:
             scores = np.asarray(scores, dtype=np.float32)
-            if scores.shape != (n, self.n_classes):
+            if scores.shape != (n, n_classes):
                 raise SceneError("sem_scores must have shape (n_points, n_classes)")
             if not np.all(np.isfinite(scores)):
                 idx = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
@@ -170,8 +182,7 @@ class Scene:
 
         on_instance = insts >= 0
         if np.any(on_instance):
-            inst_labels = labels[on_instance]
-            if np.any(inst_labels == -1):
+            if np.any(on_instance & (labels == -1)):
                 idx = int(np.flatnonzero(on_instance & (labels == -1))[0])
                 raise SceneError(f"instance point {idx} is unlabeled", idx)
             if stuff:
@@ -182,11 +193,8 @@ class Scene:
                     raise SceneError(
                         f"instance point {idx} has a stuff-class label", idx
                     )
-            ids = insts[on_instance]
-            order = np.argsort(ids, kind="stable")
-            sorted_ids = ids[order]
-            starts = np.flatnonzero(np.diff(sorted_ids, prepend=-2))
-            uniq = sorted_ids[starts]
+            members, starts = _instance_groups(insts)
+            uniq = insts[members[starts]]
             if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
                 expect = np.arange(uniq.size)
                 gap = int(uniq[np.flatnonzero(uniq != expect)[0]])
@@ -195,15 +203,14 @@ class Scene:
                     f"instance ids are not contiguous (id {gap} at point {idx})", idx
                 )
             # one semantic label per instance id
-            sorted_lab = inst_labels[order]
-            firsts = np.repeat(sorted_lab[starts], np.diff(np.append(starts, ids.size)))
+            sorted_lab = labels[members]
+            firsts = np.repeat(sorted_lab[starts], np.diff(np.append(starts, members.size)))
             mism = sorted_lab != firsts
             if np.any(mism):
-                pos = np.flatnonzero(on_instance)[order[np.flatnonzero(mism)[0]]]
-                raise SceneError(
-                    f"instance label inconsistency at point {int(pos)}", int(pos)
-                )
+                pos = int(members[np.flatnonzero(mism)[0]])
+                raise SceneError(f"instance label inconsistency at point {pos}", pos)
 
+        object.__setattr__(self, "n_classes", n_classes)
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "colors", colors)
         object.__setattr__(self, "sem_labels", labels)
@@ -274,34 +281,42 @@ def shifted_coords(scene: Scene, offsets: OffsetField) -> np.ndarray:
     return scene.coords.astype(np.float64) + offsets.offsets
 
 
-def _sorted_index_array(point_idx, what: str) -> np.ndarray:
-    idx = np.asarray(point_idx, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
-        raise SceneError(f"{what} must contain at least one point index")
-    if np.any(idx < 0):
-        raise SceneError(f"{what} contains a negative point index")
-    if np.any(np.diff(idx) <= 0):
-        raise SceneError(f"{what} indices must be sorted and duplicate-free")
-    return _as_readonly(idx)
-
-
 @dataclass(frozen=True, eq=False)
-class Cluster:
-    """A candidate instance: point indices plus the shared semantic class."""
+class _Mask:
+    """Point indices, sorted and duplicate-free, plus an integer class id."""
 
     point_idx: np.ndarray
     class_id: int
-    source: Source
+    _what: ClassVar[str]  # the kind of mask, named in messages
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "point_idx", _sorted_index_array(self.point_idx, "cluster")
-        )
-        object.__setattr__(self, "source", Source(self.source))
+        idx = np.asarray(self.point_idx, dtype=np.int64)
+        if idx.ndim != 1 or idx.size == 0:
+            raise SceneError(f"{self._what} must contain at least one point index")
+        if np.any(idx < 0):
+            raise SceneError(f"{self._what} contains a negative point index")
+        if np.any(np.diff(idx) <= 0):
+            raise SceneError(f"{self._what} indices must be sorted and duplicate-free")
+        if not is_int(self.class_id):
+            raise SceneError(f"{self._what} class id must be an integer, got {self.class_id!r}")
+        object.__setattr__(self, "point_idx", _as_readonly(idx))
+        object.__setattr__(self, "class_id", int(self.class_id))
 
     @property
     def size(self) -> int:
         return self.point_idx.size
+
+
+@dataclass(frozen=True, eq=False)
+class Cluster(_Mask):
+    """A candidate instance: point indices plus the shared semantic class."""
+
+    source: Source
+    _what: ClassVar[str] = "cluster"
+
+    def __post_init__(self):
+        super().__post_init__()
+        object.__setattr__(self, "source", Source(self.source))
 
     @property
     def min_index(self) -> int:
@@ -309,25 +324,18 @@ class Cluster:
 
 
 @dataclass(frozen=True, eq=False)
-class InstancePrediction:
+class InstancePrediction(_Mask):
     """A final predicted instance with a confidence score in [0, 1]."""
 
-    point_idx: np.ndarray
-    class_id: int
     score: float
+    _what: ClassVar[str] = "prediction"
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "point_idx", _sorted_index_array(self.point_idx, "prediction")
-        )
+        super().__post_init__()
         score = float(self.score)
         if not np.isfinite(score) or score < 0.0 or score > 1.0:
             raise SceneError(f"prediction score {score} not in [0, 1]")
         object.__setattr__(self, "score", score)
-
-    @property
-    def size(self) -> int:
-        return self.point_idx.size
 
 
 def check_predictions(scene: Scene, preds: list[InstancePrediction]) -> None:
@@ -341,39 +349,15 @@ def check_predictions(scene: Scene, preds: list[InstancePrediction]) -> None:
 
 
 @dataclass(frozen=True, eq=False)
-class GroundTruthInstance:
+class GroundTruthInstance(_Mask):
     """Annotated instance mask: point indices plus class id."""
 
-    point_idx: np.ndarray
-    class_id: int
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "point_idx", _sorted_index_array(self.point_idx, "instance")
-        )
-
-    @property
-    def size(self) -> int:
-        return self.point_idx.size
+    _what: ClassVar[str] = "instance"
 
 
 def ground_truth_instances(scene: Scene) -> list[GroundTruthInstance]:
     """Extract instance masks from a scene, ordered by instance id."""
-    on_inst = np.flatnonzero(scene.inst_ids >= 0)
-    if on_inst.size == 0:
-        return []
-    ids = scene.inst_ids[on_inst]
-    order = np.argsort(ids, kind="stable")
-    on_inst = on_inst[order]
-    ids = ids[order]
-    starts = np.flatnonzero(np.diff(ids, prepend=-1))
-    bounds = np.append(starts, ids.size)
-    out = []
-    for k in range(starts.size):
-        members = on_inst[bounds[k] : bounds[k + 1]]
-        out.append(
-            GroundTruthInstance(
-                point_idx=members, class_id=int(scene.sem_labels[members[0]])
-            )
-        )
-    return out
+    members, starts = _instance_groups(scene.inst_ids)
+    return [
+        GroundTruthInstance(m, int(scene.sem_labels[m[0]])) for m in np.split(members, starts)[1:]
+    ]

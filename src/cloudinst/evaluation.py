@@ -120,17 +120,17 @@ def average_precision(precision: np.ndarray, recall: np.ndarray) -> float:
 class EvalResult:
     """Per-class and aggregate metrics.
 
-    ``ap[c][t]`` is class c's AP at IoU threshold t; aggregates are class
-    means.  ``matches50`` maps each class to (prediction index, matched gt
-    index or -1) pairs at threshold 0.5.
+    ``ap[c][t]`` is class c's AP at IoU threshold t, so its AP50 is
+    ``ap[c][0.5]`` and its AP25 ``ap[c][0.25]``; ``ap_classwise[c]`` is its
+    mean over ``AP_THRESHOLDS``.  Aggregates are class means.  ``matches50``
+    maps each class to (prediction index, matched gt index or -1) pairs at
+    threshold 0.5.
     """
 
     classes: tuple[int, ...]
     thresholds: tuple[float, ...]
     ap: dict
     ap_classwise: dict
-    ap50_classwise: dict
-    ap25_classwise: dict
     prec50_classwise: dict
     rec50_classwise: dict
     map: float
@@ -184,20 +184,16 @@ def evaluate(
         rec50[c] = n_tp / resf.n_gt if resf.n_gt else 0.0
 
     ap_classwise = {c: float(np.mean([ap[c][t] for t in AP_THRESHOLDS])) for c in classes}
-    ap50_classwise = {c: ap[c][0.5] for c in classes}
-    ap25_classwise = {c: ap[c][0.25] for c in classes}
     return EvalResult(
         classes=classes,
         thresholds=all_thresholds,
         ap=ap,
         ap_classwise=ap_classwise,
-        ap50_classwise=ap50_classwise,
-        ap25_classwise=ap25_classwise,
         prec50_classwise=prec50,
         rec50_classwise=rec50,
         map=float(np.mean(list(ap_classwise.values()))),
-        ap50=float(np.mean(list(ap50_classwise.values()))),
-        ap25=float(np.mean(list(ap25_classwise.values()))),
+        ap50=float(np.mean([ap[c][0.5] for c in classes])),
+        ap25=float(np.mean([ap[c][0.25] for c in classes])),
         mprec50=float(np.mean(list(prec50.values()))),
         mrec50=float(np.mean(list(rec50.values()))),
         matches50=matches50,

@@ -17,6 +17,13 @@ from .trace import span
 _SOURCES = {"both": (Source.ORIGINAL, Source.SHIFTED), "p": (Source.ORIGINAL,), "q": (Source.SHIFTED,)}
 
 
+def _check_nms_iou(iou_thresh: float) -> None:
+    """ValueError unless the NMS IoU threshold lies in (0, 1]: at 0 or NaN
+    NMS keeps only the first cluster, above 1 it keeps every one."""
+    if not 0.0 < iou_thresh <= 1.0:
+        raise ValueError(f"nms_iou must be in (0, 1], got {iou_thresh}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Knobs for the full clustering -> scoring -> NMS pipeline.
@@ -33,8 +40,7 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scorer", Scorer(self.scorer))
-        if not 0.0 < self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou must be in (0, 1], got {self.nms_iou}")
+        _check_nms_iou(self.nms_iou)
         if self.min_score is not None and not 0.0 <= self.min_score <= 1.0:
             raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
         if self.cluster_sets not in _SOURCES:
@@ -47,8 +53,9 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     Clusters are visited in descending score (ties: ORIGINAL source first,
     then lower minimum point index); a cluster is kept only if its IoU with
     every already-kept cluster stays below ``iou_thresh``.  Returns indices
-    into ``clusters`` in kept order.
+    into ``clusters`` in kept order.  ``iou_thresh`` must lie in (0, 1].
     """
+    _check_nms_iou(iou_thresh)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(clusters),):
         raise ValueError(

@@ -7,8 +7,10 @@ Three interchangeable scorers rank candidate clusters for NMS:
 * MODEL   — a small feedforward net (tanh hidden layer, sigmoid output) over
   handcrafted per-cluster descriptors, trained with soft-label BCE.
 
-Soft score targets come from the best IoU through a clamped linear ramp
-between the paper's fixed thresholds ``SOFT_LOW`` and ``SOFT_HIGH``.
+Soft score targets come from the best IoU through ``soft_labels``, a
+clamped linear ramp between the paper's fixed thresholds ``SOFT_LOW`` and
+``SOFT_HIGH``.  They are not stored: ``score_loss`` and
+``harvest_training_set`` derive them from the IoUs they are given.
 
 Descriptors come from one pass over all clusters: their member indices are
 concatenated once, coordinates and offsets are gathered once, and every
@@ -20,7 +22,7 @@ format lives in ``formats``.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,24 +90,11 @@ def soft_labels(ious: np.ndarray) -> np.ndarray:
     return np.clip((ious - SOFT_LOW) / (SOFT_HIGH - SOFT_LOW), 0.0, 1.0)
 
 
-@dataclass(frozen=True)
-class ScoreTargets:
-    """Per-cluster best IoU plus the soft score labels ``soft_labels``
-    derives from it; an IoU outside [0, 1] raises."""
-
-    iou: np.ndarray
-    soft: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        iou_arr = np.asarray(self.iou, dtype=np.float64)
-        object.__setattr__(self, "soft", soft_labels(iou_arr))
-        object.__setattr__(self, "iou", iou_arr)
-
-
-def score_loss(pred_scores: np.ndarray, targets: ScoreTargets) -> float:
-    """Mean binary cross entropy between predicted scores and soft labels."""
+def score_loss(pred_scores: np.ndarray, ious: np.ndarray) -> float:
+    """Mean binary cross entropy between predicted scores and the soft labels
+    of the clusters' IoUs (``soft_labels``)."""
     s = np.asarray(pred_scores, dtype=np.float64)
-    t = targets.soft
+    t = soft_labels(ious)
     if s.shape != t.shape:
         raise ValueError("score/target length mismatch")
     if s.size == 0:

@@ -73,6 +73,13 @@ def check_radius(radius: float) -> None:
         )
 
 
+def check_labels(n_points: int, labels: np.ndarray) -> None:
+    """ValueError unless ``labels`` holds one label per point."""
+    if labels.shape != (n_points,):
+        m = labels.shape[0] if labels.ndim == 1 else labels.shape
+        raise ValueError(f"got {n_points} coordinates but {m} labels")
+
+
 def expand_ranges(lo, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every position in the ranges [lo, lo + counts), with the range it came from."""
     owner = np.repeat(np.arange(counts.size), counts)
@@ -121,13 +128,16 @@ class GridIndex:
         self.radius = float(radius)
         self.coords = coords
         n = coords.shape[0]
+        if labels is not None:
+            labels = np.asarray(labels, np.int64)
+            check_labels(n, labels)
 
         keys = np.floor(coords.astype(np.float64) / (self.radius * _FINE_FACTOR))
         kx, ky, kz = (_ranks(keys[:, axis]) for axis in range(3))
         if labels is not None:
             # each label gets its own block of y keys, spaced so that no row
             # of the stencil reaches from one label into another
-            ky = _ranks(_ranks(np.asarray(labels, np.int64)) * (ky.max(initial=0) + _REACH + 1) + ky)
+            ky = _ranks(_ranks(labels) * (ky.max(initial=0) + _REACH + 1) + ky)
         self._wz = int(kz.max(initial=0)) + _REACH + 1
         self._row_codes, point_row = _unique(ky * self._wz + kz)
         self._wx = int(kx.max(initial=0)) + _REACH + 1

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import OffsetField, Scene, check_offsets, is_int, never_clustered
-from .losses import instance_centroids, offset_targets
+from .losses import offset_targets
 
 # class id -> primitive kind and base full dimensions (meters), cycled
 _SHAPES = (
@@ -473,12 +473,7 @@ def perturb_offsets(
     out = np.array(offsets.offsets, copy=True)
     on_inst = np.flatnonzero(scene.inst_ids >= 0)
     if on_inst.size:
-        centroids = instance_centroids(scene)
-        d = np.linalg.norm(
-            centroids[scene.inst_ids[on_inst]]
-            - scene.coords[on_inst].astype(np.float64),
-            axis=1,
-        )
+        d = np.linalg.norm(offset_targets(scene).offsets[on_inst], axis=1)
         stdev = sigma0 * (1.0 + beta * d)
         rng = _rng(seed, 202)
         out[on_inst] += rng.standard_normal((on_inst.size, 3)) * stdev[:, None]

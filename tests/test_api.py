@@ -34,9 +34,8 @@ EXPECTED = {
     ),
     "distance_histogram": "(scene: 'Scene') -> 'np.ndarray'",
     "EvalResult": (
-        "classes", "thresholds", "ap", "ap_classwise", "ap50_classwise", "ap25_classwise",
-        "prec50_classwise", "rec50_classwise", "map", "ap50", "ap25", "mprec50", "mrec50",
-        "matches50",
+        "classes", "thresholds", "ap", "ap_classwise", "prec50_classwise", "rec50_classwise",
+        "map", "ap50", "ap25", "mprec50", "mrec50", "matches50",
     ),
     "evaluate": (
         "(preds: 'list[InstancePrediction]', scene: 'Scene', "
@@ -102,11 +101,10 @@ EXPECTED = {
         "(clusters: 'list[Cluster]', scene: 'Scene', offsets: 'OffsetField', scorer: 'Scorer', "
         "model: 'ScorerModel | None' = None) -> 'np.ndarray'"
     ),
-    "score_loss": "(pred_scores: 'np.ndarray', targets: 'ScoreTargets') -> 'float'",
+    "score_loss": "(pred_scores: 'np.ndarray', ious: 'np.ndarray') -> 'float'",
     "Scorer": ("ORACLE", "SEMPROB", "MODEL"),
     "ScorerModel": ("mean", "std", "w1", "b1", "w2", "b2"),
     "ScorerTraining": ("model", "initial_loss", "final_loss", "grad_error", "n_clusters"),
-    "ScoreTargets": ("iou", "soft"),
     "semantic_loss": "(sem_scores: 'np.ndarray', gt_labels: 'np.ndarray') -> 'float'",
     "shifted_coords": "(scene: 'Scene', offsets: 'OffsetField') -> 'np.ndarray'",
     "Source": ("ORIGINAL", "SHIFTED"),

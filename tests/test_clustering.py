@@ -23,6 +23,16 @@ def clusters_as_sets(clusters):
     return {(c.class_id, c.source, tuple(c.point_idx.tolist())) for c in clusters}
 
 
+@pytest.mark.parametrize("huge", [2**70, -(2**70)])
+def test_stuff_id_beyond_int64_masks_nothing(huge):
+    coords, labels = random_cluster_inputs(3)
+    params = ClusterParams(0.03, 1)
+    plain = cluster_single_set(coords, labels, [], params, Source.ORIGINAL)
+    assert plain
+    out = cluster_single_set(coords, labels, [huge], params, Source.ORIGINAL)
+    assert clusters_as_sets(out) == clusters_as_sets(plain)
+
+
 def test_two_close_same_label_points_form_one_cluster():
     coords = np.array([[0, 0, 0], [0.02, 0, 0]], dtype=np.float32)
     labels = np.array([1, 1], dtype=np.int32)

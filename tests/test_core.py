@@ -23,6 +23,7 @@ from cloudinst.core import (
 )
 
 from cloudinst.clustering import ClusterParams, cluster_single_set
+from cloudinst.formats import load_scene, save_scene
 
 from conftest import make_scene
 
@@ -140,6 +141,27 @@ def test_ground_truth_instances(simple_scene):
     assert gt[0].class_id == gt[1].class_id == 1
 
 
+def test_ground_truth_instances_of_interleaved_ids():
+    scene = make_scene(np.zeros((6, 3)), [2, 1, 0, 2, 1, 3], [1, 0, -1, 1, 0, 2])
+    gt = ground_truth_instances(scene)
+    assert [g.point_idx.tolist() for g in gt] == [[1, 4], [0, 3], [5]]
+    assert [g.class_id for g in gt] == [1, 2, 3]
+    assert ground_truth_instances(make_scene(np.zeros((2, 3)), [0, 1], [-1, -1])) == []
+
+
+@pytest.mark.parametrize("n_classes", [2.5, "3", np.float64(3.0)])
+def test_non_integer_class_count_rejected(n_classes):
+    with pytest.raises(SceneError, match="n_classes must be an integer >= 1"):
+        make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], n_classes=n_classes, sem_scores=None)
+
+
+def test_numpy_integer_class_count_round_trips(tmp_path):
+    scene = make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], n_classes=np.int64(3))
+    assert type(scene.n_classes) is int
+    save_scene(scene, tmp_path / "s.sc1")
+    assert scenes_equal(load_scene(tmp_path / "s.sc1"), scene)
+
+
 def test_scenes_equal(simple_scene):
     other = make_scene(
         simple_scene.coords, simple_scene.sem_labels, simple_scene.inst_ids
@@ -186,6 +208,26 @@ def test_prediction_score_range():
 def test_ground_truth_instance_requires_members():
     with pytest.raises(SceneError):
         GroundTruthInstance(point_idx=[], class_id=1)
+
+
+MASKS = {
+    "cluster": lambda c: Cluster(point_idx=[0, 1], class_id=c, source=Source.ORIGINAL),
+    "prediction": lambda c: InstancePrediction(point_idx=[0, 1], class_id=c, score=0.5),
+    "instance": lambda c: GroundTruthInstance(point_idx=[0, 1], class_id=c),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MASKS))
+@pytest.mark.parametrize("class_id", [1.5, "x", float("nan"), np.float64(1.0)])
+def test_non_integer_mask_class_id_rejected(kind, class_id):
+    with pytest.raises(SceneError, match=f"^{kind} class id must be an integer"):
+        MASKS[kind](class_id)
+
+
+@pytest.mark.parametrize("kind", sorted(MASKS))
+def test_mask_class_id_stored_as_int(kind):
+    mask = MASKS[kind](np.int32(2))
+    assert type(mask.class_id) is int and mask.class_id == 2 and mask.size == 2
 
 
 def test_import_loads_no_scipy():

@@ -1,6 +1,6 @@
 """Smoke test: the demos still run to completion.  They drive the formats and
 PLY export (01), ball_query and cluster_single_set (02), dual-set grouping
-(03), the losses, ScoreTargets/score_loss and gradient checks (04),
+(03), the losses, soft_labels/score_loss and gradient checks (04),
 train_scorer, the scorer file and all three scorers through run_pipeline
 (05), and run_bench (06)."""
 

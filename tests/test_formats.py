@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -704,3 +707,27 @@ def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
             _read_rows(table, 1, fields)
         assert len(read) <= 17 and sum(read) < 80_000
         assert named == [at]
+
+
+def _loadtxt_uses():
+    """(module, innermost enclosing function) of each ``loadtxt`` name in the package."""
+    uses = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            names = (getattr(child, attr, None) for attr in ("attr", "id", "name"))
+            if "loadtxt" in names:
+                uses.append((module, where))
+            visit(child, module, where)
+
+    for path in sorted(Path(formats.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return uses
+
+
+def test_one_number_parser():
+    # every text format turns text into numbers through one numpy reader
+    assert _loadtxt_uses() == [("formats", "_loadtxt")]

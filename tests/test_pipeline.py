@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudinst.clustering import ClusterParams, cluster_single_set, connected_components_oracle
-from cloudinst.core import Cluster, OffsetField, Source, ground_truth_instances, shifted_coords
+from cloudinst.core import (
+    Cluster, OffsetField, Scene, Source, ground_truth_instances, shifted_coords,
+)
 from cloudinst.losses import offset_targets
 from cloudinst import pipeline
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel
-from cloudinst.synth import GenConfig, generate_scene
+from cloudinst.synth import GenConfig, generate_sample, generate_scene
 from cloudinst.trace import recording
 
 from conftest import iou, make_scene, two_object_scene
@@ -115,6 +119,15 @@ def test_nms_matches_reference_on_fuzz():
 def test_nms_length_mismatch():
     with pytest.raises(ValueError, match="scores"):
         nms([cl([0])], np.array([0.5, 0.4]), 0.3)
+
+
+@pytest.mark.parametrize("thresh", [0.0, float("nan"), 2.0])
+def test_nms_threshold_outside_unit_interval_rejected(thresh):
+    clusters = [cl([0, 1]), cl([5, 6])]
+    with pytest.raises(ValueError, match=r"nms_iou must be in \(0, 1\]"):
+        nms(clusters, np.array([0.9, 0.8]), thresh)
+    with pytest.raises(ValueError, match=r"nms_iou must be in \(0, 1\]"):
+        PipelineConfig(nms_iou=thresh)
 
 
 def test_pipeline_config_validation():
@@ -294,3 +307,36 @@ def test_far_offset_outlier_keeps_scene_running():
     coords[k] = [np.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="non-finite"):
         cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, Source.ORIGINAL)
+
+
+def _permuted(scene, offsets, perm):
+    """``scene`` and ``offsets`` with point k of the result being point perm[k]."""
+    permuted = Scene(
+        n_classes=scene.n_classes, coords=scene.coords[perm], colors=scene.colors[perm],
+        sem_labels=scene.sem_labels[perm], inst_ids=scene.inst_ids[perm],
+        stuff_classes=scene.stuff_classes, sem_scores=scene.sem_scores[perm],
+    )
+    return permuted, OffsetField(offsets.offsets[perm])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    pairs=st.booleans(),
+    sigma0=st.sampled_from([0.01, 0.03]),
+)
+def test_pipeline_is_invariant_under_point_permutation(seed, pairs, sigma0):
+    # ORACLE scores are counted IoUs and the clusters of one set are
+    # disjoint, so a tie on min_index cannot change what NMS keeps
+    _, scene, offsets = generate_sample(GenConfig(
+        seed=seed, room=(2.5, 2.5, 1.5), n_objects=4, size_scale=(0.3, 0.5),
+        stuff_density=20.0, same_class_gap=0.01 if pairs else None, sigma0=sigma0, beta=4.0,
+    ))
+    config = PipelineConfig(scorer=Scorer.ORACLE)
+    perm = np.random.default_rng(seed).permutation(scene.n_points)
+    preds = run_pipeline(scene, offsets, config)
+    moved = run_pipeline(*_permuted(scene, offsets, perm), config)
+    assert preds
+    assert {(p.class_id, p.score, tuple(p.point_idx.tolist())) for p in preds} == {
+        (p.class_id, p.score, tuple(np.sort(perm[p.point_idx]).tolist())) for p in moved
+    }

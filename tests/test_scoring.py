@@ -9,7 +9,6 @@ from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, Source, ar
 from cloudinst.formats import load_scorer, save_scorer
 from cloudinst.losses import gradient_check, offset_targets
 from cloudinst.scoring import (
-    ScoreTargets,
     Scorer,
     ScorerModel,
     best_ious,
@@ -110,38 +109,37 @@ def test_soft_label_monotone_continuous_clamped():
 
 
 def test_score_targets_enforce_ramp_consistency():
-    with pytest.raises(ValueError, match="IoU outside"):
-        ScoreTargets(iou=np.array([1.5]))
-    with pytest.raises(ValueError, match="IoU outside"):
-        ScoreTargets(np.array([np.nan, 0.5]))
-    t = ScoreTargets(np.array([0.0, 0.5, 1.0]))
-    assert t.soft.tolist() == [0.0, 0.5, 1.0]
+    for bad in ([1.5], [np.nan, 0.5]):
+        with pytest.raises(ValueError, match="IoU outside"):
+            soft_labels(np.array(bad))
+        with pytest.raises(ValueError, match="IoU outside"):
+            score_loss(np.full(len(bad), 0.5), np.array(bad))
+    assert soft_labels(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.5, 1.0]
 
 
 def test_score_loss_values():
-    ones = ScoreTargets(np.array([1.0, 1.0]))
-    assert score_loss(np.array([1.0, 1.0]), ones) <= 1e-6
-    half = ScoreTargets(np.array([0.5]))
-    assert abs(score_loss(np.array([0.5]), half) - np.log(2)) <= 1e-9
+    assert score_loss(np.array([1.0, 1.0]), np.array([1.0, 1.0])) <= 1e-6
+    assert abs(score_loss(np.array([0.5]), np.array([0.5])) - np.log(2)) <= 1e-9
     with pytest.raises(ValueError, match="no clusters"):
-        score_loss(np.array([]), ScoreTargets(np.array([])))
+        score_loss(np.array([]), np.array([]))
 
 
 def test_score_loss_matches_scalar_oracle():
     rng = np.random.default_rng(2)
     s = rng.uniform(0.01, 0.99, 40)
-    t = ScoreTargets(rng.uniform(0, 1, 40))
+    ious = rng.uniform(0, 1, 40)
+    t = soft_labels(ious)
     total = 0.0
     for k in range(40):
-        total += -(t.soft[k] * np.log(s[k]) + (1 - t.soft[k]) * np.log(1 - s[k]))
-    assert abs(score_loss(s, t) - total / 40) <= 1e-9
+        total += -(t[k] * np.log(s[k]) + (1 - t[k]) * np.log(1 - s[k]))
+    assert abs(score_loss(s, ious) - total / 40) <= 1e-9
 
 
 def test_score_loss_minimized_at_target():
-    targets = ScoreTargets(np.array([0.6]))
-    t = targets.soft[0]
+    ious = np.array([0.6])
+    t = soft_labels(ious)[0]
     grid = np.linspace(0.01, 0.99, 99)
-    losses = [score_loss(np.array([s]), targets) for s in grid]
+    losses = [score_loss(np.array([s]), ious) for s in grid]
     assert abs(grid[int(np.argmin(losses))] - t) <= 0.011
 
 

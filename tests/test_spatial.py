@@ -90,6 +90,15 @@ def test_build_index_validation():
         build_index(np.zeros((3, 2), dtype=np.float32), 0.1)
 
 
+@pytest.mark.parametrize(
+    "labels,m", [([1, 2], 2), (np.array([7]), 1), (np.zeros(49, np.int32), 49)]
+)
+def test_grid_index_refuses_labels_of_another_length(labels, m):
+    coords = np.random.default_rng(0).uniform(0, 1, (50, 3))
+    with pytest.raises(ValueError, match=f"^got 50 coordinates but {m} labels$"):
+        GridIndex(coords, 0.1, labels)
+
+
 def test_empty_index_is_valid():
     idx = build_index(np.zeros((0, 3), dtype=np.float32), 0.03)
     assert idx.n_points == 0
