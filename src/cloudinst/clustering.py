@@ -114,10 +114,9 @@ def cluster_single_set(
     (``cl_q``); see ``trace``.
     """
     coords = np.asarray(coords)
-    sem_labels = np.asarray(sem_labels, dtype=np.int32)
     if coords.ndim != 2 or coords.shape[1] != 3:
         raise ValueError("coords must have shape (n_points, 3)")
-    check_labels(coords.shape[0], sem_labels)
+    sem_labels = check_labels(coords.shape[0], sem_labels)
 
     with np.errstate(over="ignore"):
         coords32 = coords.astype(np.float32)
@@ -197,8 +196,7 @@ def connected_components_oracle(
     """
     with np.errstate(over="ignore"):  # beyond float32 range: inf, never joined
         coords = np.asarray(coords, dtype=np.float32)
-    sem_labels = np.asarray(sem_labels, dtype=np.int32)
-    check_labels(coords.shape[0], sem_labels)
+    sem_labels = check_labels(coords.shape[0], sem_labels)
     active_idx = np.flatnonzero(~never_clustered(sem_labels, stuff_classes))
     n = active_idx.size
     pts = coords[active_idx]

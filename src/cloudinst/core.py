@@ -65,6 +65,31 @@ def stuff_ids(ids) -> frozenset[int]:
     return frozenset(out)
 
 
+def int32_ids(values, what: str) -> np.ndarray:
+    """``values`` (labels or instance ids) as an int32 array; SceneError
+    naming the first point whose value is not an integer in the int32 range.
+    ``1.0`` is stored as 1; ``1.5``, NaN and ``2**32 + 1`` are refused, not
+    truncated or wrapped, as ``stuff_ids`` refuses them."""
+    arr = np.asarray(values)
+    if arr.dtype == np.int32:
+        return arr
+    try:
+        wide = arr.astype(np.float64) if arr.dtype.kind in "biufO" else None
+    except (TypeError, ValueError, OverflowError):
+        wide = None
+    if wide is None:
+        raise SceneError(f"{what}s must be integers, got {arr.dtype} values")
+    lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+    with np.errstate(invalid="ignore"):
+        bad = ~((wide >= lo) & (wide <= hi) & (wide == np.floor(wide)))
+    if bad.any():
+        idx = int(np.flatnonzero(bad)[0])
+        raise SceneError(
+            f"{what} {arr.ravel()[idx]} at point {idx} is not an integer in the int32 range", idx
+        )
+    return wide.astype(np.int32)
+
+
 def never_clustered(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
     """Boolean mask of points that can never join a cluster.
 
@@ -114,8 +139,8 @@ class Scene:
     def __post_init__(self):
         coords = _as_readonly(np.asarray(self.coords, dtype=np.float32))
         colors_in = np.asarray(self.colors)
-        labels = _as_readonly(np.asarray(self.sem_labels, dtype=np.int32))
-        insts = _as_readonly(np.asarray(self.inst_ids, dtype=np.int32))
+        labels = _as_readonly(int32_ids(self.sem_labels, "semantic label"))
+        insts = _as_readonly(int32_ids(self.inst_ids, "instance id"))
         stuff = stuff_ids(self.stuff_classes)
         scores = self.sem_scores
 

@@ -21,7 +21,7 @@ from .core import (
     check_predictions,
     ground_truth_instances,
 )
-from .scoring import pairwise_iou
+from .scoring import family_iou
 
 AP_THRESHOLDS = tuple(np.arange(50, 100, 5) / 100.0)  # 0.50 ... 0.95
 PR_SCORE_FILTER = 0.2
@@ -43,34 +43,31 @@ class MatchResult:
     n_gt: int
 
 
-def _class_pred_order(preds: list[InstancePrediction], class_id: int) -> list[int]:
-    cls = [k for k, p in enumerate(preds) if p.class_id == class_id]
-    # descending score; ties: larger mask, then order of appearance
-    return sorted(cls, key=lambda k: (-preds[k].score, -preds[k].size, k))
-
-
 def match_and_pr(
     preds: list[InstancePrediction],
     gt: list[GroundTruthInstance],
     class_id: int,
     iou_thresh: float,
 ) -> MatchResult:
-    """Match one class's predictions to its ground truth and build the PR curve."""
-    order, gt_cls, ious = _class_ious(preds, gt, class_id)
-    return _greedy_match(order, gt_cls, ious, iou_thresh)
+    """Match one class's predictions to its ground truth and build the PR
+    curve.  The instances must be disjoint, as those of a scene are
+    (``family_iou``)."""
+    return _greedy_match(*_class_ious(preds, gt, _ious(preds, gt), class_id), iou_thresh)
 
 
-def _class_ious(
-    preds: list[InstancePrediction],
-    gt: list[GroundTruthInstance],
-    class_id: int,
-) -> tuple[list[int], list[int], np.ndarray]:
+def _ious(preds: list[InstancePrediction], gt: list[GroundTruthInstance]) -> np.ndarray:
+    """IoU matrix of every prediction against every ground-truth instance."""
+    return family_iou([p.point_idx for p in preds], [g.point_idx for g in gt])
+
+
+def _class_ious(preds, gt, ious: np.ndarray, class_id: int) -> tuple[list[int], list[int], np.ndarray]:
     """One class's predictions in matching order, its ground-truth indices,
-    and the IoU matrix between them."""
-    order = _class_pred_order(preds, class_id)
+    and their block of ``ious``, the matrix of ``_ious(preds, gt)``."""
+    cls = [k for k, p in enumerate(preds) if p.class_id == class_id]
+    # descending score; ties: larger mask, then order of appearance
+    order = sorted(cls, key=lambda k: (-preds[k].score, -preds[k].size, k))
     gt_cls = [k for k, g in enumerate(gt) if g.class_id == class_id]
-    ious = pairwise_iou([preds[k].point_idx for k in order], [gt[k].point_idx for k in gt_cls])
-    return order, gt_cls, ious
+    return order, gt_cls, ious[np.ix_(order, gt_cls)]
 
 
 def _greedy_match(
@@ -165,17 +162,16 @@ def evaluate(
     matches50: dict = {}
     prec50: dict = {}
     rec50: dict = {}
+    # one IoU matrix serves every class, every threshold and the filtered
+    # pass: the score filter keeps a subsequence of the class order
+    all_ious = _ious(preds, gt)
     for c in classes:
-        # one IoU matrix per class serves every threshold and the filtered
-        # pass: the score filter keeps a subsequence of the class order
-        order, gt_cls, ious = _class_ious(preds, gt, c)
+        order, gt_cls, ious = _class_ious(preds, gt, all_ious, c)
         for t in all_thresholds:
             res = _greedy_match(order, gt_cls, ious, t)
             ap[c][t] = average_precision(res.precision, res.recall)
             if t == 0.5:
-                matches50[c] = list(
-                    zip(res.pred_order.tolist(), res.matched_gt.tolist())
-                )
+                matches50[c] = list(zip(res.pred_order.tolist(), res.matched_gt.tolist()))
         kept = [i for i, k in enumerate(order) if preds[k].score >= score_filter]
         resf = _greedy_match([order[i] for i in kept], gt_cls, ious[kept], 0.5)
         n_pred = resf.pred_order.size

@@ -10,7 +10,7 @@ import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, InstancePrediction, OffsetField, Scene, Source
-from .scoring import Scorer, ScorerModel, check_scorer_inputs, pairwise_iou, score_clusters
+from .scoring import Scorer, ScorerModel, check_scorer_inputs, family_iou, score_clusters
 from .trace import span
 
 # PipelineConfig.cluster_sets -> the coordinate sets clustered
@@ -54,21 +54,26 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     then lower minimum point index); a cluster is kept only if its IoU with
     every already-kept cluster stays below ``iou_thresh``.  Returns indices
     into ``clusters`` in kept order.  ``iou_thresh`` must lie in (0, 1].
+    The clusters of one source must be disjoint, as every
+    ``cluster_single_set`` output is; overlapping ones raise ValueError.
     """
     _check_nms_iou(iou_thresh)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(clusters),):
-        raise ValueError(
-            f"got {len(clusters)} clusters but {scores.size} scores"
-        )
+        raise ValueError(f"got {len(clusters)} clusters but {scores.size} scores")
     if not clusters:
         return []
     order = sorted(
         range(len(clusters)),
         key=lambda k: (-scores[k], clusters[k].source.value, clusters[k].min_index),
     )
+    # each source is a disjoint family: within it the IoU is 1 on the
+    # diagonal and 0 elsewhere, and each is the family of the other's rows
     masks = [c.point_idx for c in clusters]
-    ious = pairwise_iou(masks, masks)
+    sets = [[k for k, c in enumerate(clusters) if c.source == source] for source in Source]
+    ious = np.eye(len(clusters))
+    for rows, cols in (sets, sets[::-1]):
+        ious[np.ix_(rows, cols)] = family_iou([masks[k] for k in rows], [masks[k] for k in cols])
     kept: list[int] = []
     for k in order:
         if not kept or bool((ious[k, kept] < iou_thresh).all()):

@@ -29,7 +29,6 @@ import numpy as np
 from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances
 from .losses import gradient_check
-from .spatial import expand_ranges
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
 GRAD_TOLERANCE = 1e-5  # train_scorer's check of its analytic gradient
@@ -44,41 +43,39 @@ class Scorer(enum.Enum):
     MODEL = "model"
 
 
-def pairwise_iou(masks_a: list[np.ndarray], masks_b: list[np.ndarray]) -> np.ndarray:
-    """Dense (len_a, len_b) IoU matrix of duplicate-free masks.
+def family_iou(masks: list[np.ndarray], family: list[np.ndarray]) -> np.ndarray:
+    """Dense (len(masks), len(family)) IoU matrix of duplicate-free masks
+    against a family of disjoint ones.
 
-    Each point shared by mask i of A and mask j of B adds one to their
-    intersection: B's entries are sorted by point, a count per point id
-    gives the range of B's entries on each point of A, and ``bincount``
-    sums the (i, j) pairs of those ranges.
+    The family becomes a per-point owner array, the member holding each
+    point or -1; one that owns fewer points than its members' sizes add up
+    to overlaps, and is refused with a ValueError.  A ``bincount`` of (mask,
+    owner) over the masks' members that have an owner gives the
+    intersections.
     """
-    sa = np.array([m.size for m in masks_a], dtype=np.int64)
-    sb = np.array([m.size for m in masks_b], dtype=np.int64)
-    if not sa.size or not sb.size:
-        return np.zeros((sa.size, sb.size), dtype=np.float64)
-    pa = np.concatenate(masks_a)
-    pb = np.concatenate(masks_b)
-    owner_b = np.repeat(np.arange(sb.size), sb)[np.argsort(pb, kind="stable")]
-    per_point = np.bincount(pb, minlength=pa.max(initial=0) + 1)
-    count = per_point[pa]
-    item, pos = expand_ranges(np.cumsum(per_point)[pa] - count, count)
-    pair = np.repeat(np.arange(sa.size) * sb.size, sa)[item] + owner_b[pos]
+    sa, sb = (np.array([m.size for m in side], dtype=np.int64) for side in (masks, family))
+    pa, pb = (np.concatenate([*side, np.zeros(0, dtype=np.int64)]) for side in (masks, family))
+    owner = np.full(max(pa.max(initial=0), pb.max(initial=0)) + 1, -1, dtype=np.int64)
+    owner[pb] = np.repeat(np.arange(sb.size), sb)
+    if np.count_nonzero(owner >= 0) != pb.size:
+        raise ValueError("the members of a disjoint family overlap")
+    held = owner[pa]
+    hit = held >= 0
+    pair = np.repeat(np.arange(sa.size) * sb.size, sa)[hit] + held[hit]
     inter = np.bincount(pair, minlength=sa.size * sb.size).reshape(sa.size, sb.size)
     inter = inter.astype(np.float64)
-    union = sa[:, None] + sb[None, :] - inter
-    return inter / union
+    return inter / (sa[:, None] + sb[None, :] - inter)
 
 
 def best_ious(clusters: list[Cluster], gt: list[GroundTruthInstance]) -> np.ndarray:
     """Largest IoU of each cluster against any ground-truth instance.
 
-    The max runs over every instance regardless of class.
+    The max runs over every instance regardless of class; the instances
+    must be disjoint, as those of a scene are (``family_iou``).
     """
     if not gt:
         raise ValueError("no ground-truth instances")
-    if not clusters:
-        return np.zeros(0, dtype=np.float64)
-    return pairwise_iou([c.point_idx for c in clusters], [g.point_idx for g in gt]).max(axis=1)
+    return family_iou([c.point_idx for c in clusters], [g.point_idx for g in gt]).max(axis=1)
 
 
 def soft_labels(ious: np.ndarray) -> np.ndarray:

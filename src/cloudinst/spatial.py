@@ -28,6 +28,8 @@ import math
 
 import numpy as np
 
+from .core import int32_ids
+
 # cell side as a fraction of the radius: the cell diagonal is r / 1.0001, so
 # points sharing a cell are strictly within r of each other
 _FINE_FACTOR = 1.0 / (math.sqrt(3.0) * 1.0001)
@@ -73,11 +75,14 @@ def check_radius(radius: float) -> None:
         )
 
 
-def check_labels(n_points: int, labels: np.ndarray) -> None:
-    """ValueError unless ``labels`` holds one label per point."""
+def check_labels(n_points: int, labels) -> np.ndarray:
+    """``labels`` as int32 (``core.int32_ids``); ValueError unless they are
+    integers in the int32 range, one per point."""
+    labels = int32_ids(labels, "label")
     if labels.shape != (n_points,):
         m = labels.shape[0] if labels.ndim == 1 else labels.shape
         raise ValueError(f"got {n_points} coordinates but {m} labels")
+    return labels
 
 
 def expand_ranges(lo, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -129,8 +134,7 @@ class GridIndex:
         self.coords = coords
         n = coords.shape[0]
         if labels is not None:
-            labels = np.asarray(labels, np.int64)
-            check_labels(n, labels)
+            labels = check_labels(n, labels).astype(np.int64)
 
         keys = np.floor(coords.astype(np.float64) / (self.radius * _FINE_FACTOR))
         kx, ky, kz = (_ranks(keys[:, axis]) for axis in range(3))

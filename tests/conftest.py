@@ -1,10 +1,34 @@
 """Shared scene builders for the test suite, and scalar references for the
 library's vectorised paths."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cloudinst
 from cloudinst.core import FormatError, OffsetField, Scene, check_offsets
+
+
+def package_uses(name: str) -> list[tuple[str, str | None]]:
+    """(module, innermost enclosing function) of each use of ``name`` in the
+    package: a name, an attribute or an imported name, not a definition."""
+    uses = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            names = (getattr(child, attr, None) for attr in ("attr", "id", "name"))
+            if name in names:
+                uses.append((module, where))
+            visit(child, module, where)
+
+    for path in sorted(Path(cloudinst.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    return uses
 
 
 def iou(a, b) -> float:
@@ -12,6 +36,14 @@ def iou(a, b) -> float:
     the library's IoU matrices."""
     inter = np.intersect1d(a, b, assume_unique=True).size
     return inter / (len(a) + len(b) - inter)
+
+
+def disjoint_masks(rng, n_points, n_masks, size_max):
+    """Up to ``n_masks`` disjoint sorted masks of 1 to ``size_max`` points:
+    the leading chunks of a permutation of ``n_points`` points."""
+    cuts = np.cumsum(rng.integers(1, size_max + 1, n_masks))
+    chunks = np.split(rng.permutation(n_points), cuts[cuts < n_points])
+    return [np.sort(m) for m in chunks[:n_masks]]
 
 
 def best_iou(cluster, gt) -> float:

@@ -33,6 +33,15 @@ def test_stuff_id_beyond_int64_masks_nothing(huge):
     assert clusters_as_sets(out) == clusters_as_sets(plain)
 
 
+@pytest.mark.parametrize("labels", [[1.5, 1.2], np.array([1, 2**32 + 1]), [1, 2**40], ["1", "1"]])
+def test_labels_outside_int32_integers_rejected(labels):
+    # [1.5, 1.2] and [1, 2**32 + 1] were read as one cluster of class 1
+    params = ClusterParams(0.03, 1)
+    for route in (cluster_single_set, connected_components_oracle):
+        with pytest.raises(ValueError, match="^label"):
+            route(np.zeros((2, 3)), labels, [], params, Source.ORIGINAL)
+
+
 def test_two_close_same_label_points_form_one_cluster():
     coords = np.array([[0, 0, 0], [0.02, 0, 0]], dtype=np.float32)
     labels = np.array([1, 1], dtype=np.int32)

@@ -155,6 +155,37 @@ def test_non_integer_class_count_rejected(n_classes):
         make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], n_classes=n_classes, sem_scores=None)
 
 
+@pytest.mark.parametrize(
+    "field,values,shown,at",
+    [
+        ("sem_labels", [1.5, 2.9], "semantic label 1.5", 0),
+        ("inst_ids", [0.7, -1], "instance id 0.7", 0),
+        ("sem_labels", np.array([1, 2**32 + 1]), "semantic label 4294967297", 1),
+        ("inst_ids", [0, 2**40], "instance id 1099511627776", 1),
+        ("sem_labels", [1, float("nan")], "semantic label nan", 1),
+    ],
+)
+def test_labels_and_ids_outside_int32_integers_rejected(field, values, shown, at):
+    # truncated, wrapped or an uncaught OverflowError before one rule held them
+    fields = dict(
+        n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
+        sem_labels=[1, 1], inst_ids=[-1, -1],
+    )
+    fields[field] = values
+    with pytest.raises(SceneError, match=f"^{shown} at point {at} is not an integer in the int32 range$") as err:
+        Scene(**fields)
+    assert err.value.point_index == at
+
+
+def test_integral_float_labels_and_ids_are_stored_as_int32():
+    scene = Scene(
+        n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
+        sem_labels=[1.0, 2.0], inst_ids=np.array([0.0, -1.0]),
+    )
+    assert scene.sem_labels.dtype == scene.inst_ids.dtype == np.int32
+    assert scene.sem_labels.tolist() == [1, 2] and scene.inst_ids.tolist() == [0, -1]
+
+
 def test_numpy_integer_class_count_round_trips(tmp_path):
     scene = make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], n_classes=np.int64(3))
     assert type(scene.n_classes) is int

@@ -49,10 +49,16 @@ def test_hand_walked_three_prediction_curve():
 
 
 def test_match_prefers_highest_iou_unmatched_gt():
-    gts = [gt(np.arange(0, 10)), gt(np.arange(8, 18))]
-    p = pred(np.arange(8, 18), score=0.9)  # exactly GT1
-    res = match_and_pr([p, pred(np.arange(0, 10), score=0.5)], gts, 1, 0.5)
+    gts = [gt(np.arange(0, 10)), gt(np.arange(10, 20))]
+    p = pred(np.arange(4, 20), score=0.9)  # IoU 6/20 vs GT0, 10/16 vs GT1
+    res = match_and_pr([p, pred(np.arange(0, 10), score=0.5)], gts, 1, 0.25)
     assert res.matched_gt.tolist() == [1, 0]
+
+
+def test_match_refuses_overlapping_ground_truth():
+    gts = [gt(np.arange(0, 10)), gt(np.arange(8, 18), cls=2)]
+    with pytest.raises(ValueError, match="disjoint family overlap"):
+        match_and_pr([pred(np.arange(0, 10))], gts, 1, 0.5)
 
 
 def test_prediction_sort_ties_prefer_larger_mask():
@@ -215,12 +221,13 @@ def test_evaluate_builds_one_iou_matrix_per_class(monkeypatch):
     assert 0 < len(filtered) < len(preds)
 
     calls = []
-    real = evaluation.pairwise_iou
+    real = evaluation.family_iou
     monkeypatch.setattr(
-        evaluation, "pairwise_iou", lambda *args: calls.append(1) or real(*args)
+        evaluation, "family_iou", lambda *args: calls.append(1) or real(*args)
     )
     res = evaluate(preds, clean)
-    assert len(calls) == len(res.classes)
+    # one matrix of every prediction against every instance serves each class
+    assert len(res.classes) > 1 and len(calls) == 1
     # the filtered pass slices the class's matrix; a fresh match agrees
     monkeypatch.undo()
     gts = ground_truth_instances(clean)

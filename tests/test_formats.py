@@ -1,6 +1,3 @@
-import ast
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -24,7 +21,7 @@ from cloudinst.core import scenes_equal
 from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import make_scene, walk_rows
+from conftest import make_scene, package_uses, walk_rows
 
 VALID_TWO_POINT = """SC1 2 3
 STUFF 1 0
@@ -709,25 +706,6 @@ def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
         assert named == [at]
 
 
-def _loadtxt_uses():
-    """(module, innermost enclosing function) of each ``loadtxt`` name in the package."""
-    uses = []
-
-    def visit(node, module, where):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, module, child.name)
-                continue
-            names = (getattr(child, attr, None) for attr in ("attr", "id", "name"))
-            if "loadtxt" in names:
-                uses.append((module, where))
-            visit(child, module, where)
-
-    for path in sorted(Path(formats.__file__).parent.glob("*.py")):
-        visit(ast.parse(path.read_text()), path.stem, None)
-    return uses
-
-
 def test_one_number_parser():
     # every text format turns text into numbers through one numpy reader
-    assert _loadtxt_uses() == [("formats", "_loadtxt")]
+    assert package_uses("loadtxt") == [("formats", "_loadtxt")]

@@ -3,18 +3,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinst.clustering import ClusterParams, cluster_single_set, connected_components_oracle
+from cloudinst.clustering import (
+    ClusterParams, cluster_dual_set, cluster_single_set, connected_components_oracle,
+)
 from cloudinst.core import (
     Cluster, OffsetField, Scene, Source, ground_truth_instances, shifted_coords,
 )
 from cloudinst.losses import offset_targets
 from cloudinst import pipeline
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
-from cloudinst.scoring import Scorer, ScorerModel
+from cloudinst.scoring import Scorer, ScorerModel, score_clusters
 from cloudinst.synth import GenConfig, generate_sample, generate_scene
 from cloudinst.trace import recording
 
-from conftest import iou, make_scene, two_object_scene
+from conftest import disjoint_masks, iou, make_scene, two_object_scene
 
 
 def cl(idx, cls=1, source=Source.ORIGINAL):
@@ -41,8 +43,19 @@ def reference_nms(clusters, scores, thresh):
     return kept
 
 
+def dual_set_clusters(rng, n_points, n_max, size_max, classes=(1,)):
+    """Clusters as ``cluster_dual_set`` pools them: the clusters of each
+    source are disjoint, the two sources overlap freely; shuffled."""
+    clusters = [
+        cl(m, cls=int(rng.choice(classes)), source=source)
+        for source in Source
+        for m in disjoint_masks(rng, n_points, int(rng.integers(0, n_max + 1)), size_max)
+    ]
+    return [clusters[k] for k in rng.permutation(len(clusters))]
+
+
 def test_nms_identical_clusters_keep_best():
-    clusters = [cl([0, 1, 2]), cl([0, 1, 2])]
+    clusters = [cl([0, 1, 2]), cl([0, 1, 2], source=Source.SHIFTED)]
     assert nms(clusters, np.array([0.9, 0.8]), 0.3) == [0]
     assert nms(clusters, np.array([0.8, 0.9]), 0.3) == [1]
 
@@ -68,7 +81,7 @@ def test_nms_tie_breaks_original_then_min_index():
 def test_nms_suppression_boundary_inclusive():
     # IoU exactly at the threshold suppresses
     a = cl([0, 1, 2, 3])
-    b = cl([2, 3, 4, 5])  # IoU vs a = 2/6
+    b = cl([2, 3, 4, 5], source=Source.SHIFTED)  # IoU vs a = 2/6
     clusters = [a, b]
     thresh = 2.0 / 6.0
     assert nms(clusters, np.array([0.9, 0.8]), thresh) == [0]
@@ -78,14 +91,9 @@ def test_nms_suppression_boundary_inclusive():
 def test_nms_keeps_global_max_and_threshold_monotonicity():
     rng = np.random.default_rng(0)
     for trial in range(25):
-        clusters = []
-        for _ in range(rng.integers(1, 12)):
-            size = int(rng.integers(1, 12))
-            idx = np.sort(rng.choice(40, size=size, replace=False))
-            clusters.append(
-                cl(idx, cls=int(rng.integers(1, 3)),
-                   source=Source(int(rng.integers(0, 2))))
-            )
+        clusters = dual_set_clusters(rng, 40, 6, 11, classes=(1, 2))
+        if not clusters:
+            continue
         scores = rng.uniform(0, 1, len(clusters))
         best = int(np.argmax(scores))
         prev = -1
@@ -104,16 +112,17 @@ def test_nms_keeps_global_max_and_threshold_monotonicity():
 def test_nms_matches_reference_on_fuzz():
     rng = np.random.default_rng(1)
     for trial in range(40):
-        clusters = []
-        for _ in range(rng.integers(1, 15)):
-            size = int(rng.integers(1, 10))
-            idx = np.sort(rng.choice(30, size=size, replace=False))
-            clusters.append(
-                cl(idx, source=Source(int(rng.integers(0, 2))))
-            )
+        clusters = dual_set_clusters(rng, 30, 8, 9)
         scores = np.round(rng.uniform(0, 1, len(clusters)), 1)  # force ties
         for thresh in (0.3, 0.5):
             assert nms(clusters, scores, thresh) == reference_nms(clusters, scores, thresh)
+
+
+def test_nms_refuses_overlapping_clusters_of_one_source():
+    for source in Source:
+        clusters = [cl([0, 1, 2], source=source), cl([2, 3], source=source), cl([5, 6])]
+        with pytest.raises(ValueError, match="disjoint family overlap"):
+            nms(clusters, np.array([0.9, 0.8, 0.7]), 0.3)
 
 
 def test_nms_length_mismatch():
@@ -340,3 +349,30 @@ def test_pipeline_is_invariant_under_point_permutation(seed, pairs, sigma0):
     assert {(p.class_id, p.score, tuple(p.point_idx.tolist())) for p in preds} == {
         (p.class_id, p.score, tuple(np.sort(perm[p.point_idx]).tolist())) for p in moved
     }
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), pairs=st.booleans())
+def test_zero_offsets_repeat_the_original_set(seed, pairs):
+    # with q = p each shifted cluster has an original twin of the same
+    # SEMPROB score; NMS meets the pair at IoU 1 and the tie-break keeps the
+    # original one, so clustering both sets predicts what P alone does
+    _, scene, _ = generate_sample(GenConfig(
+        seed=seed, room=(2.5, 2.5, 1.5), n_objects=4, size_scale=(0.3, 0.5),
+        stuff_density=20.0, same_class_gap=0.01 if pairs else None,
+    ))
+    zero = OffsetField(np.zeros((scene.n_points, 3)))
+    clusters = cluster_dual_set(scene, zero, ClusterParams())
+    by_source = {
+        source: [(c.class_id, c.point_idx.tolist()) for c in clusters if c.source == source]
+        for source in Source
+    }
+    assert by_source[Source.ORIGINAL] and by_source[Source.ORIGINAL] == by_source[Source.SHIFTED]
+    scores = score_clusters(clusters, scene, zero, Scorer.SEMPROB)
+    assert {clusters[k].source for k in nms(clusters, scores, 0.3)} == {Source.ORIGINAL}
+
+    def predictions(sets):
+        config = PipelineConfig(scorer=Scorer.SEMPROB, cluster_sets=sets)
+        return [(p.class_id, p.score, p.point_idx.tolist()) for p in run_pipeline(scene, zero, config)]
+
+    assert predictions("both") == predictions("p")

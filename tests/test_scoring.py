@@ -13,7 +13,7 @@ from cloudinst.scoring import (
     ScorerModel,
     best_ious,
     cluster_descriptors,
-    pairwise_iou,
+    family_iou,
     score_clusters,
     score_loss,
     scorer_objective,
@@ -22,7 +22,9 @@ from cloudinst.scoring import (
 )
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import best_iou, cluster_descriptor, iou, make_scene, two_object_scene
+from conftest import (
+    best_iou, cluster_descriptor, disjoint_masks, iou, make_scene, package_uses, two_object_scene,
+)
 
 
 def gt(idx, cls=1):
@@ -35,38 +37,56 @@ def cl(idx, cls=1, source=Source.ORIGINAL):
 
 def test_iou_basic_cases():
     masks = [np.array([1, 2, 3]), np.array([1, 2]), np.array([1, 2, 3, 4])]
-    others = [np.array([1, 2, 3]), np.array([5, 6]), np.arange(3, 9)]
-    mat = pairwise_iou(masks, others)
+    family = [np.array([1, 2, 3]), np.array([5, 6]), np.array([4])]
+    mat = family_iou(masks, family)
     assert [mat[0, 0], mat[1, 1], mat[2, 2]] == [1.0, 0.0, 0.25]
 
 
-def test_pairwise_iou_matches_scalar():
+def test_family_iou_matches_scalar():
     rng = np.random.default_rng(0)
-    masks_a = [np.sort(rng.choice(100, size=rng.integers(1, 40), replace=False)) for _ in range(8)]
-    masks_b = [np.sort(rng.choice(100, size=rng.integers(1, 40), replace=False)) for _ in range(5)]
-    mat = pairwise_iou(masks_a, masks_b)
-    for i, a in enumerate(masks_a):
-        for j, b in enumerate(masks_b):
+    masks = [np.sort(rng.choice(100, size=rng.integers(1, 40), replace=False)) for _ in range(8)]
+    family = disjoint_masks(rng, 100, 5, 20)
+    mat = family_iou(masks, family)
+    for i, a in enumerate(masks):
+        for j, b in enumerate(family):
             assert abs(mat[i, j] - iou(a, b)) <= 1e-12
 
 
-def test_pairwise_iou_counts_points_shared_with_several_masks():
-    # point 4 lies in three masks of B, and A's first mask meets all of them
-    masks_a = [np.arange(10), np.array([4]), np.array([3, 4, 12]), np.array([20, 21])]
-    masks_b = [np.array([0, 4, 5]), np.array([4, 9, 12]), np.array([3, 4]), np.array([30])]
-    for a_side, b_side in ((masks_a, masks_b), (masks_b, masks_a), (masks_a, masks_a)):
-        mat = pairwise_iou(a_side, b_side)
-        assert mat.shape == (len(a_side), len(b_side))
-        for i, a in enumerate(a_side):
-            for j, b in enumerate(b_side):
-                assert mat[i, j] == iou(a, b)
+def test_family_iou_counts_points_shared_by_several_masks():
+    # point 4 lies in five masks, and the first mask meets every member
+    masks = [
+        np.arange(10), np.array([4]), np.array([3, 4, 12]), np.array([20, 21]),
+        np.array([0, 4, 5]), np.array([4, 9, 12]), np.array([3, 4]), np.array([30]),
+    ]
+    family = [np.array([0, 4, 5]), np.array([9, 12]), np.array([3]), np.array([20, 21, 30])]
+    mat = family_iou(masks, family)
+    assert mat.shape == (len(masks), len(family))
+    for i, a in enumerate(masks):
+        for j, b in enumerate(family):
+            assert mat[i, j] == iou(a, b)
 
 
 @pytest.mark.parametrize("n_a,n_b", [(0, 2), (2, 0), (0, 0)])
-def test_pairwise_iou_with_an_empty_side(n_a, n_b):
-    masks = [np.array([0, 1]), np.array([1, 2, 3])]
-    mat = pairwise_iou(masks[:n_a], masks[:n_b])
+def test_family_iou_with_an_empty_side(n_a, n_b):
+    masks = [np.array([0, 1]), np.array([2, 3, 4])]
+    mat = family_iou(masks[:n_a], masks[:n_b])
     assert mat.shape == (n_a, n_b) and mat.dtype == np.float64
+
+
+@pytest.mark.parametrize("n_masks", [0, 2])
+def test_family_iou_refuses_an_overlapping_family(n_masks):
+    masks = [np.array([0, 1]), np.array([7])]
+    with pytest.raises(ValueError, match="disjoint family overlap"):
+        family_iou(masks[:n_masks], [np.array([2, 3]), np.array([3, 9])])
+
+
+def test_one_iou_function():
+    # NMS, oracle scoring and evaluation all measure IoU through family_iou
+    assert package_uses("family_iou") == [
+        ("evaluation", None), ("evaluation", "_ious"),
+        ("pipeline", None), ("pipeline", "nms"),
+        ("scoring", "best_ious"),
+    ]
 
 
 def test_best_iou_exact_match_and_disjoint():
@@ -85,11 +105,18 @@ def test_best_iou_ignores_class():
 
 def test_best_ious_matches_loop():
     rng = np.random.default_rng(1)
-    instances = [gt(np.sort(rng.choice(200, 30, replace=False)), cls=int(k)) for k in range(4)]
+    instances = [gt(m, cls=k) for k, m in enumerate(disjoint_masks(rng, 200, 4, 40))]
     clusters = [cl(np.sort(rng.choice(200, 25, replace=False))) for _ in range(6)]
     batch = best_ious(clusters, instances)
     for k, c in enumerate(clusters):
         assert abs(batch[k] - best_iou(c, instances)) <= 1e-12
+
+
+@pytest.mark.parametrize("n_clusters", [0, 1])
+def test_best_ious_refuses_overlapping_ground_truth(n_clusters):
+    instances = [gt(np.array([0, 1, 2])), gt(np.array([2, 3]), cls=2)]
+    with pytest.raises(ValueError, match="disjoint family overlap"):
+        best_ious([cl(np.array([0, 1]))][:n_clusters], instances)
 
 
 def test_soft_label_paper_anchors():

@@ -99,6 +99,13 @@ def test_grid_index_refuses_labels_of_another_length(labels, m):
         GridIndex(coords, 0.1, labels)
 
 
+@pytest.mark.parametrize("labels", [np.full(50, 1.5), np.full(50, 2**32 + 1)])
+def test_grid_index_refuses_labels_outside_int32_integers(labels):
+    coords = np.random.default_rng(0).uniform(0, 1, (50, 3))
+    with pytest.raises(ValueError, match="^label .* at point 0 is not an integer in the int32 range$"):
+        GridIndex(coords, 0.1, labels)
+
+
 def test_empty_index_is_valid():
     idx = build_index(np.zeros((0, 3), dtype=np.float32), 0.03)
     assert idx.n_points == 0
