@@ -9,12 +9,13 @@ The production path is grid DBSCAN (Gunawan 2013; de Berg, Gunawan and
 Roeloffzen 2017) on the labelled grid of ``spatial``: the points of one
 (fine cell, label) are a clique, so components are computed over grid
 nodes (up to 64 points of one such clique), and two neighbouring nodes join
-when any of their point pairs is closer than r.  Node pairs, at most
-64 x 64 point pairs each, are tested in rounds: a round tests the cheapest
-live pairs, at least one and up to _CHUNK point pairs, then merges the
-components they join and drops every pair whose nodes now share one.  The
-testing oracle below does the same thing the slow, obvious way (all O(N^2)
-pairs through union-find), so the two can be compared exactly.
+when any of their point pairs is closer than r.  Node pairs (up to 64 x 64
+point pairs each) are read cheapest first, a window at a time, against one
+parent array for the whole call (Wang, Gu and Shun 2020).  A round tests the
+live pairs read, at least one and up to _CHUNK point pairs, and hooks the
+components they join into that array in place; live pairs it leaves wait,
+unread, for the next round.  The testing oracle below does the same thing
+the slow, obvious way (all O(N^2) pairs through union-find).
 """
 
 from __future__ import annotations
@@ -36,11 +37,8 @@ _CHUNK = 1 << 17  # point pairs tested between two component merges
 
 @dataclass(frozen=True)
 class ClusterParams:
-    """Clustering radius (meters) and minimum cluster point count.
-
-    Clusters are kept only when their size is strictly greater than
-    ``min_points``, an integer >= 1.
-    """
+    """Clustering radius (meters) and minimum cluster point count: clusters
+    are kept only when their size is strictly greater than ``min_points``."""
 
     radius: float = 0.03
     min_points: int = 50
@@ -51,25 +49,34 @@ class ClusterParams:
             raise ValueError(f"min_points must be an integer >= 1, got {self.min_points}")
 
 
-def _merge_edges(comp: np.ndarray, edges_a: np.ndarray, edges_b: np.ndarray) -> np.ndarray:
-    """Fold a batch of edges into the running component labels.
+def _roots(comp: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Root of each of ``nodes`` in the parent array ``comp``; each node read
+    is re-pointed a level up per step until it points at its root."""
+    root = comp[nodes]
+    deep = np.flatnonzero(comp[root] != root)
+    while deep.size:
+        root[deep] = comp[root[deep]]
+        comp[nodes[deep]] = root[deep]
+        deep = deep[comp[root[deep]] != root[deep]]
+    return root
 
-    Labels are node ids, so they index a parent array (Shiloach and Vishkin
-    1982): each edge hooks its larger root to the smallest root it meets
-    (``minimum.at``, so a star settles in two rounds), pointer jumping
-    flattens the trees, and the edges still open go round again.
-    """
-    root = np.arange(comp.size)
-    a, b = comp[edges_a], comp[edges_b]
+
+def _live(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The positions k whose nodes a[k] and b[k] are not yet joined."""
+    return np.flatnonzero(_roots(comp, a) != _roots(comp, b))
+
+
+def _merge_edges(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Join the components of nodes a[k] and b[k] in the parent array ``comp``,
+    in place (Shiloach and Vishkin 1982): each open edge hooks its larger root
+    to the smallest root it meets (``minimum.at``: a star settles in two
+    rounds).  A hook points one side of an edge at the other, so looking up
+    a and b again jumps pointers along the chains the hooks made."""
     while a.size:
-        np.minimum.at(root, np.maximum(a, b), np.minimum(a, b))
-        up = root[root]
-        while (up != root).any():
-            root, up = up, up[up]
-        a, b = root[a], root[b]
+        a, b = _roots(comp, a), _roots(comp, b)
         still_open = a != b
         a, b = a[still_open], b[still_open]
-    return root[comp]
+        np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
 
 
 def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
@@ -140,46 +147,53 @@ def cluster_single_set(
         cost = counts[a] * counts[b]
         cheap = np.argsort(cost, kind="stable")
         a, b, cost = a[cheap], b[cheap], cost[cheap]
-        comp = grid.node_cell.copy()  # node pairs join distinct cells: all live
+        before = np.concatenate(([0], cost))
+        np.cumsum(before, out=before)  # the point pairs of the node pairs before each
+        # the nodes of a cell are one clique: each is hooked to the cell's first
+        comp = np.flatnonzero(np.diff(grid.node_cell, prepend=-1))[grid.node_cell]
 
-    while a.size:
+    lo, wait = 0, np.empty(0, dtype=np.int64)
+    while lo < a.size or wait.size:
         with span(f"bq_{tag}"):
-            # a round: the cheapest live pairs up to _CHUNK point pairs, at least one
-            take = max(1, int(np.searchsorted(np.cumsum(cost[:_CHUNK]), _CHUNK, side="right")))
-            close = _touching(xyz, grid, a[:take], b[:take], cost[:take], r2)
-            ja, jb = a[:take][close], b[:take][close]
-            a, b, cost = a[take:], b[take:], cost[take:]
-        if ja.size:
-            with span(f"cl_{tag}"):
-                comp = _merge_edges(comp, ja, jb)
-                live = comp[a] != comp[b]  # drop the pairs this merge joined
-                a, b, cost = a[live], b[live], cost[live]
+            # the pairs left waiting, then windows from lo until the live pairs
+            # fill the budget: a window spans the point pairs the budget lacks,
+            # doubled after a window with no live pair
+            live, spent, ext = [wait], int(cost[wait].sum()), 0
+            while spent < _CHUNK and lo < a.size:
+                ext = _CHUNK - spent if live[-1].size else max(_CHUNK - spent, 2 * ext)
+                end = max(lo + 1, int(np.searchsorted(before, before[lo] + ext, "right")) - 1)
+                live.append(lo + _live(comp, a[lo:end], b[lo:end]))
+                spent, lo = spent + int(cost[live[-1]].sum()), end
+            live = np.concatenate(live)
+            if not live.size:
+                break
+            take = max(1, int(np.searchsorted(np.cumsum(cost[live]), _CHUNK, side="right")))
+            live, wait = live[:take], live[take:]
+            close = _touching(xyz, grid, a[live], b[live], cost[live], r2)
+        with span(f"cl_{tag}"):
+            _merge_edges(comp, a[live[close]], b[live[close]])
 
     with span(f"cl_{tag}"):
         point_comp = np.empty(active_idx.size, dtype=np.int64)
-        point_comp[grid.order] = np.repeat(comp, grid.counts)
+        point_comp[grid.order] = np.repeat(_roots(comp, np.arange(comp.size)), grid.counts)
         return _clusters_from_components(point_comp, active_idx, sem_labels, params.min_points, source)
 
 
 class _UnionFind:
-    """Plain union-find with path compression, for the testing oracle."""
+    """Plain union-find with path halving, for the testing oracle."""
 
     def __init__(self, n: int):
         self.parent = list(range(n))
 
     def find(self, a: int) -> int:
         parent = self.parent
-        root = a
-        while parent[root] != root:
-            root = parent[root]
-        while parent[a] != root:
-            parent[a], a = root, parent[a]
-        return root
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
     def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
+        self.parent[self.find(b)] = self.find(a)
 
 
 def connected_components_oracle(
@@ -189,31 +203,24 @@ def connected_components_oracle(
     params: ClusterParams,
     source: Source = Source.ORIGINAL,
 ) -> list[Cluster]:
-    """Reference clustering: union-find over every point pair.
-
-    Same contract as cluster_single_set, O(N^2); exists so the grid path can
-    be checked exactly against an independent implementation.
-    """
+    """Reference clustering: union-find over every point pair.  Same contract
+    as cluster_single_set, O(N^2), so that the grid path can be checked
+    exactly against an independent implementation."""
     with np.errstate(over="ignore"):  # beyond float32 range: inf, never joined
         coords = np.asarray(coords, dtype=np.float32)
     sem_labels = check_labels(coords.shape[0], sem_labels)
     active_idx = np.flatnonzero(~never_clustered(sem_labels, stuff_classes))
     n = active_idx.size
-    pts = coords[active_idx]
-    labels_a = sem_labels[active_idx]
+    pts, labels_a = coords[active_idx], sem_labels[active_idx]
     r2 = radius_squared(params.radius)
 
     uf = _UnionFind(n)
-    block = 512
-    for lo in range(0, n, block):
-        hi = min(lo + block, n)
+    for lo in range(0, n, 512):
         with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are not < r2
-            d2 = squared_distances(pts[lo:hi, None, :], pts[None, :, :])
-        mask = (d2 < r2) & (labels_a[lo:hi, None] == labels_a[None, :])
-        rows, cols = np.nonzero(mask)
-        rows = rows + lo
-        upper = rows < cols
-        for a, b in zip(rows[upper].tolist(), cols[upper].tolist()):
+            d2 = squared_distances(pts[lo : lo + 512, None, :], pts[None, :, :])
+        mask = (d2 < r2) & (labels_a[lo : lo + 512, None] == labels_a[None, :])
+        rows, cols = np.nonzero(np.triu(mask, lo + 1))  # each pair once: row < column
+        for a, b in zip((rows + lo).tolist(), cols.tolist()):
             uf.union(a, b)
 
     groups: dict[int, list[int]] = {}
@@ -221,18 +228,10 @@ def connected_components_oracle(
         groups.setdefault(uf.find(a), []).append(a)
     clusters = []
     for members in groups.values():
-        if len(members) <= params.min_points:
-            continue
-        global_members = active_idx[np.array(members, dtype=np.int64)]
-        clusters.append(
-            Cluster(
-                point_idx=np.sort(global_members),
-                class_id=int(sem_labels[global_members[0]]),
-                source=source,
-            )
-        )
-    clusters.sort(key=lambda c: c.min_index)
-    return clusters
+        if len(members) > params.min_points:
+            members = active_idx[members]
+            clusters.append(Cluster(np.sort(members), int(sem_labels[members[0]]), source))
+    return sorted(clusters, key=lambda c: c.min_index)
 
 
 def cluster_dual_set(

@@ -108,6 +108,18 @@ def offset_regression_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
     return grad
 
 
+def _direction_terms(pred: OffsetField, scene: Scene) -> tuple[np.ndarray, ...]:
+    """Instance mask, masked offsets o and targets t, their norms, and where
+    both norms reach DIR_EPS: what the direction loss and its gradient share."""
+    check_offsets(scene, pred)
+    mask, targets = _instance_mask_and_targets(scene)
+    o = pred.offsets[mask]
+    t = targets[mask]
+    no = np.linalg.norm(o, axis=1)
+    nt = np.linalg.norm(t, axis=1)
+    return mask, o, t, no, nt, (no >= DIR_EPS) & (nt >= DIR_EPS)
+
+
 def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
     """Negative mean cosine between predicted offsets and centroid directions.
 
@@ -115,13 +127,7 @@ def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
     Points where either vector is shorter than DIR_EPS contribute 0 (the
     cosine is undefined there), but still count in the mean's denominator.
     """
-    check_offsets(scene, pred)
-    mask, targets = _instance_mask_and_targets(scene)
-    o = pred.offsets[mask]
-    t = targets[mask]
-    no = np.linalg.norm(o, axis=1)
-    nt = np.linalg.norm(t, axis=1)
-    valid = (no >= DIR_EPS) & (nt >= DIR_EPS)
+    mask, o, t, no, nt, valid = _direction_terms(pred, scene)
     cos = np.zeros(o.shape[0], dtype=np.float64)
     cos[valid] = (o[valid] * t[valid]).sum(axis=1) / (no[valid] * nt[valid])
     return float(-cos.mean())
@@ -129,13 +135,7 @@ def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
 
 def offset_direction_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
     """d(offset_direction_loss)/d(offsets), zero on guarded points."""
-    check_offsets(scene, pred)
-    mask, targets = _instance_mask_and_targets(scene)
-    o = pred.offsets[mask]
-    t = targets[mask]
-    no = np.linalg.norm(o, axis=1)
-    nt = np.linalg.norm(t, axis=1)
-    valid = (no >= DIR_EPS) & (nt >= DIR_EPS)
+    mask, o, t, no, nt, valid = _direction_terms(pred, scene)
     g = np.zeros_like(o)
     ov, tv = o[valid], t[valid]
     nov = no[valid][:, None]

@@ -53,14 +53,18 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     Clusters are visited in descending score (ties: ORIGINAL source first,
     then lower minimum point index); a cluster is kept only if its IoU with
     every already-kept cluster stays below ``iou_thresh``.  Returns indices
-    into ``clusters`` in kept order.  ``iou_thresh`` must lie in (0, 1].
-    The clusters of one source must be disjoint, as every
-    ``cluster_single_set`` output is; overlapping ones raise ValueError.
+    into ``clusters`` in kept order.  ``iou_thresh`` must lie in (0, 1] and
+    every score must be finite, since NaN has no place in that order.  The
+    clusters of one source must be disjoint, as every ``cluster_single_set``
+    output is; overlapping ones raise ValueError.
     """
     _check_nms_iou(iou_thresh)
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(clusters),):
         raise ValueError(f"got {len(clusters)} clusters but {scores.size} scores")
+    if not np.isfinite(scores).all():
+        k = int(np.flatnonzero(~np.isfinite(scores))[0])
+        raise ValueError(f"cluster {k} has a non-finite score: {scores[k]}")
     if not clusters:
         return []
     order = sorted(

@@ -231,45 +231,113 @@ def test_result_does_not_depend_on_round_budget(monkeypatch, family, budget):
 def test_every_round_but_the_last_fills_its_budget(monkeypatch):
     # the shifted set of a scene with boundary-weighted offset noise: dense
     # piles and a halo, so that most node pairs die by a merge before their
-    # turn; a round spends its budget on live pairs, so rounds stay few
+    # turn; a round reads windows until its live pairs fill the budget, so
+    # rounds stay few, and tests less only when no live pair it read is left
     _, observed, offsets = generate_sample(GenConfig(seed=1, n_objects=4, sigma0=0.01, beta=2.0))
     budget = 8192
     monkeypatch.setattr(clustering, "_CHUNK", budget)
-    tested, merges = [], []
-    touching, merge_edges = clustering._touching, clustering._merge_edges
+    tested, emptied, joins = [], [], []
+    waiting = 0  # live pairs read and not yet tested
+    live, touching, merge_edges = clustering._live, clustering._touching, clustering._merge_edges
+
+    def counting_live(comp, a, b):
+        nonlocal waiting
+        found = live(comp, a, b)
+        waiting += found.size
+        return found
 
     def counting_touching(xyz, grid, a, b, cost, r2):
+        nonlocal waiting
+        assert a.size  # a round with nothing live calls nothing
+        waiting -= a.size
         tested.append(int(cost.sum()))
+        emptied.append(waiting == 0)
         return touching(xyz, grid, a, b, cost, r2)
 
-    def counting_merge(comp, edges_a, edges_b):
-        merges.append(edges_a.size)
-        return merge_edges(comp, edges_a, edges_b)
+    def counting_merge(comp, a, b):
+        joins.append(a.size)
+        merge_edges(comp, a, b)
 
+    monkeypatch.setattr(clustering, "_live", counting_live)
     monkeypatch.setattr(clustering, "_touching", counting_touching)
     monkeypatch.setattr(clustering, "_merge_edges", counting_merge)
     q = shifted_coords(observed, offsets)
     params = ClusterParams(0.03, 50)
     got = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
-    assert len(tested) >= 5 and len(merges) >= 5
-    assert min(tested[:-1]) >= budget - 64**2
-    assert len(tested) <= len(merges) + 1
+    assert len(tested) >= 5 and waiting == 0
+    assert all(t >= budget - 64**2 or e for t, e in zip(tested[:-1], emptied[:-1]))
+    assert sum(n > 0 for n in joins) >= len(tested) - 1
     monkeypatch.setattr(clustering, "_CHUNK", 1 << 17)
     want = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
     assert clusters_as_sets(got) == clusters_as_sets(want)
+
+
+def _kernel_work(monkeypatch, coords, labels, stuff, source):
+    """Node pairs whose liveness is read, point pairs tested, rounds and
+    edges merged in one cluster_single_set call."""
+    work = dict.fromkeys(("read", "tested", "rounds", "edges"), 0)
+    live, touching, merge_edges = clustering._live, clustering._touching, clustering._merge_edges
+
+    def counting_live(comp, a, b):
+        work["read"] += a.size
+        return live(comp, a, b)
+
+    def counting_touching(xyz, grid, a, b, cost, r2):
+        work["tested"] += int(cost.sum())
+        work["rounds"] += 1
+        return touching(xyz, grid, a, b, cost, r2)
+
+    def counting_merge(comp, a, b):
+        work["edges"] += a.size
+        merge_edges(comp, a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(clustering, "_live", counting_live)
+        m.setattr(clustering, "_touching", counting_touching)
+        m.setattr(clustering, "_merge_edges", counting_merge)
+        cluster_single_set(coords, labels, stuff, ClusterParams(), source)
+    return work
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("source", [Source.ORIGINAL, Source.SHIFTED], ids=["p", "q"])
+def test_kernel_work_at_most_doubles_with_a_second_copy(monkeypatch, seed, source):
+    # a second copy that cannot reach the first doubles the scene, so work
+    # that is linear in the scene at most doubles.  The copy keeps the
+    # coordinates and takes labels of its own: the grid gives each label its
+    # own block of rows, so the copy is the scene moved by whole rows, out of
+    # reach.  A copy moved 100 m in y is not exact: it lands on another cell
+    # phase and other float32 roundings, and its node pairs alone grow
+    # 1.98-2.003x on these rooms
+    monkeypatch.setattr(clustering, "_CHUNK", 8192)
+    _, observed, offsets = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
+    coords = observed.coords if source == Source.ORIGINAL else shifted_coords(observed, offsets)
+    labels, stuff = observed.sem_labels, set(observed.stuff_classes)
+    shift = int(labels.max()) + 1
+    one = _kernel_work(monkeypatch, coords, labels, stuff, source)
+    two = _kernel_work(
+        monkeypatch, np.concatenate([coords, coords]),
+        np.concatenate([labels, np.where(labels >= 0, labels + shift, labels)]),
+        stuff | {s + shift for s in stuff}, source,
+    )
+    assert one["rounds"] >= 5
+    assert all(two[k] <= 2 * one[k] for k in ("read", "tested", "edges")), (one, two)
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_merge_edges_matches_union_find(seed):
     rng = np.random.default_rng(seed)
     n = 400
-    comp = np.sort(rng.integers(0, n // 2, n))  # labels are node ids, as in a grid
+    comp = np.minimum(np.arange(n), rng.integers(0, n, n))  # a forest: parents come first
     a, b = rng.integers(0, n, (2, int(rng.integers(0, 300))))
     uf = _UnionFind(n)
-    for x, y in zip(comp[a].tolist(), comp[b].tolist()):
+    for x, y in zip(list(range(n)) + a.tolist(), comp.tolist() + b.tolist()):
         uf.union(x, y)
-    want = np.array([uf.find(x) for x in comp.tolist()])
-    got = clustering._merge_edges(comp, a, b)
+    want = np.array([uf.find(x) for x in range(n)])
+    clustering._merge_edges(comp, a, b)
+    got = clustering._roots(comp, np.arange(n))
+    assert np.array_equal(comp[got], got)  # a label is the id of its root
+    assert np.array_equal(comp, got)  # and a lookup re-points the nodes it reads
     # the same partition: equal labels exactly where the reference's are equal
     assert np.array_equal(got[:, None] == got[None, :], want[:, None] == want[None, :])
 
@@ -279,10 +347,23 @@ def test_merge_edges_settles_a_large_star_quickly():
     # hooking by plain assignment keeps only the last leaf's hook and needs a
     # round per leaf (seconds); hooking to the smallest root needs two rounds
     n = 20_000
+    comp = np.arange(n + 1)
     start = time.perf_counter()
-    comp = clustering._merge_edges(np.arange(n + 1), np.arange(n), np.full(n, n))
+    clustering._merge_edges(comp, np.arange(n), np.full(n, n))
     assert time.perf_counter() - start < 1.0
-    assert np.unique(comp).size == 1
+    assert np.unique(clustering._roots(comp, np.arange(n + 1))).size == 1
+
+
+def test_merge_edges_settles_a_long_path_quickly():
+    # each node hooks to the one before it, a chain n long: following it a
+    # level per step takes n steps; jumping pointers among the hooked roots
+    # halves it per step
+    n = 20_000
+    comp = np.arange(n + 1)
+    start = time.perf_counter()
+    clustering._merge_edges(comp, np.arange(n), np.arange(1, n + 1))
+    assert time.perf_counter() - start < 1.0
+    assert np.unique(clustering._roots(comp, np.arange(n + 1))).size == 1
 
 
 @pytest.mark.parametrize("seed", range(3))

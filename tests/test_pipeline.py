@@ -125,6 +125,15 @@ def test_nms_refuses_overlapping_clusters_of_one_source():
             nms(clusters, np.array([0.9, 0.8, 0.7]), 0.3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_nms_refuses_non_finite_scores(bad):
+    # a NaN sort key makes the visiting order depend on the input order: with
+    # [0.5, nan, 0.9] the top-scoring cluster 2 would come after cluster 0
+    clusters = [cl([0, 1, 2]), cl([0, 1, 2], source=Source.SHIFTED), cl([5, 6])]
+    with pytest.raises(ValueError, match="cluster 1 has a non-finite score"):
+        nms(clusters, np.array([0.5, bad, 0.9]), 0.3)
+
+
 def test_nms_length_mismatch():
     with pytest.raises(ValueError, match="scores"):
         nms([cl([0])], np.array([0.5, 0.4]), 0.3)
