@@ -14,8 +14,12 @@ point pairs each) are read cheapest first, a window at a time, against one
 parent array for the whole call (Wang, Gu and Shun 2020).  A round tests the
 live pairs read, at least one and up to _CHUNK point pairs, and hooks the
 components they join into that array in place; live pairs it leaves wait,
-unread, for the next round.  The testing oracle below does the same thing
-the slow, obvious way (all O(N^2) pairs through union-find).
+unread, for the next round.  The rounds run first on the pairs of the
+stencil's near ring, then on those of its far ring, enumerated given the
+roots the near ring left: a node that already shares the one root of a whole
+far row gets no pair there, since each would join one component to itself.
+The testing oracle below does the same thing the slow, obvious way (all
+O(N^2) pairs through union-find).
 """
 
 from __future__ import annotations
@@ -93,6 +97,42 @@ def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
     return hit
 
 
+def _join_close_pairs(comp: np.ndarray, grid: GridIndex, xyz, r2, a, b, tag: str) -> None:
+    """Join, in the parent array ``comp``, the components of each node pair
+    (a[k], b[k]) that holds a point pair closer than r, in rounds of at most
+    _CHUNK point pairs tested (at least one node pair)."""
+    with span(f"bq_{tag}"):
+        # cheapest node pairs first: their merges let costly pairs be skipped;
+        # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
+        counts = grid.counts.astype(np.int16)
+        cost = counts[a] * counts[b]
+        cheap = np.argsort(cost, kind="stable")
+        a, b, cost = a[cheap], b[cheap], cost[cheap]
+        before = np.concatenate(([0], cost))
+        np.cumsum(before, out=before)  # the point pairs of the node pairs before each
+
+    lo, wait = 0, np.empty(0, dtype=np.int64)
+    while lo < a.size or wait.size:
+        with span(f"bq_{tag}"):
+            # the pairs left waiting, then windows from lo until the live pairs
+            # fill the budget: a window spans the point pairs the budget lacks,
+            # doubled after a window with no live pair
+            live, spent, ext = [wait], int(cost[wait].sum()), 0
+            while spent < _CHUNK and lo < a.size:
+                ext = _CHUNK - spent if live[-1].size else max(_CHUNK - spent, 2 * ext)
+                end = max(lo + 1, int(np.searchsorted(before, before[lo] + ext, "right")) - 1)
+                live.append(lo + _live(comp, a[lo:end], b[lo:end]))
+                spent, lo = spent + int(cost[live[-1]].sum()), end
+            live = np.concatenate(live)
+            if not live.size:
+                break
+            take = max(1, int(np.searchsorted(np.cumsum(cost[live]), _CHUNK, side="right")))
+            live, wait = live[:take], live[take:]
+            close = _touching(xyz, grid, a[live], b[live], cost[live], r2)
+        with span(f"cl_{tag}"):
+            _merge_edges(comp, a[live[close]], b[live[close]])
+
+
 def _clusters_from_components(
     comp: np.ndarray, global_idx: np.ndarray, sem_labels: np.ndarray, min_points: int, source: Source
 ) -> list[Cluster]:
@@ -140,38 +180,14 @@ def cluster_single_set(
         grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
         xyz = np.ascontiguousarray(grid.coords[grid.order].T)
         r2 = radius_squared(params.radius)
-        # cheapest node pairs first: their merges let costly pairs be skipped;
-        # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
-        a, b = grid.node_pairs()
-        counts = grid.counts.astype(np.int16)
-        cost = counts[a] * counts[b]
-        cheap = np.argsort(cost, kind="stable")
-        a, b, cost = a[cheap], b[cheap], cost[cheap]
-        before = np.concatenate(([0], cost))
-        np.cumsum(before, out=before)  # the point pairs of the node pairs before each
         # the nodes of a cell are one clique: each is hooked to the cell's first
-        comp = np.flatnonzero(np.diff(grid.node_cell, prepend=-1))[grid.node_cell]
-
-    lo, wait = 0, np.empty(0, dtype=np.int64)
-    while lo < a.size or wait.size:
-        with span(f"bq_{tag}"):
-            # the pairs left waiting, then windows from lo until the live pairs
-            # fill the budget: a window spans the point pairs the budget lacks,
-            # doubled after a window with no live pair
-            live, spent, ext = [wait], int(cost[wait].sum()), 0
-            while spent < _CHUNK and lo < a.size:
-                ext = _CHUNK - spent if live[-1].size else max(_CHUNK - spent, 2 * ext)
-                end = max(lo + 1, int(np.searchsorted(before, before[lo] + ext, "right")) - 1)
-                live.append(lo + _live(comp, a[lo:end], b[lo:end]))
-                spent, lo = spent + int(cost[live[-1]].sum()), end
-            live = np.concatenate(live)
-            if not live.size:
-                break
-            take = max(1, int(np.searchsorted(np.cumsum(cost[live]), _CHUNK, side="right")))
-            live, wait = live[:take], live[take:]
-            close = _touching(xyz, grid, a[live], b[live], cost[live], r2)
-        with span(f"cl_{tag}"):
-            _merge_edges(comp, a[live[close]], b[live[close]])
+        comp = grid.cell_start[grid.node_cell]
+        near = grid.near_pairs()
+    _join_close_pairs(comp, grid, xyz, r2, *near, tag)
+    with span(f"bq_{tag}"):
+        # the far ring leaves out the rows that the near ring's joins settled
+        far = grid.far_pairs(_roots(comp, np.arange(comp.size)))
+    _join_close_pairs(comp, grid, xyz, r2, *far, tag)
 
     with span(f"cl_{tag}"):
         point_comp = np.empty(active_idx.size, dtype=np.int64)

@@ -46,8 +46,9 @@ def argmax_labels(sem_scores: np.ndarray) -> np.ndarray:
 
 
 def is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer."""
-    return isinstance(value, (int, np.integer))
+    """Whether ``value`` is a Python or numpy integer; a bool (``True`` or
+    ``np.True_``) is not."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def stuff_ids(ids) -> frozenset[int]:

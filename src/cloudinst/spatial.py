@@ -9,7 +9,12 @@ the radius predicate; a node holds up to 64 of them, so that a pair of
 nodes is a bounded unit of work.  Nodes are sorted by (label, y, z, x), so
 the stencil is walked as rows of fixed (dy, dz): one ``searchsorted`` range
 per row covers its whole x-run from -2 to +2, and the nodes of the own row
-need no search, as they follow in node order.
+need no search, as they follow in node order.  The half stencil is walked in
+two rings: near (the own row and the four rows that touch it by a face or an
+edge) and far (the other eight rows).  Given each node's component root, the
+far ring skips a node's range in a row whose nodes all share its root, as
+every pair there joins one component to itself; rows are contiguous in node
+order, so that shared root is a min/max ``reduceat`` over rows.
 
 Cell keys are floor(coord / side) in float64, ranked over the occupied keys
 of each axis with gaps wider than 3 collapsed to 3.  That keeps every
@@ -44,6 +49,10 @@ _BLOCK = 64
 _SPAN = range(-_REACH, _REACH + 1)
 _FULL_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN])
 _HALF_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN if (dy, dz) > (0, 0)])
+# the rings of the half stencil: the near rows, walked with the (0, 0) row,
+# and the far rows, walked last
+_NEAR_ROWS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])
+_FAR_ROWS = np.array([row for row in _HALF_ROWS.tolist() if row not in _NEAR_ROWS.tolist()])
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -116,8 +125,9 @@ class GridIndex:
 
     A node is up to _BLOCK points of one occupied cell, or of one (cell,
     label) when per-point ``labels`` are given; ``node_cell`` numbers the
-    cell of each node.  ``order`` lists the point indices node by node;
-    node k holds ``order[starts[k] : starts[k] + counts[k]]``.
+    cell of each node, and ``cell_start[c]`` is the first node of cell c
+    (``cell_start[-1]`` is the node count).  ``order`` lists the point
+    indices node by node; node k holds ``order[starts[k] : starts[k] + counts[k]]``.
     """
 
     def __init__(self, coords: np.ndarray, radius: float, labels: np.ndarray | None = None):
@@ -156,7 +166,7 @@ class GridIndex:
         self.starts = starts
         self.counts = np.diff(starts, append=n)
         self.node_cell = np.cumsum(first[starts]) - 1
-        self._cell_start = np.append(np.flatnonzero(first[starts]), starts.size)
+        self.cell_start = np.append(np.flatnonzero(first[starts]), starts.size)
         self._node_codes = sorted_codes[starts]
         self._point_node = np.empty(n, dtype=np.int64)
         self._point_node[order] = np.repeat(np.arange(starts.size), self.counts)
@@ -174,9 +184,10 @@ class GridIndex:
         """Occupied cells, counted once per label they hold."""
         return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
 
-    def _row_ranges(self, nodes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, ...]:
+    def _row_ranges(self, nodes: np.ndarray, rows: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
         """Node ranges [lo, hi) that cover stencil ``rows`` around
-        ``nodes[who]``, for sorted ``nodes``."""
+        ``nodes[who]``, for sorted ``nodes``; given ``roots`` (then ``nodes``
+        are all nodes), none in a row whose nodes all share the root of who."""
         # look each neighbour row up once per occupied row, and search only
         # from the nodes of rows whose neighbour row exists
         node_row = self._node_codes[nodes] // self._wx
@@ -185,26 +196,46 @@ class GridIndex:
         target = self._row_codes[own] + rows[:, 0, None] * self._wz + rows[:, 1, None]
         at = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
         k, u = np.nonzero(self._row_codes[at] == target)
+        if not k.size:  # no neighbour row: nothing to search
+            return (np.empty(0, dtype=np.int64),) * 3
+        if roots is not None:
+            # row u starts at node run[u]; its root, or -1 where its nodes have
+            # more than one: a row skips a neighbour row of its own root whole
+            low, high = np.minimum.reduceat(roots, run), np.maximum.reduceat(roots, run)
+            shared = np.where(low == high, low, -1)
+            mixed = (shared[u] != shared[at[k, u]]) | (shared[u] < 0)
+            k, u = k[mixed], u[mixed]
         item, who = expand_ranges(run[u], np.diff(run, append=nodes.size)[u])
+        if roots is not None:
+            keep = np.flatnonzero(roots[nodes[who]] != shared[at[k, u]][item])
+            item, who = item[keep], who[keep]
         # stencil row by stencil row, each searchsorted gets ascending needles
         base = self._node_codes[nodes[who]] + ((at[k, u] - own[u]) * self._wx)[item]
         lo = np.searchsorted(self._node_codes, base - _REACH)
         hi = np.searchsorted(self._node_codes, base + _REACH, side="right")
         return who, lo, hi
 
-    def node_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes in distinct cells within the
-        stencil, once."""
+        near ring of the stencil, once."""
         nodes = np.arange(self.n_nodes)
-        who, lo, hi = self._row_ranges(nodes, _HALF_ROWS)
+        who, lo, hi = self._row_ranges(nodes, _NEAR_ROWS)
         # the (0, 0) row needs no search: from dx = +1 to +2 it holds the
         # nodes of the next one or two cells, if at most two codes on
-        code = np.append(self._node_codes[self._cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
+        code = np.append(self._node_codes[self.cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
         reach = sum(code[s : s + self.n_cells] - code[: self.n_cells] <= _REACH for s in (1, 2))
         reach += np.arange(1, self.n_cells + 1)
         who = np.concatenate((nodes, who))
-        lo = np.concatenate((self._cell_start[self.node_cell + 1], lo))
-        hi = np.concatenate((self._cell_start[reach[self.node_cell]], hi))
+        lo = np.concatenate((self.cell_start[self.node_cell + 1], lo))
+        hi = np.concatenate((self.cell_start[reach[self.node_cell]], hi))
+        item, b = expand_ranges(lo, hi - lo)
+        return who[item], b
+
+    def far_pairs(self, roots: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Each unordered pair (a, b) of nodes within the far ring of the
+        stencil, once; given each node's component root, none whose node a
+        shares the root of every node in the row of b."""
+        who, lo, hi = self._row_ranges(np.arange(self.n_nodes), _FAR_ROWS, roots)
         item, b = expand_ranges(lo, hi - lo)
         return who[item], b
 

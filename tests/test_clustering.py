@@ -233,12 +233,14 @@ def test_every_round_but_the_last_fills_its_budget(monkeypatch):
     # piles and a halo, so that most node pairs die by a merge before their
     # turn; a round reads windows until its live pairs fill the budget, so
     # rounds stay few, and tests less only when no live pair it read is left
+    # or when its ring's pairs run out
     _, observed, offsets = generate_sample(GenConfig(seed=1, n_objects=4, sigma0=0.01, beta=2.0))
     budget = 8192
     monkeypatch.setattr(clustering, "_CHUNK", budget)
-    tested, emptied, joins = [], [], []
+    rings, joins = [], []  # per ring, (point pairs tested, no live pair left) per round
     waiting = 0  # live pairs read and not yet tested
     live, touching, merge_edges = clustering._live, clustering._touching, clustering._merge_edges
+    join_close_pairs = clustering._join_close_pairs
 
     def counting_live(comp, a, b):
         nonlocal waiting
@@ -250,26 +252,52 @@ def test_every_round_but_the_last_fills_its_budget(monkeypatch):
         nonlocal waiting
         assert a.size  # a round with nothing live calls nothing
         waiting -= a.size
-        tested.append(int(cost.sum()))
-        emptied.append(waiting == 0)
+        rings[-1].append((int(cost.sum()), waiting == 0))
         return touching(xyz, grid, a, b, cost, r2)
 
     def counting_merge(comp, a, b):
         joins.append(a.size)
         merge_edges(comp, a, b)
 
+    def counting_ring(*args):
+        rings.append([])
+        join_close_pairs(*args)
+        assert waiting == 0
+
     monkeypatch.setattr(clustering, "_live", counting_live)
     monkeypatch.setattr(clustering, "_touching", counting_touching)
     monkeypatch.setattr(clustering, "_merge_edges", counting_merge)
+    monkeypatch.setattr(clustering, "_join_close_pairs", counting_ring)
     q = shifted_coords(observed, offsets)
     params = ClusterParams(0.03, 50)
     got = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
-    assert len(tested) >= 5 and waiting == 0
-    assert all(t >= budget - 64**2 or e for t, e in zip(tested[:-1], emptied[:-1]))
-    assert sum(n > 0 for n in joins) >= len(tested) - 1
+    assert len(rings) == 2 and len(rings[0]) >= 5
+    for rounds in rings:
+        assert all(t >= budget - 64**2 or e for t, e in rounds[:-1])
+    assert sum(n > 0 for n in joins) >= sum(map(len, rings)) - 2
     monkeypatch.setattr(clustering, "_CHUNK", 1 << 17)
     want = cluster_single_set(q, observed.sem_labels, observed.stuff_classes, params, Source.SHIFTED)
     assert clusters_as_sets(got) == clusters_as_sets(want)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_far_ring_enumerates_few_of_its_pairs(monkeypatch, seed):
+    # once the near ring's pairs are joined, most far-ring pairs join nodes
+    # of one component, and the far ring leaves them out
+    far_pairs, sizes = GridIndex.far_pairs, []
+
+    def counting_far_pairs(grid, roots=None):
+        kept = far_pairs(grid, roots)
+        sizes.append((kept[0].size, far_pairs(grid)[0].size))
+        return kept
+
+    monkeypatch.setattr(GridIndex, "far_pairs", counting_far_pairs)
+    _, observed, _ = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
+    cluster_single_set(
+        observed.coords, observed.sem_labels, observed.stuff_classes, ClusterParams(), Source.ORIGINAL
+    )
+    [(kept, everything)] = sizes
+    assert everything > 10_000 and kept <= 0.1 * everything, sizes
 
 
 def _kernel_work(monkeypatch, coords, labels, stuff, source):
@@ -375,7 +403,7 @@ def test_touching_matches_brute_force_for_pairs_in_any_order(seed):
     coords = np.concatenate([piles, rng.uniform(0, 0.3, (300, 3))]).astype(np.float32)
     grid = GridIndex(coords, radius, rng.integers(1, 3, coords.shape[0]))
     xyz = np.ascontiguousarray(grid.coords[grid.order].T)
-    a, b = grid.node_pairs()
+    a, b = map(np.concatenate, zip(grid.near_pairs(), grid.far_pairs()))
     shuffle = rng.permutation(a.size)
     a, b = a[shuffle], b[shuffle]
     cost = grid.counts[a] * grid.counts[b]
@@ -471,7 +499,7 @@ def test_length_mismatch_rejected():
 def test_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(radius=0.0)
-    for min_points in (0, float("nan"), float("inf"), 2.5):
+    for min_points in (0, float("nan"), float("inf"), 2.5, True, np.True_):
         with pytest.raises(ValueError, match="min_points must be an integer >= 1"):
             ClusterParams(min_points=min_points)
 

@@ -149,7 +149,7 @@ def test_ground_truth_instances_of_interleaved_ids():
     assert ground_truth_instances(make_scene(np.zeros((2, 3)), [0, 1], [-1, -1])) == []
 
 
-@pytest.mark.parametrize("n_classes", [2.5, "3", np.float64(3.0)])
+@pytest.mark.parametrize("n_classes", [2.5, "3", np.float64(3.0), True, np.True_])
 def test_non_integer_class_count_rejected(n_classes):
     with pytest.raises(SceneError, match="n_classes must be an integer >= 1"):
         make_scene(np.zeros((2, 3)), [0, 1], [-1, -1], n_classes=n_classes, sem_scores=None)
@@ -249,7 +249,7 @@ MASKS = {
 
 
 @pytest.mark.parametrize("kind", sorted(MASKS))
-@pytest.mark.parametrize("class_id", [1.5, "x", float("nan"), np.float64(1.0)])
+@pytest.mark.parametrize("class_id", [1.5, "x", float("nan"), np.float64(1.0), True, np.True_])
 def test_non_integer_mask_class_id_rejected(kind, class_id):
     with pytest.raises(SceneError, match=f"^{kind} class id must be an integer"):
         MASKS[kind](class_id)

@@ -179,7 +179,9 @@ def test_node_pairs_match_brute_force(seed):
     coords, labels = _two_label_cloud(seed)
     grid = GridIndex(coords, r, labels)
     assert np.bincount(grid.node_cell).max() >= 3
-    a, b = grid.node_pairs()
+    # the near and the far ring split the stencil's pairs between them
+    assert grid.near_pairs()[0].size and grid.far_pairs()[0].size
+    a, b = map(np.concatenate, zip(grid.near_pairs(), grid.far_pairs()))
     assert (a != b).all()
     pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     assert len(pairs) == a.size
@@ -190,3 +192,34 @@ def test_node_pairs_match_brute_force(seed):
     near &= labels[first][:, None] == labels[first][None]
     near &= grid.node_cell[:, None] != grid.node_cell[None]
     assert pairs == set(map(tuple, np.argwhere(np.triu(near)).tolist()))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_far_ring_leaves_out_only_pairs_of_one_root(seed):
+    coords, labels = _two_label_cloud(seed)
+    grid = GridIndex(coords, 0.1, labels)
+    everything = set(zip(*(x.tolist() for x in grid.far_pairs())))
+    # three random components; runs of three whole rows, some of whose nodes
+    # stand alone; and one component per label, which leaves nothing out, as
+    # no stencil row reaches another label
+    rng = np.random.default_rng(seed)
+    row = grid._node_codes // grid._wx
+    alone = np.where(rng.random(grid.n_nodes) < 0.3, np.arange(grid.n_nodes) + grid.n_nodes, row // 3)
+    node_label = labels[grid.order[grid.starts]]
+    for roots in (rng.integers(0, 3, grid.n_nodes), row // 3, alone, node_label):
+        kept = set(zip(*(x.tolist() for x in grid.far_pairs(roots))))
+        assert kept < everything
+        assert all(roots[a] == roots[b] for a, b in everything - kept)
+        # exactly the pairs (a, b) whose row of b holds a's root alone go
+        row_roots = [set(roots[row == r].tolist()) for r in range(row.max() + 1)]
+        assert kept == {(a, b) for a, b in everything if row_roots[row[b]] != {roots[a]}}
+    assert kept == set()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_far_ring_with_distinct_roots_leaves_out_nothing(seed):
+    coords, labels = _two_label_cloud(seed)
+    grid = GridIndex(coords, 0.1, labels)
+    a, b = grid.far_pairs(np.arange(grid.n_nodes))
+    want_a, want_b = grid.far_pairs()
+    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)

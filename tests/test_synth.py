@@ -225,6 +225,8 @@ def test_config_validation():
     for name, value in [
         ("min_object_points", 0), ("min_object_points", -5), ("min_object_points", 2.5),
         ("size_scale", (0.7,)), ("n_objects", 2.5), ("n_objects", -1),
+        ("n_objects", True), ("n_objects", np.True_),
+        ("min_object_points", True), ("min_object_points", np.True_),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             GenConfig(**{name: value})
