@@ -53,14 +53,15 @@ def is_int(value) -> bool:
 
 def stuff_ids(ids) -> frozenset[int]:
     """``ids`` as Python ints; SceneError for an id that is not integral
-    (``1.0`` and ``np.int64(1)`` are, ``1.5`` and ``"1"`` are not)."""
+    (``1.0`` and ``np.int64(1)`` are, ``1.5``, ``"1"`` and the bools
+    ``True`` and ``np.True_`` are not)."""
     out = set()
     for c in ids:
         try:
             k = int(c)
         except (TypeError, ValueError, OverflowError):
             k = None
-        if k is None or k != c:
+        if k is None or k != c or isinstance(c, (bool, np.bool_)):
             raise SceneError(f"stuff class id must be an integer, got {c!r}")
         out.add(k)
     return frozenset(out)
@@ -69,8 +70,9 @@ def stuff_ids(ids) -> frozenset[int]:
 def int32_ids(values, what: str) -> np.ndarray:
     """``values`` (labels or instance ids) as an int32 array; SceneError
     naming the first point whose value is not an integer in the int32 range.
-    ``1.0`` is stored as 1; ``1.5``, NaN and ``2**32 + 1`` are refused, not
-    truncated or wrapped, as ``stuff_ids`` refuses them."""
+    ``1.0`` is stored as 1; ``1.5``, NaN, ``2**32 + 1`` and a bool array are
+    refused, not truncated, wrapped or read as 1, as ``stuff_ids`` refuses
+    them."""
     arr = np.asarray(values)
     if arr.dtype == np.int32:
         return arr
@@ -82,7 +84,7 @@ def int32_ids(values, what: str) -> np.ndarray:
         raise SceneError(f"{what}s must be integers, got {arr.dtype} values")
     lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
     with np.errstate(invalid="ignore"):
-        bad = ~((wide >= lo) & (wide <= hi) & (wide == np.floor(wide)))
+        bad = ~((wide >= lo) & (wide <= hi) & (wide == np.floor(wide))) | (arr.dtype.kind == "b")
     if bad.any():
         idx = int(np.flatnonzero(bad)[0])
         raise SceneError(

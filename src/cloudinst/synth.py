@@ -119,44 +119,18 @@ class GenConfig:
         _check_offset_noise(self.sigma0, self.beta)
 
 
-def _shape_for_class(class_id: int) -> tuple[str, tuple[float, ...]]:
-    return _SHAPES[class_id % len(_SHAPES)]
-
-
-def _surface_area(kind: str, dims: tuple[float, ...]) -> float:
+def _geometry(kind: str, dims: tuple[float, ...]) -> tuple[float, float, tuple[float, ...]]:
+    """(surface area, bounding radius, half-widths along x, y, z) of a
+    primitive of full dimensions ``dims``."""
     if kind == "box":
         a, b, c = dims
-        return 2.0 * (a * b + b * c + c * a)
-    if kind == "sphere":
-        r = dims[0] / 2.0
-        return 4.0 * np.pi * r * r
+        half = (a / 2.0, b / 2.0, c / 2.0)
+        return 2.0 * (a * b + b * c + c * a), float(np.linalg.norm(dims)) / 2.0, half
     r = dims[0] / 2.0
+    if kind == "sphere":
+        return 4.0 * np.pi * r * r, r, (r, r, r)
     h = dims[1]
-    return 2.0 * np.pi * r * h + 2.0 * np.pi * r * r
-
-
-def _bounding_radius(kind: str, dims: tuple[float, ...]) -> float:
-    if kind == "box":
-        return float(np.linalg.norm(dims)) / 2.0
-    if kind == "sphere":
-        return dims[0] / 2.0
-    r = dims[0] / 2.0
-    return float(np.hypot(r, dims[1] / 2.0))
-
-
-def _axis_extent(kind: str, dims: tuple[float, ...], axis: int) -> float:
-    """Half-width of the primitive along a horizontal axis (0 or 1)."""
-    if kind == "box":
-        return dims[axis] / 2.0
-    return dims[0] / 2.0  # sphere/cylinder radius
-
-
-def _half_height(kind: str, dims: tuple[float, ...]) -> float:
-    if kind == "box":
-        return dims[2] / 2.0
-    if kind == "sphere":
-        return dims[0] / 2.0
-    return dims[1] / 2.0
+    return 2.0 * np.pi * r * h + 2.0 * np.pi * r * r, float(np.hypot(r, h / 2.0)), (r, r, h / 2.0)
 
 
 def _sample_surface(
@@ -217,47 +191,29 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
     plan_rng = _rng(config.seed, 0)
     lx, ly, lz = config.room
 
-    # plan classes and sizes
-    classes = []
-    if config.same_class_gap is not None:
-        while len(classes) < config.n_objects:
-            c = int(plan_rng.choice(np.asarray(THING_CLASSES)))
-            classes.append(c)
-            if len(classes) < config.n_objects:
-                classes.append(c)  # adjacent partner, same class
-    else:
-        classes = [
-            int(plan_rng.choice(np.asarray(THING_CLASSES)))
-            for _ in range(config.n_objects)
-        ]
+    # plan classes and sizes; paired objects repeat their partner's class
+    paired = config.same_class_gap is not None
+    n_draws = (config.n_objects + 1) // 2 if paired else config.n_objects
+    draws = [int(plan_rng.choice(np.asarray(THING_CLASSES))) for _ in range(n_draws)]
+    classes = [c for c in draws for _ in range(1 + paired)][: config.n_objects]
 
     placed: list[dict] = []
     for k, class_id in enumerate(classes):
-        kind, base = _shape_for_class(class_id)
+        kind, base = _SHAPES[class_id % len(_SHAPES)]
         scale = plan_rng.uniform(*config.size_scale)
         dims = tuple(d * scale for d in base)
-        bound = _bounding_radius(kind, dims)
-        hh = _half_height(kind, dims)
-        is_partner = (
-            config.same_class_gap is not None
-            and k % 2 == 1
-            and placed
-            and placed[-1]["class_id"] == class_id
-        )
+        area, bound, half = _geometry(kind, dims)
+        is_partner = paired and k % 2 == 1
         ok = False
         for _ in range(MAX_PLACE_TRIES):
             if is_partner:
                 prev = placed[-1]
                 axis = int(plan_rng.integers(0, 2))
                 direction = 1.0 if plan_rng.random() < 0.5 else -1.0
-                touch = (
-                    _axis_extent(prev["kind"], prev["dims"], axis)
-                    + config.same_class_gap
-                    + _axis_extent(kind, dims, axis)
-                )
+                touch = prev["half"][axis] + config.same_class_gap + half[axis]
                 center = prev["center"].copy()
                 center[axis] += direction * touch
-                center[2] = hh + plan_rng.uniform(0.02, 0.3)
+                center[2] = half[2] + plan_rng.uniform(0.02, 0.3)
             else:
                 margin = bound + 0.05
                 if lx - 2 * margin <= 0 or ly - 2 * margin <= 0:
@@ -266,11 +222,11 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
                     [
                         plan_rng.uniform(margin, lx - margin),
                         plan_rng.uniform(margin, ly - margin),
-                        hh + plan_rng.uniform(0.02, 0.3),
+                        half[2] + plan_rng.uniform(0.02, 0.3),
                     ]
                 )
             if center[2] + bound > lz - 0.02:
-                center[2] = hh + 0.02
+                center[2] = half[2] + 0.02
             if (
                 center[0] < bound
                 or center[0] > lx - bound
@@ -295,20 +251,14 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
                 f"after {MAX_PLACE_TRIES} tries"
             )
         placed.append(
-            {"kind": kind, "dims": dims, "center": center, "class_id": class_id,
-             "bound": bound}
+            {"kind": kind, "dims": dims, "area": area, "bound": bound, "half": half,
+             "center": center, "class_id": class_id}
         )
 
-    coords_parts = []
-    labels_parts = []
-    inst_parts = []
-    colors_parts = []
+    parts = []  # (points, class id, instance id, colour) per object and per plane
     for k, obj in enumerate(placed):
         obj_rng = _rng(config.seed, 10 + k)
-        n = max(
-            config.min_object_points,
-            _point_count(_surface_area(obj["kind"], obj["dims"]) * config.density, "density"),
-        )
+        n = max(config.min_object_points, _point_count(obj["area"] * config.density, "density"))
         pts = _sample_surface(obj_rng, obj["kind"], obj["dims"], n)
         if config.density_dip > 0.0 and config.dip_fraction > 0.0:
             # emulate scan-like uneven coverage: the surface beyond a random
@@ -321,57 +271,33 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
             drop = sparse_side & (obj_rng.random(pts.shape[0]) < config.density_dip)
             if (~drop).sum() >= config.min_object_points:
                 pts = pts[~drop]
-            n = pts.shape[0]
-        pts = pts + obj["center"]
-        coords_parts.append(pts)
-        labels_parts.append(np.full(n, obj["class_id"], dtype=np.int32))
-        inst_parts.append(np.full(n, k, dtype=np.int32))
-        color = obj_rng.integers(40, 256, 3)
-        colors_parts.append(np.tile(color, (n, 1)))
+        parts.append((pts + obj["center"], obj["class_id"], k, obj_rng.integers(40, 256, 3)))
 
+    # the floor and the four walls, drawn when there is stuff: class, colour
+    # range, the axis held at a value, and the two axes the plane spans
+    floor_class, wall_class = STUFF_CLASSES
+    planes = (
+        (floor_class, (110, 150), 2, 0.0, 0, 1),
+        (wall_class, (140, 180), 0, 0.0, 1, 2),
+        (wall_class, (140, 180), 0, lx, 1, 2),
+        (wall_class, (140, 180), 1, 0.0, 0, 2),
+        (wall_class, (140, 180), 1, ly, 0, 2),
+    )
     stuff_rng = _rng(config.seed, 1)
-    if config.stuff_density > 0:
-        floor_class, wall_class = STUFF_CLASSES
-        n_floor = _point_count(lx * ly * config.stuff_density, "room and stuff_density")
-        floor = np.column_stack(
-            [
-                stuff_rng.uniform(0, lx, n_floor),
-                stuff_rng.uniform(0, ly, n_floor),
-                np.zeros(n_floor),
-            ]
-        )
-        coords_parts.append(floor)
-        labels_parts.append(np.full(n_floor, floor_class, dtype=np.int32))
-        inst_parts.append(np.full(n_floor, -1, dtype=np.int32))
-        colors_parts.append(np.tile(stuff_rng.integers(110, 150, 3), (n_floor, 1)))
-        for fixed_axis, fixed_val, ua, ub in (
-            (0, 0.0, ly, lz), (0, lx, ly, lz), (1, 0.0, lx, lz), (1, ly, lx, lz),
-        ):
-            n_wall = _point_count(ua * ub * config.stuff_density, "room and stuff_density")
-            wall = np.empty((n_wall, 3))
-            wall[:, fixed_axis] = fixed_val
-            other = 1 - fixed_axis
-            wall[:, other] = stuff_rng.uniform(0, ua, n_wall)
-            wall[:, 2] = stuff_rng.uniform(0, ub, n_wall)
-            coords_parts.append(wall)
-            labels_parts.append(np.full(n_wall, wall_class, dtype=np.int32))
-            inst_parts.append(np.full(n_wall, -1, dtype=np.int32))
-            colors_parts.append(np.tile(stuff_rng.integers(140, 180, 3), (n_wall, 1)))
+    for class_id, colours, fixed, value, a, b in planes if config.stuff_density > 0 else ():
+        side_a, side_b = config.room[a], config.room[b]
+        n = _point_count(side_a * side_b * config.stuff_density, "room and stuff_density")
+        pts = np.empty((n, 3))
+        pts[:, fixed] = value
+        pts[:, a] = stuff_rng.uniform(0, side_a, n)
+        pts[:, b] = stuff_rng.uniform(0, side_b, n)
+        parts.append((pts, class_id, -1, stuff_rng.integers(*colours, 3)))
 
-    if coords_parts:
-        coords = np.concatenate(coords_parts).astype(np.float32)
-        labels = np.concatenate(labels_parts)
-        insts = np.concatenate(inst_parts)
-        colors = np.concatenate(colors_parts)
-    else:
-        coords = np.zeros((0, 3), dtype=np.float32)
-        labels = np.zeros(0, dtype=np.int32)
-        insts = np.zeros(0, dtype=np.int32)
-        colors = np.zeros((0, 3), dtype=np.int64)
-
-    scores = np.zeros((coords.shape[0], N_CLASSES), dtype=np.float32)
-    labeled = labels >= 0
-    scores[np.flatnonzero(labeled), labels[labeled]] = 1.0
+    sizes = [len(p[0]) for p in parts]
+    coords = np.concatenate([np.empty((0, 3)), *(p[0] for p in parts)]).astype(np.float32)
+    labels, insts = (np.repeat(np.array([p[i] for p in parts], np.int32), sizes) for i in (1, 2))
+    colors = np.repeat(np.array([p[3] for p in parts], np.int64).reshape(-1, 3), sizes, axis=0)
+    scores = _soften_scores(np.zeros((coords.shape[0], N_CLASSES)), labels, N_CLASSES, 0.0)
 
     scene = Scene(
         n_classes=N_CLASSES,

@@ -33,7 +33,9 @@ def test_stuff_id_beyond_int64_masks_nothing(huge):
     assert clusters_as_sets(out) == clusters_as_sets(plain)
 
 
-@pytest.mark.parametrize("labels", [[1.5, 1.2], np.array([1, 2**32 + 1]), [1, 2**40], ["1", "1"]])
+@pytest.mark.parametrize(
+    "labels", [[1.5, 1.2], np.array([1, 2**32 + 1]), [1, 2**40], ["1", "1"], np.array([True, True])]
+)
 def test_labels_outside_int32_integers_rejected(labels):
     # [1.5, 1.2] and [1, 2**32 + 1] were read as one cluster of class 1
     params = ClusterParams(0.03, 1)

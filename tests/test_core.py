@@ -115,7 +115,7 @@ def test_stuff_mask_covers_unlabeled():
     assert never_clustered(scene.sem_labels, scene.stuff_classes).tolist() == [True, False, True]
 
 
-@pytest.mark.parametrize("stuff", [[1.5], ["1"], [float("nan")], [None]])
+@pytest.mark.parametrize("stuff", [[1.5], ["1"], [float("nan")], [None], [True], [np.True_]])
 def test_non_integral_stuff_class_id_rejected(stuff):
     coords, labels = np.zeros((2, 3), np.float32), np.array([0, 1], np.int32)
     with pytest.raises(SceneError, match="stuff class id must be an integer"):
@@ -163,6 +163,8 @@ def test_non_integer_class_count_rejected(n_classes):
         ("sem_labels", np.array([1, 2**32 + 1]), "semantic label 4294967297", 1),
         ("inst_ids", [0, 2**40], "instance id 1099511627776", 1),
         ("sem_labels", [1, float("nan")], "semantic label nan", 1),
+        ("sem_labels", [True, True], "semantic label True", 0),
+        ("inst_ids", np.zeros(2, bool), "instance id False", 0),
     ],
 )
 def test_labels_and_ids_outside_int32_integers_rejected(field, values, shown, at):

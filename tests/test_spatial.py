@@ -99,7 +99,7 @@ def test_grid_index_refuses_labels_of_another_length(labels, m):
         GridIndex(coords, 0.1, labels)
 
 
-@pytest.mark.parametrize("labels", [np.full(50, 1.5), np.full(50, 2**32 + 1)])
+@pytest.mark.parametrize("labels", [np.full(50, 1.5), np.full(50, 2**32 + 1), np.full(50, True)])
 def test_grid_index_refuses_labels_outside_int32_integers(labels):
     coords = np.random.default_rng(0).uniform(0, 1, (50, 3))
     with pytest.raises(ValueError, match="^label .* at point 0 is not an integer in the int32 range$"):

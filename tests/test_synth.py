@@ -5,6 +5,7 @@ from cloudinst.clustering import ClusterParams, cluster_single_set
 from cloudinst.core import Source, ground_truth_instances, never_clustered, scenes_equal
 from cloudinst.losses import instance_centroids
 from cloudinst.synth import (
+    STUFF_CLASSES,
     GenConfig,
     generate_sample,
     generate_scene,
@@ -203,6 +204,67 @@ def test_density_dip_thins_one_side():
     dense, _ = generate_scene(small_cfg(seed=10))
     dipped, _ = generate_scene(small_cfg(seed=10, density_dip=0.6, dip_fraction=0.6))
     assert dipped.n_points < dense.n_points
+
+
+def test_room_planes():
+    # a floor at z = 0 and four walls on the room's sides, each with one colour
+    room = (6.0, 4.0, 2.5)
+    scene, _ = generate_scene(small_cfg(seed=3, room=room))
+    coords, colors = scene.coords, scene.colors
+    floor_class, wall_class = STUFF_CLASSES
+    floor = scene.sem_labels == floor_class
+    assert floor.sum() == round(room[0] * room[1] * 15.0)
+    assert np.all(coords[floor, 2] == 0.0)
+    assert np.all((coords[floor, :2] >= 0) & (coords[floor, :2] <= room[:2]))
+    assert np.unique(colors[floor], axis=0).shape[0] == 1
+    assert np.all((colors[floor] >= 110) & (colors[floor] < 150))
+    wall = scene.sem_labels == wall_class
+    assert np.all(scene.inst_ids[floor | wall] == -1)
+    planes = [(0, 0.0), (0, room[0]), (1, 0.0), (1, room[1])]
+    on_plane = [wall & (coords[:, axis] == np.float32(value)) for axis, value in planes]
+    assert np.array_equal(np.sum(on_plane, axis=0), wall)  # each wall point on exactly one plane
+    for (axis, _), on in zip(planes, on_plane):
+        side = room[1 - axis]
+        assert on.sum() == round(side * room[2] * 15.0)
+        assert np.all((coords[on, 1 - axis] >= 0) & (coords[on, 1 - axis] <= side))
+        assert np.all((coords[on, 2] >= 0) & (coords[on, 2] <= room[2]))
+        assert np.unique(colors[on], axis=0).shape[0] == 1
+        assert np.all((colors[on] >= 140) & (colors[on] < 180))
+
+
+def test_room_planes_do_not_depend_on_the_objects():
+    # the room draws from a random stream of its own
+    scenes = [generate_scene(small_cfg(seed=3, n_objects=n))[0] for n in (1, 3)]
+    stuff = [np.isin(s.sem_labels, STUFF_CLASSES) for s in scenes]
+    assert stuff[0].sum() == stuff[1].sum() > 0
+    for field in ("coords", "colors", "sem_labels"):
+        a, b = (getattr(s, field)[m] for s, m in zip(scenes, stuff))
+        assert np.array_equal(a, b)
+
+
+def test_same_class_pairs_and_an_odd_one_out():
+    scene, _ = generate_scene(small_cfg(seed=3, n_objects=5, same_class_gap=0.02))
+    classes = [g.class_id for g in ground_truth_instances(scene)]
+    assert classes == [7, 7, 7, 7, 3]  # instances 2j and 2j + 1 share a class
+
+
+@pytest.mark.parametrize("room", [(5.0, 5.0, 2.5), (1e200, 1e200, 1.0)])
+def test_scene_without_objects_or_stuff_is_empty(room):
+    # no stuff means no plane, so no point count of a room whose area overflows
+    scene, offsets = generate_scene(small_cfg(room=room, n_objects=0, stuff_density=0.0))
+    assert scene.coords.shape == (0, 3) and scene.coords.dtype == np.float32
+    assert scene.sem_labels.shape == scene.inst_ids.shape == (0,)
+    assert scene.sem_labels.dtype == scene.inst_ids.dtype == np.int32
+    assert scene.colors.shape == (0, 3) and scene.colors.dtype == np.uint8
+    assert offsets.offsets.shape == (0, 3)
+
+
+def test_scene_without_objects_holds_stuff_only():
+    scene, offsets = generate_scene(small_cfg(n_objects=0))
+    assert scene.n_points == round(5.0 * 5.0 * 15.0) + 4 * round(5.0 * 2.5 * 15.0)
+    assert np.isin(scene.sem_labels, STUFF_CLASSES).all()
+    assert scene.n_instances == 0 and np.all(scene.inst_ids == -1)
+    assert np.all(offsets.offsets == 0.0)
 
 
 def test_placement_failure_raises():
