@@ -29,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Cluster, OffsetField, Scene, Source, check_offsets, is_int, never_clustered, shifted_coords,
+    Cluster, OffsetField, Scene, Source, check_offsets, is_int, never_clustered, refuse,
+    shifted_coords,
 )
 from .spatial import (
     GridIndex, check_labels, check_radius, expand_ranges, radius_squared, squared_distances,
@@ -144,6 +145,24 @@ def _clusters_from_components(
     return sorted(clusters, key=lambda c: c.min_index)
 
 
+def _active_points(coords, sem_labels, stuff_classes) -> tuple[np.ndarray, ...]:
+    """Float32 ``coords``, int32 ``sem_labels`` and the points that can join a
+    cluster; SceneError names the first of them with a non-finite coordinate.
+    A finite point beyond the float32 range is infinitely far from every
+    point under the float32 distance test, so it joins none."""
+    coords = np.asarray(coords)
+    if coords.ndim != 2 or coords.shape[1] != 3:
+        raise ValueError("coords must have shape (n_points, 3)")
+    sem_labels = check_labels(coords.shape[0], sem_labels)
+    with np.errstate(over="ignore"):
+        coords32 = coords.astype(np.float32)
+    active = ~never_clustered(sem_labels, stuff_classes)
+    if not np.isfinite(coords32).all():
+        refuse(active[:, None] & ~np.isfinite(coords), "non-finite coordinate at point {i}")
+        active &= np.isfinite(coords32).all(axis=1)
+    return coords32, sem_labels, np.flatnonzero(active)
+
+
 def cluster_single_set(
     coords: np.ndarray,
     sem_labels: np.ndarray,
@@ -160,20 +179,7 @@ def cluster_single_set(
     on the shifted one), component merging and cluster assembly in ``cl_p``
     (``cl_q``); see ``trace``.
     """
-    coords = np.asarray(coords)
-    if coords.ndim != 2 or coords.shape[1] != 3:
-        raise ValueError("coords must have shape (n_points, 3)")
-    sem_labels = check_labels(coords.shape[0], sem_labels)
-
-    with np.errstate(over="ignore"):
-        coords32 = coords.astype(np.float32)
-    # a finite point beyond the float32 range is infinitely far from every
-    # point under the float32 distance test, so it joins no cluster, as in
-    # the oracle; non-finite input still reaches GridIndex, which rejects it
-    active = ~never_clustered(sem_labels, stuff_classes)
-    if not np.isfinite(coords32).all():
-        active &= ~(np.isfinite(coords).all(axis=1) & ~np.isfinite(coords32).all(axis=1))
-    active_idx = np.flatnonzero(active)
+    coords32, sem_labels, active_idx = _active_points(coords, sem_labels, stuff_classes)
     tag = "p" if source == Source.ORIGINAL else "q"
 
     with span(f"bq_{tag}"):
@@ -222,17 +228,14 @@ def connected_components_oracle(
     """Reference clustering: union-find over every point pair.  Same contract
     as cluster_single_set, O(N^2), so that the grid path can be checked
     exactly against an independent implementation."""
-    with np.errstate(over="ignore"):  # beyond float32 range: inf, never joined
-        coords = np.asarray(coords, dtype=np.float32)
-    sem_labels = check_labels(coords.shape[0], sem_labels)
-    active_idx = np.flatnonzero(~never_clustered(sem_labels, stuff_classes))
+    coords, sem_labels, active_idx = _active_points(coords, sem_labels, stuff_classes)
     n = active_idx.size
     pts, labels_a = coords[active_idx], sem_labels[active_idx]
     r2 = radius_squared(params.radius)
 
     uf = _UnionFind(n)
     for lo in range(0, n, 512):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf and nan are not < r2
+        with np.errstate(over="ignore"):  # far apart: inf is not < r2
             d2 = squared_distances(pts[lo : lo + 512, None, :], pts[None, :, :])
         mask = (d2 < r2) & (labels_a[lo : lo + 512, None] == labels_a[None, :])
         rows, cols = np.nonzero(np.triu(mask, lo + 1))  # each pair once: row < column

@@ -67,13 +67,27 @@ def stuff_ids(ids) -> frozenset[int]:
     return frozenset(out)
 
 
+def refuse(bad: np.ndarray, message: str, values=None) -> None:
+    """SceneError naming the first point flagged in ``bad`` (one flag per
+    point, or one per point and column), if any: ``message`` formatted with
+    ``i``, that point, and ``v``, its entry of ``values``."""
+    if bad.any():
+        i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
+        raise SceneError(message.format(i=i, v=None if values is None else values[i]), i)
+
+
 def int32_ids(values, what: str) -> np.ndarray:
     """``values`` (labels or instance ids) as an int32 array; SceneError
     naming the first point whose value is not an integer in the int32 range.
-    ``1.0`` is stored as 1; ``1.5``, NaN, ``2**32 + 1`` and a bool array are
-    refused, not truncated, wrapped or read as 1, as ``stuff_ids`` refuses
-    them."""
+    ``1.0`` is stored as 1; ``1.5``, NaN, ``2**32 + 1`` and a bool, in a bool
+    array or among a list's numbers, are refused, not truncated, wrapped or
+    read as 1, as ``stuff_ids`` refuses them."""
     arr = np.asarray(values)
+    if arr.dtype.kind in "iuf" and not isinstance(values, np.ndarray):
+        # np.asarray reads a bool among a list's numbers as 0 or 1; an object
+        # array keeps it a bool
+        if {bool, np.bool_} & set(map(type, values)):
+            arr = np.asarray(values, dtype=object)
     if arr.dtype == np.int32:
         return arr
     try:
@@ -85,11 +99,9 @@ def int32_ids(values, what: str) -> np.ndarray:
     lo, hi = np.iinfo(np.int32).min, np.iinfo(np.int32).max
     with np.errstate(invalid="ignore"):
         bad = ~((wide >= lo) & (wide <= hi) & (wide == np.floor(wide))) | (arr.dtype.kind == "b")
-    if bad.any():
-        idx = int(np.flatnonzero(bad)[0])
-        raise SceneError(
-            f"{what} {arr.ravel()[idx]} at point {idx} is not an integer in the int32 range", idx
-        )
+    if arr.dtype == object:
+        bad |= np.vectorize(lambda x: isinstance(x, (bool, np.bool_)), otypes=[bool])(arr)
+    refuse(bad.ravel(), what + " {v} at point {i} is not an integer in the int32 range", arr.ravel())
     return wide.astype(np.int32)
 
 
@@ -157,23 +169,14 @@ class Scene:
             raise SceneError("colors must have shape (n_points, 3)")
         if labels.shape != (n,) or insts.shape != (n,):
             raise SceneError("sem_labels and inst_ids must have shape (n_points,)")
-        if not np.all(np.isfinite(coords)):
-            idx = int(np.flatnonzero(~np.isfinite(coords).all(axis=1))[0])
-            raise SceneError(f"non-finite coordinate at point {idx}", idx)
-        if np.any((colors_in < 0) | (colors_in > 255)):
-            idx = int(np.flatnonzero(((colors_in < 0) | (colors_in > 255)).any(axis=1))[0])
-            raise SceneError(f"color component out of [0, 255] at point {idx}", idx)
+        refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
+        bad_color = (colors_in < 0) | (colors_in > 255)
+        refuse(bad_color, "color component out of [0, 255] at point {i}")
         colors = _as_readonly(colors_in.astype(np.uint8))
 
-        bad = (labels < -1) | (labels >= n_classes)
-        if np.any(bad):
-            idx = int(np.flatnonzero(bad)[0])
-            raise SceneError(
-                f"semantic label {int(labels[idx])} out of range at point {idx}", idx
-            )
-        if np.any(insts < -1):
-            idx = int(np.flatnonzero(insts < -1)[0])
-            raise SceneError(f"instance id {int(insts[idx])} invalid at point {idx}", idx)
+        bad_label = (labels < -1) | (labels >= n_classes)
+        refuse(bad_label, "semantic label {v} out of range at point {i}", labels)
+        refuse(insts < -1, "instance id {v} invalid at point {i}", insts)
         if any(c < 0 or c >= n_classes for c in stuff):
             raise SceneError("stuff class id out of range")
 
@@ -181,62 +184,35 @@ class Scene:
             scores = np.asarray(scores, dtype=np.float32)
             if scores.shape != (n, n_classes):
                 raise SceneError("sem_scores must have shape (n_points, n_classes)")
-            if not np.all(np.isfinite(scores)):
-                idx = int(np.flatnonzero(~np.isfinite(scores).all(axis=1))[0])
-                raise SceneError(f"non-finite semantic score at point {idx}", idx)
-            if np.any(scores < 0):
-                idx = int(np.flatnonzero((scores < 0).any(axis=1))[0])
-                raise SceneError(f"negative semantic score at point {idx}", idx)
+            refuse(~np.isfinite(scores), "non-finite semantic score at point {i}")
+            refuse(scores < 0, "negative semantic score at point {i}")
             sums = scores.sum(axis=1, dtype=np.float64)
             off = np.abs(sums - 1.0) > 1e-5
-            if np.any(off):
-                idx = int(np.flatnonzero(off)[0])
-                raise SceneError(
-                    f"semantic scores sum to {sums[idx]:.8f} (not 1) at point {idx}", idx
-                )
+            refuse(off, "semantic scores sum to {v:.8f} (not 1) at point {i}", sums)
             # Arg-max consistency holds for labeled points; unlabeled (-1)
             # points may carry any probability row.
-            labeled = labels >= 0
-            if np.any(labeled):
-                am = argmax_labels(scores[labeled])
-                bad = am != labels[labeled]
-                if np.any(bad):
-                    idx = int(np.flatnonzero(labeled)[np.flatnonzero(bad)[0]])
-                    raise SceneError(
-                        f"sem_labels does not equal arg-max of sem_scores at point {idx}",
-                        idx,
-                    )
+            refuse(
+                (labels >= 0) & (argmax_labels(scores) != labels),
+                "sem_labels does not equal arg-max of sem_scores at point {i}",
+            )
             scores = _as_readonly(scores)
 
         on_instance = insts >= 0
-        if np.any(on_instance):
-            if np.any(on_instance & (labels == -1)):
-                idx = int(np.flatnonzero(on_instance & (labels == -1))[0])
-                raise SceneError(f"instance point {idx} is unlabeled", idx)
-            if stuff:
-                stuff_arr = np.fromiter(stuff, dtype=np.int32)
-                on_stuff = on_instance & np.isin(labels, stuff_arr)
-                if np.any(on_stuff):
-                    idx = int(np.flatnonzero(on_stuff)[0])
-                    raise SceneError(
-                        f"instance point {idx} has a stuff-class label", idx
-                    )
-            members, starts = _instance_groups(insts)
-            uniq = insts[members[starts]]
-            if uniq[0] != 0 or uniq[-1] != uniq.size - 1:
-                expect = np.arange(uniq.size)
-                gap = int(uniq[np.flatnonzero(uniq != expect)[0]])
-                idx = int(np.flatnonzero(insts == gap)[0])
-                raise SceneError(
-                    f"instance ids are not contiguous (id {gap} at point {idx})", idx
-                )
-            # one semantic label per instance id
-            sorted_lab = labels[members]
-            firsts = np.repeat(sorted_lab[starts], np.diff(np.append(starts, members.size)))
-            mism = sorted_lab != firsts
-            if np.any(mism):
-                pos = int(members[np.flatnonzero(mism)[0]])
-                raise SceneError(f"instance label inconsistency at point {pos}", pos)
+        refuse(on_instance & (labels == -1), "instance point {i} is unlabeled")
+        on_stuff = on_instance & np.isin(labels, np.fromiter(stuff, dtype=np.int32))
+        refuse(on_stuff, "instance point {i} has a stuff-class label")
+        members, starts = _instance_groups(insts)
+        uniq = insts[members[starts]]
+        if uniq.max(initial=-1) != uniq.size - 1:  # distinct ids >= 0: one is above its rank
+            gap = uniq[np.argmax(uniq != np.arange(uniq.size))]
+            refuse(insts == gap, "instance ids are not contiguous (id {v} at point {i})", insts)
+        # one semantic label per instance id: the first member, in id order,
+        # whose label differs from the one before it in its instance
+        lab, ids = labels[members], insts[members]
+        mism = np.flatnonzero((lab[1:] != lab[:-1]) & (ids[1:] == ids[:-1]))
+        if mism.size:
+            pos = int(members[mism[0] + 1])
+            raise SceneError(f"instance label inconsistency at point {pos}", pos)
 
         object.__setattr__(self, "n_classes", n_classes)
         object.__setattr__(self, "coords", coords)
@@ -285,9 +261,7 @@ class OffsetField:
         off = np.asarray(self.offsets, dtype=np.float64)
         if off.ndim != 2 or off.shape[1] != 3:
             raise SceneError("offsets must have shape (n_points, 3)")
-        if not np.all(np.isfinite(off)):
-            idx = int(np.flatnonzero(~np.isfinite(off).all(axis=1))[0])
-            raise SceneError(f"non-finite offset at point {idx}", idx)
+        refuse(~np.isfinite(off), "non-finite offset at point {i}")
         object.__setattr__(self, "offsets", _as_readonly(off))
 
     @property

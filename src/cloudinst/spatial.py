@@ -33,7 +33,7 @@ import math
 
 import numpy as np
 
-from .core import int32_ids
+from .core import _as_readonly, int32_ids, refuse
 
 # cell side as a fraction of the radius: the cell diagonal is r / 1.0001, so
 # points sharing a cell are strictly within r of each other
@@ -135,11 +135,8 @@ class GridIndex:
         coords = np.asarray(coords, dtype=np.float32)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError("coords must have shape (n_points, 3)")
-        if coords.size and not np.all(np.isfinite(coords)):
-            idx = int(np.flatnonzero(~np.isfinite(coords).all(axis=1))[0])
-            raise ValueError(f"non-finite coordinate at point {idx}")
-        coords = np.ascontiguousarray(coords)
-        coords.setflags(write=False)
+        refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
+        coords = _as_readonly(coords)
         self.radius = float(radius)
         self.coords = coords
         n = coords.shape[0]
@@ -155,7 +152,7 @@ class GridIndex:
         self._wz = int(kz.max(initial=0)) + _REACH + 1
         self._row_codes, point_row = _unique(ky * self._wz + kz)
         self._wx = int(kx.max(initial=0)) + _REACH + 1
-        cell_codes = point_row * self._wx + kx
+        self._point_codes = cell_codes = point_row * self._wx + kx  # ball_query reads it
 
         order = np.argsort(cell_codes)
         sorted_codes = cell_codes[order]
@@ -168,8 +165,6 @@ class GridIndex:
         self.node_cell = np.cumsum(first[starts]) - 1
         self.cell_start = np.append(np.flatnonzero(first[starts]), starts.size)
         self._node_codes = sorted_codes[starts]
-        self._point_node = np.empty(n, dtype=np.int64)
-        self._point_node[order] = np.repeat(np.arange(starts.size), self.counts)
 
     @property
     def n_points(self) -> int:
@@ -184,13 +179,13 @@ class GridIndex:
         """Occupied cells, counted once per label they hold."""
         return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
 
-    def _row_ranges(self, nodes: np.ndarray, rows: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
-        """Node ranges [lo, hi) that cover stencil ``rows`` around
-        ``nodes[who]``, for sorted ``nodes``; given ``roots`` (then ``nodes``
-        are all nodes), none in a row whose nodes all share the root of who."""
+    def _row_ranges(self, codes: np.ndarray, rows: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
+        """Node ranges [lo, hi) that cover stencil ``rows`` around the cell
+        coded ``codes[who]``, for sorted ``codes``; given ``roots`` (then ``codes``
+        are all nodes'), none in a row whose nodes all share the root of who."""
         # look each neighbour row up once per occupied row, and search only
         # from the nodes of rows whose neighbour row exists
-        node_row = self._node_codes[nodes] // self._wx
+        node_row = codes // self._wx
         run = np.flatnonzero(np.diff(node_row, prepend=-1))
         own = node_row[run]
         target = self._row_codes[own] + rows[:, 0, None] * self._wz + rows[:, 1, None]
@@ -205,12 +200,12 @@ class GridIndex:
             shared = np.where(low == high, low, -1)
             mixed = (shared[u] != shared[at[k, u]]) | (shared[u] < 0)
             k, u = k[mixed], u[mixed]
-        item, who = expand_ranges(run[u], np.diff(run, append=nodes.size)[u])
+        item, who = expand_ranges(run[u], np.diff(run, append=codes.size)[u])
         if roots is not None:
-            keep = np.flatnonzero(roots[nodes[who]] != shared[at[k, u]][item])
+            keep = np.flatnonzero(roots[who] != shared[at[k, u]][item])
             item, who = item[keep], who[keep]
         # stencil row by stencil row, each searchsorted gets ascending needles
-        base = self._node_codes[nodes[who]] + ((at[k, u] - own[u]) * self._wx)[item]
+        base = codes[who] + ((at[k, u] - own[u]) * self._wx)[item]
         lo = np.searchsorted(self._node_codes, base - _REACH)
         hi = np.searchsorted(self._node_codes, base + _REACH, side="right")
         return who, lo, hi
@@ -218,14 +213,13 @@ class GridIndex:
     def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes in distinct cells within the
         near ring of the stencil, once."""
-        nodes = np.arange(self.n_nodes)
-        who, lo, hi = self._row_ranges(nodes, _NEAR_ROWS)
+        who, lo, hi = self._row_ranges(self._node_codes, _NEAR_ROWS)
         # the (0, 0) row needs no search: from dx = +1 to +2 it holds the
         # nodes of the next one or two cells, if at most two codes on
         code = np.append(self._node_codes[self.cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
         reach = sum(code[s : s + self.n_cells] - code[: self.n_cells] <= _REACH for s in (1, 2))
         reach += np.arange(1, self.n_cells + 1)
-        who = np.concatenate((nodes, who))
+        who = np.concatenate((np.arange(self.n_nodes), who))
         lo = np.concatenate((self.cell_start[self.node_cell + 1], lo))
         hi = np.concatenate((self.cell_start[reach[self.node_cell]], hi))
         item, b = expand_ranges(lo, hi - lo)
@@ -235,7 +229,7 @@ class GridIndex:
         """Each unordered pair (a, b) of nodes within the far ring of the
         stencil, once; given each node's component root, none whose node a
         shares the root of every node in the row of b."""
-        who, lo, hi = self._row_ranges(np.arange(self.n_nodes), _FAR_ROWS, roots)
+        who, lo, hi = self._row_ranges(self._node_codes, _FAR_ROWS, roots)
         item, b = expand_ranges(lo, hi - lo)
         return who[item], b
 
@@ -254,7 +248,7 @@ def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
     """
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
-    _, lo, hi = index._row_ranges(index._point_node[[center_idx]], _FULL_ROWS)
+    _, lo, hi = index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS)
     _, nodes = expand_ranges(lo, hi - lo)
     _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
     cand = index.order[take]

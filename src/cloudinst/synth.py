@@ -101,7 +101,12 @@ class GenConfig:
     def __post_init__(self):
         room, scale, gap = self.room, self.size_scale, self.same_class_gap
         objects, points = self.n_objects, self.min_object_points
-        _check("room", room, len(room) == 3 and min(room) > 0, "three positive finite lengths")
+        # a side beyond the float32 range would overflow the scene's coordinates
+        top = float(np.finfo(np.float32).max)
+        _check(
+            "room", room, len(room) == 3 and min(room) > 0 and max(room) <= top,
+            f"three positive finite lengths up to {top:.6g}",
+        )
         _check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
         _check("density", self.density, self.density > 0, "positive and finite")
         _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
@@ -273,8 +278,8 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
                 pts = pts[~drop]
         parts.append((pts + obj["center"], obj["class_id"], k, obj_rng.integers(40, 256, 3)))
 
-    # the floor and the four walls, drawn when there is stuff: class, colour
-    # range, the axis held at a value, and the two axes the plane spans
+    # the floor and the four walls: class, colour range, the axis held at a
+    # value, and the two axes the plane spans
     floor_class, wall_class = STUFF_CLASSES
     planes = (
         (floor_class, (110, 150), 2, 0.0, 0, 1),
@@ -284,7 +289,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
         (wall_class, (140, 180), 1, ly, 0, 2),
     )
     stuff_rng = _rng(config.seed, 1)
-    for class_id, colours, fixed, value, a, b in planes if config.stuff_density > 0 else ():
+    for class_id, colours, fixed, value, a, b in planes:
         side_a, side_b = config.room[a], config.room[b]
         n = _point_count(side_a * side_b * config.stuff_density, "room and stuff_density")
         pts = np.empty((n, 3))

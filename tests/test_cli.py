@@ -283,9 +283,9 @@ def test_generate_that_cannot_allocate_exits_2(capsys, tmp_path):
 @pytest.mark.parametrize(
     "argv,fields",
     [
-        (["--room", "1e200", "1e200", "2.5", "--n-objects", "0"], "room and stuff_density"),
+        (["--room", "3e38", "3e38", "2.5", "--n-objects", "0"], "room and stuff_density"),
         (["--density", "1e300"], "density"),
-        (["--room", "1e300", "5", "2.5", "--n-objects", "0"], "room and stuff_density"),
+        (["--room", "3e38", "5", "2.5", "--n-objects", "0"], "room and stuff_density"),
     ],
 )
 def test_generate_of_more_points_than_an_array_holds_exits_2(capsys, tmp_path, argv, fields):

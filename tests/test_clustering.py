@@ -11,7 +11,7 @@ from cloudinst.clustering import (
     cluster_single_set,
     connected_components_oracle,
 )
-from cloudinst.core import Source, shifted_coords
+from cloudinst.core import SceneError, Source, shifted_coords
 from cloudinst.losses import offset_targets
 from cloudinst.spatial import GridIndex, radius_squared, squared_distances
 from cloudinst.synth import GenConfig, generate_sample
@@ -42,6 +42,26 @@ def test_labels_outside_int32_integers_rejected(labels):
     for route in (cluster_single_set, connected_components_oracle):
         with pytest.raises(ValueError, match="^label"):
             route(np.zeros((2, 3)), labels, [], params, Source.ORIGINAL)
+
+
+@pytest.mark.parametrize("route", [cluster_single_set, connected_components_oracle])
+def test_non_finite_coordinate_named_in_the_callers_array(route):
+    # the grid route named the point by its place among the active points
+    # (point 2), and the oracle returned the cluster [3, 4]
+    coords = np.zeros((6, 3))
+    coords[:, 0] = np.arange(6) * 0.01
+    labels = [0, 0, 0, 1, 1, 1]
+    params = ClusterParams(0.03, 1)
+    bad = coords.copy()
+    bad[5, 1] = np.nan
+    with pytest.raises(SceneError) as err:
+        route(bad, labels, {0}, params, Source.ORIGINAL)
+    assert str(err.value) == "non-finite coordinate at point 5" and err.value.point_index == 5
+    # on a stuff point or an unlabelled one, it is ignored
+    bad = coords.copy()
+    bad[1, 0], bad[2, 2] = np.inf, np.nan
+    out = route(bad, [0, 0, -1, 1, 1, 1], {0}, params, Source.ORIGINAL)
+    assert [c.point_idx.tolist() for c in out] == [[3, 4, 5]]
 
 
 def test_two_close_same_label_points_form_one_cluster():

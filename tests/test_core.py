@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from cloudinst.core import (
     Cluster,
+    FormatError,
     GroundTruthInstance,
     InstancePrediction,
     OffsetField,
@@ -17,13 +19,16 @@ from cloudinst.core import (
     argmax_labels,
     check_offsets,
     ground_truth_instances,
+    int32_ids,
     never_clustered,
     scenes_equal,
     shifted_coords,
 )
 
+import cloudinst
 from cloudinst.clustering import ClusterParams, cluster_single_set
-from cloudinst.formats import load_scene, save_scene
+from cloudinst.formats import load_offsets, load_scene, save_offsets, save_scene
+from cloudinst.spatial import GridIndex
 
 from conftest import make_scene
 
@@ -165,6 +170,7 @@ def test_non_integer_class_count_rejected(n_classes):
         ("sem_labels", [1, float("nan")], "semantic label nan", 1),
         ("sem_labels", [True, True], "semantic label True", 0),
         ("inst_ids", np.zeros(2, bool), "instance id False", 0),
+        ("sem_labels", [1, True], "semantic label True", 1),
     ],
 )
 def test_labels_and_ids_outside_int32_integers_rejected(field, values, shown, at):
@@ -274,3 +280,118 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# One row per point of a valid scene: x y z r g b sem inst p0 p1 p2, the
+# columns of a .sc1 point line, with n_classes 3 and stuff class 0.
+ROWS = np.array([
+    [0.0, 0.0, 0.0, 10, 10, 10, 1, 0, 0, 1, 0],
+    [0.1, 0.0, 0.0, 10, 10, 10, 1, 0, 0, 1, 0],
+    [0.2, 0.0, 0.0, 10, 10, 10, 1, 0, 0, 1, 0],
+    [0.3, 0.0, 0.0, 10, 10, 10, 2, 1, 0, 0, 1],
+    [0.4, 0.0, 0.0, 10, 10, 10, 2, 1, 0, 0, 1],
+    [0.5, 0.0, 0.0, 10, 10, 10, 2, 1, 0, 0, 1],
+    [0.6, 0.0, 0.0, 10, 10, 10, 0, -1, 1, 0, 0],
+    [0.7, 0.0, 0.0, 10, 10, 10, -1, -1, 0.5, 0.5, 0],
+])
+XYZ = ROWS[:, :3]
+
+
+def scene_of(rows):
+    return Scene(
+        n_classes=3, coords=rows[:, 0:3], colors=rows[:, 3:6], sem_labels=rows[:, 6],
+        inst_ids=rows[:, 7], stuff_classes={0}, sem_scores=rows[:, 8:],
+    )
+
+
+# a file that can hold the fault: its writer, its reader and its header lines
+SC1 = (lambda rows, path: save_scene(scene_of(rows), path), load_scene, 3)
+OFF1 = (lambda rows, path: save_offsets(OffsetField(rows), path), load_offsets, 1)
+
+# (what is built from the rows, its valid rows, the columns set at point k,
+# the message, a file that can hold the fault)
+FAULTS = {
+    "coordinate": (scene_of, ROWS, {1: np.nan}, "non-finite coordinate at point {k}", SC1),
+    "color": (scene_of, ROWS, {5: 256}, "color component out of [0, 255] at point {k}", SC1),
+    "label range": (scene_of, ROWS, {6: 3}, "semantic label 3 out of range at point {k}", SC1),
+    "label integer": (
+        scene_of, ROWS, {6: 1.5},
+        "semantic label 1.5 at point {k} is not an integer in the int32 range", None,
+    ),
+    "instance id": (scene_of, ROWS, {7: -2}, "instance id -2 invalid at point {k}", SC1),
+    "score finite": (scene_of, ROWS, {9: np.inf}, "non-finite semantic score at point {k}", SC1),
+    "score sign": (
+        scene_of, ROWS, {8: -0.5, 9: 1.5}, "negative semantic score at point {k}", SC1,
+    ),
+    "score sum": (
+        scene_of, ROWS, {9: 0.9}, "semantic scores sum to 0.89999998 (not 1) at point {k}", SC1,
+    ),
+    "arg-max": (
+        scene_of, ROWS, {8: 0.6, 9: 0.4},
+        "sem_labels does not equal arg-max of sem_scores at point {k}", SC1,
+    ),
+    "unlabeled instance": (scene_of, ROWS, {6: -1}, "instance point {k} is unlabeled", SC1),
+    "stuff instance": (
+        scene_of, ROWS, {6: 0, 8: 1, 9: 0}, "instance point {k} has a stuff-class label", SC1,
+    ),
+    "id gap": (
+        scene_of, ROWS, {7: 3}, "instance ids are not contiguous (id 3 at point {k})", SC1,
+    ),
+    "label consistency": (
+        scene_of, ROWS, {6: 2, 9: 0, 10: 1}, "instance label inconsistency at point {k}", SC1,
+    ),
+    "offset": (OffsetField, XYZ, {1: np.nan}, "non-finite offset at point {k}", OFF1),
+    "int32_ids": (
+        lambda rows: int32_ids(rows[:, 1], "label"), XYZ, {1: 2**31},
+        "label 2147483648.0 at point {k} is not an integer in the int32 range", None,
+    ),
+    "grid coordinate": (
+        lambda rows: GridIndex(rows, 0.1), XYZ, {2: -np.inf},
+        "non-finite coordinate at point {k}", None,
+    ),
+}
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("rule", sorted(FAULTS))
+def test_each_point_rule_names_its_point_and_its_line(tmp_path, rule, k):
+    # the message, the point and, read from a file, the line of point k:
+    # messages alone passed with a point named in a subset
+    build, valid, cols, message, file = FAULTS[rule]
+    message = message.format(k=k)
+    rows = valid.copy()
+    for col, value in cols.items():
+        rows[k, col] = value
+    with pytest.raises(SceneError) as err:
+        build(rows)
+    assert str(err.value) == message and err.value.point_index == k
+    if file:
+        write, read, head = file
+        path = tmp_path / "bad"
+        write(valid, path)
+        lines = path.read_text().splitlines()
+        toks = lines[head + k].split()
+        for col, value in cols.items():
+            toks[col] = f"{value:g}"
+        lines[head + k] = " ".join(toks)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(FormatError) as err:
+            read(path)
+        assert str(err.value) == f"line {head + k + 1}: {message}"
+
+
+def test_one_home_for_naming_a_bad_point():
+    # a SceneError carries a point index only where core.refuse builds it,
+    # and in the label-consistency rule, which names its point in id order
+    found = []
+    for path in sorted(Path(cloudinst.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "SceneError"
+                    and (len(node.args) > 1 or node.keywords)
+                ):
+                    found.append((path.stem, func.name))
+    assert found == [("core", "refuse"), ("core", "__post_init__")]

@@ -248,15 +248,30 @@ def test_same_class_pairs_and_an_odd_one_out():
     assert classes == [7, 7, 7, 7, 3]  # instances 2j and 2j + 1 share a class
 
 
-@pytest.mark.parametrize("room", [(5.0, 5.0, 2.5), (1e200, 1e200, 1.0)])
+@pytest.mark.parametrize("room", [(5.0, 5.0, 2.5), (3.4e38, 3.4e38, 1.0)])
 def test_scene_without_objects_or_stuff_is_empty(room):
-    # no stuff means no plane, so no point count of a room whose area overflows
+    # no stuff means planes of no point, even on the largest room allowed
     scene, offsets = generate_scene(small_cfg(room=room, n_objects=0, stuff_density=0.0))
     assert scene.coords.shape == (0, 3) and scene.coords.dtype == np.float32
     assert scene.sem_labels.shape == scene.inst_ids.shape == (0,)
     assert scene.sem_labels.dtype == scene.inst_ids.dtype == np.int32
     assert scene.colors.shape == (0, 3) and scene.colors.dtype == np.uint8
     assert offsets.offsets.shape == (0, 3)
+
+
+@pytest.mark.parametrize("room", [(1e39, 5.0, 2.5), (1e200, 1e200, 1.0)])
+def test_room_beyond_float32_refused(room):
+    # 1e39 m warned of an overflowing cast, 1e200 m was refused as a
+    # non-finite coordinate, naming no field
+    rule = r"^room must be three positive finite lengths up to 3.40282e\+38, got"
+    with pytest.raises(ValueError, match=rule):
+        GenConfig(room=room, n_objects=2, stuff_density=0.0)
+
+
+def test_room_at_the_float32_limit_generates():
+    top = float(np.finfo(np.float32).max)
+    scene, _ = generate_scene(GenConfig(room=(top, 5.0, 2.5), n_objects=2, stuff_density=0.0))
+    assert scene.n_instances == 2 and np.isfinite(scene.coords).all()
 
 
 def test_scene_without_objects_holds_stuff_only():
