@@ -5,6 +5,7 @@
 import numpy as np
 
 import cloudinst as ci
+from cloudinst.losses import offset_objective
 from cloudinst.scoring import score_loss, soft_labels
 
 scene, oracle = ci.generate_scene(
@@ -38,14 +39,9 @@ print("BCE at its minimum (s = targets):", score_loss(soft.clip(1e-6, 1 - 1e-6),
 n = scene.n_points
 rng = np.random.default_rng(0)
 base = rng.uniform(0.05, 0.4, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
-
-def direction_objective(x):
-    field = ci.OffsetField(x.reshape(n, 3))
-    return (
-        ci.offset_direction_loss(field, scene),
-        ci.offset_direction_grad(field, scene).ravel(),
-    )
-
+direction_objective = offset_objective(
+    scene, ci.offset_direction_loss, ci.offset_direction_grad
+)
 err = ci.gradient_check(direction_objective, base.ravel())
 print(f"direction-loss gradient max relative error: {err:.2e}")
 

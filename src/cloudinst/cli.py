@@ -21,7 +21,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import ClusterParams
-from .core import FormatError, OffsetField, SceneError
+from .core import FormatError, SceneError
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -35,15 +35,18 @@ from .formats import (
     save_scorer,
 )
 from .losses import (
+    GRAD_TOLERANCE,
     gradient_check,
     offset_direction_grad,
     offset_direction_loss,
+    offset_objective,
     offset_regression_grad,
     offset_regression_loss,
+    offset_targets,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .scoring import GRAD_TOLERANCE, Scorer, ScorerModel, scorer_objective, train_scorer
-from .synth import GenConfig, generate_sample
+from .scoring import Scorer, ScorerModel, scorer_objective, train_scorer
+from .synth import GenConfig, generate_sample, generate_scene
 
 _GEN = GenConfig()
 _PIPELINE = PipelineConfig()
@@ -229,8 +232,6 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    from .synth import generate_scene
-
     scene, _ = generate_scene(
         GenConfig(
             seed=args.seed, n_objects=3, density=150.0, stuff_density=0.0,
@@ -239,32 +240,18 @@ def _cmd_gradcheck(args) -> int:
     )
     rng = np.random.default_rng(args.seed)
     n = scene.n_points
-
     # keep every residual component well away from the L1 kink at zero and
     # every offset well away from the direction-loss epsilon guard
-    from .losses import offset_targets
-
     residual = rng.uniform(0.01, 0.3, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
-    base = offset_targets(scene).offsets + residual
-
-    def reg_obj(x):
-        field = OffsetField(x.reshape(n, 3))
-        return (
-            offset_regression_loss(field, scene),
-            offset_regression_grad(field, scene).ravel(),
-        )
-
-    def dir_obj(x):
-        field = OffsetField(x.reshape(n, 3))
-        return (
-            offset_direction_loss(field, scene),
-            offset_direction_grad(field, scene).ravel(),
-        )
-
-    x, y = _gradcheck_scorer_data(rng)
+    base = (offset_targets(scene).offsets + residual).ravel()
+    x, y = rng.standard_normal((40, 8)), rng.uniform(0.0, 1.0, 40)
     errors = {
-        "offset_regression": gradient_check(reg_obj, base.ravel()),
-        "offset_direction": gradient_check(dir_obj, base.ravel()),
+        "offset_regression": gradient_check(
+            offset_objective(scene, offset_regression_loss, offset_regression_grad), base
+        ),
+        "offset_direction": gradient_check(
+            offset_objective(scene, offset_direction_loss, offset_direction_grad), base
+        ),
         "score_bce": gradient_check(
             lambda t: scorer_objective(t, x, y, 8),
             rng.uniform(-0.5, 0.5, 8 * x.shape[1] + 2 * 8 + 1),
@@ -276,12 +263,6 @@ def _cmd_gradcheck(args) -> int:
         print(f"{name}: max relative error {err:.3e} [{'ok' if ok else 'FAIL'}]")
         failed = failed or not ok
     return 2 if failed else 0
-
-
-def _gradcheck_scorer_data(rng) -> tuple[np.ndarray, np.ndarray]:
-    x = rng.standard_normal((40, 8))
-    y = rng.uniform(0.0, 1.0, 40)
-    return x, y
 
 
 def _cmd_train_scorer(args) -> int:

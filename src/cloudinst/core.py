@@ -154,6 +154,10 @@ class Scene:
     def __post_init__(self):
         coords = _as_readonly(np.asarray(self.coords, dtype=np.float32))
         colors_in = np.asarray(self.colors)
+        # refused before a value of a 2-D array is named by its flat index
+        one_per_point = "sem_labels and inst_ids must have shape (n_points,)"
+        if np.ndim(self.sem_labels) != 1 or np.ndim(self.inst_ids) != 1:
+            raise SceneError(one_per_point)
         labels = _as_readonly(int32_ids(self.sem_labels, "semantic label"))
         insts = _as_readonly(int32_ids(self.inst_ids, "instance id"))
         stuff = stuff_ids(self.stuff_classes)
@@ -168,7 +172,7 @@ class Scene:
         if colors_in.shape != (n, 3):
             raise SceneError("colors must have shape (n_points, 3)")
         if labels.shape != (n,) or insts.shape != (n,):
-            raise SceneError("sem_labels and inst_ids must have shape (n_points,)")
+            raise SceneError(one_per_point)
         refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
         bad_color = (colors_in < 0) | (colors_in > 255)
         refuse(bad_color, "color component out of [0, 255] at point {i}")

@@ -162,8 +162,7 @@ def evaluate(
     matches50: dict = {}
     prec50: dict = {}
     rec50: dict = {}
-    # one IoU matrix serves every class, every threshold and the filtered
-    # pass: the score filter keeps a subsequence of the class order
+    # one IoU matrix serves every class and every threshold
     all_ious = _ious(preds, gt)
     for c in classes:
         order, gt_cls, ious = _class_ious(preds, gt, all_ious, c)
@@ -172,12 +171,12 @@ def evaluate(
             ap[c][t] = average_precision(res.precision, res.recall)
             if t == 0.5:
                 matches50[c] = list(zip(res.pred_order.tolist(), res.matched_gt.tolist()))
-        kept = [i for i, k in enumerate(order) if preds[k].score >= score_filter]
-        resf = _greedy_match([order[i] for i in kept], gt_cls, ious[kept], 0.5)
-        n_pred = resf.pred_order.size
-        n_tp = int((resf.matched_gt >= 0).sum())
-        prec50[c] = n_tp / n_pred if n_pred else 0.0
-        rec50[c] = n_tp / resf.n_gt if resf.n_gt else 0.0
+                # the score filter keeps a prefix of the descending order, and
+                # greedy matching is online: its matching is this one's prefix
+                n_pred = sum(preds[k].score >= score_filter for k in order)
+                n_tp = int((res.matched_gt[:n_pred] >= 0).sum())
+                prec50[c] = n_tp / n_pred if n_pred else 0.0
+                rec50[c] = n_tp / res.n_gt
 
     ap_classwise = {c: float(np.mean([ap[c][t] for t in AP_THRESHOLDS])) for c in classes}
     return EvalResult(

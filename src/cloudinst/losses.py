@@ -17,6 +17,7 @@ from .core import OffsetField, Scene, check_offsets
 LOG_EPS = 1e-12  # clamp inside log() for cross entropy
 DIR_EPS = 1e-8  # offsets or targets shorter than this skip the direction term
 FD_STEP = 1e-4  # central-difference step of gradient_check
+GRAD_TOLERANCE = 1e-5  # largest gradient_check error train_scorer and gradcheck accept
 HIST_BIN = 0.1  # distance_histogram bin width, m
 HIST_MAX = 2.0  # distance_histogram regular-bin range, m
 
@@ -189,6 +190,18 @@ def gradient_check(func, x0: np.ndarray) -> float:
         num[k] = (fp - fm) / (2.0 * FD_STEP)
     denom = np.maximum(1.0, np.maximum(np.abs(grad), np.abs(num)))
     return float((np.abs(grad - num) / denom).max())
+
+
+def offset_objective(scene: Scene, loss, grad):
+    """``x -> (loss(field, scene), grad(field, scene).ravel())`` with
+    ``field = OffsetField(x.reshape(n_points, 3))``: an offset loss and its
+    gradient as the flat-vector objective ``gradient_check`` takes."""
+
+    def objective(x: np.ndarray) -> tuple[float, np.ndarray]:
+        field = OffsetField(x.reshape(scene.n_points, 3))
+        return loss(field, scene), grad(field, scene).ravel()
+
+    return objective
 
 
 def distance_histogram(scene: Scene) -> np.ndarray:

@@ -28,10 +28,9 @@ import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances
-from .losses import gradient_check
+from .losses import GRAD_TOLERANCE, gradient_check
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
-GRAD_TOLERANCE = 1e-5  # train_scorer's check of its analytic gradient
 SOFT_LOW = 0.25  # soft-label ramp thresholds theta_l, theta_h of the paper
 SOFT_HIGH = 0.75
 DESCRIPTOR_DIM = 8

@@ -87,10 +87,12 @@ def check_radius(radius: float) -> None:
 def check_labels(n_points: int, labels) -> np.ndarray:
     """``labels`` as int32 (``core.int32_ids``); ValueError unless they are
     integers in the int32 range, one per point."""
+    shape = np.shape(labels)
+    if len(shape) != 1:  # refused before a value is named by its flat index
+        raise ValueError(f"got {n_points} coordinates but {shape} labels")
     labels = int32_ids(labels, "label")
     if labels.shape != (n_points,):
-        m = labels.shape[0] if labels.ndim == 1 else labels.shape
-        raise ValueError(f"got {n_points} coordinates but {m} labels")
+        raise ValueError(f"got {n_points} coordinates but {labels.size} labels")
     return labels
 
 

@@ -14,7 +14,7 @@ import cloudinst as ci
 from cloudinst.bench import STAGES, run_bench
 from cloudinst.clustering import ClusterParams, cluster_single_set, connected_components_oracle
 from cloudinst.core import InstancePrediction, Source
-from cloudinst.losses import gradient_check
+from cloudinst.losses import gradient_check, offset_objective
 from cloudinst.pipeline import nms
 from cloudinst.scoring import score_loss, scorer_objective, soft_labels
 from cloudinst.spatial import ball_query, brute_force_query, build_index
@@ -112,32 +112,18 @@ def test_criterion_04_gradient_checks():
     )
     n = scene.n_points
     targets = ci.offset_targets(scene).offsets
+    reg_obj = offset_objective(scene, ci.offset_regression_loss, ci.offset_regression_grad)
+    dir_obj = offset_objective(scene, ci.offset_direction_loss, ci.offset_direction_grad)
     worst = {"reg": 0.0, "dir": 0.0, "bce": 0.0}
     for rep in range(20):
         rng = np.random.default_rng(500 + rep)
         residual = rng.uniform(0.01, 0.3, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
         base = (targets + residual).ravel()
-
-        def reg_obj(x):
-            field = ci.OffsetField(x.reshape(n, 3))
-            return (
-                ci.offset_regression_loss(field, scene),
-                ci.offset_regression_grad(field, scene).ravel(),
-            )
-
         worst["reg"] = max(worst["reg"], gradient_check(reg_obj, base))
 
         base_dir = (
             rng.uniform(0.1, 0.5, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
         ).ravel()
-
-        def dir_obj(x):
-            field = ci.OffsetField(x.reshape(n, 3))
-            return (
-                ci.offset_direction_loss(field, scene),
-                ci.offset_direction_grad(field, scene).ravel(),
-            )
-
         worst["dir"] = max(worst["dir"], gradient_check(dir_obj, base_dir))
 
         hidden = 8

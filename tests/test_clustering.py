@@ -45,6 +45,15 @@ def test_labels_outside_int32_integers_rejected(labels):
 
 
 @pytest.mark.parametrize("route", [cluster_single_set, connected_components_oracle])
+def test_two_dimensional_labels_refused_by_their_shape(route):
+    # named by the flat index: "label 1.5 at point 3" of a 2-point input
+    labels = np.array([[1, 1], [1, 1.5]])
+    with pytest.raises(ValueError) as err:
+        route(np.zeros((2, 3)), labels, [], ClusterParams(0.03, 1), Source.ORIGINAL)
+    assert str(err.value) == "got 2 coordinates but (2, 2) labels"
+
+
+@pytest.mark.parametrize("route", [cluster_single_set, connected_components_oracle])
 def test_non_finite_coordinate_named_in_the_callers_array(route):
     # the grid route named the point by its place among the active points
     # (point 2), and the oracle returned the cluster [3, 4]

@@ -185,6 +185,22 @@ def test_labels_and_ids_outside_int32_integers_rejected(field, values, shown, at
     assert err.value.point_index == at
 
 
+# the 2-D array was named by its flat index ("semantic label 1.5 at point 3"
+# of a 2-point scene), and a bare int raised TypeError
+@pytest.mark.parametrize("values", [np.array([[1, 1], [1, 1.5]]), np.ones((2, 1)), 1])
+@pytest.mark.parametrize("field", ["sem_labels", "inst_ids"])
+def test_labels_and_ids_not_one_per_point_rejected_before_their_values(field, values):
+    fields = dict(
+        n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
+        sem_labels=[1, 1], inst_ids=[-1, -1],
+    )
+    fields[field] = values
+    with pytest.raises(SceneError) as err:
+        Scene(**fields)
+    assert str(err.value) == "sem_labels and inst_ids must have shape (n_points,)"
+    assert err.value.point_index is None
+
+
 def test_integral_float_labels_and_ids_are_stored_as_int32():
     scene = Scene(
         n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),

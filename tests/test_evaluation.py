@@ -168,6 +168,27 @@ def test_ap_monotone_in_threshold_and_aggregate_ordering(seed):
     assert res.ap50 <= res.ap25 + 1e-12
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_score_filtered_precision_recall_match_the_filtered_list(seed):
+    # evaluate reads them from a prefix of its matching at 0.5; rivals with
+    # tied scores make the filtered predictions compete for instances
+    scene, preds = random_eval_case(seed)
+    rng = np.random.default_rng(100 + seed)
+    preds += [
+        pred(p.point_idx[: max(1, p.size // 2)], cls=p.class_id, score=round(rng.uniform(), 1))
+        for p in preds
+    ]
+    gts = ground_truth_instances(scene)
+    for score_filter in (0.0, *rng.uniform(0.0, 1.0, 4).round(1), 1.0):
+        res = evaluate(preds, scene, score_filter=score_filter)
+        filtered = [p for p in preds if p.score >= score_filter]
+        for c in res.classes:
+            m = match_and_pr(filtered, gts, c, 0.5)
+            n_tp = int((m.matched_gt >= 0).sum())
+            assert res.prec50_classwise[c] == (n_tp / m.pred_order.size if m.pred_order.size else 0.0)
+            assert res.rec50_classwise[c] == n_tp / m.n_gt
+
+
 def test_duplicate_prediction_never_increases_ap(simple_scene):
     preds = [pred([0, 1, 2], cls=1, score=0.9), pred([3, 4], cls=1, score=0.8)]
     base = evaluate(preds, simple_scene)

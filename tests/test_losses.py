@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from cloudinst.losses import (
     instance_centroids,
     offset_direction_grad,
     offset_direction_loss,
+    offset_objective,
     offset_regression_grad,
     offset_regression_loss,
     offset_targets,
@@ -188,14 +192,7 @@ def test_regression_gradient_matches_central_differences():
     n = scene.n_points
     residual = rng.uniform(0.02, 0.3, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
     base = offset_targets(scene).offsets + residual
-
-    def obj(x):
-        field = OffsetField(x.reshape(n, 3))
-        return (
-            offset_regression_loss(field, scene),
-            offset_regression_grad(field, scene).ravel(),
-        )
-
+    obj = offset_objective(scene, offset_regression_loss, offset_regression_grad)
     assert gradient_check(obj, base.ravel()) <= 1e-5
 
 
@@ -205,15 +202,26 @@ def test_direction_gradient_matches_central_differences():
     rng = np.random.default_rng(5)
     n = scene.n_points
     base = rng.uniform(0.1, 0.5, (n, 3)) * rng.choice([-1.0, 1.0], (n, 3))
-
-    def obj(x):
-        field = OffsetField(x.reshape(n, 3))
-        return (
-            offset_direction_loss(field, scene),
-            offset_direction_grad(field, scene).ravel(),
-        )
-
+    obj = offset_objective(scene, offset_direction_loss, offset_direction_grad)
     assert gradient_check(obj, base.ravel()) <= 1e-5
+
+
+def test_one_home_for_the_flat_offset_objective():
+    # OffsetField(<flat>.reshape(...)) turns a gradient_check vector into a
+    # field; offset_objective is the one place that does it
+    root = Path(__file__).resolve().parents[1]
+    found = []
+    for path in sorted(p for d in ("src", "tests", "demos") for p in (root / d).rglob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (
+                    isinstance(node, ast.Call) and node.args
+                    and "OffsetField" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and isinstance(node.args[0], ast.Call)
+                    and getattr(node.args[0].func, "attr", None) == "reshape"
+                ):
+                    found.append((path.name, getattr(top, "name", "<module>")))
+    assert found == [("losses.py", "offset_objective")]
 
 
 def test_histogram_mass_at_zero_and_normalization():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -358,6 +360,49 @@ def test_pipeline_is_invariant_under_point_permutation(seed, pairs, sigma0):
     assert {(p.class_id, p.score, tuple(p.point_idx.tolist())) for p in preds} == {
         (p.class_id, p.score, tuple(np.sort(perm[p.point_idx]).tolist())) for p in moved
     }
+
+
+def _on_dyadic_grid(scene, offsets, shift):
+    """``scene`` with its coordinates and its shifted set snapped to
+    multiples of 2**-10, moved by ``shift``, and the offsets between them."""
+    coords = np.round(scene.coords * 1024.0) / 1024.0
+    q = np.round(shifted_coords(scene, offsets) * 1024.0) / 1024.0
+    return dataclasses.replace(scene, coords=coords + shift), OffsetField(q - coords)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    pairs=st.booleans(),
+    sigma0=st.sampled_from([0.01, 0.03]),
+    t=st.sampled_from([-16.0, -8.0, 8.0, 16.0]),
+)
+def test_pipeline_is_invariant_under_a_power_of_two_translation(seed, pairs, sigma0, t):
+    # on the 2**-10 grid a shift by (t, t/2, t/4) moves every point of both
+    # sets exactly, so every float32 difference, and with it every cluster
+    # and every ORACLE and SEMPROB score, is the same bit for bit.  A MODEL
+    # score may differ in its last bits: the descriptor divides the sum of a
+    # cluster's absolute shifted coordinates by its size, and that rounds at
+    # the coordinates' magnitude (seed 164, t = -16: one ulp)
+    _, scene, offsets = generate_sample(GenConfig(
+        seed=seed, room=(2.5, 2.5, 1.5), n_objects=4, size_scale=(0.3, 0.5),
+        stuff_density=20.0, same_class_gap=0.01 if pairs else None, sigma0=sigma0, beta=4.0,
+    ))
+    base = _on_dyadic_grid(scene, offsets, np.zeros(3))
+    moved = _on_dyadic_grid(scene, offsets, np.array([t, t / 2, t / 4]))
+    for scorer in Scorer:
+        config = PipelineConfig(scorer=scorer)
+        model = ScorerModel.default() if scorer is Scorer.MODEL else None
+        preds, shifted = (run_pipeline(*inputs, config, model) for inputs in (base, moved))
+        assert preds
+        assert [(p.class_id, p.point_idx.tolist()) for p in preds] == [
+            (p.class_id, p.point_idx.tolist()) for p in shifted
+        ], scorer
+        scores = np.array([[p.score for p in preds], [p.score for p in shifted]])
+        if scorer is Scorer.MODEL:
+            assert np.abs(scores[0] - scores[1]).max() <= 1e-12
+        else:
+            assert (scores[0] == scores[1]).all(), scorer
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
