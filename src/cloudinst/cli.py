@@ -45,7 +45,7 @@ from .losses import (
     offset_targets,
 )
 from .pipeline import PipelineConfig, run_pipeline
-from .scoring import Scorer, ScorerModel, scorer_objective, train_scorer
+from .scoring import Scorer, ScorerModel, row_widths, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample, generate_scene
 
 _GEN = GenConfig()
@@ -253,8 +253,8 @@ def _cmd_gradcheck(args) -> int:
             offset_objective(scene, offset_direction_loss, offset_direction_grad), base
         ),
         "score_bce": gradient_check(
-            lambda t: scorer_objective(t, x, y, 8),
-            rng.uniform(-0.5, 0.5, 8 * x.shape[1] + 2 * 8 + 1),
+            lambda t: scorer_objective(t, x, y),
+            rng.uniform(-0.5, 0.5, sum(row_widths(x.shape[1], 8)[2:])),
         ),
     }
     failed = False

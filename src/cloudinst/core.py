@@ -16,8 +16,8 @@ import numpy as np
 class SceneError(ValueError):
     """A scene (or related object) violates one of its invariants.
 
-    ``point_index`` identifies the first offending point when the violation
-    is attributable to a single point, else it is None.
+    ``point_index`` identifies the first offending point or row (of a scorer
+    model) when the violation is attributable to a single one, else it is None.
     """
 
     def __init__(self, message: str, point_index: int | None = None):
@@ -68,9 +68,9 @@ def stuff_ids(ids) -> frozenset[int]:
 
 
 def refuse(bad: np.ndarray, message: str, values=None) -> None:
-    """SceneError naming the first point flagged in ``bad`` (one flag per
-    point, or one per point and column), if any: ``message`` formatted with
-    ``i``, that point, and ``v``, its entry of ``values``."""
+    """SceneError naming the first point or row flagged in ``bad`` (one flag
+    per point or row, or one per point and column), if any: ``message``
+    formatted with ``i``, that point or row, and ``v``, its entry of ``values``."""
     if bad.any():
         i = int(np.argmax(bad.reshape(len(bad), -1).any(axis=1)))
         raise SceneError(message.format(i=i, v=None if values is None else values[i]), i)

@@ -23,7 +23,7 @@ from typing import NoReturn
 import numpy as np
 
 from .core import FormatError, InstancePrediction, OffsetField, Scene, SceneError, check_predictions
-from .scoring import ScorerModel
+from .scoring import ScorerModel, row_widths
 
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
@@ -75,8 +75,8 @@ def _body(lines: list[str], head: int, count: int, what: str) -> list[str]:
 
 @contextmanager
 def _point_lines(first: int):
-    """Re-raise a SceneError as a FormatError naming the line of its point,
-    point 0 being on line ``first``."""
+    """Re-raise a SceneError as a FormatError naming the line of its point
+    or row, point or row 0 being on line ``first``."""
     try:
         yield
     except SceneError as err:
@@ -303,33 +303,26 @@ def load_predictions(path) -> list[InstancePrediction]:
 
 
 def save_scorer(model: ScorerModel, path) -> None:
-    d, h = model.descriptor_dim, model.hidden
-    blocks = [
-        (" ".join([_F64] * d), [np.vstack([model.mean, model.std, model.w1])]),
-        (" ".join([_F64] * h), [np.vstack([model.b1, model.w2])]),
-        (_F64, [[model.b2]]),
-    ]
-    _write_text(path, _rows_text([f"SCORER1 {d} {h}"], blocks))
+    blocks = [(" ".join([_F64] * row.size), [row[None]]) for row in model._rows()]
+    _write_text(path, _rows_text([f"SCORER1 {model.descriptor_dim} {model.hidden}"], blocks))
 
 
 def load_scorer(path) -> ScorerModel:
-    """Parse ``SCORER1 <dim> <hidden>``, then ``2 + hidden`` rows of ``dim``
-    values (mean, std, the rows of w1), two rows of ``hidden`` values (b1,
-    w2) and the one value b2."""
+    """Parse ``SCORER1 <dim> <hidden>``, then one line per row of the model,
+    of ``scoring.row_widths(dim, hidden)`` values each: mean, std, the rows
+    of w1, b1, w2 and b2."""
     lines = _read_lines(path)
     d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
     if d < 1 or h < 1:
         raise FormatError("line 1: dimensions must be >= 1")
-    body = _body(lines, 1, 2 + h + 3, "model")
-    (by_dim,) = _read_rows(body[: 2 + h], 2, [("value", np.float64, d)])
-    (by_hidden,) = _read_rows(body[2 + h : 4 + h], 4 + h, [("value", np.float64, h)])
-    (b2,) = _read_rows(body[4 + h :], 6 + h, [("value", np.float64, 1)])
-    try:
-        return ScorerModel(by_dim[0], by_dim[1], by_dim[2:], by_hidden[0], by_hidden[1], b2[0, 0])
-    except ValueError as err:
-        # the model checks its rows in file order for a non-finite value, then the std row
-        bad = [k for k, row in enumerate((*by_dim, *by_hidden, *b2)) if not np.isfinite(row).all()]
-        raise FormatError(f"line {2 + (bad + [1])[0]}: {err}") from err
+    widths = row_widths(d, h)
+    body = _body(lines, 1, len(widths), "model")
+    rows = [
+        _read_rows([line], 2 + k, [("value", np.float64, width)])[0][0]
+        for k, (line, width) in enumerate(zip(body, widths))
+    ]
+    with _point_lines(2):
+        return ScorerModel._from_rows(rows)
 
 
 def prediction_color(index: int) -> tuple[int, int, int]:

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
-from .core import Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances
+from .core import (
+    Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances, refuse,
+)
 from .losses import GRAD_TOLERANCE, gradient_check
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
@@ -132,7 +134,9 @@ def cluster_descriptors(
     probability of the cluster's class (1.0 when scores are absent), source
     flag].  Shifted-space compactness is the informative part: a cluster that
     merges two objects shows a bimodal shifted cloud and a large spread.
-    Every entry is invariant under global translation of the scene.
+    Every entry is translation-invariant in exact arithmetic.  Under a
+    translation that moves every point exactly all are bit-exact but the two
+    shifted-space distances, whose centroid rounds at the coordinates' size.
     """
     check_offsets(scene, offsets)
     if not clusters:
@@ -161,6 +165,11 @@ def _check_dims(d: int, h: int) -> None:
         raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
 
 
+def row_widths(dim: int, hidden: int) -> list[int]:
+    """Widths of the rows of ``ScorerModel._rows``, in file order."""
+    return [dim, dim] + [dim] * hidden + [hidden, hidden, 1]
+
+
 @dataclass(frozen=True)
 class ScorerModel:
     """Descriptor normalization plus one tanh hidden layer and a sigmoid output."""
@@ -173,31 +182,29 @@ class ScorerModel:
     b2: float
 
     def __post_init__(self):
-        mean = np.asarray(self.mean, dtype=np.float64)
-        std = np.asarray(self.std, dtype=np.float64)
-        w1 = np.asarray(self.w1, dtype=np.float64)
-        b1 = np.asarray(self.b1, dtype=np.float64)
-        w2 = np.asarray(self.w2, dtype=np.float64)
-        d = mean.size
-        h = b1.size
-        _check_dims(d, h)
-        if std.shape != (d,) or w1.shape != (h, d) or w2.shape != (h,):
-            raise ValueError("inconsistent scorer model shapes")
-        for arr in (mean, std, w1, b1, w2):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite scorer model weights")
-        if not np.isfinite(self.b2):
-            raise ValueError("non-finite scorer model weights")
-        if np.any(std < 1e-8):
-            raise ValueError("normalization stdev entries must be >= 1e-8")
-        for arr in (mean, std, w1, b1, w2):
-            arr.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "b1", b1)
-        object.__setattr__(self, "w2", w2)
+        """Refuses the first non-finite row of ``_rows``, then the std row."""
+        for name in ("mean", "std", "w1", "b1", "w2"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
         object.__setattr__(self, "b2", float(self.b2))
+        d, h = self.mean.size, self.b1.size
+        _check_dims(d, h)
+        if self.std.shape != (d,) or self.w1.shape != (h, d) or self.w2.shape != (h,):
+            raise ValueError("inconsistent scorer model shapes")
+        finite = [np.isfinite(row).all() for row in self._rows()]
+        refuse(~np.array(finite), "non-finite scorer model weights")
+        refuse(np.array([False, np.any(self.std < 1e-8)]), "normalization stdev entries must be >= 1e-8")
+        for arr in (self.mean, self.std, self.w1, self.b1, self.w2):
+            arr.setflags(write=False)
+
+    def _rows(self) -> list[np.ndarray]:
+        """The model as rows in file order, of ``row_widths`` values each."""
+        return [self.mean, self.std, *self.w1, self.b1, self.w2, np.array([self.b2])]
+
+    @classmethod
+    def _from_rows(cls, rows) -> "ScorerModel":
+        """The model whose ``_rows`` are ``rows``."""
+        mean, std, *w1, b1, w2, (b2,) = rows
+        return cls(mean, std, w1, b1, w2, b2)
 
     @property
     def descriptor_dim(self) -> int:
@@ -266,27 +273,26 @@ def score_clusters(
     return model.scores(cluster_descriptors(clusters, scene, offsets))
 
 
-def _pack_params(w1, b1, w2, b2) -> np.ndarray:
-    return np.concatenate([w1.ravel(), b1, w2, [b2]])
-
-
-def _unpack_params(theta: np.ndarray, hidden: int, dim: int):
+def _unpack_params(theta: np.ndarray, dim: int):
+    """w1, b1, w2 and b2 from ``theta``, a model's rows after mean and std end
+    to end; ValueError for a size that fits no model of ``dim``-dim descriptors."""
+    hidden, extra = divmod(theta.size - 1, dim + 2)
+    if hidden < 1 or extra:
+        raise ValueError(f"{theta.size} parameters fit no scorer model of {dim}-dim descriptors")
     w1 = theta[: hidden * dim].reshape(hidden, dim)
-    b1 = theta[hidden * dim : hidden * dim + hidden]
-    w2 = theta[hidden * dim + hidden : hidden * dim + 2 * hidden]
-    b2 = theta[-1]
-    return w1, b1, w2, b2
+    b1, w2 = theta[hidden * dim : -1].reshape(2, hidden)
+    return w1, b1, w2, theta[-1]
 
 
 def scorer_objective(
-    theta: np.ndarray, x_norm: np.ndarray, targets: np.ndarray, hidden: int
+    theta: np.ndarray, x_norm: np.ndarray, targets: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Soft-label BCE over normalized descriptors, with its analytic gradient.
 
     Standard backprop through the network of ``_forward``; the
     BCE-through-sigmoid derivative collapses to (score - target).
     """
-    w1, b1, w2, b2 = _unpack_params(theta, hidden, x_norm.shape[1])
+    w1, b1, w2, b2 = _unpack_params(theta, x_norm.shape[1])
     h, s = _forward(x_norm, w1, b1, w2, b2)
     loss = _bce(s, targets)
     dz = (s - targets) / x_norm.shape[0]
@@ -295,7 +301,7 @@ def scorer_objective(
     dh = dz[:, None] * w2[None, :] * (1.0 - h * h)
     gw1 = dh.T @ x_norm
     gb1 = dh.sum(axis=0)
-    return loss, _pack_params(gw1, gb1, gw2, gb2)
+    return loss, np.concatenate([*gw1, gb1, gw2, [gb2]])
 
 
 @dataclass(frozen=True)
@@ -359,27 +365,26 @@ def train_scorer(
     std = np.maximum(x.std(axis=0), 1e-8)
     x_norm = (x - mean) / std
     start = ScorerModel.default(hidden, seed)
-    theta = _pack_params(start.w1, start.b1, start.w2, start.b2)
+    theta = np.concatenate(start._rows()[2:])
 
     check_n = min(x_norm.shape[0], 64)
     grad_error = gradient_check(
-        lambda t: scorer_objective(t, x_norm[:check_n], y[:check_n], hidden), theta
+        lambda t: scorer_objective(t, x_norm[:check_n], y[:check_n]), theta
     )
     if grad_error > GRAD_TOLERANCE:
         raise ValueError(
             f"scorer gradient check failed: {grad_error:.3e} > {GRAD_TOLERANCE:.0e}"
         )
 
-    initial_loss, _ = scorer_objective(theta, x_norm, y, hidden)
+    initial_loss, _ = scorer_objective(theta, x_norm, y)
     loss = initial_loss
     for _ in range(epochs):
-        loss, grad = scorer_objective(theta, x_norm, y, hidden)
+        loss, grad = scorer_objective(theta, x_norm, y)
         if not np.isfinite(loss):
             raise ValueError("training diverged to a non-finite loss")
         theta = theta - lr * grad
-    loss, _ = scorer_objective(theta, x_norm, y, hidden)
-    w1, b1, w2, b2 = _unpack_params(theta, hidden, DESCRIPTOR_DIM)
-    model = ScorerModel(mean=mean, std=std, w1=w1, b1=b1, w2=w2, b2=float(b2))
+    loss, _ = scorer_objective(theta, x_norm, y)
+    model = ScorerModel(mean, std, *_unpack_params(theta, DESCRIPTOR_DIM))
     return ScorerTraining(
         model=model,
         initial_loss=float(initial_loss),

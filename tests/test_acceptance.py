@@ -132,7 +132,7 @@ def test_criterion_04_gradient_checks():
         theta = rng.uniform(-0.5, 0.5, hidden * 8 + 2 * hidden + 1)
         worst["bce"] = max(
             worst["bce"],
-            gradient_check(lambda t: scorer_objective(t, x, y, hidden), theta),
+            gradient_check(lambda t: scorer_objective(t, x, y), theta),
         )
     ok = all(v <= 1e-5 for v in worst.values())
     assert report(

@@ -383,6 +383,34 @@ def test_kernel_work_at_most_doubles_with_a_second_copy(monkeypatch, seed, sourc
     assert all(two[k] <= 2 * one[k] for k in ("read", "tested", "edges")), (one, two)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("source", [Source.ORIGINAL, Source.SHIFTED], ids=["p", "q"])
+@pytest.mark.parametrize("kinds", [
+    ("tested", "edges"),
+    pytest.param(("read",), marks=pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 1: a row that holds two components of one label is never "
+        "skipped, so the far ring reads 3.9-4.5x the liveness of one room"
+    ))),
+])
+def test_kernel_work_at_most_doubles_with_a_same_label_copy(monkeypatch, seed, source, kinds):
+    # the copy keeps its labels, so it shares every row of the grid with the
+    # scene.  Both are snapped to 2**-10 and the copy is moved 128 m in x,
+    # exactly, but the cell size does not divide 128 m: the copy lands on
+    # another cell phase, so it is not an exact grid copy of the scene
+    monkeypatch.setattr(clustering, "_CHUNK", 8192)
+    _, observed, offsets = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
+    coords = observed.coords if source == Source.ORIGINAL else shifted_coords(observed, offsets)
+    coords = np.round(coords * 1024.0) / 1024.0
+    labels, stuff = observed.sem_labels, set(observed.stuff_classes)
+    one = _kernel_work(monkeypatch, coords, labels, stuff, source)
+    two = _kernel_work(
+        monkeypatch, np.concatenate([coords, coords + np.float32([128.0, 0.0, 0.0])]),
+        np.concatenate([labels, labels]), stuff, source,
+    )
+    assert one["rounds"] >= 5
+    assert all(two[k] <= 2 * one[k] for k in kinds), (one, two)
+
+
 @pytest.mark.parametrize("seed", range(5))
 def test_merge_edges_matches_union_find(seed):
     rng = np.random.default_rng(seed)

@@ -13,6 +13,7 @@ from cloudinst.core import (
 )
 from cloudinst.losses import offset_targets
 from cloudinst import pipeline
+from cloudinst.bench import STAGES
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel, score_clusters
 from cloudinst.synth import GenConfig, generate_sample, generate_scene
@@ -265,6 +266,16 @@ def test_timings_name_each_clustered_set(sets, stages):
     assert all(v >= 0.0 for v in spans.values())
 
 
+def test_a_run_of_both_sets_records_exactly_the_bench_stages():
+    # run_bench reads each of STAGES with a default of 0 ms, so a stage whose
+    # span took another name would pass criterion 09 as an empty stage
+    scene = two_object_scene(gap=0.02, n_per_object=64, spacing=0.01)
+    config = PipelineConfig(cluster_params=ClusterParams(0.03, 20), scorer=Scorer.ORACLE)
+    with recording() as spans:
+        run_pipeline(scene, offset_targets(scene), config)
+    assert set(spans) == set(STAGES)
+
+
 def test_min_score_filter_applies_after_nms():
     scene = two_object_scene(gap=0.02, n_per_object=64, spacing=0.01)
     offsets = offset_targets(scene)
@@ -403,6 +414,52 @@ def test_pipeline_is_invariant_under_a_power_of_two_translation(seed, pairs, sig
             assert np.abs(scores[0] - scores[1]).max() <= 1e-12
         else:
             assert (scores[0] == scores[1]).all(), scorer
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**16),
+    pairs=st.booleans(),
+    sigma0=st.sampled_from([0.01, 0.03]),
+    t=st.sampled_from([8.0, 16.0]),
+)
+def test_pipeline_of_a_room_and_its_same_label_copy_is_the_union(seed, pairs, sigma0, t):
+    # the copy keeps its labels, so the two share every label's grid rows,
+    # but moved by (t, 0, 0) on the 2**-10 grid it lies out of reach of the
+    # room and is the room translated exactly: the union predicts the room's
+    # clusters and the copy's, and scores them as they score alone.  A MODEL
+    # score may differ in its last bits (see the translation test above, and
+    # a batch of another size takes another BLAS path)
+    _, scene, offsets = generate_sample(GenConfig(
+        seed=seed, room=(2.5, 2.5, 1.5), n_objects=4, size_scale=(0.3, 0.5),
+        stuff_density=20.0, same_class_gap=0.01 if pairs else None, sigma0=sigma0, beta=4.0,
+    ))
+    halves = [_on_dyadic_grid(scene, offsets, np.array([x, 0.0, 0.0])) for x in (0.0, t)]
+    (room, room_offsets), (copy, copy_offsets) = halves
+    union = dataclasses.replace(
+        room,
+        coords=np.vstack([room.coords, copy.coords]),
+        colors=np.vstack([room.colors, copy.colors]),
+        sem_labels=np.concatenate([room.sem_labels, copy.sem_labels]),
+        inst_ids=np.concatenate([
+            room.inst_ids, np.where(copy.inst_ids >= 0, copy.inst_ids + room.n_instances, -1)
+        ]),
+        sem_scores=np.vstack([room.sem_scores, copy.sem_scores]),
+    ), OffsetField(np.vstack([room_offsets.offsets, copy_offsets.offsets]))
+    for scorer in Scorer:
+        config = PipelineConfig(scorer=scorer)
+        model = ScorerModel.default() if scorer is Scorer.MODEL else None
+        want = {
+            (p.class_id, tuple((p.point_idx + k * room.n_points).tolist())): p.score
+            for k, half in enumerate(halves) for p in run_pipeline(*half, config, model)
+        }
+        got = {
+            (p.class_id, tuple(p.point_idx.tolist())): p.score
+            for p in run_pipeline(*union, config, model)
+        }
+        assert want and got.keys() == want.keys(), scorer
+        gap = max(abs(got[key] - want[key]) for key in want)
+        assert gap <= (1e-12 if scorer is Scorer.MODEL else 0.0), (scorer, gap)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)

@@ -1,11 +1,14 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, Source, argmax_labels
+import cloudinst
+from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, SceneError, Source, argmax_labels
 from cloudinst.formats import load_scorer, save_scorer
 from cloudinst.losses import gradient_check, offset_targets
 from cloudinst.scoring import (
@@ -15,6 +18,8 @@ from cloudinst.scoring import (
     cluster_descriptors,
     family_iou,
     score_clusters,
+    _unpack_params,
+    row_widths,
     score_loss,
     scorer_objective,
     soft_labels,
@@ -335,8 +340,59 @@ def test_scorer_objective_gradient():
     y = rng.uniform(0, 1, 30)
     hidden = 6
     theta = rng.uniform(-0.5, 0.5, hidden * 8 + 2 * hidden + 1)
-    err = gradient_check(lambda t: scorer_objective(t, x, y, hidden), theta)
+    err = gradient_check(lambda t: scorer_objective(t, x, y), theta)
     assert err <= 1e-5
+
+
+def test_scorer_objective_refuses_a_vector_of_no_layout():
+    # hidden * (dim + 2) + 1 parameters: 11 fit one hidden unit of 8-dim descriptors
+    x, y = np.zeros((4, 8)), np.full(4, 0.5)
+    for size in (0, 1, 10, 12, 20):
+        with pytest.raises(ValueError, match=f"^{size} parameters fit no scorer model of 8-dim"):
+            scorer_objective(np.zeros(size), x, y)
+    assert scorer_objective(np.zeros(11), x, y)[1].shape == (11,)
+
+
+def test_one_row_layout_for_files_and_training(tmp_path):
+    model = ScorerModel.default(hidden=5, seed=3)
+    rows = model._rows()
+    assert [row.size for row in rows] == row_widths(8, 5)
+    save_scorer(model, tmp_path / "m.scorer")
+    lines = (tmp_path / "m.scorer").read_text().splitlines()
+    assert [len(line.split()) for line in lines[1:]] == row_widths(8, 5)
+    w1, b1, w2, b2 = _unpack_params(np.concatenate(rows[2:]), 8)
+    assert np.array_equal(w1, model.w1) and np.array_equal(b1, model.b1)
+    assert np.array_equal(w2, model.w2) and b2 == model.b2
+    back = ScorerModel._from_rows(rows)._rows()
+    assert all(np.array_equal(a, b) for a, b in zip(back, rows, strict=True))
+
+
+def test_scorer_model_names_its_first_bad_row():
+    # rows in file order: 0 mean, 1 std, 2-4 the rows of w1, 5 b1, 6 w2, 7 b2
+    good = dict(mean=np.zeros(2), std=np.ones(2), w1=np.zeros((3, 2)), b1=np.zeros(3),
+                w2=np.zeros(3), b2=0.0)
+    for change, row, message in [
+        (dict(std=np.zeros(2)), 1, "normalization stdev entries must be >= 1e-8"),
+        (dict(w1=[[0, 0], [0, np.nan], [np.inf, 0]]), 3, "non-finite scorer model weights"),
+        (dict(mean=[np.nan, 0], b1=[0, 0, np.inf]), 0, "non-finite scorer model weights"),
+        (dict(std=np.zeros(2), b2=np.inf), 7, "non-finite scorer model weights"),
+    ]:
+        with pytest.raises(SceneError, match=f"^{message}$") as err:
+            ScorerModel(**{**good, **change})
+        assert err.value.point_index == row
+
+
+def test_one_home_for_the_scorer_rows():
+    # formats and cli reach a model's arrays only through scoring's row list
+    found = []
+    for stem in ("formats", "cli"):
+        tree = ast.parse((Path(cloudinst.__file__).parent / f"{stem}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in ("mean", "std", "w1", "b1", "w2", "b2"):
+                found.append((stem, node.attr))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ScorerModel":
+                found.append((stem, "ScorerModel(...)"))
+    assert found == []
 
 
 def corpus(seeds, **kw):
