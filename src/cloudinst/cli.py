@@ -3,16 +3,18 @@ train-scorer.
 
 Exit codes: 0 success, 1 usage error, 2 validation or runtime error.
 Diagnostics go to stderr; results go to stdout or to --out files.  The
-parsed argparse namespace is the run's configuration.  Its defaults are
-read from the library (``ClusterParams``, ``PipelineConfig``, ``GenConfig``,
-``GRAD_TOLERANCE`` and the keyword defaults of ``train_scorer`` and
-``run_bench``), and the library checks every input: this module parses,
-dispatches and prints.
+parsed argparse namespace is the run's configuration: a flag that sets a
+field of ``GenConfig``, ``ClusterParams`` or ``PipelineConfig`` is stored
+under that field's name, and ``_config`` builds the dataclass from it.  The
+defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
+keyword defaults of ``train_scorer`` and ``run_bench``), and the library
+checks every input: this module parses, dispatches and prints.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import inspect
 import sys
 from pathlib import Path
@@ -96,13 +98,15 @@ def _build_parser() -> _Parser:
     g.add_argument("--min-gap", type=float, default=_GEN.min_gap)
     g.add_argument("--same-class-gap", type=float, default=_GEN.same_class_gap)
     g.add_argument("--p-sem", type=float, default=_GEN.p_sem)
-    g.add_argument("--temperature", type=float, default=_GEN.sem_temperature)
+    g.add_argument("--temperature", type=float, default=_GEN.sem_temperature,
+                   dest="sem_temperature", metavar="TEMPERATURE")
     g.add_argument("--sigma0", type=float, default=_GEN.sigma0)
     g.add_argument("--beta", type=float, default=_GEN.beta)
 
     c = sub.add_parser("cluster", help="run clustering + scoring + NMS, write predictions (.pred1)")
     _add_pipeline_options(c, scorer=Scorer.ORACLE.value)
-    c.add_argument("--set", choices=["p", "q", "both"], default=_PIPELINE.cluster_sets, dest="sets")
+    c.add_argument("--set", choices=["p", "q", "both"], default=_PIPELINE.cluster_sets,
+                   dest="cluster_sets")
     c.add_argument("--min-score", type=float, default=_PIPELINE.min_score)
     # ignored (clustering is sequential); perfbench/run.py still passes it
     c.add_argument("--threads", help=argparse.SUPPRESS)
@@ -140,39 +144,24 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     return Path(scene_path).with_suffix(".off1")
 
 
+def _config(cls, args, **overrides):
+    """``cls`` built from the entries of ``args`` named after its fields, then
+    ``overrides``; a field with no entry keeps its default."""
+    given = vars(args)
+    named = {f.name: given[f.name] for f in dataclasses.fields(cls) if f.name in given}
+    return cls(**{**named, **overrides})
+
+
 def _cmd_generate(args) -> int:
-    config = GenConfig(
-        seed=args.seed,
-        room=tuple(args.room),
-        n_objects=args.n_objects,
-        density=args.density,
-        stuff_density=args.stuff_density,
-        min_gap=args.min_gap,
-        same_class_gap=args.same_class_gap,
-        p_sem=args.p_sem,
-        sem_temperature=args.temperature,
-        sigma0=args.sigma0,
-        beta=args.beta,
-    )
-    _, observed, offsets = generate_sample(config)
+    _, observed, offsets = generate_sample(_config(GenConfig, args, room=tuple(args.room)))
     save_scene(observed, args.out)
     save_offsets(offsets, _offsets_path(args.out, args.offsets_out))
     print(f"wrote {observed.n_points} points, {observed.n_instances} instances to {args.out}")
     return 0
 
 
-def _cluster_params(args) -> ClusterParams:
-    return ClusterParams(radius=args.radius, min_points=args.min_points)
-
-
 def _pipeline_config(args) -> PipelineConfig:
-    return PipelineConfig(
-        cluster_params=_cluster_params(args),
-        scorer=Scorer(args.scorer),
-        nms_iou=args.nms_iou,
-        min_score=getattr(args, "min_score", _PIPELINE.min_score),
-        cluster_sets=getattr(args, "sets", _PIPELINE.cluster_sets),
-    )
+    return _config(PipelineConfig, args, cluster_params=_config(ClusterParams, args))
 
 
 def _resolve_model(args, allow_default: bool = False) -> ScorerModel | None:
@@ -268,12 +257,8 @@ def _cmd_gradcheck(args) -> int:
 def _cmd_train_scorer(args) -> int:
     corpus = [(load_scene(p), load_offsets(_offsets_path(p, None))) for p in args.scenes]
     result = train_scorer(
-        corpus,
-        hidden=args.hidden,
-        lr=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        cluster_params=_cluster_params(args),
+        corpus, hidden=args.hidden, lr=args.lr, epochs=args.epochs, seed=args.seed,
+        cluster_params=_config(ClusterParams, args),
     )
     save_scorer(result.model, args.out)
     print(

@@ -1,7 +1,7 @@
 """Domain types for labeled point-cloud scenes and instance predictions.
 
-Everything here is immutable after construction (arrays are marked
-read-only), so all types are safe to share across threads.
+Everything here is immutable after construction (each array is a read-only
+copy of the one passed in), so all types are safe to share across threads.
 """
 
 from __future__ import annotations
@@ -117,8 +117,11 @@ def never_clustered(sem_labels: np.ndarray, stuff_classes) -> np.ndarray:
     return (sem_labels < 0) | np.isin(sem_labels, stuff)
 
 
-def _as_readonly(arr: np.ndarray) -> np.ndarray:
-    arr = np.ascontiguousarray(arr)
+def _as_readonly(arr, dtype=None) -> np.ndarray:
+    """A read-only C-ordered copy of ``arr`` (as ``dtype``, if given): the
+    object owns its arrays, so neither the caller's array nor the base of a
+    view passed in is frozen, and writing to either later changes nothing."""
+    arr = np.array(arr, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
 
@@ -152,7 +155,7 @@ class Scene:
     sem_scores: np.ndarray | None = None
 
     def __post_init__(self):
-        coords = _as_readonly(np.asarray(self.coords, dtype=np.float32))
+        coords = _as_readonly(self.coords, np.float32)
         colors_in = np.asarray(self.colors)
         # refused before a value of a 2-D array is named by its flat index
         one_per_point = "sem_labels and inst_ids must have shape (n_points,)"
@@ -176,7 +179,7 @@ class Scene:
         refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
         bad_color = (colors_in < 0) | (colors_in > 255)
         refuse(bad_color, "color component out of [0, 255] at point {i}")
-        colors = _as_readonly(colors_in.astype(np.uint8))
+        colors = _as_readonly(colors_in, np.uint8)
 
         bad_label = (labels < -1) | (labels >= n_classes)
         refuse(bad_label, "semantic label {v} out of range at point {i}", labels)
@@ -185,7 +188,7 @@ class Scene:
             raise SceneError("stuff class id out of range")
 
         if scores is not None:
-            scores = np.asarray(scores, dtype=np.float32)
+            scores = _as_readonly(scores, np.float32)
             if scores.shape != (n, n_classes):
                 raise SceneError("sem_scores must have shape (n_points, n_classes)")
             refuse(~np.isfinite(scores), "non-finite semantic score at point {i}")
@@ -199,7 +202,6 @@ class Scene:
                 (labels >= 0) & (argmax_labels(scores) != labels),
                 "sem_labels does not equal arg-max of sem_scores at point {i}",
             )
-            scores = _as_readonly(scores)
 
         on_instance = insts >= 0
         refuse(on_instance & (labels == -1), "instance point {i} is unlabeled")
@@ -262,11 +264,11 @@ class OffsetField:
     offsets: np.ndarray
 
     def __post_init__(self):
-        off = np.asarray(self.offsets, dtype=np.float64)
+        off = _as_readonly(self.offsets, np.float64)
         if off.ndim != 2 or off.shape[1] != 3:
             raise SceneError("offsets must have shape (n_points, 3)")
         refuse(~np.isfinite(off), "non-finite offset at point {i}")
-        object.__setattr__(self, "offsets", _as_readonly(off))
+        object.__setattr__(self, "offsets", off)
 
     @property
     def n_points(self) -> int:
@@ -296,7 +298,7 @@ class _Mask:
     _what: ClassVar[str]  # the kind of mask, named in messages
 
     def __post_init__(self):
-        idx = np.asarray(self.point_idx, dtype=np.int64)
+        idx = _as_readonly(self.point_idx, np.int64)
         if idx.ndim != 1 or idx.size == 0:
             raise SceneError(f"{self._what} must contain at least one point index")
         if np.any(idx < 0):
@@ -305,7 +307,7 @@ class _Mask:
             raise SceneError(f"{self._what} indices must be sorted and duplicate-free")
         if not is_int(self.class_id):
             raise SceneError(f"{self._what} class id must be an integer, got {self.class_id!r}")
-        object.__setattr__(self, "point_idx", _as_readonly(idx))
+        object.__setattr__(self, "point_idx", idx)
         object.__setattr__(self, "class_id", int(self.class_id))
 
     @property

@@ -119,12 +119,13 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
 
 
 def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
-    """``lines`` through ``_loadtxt``, each group as one C-contiguous array;
-    None for a table it refuses or miscounts (the reader skips blank lines)."""
+    """``lines`` through ``_loadtxt``, each group as a view of the table (the
+    objects built from them keep copies); None for a table it refuses or
+    miscounts (the reader skips blank lines)."""
     table = _loadtxt(lines, fields)
     if table is None or len(table) != len(lines):
         return None
-    return [np.ascontiguousarray(table[f"f{k}"]) for k in range(len(fields))]
+    return [table[f"f{k}"] for k in range(len(fields))]
 
 
 def _loadtxt(lines: list[str], fields):

@@ -28,7 +28,8 @@ import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
 from .core import (
-    Cluster, GroundTruthInstance, OffsetField, Scene, check_offsets, ground_truth_instances, refuse,
+    Cluster, GroundTruthInstance, OffsetField, Scene, _as_readonly, check_offsets,
+    ground_truth_instances, is_int, refuse,
 )
 from .losses import GRAD_TOLERANCE, gradient_check
 
@@ -161,6 +162,8 @@ def cluster_descriptors(
 
 
 def _check_dims(d: int, h: int) -> None:
+    if not is_int(h):
+        raise ValueError(f"hidden must be an integer, got {h}")
     if d < 1 or h < 1:
         raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
 
@@ -184,7 +187,7 @@ class ScorerModel:
     def __post_init__(self):
         """Refuses the first non-finite row of ``_rows``, then the std row."""
         for name in ("mean", "std", "w1", "b1", "w2"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+            object.__setattr__(self, name, _as_readonly(getattr(self, name), np.float64))
         object.__setattr__(self, "b2", float(self.b2))
         d, h = self.mean.size, self.b1.size
         _check_dims(d, h)
@@ -193,8 +196,6 @@ class ScorerModel:
         finite = [np.isfinite(row).all() for row in self._rows()]
         refuse(~np.array(finite), "non-finite scorer model weights")
         refuse(np.array([False, np.any(self.std < 1e-8)]), "normalization stdev entries must be >= 1e-8")
-        for arr in (self.mean, self.std, self.w1, self.b1, self.w2):
-            arr.setflags(write=False)
 
     def _rows(self) -> list[np.ndarray]:
         """The model as rows in file order, of ``row_widths`` values each."""
@@ -353,11 +354,16 @@ def train_scorer(
 
     Deterministic given the seed.  The analytic gradient is verified against
     central differences at the initial weights before any step is taken.
-    ``epochs`` below 0 and an ``lr`` that is not a positive finite number
-    raise before any clustering.
+    A ``hidden``, ``epochs`` or ``seed`` that is not an integer, ``hidden``
+    below 1, ``epochs`` or ``seed`` below 0 and an ``lr`` that is not a
+    positive finite number raise before any clustering.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs must be >= 0, got {epochs}")
+    _check_dims(DESCRIPTOR_DIM, hidden)
+    for name, value in (("epochs", epochs), ("seed", seed)):
+        if not is_int(value):
+            raise ValueError(f"{name} must be an integer, got {value}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     if not (np.isfinite(lr) and lr > 0):
         raise ValueError(f"lr must be a positive finite number, got {lr}")
     x, y = harvest_training_set(corpus, cluster_params)

@@ -134,11 +134,10 @@ class GridIndex:
 
     def __init__(self, coords: np.ndarray, radius: float, labels: np.ndarray | None = None):
         check_radius(radius)
-        coords = np.asarray(coords, dtype=np.float32)
+        coords = _as_readonly(coords, np.float32)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError("coords must have shape (n_points, 3)")
         refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
-        coords = _as_readonly(coords)
         self.radius = float(radius)
         self.coords = coords
         n = coords.shape[0]

@@ -107,6 +107,8 @@ class GenConfig:
             "room", room, len(room) == 3 and min(room) > 0 and max(room) <= top,
             f"three positive finite lengths up to {top:.6g}",
         )
+        if not is_int(self.seed):  # any integer: _rng takes its low 64 bits
+            raise ValueError(f"seed must be an integer, got {self.seed}")
         _check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
         _check("density", self.density, self.density > 0, "positive and finite")
         _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")

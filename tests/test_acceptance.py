@@ -16,7 +16,7 @@ from cloudinst.clustering import ClusterParams, cluster_single_set, connected_co
 from cloudinst.core import InstancePrediction, Source
 from cloudinst.losses import gradient_check, offset_objective
 from cloudinst.pipeline import nms
-from cloudinst.scoring import score_loss, scorer_objective, soft_labels
+from cloudinst.scoring import row_widths, score_loss, scorer_objective, soft_labels
 from cloudinst.spatial import ball_query, brute_force_query, build_index
 
 
@@ -129,7 +129,7 @@ def test_criterion_04_gradient_checks():
         hidden = 8
         x = rng.standard_normal((30, 8))
         y = rng.uniform(0, 1, 30)
-        theta = rng.uniform(-0.5, 0.5, hidden * 8 + 2 * hidden + 1)
+        theta = rng.uniform(-0.5, 0.5, sum(row_widths(8, hidden)[2:]))
         worst["bce"] = max(
             worst["bce"],
             gradient_check(lambda t: scorer_objective(t, x, y), theta),

@@ -53,6 +53,10 @@ def test_generate_is_deterministic(capsys, tmp_path):
     assert a_off.read_bytes() == b_off.read_bytes()
     c, _ = gen_scene(capsys, tmp_path, "c", seed="8")
     assert a.read_bytes() != c.read_bytes()
+    # --offsets-out moves the offset file, and only that file
+    d, d_off = gen_scene(capsys, tmp_path, "d", extra=["--offsets-out", str(tmp_path / "o.off1")])
+    assert (tmp_path / "o.off1").read_bytes() == a_off.read_bytes()
+    assert d.read_bytes() == a.read_bytes() and not d_off.exists()
 
 
 def test_cluster_writes_predictions_and_stdout(capsys, tmp_path):
@@ -94,6 +98,12 @@ def test_cluster_model_requires_model_file(capsys, tmp_path):
     )
     assert code == 2
     assert "--model" in err
+    code, _, err = run(
+        capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets),
+        "--scorer", "oracle", "--model", str(tmp_path / "m.scorer"),
+    )
+    assert code == 2
+    assert "error: --model is only valid with --scorer model" in err
 
 
 def test_cluster_scorer_of_the_wrong_width_exits_2(capsys, tmp_path):
@@ -218,6 +228,11 @@ def test_bench_reports_six_stages(capsys, tmp_path):
     assert all(v >= 0.0 for v in values)
     # serial stage times sum to no more than the wall total plus jitter
     assert sum(values[:-1]) <= values[-1] * 1.25 + 5.0
+    code, out, err = run(
+        capsys, "bench", "--scene", str(scene), "--offsets", str(offsets), "--repeats", "0",
+    )
+    assert code == 2 and out == ""
+    assert "error: repeats must be >= 1" in err
 
 
 def test_gradcheck_passes(capsys):
@@ -341,13 +356,12 @@ def test_defaults_are_the_library_defaults():
     gen = GenConfig()
     g = parse(["generate", "--out", "x.sc1"])
     assert tuple(g.room) == gen.room
-    for dest, name in [
-        ("seed", "seed"), ("n_objects", "n_objects"), ("density", "density"),
-        ("stuff_density", "stuff_density"), ("min_gap", "min_gap"),
-        ("same_class_gap", "same_class_gap"), ("p_sem", "p_sem"),
-        ("temperature", "sem_temperature"), ("sigma0", "sigma0"), ("beta", "beta"),
+    # each flag that sets a config field is stored under the field's name
+    for name in [
+        "seed", "n_objects", "density", "stuff_density", "min_gap", "same_class_gap",
+        "p_sem", "sem_temperature", "sigma0", "beta",
     ]:
-        assert getattr(g, dest) == getattr(gen, name), dest
+        assert getattr(g, name) == getattr(gen, name), name
 
     params, pipeline = ClusterParams(), PipelineConfig()
     files = ["--scene", "s.sc1", "--offsets", "s.off1"]
@@ -358,7 +372,7 @@ def test_defaults_are_the_library_defaults():
         assert (args.radius, args.min_points) == (params.radius, params.min_points)
     for args in (c, b):
         assert args.nms_iou == pipeline.nms_iou
-    assert (c.sets, c.min_score) == (pipeline.cluster_sets, pipeline.min_score)
+    assert (c.cluster_sets, c.min_score) == (pipeline.cluster_sets, pipeline.min_score)
     assert b.scorer == pipeline.scorer.value
     assert parse(["gradcheck"]).tolerance == GRAD_TOLERANCE
 

@@ -28,6 +28,7 @@ from cloudinst.core import (
 import cloudinst
 from cloudinst.clustering import ClusterParams, cluster_single_set
 from cloudinst.formats import load_offsets, load_scene, save_offsets, save_scene
+from cloudinst.scoring import ScorerModel
 from cloudinst.spatial import GridIndex
 
 from conftest import make_scene
@@ -92,6 +93,9 @@ def test_color_range_enforced():
 def test_label_range_enforced():
     with pytest.raises(SceneError, match="out of range"):
         make_scene([[0, 0, 0]], [9], [-1], sem_scores=None)
+    for stuff in ({4}, {-1}):
+        with pytest.raises(SceneError, match="^stuff class id out of range$"):
+            make_scene([[0, 0, 0]], [1], [-1], stuff_classes=stuff)
 
 
 def test_recomputed_argmax_reproduces_labels():
@@ -111,6 +115,35 @@ def test_scene_arrays_immutable(simple_scene):
         simple_scene.coords[0, 0] = 5.0
     with pytest.raises(ValueError):
         simple_scene.sem_labels[0] = 2
+    # each object keeps its own copy: the caller's array stays writable, and
+    # writing to it, or to the base of a view passed in, changes nothing
+    # (the arrays are already of the stored dtype, so no cast copies them)
+    fields = dict(
+        n_classes=3, coords=np.float32([[0, 0, 0], [1, 0, 0]]), colors=np.zeros((2, 3), np.uint8),
+        sem_labels=np.int32([1, 1]), inst_ids=np.int32([0, 0]), sem_scores=np.float32([[0, 1, 0]] * 2),
+    )
+
+    def model(mean=np.zeros(8), w1=np.zeros((2, 8))):
+        return ScorerModel(mean, np.ones(8), w1, np.zeros(2), np.zeros(2), 0.0)
+
+    stored_by = [
+        *[
+            (lambda a, f=f: getattr(Scene(**{**fields, f: a}), f), fields[f])
+            for f in ("coords", "colors", "sem_labels", "inst_ids", "sem_scores")
+        ],
+        (lambda a: OffsetField(a).offsets, np.zeros((2, 3))),
+        (lambda a: GridIndex(a, 0.03).coords, fields["coords"]),
+        (lambda a: model(mean=a).mean, np.zeros(8)),
+        (lambda a: model(w1=a).w1, np.zeros((2, 8))),
+        (lambda a: Cluster(a, 1, Source.ORIGINAL).point_idx, np.int64([0, 3])),
+    ]
+    for stored_from, values in stored_by:
+        for given in (values.copy(), np.concatenate([values, values])[: len(values)]):
+            stored = stored_from(given)
+            before = stored.copy()
+            assert given.flags.writeable and not stored.flags.writeable
+            (given if given.base is None else given.base)[...] += 1
+            assert np.array_equal(stored, before)
 
 
 def test_stuff_mask_covers_unlabeled():
@@ -187,7 +220,7 @@ def test_labels_and_ids_outside_int32_integers_rejected(field, values, shown, at
 
 # the 2-D array was named by its flat index ("semantic label 1.5 at point 3"
 # of a 2-point scene), and a bare int raised TypeError
-@pytest.mark.parametrize("values", [np.array([[1, 1], [1, 1.5]]), np.ones((2, 1)), 1])
+@pytest.mark.parametrize("values", [np.array([[1, 1], [1, 1.5]]), np.ones((2, 1)), 1, [1, 1, 1]])
 @pytest.mark.parametrize("field", ["sem_labels", "inst_ids"])
 def test_labels_and_ids_not_one_per_point_rejected_before_their_values(field, values):
     fields = dict(

@@ -69,12 +69,14 @@ def test_instance_spanning_two_labels_names_line(tmp_path):
         ("PRED1 1\n1 0.5 2\n0 1\n3 0.5 1\n7\n", "^line 4: expected 2 prediction lines, found 4$"),
         ("PRED1 2\n1 0.5 1\n0\n", "^line 4: expected 4 prediction lines, found 2$"),
         ("PRED1 1\n1 0.5 -1\n5\n", "^line 2: point count must be >= 0$"),
+        ("PRED1 -1\n", "^line 1: prediction count must be >= 0$"),
+        ("OFF1 -1\n", "^line 1: n_points must be >= 0$"),
     ],
 )
 def test_malformed_files_rejected(tmp_path, content, match):
     path = tmp_path / "bad"
     path.write_text(content)
-    load = load_predictions if content.startswith("PRED1") else load_scene
+    load = {"PRED1": load_predictions, "OFF1": load_offsets}.get(content.split()[0], load_scene)
     with pytest.raises(FormatError, match=match):
         load(path)
 

@@ -16,7 +16,7 @@ from cloudinst import pipeline
 from cloudinst.bench import STAGES
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
 from cloudinst.scoring import Scorer, ScorerModel, score_clusters
-from cloudinst.synth import GenConfig, generate_sample, generate_scene
+from cloudinst.synth import THING_CLASSES, GenConfig, generate_sample, generate_scene
 from cloudinst.trace import recording
 
 from conftest import disjoint_masks, iou, make_scene, two_object_scene
@@ -371,6 +371,35 @@ def test_pipeline_is_invariant_under_point_permutation(seed, pairs, sigma0):
     assert {(p.class_id, p.score, tuple(p.point_idx.tolist())) for p in preds} == {
         (p.class_id, p.score, tuple(np.sort(perm[p.point_idx]).tolist())) for p in moved
     }
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**16), pairs=st.booleans())
+def test_pipeline_maps_classes_under_a_permutation_of_the_thing_classes(seed, pairs):
+    # clustering compares labels only for equality, NMS ignores classes, and
+    # SEMPROB and the descriptor read only the probability column of a
+    # cluster's own class, which moves with it: every prediction comes back
+    # with class pi[c], the same points and the same score bit for bit
+    _, scene, offsets = generate_sample(GenConfig(
+        seed=seed, room=(2.5, 2.5, 1.5), n_objects=4, size_scale=(0.3, 0.5),
+        stuff_density=20.0, same_class_gap=0.01 if pairs else None,
+        p_sem=0.05, sem_temperature=0.3, sigma0=0.01, beta=2.0,
+    ))
+    pi = np.arange(scene.n_classes)
+    pi[list(THING_CLASSES)] = np.random.default_rng(seed).permutation(THING_CLASSES)
+    relabelled = dataclasses.replace(
+        scene, sem_labels=np.where(scene.sem_labels >= 0, pi[scene.sem_labels], -1),
+        sem_scores=scene.sem_scores[:, np.argsort(pi)],
+    )
+    model = ScorerModel.default()
+    for scorer in Scorer:
+        config = PipelineConfig(scorer=scorer)
+        preds = run_pipeline(scene, offsets, config, model=model)
+        moved = run_pipeline(relabelled, offsets, config, model=model)
+        assert preds, scorer
+        assert {(int(pi[p.class_id]), p.score, tuple(p.point_idx.tolist())) for p in preds} == {
+            (p.class_id, p.score, tuple(p.point_idx.tolist())) for p in moved
+        }, scorer
 
 
 def _on_dyadic_grid(scene, offsets, shift):

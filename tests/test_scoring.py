@@ -334,6 +334,12 @@ def test_scorer_model_rejects_zero_sizes():
                     b1=np.zeros(2), w2=np.zeros(2), b2=0.0)
 
 
+def test_scorer_model_default_rejects_a_non_integer_hidden():
+    for hidden in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match=f"^hidden must be an integer, got {hidden}$"):
+            ScorerModel.default(hidden=hidden)
+
+
 def test_scorer_objective_gradient():
     rng = np.random.default_rng(4)
     x = rng.standard_normal((30, 8))
@@ -453,6 +459,13 @@ def test_oracle_scores_upper_bound_other_scorers_per_scene():
         ({"lr": float("inf")}, "lr must be a positive finite number, got inf"),
         ({"lr": 0.0}, "lr must be a positive finite number, got 0.0"),
         ({"lr": -0.5}, "lr must be a positive finite number, got -0.5"),
+        ({"epochs": True}, "epochs must be an integer, got True"),
+        ({"epochs": 2.0}, "epochs must be an integer, got 2.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"hidden": 3.0}, "hidden must be an integer, got 3.0"),
+        ({"hidden": True}, "hidden must be an integer, got True"),
+        ({"hidden": 0}, "scorer model dimensions must be >= 1, got 8x0"),
     ],
 )
 def test_train_scorer_rejects_bad_schedule(kwargs, message):

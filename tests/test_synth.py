@@ -298,12 +298,13 @@ def test_config_validation():
         GenConfig(density=-1)
     with pytest.raises(ValueError):
         GenConfig(same_class_gap=0.0)
-    # counts are integers in range, and size_scale is two numbers
+    # seeds and counts are integers in range, and size_scale is two numbers
     for name, value in [
         ("min_object_points", 0), ("min_object_points", -5), ("min_object_points", 2.5),
         ("size_scale", (0.7,)), ("n_objects", 2.5), ("n_objects", -1),
         ("n_objects", True), ("n_objects", np.True_),
         ("min_object_points", True), ("min_object_points", np.True_),
+        ("seed", True), ("seed", 1.5), ("seed", np.float64(2.0)),
     ]:
         with pytest.raises(ValueError, match=f"^{name} must be"):
             GenConfig(**{name: value})
