@@ -3,10 +3,19 @@ scorer (.scorer), PLY export.
 
 Every format is header lines plus rows of numbers, read by one row reader
 and written by one row writer.  numpy's C reader is the only number parser:
-it reads every numeric field, header integers included, and names the fault
-in a line it refuses by reading its tokens one by one.  Loaders raise only
-``FormatError``, naming the first faulty line.  All writers are byte-stable:
-the same object always serializes to the same bytes, and every numeric field
+it reads every numeric field, header integers included.
+
+Loaders stream.  One pass of fixed-size reads over the open file refuses a
+non-ASCII byte, counts the lines and keeps only the header lines and the
+first body line; the C reader then takes a table's rows straight from the
+same file (prediction and scorer rows are read one line at a time).  The
+file's list of lines is built only to name a fault, when the reader refuses
+the rows: halving the refused block finds the first line it refuses, and
+that line's tokens, read one by one, name the fault.  Loaders raise only
+``FormatError``, naming the first faulty line.
+
+Writers write one block of rows at a time, and all are byte-stable: the
+same object always serializes to the same bytes, and every numeric field
 round-trips exactly (floats are written with enough significant digits for
 their storage precision).
 """
@@ -14,10 +23,12 @@ their storage precision).
 from __future__ import annotations
 
 import colorsys
+import io
 import re
+import sys
 import warnings
 from contextlib import contextmanager
-from pathlib import Path
+from itertools import islice
 from typing import NoReturn
 
 import numpy as np
@@ -27,23 +38,37 @@ from .scoring import ScorerModel, row_widths
 
 _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
-_CHUNK = 4096  # rows formatted at once: bounds the Python objects held
+_CHUNK = 512  # rows formatted at once: bounds the Python objects held
+_READ = 1 << 16  # characters per read of a loader's scan: bounds the text held
 _DIGITS = re.compile("[+-]?[0-9]+")  # an integer token the reader refuses only for its range
 
 
-def _read_lines(path) -> list[str]:
-    # text mode ends lines at "\r" and "\r\n" too; a byte above 0x7f
-    # decodes to the lone surrogate U+DC80 + (byte - 0x80)
-    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
-    if not text.isascii():
-        pos = re.search("[^\x00-\x7f]", text).start()
-        lineno = text.count("\n", 0, pos) + 1
-        raise FormatError(f"line {lineno}: non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}")
-    lines = text.split("\n")
-    # a single trailing newline is the normal write shape
-    while lines and lines[-1] == "":
-        lines.pop()
-    return lines
+def _open(path):
+    """``path`` as ASCII text.  Universal newlines end a line at a CR or a
+    CR LF too, and a byte above 0x7f decodes to the lone surrogate
+    U+DC80 + (byte - 0x80), which ``_scan`` names."""
+    return open(path, encoding="ascii", errors="surrogateescape")
+
+
+def _scan(fh, keep: int) -> tuple[list[str], int]:
+    """The first ``keep`` lines of the text file ``fh`` and its line count,
+    from one pass of ``_READ``-character reads that holds no text but those
+    lines and one read.  A run of empty lines that ends the file is no line:
+    a single trailing newline is the normal write shape."""
+    kept, ends, count = [], 0, 0  # ends: newlines before this read
+    while text := fh.read(_READ):
+        if not text.isascii():
+            pos = re.search("[^\x00-\x7f]", text).start()
+            lineno = ends + text.count("\n", 0, pos) + 1
+            raise FormatError(f"line {lineno}: non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}")
+        if ends < keep:
+            kept.append(text)
+        breaks = text.count("\n")
+        trail = len(text) - len(text.rstrip("\n"))
+        if trail < len(text):  # the last line with text so far ends here
+            count = ends + breaks - trail + 1
+        ends += breaks
+    return "".join(kept).split("\n", keep)[: min(keep, count)], count
 
 
 def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
@@ -62,15 +87,37 @@ def _ints(toks: list[str], lineno: int, names) -> list[int]:
     return [col.item() for col in cols]
 
 
-def _body(lines: list[str], head: int, count: int, what: str) -> list[str]:
-    """The ``count`` lines after the ``head`` header lines, which must be all
-    the rest of the file."""
-    if len(lines) != head + count:
+def _count(n_lines: int, head: int, count: int, what: str) -> None:
+    """Refuse a file of ``n_lines`` lines unless ``count`` lines follow its
+    ``head`` header lines and end it."""
+    if n_lines != head + count:
         raise FormatError(
-            f"line {min(len(lines), head + count) + 1}: expected {count} {what} lines, "
-            f"found {len(lines) - head}"
+            f"line {min(n_lines, head + count) + 1}: expected {count} {what} lines, "
+            f"found {n_lines - head}"
         )
-    return lines[head:]
+
+
+def _table(fh, lines: list[str], head: int, count: int, fields) -> list[np.ndarray]:
+    """The ``count`` rows that follow the ``head`` header lines of the text
+    file ``fh`` and end it, ``lines`` being its first lines, read as
+    ``_read_rows`` reads them: the C reader takes them straight from the
+    file, sizing its table once, and the file's line list is built only to
+    name the fault when the reader refuses them."""
+    if count:
+        _fits(lines[head], head + 1, fields)
+        fh.seek(0)
+        cols = _c_rows(fh, fields, head, count)
+        if cols is not None:
+            return cols
+    fh.seek(0)
+    return _read_rows(_scan(fh, sys.maxsize)[0][head:], head + 1, fields)
+
+
+def _body_lines(fh, head: int):
+    """The lines that follow the ``head`` header lines of the text file
+    ``fh``, read one at a time."""
+    fh.seek(0)
+    return (line.rstrip("\n") for line in islice(fh, head, None))
 
 
 @contextmanager
@@ -89,13 +136,13 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     """Parse ``lines``, the first of them line ``lineno`` of the file, as a table.
 
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
-    group comes back as one ``(len(lines), count)`` array of its dtype.
-    numpy's C reader (``_c_rows``) parses the table in one call, and what it
-    accepts is the grammar of every field.  When it refuses the table,
-    halving the refused block down to one line finds the first line it
-    refuses, and ``_fault`` names what is wrong there.  A table of no columns
-    is a run of blank lines.  A row wider than the first line can hold is
-    named at once, as loadtxt sizes its work per column.
+    group comes back as one ``(len(lines), count)`` array of its dtype.  A
+    group's ``name`` names each of its columns, or is a tuple of ``count``
+    names, one per column.  numpy's C reader (``_c_rows``) parses the table
+    in one call, and what it accepts is the grammar of every field.  When it
+    refuses the table, halving the refused block down to one line finds the
+    first line it refuses, and ``_fault`` names what is wrong there.  A table
+    of no columns is a run of blank lines.
     """
     width = sum(count for _, _, count in fields)
     if not (lines and width):
@@ -103,8 +150,7 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
             if line.split():
                 _fault(line, lineno + at, fields)
         return [np.zeros((len(lines), count), dtype) for _, dtype, count in fields]
-    if width > (len(lines[0]) + 1) // 2:
-        _fault(lines[0], lineno, fields)
+    _fits(lines[0], lineno, fields)
     table = _c_rows(lines, fields)
     if table is not None:
         return table
@@ -118,24 +164,38 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     _fault(lines[done], lineno + done, fields)
 
 
-def _c_rows(lines: list[str], fields) -> list[np.ndarray] | None:
-    """``lines`` through ``_loadtxt``, each group as a view of the table (the
-    objects built from them keep copies); None for a table it refuses or
-    miscounts (the reader skips blank lines)."""
-    table = _loadtxt(lines, fields)
-    if table is None or len(table) != len(lines):
+def _fits(line: str, lineno: int, fields) -> None:
+    """Name the fault of ``line``, line ``lineno`` of the file, at once when
+    it is too short to hold a row of ``fields``: loadtxt sizes its work per
+    column."""
+    if sum(count for _, _, count in fields) > (len(line) + 1) // 2:
+        _fault(line, lineno, fields)
+
+
+def _c_rows(text, fields, skip: int = 0, count: int | None = None) -> list[np.ndarray] | None:
+    """The rows of ``text`` through ``_loadtxt``: all of a list of lines, or
+    the ``count`` rows that follow the ``skip`` first lines of a text file.
+    Each group comes back as a view of the table (the objects built from
+    them keep copies); None for a table it refuses or miscounts (the reader
+    skips blank lines)."""
+    count = len(text) if count is None else count
+    table = _loadtxt(text, fields, skip, count)
+    if table is None or len(table) != count:
         return None
     return [table[f"f{k}"] for k in range(len(fields))]
 
 
-def _loadtxt(lines: list[str], fields):
-    """``lines`` through numpy's C reader, each group one subarray field of
+def _loadtxt(text, fields, skip: int = 0, count: int | None = None):
+    """``count`` rows of ``text`` after its ``skip`` first lines (all rows
+    by default) through numpy's C reader, each group one subarray field of
     its dtype, or None for text it refuses or warns about."""
     dtype = [(f"f{k}", dt, (n,)) for k, (_, dt, n) in enumerate(fields)]
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(lines, dtype=dtype, comments=None, ndmin=1)
+            return np.loadtxt(
+                text, dtype=dtype, comments=None, skiprows=skip, max_rows=count, ndmin=1
+            )
     except (ValueError, Warning):
         return None
 
@@ -148,7 +208,11 @@ def _fault(line: str, lineno: int, fields) -> NoReturn:
     width = sum(count for _, _, count in fields)
     if len(toks) != width:
         raise FormatError(f"line {lineno}: expected {width} fields, got {len(toks)}")
-    columns = [(name, dtype) for name, dtype, count in fields for _ in range(count)]
+    columns = [
+        (name, dtype)
+        for names, dtype, count in fields
+        for name in (names if isinstance(names, tuple) else [names] * count)
+    ]
     for tok, (name, dtype) in zip(toks, columns):
         if _loadtxt([tok], [(name, dtype, 1)]) is None:
             if np.dtype(dtype).kind == "f":
@@ -159,22 +223,23 @@ def _fault(line: str, lineno: int, fields) -> NoReturn:
     raise FormatError(f"line {lineno}: unreadable row")
 
 
-def _rows_text(header: list[str], blocks) -> str:
-    """The ``header`` lines, then per block ``(row_fmt, columns)`` one line
-    ``row_fmt % row`` per row, a row joining that row of every column.
-    Values print as the Python int or float they equal (via object arrays)."""
-    out = [line + "\n" for line in header]
+def _write_rows(out, header: list[str], blocks) -> None:
+    """Write the ``header`` lines to the text file ``out``, then per block
+    ``(row_fmt, columns)`` one line ``row_fmt % row`` per row, a row joining
+    that row of every column, as each ``_CHUNK`` rows are formatted.  Values
+    print as the Python int or float they equal (via object arrays)."""
+    out.write("".join(line + "\n" for line in header))
     for row_fmt, columns in blocks:
         for lo in range(0, len(columns[0]), _CHUNK):
             table = np.column_stack(
                 [np.asarray(c[lo : lo + _CHUNK], dtype=object) for c in columns]
             )
-            out.append((row_fmt + "\n") * len(table) % tuple(table.ravel()))
-    return "".join(out)
+            out.write((row_fmt + "\n") * len(table) % tuple(table.ravel()))
 
 
-def _write_text(path, text: str) -> None:
-    Path(path).write_text(text, encoding="ascii", newline="\n")
+def _save(path, header: list[str], blocks) -> None:
+    with open(path, "w", encoding="ascii", newline="\n") as out:
+        _write_rows(out, header, blocks)
 
 
 def save_scene(scene: Scene, path) -> None:
@@ -191,7 +256,7 @@ def save_scene(scene: Scene, path) -> None:
     if has_scores:
         columns.append(scene.sem_scores)
         row_fmt += f" {_F32}" * scene.n_classes
-    _write_text(path, _rows_text(header, [(row_fmt, columns)]))
+    _save(path, header, [(row_fmt, columns)])
 
 
 def load_scene(path) -> Scene:
@@ -204,72 +269,82 @@ def load_scene(path) -> Scene:
     Any invariant violation is an error naming the offending line, never a
     silent fix.
     """
-    lines = _read_lines(path)
-    if len(lines) < 3:
-        raise FormatError("line 1: truncated file, expected SC1 header")
-    n_points, n_classes = _header(lines, 1, "SC1", "n_points", "n_classes")
-    if n_points < 0 or not 1 <= n_classes <= np.iinfo(np.int32).max:
-        # a class id beyond int32 cannot be a sem label, nor size a score array
-        raise FormatError("line 1: n_points must be >= 0 and n_classes in [1, 2147483647]")
+    with _open(path) as fh:
+        lines, n_lines = _scan(fh, 4)
+        if n_lines < 3:
+            raise FormatError("line 1: truncated file, expected SC1 header")
+        n_points, n_classes = _header(lines, 1, "SC1", "n_points", "n_classes")
+        if n_points < 0 or not 1 <= n_classes <= np.iinfo(np.int32).max:
+            # a class id beyond int32 cannot be a sem label, nor size a score array
+            raise FormatError("line 1: n_points must be >= 0 and n_classes in [1, 2147483647]")
 
-    stuff_toks = lines[1].split(None, 2)
-    if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":
-        raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
-    (k,) = _ints(stuff_toks[1:2], 2, ["stuff count"])
-    if k < 0:
-        raise FormatError("line 2: stuff count must be >= 0")
-    (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
-    if np.any((stuff < 0) | (stuff >= n_classes)):
-        raise FormatError("line 2: stuff class id out of range")
+        stuff_toks = lines[1].split(None, 2)
+        if len(stuff_toks) < 2 or stuff_toks[0] != "STUFF":
+            raise FormatError("line 2: malformed stuff header, expected 'STUFF <k> <ids...>'")
+        (k,) = _ints(stuff_toks[1:2], 2, ["stuff count"])
+        if k < 0:
+            raise FormatError("line 2: stuff count must be >= 0")
+        (stuff,) = _read_rows(stuff_toks[2:] or [""], 2, [("stuff class id", np.int64, k)])
+        if np.any((stuff < 0) | (stuff >= n_classes)):
+            raise FormatError("line 2: stuff class id out of range")
 
-    (has_scores,) = _header(lines[2:], 3, "SCORES", "scores flag")
-    if has_scores not in (0, 1):
-        raise FormatError("line 3: scores flag must be 0 or 1")
+        (has_scores,) = _header(lines[2:], 3, "SCORES", "scores flag")
+        if has_scores not in (0, 1):
+            raise FormatError("line 3: scores flag must be 0 or 1")
 
-    body = _body(lines, 3, n_points, "point")
-    fields = [(axis, np.float32, 1) for axis in "xyz"] + [(ch, np.int64, 1) for ch in "rgb"]
-    fields += [("sem label", np.int32, 1), ("instance id", np.int32, 1)]
-    if has_scores:
-        fields.append(("score", np.float32, n_classes))
-    cols = _read_rows(body, 4, fields)
+        _count(n_lines, 3, n_points, "point")
+        fields = [(("x", "y", "z"), np.float32, 3), (("r", "g", "b"), np.int64, 3)]
+        fields += [("sem label", np.int32, 1), ("instance id", np.int32, 1)]
+        if has_scores:
+            fields.append(("score", np.float32, n_classes))
+        coords, colors, labels, insts, *scores = _table(fh, lines, 3, n_points, fields)
     with _point_lines(4):
         return Scene(
             n_classes=n_classes,
-            coords=np.hstack(cols[0:3]),
-            colors=np.hstack(cols[3:6]),
-            sem_labels=cols[6][:, 0],
-            inst_ids=cols[7][:, 0],
+            coords=coords,
+            colors=colors,
+            sem_labels=labels[:, 0],
+            inst_ids=insts[:, 0],
             stuff_classes=frozenset(stuff[0].tolist()),
-            sem_scores=cols[8] if has_scores else None,
+            sem_scores=scores[0] if has_scores else None,
         )
 
 
 def save_offsets(offsets: OffsetField, path) -> None:
     header = [f"OFF1 {offsets.n_points}"]
-    _write_text(path, _rows_text(header, [(" ".join([_F64] * 3), [offsets.offsets])]))
+    _save(path, header, [(" ".join([_F64] * 3), [offsets.offsets])])
 
 
 def load_offsets(path) -> OffsetField:
     """Parse a format v1 offset file: ``OFF1 <n>`` then n ``dx dy dz`` lines."""
-    lines = _read_lines(path)
-    (n,) = _header(lines, 1, "OFF1", "n_points")
-    if n < 0:
-        raise FormatError("line 1: n_points must be >= 0")
-    (out,) = _read_rows(_body(lines, 1, n, "offset"), 2, [("offset", np.float64, 3)])
+    with _open(path) as fh:
+        lines, n_lines = _scan(fh, 2)
+        (n,) = _header(lines, 1, "OFF1", "n_points")
+        if n < 0:
+            raise FormatError("line 1: n_points must be >= 0")
+        _count(n_lines, 1, n, "offset")
+        (out,) = _table(fh, lines, 1, n, [("offset", np.float64, 3)])
     with _point_lines(2):
         return OffsetField(out)
 
 
-def predictions_text(preds: list[InstancePrediction]) -> str:
+def _prediction_rows(preds: list[InstancePrediction]):
+    """The header and blocks of rows of a prediction file."""
     blocks = []
     for p in preds:
         blocks.append(("%d " + _F64 + " %d", [[p.class_id], [p.score], [p.size]]))
         blocks.append((" ".join(["%d"] * p.size), [p.point_idx[None, :]]))
-    return _rows_text([f"PRED1 {len(preds)}"], blocks)
+    return [f"PRED1 {len(preds)}"], blocks
+
+
+def predictions_text(preds: list[InstancePrediction]) -> str:
+    out = io.StringIO()
+    _write_rows(out, *_prediction_rows(preds))
+    return out.getvalue()
 
 
 def save_predictions(preds: list[InstancePrediction], path) -> None:
-    _write_text(path, predictions_text(preds))
+    _save(path, *_prediction_rows(preds))
 
 
 def load_predictions(path) -> list[InstancePrediction]:
@@ -279,49 +354,52 @@ def load_predictions(path) -> list[InstancePrediction]:
     ``<class> <score> <n>`` and n space-separated point indices.  Index order
     in the file is free; duplicates are rejected.
     """
-    lines = _read_lines(path)
-    (m,) = _header(lines, 1, "PRED1", "prediction count")
-    if m < 0:
-        raise FormatError("line 1: prediction count must be >= 0")
-    _body(lines, 1, 2 * m, "prediction")
     head = [("class", np.int64, 1), ("score", np.float64, 1), ("point count", np.int64, 1)]
     preds = []
-    for lineno in range(2, 2 + 2 * m, 2):
-        class_id, score, n = (c[0, 0].item() for c in _read_rows([lines[lineno - 1]], lineno, head))
-        if n < 0:
-            raise FormatError(f"line {lineno}: point count must be >= 0")
-        (idx,) = _read_rows([lines[lineno]], lineno + 1, [("point index", np.int64, n)])
-        idx = np.sort(idx.ravel())
-        if np.any(idx[1:] == idx[:-1]):
-            raise FormatError(f"line {lineno + 1}: duplicate point index")
-        if idx.size and idx[0] < 0:
-            raise FormatError(f"line {lineno + 1}: prediction contains a negative point index")
-        try:
-            preds.append(InstancePrediction(point_idx=idx, class_id=class_id, score=score))
-        except SceneError as err:
-            raise FormatError(f"line {lineno}: {err}") from err
+    with _open(path) as fh:
+        lines, n_lines = _scan(fh, 1)
+        (m,) = _header(lines, 1, "PRED1", "prediction count")
+        if m < 0:
+            raise FormatError("line 1: prediction count must be >= 0")
+        _count(n_lines, 1, 2 * m, "prediction")
+        body = _body_lines(fh, 1)
+        for lineno in range(2, 2 + 2 * m, 2):
+            class_id, score, n = (c[0, 0].item() for c in _read_rows([next(body)], lineno, head))
+            if n < 0:
+                raise FormatError(f"line {lineno}: point count must be >= 0")
+            (idx,) = _read_rows([next(body)], lineno + 1, [("point index", np.int64, n)])
+            idx = np.sort(idx.ravel())
+            if np.any(idx[1:] == idx[:-1]):
+                raise FormatError(f"line {lineno + 1}: duplicate point index")
+            if idx.size and idx[0] < 0:
+                raise FormatError(f"line {lineno + 1}: prediction contains a negative point index")
+            try:
+                preds.append(InstancePrediction(point_idx=idx, class_id=class_id, score=score))
+            except SceneError as err:
+                raise FormatError(f"line {lineno}: {err}") from err
     return preds
 
 
 def save_scorer(model: ScorerModel, path) -> None:
     blocks = [(" ".join([_F64] * row.size), [row[None]]) for row in model._rows()]
-    _write_text(path, _rows_text([f"SCORER1 {model.descriptor_dim} {model.hidden}"], blocks))
+    _save(path, [f"SCORER1 {model.descriptor_dim} {model.hidden}"], blocks)
 
 
 def load_scorer(path) -> ScorerModel:
     """Parse ``SCORER1 <dim> <hidden>``, then one line per row of the model,
     of ``scoring.row_widths(dim, hidden)`` values each: mean, std, the rows
     of w1, b1, w2 and b2."""
-    lines = _read_lines(path)
-    d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
-    if d < 1 or h < 1:
-        raise FormatError("line 1: dimensions must be >= 1")
-    widths = row_widths(d, h)
-    body = _body(lines, 1, len(widths), "model")
-    rows = [
-        _read_rows([line], 2 + k, [("value", np.float64, width)])[0][0]
-        for k, (line, width) in enumerate(zip(body, widths))
-    ]
+    with _open(path) as fh:
+        lines, n_lines = _scan(fh, 1)
+        d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
+        if d < 1 or h < 1:
+            raise FormatError("line 1: dimensions must be >= 1")
+        widths = row_widths(d, h)
+        _count(n_lines, 1, len(widths), "model")
+        rows = [
+            _read_rows([line], 2 + k, [("value", np.float64, width)])[0][0]
+            for k, (line, width) in enumerate(zip(_body_lines(fh, 1), widths))
+        ]
     with _point_lines(2):
         return ScorerModel._from_rows(rows)
 
@@ -351,4 +429,4 @@ def export_ply(scene: Scene, preds: list[InstancePrediction], path) -> None:
     header += [f"property float {axis}" for axis in "xyz"]
     header += [f"property uchar {ch}" for ch in ("red", "green", "blue")] + ["end_header"]
     row_fmt = " ".join([_F32] * 3 + ["%d"] * 3)
-    _write_text(path, _rows_text(header, [(row_fmt, [scene.coords, colors])]))
+    _save(path, header, [(row_fmt, [scene.coords, colors])])

@@ -40,10 +40,19 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     )
 
 
+def _finite(number) -> bool:
+    """Whether ``number`` is a finite float: neither NaN nor inf, nor a
+    Python int beyond the float range."""
+    try:
+        return bool(np.isfinite(float(number)))
+    except OverflowError:
+        return False
+
+
 def _check(name: str, value, ok: bool, rule: str) -> None:
-    """ValueError naming ``name`` unless ``value`` is finite (neither NaN
-    nor inf) and ``ok``, the caller's range test."""
-    if not (ok and np.all(np.isfinite(value))):
+    """ValueError naming ``name`` unless ``value``, a number or a sequence
+    of them, is finite and ``ok``, the caller's range test."""
+    if not (ok and all(map(_finite, np.asarray(value, dtype=object).ravel()))):
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
@@ -120,6 +129,8 @@ class GenConfig:
             "an increasing positive finite range",
         )
         _check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
+        # each object is given at least min_object_points points
+        _point_count(float(objects) * points, "n_objects and min_object_points")
         _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
         _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)

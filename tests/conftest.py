@@ -2,12 +2,14 @@
 library's vectorised paths."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cloudinst
+from cloudinst import formats
 from cloudinst.core import FormatError, OffsetField, Scene, check_offsets
 
 
@@ -96,8 +98,10 @@ def walk_rows(lines, lineno, fields) -> list[np.ndarray]:
         if len(toks) != width:
             raise FormatError(f"line {at}: expected {width} fields, got {len(toks)}")
         pos = 0
-        for (name, dtype, count), col in zip(fields, cols):
-            for tok in toks[pos : pos + count]:
+        for (names, dtype, count), col in zip(fields, cols):
+            if not isinstance(names, tuple):
+                names = (names,) * count
+            for tok, name in zip(toks[pos : pos + count], names):
                 col.append(_reference_value(tok, at, name, dtype))
             pos += count
     out = []
@@ -106,6 +110,45 @@ def walk_rows(lines, lineno, fields) -> list[np.ndarray]:
         with np.errstate(over="ignore"):  # a float beyond float32 becomes inf
             out.append(wide.reshape(len(lines), count).astype(dtype))
     return out
+
+
+def read_lines(path) -> list[str]:
+    """The lines of the file at ``path`` as the loaders read them before they
+    streamed: the whole text, split at newlines (text mode ends a line at a
+    CR or a CR LF too), with a run of empty lines that ends the file
+    dropped; a non-ASCII byte is a FormatError naming its line."""
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
+    if not text.isascii():
+        pos = re.search("[^\x00-\x7f]", text).start()
+        lineno = text.count("\n", 0, pos) + 1
+        raise FormatError(f"line {lineno}: non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}")
+    lines = text.split("\n")
+    while lines and lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def load_by_lines(load, path):
+    """``load(path)`` by the line-list route, the reference for the streamed
+    loaders: the file's whole line list (``read_lines``) gives the header
+    lines and the line count, and ``_read_rows`` reads the body from it, as
+    ``walk_rows`` is the reference for ``_read_rows``."""
+    lines = read_lines(path)
+
+    def scan(fh, keep):
+        return lines[:keep], len(lines)
+
+    def table(fh, first, head, count, fields):
+        return formats._read_rows(lines[head:], head + 1, fields)
+
+    def body_lines(fh, head):
+        return iter(lines[head:])
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_scan", scan)
+        patch.setattr(formats, "_table", table)
+        patch.setattr(formats, "_body_lines", body_lines)
+        return load(path)
 
 
 def _reference_value(tok: str, at: int, name: str, dtype):

@@ -301,6 +301,7 @@ def test_generate_that_cannot_allocate_exits_2(capsys, tmp_path):
         (["--room", "3e38", "3e38", "2.5", "--n-objects", "0"], "room and stuff_density"),
         (["--density", "1e300"], "density"),
         (["--room", "3e38", "5", "2.5", "--n-objects", "0"], "room and stuff_density"),
+        (["--n-objects", "100000000000000000000"], "n_objects and min_object_points"),
     ],
 )
 def test_generate_of_more_points_than_an_array_holds_exits_2(capsys, tmp_path, argv, fields):

@@ -1,9 +1,12 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from cloudinst.core import FormatError, InstancePrediction, OffsetField, SceneError
+from cloudinst.core import FormatError, InstancePrediction, OffsetField, Scene, SceneError
 from cloudinst import formats
 from cloudinst.formats import (
     _read_rows,
@@ -21,7 +24,7 @@ from cloudinst.core import scenes_equal
 from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import make_scene, package_uses, walk_rows
+from conftest import load_by_lines, make_scene, package_uses, walk_rows
 
 VALID_TWO_POINT = """SC1 2 3
 STUFF 1 0
@@ -608,10 +611,12 @@ def _table(draw):
     """``(lines, fields)``: field groups of every dtype, rows of vocabulary
     tokens joined by whitespace (or NUL), some rows blank or of wrong width."""
     dtypes = st.sampled_from([np.int32, np.int64, np.float32, np.float64])
-    fields = [
-        (f"g{k}", draw(dtypes), draw(st.integers(0, 3)))
-        for k in range(draw(st.integers(1, 4)))
-    ]
+    fields = []
+    for k in range(draw(st.integers(1, 4))):
+        dtype, count = draw(dtypes), draw(st.integers(0, 3))
+        # one name for every column of the group, or one name per column
+        names = draw(st.sampled_from([f"g{k}", tuple(f"g{k}.{j}" for j in range(count))]))
+        fields.append((names, dtype, count))
     width = sum(count for _, _, count in fields)
     # plain tokens, with one exotic token or with all of them mixed in
     mix = draw(st.sampled_from([[], [draw(st.sampled_from(_EXOTIC))] * 3, _EXOTIC]))
@@ -711,3 +716,181 @@ def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
 def test_one_number_parser():
     # every text format turns text into numbers through one numpy reader
     assert package_uses("loadtxt") == [("formats", "_loadtxt")]
+
+
+# --- the streamed loaders agree with the line-list route -------------------
+
+
+def _parts(loaded) -> list:
+    """What a loader returned, each array as (dtype, shape, bytes)."""
+    if isinstance(loaded, Scene):
+        parts = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids]
+        parts += [loaded.sem_scores, loaded.n_classes, sorted(loaded.stuff_classes)]
+    elif isinstance(loaded, OffsetField):
+        parts = [loaded.offsets]
+    elif isinstance(loaded, ScorerModel):
+        parts = loaded._rows()
+    else:
+        parts = [x for p in loaded for x in (p.point_idx, p.class_id, p.score)]
+    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in parts]
+
+
+def _loaded(load, path):
+    try:
+        return _parts(load(path))
+    except FormatError as err:
+        return str(err)
+
+
+def _streamed_as_by_lines(kind, path):
+    """The streamed loader's arrays or FormatError message, which must be
+    the line-list route's."""
+    streamed = _loaded(LOADERS[kind], path)
+    assert streamed == _loaded(lambda p: load_by_lines(LOADERS[kind], p), path)
+    return streamed
+
+
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+@settings(
+    derandomize=True, deadline=None, max_examples=300,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_streamed_loaders_match_the_line_list_route(tmp_path, kind, data):
+    path = tmp_path / f"g.{kind}"
+    path.write_bytes(data.draw(_garbled(VALID[kind])))
+    _streamed_as_by_lines(kind, path)
+
+
+HEAD = {"sc1": 3, "off1": 1, "pred1": 1, "scorer": 1}  # header lines
+
+
+def _variant(kind: str, variant: str) -> bytes:
+    """``VALID[kind]`` with its line ends, its row count or a body line changed."""
+    text = VALID[kind]
+    lines, second = text.split("\n")[:-1], HEAD[kind] + 1  # lines[second]: line 2 of the body
+    if variant == "crlf":
+        return text.replace("\n", "\r\n").encode()
+    if variant == "lone cr":
+        return text.replace("\n", "\r").encode()
+    if variant == "trailing newlines":
+        return (text + "\n\r\n\r\n").encode()
+    if variant == "whitespace last line":
+        return (text + " \t\n").encode()
+    if variant == "blank body line":  # between two rows, so the row count holds
+        if kind == "off1":  # a third row, so that line 2 of the body is not the last
+            lines = ["OFF1 3"] + lines[1:] + ["8 9 10"]
+        lines[second] = ""
+    elif variant == "blank line added":
+        lines.insert(second, "")
+    elif variant == "row too many":
+        lines.append(lines[-1])
+    elif variant == "row too few":
+        lines.pop()
+    else:  # a non-ASCII byte on a body line
+        return ("\n".join(lines[:second] + ["7\xe9" + lines[second]] + lines[second + 1 :]) + "\n").encode(
+            "latin-1"
+        )
+    return ("\n".join(lines) + "\n").encode()
+
+
+# None: loads as VALID does; else the FormatError the variant must raise
+VARIANTS = {
+    "crlf": None,
+    "lone cr": None,
+    "trailing newlines": None,
+    "whitespace last line": "lines, found",
+    "blank body line": "^line {line}: expected [0-9]+ fields, got 0$",
+    "blank line added": "lines, found",
+    "row too many": "lines, found",
+    "row too few": "lines, found",
+    "non-ascii": "^line {line}: non-ASCII byte 0xe9$",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("kind", sorted(LOADERS))
+def test_streamed_loaders_on_line_ends_blank_lines_and_row_counts(tmp_path, kind, variant):
+    path = tmp_path / f"v.{kind}"
+    path.write_bytes(_variant(kind, variant))
+    outcome = _streamed_as_by_lines(kind, path)
+    if VARIANTS[variant] is None:
+        path.write_text(VALID[kind])
+        assert outcome == _loaded(LOADERS[kind], path)
+    else:
+        assert re.search(VARIANTS[variant].format(line=HEAD[kind] + 2), outcome)
+
+
+@pytest.mark.parametrize(
+    "kind,text,error",
+    [
+        (
+            "sc1", "SC1 1 2000000000\nSTUFF 0\nSCORES 1\n0 0 0 1 2 3 1 -1 1\n",
+            "line 4: expected 2000000008 fields, got 9",
+        ),
+        ("off1", "OFF1 1\n0\n", "line 2: expected 3 fields, got 1"),
+        ("pred1", "PRED1 1\n1 0.5 2000000000\n1\n", "line 3: expected 2000000000 fields, got 1"),
+        (
+            "scorer", "SCORER1 2000000000 1\n0\n1\n0\n0\n0\n0\n",
+            "line 2: expected 2000000000 fields, got 1",
+        ),
+    ],
+    ids=["sc1", "off1", "pred1", "scorer"],
+)
+def test_a_row_wider_than_its_line_is_named_before_the_reader_runs(
+    tmp_path, monkeypatch, kind, text, error
+):
+    # the reader sizes its work per column: a header of 2e9 columns must not reach it
+    path = tmp_path / f"w.{kind}"
+    path.write_text(text)
+    loadtxt = formats._loadtxt
+
+    def narrow_only(text, fields, *args):
+        assert sum(count for _, _, count in fields) < 1000, "a table wider than its line was read"
+        return loadtxt(text, fields, *args)
+
+    monkeypatch.setattr(formats, "_loadtxt", narrow_only)
+    with pytest.raises(FormatError, match=f"^{error}$"):
+        LOADERS[kind](path)
+
+
+# --- memory: loaders hold their arrays and a table, writers one block -------
+
+
+def _peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def saved_scene(tmp_path_factory):
+    """A generated ~47k-point scene and its offsets, saved: 3 MB of .sc1 text."""
+    scene, offsets = generate_scene(GenConfig(seed=1, room=(6.0, 6.0, 3.0), n_objects=16))
+    path = tmp_path_factory.mktemp("mem") / "s.sc1"
+    save_scene(scene, path)
+    save_offsets(offsets, path.with_suffix(".off1"))
+    return scene, path
+
+
+def test_loads_peak_within_4_5x_their_arrays(saved_scene):
+    # no whole-file text and no line list: the C reader's table, then the
+    # objects' own copies and their checks
+    scene, path = saved_scene
+    loaded, peak = _peak(load_scene, path)
+    arrays = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids, loaded.sem_scores]
+    assert scenes_equal(loaded, scene)
+    assert peak <= 4.5 * sum(a.nbytes for a in arrays)
+    offsets, peak = _peak(load_offsets, path.with_suffix(".off1"))
+    assert peak <= 4.5 * offsets.offsets.nbytes
+
+
+def test_save_scene_peak_below_a_quarter_of_its_bytes(saved_scene, tmp_path):
+    # the writer holds one block of _CHUNK rows, not the file's text
+    scene, _ = saved_scene
+    path = tmp_path / "again.sc1"
+    _, peak = _peak(save_scene, scene, path)
+    assert peak < 0.25 * path.stat().st_size

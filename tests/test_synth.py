@@ -319,6 +319,27 @@ def test_config_validation():
         ]:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 GenConfig(**{name: value})
+    # an int of any size meets the finite test; a float field refuses one
+    # beyond the float range, and the objects' planned points must fit an array
+    big, huge = 10**20, 10**400
+    for name, value in [
+        ("n_objects", -big), ("min_object_points", -big), ("density", huge),
+        ("size_scale", (1, huge)), ("room", (big, 5, huge)),
+    ]:
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            GenConfig(**{name: value})
+    for kwargs, planned in [
+        ({"n_objects": big}, "6e\\+21"),
+        ({"min_object_points": big}, "6e\\+20"),
+        ({"n_objects": big, "min_object_points": big}, "1e\\+40"),
+        ({"n_objects": 10**200, "min_object_points": 10**200}, "inf"),
+    ]:
+        with pytest.raises(
+            ValueError, match=f"^n_objects and min_object_points too large: {planned} points"
+        ):
+            GenConfig(**kwargs)
+    assert GenConfig(n_objects=0, min_object_points=big).min_object_points == big
+    assert GenConfig(room=(big, 5, 2.5)).room[0] == big
 
 
 def test_noise_rules_refuse_nan_and_inf():
