@@ -420,6 +420,35 @@ def _garbled(draw, text: str) -> bytes:
     return bytes(data)
 
 
+def _parts(loaded) -> list:
+    """What a loader returned, each array as (dtype, shape, bytes)."""
+    if isinstance(loaded, Scene):
+        parts = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids]
+        parts += [loaded.sem_scores, loaded.n_classes, sorted(loaded.stuff_classes)]
+    elif isinstance(loaded, OffsetField):
+        parts = [loaded.offsets]
+    elif isinstance(loaded, ScorerModel):
+        parts = loaded._rows()
+    else:
+        parts = [x for p in loaded for x in (p.point_idx, p.class_id, p.score)]
+    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in parts]
+
+
+def _loaded(load, path):
+    try:
+        return _parts(load(path))
+    except FormatError as err:
+        return str(err)
+
+
+def _streamed_as_by_lines(kind, path):
+    """The streamed loader's arrays or FormatError message, which must be
+    the line-list route's."""
+    streamed = _loaded(LOADERS[kind], path)
+    assert streamed == _loaded(lambda p: load_by_lines(LOADERS[kind], p), path)
+    return streamed
+
+
 @pytest.mark.parametrize("kind", sorted(LOADERS))
 @settings(
     derandomize=True, deadline=None, max_examples=300,
@@ -427,12 +456,13 @@ def _garbled(draw, text: str) -> bytes:
 )
 @given(data=st.data())
 def test_garbled_files_raise_only_format_error(tmp_path, kind, data):
+    # and the streamed loader returns the arrays or the message of the
+    # line-list route, whatever the size of the scan's reads
     path = tmp_path / f"g.{kind}"
     path.write_bytes(data.draw(_garbled(VALID[kind])))
-    try:
-        LOADERS[kind](path)
-    except FormatError:
-        pass
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_READ", data.draw(st.sampled_from([1, 2, 7, formats._READ])))
+        _streamed_as_by_lines(kind, path)
 
 
 def _reference_text(header, rows):
@@ -718,49 +748,7 @@ def test_one_number_parser():
     assert package_uses("loadtxt") == [("formats", "_loadtxt")]
 
 
-# --- the streamed loaders agree with the line-list route -------------------
-
-
-def _parts(loaded) -> list:
-    """What a loader returned, each array as (dtype, shape, bytes)."""
-    if isinstance(loaded, Scene):
-        parts = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids]
-        parts += [loaded.sem_scores, loaded.n_classes, sorted(loaded.stuff_classes)]
-    elif isinstance(loaded, OffsetField):
-        parts = [loaded.offsets]
-    elif isinstance(loaded, ScorerModel):
-        parts = loaded._rows()
-    else:
-        parts = [x for p in loaded for x in (p.point_idx, p.class_id, p.score)]
-    return [(a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a for a in parts]
-
-
-def _loaded(load, path):
-    try:
-        return _parts(load(path))
-    except FormatError as err:
-        return str(err)
-
-
-def _streamed_as_by_lines(kind, path):
-    """The streamed loader's arrays or FormatError message, which must be
-    the line-list route's."""
-    streamed = _loaded(LOADERS[kind], path)
-    assert streamed == _loaded(lambda p: load_by_lines(LOADERS[kind], p), path)
-    return streamed
-
-
-@pytest.mark.parametrize("kind", sorted(LOADERS))
-@settings(
-    derandomize=True, deadline=None, max_examples=300,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-@given(data=st.data())
-def test_streamed_loaders_match_the_line_list_route(tmp_path, kind, data):
-    path = tmp_path / f"g.{kind}"
-    path.write_bytes(data.draw(_garbled(VALID[kind])))
-    _streamed_as_by_lines(kind, path)
-
+# --- the streamed loaders on line ends, blank lines and row counts --------
 
 HEAD = {"sc1": 3, "off1": 1, "pred1": 1, "scorer": 1}  # header lines
 
@@ -788,10 +776,8 @@ def _variant(kind: str, variant: str) -> bytes:
     elif variant == "row too few":
         lines.pop()
     else:  # a non-ASCII byte on a body line
-        return ("\n".join(lines[:second] + ["7\xe9" + lines[second]] + lines[second + 1 :]) + "\n").encode(
-            "latin-1"
-        )
-    return ("\n".join(lines) + "\n").encode()
+        lines[second] = "7\xe9" + lines[second]
+    return ("\n".join(lines) + "\n").encode("latin-1")
 
 
 # None: loads as VALID does; else the FormatError the variant must raise
@@ -808,9 +794,13 @@ VARIANTS = {
 }
 
 
+@pytest.mark.parametrize("read", [2, formats._READ])  # characters per read of the scan
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-def test_streamed_loaders_on_line_ends_blank_lines_and_row_counts(tmp_path, kind, variant):
+def test_streamed_loaders_on_line_ends_blank_lines_and_row_counts(
+    tmp_path, monkeypatch, kind, variant, read
+):
+    monkeypatch.setattr(formats, "_READ", read)
     path = tmp_path / f"v.{kind}"
     path.write_bytes(_variant(kind, variant))
     outcome = _streamed_as_by_lines(kind, path)
