@@ -138,7 +138,7 @@ def load_by_lines(load, path):
     def scan(fh, keep):
         return lines[:keep], len(lines)
 
-    def table(fh, first, head, count, fields):
+    def table(fh, kept, head, count, fields):
         return formats._read_rows(lines[head:], head + 1, fields)
 
     def body_lines(fh, head):

@@ -319,8 +319,8 @@ def test_config_validation():
         ]:
             with pytest.raises(ValueError, match=f"^{name} must be"):
                 GenConfig(**{name: value})
-    # an int of any size meets the finite test; a float field refuses one
-    # beyond the float range, and the objects' planned points must fit an array
+    # a Python int of any size gets its field's message, not a TypeError: one
+    # beyond the float range is not finite, and the planned points must fit an array
     big, huge = 10**20, 10**400
     for name, value in [
         ("n_objects", -big), ("min_object_points", -big), ("density", huge),
