@@ -87,28 +87,34 @@ def _merge_edges(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
 def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
     """Whether any point of node a[k] lies closer than r to any point of node
     b[k], ``cost[k]`` being the product of their point counts."""
-    item, q = expand_ranges(0, cost)
-    qa, qb = np.divmod(q, grid.counts[b][item])
-    i = grid.starts[a][item] + qa
-    j = grid.starts[b][item] + qb
-    x, y, z = xyz  # the expression of squared_distances, one axis per array
-    dx, dy, dz = x[i] - x[j], y[i] - y[j], z[i] - z[j]
+    item, i = expand_ranges(0, cost)
+    j = grid.counts[b][item]
+    np.divmod(i, j, out=(i, j))  # in place: each point's place in its node
+    i += grid.starts[a][item]
+    j += grid.starts[b][item]
+    d2 = np.zeros(item.size, dtype=np.float32)
+    for v in xyz:  # the expression of squared_distances, one axis at a time
+        d = v[i] - v[j]
+        d2 += np.multiply(d, d, out=d)
     hit = np.zeros(a.size, dtype=bool)
-    hit[item[dx * dx + dy * dy + dz * dz < r2]] = True
+    hit[item[d2 < r2]] = True
     return hit
 
 
-def _join_close_pairs(comp: np.ndarray, grid: GridIndex, xyz, r2, a, b, tag: str) -> None:
+def _join_close_pairs(comp: np.ndarray, grid: GridIndex, xyz, r2, pairs, tag: str) -> None:
     """Join, in the parent array ``comp``, the components of each node pair
-    (a[k], b[k]) that holds a point pair closer than r, in rounds of at most
-    _CHUNK point pairs tested (at least one node pair)."""
+    (a[k], b[k]) of ``a, b = pairs()`` that holds a point pair closer than r,
+    in rounds of at most _CHUNK point pairs tested (at least one node pair).
+    Only this call holds a and b, so the unsorted lists go once sorted."""
     with span(f"bq_{tag}"):
+        a, b = pairs()
         # cheapest node pairs first: their merges let costly pairs be skipped;
         # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
         counts = grid.counts.astype(np.int16)
         cost = counts[a] * counts[b]
         cheap = np.argsort(cost, kind="stable")
         a, b, cost = a[cheap], b[cheap], cost[cheap]
+        del cheap  # the rounds hold only the sorted lists
         before = np.concatenate(([0], cost))
         np.cumsum(before, out=before)  # the point pairs of the node pairs before each
 
@@ -188,12 +194,9 @@ def cluster_single_set(
         r2 = radius_squared(params.radius)
         # the nodes of a cell are one clique: each is hooked to the cell's first
         comp = grid.cell_start[grid.node_cell]
-        near = grid.near_pairs()
-    _join_close_pairs(comp, grid, xyz, r2, *near, tag)
-    with span(f"bq_{tag}"):
-        # the far ring leaves out the rows that the near ring's joins settled
-        far = grid.far_pairs(_roots(comp, np.arange(comp.size)))
-    _join_close_pairs(comp, grid, xyz, r2, *far, tag)
+    # the far ring leaves out the rows that the near ring's joins settled
+    for ring in (grid.near_pairs, lambda: grid.far_pairs(_roots(comp, np.arange(comp.size)))):
+        _join_close_pairs(comp, grid, xyz, r2, ring, tag)
 
     with span(f"cl_{tag}"):
         point_comp = np.empty(active_idx.size, dtype=np.int64)

@@ -394,8 +394,8 @@ def load_scorer(path) -> ScorerModel:
         d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
         if d < 1 or h < 1:
             raise FormatError("line 1: dimensions must be >= 1")
+        _count(n_lines, 1, h + 5, "model")  # before row_widths lists h + 5 widths
         widths = row_widths(d, h)
-        _count(n_lines, 1, len(widths), "model")
         rows = [
             _read_rows([line], 2 + k, [("value", np.float64, width)])[0][0]
             for k, (line, width) in enumerate(zip(_body_lines(fh, 1), widths))

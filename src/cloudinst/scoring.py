@@ -143,17 +143,23 @@ def cluster_descriptors(
     if not clusters:
         return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float64)
     idx, sizes, starts = _members(clusters)
-    p = scene.coords[idx].astype(np.float64)
-    q = p + offsets.offsets[idx]
     out = np.empty((len(clusters), DESCRIPTOR_DIM), dtype=np.float64)
     out[:, 0] = np.log(sizes)
+    p = scene.coords[idx].astype(np.float64)
     out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
-    centroid = np.add.reduceat(q, starts) / sizes[:, None]
-    diff = q - np.repeat(centroid, sizes, axis=0)
-    dq = np.sqrt((diff * diff).sum(axis=1))
+    # one (m, 3) array at a time, worked in place: q = p + offset, its
+    # difference from the centroid, and that squared, in one layout, so every
+    # sum keeps its order
+    q = offsets.offsets[idx]
+    q += p
+    del p
+    q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
+    q *= q
+    dq = np.sqrt(q.sum(axis=1))
     out[:, 4] = np.add.reduceat(dq, starts) / sizes
-    spread = dq - np.repeat(out[:, 4], sizes)
-    out[:, 5] = np.sqrt(np.add.reduceat(spread * spread, starts) / sizes)
+    dq -= np.repeat(out[:, 4], sizes)  # the spread about the mean distance
+    dq *= dq
+    out[:, 5] = np.sqrt(np.add.reduceat(dq, starts) / sizes)
     out[:, 6] = 1.0
     if scene.sem_scores is not None:
         out[:, 6] = _mean_class_prob(clusters, scene.sem_scores, idx, sizes, starts)

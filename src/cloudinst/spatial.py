@@ -14,7 +14,9 @@ two rings: near (the own row and the four rows that touch it by a face or an
 edge) and far (the other eight rows).  Given each node's component root, the
 far ring skips a node's range in a row whose nodes all share its root, as
 every pair there joins one component to itself; rows are contiguous in node
-order, so that shared root is a min/max ``reduceat`` over rows.
+order, so that shared root is a min/max ``reduceat`` over rows.  A ring's
+rows are looked up once and then searched and expanded one stencil row at a
+time, so that only its node pairs, as int32 ids, outlive a row.
 
 Cell keys are floor(coord / side) in float64, ranked over the occupied keys
 of each axis with gaps wider than 3 collapsed to 3.  That keeps every
@@ -29,6 +31,7 @@ oracle) so the two routes agree bit-for-bit.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -180,20 +183,23 @@ class GridIndex:
         """Occupied cells, counted once per label they hold."""
         return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
 
-    def _row_ranges(self, codes: np.ndarray, rows: np.ndarray, roots=None) -> tuple[np.ndarray, ...]:
-        """Node ranges [lo, hi) that cover stencil ``rows`` around the cell
-        coded ``codes[who]``, for sorted ``codes``; given ``roots`` (then ``codes``
-        are all nodes'), none in a row whose nodes all share the root of who."""
+    def _row_ranges(self, codes: np.ndarray, rows: np.ndarray, roots=None):
+        """The node ranges [lo, hi) that cover the stencil rows around the
+        cell coded ``codes[who]``, for sorted ``codes``, as (who, lo, hi) per
+        group of ``rows`` (shape (groups, rows, 2)), each group searched as
+        it is reached; given ``roots`` (then ``codes`` are all nodes'), none
+        in a row whose nodes all share the root of who."""
         # look each neighbour row up once per occupied row, and search only
         # from the nodes of rows whose neighbour row exists
         node_row = codes // self._wx
         run = np.flatnonzero(np.diff(node_row, prepend=-1))
         own = node_row[run]
-        target = self._row_codes[own] + rows[:, 0, None] * self._wz + rows[:, 1, None]
+        dy, dz = rows.reshape(-1, 2).T
+        target = self._row_codes[own] + dy[:, None] * self._wz + dz[:, None]
         at = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
         k, u = np.nonzero(self._row_codes[at] == target)
         if not k.size:  # no neighbour row: nothing to search
-            return (np.empty(0, dtype=np.int64),) * 3
+            return iter(())
         if roots is not None:
             # row u starts at node run[u]; its root, or -1 where its nodes have
             # more than one: a row skips a neighbour row of its own root whole
@@ -201,38 +207,57 @@ class GridIndex:
             shared = np.where(low == high, low, -1)
             mixed = (shared[u] != shared[at[k, u]]) | (shared[u] < 0)
             k, u = k[mixed], u[mixed]
-        item, who = expand_ranges(run[u], np.diff(run, append=codes.size)[u])
-        if roots is not None:
-            keep = np.flatnonzero(roots[who] != shared[at[k, u]][item])
-            item, who = item[keep], who[keep]
-        # stencil row by stencil row, each searchsorted gets ascending needles
-        base = codes[who] + ((at[k, u] - own[u]) * self._wx)[item]
-        lo = np.searchsorted(self._node_codes, base - _REACH)
-        hi = np.searchsorted(self._node_codes, base + _REACH, side="right")
-        return who, lo, hi
+        size = np.diff(run, append=codes.size)
+
+        def search(k, u):  # one group: its temporaries go with the call
+            item, who = expand_ranges(run[u], size[u])
+            if roots is not None:
+                keep = np.flatnonzero(roots[who] != shared[at[k, u]][item])
+                item, who = item[keep], who[keep]
+            # each searchsorted gets ascending needles
+            base = codes[who] + ((at[k, u] - own[u]) * self._wx)[item]
+            lo = np.searchsorted(self._node_codes, base - _REACH)
+            return who, lo, np.searchsorted(self._node_codes, base + _REACH, side="right")
+
+        step = np.flatnonzero(np.diff(k // rows.shape[1])) + 1
+        return map(search, np.split(k, step), np.split(u, step))
+
+    def _pairs(self, ranges) -> tuple[np.ndarray, np.ndarray]:
+        """Each pair (who[k], b), b in [lo[k], hi[k]), of each (who, lo, hi)
+        of ``ranges`` in turn, as node ids in int32 (int64 from 2**31 nodes);
+        only the pairs are kept from one to the next."""
+        ids = np.int32 if self.n_nodes < 2**31 else np.int64
+
+        def expand(who, lo, hi):
+            item, b = expand_ranges(lo, hi - lo)
+            return who.astype(ids)[item], b.astype(ids)
+
+        a, b = zip((np.empty(0, ids),) * 2, *itertools.starmap(expand, ranges))
+        a = np.concatenate(a)  # one at a time: a's parts go before b is joined
+        b = np.concatenate(b)
+        return a, b
+
+    def _next_cells(self):
+        """The (0, 0) row as one range (who, lo, hi), made when it is reached,
+        which needs no search: from dx = +1 to +2 it holds the nodes of the
+        next one or two cells, if at most two codes on."""
+        code = np.append(self._node_codes[self.cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
+        reach = sum(code[s : s + self.n_cells] - code[: self.n_cells] <= _REACH for s in (1, 2))
+        reach += np.arange(1, self.n_cells + 1)
+        lo, hi = self.cell_start[self.node_cell + 1], self.cell_start[reach[self.node_cell]]
+        yield np.arange(self.n_nodes), lo, hi
 
     def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes in distinct cells within the
         near ring of the stencil, once."""
-        who, lo, hi = self._row_ranges(self._node_codes, _NEAR_ROWS)
-        # the (0, 0) row needs no search: from dx = +1 to +2 it holds the
-        # nodes of the next one or two cells, if at most two codes on
-        code = np.append(self._node_codes[self.cell_start[:-1]], [np.iinfo(np.int64).max] * 2)
-        reach = sum(code[s : s + self.n_cells] - code[: self.n_cells] <= _REACH for s in (1, 2))
-        reach += np.arange(1, self.n_cells + 1)
-        who = np.concatenate((np.arange(self.n_nodes), who))
-        lo = np.concatenate((self.cell_start[self.node_cell + 1], lo))
-        hi = np.concatenate((self.cell_start[reach[self.node_cell]], hi))
-        item, b = expand_ranges(lo, hi - lo)
-        return who[item], b
+        rows = self._row_ranges(self._node_codes, _NEAR_ROWS[:, None])
+        return self._pairs(itertools.chain(self._next_cells(), rows))
 
     def far_pairs(self, roots: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes within the far ring of the
         stencil, once; given each node's component root, none whose node a
         shares the root of every node in the row of b."""
-        who, lo, hi = self._row_ranges(self._node_codes, _FAR_ROWS, roots)
-        item, b = expand_ranges(lo, hi - lo)
-        return who[item], b
+        return self._pairs(self._row_ranges(self._node_codes, _FAR_ROWS[:, None], roots))
 
 
 def build_index(coords: np.ndarray, radius: float) -> GridIndex:
@@ -249,8 +274,7 @@ def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
     """
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
-    _, lo, hi = index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS)
-    _, nodes = expand_ranges(lo, hi - lo)
+    _, nodes = index._pairs(index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS[None]))
     _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
     cand = index.order[take]
     d2 = squared_distances(index.coords[cand], index.coords[center_idx])

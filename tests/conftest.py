@@ -3,6 +3,7 @@ library's vectorised paths."""
 
 import ast
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,16 @@ def package_uses(name: str) -> list[tuple[str, str | None]]:
     for path in sorted(Path(cloudinst.__file__).parent.glob("*.py")):
         visit(ast.parse(path.read_text()), path.stem, None)
     return uses
+
+
+def traced_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory it traced, in bytes: how
+    every memory test measures."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def iou(a, b) -> float:

@@ -16,7 +16,7 @@ from cloudinst.losses import offset_targets
 from cloudinst.spatial import GridIndex, radius_squared, squared_distances
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import random_cluster_inputs, two_object_scene
+from conftest import random_cluster_inputs, traced_peak, two_object_scene
 
 
 def clusters_as_sets(clusters):
@@ -332,8 +332,8 @@ def test_far_ring_enumerates_few_of_its_pairs(monkeypatch, seed):
 
 
 def _kernel_work(monkeypatch, coords, labels, stuff, source):
-    """Node pairs whose liveness is read, point pairs tested, rounds and
-    edges merged in one cluster_single_set call."""
+    """Node pairs whose liveness is read, point pairs tested, rounds, edges
+    merged and the peak of traced memory in one cluster_single_set call."""
     work = dict.fromkeys(("read", "tested", "rounds", "edges"), 0)
     live, touching, merge_edges = clustering._live, clustering._touching, clustering._merge_edges
 
@@ -354,7 +354,9 @@ def _kernel_work(monkeypatch, coords, labels, stuff, source):
         m.setattr(clustering, "_live", counting_live)
         m.setattr(clustering, "_touching", counting_touching)
         m.setattr(clustering, "_merge_edges", counting_merge)
-        cluster_single_set(coords, labels, stuff, ClusterParams(), source)
+        _, work["peak"] = traced_peak(
+            cluster_single_set, coords, labels, stuff, ClusterParams(), source
+        )
     return work
 
 
@@ -380,7 +382,24 @@ def test_kernel_work_at_most_doubles_with_a_second_copy(monkeypatch, seed, sourc
         stuff | {s + shift for s in stuff}, source,
     )
     assert one["rounds"] >= 5
-    assert all(two[k] <= 2 * one[k] for k in ("read", "tested", "edges")), (one, two)
+    assert all(two[k] <= 2 * one[k] for k in ("read", "tested", "edges", "peak")), (one, two)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("source", [Source.ORIGINAL, Source.SHIFTED], ids=["p", "q"])
+def test_kernel_peak_within_14x_its_float32_coordinates(monkeypatch, seed, source):
+    # node pairs are held once, as int32, and expanded one stencil row at a
+    # time; on these rooms P's peak is 11-12x its float32 coordinates (with
+    # int64 pairs, all rows at once and the unsorted lists kept beside their
+    # sorted copies it was 18x), Q's 11x.  The round budget of the doubling
+    # gates keeps the point pairs tested per round out of the figure
+    monkeypatch.setattr(clustering, "_CHUNK", 8192)
+    _, observed, offsets = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
+    coords = observed.coords if source == Source.ORIGINAL else shifted_coords(observed, offsets)
+    _, peak = traced_peak(
+        cluster_single_set, coords, observed.sem_labels, observed.stuff_classes, ClusterParams(), source
+    )
+    assert peak <= 14 * (3 * 4 * observed.n_points)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

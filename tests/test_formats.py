@@ -1,5 +1,4 @@
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from cloudinst.core import scenes_equal
 from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import load_by_lines, make_scene, package_uses, walk_rows
+from conftest import load_by_lines, make_scene, package_uses, traced_peak, walk_rows
 
 VALID_TWO_POINT = """SC1 2 3
 STUFF 1 0
@@ -847,15 +846,6 @@ def test_a_row_wider_than_its_line_is_named_before_the_reader_runs(
 # --- memory: loaders hold their arrays and a table, writers one block -------
 
 
-def _peak(fn, *args):
-    """``fn(*args)`` and the peak of the memory it traced."""
-    tracemalloc.start()
-    try:
-        return fn(*args), tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 @pytest.fixture(scope="module")
 def saved_scene(tmp_path_factory):
     """A generated ~47k-point scene and its offsets, saved: 3 MB of .sc1 text."""
@@ -870,11 +860,11 @@ def test_loads_peak_within_4_5x_their_arrays(saved_scene):
     # no whole-file text and no line list: the C reader's table, then the
     # objects' own copies and their checks
     scene, path = saved_scene
-    loaded, peak = _peak(load_scene, path)
+    loaded, peak = traced_peak(load_scene, path)
     arrays = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids, loaded.sem_scores]
     assert scenes_equal(loaded, scene)
     assert peak <= 4.5 * sum(a.nbytes for a in arrays)
-    offsets, peak = _peak(load_offsets, path.with_suffix(".off1"))
+    offsets, peak = traced_peak(load_offsets, path.with_suffix(".off1"))
     assert peak <= 4.5 * offsets.offsets.nbytes
 
 
@@ -882,5 +872,43 @@ def test_save_scene_peak_below_a_quarter_of_its_bytes(saved_scene, tmp_path):
     # the writer holds one block of _CHUNK rows, not the file's text
     scene, _ = saved_scene
     path = tmp_path / "again.sc1"
-    _, peak = _peak(save_scene, scene, path)
+    _, peak = traced_peak(save_scene, scene, path)
     assert peak < 0.25 * path.stat().st_size
+
+
+# each loader's header with one count claimed as {n}, huge; the body that
+# follows is drawn and tiny, so no file here holds what its header claims
+_HUGE_HEADERS = {
+    "points": ("sc1", "SC1 {n} 2\nSTUFF 0\nSCORES 0\n"),
+    "classes": ("sc1", "SC1 1 {n}\nSTUFF 0\nSCORES 1\n"),
+    "stuff ids": ("sc1", "SC1 1 2\nSTUFF {n}\nSCORES 0\n"),
+    "offsets": ("off1", "OFF1 {n}\n"),
+    "predictions": ("pred1", "PRED1 {n}\n"),
+    "point indices": ("pred1", "PRED1 1\n1 0.5 {n}\n"),
+    "dim": ("scorer", "SCORER1 {n} 1\n"),
+    "hidden": ("scorer", "SCORER1 2 {n}\n"),
+}
+
+
+@pytest.mark.parametrize("claim", sorted(_HUGE_HEADERS))
+@settings(
+    derandomize=True, deadline=None, max_examples=40,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n=st.one_of(st.integers(1 << 20, np.iinfo(np.int32).max), st.integers(1 << 31, 1 << 62)),
+    body=st.lists(st.sampled_from(["", "0", "1 2 3", "0.5 0.5 0.5 1 1 1 1 -1"]), max_size=7),
+)
+def test_a_huge_header_count_over_a_tiny_body_costs_no_memory(tmp_path, claim, n, body):
+    # a loader checks what its header claims against the file before it
+    # sizes anything by the claim: FormatError, and a peak of about the file
+    kind, header = _HUGE_HEADERS[claim]
+    path = tmp_path / f"huge.{kind}"
+    path.write_text(header.format(n=n) + "".join(line + "\n" for line in body))
+
+    def refused():
+        with pytest.raises(FormatError):
+            LOADERS[kind](path)
+
+    _, peak = traced_peak(refused)
+    assert peak <= (1 << 20) + 16 * path.stat().st_size

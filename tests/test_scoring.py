@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cloudinst
+from cloudinst import scoring
+from cloudinst.clustering import ClusterParams, cluster_dual_set
 from cloudinst.core import Cluster, GroundTruthInstance, OffsetField, SceneError, Source, argmax_labels
 from cloudinst.formats import load_scorer, save_scorer
 from cloudinst.losses import gradient_check, offset_targets
@@ -255,6 +258,45 @@ def test_cluster_descriptors_match_scalar_reference(seed, sizes, big, with_score
 
 def test_cluster_descriptors_of_no_clusters(simple_scene, zero_offsets):
     assert cluster_descriptors([], simple_scene, zero_offsets).shape == (0, 8)
+
+
+def _allocating_descriptors(clusters, scene, offsets) -> np.ndarray:
+    """``cluster_descriptors`` as it was written before it worked in place:
+    a new (m, 3) array per step.  The reference for its bits."""
+    idx, sizes, starts = scoring._members(clusters)
+    p = scene.coords[idx].astype(np.float64)
+    q = p + offsets.offsets[idx]
+    out = np.empty((len(clusters), 8), dtype=np.float64)
+    out[:, 0] = np.log(sizes)
+    out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
+    centroid = np.add.reduceat(q, starts) / sizes[:, None]
+    diff = q - np.repeat(centroid, sizes, axis=0)
+    dq = np.sqrt((diff * diff).sum(axis=1))
+    out[:, 4] = np.add.reduceat(dq, starts) / sizes
+    spread = dq - np.repeat(out[:, 4], sizes)
+    out[:, 5] = np.sqrt(np.add.reduceat(spread * spread, starts) / sizes)
+    out[:, 6] = 1.0
+    if scene.sem_scores is not None:
+        out[:, 6] = scoring._mean_class_prob(clusters, scene.sem_scores, idx, sizes, starts)
+    out[:, 7] = [float(c.source.value) for c in clusters]
+    return out
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("with_scores", [True, False])
+def test_cluster_descriptors_bit_equal_the_allocating_expression(seed, with_scores):
+    # P and Q clusters of a generated room with offset noise: the in-place
+    # steps keep every value's bits, so MODEL scores keep theirs
+    _, observed, offsets = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
+    if not with_scores:
+        observed = dataclasses.replace(observed, sem_scores=None)
+    clusters = cluster_dual_set(observed, offsets, ClusterParams(0.03, 1))
+    assert {c.source for c in clusters} == {Source.ORIGINAL, Source.SHIFTED}
+    got = cluster_descriptors(clusters, observed, offsets)
+    want = _allocating_descriptors(clusters, observed, offsets)
+    assert np.array_equal(got, want)
+    model = ScorerModel.default()
+    assert np.array_equal(model.scores(got), model.scores(want))
 
 
 def test_descriptor_spread_of_a_collapsed_cloud():
