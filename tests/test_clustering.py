@@ -389,9 +389,9 @@ def test_kernel_work_at_most_doubles_with_a_second_copy(monkeypatch, seed, sourc
 @pytest.mark.parametrize("source", [Source.ORIGINAL, Source.SHIFTED], ids=["p", "q"])
 def test_kernel_peak_within_14x_its_float32_coordinates(monkeypatch, seed, source):
     # node pairs are held once, as int32, and expanded one stencil row at a
-    # time; on these rooms P's peak is 11-12x its float32 coordinates (with
-    # int64 pairs, all rows at once and the unsorted lists kept beside their
-    # sorted copies it was 18x), Q's 11x.  The round budget of the doubling
+    # time; on these rooms P's peak is 11-12x its float32 coordinates and
+    # Q's 11x, while int64 pairs of all rows at once, kept beside their
+    # unsorted copies, read 18x on P.  The round budget of the doubling
     # gates keeps the point pairs tested per round out of the figure
     monkeypatch.setattr(clustering, "_CHUNK", 8192)
     _, observed, offsets = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
