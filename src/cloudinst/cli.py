@@ -221,6 +221,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:  # as numpy's generator would, but naming the flag
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     scene, _ = generate_scene(
         GenConfig(
             seed=args.seed, n_objects=3, density=150.0, stuff_density=0.0,

@@ -107,10 +107,22 @@ def _bce(s: np.ndarray, t: np.ndarray) -> float:
     return float(-(t * np.log(s) + (1.0 - t) * np.log(1.0 - s)).mean())
 
 
+def _rowwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w.T``, each row's products summed in index order: a row's
+    result does not depend on the rows beside it, as ``@``'s may, whose
+    BLAS path changes with the row count (Demmel and Nguyen 2013)."""
+    terms = x.T[:, :, None] * w.T[:, None, :]  # term k: x[:, k] times w[:, k]
+    out = terms[0]
+    for term in terms[1:]:
+        out += term
+    return out
+
+
 def _forward(x_norm: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden layer and scores sigmoid(w2 . tanh(W1 x + b1) + b2) of normalized ``x_norm``."""
-    h = np.tanh(x_norm @ w1.T + b1)
-    return h, 1.0 / (1.0 + np.exp(-(h @ w2 + b2)))
+    """Hidden layer and scores sigmoid(w2 . tanh(W1 x + b1) + b2) of
+    normalized ``x_norm``, each row's bits independent of its batch."""
+    h = np.tanh(_rowwise_matmul(x_norm, w1) + b1)
+    return h, 1.0 / (1.0 + np.exp(-(_rowwise_matmul(h, w2[None])[:, 0] + b2)))
 
 
 def _members(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -135,9 +147,10 @@ def cluster_descriptors(
     probability of the cluster's class (1.0 when scores are absent), source
     flag].  Shifted-space compactness is the informative part: a cluster that
     merges two objects shows a bimodal shifted cloud and a large spread.
-    Every entry is translation-invariant in exact arithmetic.  Under a
-    translation that moves every point exactly all are bit-exact but the two
-    shifted-space distances, whose centroid rounds at the coordinates' size.
+    Every entry is translation-invariant in exact arithmetic, and bit-exact
+    under a translation that moves every point exactly: the shifted-space
+    centroid is taken relative to the cluster's first member, so it does not
+    round at the coordinates' size.
     """
     check_offsets(scene, offsets)
     if not clusters:
@@ -147,12 +160,13 @@ def cluster_descriptors(
     out[:, 0] = np.log(sizes)
     p = scene.coords[idx].astype(np.float64)
     out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
-    # one (m, 3) array at a time, worked in place: q = p + offset, its
-    # difference from the centroid, and that squared, in one layout, so every
-    # sum keeps its order
+    # one (m, 3) array at a time, worked in place: q = p + offset, taken
+    # relative to the cluster's first member, its difference from the
+    # centroid, and that squared, in one layout, so every sum keeps its order
     q = offsets.offsets[idx]
     q += p
     del p
+    q -= np.repeat(q[starts], sizes, axis=0)
     q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
     q *= q
     dq = np.sqrt(q.sum(axis=1))

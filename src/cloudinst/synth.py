@@ -131,6 +131,16 @@ class GenConfig:
         _check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
         # each object is given at least min_object_points points
         _point_count(float(objects) * points, "n_objects and min_object_points")
+        # placed objects are disjoint solids within the room's floor area, each
+        # below 0.3 m plus its height: a necessary bound on their count, checked
+        # before a class is drawn for each
+        slab = room[0] * room[1] * (0.3 + scale[1] * max(base[-1] for _, base in _SHAPES))
+        smallest = scale[0] ** 3 * min(_volume(kind, base) for kind, base in _SHAPES)
+        if objects * smallest > slab:
+            raise ValueError(
+                f"n_objects too large: {objects} objects of at least {smallest:.3g} m^3 "
+                f"do not fit in the {slab:.3g} m^3 that they stand in"
+            )
         _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
         _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)
@@ -149,6 +159,14 @@ def _geometry(kind: str, dims: tuple[float, ...]) -> tuple[float, float, tuple[f
         return 4.0 * np.pi * r * r, r, (r, r, r)
     h = dims[1]
     return 2.0 * np.pi * r * h + 2.0 * np.pi * r * r, float(np.hypot(r, h / 2.0)), (r, r, h / 2.0)
+
+
+def _volume(kind: str, dims: tuple[float, ...]) -> float:
+    """Volume of a primitive of full dimensions ``dims`` (see ``_geometry``)."""
+    if kind == "box":
+        return float(np.prod(dims))
+    r = dims[0] / 2.0
+    return 4.0 / 3.0 * np.pi * r**3 if kind == "sphere" else np.pi * r * r * dims[1]
 
 
 def _sample_surface(

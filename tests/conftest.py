@@ -1,17 +1,26 @@
-"""Shared scene builders for the test suite, and scalar references for the
-library's vectorised paths."""
+"""Shared scene builders and ``hypothesis`` strategies for the test suite,
+and scalar references for the library's vectorised paths."""
 
 import ast
 import re
 import tracemalloc
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 import cloudinst
 from cloudinst import formats
 from cloudinst.core import FormatError, OffsetField, Scene, check_offsets
+from cloudinst.spatial import _FINE_FACTOR, radius_squared, squared_distances
+from cloudinst.synth import GenConfig
+
+# every property replays the same examples on every run, however long each takes
+settings.register_profile("suite", derandomize=True, deadline=None)
+settings.load_profile("suite")
 
 
 def package_uses(name: str) -> list[tuple[str, str | None]]:
@@ -240,6 +249,136 @@ def random_cluster_inputs(seed, n_max=300, n_classes=3):
     coords = rng.uniform(0, 0.4, (n, 3)).astype(np.float32)
     labels = rng.integers(-1, n_classes, n).astype(np.int32)
     return coords, labels
+
+
+def small_rooms(**noise):
+    """``GenConfig`` strategy of the metamorphic pipeline tests: four small
+    objects in a 2.5 x 2.5 m room, in same-class pairs 0.01 m apart or not;
+    ``noise`` gives noise fields of ``GenConfig`` a value or a strategy."""
+    noise = {k: v if isinstance(v, st.SearchStrategy) else st.just(v) for k, v in noise.items()}
+    return st.builds(
+        GenConfig, seed=st.integers(0, 2**16), room=st.just((2.5, 2.5, 1.5)),
+        n_objects=st.just(4), size_scale=st.just((0.3, 0.5)), stuff_density=st.just(20.0),
+        same_class_gap=st.sampled_from([None, 0.01]), **noise,
+    )
+
+
+class OracleScene(NamedTuple):
+    """A clustering input small enough for the O(N^2) oracles: float64
+    ``coords`` (one point lies beyond the float32 range), int32 ``labels``
+    with -1 and the stuff class 0, the ``radius``, and the point indices of
+    each family."""
+
+    coords: np.ndarray
+    labels: np.ndarray
+    radius: float
+    families: dict
+
+    def in_float32(self):
+        """Coordinates and labels of the points a grid can hold: all but the
+        one beyond the float32 range, every coordinate a float32 value."""
+        keep = np.setdiff1d(np.arange(self.labels.size), self.families["beyond"])
+        return self.coords[keep], self.labels[keep]
+
+
+def _clutter(draw, rng, r, x0):
+    # a uniform cloud of every label, unlabelled and stuff points included
+    n = draw(st.integers(20, 200))
+    pts = rng.uniform(0, draw(st.sampled_from([8, 16])) * r, (n, 3)) + [x0, 0, 0]
+    return {"clutter": (pts, np.append([-1, 0], rng.integers(-1, 4, n - 2)))}
+
+
+def _piles(draw, rng, r, x0):
+    # piles 5 cells apart along x: one inside a cell, with three nodes of
+    # label 1 and a point of label 2; one on a face between two cells and one
+    # around a corner of eight, where point i lies on the far side of the
+    # j-th boundary when bit j of i is set, so that every cell gets points
+    side, out = r * _FINE_FACTOR, {}
+    cell = np.array([np.floor(x0 / side) + 1, *rng.integers(0, 12, 2)])
+    for k, boundary in enumerate(np.array([[0, 0, 0], [1, 0, 0], [1, 1, 1]])):
+        n = draw(st.integers(130, 190) if k == 0 else st.integers(8, 100))
+        flip = (np.arange(n)[:, None] >> np.maximum(np.cumsum(boundary) - 1, 0)) & boundary
+        offset = np.where(
+            boundary, (1 - 2 * flip) * rng.uniform(0.01, 0.3, (n, 3)), rng.uniform(-0.3, 0.3, (n, 3))
+        )
+        labels = rng.choice(np.arange(-1, 4), n, p=[0.05, 0.05, 0.7, 0.1, 0.1])  # mostly 1
+        if k == 0:
+            labels[:130] = [1] * 129 + [2]
+        pts = (cell + [5 * k, 0, 0] + 0.5 * (1 - boundary) + offset) * side
+        out[f"pile_{2 ** boundary.sum()}"] = pts, labels
+    return out
+
+
+def _near_r(draw, rng, r, x0):
+    # label-1 pairs 4r apart along x.  The first lies exactly r apart in
+    # float32: f32(r) / 2 either side of y = 0.  The next two take, along a
+    # drawn axis, the last float32 inside r and the first one outside.  The
+    # rest are the float32 rounding of a point r away, nudged by up to one
+    # ulp per coordinate: within an ulp of r on either side
+    m, axis, r2 = draw(st.integers(3, 30)), draw(st.integers(0, 2)), radius_squared(r)
+    a = np.float32(np.column_stack([x0 + r * (2 + 4 * np.arange(m)), rng.uniform(0, 8 * r, (m, 2))]))
+    direction = rng.normal(size=(m, 3))
+    direction[: m // 3] = np.eye(3)[rng.integers(0, 3, m // 3)]
+    b = (a + r * direction / np.linalg.norm(direction, axis=1, keepdims=True)).astype(np.float32)
+    b = np.nextafter(b, b + rng.integers(-1, 2, b.shape).astype(np.float32))  # a step of -1, 0 or 1 ulp
+    a[0, 1], b[0], b[0, 1] = -np.float32(r) / 2, a[0], np.float32(r) / 2
+    for k in (1, 2):
+        b[k] = a[k]
+        b[k, axis] += np.float32(r)
+        while squared_distances(a[k], b[k]) < r2:
+            b[k, axis] = np.nextafter(b[k, axis], np.float32(np.inf))
+        while squared_distances(a[k], b[k]) >= r2:
+            b[k, axis] = np.nextafter(b[k, axis], np.float32(-np.inf))
+    b[2, axis] = np.nextafter(b[2, axis], np.float32(np.inf))
+    return {"near_r": (np.stack([a, b], axis=1).reshape(-1, 3), np.ones(2 * m))}
+
+
+def _chains(draw, rng, r, x0):
+    # chains of label 1 or 2 whose hops sit just under r: one along each
+    # axis, whose hops of about 1.73 cells cross two cells at least every
+    # second hop, and two in drawn directions; a hop that rounds to r or
+    # over splits its chain, and the oracle decides where each one breaks
+    pts, labels, drawn = [], [], rng.normal(size=(2, 3))
+    drawn[:, 0] = np.abs(drawn[:, 0])  # onward in x, away from the family before
+    for k, step in enumerate([*np.eye(3), *drawn]):
+        n = draw(st.integers(3, 60))
+        step = step * r * (1 - rng.uniform(0, 1e-5)) / np.linalg.norm(step)
+        pts.append([x0, *rng.uniform(0, 8 * r, 2)] + np.arange(n)[:, None] * step)
+        labels.append(np.full(n, 1 + k % 2))
+    return {"chains": (np.concatenate(pts), np.concatenate(labels))}
+
+
+@st.composite
+def oracle_scenes(draw):
+    """One scene that holds every input on which the clustering kernel's
+    shortcuts must match the oracles, each family by construction: clutter,
+    dense mixed-label piles over one, two and eight cells, pairs within an
+    ulp of r, chains of hops just under r, and far outliers.  The first four
+    lie side by side along x in a drawn order, 0.5 r to 3 r apart, so that
+    they share the grid's rows and may touch; the outliers go last."""
+    r = draw(st.sampled_from([0.02, 0.03, 0.05]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts, x0 = {}, 0.0
+    for build in draw(st.permutations([_clutter, _piles, _near_r, _chains])):
+        made = build(draw, rng, r, x0)
+        parts.update((name, (np.float32(p).astype(np.float64), q)) for name, (p, q) in made.items())
+        x0 = max(p[:, 0].max() for p, _ in made.values()) + draw(st.floats(0.5, 3.0)) * r
+    # clutter points moved 1e4 to 1e36 m away, the first two onto one spot
+    # with label 1; and a point of label 1 at a finite 1e39 m, beyond float32
+    clutter = parts["clutter"][0]
+    far = clutter[rng.choice(len(clutter), 5)]
+    far += 10.0 ** rng.uniform(4, 36, (5, 1)) * rng.choice([-1, 1], (5, 3))
+    far[1] = far[0]
+    parts["far"] = np.float32(far).astype(np.float64), np.append([1, 1], rng.integers(-1, 4, 3))
+    beyond = clutter[:1].copy()
+    beyond[0, draw(st.integers(0, 2))] = draw(st.sampled_from([-1e39, 1e39]))
+    parts["beyond"] = beyond, [1]
+    sizes = np.cumsum([0] + [len(q) for _, q in parts.values()])
+    return OracleScene(
+        np.concatenate([p for p, _ in parts.values()]),
+        np.concatenate([q for _, q in parts.values()]).astype(np.int32), r,
+        {name: np.arange(lo, hi) for name, lo, hi in zip(parts, sizes, sizes[1:])},
+    )
 
 
 @pytest.fixture

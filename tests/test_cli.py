@@ -1,5 +1,9 @@
 import argparse
 import importlib
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -241,6 +245,10 @@ def test_gradcheck_passes(capsys):
     assert out.count("[ok]") == 3
 
 
+def test_gradcheck_refuses_a_negative_seed_by_its_flag(capsys):
+    # numpy's generator refused it as "expected non-negative integer"
+    assert run(capsys, "gradcheck", "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
+
 def test_train_scorer_writes_loadable_model(capsys, tmp_path):
     scenes = []
     for seed in ("31", "32"):
@@ -311,6 +319,20 @@ def test_generate_of_more_points_than_an_array_holds_exits_2(capsys, tmp_path, a
     assert code == 2
     assert err.startswith(f"error: {fields} too large: ")
     assert list(tmp_path.iterdir()) == []
+
+
+def test_generate_of_more_objects_than_the_room_holds_exits_2_at_once(tmp_path):
+    # a class was drawn for each of 1e9 objects before the first was placed,
+    # until the process was killed; here alone, in a 2 GiB address space
+    run = subprocess.run(
+        [sys.executable, "-m", "cloudinst.cli", "generate", "--out", str(tmp_path / "x.sc1"),
+         "--n-objects", "1000000000"],
+        capture_output=True, text=True, timeout=30,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+    )
+    assert (run.returncode, list(tmp_path.iterdir())) == (2, []), run.stderr
+    assert run.stderr.startswith("error: n_objects too large: 1000000000 objects of at least ")
 
 
 def test_evaluate_with_a_nan_score_filter_exits_2(capsys, tmp_path):

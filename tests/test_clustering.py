@@ -2,6 +2,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudinst import clustering
 from cloudinst.clustering import (
@@ -13,10 +15,10 @@ from cloudinst.clustering import (
 )
 from cloudinst.core import SceneError, Source, shifted_coords
 from cloudinst.losses import offset_targets
-from cloudinst.spatial import GridIndex, radius_squared, squared_distances
+from cloudinst.spatial import _FINE_FACTOR, GridIndex, radius_squared, squared_distances
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import random_cluster_inputs, traced_peak, two_object_scene
+from conftest import oracle_scenes, random_cluster_inputs, traced_peak, two_object_scene
 
 
 def clusters_as_sets(clusters):
@@ -127,136 +129,43 @@ def test_oracle_empty_and_all_stuff():
     assert connected_components_oracle(coords, labels, {0}, ClusterParams(0.03, 1)) == []
 
 
-@pytest.mark.parametrize("seed", range(30))
-def test_grid_equals_oracle_fuzz(seed):
-    coords, labels = random_cluster_inputs(seed)
-    for radius in (0.02, 0.05):
-        for min_points in (1, 4):
-            params = ClusterParams(radius=radius, min_points=min_points)
-            got = cluster_single_set(coords, labels, {0}, params, Source.ORIGINAL)
-            want = connected_components_oracle(coords, labels, {0}, params)
-            assert clusters_as_sets(got) == clusters_as_sets(want)
+@settings(max_examples=30)
+@given(scene=oracle_scenes())
+def test_grid_equals_oracle_on_generated_scenes(scene):
+    # at every round budget: one node pair a round, a few thousand point
+    # pairs, and the default
+    for min_points in (1, 4):
+        params = ClusterParams(scene.radius, min_points)
+        want = clusters_as_sets(connected_components_oracle(scene.coords, scene.labels, {0}, params))
+        for budget in (1, 4096, clustering._CHUNK):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(clustering, "_CHUNK", budget)
+                got = cluster_single_set(scene.coords, scene.labels, {0}, params, Source.ORIGINAL)
+            assert clusters_as_sets(got) == want, (min_points, budget)
 
 
-def _assert_matches_oracle(coords, labels, radii=(0.02, 0.05), min_points=(1, 4)):
-    for radius in radii:
-        for mp in min_points:
-            params = ClusterParams(radius=radius, min_points=mp)
-            got = cluster_single_set(coords, labels, {0}, params, Source.ORIGINAL)
-            want = connected_components_oracle(coords, labels, {0}, params)
-            assert clusters_as_sets(got) == clusters_as_sets(want)
-
-
-def _piles(seed):
-    # shifted points of noisy-label objects: dense piles of several labels,
-    # each pile well inside one fine cell, plus a halo reaching nearby cells
-    rng = np.random.default_rng(100 + seed)
-    centers = rng.uniform(0, 0.3, (4, 3))
-    parts = []
-    for c in centers:
-        parts.append(c + rng.normal(0, 1e-4, (int(rng.integers(50, 150)), 3)))
-        parts.append(c + rng.normal(0, 0.02, (int(rng.integers(10, 40)), 3)))
-    coords = np.concatenate(parts).astype(np.float32)
-    labels = rng.choice([-1, 0, 1, 2, 3], coords.shape[0], p=[0.05, 0.05, 0.7, 0.1, 0.1])
-    return coords, labels.astype(np.int32), {}
-
-
-def _near_r(seed):
-    # isolated pairs: the second point is the float32 rounding of a point at
-    # exactly r, then nudged by up to one ulp per coordinate, so the pair
-    # distance sits within an ulp of r on either side
-    rng = np.random.default_rng(200 + seed)
-    radius = float(rng.choice([0.02, 0.03, 0.05]))
-    n_pairs = 150
-    base = rng.uniform(0, 2, (n_pairs, 3)).astype(np.float32)
-    direction = rng.normal(size=(n_pairs, 3))
-    direction[: n_pairs // 3] = np.eye(3)[rng.integers(0, 3, n_pairs // 3)]
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    other = (base + radius * direction).astype(np.float32)
-    nudge = rng.integers(-1, 2, other.shape)
-    other = np.where(nudge > 0, np.nextafter(other, np.float32(np.inf)), other)
-    other = np.where(nudge < 0, np.nextafter(other, np.float32(-np.inf)), other)
-    coords = np.concatenate([base, other])
-    labels = np.ones(coords.shape[0], dtype=np.int32)
-    d = np.sqrt(((base.astype(np.float64) - other) ** 2).sum(axis=1))
-    assert np.abs(d - radius).max() <= 3 * np.spacing(np.float32(2.0 + radius))
-    inside = squared_distances(base, other) < radius_squared(radius)
-    assert inside.any() and not inside.all()  # both sides of r are covered
-    return coords, labels, {"radii": (radius,), "min_points": (1,)}
-
-
-def _chains(seed):
-    # chains whose hops sit just under r cross dozens of cells; one hop at or
-    # over r splits a chain, so the oracle decides where each one breaks
-    rng = np.random.default_rng(300 + seed)
-    radius = 0.03
-    parts, labels = [], []
-    for k in range(3):
-        step = rng.normal(size=3)
-        step *= radius * (1 - rng.uniform(0, 1e-5)) / np.linalg.norm(step)
-        n = int(rng.integers(100, 250))
-        parts.append(rng.uniform(0, 0.5, 3) + np.arange(n)[:, None] * step)
-        labels.append(np.full(n, 1 + k % 2))
-    coords = np.concatenate(parts).astype(np.float32)
-    return coords, np.concatenate(labels).astype(np.int32), {"radii": (radius,)}
-
-
-def _far_outliers(seed):
-    # a few points moved 1e4 to 1e36 m away, some onto each other, and one
-    # to a finite 1e39 m, beyond the float32 range
-    rng = np.random.default_rng(400 + seed)
-    coords, labels = random_cluster_inputs(400 + seed)
-    far = rng.choice(coords.shape[0], 5, replace=False)
-    shift = 10.0 ** rng.uniform(4, 36, (5, 1)) * rng.choice([-1.0, 1.0], (5, 3))
-    coords[far] = (coords[far] + shift).astype(np.float32)
-    coords[far[1]] = coords[far[0]]
-    labels[far[1]] = labels[far[0]]
-    coords = coords.astype(np.float64)
-    coords[far[4], seed % 3] = 1e39 * (-1.0) ** seed
-    labels[far[4]] = 1  # not stuff, so the point reaches the grid
-    return coords, labels, {}
-
-
-# the oracle families, each with its seed count
-_FAMILIES = {
-    "piles": (_piles, 8), "near_r": (_near_r, 6), "chains": (_chains, 6),
-    "far_outliers": (_far_outliers, 8),
-}
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_mixed_label_piles_equal_oracle(seed):
-    coords, labels, kw = _piles(seed)
-    _assert_matches_oracle(coords, labels, **kw)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_pairs_one_ulp_from_radius_equal_oracle(seed):
-    coords, labels, kw = _near_r(seed)
-    _assert_matches_oracle(coords, labels, **kw)
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_long_chains_just_under_radius_equal_oracle(seed):
-    coords, labels, kw = _chains(seed)
-    _assert_matches_oracle(coords, labels, **kw)
-
-
-@pytest.mark.parametrize("seed", range(8))
-def test_far_outliers_equal_oracle(seed):
-    coords, labels, kw = _far_outliers(seed)
-    _assert_matches_oracle(coords, labels, **kw)
-
-
-@pytest.mark.parametrize("budget", [1, 4096, clustering._CHUNK])
-@pytest.mark.parametrize("family", sorted(_FAMILIES))
-def test_result_does_not_depend_on_round_budget(monkeypatch, family, budget):
-    # with a budget of one point pair, every round holds a single node pair
-    monkeypatch.setattr(clustering, "_CHUNK", budget)
-    build, n_seeds = _FAMILIES[family]
-    for seed in range(n_seeds):
-        coords, labels, kw = build(seed)
-        _assert_matches_oracle(coords, labels, **kw)
+@settings(max_examples=30)
+@given(scene=oracle_scenes())
+def test_every_oracle_scene_holds_every_family(scene):
+    coords, labels, r, families = scene
+    r2 = radius_squared(r)
+    for name, cells in (("pile_1", 1), ("pile_2", 2), ("pile_8", 8)):
+        keys = np.floor(np.float32(coords[families[name]]) / (r * _FINE_FACTOR))
+        assert len(np.unique(keys, axis=0)) == cells, name
+    assert {-1, 0} <= set(labels[families["clutter"]].tolist())
+    pile = labels[families["pile_1"]]
+    assert (pile == 1).sum() > 2 * 64 and (pile == 2).any()
+    a, b = np.float32(coords[families["near_r"]]).reshape(-1, 2, 3).transpose(1, 0, 2)
+    d2 = squared_distances(a, b)
+    assert d2[0] == r2 and d2[1] < r2 <= d2[2]
+    d = np.sqrt(((a.astype(np.float64) - b) ** 2).sum(axis=1))
+    assert np.abs(d - r).max() <= 3 * np.spacing(np.abs(b).max())
+    assert (labels[families["near_r"]] == 1).all() and families["chains"].size >= 5 * 3
+    far = coords[families["far"]]
+    assert (np.abs(far).max(axis=1) >= 1e4).all() and (far[0] == far[1]).all()
+    assert (labels[families["far"][:2]] == 1).all()
+    (beyond,) = families["beyond"]
+    assert np.abs(coords[beyond]).max() > np.finfo(np.float32).max and labels[beyond] == 1
 
 
 def test_every_round_but_the_last_fills_its_budget(monkeypatch):
@@ -472,20 +381,18 @@ def test_merge_edges_settles_a_long_path_quickly():
     assert np.unique(clustering._roots(comp, np.arange(n + 1))).size == 1
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_touching_matches_brute_force_for_pairs_in_any_order(seed):
-    rng = np.random.default_rng(seed)
-    radius = 0.03
-    # dense piles (many-point nodes) among sparse points (single-point nodes)
-    piles = rng.uniform(0, 0.3, (8, 3))[rng.integers(0, 8, 600)] + rng.normal(0, 0.01, (600, 3))
-    coords = np.concatenate([piles, rng.uniform(0, 0.3, (300, 3))]).astype(np.float32)
-    grid = GridIndex(coords, radius, rng.integers(1, 3, coords.shape[0]))
+@settings(max_examples=15)
+@given(scene=oracle_scenes(), seed=st.integers(0, 2**32 - 1))
+def test_touching_matches_brute_force_for_pairs_in_any_order(scene, seed):
+    # many-point nodes (the piles) beside single-point ones (chains, pairs)
+    coords, labels = scene.in_float32()
+    grid = GridIndex(coords, scene.radius, labels)
     xyz = np.ascontiguousarray(grid.coords[grid.order].T)
     a, b = map(np.concatenate, zip(grid.near_pairs(), grid.far_pairs()))
-    shuffle = rng.permutation(a.size)
+    shuffle = np.random.default_rng(seed).permutation(a.size)
     a, b = a[shuffle], b[shuffle]
     cost = grid.counts[a] * grid.counts[b]
-    r2 = radius_squared(radius)
+    r2 = radius_squared(scene.radius)
     got = clustering._touching(xyz, grid, a, b, cost.astype(np.int16), r2)
     node = [xyz.T[lo : lo + n] for lo, n in zip(grid.starts, grid.counts)]
     want = [(squared_distances(node[i][:, None], node[j][None]) < r2).any() for i, j in zip(a, b)]

@@ -449,10 +449,7 @@ def _streamed_as_by_lines(kind, path):
 
 
 @pytest.mark.parametrize("kind", sorted(LOADERS))
-@settings(
-    derandomize=True, deadline=None, max_examples=300,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_garbled_files_raise_only_format_error(tmp_path, kind, data):
     # and the streamed loader returns the arrays or the message of the
@@ -670,7 +667,7 @@ def _outcome(reader, lines, lineno, fields):
         return str(err)
 
 
-@settings(derandomize=True, deadline=None, max_examples=1000)
+@settings(max_examples=1000)
 @given(table=_table(), lineno=st.integers(1, 10**6))
 @example(table=(["1 #1"], [("g", np.int64, 1)]), lineno=1)  # no comments
 @example(table=(["1", "", "2"], [("g", np.int64, 1)]), lineno=1)  # no skipped lines
@@ -891,10 +888,7 @@ _HUGE_HEADERS = {
 
 
 @pytest.mark.parametrize("claim", sorted(_HUGE_HEADERS))
-@settings(
-    derandomize=True, deadline=None, max_examples=40,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
+@settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     n=st.one_of(st.integers(1 << 20, np.iinfo(np.int32).max), st.integers(1 << 31, 1 << 62)),
     body=st.lists(st.sampled_from(["", "0", "1 2 3", "0.5 0.5 0.5 1 1 1 1 -1"]), max_size=7),

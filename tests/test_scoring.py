@@ -231,7 +231,7 @@ def descriptor_inputs(seed, sizes, with_scores, n_classes=4):
     return scene, offsets, clusters
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(
     seed=st.integers(0, 2**32 - 1),
     sizes=st.lists(st.one_of(st.just(1), st.integers(2, 300)), min_size=1, max_size=6),
@@ -269,6 +269,7 @@ def _allocating_descriptors(clusters, scene, offsets) -> np.ndarray:
     out = np.empty((len(clusters), 8), dtype=np.float64)
     out[:, 0] = np.log(sizes)
     out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
+    q = q - np.repeat(q[starts], sizes, axis=0)
     centroid = np.add.reduceat(q, starts) / sizes[:, None]
     diff = q - np.repeat(centroid, sizes, axis=0)
     dq = np.sqrt((diff * diff).sum(axis=1))
@@ -295,6 +296,23 @@ def test_cluster_descriptors_bit_equal_the_allocating_expression(seed, with_scor
     got = cluster_descriptors(clusters, observed, offsets)
     assert np.array_equal(got, _allocating_descriptors(clusters, observed, offsets))
 
+
+
+@settings(max_examples=30)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    sizes=st.lists(st.integers(1, 300), min_size=2, max_size=40),
+    hidden=st.integers(1, 32),
+)
+def test_a_model_score_does_not_depend_on_its_batch(seed, sizes, hidden):
+    # each cluster scored alone gets the bits it gets in its batch: the
+    # forward pass sums each row's products in one order, where ``@`` takes
+    # another BLAS path for another row count
+    scene, offsets, clusters = descriptor_inputs(seed, sizes, with_scores=True)
+    model = ScorerModel.default(hidden, seed)
+    batch = score_clusters(clusters, scene, offsets, Scorer.MODEL, model)
+    alone = [score_clusters([c], scene, offsets, Scorer.MODEL, model)[0] for c in clusters]
+    assert batch.tolist() == alone
 
 def test_descriptor_spread_of_a_collapsed_cloud():
     # offsets that send every member onto one centre, as oracle offsets do:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cloudinst.spatial import (
     _FINE_FACTOR,
@@ -9,6 +11,8 @@ from cloudinst.spatial import (
     build_index,
     radius_squared,
 )
+
+from conftest import oracle_scenes
 
 
 def test_single_point_index():
@@ -22,16 +26,6 @@ def test_far_points_land_in_distinct_cells():
     coords = np.array([[0, 0, 0], [10, 0, 0]], dtype=np.float32)
     idx = build_index(coords, 0.03)
     assert idx.n_cells == 2
-
-
-def test_every_point_in_exactly_one_cell():
-    rng = np.random.default_rng(0)
-    coords = rng.uniform(0, 2, (10_000, 3)).astype(np.float32)
-    idx = build_index(coords, 0.05)
-    assert 0 < idx.n_cells <= 10_000
-    assert np.array_equal(np.sort(idx.order), np.arange(10_000))
-    for center in range(0, 10_000, 97):
-        assert center in ball_query(idx, center)
 
 
 def test_isolated_point_returns_itself():
@@ -55,16 +49,6 @@ def test_exact_radius_distance_excluded():
     idx = build_index(coords, r)
     assert ball_query(idx, 0).tolist() == [0]
     assert brute_force_query(coords, 0, r).tolist() == [0]
-
-
-def test_grid_matches_brute_force_fuzz():
-    rng = np.random.default_rng(1)
-    coords = rng.uniform(0, 1, (5000, 3)).astype(np.float32)
-    idx = build_index(coords, 0.05)
-    for center in rng.integers(0, 5000, 500):
-        a = ball_query(idx, int(center))
-        b = brute_force_query(coords, int(center), 0.05)
-        assert np.array_equal(a, b)
 
 
 def test_query_invariant_under_permutation():
@@ -128,61 +112,23 @@ def test_center_index_bounds():
         brute_force_query(np.zeros((2, 3), dtype=np.float32), -1, 0.03)
 
 
-def test_float64_input_cast_consistently():
-    rng = np.random.default_rng(3)
-    coords64 = rng.uniform(0, 1, (1000, 3))
-    idx = build_index(coords64, 0.06)
-    for center in (0, 17, 999):
-        a = ball_query(idx, center)
-        b = brute_force_query(coords64, center, 0.06)
-        assert np.array_equal(a, b)
+@settings(max_examples=30)
+@given(scene=oracle_scenes())
+def test_ball_query_matches_brute_force_on_generated_scenes(scene):
+    # float64 coordinates, each cast once by both routes
+    coords, _ = scene.in_float32()
+    idx = build_index(coords, scene.radius)
+    assert idx.n_cells < idx.n_nodes  # a pile outgrows its node
+    assert np.array_equal(np.sort(idx.order), np.arange(coords.shape[0]))
+    for center in range(coords.shape[0]):
+        assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, scene.radius))
 
 
-def test_far_outliers_match_brute_force():
-    # keys are ranked per axis, so spans of 1e36 m neither overflow nor
-    # separate close pairs that sit next to a huge gap
-    rng = np.random.default_rng(4)
-    coords = rng.uniform(0, 0.3, (600, 3)).astype(np.float32)
-    far = rng.choice(600, 6, replace=False)
-    coords[far] += (10.0 ** rng.uniform(4, 36, (6, 1)) * rng.choice([-1, 1], (6, 3))).astype(np.float32)
-    coords[far[1]] = coords[far[0]]
-    idx = build_index(coords, 0.05)
-    for center in list(far) + list(range(0, 600, 23)):
-        assert np.array_equal(
-            ball_query(idx, int(center)), brute_force_query(coords, int(center), 0.05)
-        )
-    assert ball_query(idx, int(far[0])).tolist() == sorted(far[:2].tolist())
-
-
-def test_dense_pile_matches_brute_force():
-    # a pile far denser than one node holds, next to a sparse halo
-    rng = np.random.default_rng(5)
-    pile = rng.normal(0.5, 1e-4, (300, 3))
-    halo = rng.uniform(0.4, 0.6, (200, 3))
-    coords = np.concatenate([pile, halo]).astype(np.float32)
-    idx = build_index(coords, 0.03)
-    assert idx.n_cells < idx.n_nodes
-    for center in range(0, 500, 7):
-        assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, 0.03))
-
-
-def _two_label_cloud(seed):
-    """A sparse two-label cloud, a same-label pile of 150 points inside one
-    cell (three nodes), and a block far beyond a collapsed key gap."""
-    rng = np.random.default_rng(seed)
-    spread = rng.uniform(0, 1, (1500, 3))
-    pile = 0.5 + rng.uniform(0, 1e-3, (150, 3))
-    far = 40 + rng.uniform(0, 0.3, (200, 3))
-    coords = np.concatenate([spread, pile, far]).astype(np.float32)
-    labels = rng.integers(0, 2, coords.shape[0])
-    labels[1500:1650] = 1
-    return coords, labels
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_node_pairs_match_brute_force(seed):
-    r = 0.1
-    coords, labels = _two_label_cloud(seed)
+@settings(max_examples=30)
+@given(scene=oracle_scenes())
+def test_node_pairs_match_brute_force_keys(scene):
+    r = scene.radius
+    coords, labels = scene.in_float32()
     grid = GridIndex(coords, r, labels)
     assert np.bincount(grid.node_cell).max() >= 3
     # the near and the far ring split the stencil's pairs between them
@@ -200,32 +146,25 @@ def test_node_pairs_match_brute_force(seed):
     assert pairs == set(map(tuple, np.argwhere(np.triu(near)).tolist()))
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_far_ring_leaves_out_only_pairs_of_one_root(seed):
-    coords, labels = _two_label_cloud(seed)
-    grid = GridIndex(coords, 0.1, labels)
+@settings(max_examples=30)
+@given(scene=oracle_scenes(), seed=st.integers(0, 2**32 - 1))
+def test_far_ring_leaves_out_exactly_the_pairs_of_one_root(scene, seed):
+    coords, labels = scene.in_float32()
+    grid = GridIndex(coords, scene.radius, labels)
     everything = set(zip(*(x.tolist() for x in grid.far_pairs())))
     # three random components; runs of three whole rows, some of whose nodes
-    # stand alone; and one component per label, which leaves nothing out, as
-    # no stencil row reaches another label
+    # stand alone; distinct roots, which leave out nothing; and one component
+    # per label, which leaves out everything, as no stencil row reaches
+    # another label
     rng = np.random.default_rng(seed)
     row = grid._node_codes // grid._wx
     alone = np.where(rng.random(grid.n_nodes) < 0.3, np.arange(grid.n_nodes) + grid.n_nodes, row // 3)
+    distinct = np.arange(grid.n_nodes)
     node_label = labels[grid.order[grid.starts]]
-    for roots in (rng.integers(0, 3, grid.n_nodes), row // 3, alone, node_label):
+    for roots in (rng.integers(0, 3, grid.n_nodes), row // 3, alone, distinct, node_label):
         kept = set(zip(*(x.tolist() for x in grid.far_pairs(roots))))
-        assert kept < everything
-        assert all(roots[a] == roots[b] for a, b in everything - kept)
         # exactly the pairs (a, b) whose row of b holds a's root alone go
         row_roots = [set(roots[row == r].tolist()) for r in range(row.max() + 1)]
         assert kept == {(a, b) for a, b in everything if row_roots[row[b]] != {roots[a]}}
-    assert kept == set()
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_far_ring_with_distinct_roots_leaves_out_nothing(seed):
-    coords, labels = _two_label_cloud(seed)
-    grid = GridIndex(coords, 0.1, labels)
-    a, b = grid.far_pairs(np.arange(grid.n_nodes))
-    want_a, want_b = grid.far_pairs()
-    assert np.array_equal(a, want_a) and np.array_equal(b, want_b)
+    assert everything and kept == set()  # the chain along y crosses two cells in one hop
+    assert all(map(np.array_equal, grid.far_pairs(distinct), grid.far_pairs()))

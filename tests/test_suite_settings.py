@@ -4,6 +4,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from hypothesis import settings
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 PAIR = """
@@ -33,3 +35,8 @@ def test_a_failing_hypothesis_test_leaves_the_run_complete(tmp_path):
     )
     assert "INTERNALERROR" not in run.stdout + run.stderr
     assert "1 failed, 1 passed" in run.stdout.strip().splitlines()[-1], run.stdout
+
+
+def test_the_suite_profile_replays_fixed_examples_without_a_deadline():
+    # loaded by conftest.py, so each property sets only its max_examples
+    assert settings.default.derandomize and settings.default.deadline is None
