@@ -280,6 +280,11 @@ class OracleScene(NamedTuple):
         keep = np.setdiff1d(np.arange(self.labels.size), self.families["beyond"])
         return self.coords[keep], self.labels[keep]
 
+    def only(self, *names):
+        """Coordinates and labels of the points of the named families alone."""
+        keep = np.concatenate([self.families[name] for name in names])
+        return self.coords[keep], self.labels[keep]
+
 
 def _clutter(draw, rng, r, x0):
     # a uniform cloud of every label, unlabelled and stuff points included
@@ -348,15 +353,20 @@ def _chains(draw, rng, r, x0):
     return {"chains": (np.concatenate(pts), np.concatenate(labels))}
 
 
+# the clustering radii the oracle scenes are drawn at
+ORACLE_RADII = (0.02, 0.03, 0.05, 0.1)
+
+
 @st.composite
-def oracle_scenes(draw):
+def oracle_scenes(draw, radius=None):
     """One scene that holds every input on which the clustering kernel's
     shortcuts must match the oracles, each family by construction: clutter,
     dense mixed-label piles over one, two and eight cells, pairs within an
     ulp of r, chains of hops just under r, and far outliers.  The first four
     lie side by side along x in a drawn order, 0.5 r to 3 r apart, so that
-    they share the grid's rows and may touch; the outliers go last."""
-    r = draw(st.sampled_from([0.02, 0.03, 0.05]))
+    they share the grid's rows and may touch; the outliers go last.  r is
+    ``radius``, or else drawn from ``ORACLE_RADII``."""
+    r = radius or draw(st.sampled_from(ORACLE_RADII))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     parts, x0 = {}, 0.0
     for build in draw(st.permutations([_clutter, _piles, _near_r, _chains])):

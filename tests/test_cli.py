@@ -249,6 +249,7 @@ def test_gradcheck_refuses_a_negative_seed_by_its_flag(capsys):
     # numpy's generator refused it as "expected non-negative integer"
     assert run(capsys, "gradcheck", "--seed", "-1") == (2, "", "error: --seed must be >= 0, got -1\n")
 
+
 def test_train_scorer_writes_loadable_model(capsys, tmp_path):
     scenes = []
     for seed in ("31", "32"):

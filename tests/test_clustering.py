@@ -18,7 +18,7 @@ from cloudinst.losses import offset_targets
 from cloudinst.spatial import _FINE_FACTOR, GridIndex, radius_squared, squared_distances
 from cloudinst.synth import GenConfig, generate_sample
 
-from conftest import oracle_scenes, random_cluster_inputs, traced_peak, two_object_scene
+from conftest import ORACLE_RADII, oracle_scenes, random_cluster_inputs, traced_peak, two_object_scene
 
 
 def clusters_as_sets(clusters):
@@ -129,25 +129,48 @@ def test_oracle_empty_and_all_stuff():
     assert connected_components_oracle(coords, labels, {0}, ClusterParams(0.03, 1)) == []
 
 
-@settings(max_examples=30)
-@given(scene=oracle_scenes())
-def test_grid_equals_oracle_on_generated_scenes(scene):
-    # at every round budget: one node pair a round, a few thousand point
-    # pairs, and the default
-    for min_points in (1, 4):
-        params = ClusterParams(scene.radius, min_points)
-        want = clusters_as_sets(connected_components_oracle(scene.coords, scene.labels, {0}, params))
-        for budget in (1, 4096, clustering._CHUNK):
-            with pytest.MonkeyPatch.context() as patch:
-                patch.setattr(clustering, "_CHUNK", budget)
-                got = cluster_single_set(scene.coords, scene.labels, {0}, params, Source.ORIGINAL)
-            assert clusters_as_sets(got) == want, (min_points, budget)
+def _assert_grid_equals_oracle(coords, labels, radius, min_points, budget):
+    params = ClusterParams(radius, min_points)
+    want = connected_components_oracle(coords, labels, {0}, params)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(clustering, "_CHUNK", budget)
+        got = cluster_single_set(coords, labels, {0}, params, Source.ORIGINAL)
+    assert clusters_as_sets(got) == clusters_as_sets(want)
 
 
-@settings(max_examples=30)
+# round budgets: one node pair a round, a few thousand point pairs, the default
+_BUDGETS = [1, 4096, clustering._CHUNK]
+# each family of an oracle scene, the two outlier families as one
+_FAMILIES = [("clutter",), ("pile_1",), ("pile_2",), ("pile_8",), ("near_r",), ("chains",), ("far", "beyond")]
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("min_points", [1, 4])
+@pytest.mark.parametrize("radius", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_grid_equals_oracle_on_generated_scenes(radius, min_points, budget, data):
+    scene = data.draw(oracle_scenes(radius))
+    _assert_grid_equals_oracle(scene.coords, scene.labels, radius, min_points, budget)
+
+
+@pytest.mark.parametrize("budget", _BUDGETS)
+@pytest.mark.parametrize("min_points", [1, 4])
+@pytest.mark.parametrize("family", _FAMILIES, ids="+".join)
+@settings(max_examples=10)
 @given(scene=oracle_scenes())
-def test_every_oracle_scene_holds_every_family(scene):
-    coords, labels, r, families = scene
+def test_grid_equals_oracle_on_each_family_alone(family, min_points, budget, scene):
+    # a family's own grid: the outliers' alone spans 1e36 m with a few points
+    coords, labels = scene.only(*family)
+    _assert_grid_equals_oracle(coords, labels, scene.radius, min_points, budget)
+
+
+@pytest.mark.parametrize("radius", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_every_oracle_scene_holds_every_family(radius, data):
+    coords, labels, r, families = data.draw(oracle_scenes(radius))
+    assert r == radius
     r2 = radius_squared(r)
     for name, cells in (("pile_1", 1), ("pile_2", 2), ("pile_8", 8)):
         keys = np.floor(np.float32(coords[families[name]]) / (r * _FINE_FACTOR))
@@ -381,10 +404,12 @@ def test_merge_edges_settles_a_long_path_quickly():
     assert np.unique(clustering._roots(comp, np.arange(n + 1))).size == 1
 
 
-@settings(max_examples=15)
-@given(scene=oracle_scenes(), seed=st.integers(0, 2**32 - 1))
-def test_touching_matches_brute_force_for_pairs_in_any_order(scene, seed):
+@pytest.mark.parametrize("radius", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_touching_matches_brute_force_for_pairs_in_any_order(radius, data, seed):
     # many-point nodes (the piles) beside single-point ones (chains, pairs)
+    scene = data.draw(oracle_scenes(radius))
     coords, labels = scene.in_float32()
     grid = GridIndex(coords, scene.radius, labels)
     xyz = np.ascontiguousarray(grid.coords[grid.order].T)

@@ -297,7 +297,6 @@ def test_cluster_descriptors_bit_equal_the_allocating_expression(seed, with_scor
     assert np.array_equal(got, _allocating_descriptors(clusters, observed, offsets))
 
 
-
 @settings(max_examples=30)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -313,6 +312,7 @@ def test_a_model_score_does_not_depend_on_its_batch(seed, sizes, hidden):
     batch = score_clusters(clusters, scene, offsets, Scorer.MODEL, model)
     alone = [score_clusters([c], scene, offsets, Scorer.MODEL, model)[0] for c in clusters]
     assert batch.tolist() == alone
+
 
 def test_descriptor_spread_of_a_collapsed_cloud():
     # offsets that send every member onto one centre, as oracle offsets do:

@@ -12,7 +12,7 @@ from cloudinst.spatial import (
     radius_squared,
 )
 
-from conftest import oracle_scenes
+from conftest import ORACLE_RADII, oracle_scenes
 
 
 def test_single_point_index():
@@ -26,6 +26,16 @@ def test_far_points_land_in_distinct_cells():
     coords = np.array([[0, 0, 0], [10, 0, 0]], dtype=np.float32)
     idx = build_index(coords, 0.03)
     assert idx.n_cells == 2
+
+
+def test_every_point_in_exactly_one_cell():
+    rng = np.random.default_rng(0)
+    coords = rng.uniform(0, 2, (10_000, 3)).astype(np.float32)
+    idx = build_index(coords, 0.05)
+    assert 0 < idx.n_cells <= 10_000
+    assert np.array_equal(np.sort(idx.order), np.arange(10_000))
+    for center in range(0, 10_000, 97):
+        assert center in ball_query(idx, center)
 
 
 def test_isolated_point_returns_itself():
@@ -112,10 +122,22 @@ def test_center_index_bounds():
         brute_force_query(np.zeros((2, 3), dtype=np.float32), -1, 0.03)
 
 
-@settings(max_examples=30)
-@given(scene=oracle_scenes())
-def test_ball_query_matches_brute_force_on_generated_scenes(scene):
+def test_float64_input_cast_consistently():
+    rng = np.random.default_rng(3)
+    coords64 = rng.uniform(0, 1, (1000, 3))
+    idx = build_index(coords64, 0.06)
+    for center in (0, 17, 999):
+        a = ball_query(idx, center)
+        b = brute_force_query(coords64, center, 0.06)
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("radius", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_ball_query_matches_brute_force_on_generated_scenes(radius, data):
     # float64 coordinates, each cast once by both routes
+    scene = data.draw(oracle_scenes(radius))
     coords, _ = scene.in_float32()
     idx = build_index(coords, scene.radius)
     assert idx.n_cells < idx.n_nodes  # a pile outgrows its node
@@ -124,11 +146,11 @@ def test_ball_query_matches_brute_force_on_generated_scenes(scene):
         assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, scene.radius))
 
 
-@settings(max_examples=30)
-@given(scene=oracle_scenes())
-def test_node_pairs_match_brute_force_keys(scene):
-    r = scene.radius
-    coords, labels = scene.in_float32()
+@pytest.mark.parametrize("r", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data())
+def test_node_pairs_match_brute_force_keys(r, data):
+    coords, labels = data.draw(oracle_scenes(r)).in_float32()
     grid = GridIndex(coords, r, labels)
     assert np.bincount(grid.node_cell).max() >= 3
     # the near and the far ring split the stencil's pairs between them
@@ -146,25 +168,34 @@ def test_node_pairs_match_brute_force_keys(scene):
     assert pairs == set(map(tuple, np.argwhere(np.triu(near)).tolist()))
 
 
-@settings(max_examples=30)
-@given(scene=oracle_scenes(), seed=st.integers(0, 2**32 - 1))
-def test_far_ring_leaves_out_exactly_the_pairs_of_one_root(scene, seed):
-    coords, labels = scene.in_float32()
-    grid = GridIndex(coords, scene.radius, labels)
+# root choices: three random components; runs of three whole rows, some of
+# whose nodes stand alone; distinct roots, which leave out nothing; and one
+# component per label, which leaves out everything, as no stencil row
+# reaches another label
+_ROOTS = {
+    "three": lambda rng, n, row, label: rng.integers(0, 3, n),
+    "rows": lambda rng, n, row, label: row // 3,
+    "alone": lambda rng, n, row, label: np.where(rng.random(n) < 0.3, np.arange(n) + n, row // 3),
+    "distinct": lambda rng, n, row, label: np.arange(n),
+    "label": lambda rng, n, row, label: label,
+}
+
+
+@pytest.mark.parametrize("choice", sorted(_ROOTS))
+@pytest.mark.parametrize("radius", ORACLE_RADII)
+@settings(max_examples=10)
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_far_ring_leaves_out_exactly_the_pairs_of_one_root(radius, choice, data, seed):
+    coords, labels = data.draw(oracle_scenes(radius)).in_float32()
+    grid = GridIndex(coords, radius, labels)
     everything = set(zip(*(x.tolist() for x in grid.far_pairs())))
-    # three random components; runs of three whole rows, some of whose nodes
-    # stand alone; distinct roots, which leave out nothing; and one component
-    # per label, which leaves out everything, as no stencil row reaches
-    # another label
-    rng = np.random.default_rng(seed)
     row = grid._node_codes // grid._wx
-    alone = np.where(rng.random(grid.n_nodes) < 0.3, np.arange(grid.n_nodes) + grid.n_nodes, row // 3)
-    distinct = np.arange(grid.n_nodes)
-    node_label = labels[grid.order[grid.starts]]
-    for roots in (rng.integers(0, 3, grid.n_nodes), row // 3, alone, distinct, node_label):
-        kept = set(zip(*(x.tolist() for x in grid.far_pairs(roots))))
-        # exactly the pairs (a, b) whose row of b holds a's root alone go
-        row_roots = [set(roots[row == r].tolist()) for r in range(row.max() + 1)]
-        assert kept == {(a, b) for a, b in everything if row_roots[row[b]] != {roots[a]}}
-    assert everything and kept == set()  # the chain along y crosses two cells in one hop
-    assert all(map(np.array_equal, grid.far_pairs(distinct), grid.far_pairs()))
+    roots = _ROOTS[choice](np.random.default_rng(seed), grid.n_nodes, row, labels[grid.order[grid.starts]])
+    kept = set(zip(*(x.tolist() for x in grid.far_pairs(roots))))
+    # exactly the pairs (a, b) whose row of b holds a's root alone go
+    row_roots = [set(roots[row == r].tolist()) for r in range(row.max() + 1)]
+    assert kept == {(a, b) for a, b in everything if row_roots[row[b]] != {roots[a]}}
+    if choice == "distinct":
+        assert all(map(np.array_equal, grid.far_pairs(roots), grid.far_pairs()))
+    if choice == "label":
+        assert everything and kept == set()  # the chain along y crosses two cells in one hop
