@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import ClusterParams
-from .core import FormatError, SceneError
+from .core import SceneError
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -46,7 +46,7 @@ from .losses import (
     offset_regression_loss,
     offset_targets,
 )
-from .pipeline import PipelineConfig, run_pipeline
+from .pipeline import _SOURCES, PipelineConfig, run_pipeline
 from .scoring import Scorer, ScorerModel, row_widths, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample, generate_scene
 
@@ -105,7 +105,7 @@ def _build_parser() -> _Parser:
 
     c = sub.add_parser("cluster", help="run clustering + scoring + NMS, write predictions (.pred1)")
     _add_pipeline_options(c, scorer=Scorer.ORACLE.value)
-    c.add_argument("--set", choices=["p", "q", "both"], default=_PIPELINE.cluster_sets,
+    c.add_argument("--set", choices=list(_SOURCES), default=_PIPELINE.cluster_sets,
                    dest="cluster_sets")
     c.add_argument("--min-score", type=float, default=_PIPELINE.min_score)
     # ignored (clustering is sequential); perfbench/run.py still passes it
@@ -295,7 +295,7 @@ def dispatch(argv: list[str]) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (SceneError, FormatError, ValueError, OSError, MemoryError) as err:
+    except (ValueError, OSError, MemoryError) as err:  # SceneError and FormatError are ValueErrors
         print(f"error: {err}", file=sys.stderr)
         return 2
 

@@ -33,7 +33,7 @@ from .core import (
     shifted_coords,
 )
 from .spatial import (
-    GridIndex, check_labels, check_radius, expand_ranges, radius_squared, squared_distances,
+    RINGS, GridIndex, check_labels, check_radius, expand_ranges, radius_squared, squared_distances,
 )
 from .trace import span
 
@@ -84,7 +84,7 @@ def _merge_edges(comp: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.minimum.at(comp, np.maximum(a, b), np.minimum(a, b))
 
 
-def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
+def _touching(grid: GridIndex, a, b, cost) -> np.ndarray:
     """Whether any point of node a[k] lies closer than r to any point of node
     b[k], ``cost[k]`` being the product of their point counts."""
     item, i = expand_ranges(0, cost)
@@ -93,21 +93,21 @@ def _touching(xyz: np.ndarray, grid: GridIndex, a, b, cost, r2) -> np.ndarray:
     i += grid.starts[a][item]
     j += grid.starts[b][item]
     d2 = np.zeros(item.size, dtype=np.float32)
-    for v in xyz:  # the expression of squared_distances, one axis at a time
+    for v in grid.xyz:  # the expression of squared_distances, one axis at a time
         d = v[i] - v[j]
         d2 += np.multiply(d, d, out=d)
     hit = np.zeros(a.size, dtype=bool)
-    hit[item[d2 < r2]] = True
+    hit[item[d2 < radius_squared(grid.radius)]] = True
     return hit
 
 
-def _join_close_pairs(comp: np.ndarray, grid: GridIndex, xyz, r2, pairs, tag: str) -> None:
+def _join_close_pairs(comp: np.ndarray, grid: GridIndex, rows, by_root: bool, tag: str) -> None:
     """Join, in the parent array ``comp``, the components of each node pair
-    (a[k], b[k]) of ``a, b = pairs()`` that holds a point pair closer than r,
-    in rounds of at most _CHUNK point pairs tested (at least one node pair).
-    Only this call holds a and b, so the unsorted lists go once sorted."""
+    (a[k], b[k]) of ``grid.ring_pairs(rows)``, by root if ``by_root``, that
+    holds a point pair closer than r, in rounds of at most _CHUNK point pairs
+    tested (at least one).  Only this call holds a and b: they go once sorted."""
     with span(f"bq_{tag}"):
-        a, b = pairs()
+        a, b = grid.ring_pairs(rows, _roots(comp, np.arange(comp.size)) if by_root else None)
         # cheapest node pairs first: their merges let costly pairs be skipped;
         # costs fit in int16 (at most 64 x 64), which numpy sorts by radix
         counts = grid.counts.astype(np.int16)
@@ -135,7 +135,7 @@ def _join_close_pairs(comp: np.ndarray, grid: GridIndex, xyz, r2, pairs, tag: st
                 break
             take = max(1, int(np.searchsorted(np.cumsum(cost[live]), _CHUNK, side="right")))
             live, wait = live[:take], live[take:]
-            close = _touching(xyz, grid, a[live], b[live], cost[live], r2)
+            close = _touching(grid, a[live], b[live], cost[live])
         with span(f"cl_{tag}"):
             _merge_edges(comp, a[live[close]], b[live[close]])
 
@@ -190,13 +190,11 @@ def cluster_single_set(
 
     with span(f"bq_{tag}"):
         grid = GridIndex(coords32[active_idx], params.radius, sem_labels[active_idx])
-        xyz = np.ascontiguousarray(grid.coords[grid.order].T)
-        r2 = radius_squared(params.radius)
         # the nodes of a cell are one clique: each is hooked to the cell's first
         comp = grid.cell_start[grid.node_cell]
     # the far ring leaves out the rows that the near ring's joins settled
-    for ring in (grid.near_pairs, lambda: grid.far_pairs(_roots(comp, np.arange(comp.size)))):
-        _join_close_pairs(comp, grid, xyz, r2, ring, tag)
+    for far, rows in enumerate(RINGS):
+        _join_close_pairs(comp, grid, rows, bool(far), tag)
 
     with span(f"cl_{tag}"):
         point_comp = np.empty(active_idx.size, dtype=np.int64)

@@ -101,16 +101,17 @@ def _table(fh, lines: list[str], head: int, count: int, fields) -> list[np.ndarr
     """The ``count`` rows that follow the ``head`` header lines of the text
     file ``fh`` and end it, ``lines`` being its first lines, read as
     ``_read_rows`` reads them: the C reader takes them straight from the
-    file, sizing its table once, and the file's line list is built only to
-    name the fault when the reader refuses them."""
-    if count:
-        _fits(lines[head], head + 1, fields)
-        fh.seek(0)
-        cols = _c_rows(fh, fields, head, count)
-        if cols is not None:
-            return cols
+    file, sizing its table once, and the file's line list is built only for
+    ``_bisect`` to name the fault when the reader refuses them."""
+    if not count:
+        return _read_rows([], head + 1, fields)
+    _fits(lines[head], head + 1, fields)
     fh.seek(0)
-    return _read_rows(_scan(fh, sys.maxsize)[0][head:], head + 1, fields)
+    cols = _c_rows(fh, fields, head, count)
+    if cols is not None:
+        return cols
+    fh.seek(0)
+    _bisect(_scan(fh, sys.maxsize)[0][head:], head + 1, fields)
 
 
 def _body_lines(fh, head: int):
@@ -139,10 +140,9 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     group comes back as one ``(len(lines), count)`` array of its dtype.  A
     group's ``name`` names each of its columns, or is a tuple of ``count``
     names, one per column.  numpy's C reader (``_c_rows``) parses the table
-    in one call, and what it accepts is the grammar of every field.  When it
-    refuses the table, halving the refused block down to one line finds the
-    first line it refuses, and ``_fault`` names what is wrong there.  A table
-    of no columns is a run of blank lines.
+    in one call, and what it accepts is the grammar of every field; when it
+    refuses the table, ``_bisect`` names the fault.  A table of no columns is
+    a run of blank lines.
     """
     width = sum(count for _, _, count in fields)
     if not (lines and width):
@@ -154,6 +154,14 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     table = _c_rows(lines, fields)
     if table is not None:
         return table
+    _bisect(lines, lineno, fields)
+
+
+def _bisect(lines: list[str], lineno: int, fields) -> NoReturn:
+    """Name the fault of ``lines``, the first of them line ``lineno`` of the
+    file, a table of ``fields`` that ``_c_rows`` refuses: halving the refused
+    block down to one line finds the first line it refuses, and ``_fault``
+    names what is wrong there."""
     done, bad = 0, len(lines)  # lines[:done] read; lines[done:bad] refused
     while bad - done > 1:
         mid = (done + bad) // 2

@@ -14,7 +14,7 @@ from .scoring import Scorer, ScorerModel, check_scorer_inputs, family_iou, score
 from .trace import span
 
 # PipelineConfig.cluster_sets -> the coordinate sets clustered
-_SOURCES = {"both": (Source.ORIGINAL, Source.SHIFTED), "p": (Source.ORIGINAL,), "q": (Source.SHIFTED,)}
+_SOURCES = {"p": (Source.ORIGINAL,), "q": (Source.SHIFTED,), "both": (Source.ORIGINAL, Source.SHIFTED)}
 
 
 def _check_nms_iou(iou_thresh: float) -> None:

@@ -11,12 +11,12 @@ the stencil is walked as rows of fixed (dy, dz): one ``searchsorted`` range
 per row covers its whole x-run from -2 to +2, and the nodes of the own row
 need no search, as they follow in node order.  The half stencil is walked in
 two rings: near (the own row and the four rows that touch it by a face or an
-edge) and far (the other eight rows).  Given each node's component root, the
-far ring skips a node's range in a row whose nodes all share its root, as
-every pair there joins one component to itself; rows are contiguous in node
-order, so that shared root is a min/max ``reduceat`` over rows.  A ring's
-rows are looked up once and then searched and expanded one stencil row at a
-time, so that only its node pairs, as int32 ids, outlive a row.
+edge) and far (the other eight rows).  Given each node's component root, a
+ring skips a node's range in a row whose nodes all share its root, as every
+pair there joins one component to itself; rows are contiguous in node order,
+so that shared root is a min/max ``reduceat`` over rows.  A ring's rows are
+looked up once, then searched and expanded one stencil row at a time, so
+that only its node pairs, as int32 ids, outlive a row.
 
 Cell keys are floor(coord / side) in float64, ranked over the occupied keys
 of each axis with gaps wider than 3 collapsed to 3.  That keeps every
@@ -36,7 +36,7 @@ import math
 
 import numpy as np
 
-from .core import _as_readonly, int32_ids, refuse
+from .core import int32_ids, refuse
 
 # cell side as a fraction of the radius: the cell diagonal is r / 1.0001, so
 # points sharing a cell are strictly within r of each other
@@ -47,15 +47,14 @@ _REACH = 2
 # point pairs
 _BLOCK = 64
 
-# stencil rows as (dy, dz), each from dx = -2 to +2; with the (0, 0) row
-# from dx = +1, the half stencil lists each unordered pair of distinct cells once
+# stencil rows as (dy, dz), each from dx = -2 to +2
 _SPAN = range(-_REACH, _REACH + 1)
 _FULL_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN])
-_HALF_ROWS = np.array([(dy, dz) for dy in _SPAN for dz in _SPAN if (dy, dz) > (0, 0)])
-# the rings of the half stencil: the near rows, walked with the (0, 0) row,
-# and the far rows, walked last
-_NEAR_ROWS = np.array([(0, 1), (1, -1), (1, 0), (1, 1)])
-_FAR_ROWS = np.array([row for row in _HALF_ROWS.tolist() if row not in _NEAR_ROWS.tolist()])
+# the half stencil, (dy, dz) >= (0, 0), as its near ring, the own row (from
+# dx = +1, so each unordered pair of distinct cells is listed once) and the
+# four rows that touch it by a face or an edge, and its far ring, the others
+RINGS = (np.array([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
+         np.array([(0, 2), (1, -2), (1, 2), (2, -2), (2, -1), (2, 0), (2, 1), (2, 2)]))
 
 
 def squared_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -132,23 +131,24 @@ class GridIndex:
     label) when per-point ``labels`` are given; ``node_cell`` numbers the
     cell of each node, and ``cell_start[c]`` is the first node of cell c
     (``cell_start[-1]`` is the node count).  ``order`` lists the point
-    indices node by node; node k holds ``order[starts[k] : starts[k] + counts[k]]``.
+    indices node by node; node k holds ``order[starts[k] : starts[k] + counts[k]]``,
+    and column p of ``xyz`` (float32, one row per axis) holds point ``order[p]``.
     """
 
     def __init__(self, coords: np.ndarray, radius: float, labels: np.ndarray | None = None):
         check_radius(radius)
-        coords = _as_readonly(coords, np.float32)
+        coords = np.asarray(coords, dtype=np.float32)
         if coords.ndim != 2 or coords.shape[1] != 3:
             raise ValueError("coords must have shape (n_points, 3)")
         refuse(~np.isfinite(coords), "non-finite coordinate at point {i}")
         self.radius = float(radius)
-        self.coords = coords
         n = coords.shape[0]
         if labels is not None:
             labels = check_labels(n, labels).astype(np.int64)
 
         keys = np.floor(coords.astype(np.float64) / (self.radius * _FINE_FACTOR))
         kx, ky, kz = (_ranks(keys[:, axis]) for axis in range(3))
+        del keys  # the largest array of the build goes once it is ranked
         if labels is not None:
             # each label gets its own block of y keys, spaced so that no row
             # of the stencil reaches from one label into another
@@ -159,6 +159,8 @@ class GridIndex:
         self._point_codes = cell_codes = point_row * self._wx + kx  # ball_query reads it
 
         order = np.argsort(cell_codes)
+        self.xyz = np.take(coords.T, order, axis=1)  # a gather: the caller's array is not kept
+        self.xyz.setflags(write=False)
         sorted_codes = cell_codes[order]
         first = np.diff(sorted_codes, prepend=-1) != 0
         pos = np.arange(n)
@@ -172,7 +174,7 @@ class GridIndex:
 
     @property
     def n_points(self) -> int:
-        return self.coords.shape[0]
+        return self.xyz.shape[1]
 
     @property
     def n_nodes(self) -> int:
@@ -201,12 +203,9 @@ class GridIndex:
         if not k.size:  # no neighbour row: nothing to search
             return iter(())
         if roots is not None:
-            # row u starts at node run[u]; its root, or -1 where its nodes have
-            # more than one: a row skips a neighbour row of its own root whole
+            # the root of row u (from node run[u]), or -1 where it holds more than one
             low, high = np.minimum.reduceat(roots, run), np.maximum.reduceat(roots, run)
             shared = np.where(low == high, low, -1)
-            mixed = (shared[u] != shared[at[k, u]]) | (shared[u] < 0)
-            k, u = k[mixed], u[mixed]
         size = np.diff(run, append=codes.size)
 
         def search(k, u):  # one group: its temporaries go with the call
@@ -222,21 +221,6 @@ class GridIndex:
         step = np.flatnonzero(np.diff(k // rows.shape[1])) + 1
         return map(search, np.split(k, step), np.split(u, step))
 
-    def _pairs(self, ranges) -> tuple[np.ndarray, np.ndarray]:
-        """Each pair (who[k], b), b in [lo[k], hi[k]), of each (who, lo, hi)
-        of ``ranges`` in turn, as node ids in int32 (int64 from 2**31 nodes);
-        only the pairs are kept from one to the next."""
-        ids = np.int32 if self.n_nodes < 2**31 else np.int64
-
-        def expand(who, lo, hi):
-            item, b = expand_ranges(lo, hi - lo)
-            return who.astype(ids)[item], b.astype(ids)
-
-        a, b = zip((np.empty(0, ids),) * 2, *itertools.starmap(expand, ranges))
-        a = np.concatenate(a)  # one at a time: a's parts go before b is joined
-        b = np.concatenate(b)
-        return a, b
-
     def _next_cells(self):
         """The (0, 0) row as one range (who, lo, hi), made when it is reached,
         which needs no search: from dx = +1 to +2 it holds the nodes of the
@@ -247,17 +231,26 @@ class GridIndex:
         lo, hi = self.cell_start[self.node_cell + 1], self.cell_start[reach[self.node_cell]]
         yield np.arange(self.n_nodes), lo, hi
 
-    def near_pairs(self) -> tuple[np.ndarray, np.ndarray]:
+    def ring_pairs(self, rows: np.ndarray, roots=None) -> tuple[np.ndarray, np.ndarray]:
         """Each unordered pair (a, b) of nodes in distinct cells within the
-        near ring of the stencil, once."""
-        rows = self._row_ranges(self._node_codes, _NEAR_ROWS[:, None])
-        return self._pairs(itertools.chain(self._next_cells(), rows))
+        stencil ``rows`` (a ring of RINGS), once, as int32 node ids (int64 from
+        2**31 nodes), expanded a row at a time; given each node's component
+        root, none whose node a shares the root of every node in the row of b
+        (the own row excepted)."""
+        ids = np.int32 if self.n_nodes < 2**31 else np.int64
+        own = (rows == 0).all(axis=1)
+        ranges = self._row_ranges(self._node_codes, rows[~own][:, None], roots)
+        if own.any():
+            ranges = itertools.chain(self._next_cells(), ranges)
 
-    def far_pairs(self, roots: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Each unordered pair (a, b) of nodes within the far ring of the
-        stencil, once; given each node's component root, none whose node a
-        shares the root of every node in the row of b."""
-        return self._pairs(self._row_ranges(self._node_codes, _FAR_ROWS[:, None], roots))
+        def expand(who, lo, hi):
+            item, b = expand_ranges(lo, hi - lo)
+            return who.astype(ids)[item], b.astype(ids)
+
+        a, b = zip((np.empty(0, ids),) * 2, *itertools.starmap(expand, ranges))
+        a = np.concatenate(a)  # one at a time: a's parts go before b is joined
+        b = np.concatenate(b)
+        return a, b
 
 
 def build_index(coords: np.ndarray, radius: float) -> GridIndex:
@@ -274,10 +267,12 @@ def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
     """
     if center_idx < 0 or center_idx >= index.n_points:
         raise IndexError(f"center index {center_idx} out of range")
-    _, nodes = index._pairs(index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS[None]))
+    [(_, lo, hi)] = index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS[None])
+    _, nodes = expand_ranges(lo, hi - lo)
     _, take = expand_ranges(index.starts[nodes], index.counts[nodes])
     cand = index.order[take]
-    d2 = squared_distances(index.coords[cand], index.coords[center_idx])
+    xyz = index.xyz[:, take].T
+    d2 = squared_distances(xyz, xyz[cand == center_idx])
     return np.sort(cand[d2 < radius_squared(index.radius)])
 
 

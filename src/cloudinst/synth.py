@@ -9,6 +9,7 @@ results are reproducible no matter how generation is scheduled.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,15 @@ def _point_count(planned: float, fields: str) -> int:
     if not planned <= np.iinfo(np.intp).max:  # also refuses nan
         raise ValueError(f"{fields} too large: {planned:.3g} points, more than an array holds")
     return int(round(planned))
+
+
+def _memory_bytes() -> float:
+    """This machine's physical memory in bytes; inf where the system does not
+    report it."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float("inf")
 
 
 def _check_label_noise(p_sem: float, temperature: float) -> None:
@@ -140,6 +150,15 @@ class GenConfig:
             raise ValueError(
                 f"n_objects too large: {objects} objects of at least {smallest:.3g} m^3 "
                 f"do not fit in the {slab:.3g} m^3 that they stand in"
+            )
+        # a room that holds them may still ask for more than memory holds: the
+        # scene keeps 23 + 4 * N_CLASSES bytes per point (coordinates, colour,
+        # label, instance id and scores), refused before a class is drawn
+        need, memory = float(objects) * points * (23 + 4 * N_CLASSES), _memory_bytes()
+        if need > memory:
+            raise ValueError(
+                f"n_objects too large: {objects} objects of at least {points} points need "
+                f"{need:.3g} bytes, more than this machine's {memory:.3g} bytes of memory"
             )
         _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
         _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")

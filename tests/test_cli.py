@@ -322,18 +322,32 @@ def test_generate_of_more_points_than_an_array_holds_exits_2(capsys, tmp_path, a
     assert list(tmp_path.iterdir()) == []
 
 
-def test_generate_of_more_objects_than_the_room_holds_exits_2_at_once(tmp_path):
-    # a class was drawn for each of 1e9 objects before the first was placed,
-    # until the process was killed; here alone, in a 2 GiB address space
+def _generate_alone(tmp_path, *argv):
+    """``cloudinst generate`` in a process of its own, in a 2 GiB address
+    space; its stderr, once it has exited 2 and written nothing."""
     run = subprocess.run(
-        [sys.executable, "-m", "cloudinst.cli", "generate", "--out", str(tmp_path / "x.sc1"),
-         "--n-objects", "1000000000"],
+        [sys.executable, "-m", "cloudinst.cli", "generate", "--out", str(tmp_path / "x.sc1"), *argv],
         capture_output=True, text=True, timeout=30,
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
     )
     assert (run.returncode, list(tmp_path.iterdir())) == (2, []), run.stderr
-    assert run.stderr.startswith("error: n_objects too large: 1000000000 objects of at least ")
+    return run.stderr
+
+
+def test_generate_of_more_objects_than_the_room_holds_exits_2_at_once(tmp_path):
+    # a class was drawn for each of 1e9 objects before the first was placed,
+    # until the process was killed
+    err = _generate_alone(tmp_path, "--n-objects", "1000000000")
+    assert err.startswith("error: n_objects too large: 1000000000 objects of at least ")
+
+
+def test_generate_of_more_objects_than_memory_holds_exits_2_at_once(tmp_path):
+    # a room that holds 1e9 objects: their 6e10 points need ~3.3 TB, more
+    # than any machine that runs this has
+    err = _generate_alone(tmp_path, "--room", "100000", "100000", "2.5", "--n-objects", "1000000000")
+    assert err.startswith("error: n_objects too large: 1000000000 objects of at least 60 points need ")
+    assert "bytes of memory" in err
 
 
 def test_evaluate_with_a_nan_score_filter_exits_2(capsys, tmp_path):

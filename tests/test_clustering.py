@@ -15,7 +15,7 @@ from cloudinst.clustering import (
 )
 from cloudinst.core import SceneError, Source, shifted_coords
 from cloudinst.losses import offset_targets
-from cloudinst.spatial import _FINE_FACTOR, GridIndex, radius_squared, squared_distances
+from cloudinst.spatial import _FINE_FACTOR, RINGS, GridIndex, radius_squared, squared_distances
 from cloudinst.synth import GenConfig, generate_sample
 
 from conftest import ORACLE_RADII, oracle_scenes, random_cluster_inputs, traced_peak, two_object_scene
@@ -211,12 +211,12 @@ def test_every_round_but_the_last_fills_its_budget(monkeypatch):
         waiting += found.size
         return found
 
-    def counting_touching(xyz, grid, a, b, cost, r2):
+    def counting_touching(grid, a, b, cost):
         nonlocal waiting
         assert a.size  # a round with nothing live calls nothing
         waiting -= a.size
         rings[-1].append((int(cost.sum()), waiting == 0))
-        return touching(xyz, grid, a, b, cost, r2)
+        return touching(grid, a, b, cost)
 
     def counting_merge(comp, a, b):
         joins.append(a.size)
@@ -247,14 +247,15 @@ def test_every_round_but_the_last_fills_its_budget(monkeypatch):
 def test_far_ring_enumerates_few_of_its_pairs(monkeypatch, seed):
     # once the near ring's pairs are joined, most far-ring pairs join nodes
     # of one component, and the far ring leaves them out
-    far_pairs, sizes = GridIndex.far_pairs, []
+    ring_pairs, sizes = GridIndex.ring_pairs, []
 
-    def counting_far_pairs(grid, roots=None):
-        kept = far_pairs(grid, roots)
-        sizes.append((kept[0].size, far_pairs(grid)[0].size))
+    def counting_ring_pairs(grid, rows, roots=None):
+        kept = ring_pairs(grid, rows, roots)
+        if rows is RINGS[1]:
+            sizes.append((kept[0].size, ring_pairs(grid, rows)[0].size))
         return kept
 
-    monkeypatch.setattr(GridIndex, "far_pairs", counting_far_pairs)
+    monkeypatch.setattr(GridIndex, "ring_pairs", counting_ring_pairs)
     _, observed, _ = generate_sample(GenConfig(seed=seed, sigma0=0.01, beta=2.0))
     cluster_single_set(
         observed.coords, observed.sem_labels, observed.stuff_classes, ClusterParams(), Source.ORIGINAL
@@ -273,10 +274,10 @@ def _kernel_work(monkeypatch, coords, labels, stuff, source):
         work["read"] += a.size
         return live(comp, a, b)
 
-    def counting_touching(xyz, grid, a, b, cost, r2):
+    def counting_touching(grid, a, b, cost):
         work["tested"] += int(cost.sum())
         work["rounds"] += 1
-        return touching(xyz, grid, a, b, cost, r2)
+        return touching(grid, a, b, cost)
 
     def counting_merge(comp, a, b):
         work["edges"] += a.size
@@ -412,14 +413,13 @@ def test_touching_matches_brute_force_for_pairs_in_any_order(radius, data, seed)
     scene = data.draw(oracle_scenes(radius))
     coords, labels = scene.in_float32()
     grid = GridIndex(coords, scene.radius, labels)
-    xyz = np.ascontiguousarray(grid.coords[grid.order].T)
-    a, b = map(np.concatenate, zip(grid.near_pairs(), grid.far_pairs()))
+    a, b = map(np.concatenate, zip(*map(grid.ring_pairs, RINGS)))
     shuffle = np.random.default_rng(seed).permutation(a.size)
     a, b = a[shuffle], b[shuffle]
     cost = grid.counts[a] * grid.counts[b]
     r2 = radius_squared(scene.radius)
-    got = clustering._touching(xyz, grid, a, b, cost.astype(np.int16), r2)
-    node = [xyz.T[lo : lo + n] for lo, n in zip(grid.starts, grid.counts)]
+    got = clustering._touching(grid, a, b, cost.astype(np.int16))
+    node = [grid.xyz.T[lo : lo + n] for lo, n in zip(grid.starts, grid.counts)]
     want = [(squared_distances(node[i][:, None], node[j][None]) < r2).any() for i, j in zip(a, b)]
     assert np.array_equal(got, want)
     assert (cost == 1).any() and (cost > 1).any() and got.any() and not got.all()

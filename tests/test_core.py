@@ -132,7 +132,7 @@ def test_scene_arrays_immutable(simple_scene):
             for f in ("coords", "colors", "sem_labels", "inst_ids", "sem_scores")
         ],
         (lambda a: OffsetField(a).offsets, np.zeros((2, 3))),
-        (lambda a: GridIndex(a, 0.03).coords, fields["coords"]),
+        (lambda a: GridIndex(a, 0.03).xyz, fields["coords"]),
         (lambda a: model(mean=a).mean, np.zeros(8)),
         (lambda a: model(w1=a).w1, np.zeros((2, 8))),
         (lambda a: Cluster(a, 1, Source.ORIGINAL).point_idx, np.int64([0, 3])),

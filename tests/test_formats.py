@@ -739,6 +739,27 @@ def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
         assert named == [at]
 
 
+def test_a_refused_body_goes_straight_to_the_bisection(tmp_path, monkeypatch):
+    # the read from the file has shown that the body fails, so no reader
+    # call parses the whole line list again before the halving starts
+    _, offsets = generate_scene(GenConfig(seed=4, n_objects=3, density=300.0))
+    path = tmp_path / "o.off1"
+    save_offsets(offsets, path)
+    lines = path.read_text().split("\n")
+    lines[-2] = "1 2 zz"
+    path.write_text("\n".join(lines))
+    c_rows, read = formats._c_rows, []
+
+    def counting_c_rows(text, fields, *args):
+        read.append(len(text) if isinstance(text, list) else -1)
+        return c_rows(text, fields, *args)
+
+    monkeypatch.setattr(formats, "_c_rows", counting_c_rows)
+    with pytest.raises(FormatError, match=f"^line {len(lines) - 1}: offset is not a number: 'zz'$"):
+        load_offsets(path)
+    assert read.count(-1) == 1 and max(read) <= offsets.n_points // 2
+
+
 def test_one_number_parser():
     # every text format turns text into numbers through one numpy reader
     assert package_uses("loadtxt") == [("formats", "_loadtxt")]

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from cloudinst.spatial import (
     _FINE_FACTOR,
+    RINGS,
     GridIndex,
     ball_query,
     brute_force_query,
@@ -154,8 +155,9 @@ def test_node_pairs_match_brute_force_keys(r, data):
     grid = GridIndex(coords, r, labels)
     assert np.bincount(grid.node_cell).max() >= 3
     # the near and the far ring split the stencil's pairs between them
-    assert grid.near_pairs()[0].size and grid.far_pairs()[0].size
-    a, b = map(np.concatenate, zip(grid.near_pairs(), grid.far_pairs()))
+    rings = [grid.ring_pairs(rows) for rows in RINGS]
+    assert all(a.size for a, _ in rings)
+    a, b = map(np.concatenate, zip(*rings))
     assert (a != b).all()
     pairs = set(zip(np.minimum(a, b).tolist(), np.maximum(a, b).tolist()))
     assert len(pairs) == a.size
@@ -166,6 +168,18 @@ def test_node_pairs_match_brute_force_keys(r, data):
     near &= labels[first][:, None] == labels[first][None]
     near &= grid.node_cell[:, None] != grid.node_cell[None]
     assert pairs == set(map(tuple, np.argwhere(np.triu(near)).tolist()))
+
+
+def test_rings_list_each_half_stencil_row_once():
+    # the own (0, 0) row, walked from dx = +1, and each of the 12 rows
+    # (dy, dz) > (0, 0), each in one ring exactly once
+    rows = [tuple(row) for ring in RINGS for row in ring.tolist()]
+    half = [(dy, dz) for dy in range(-2, 3) for dz in range(-2, 3) if (dy, dz) >= (0, 0)]
+    assert len(half) == 13 and sorted(rows) == half
+    # the near ring, walked first: the own row and the four rows that touch
+    # it by a face or an edge
+    near = [tuple(row) for row in RINGS[0].tolist()]
+    assert len(RINGS) == 2 and sorted(near) == [row for row in half if max(map(abs, row)) <= 1]
 
 
 # root choices: three random components; runs of three whole rows, some of
@@ -188,14 +202,14 @@ _ROOTS = {
 def test_far_ring_leaves_out_exactly_the_pairs_of_one_root(radius, choice, data, seed):
     coords, labels = data.draw(oracle_scenes(radius)).in_float32()
     grid = GridIndex(coords, radius, labels)
-    everything = set(zip(*(x.tolist() for x in grid.far_pairs())))
+    everything = set(zip(*(x.tolist() for x in grid.ring_pairs(RINGS[1]))))
     row = grid._node_codes // grid._wx
     roots = _ROOTS[choice](np.random.default_rng(seed), grid.n_nodes, row, labels[grid.order[grid.starts]])
-    kept = set(zip(*(x.tolist() for x in grid.far_pairs(roots))))
+    kept = set(zip(*(x.tolist() for x in grid.ring_pairs(RINGS[1], roots))))
     # exactly the pairs (a, b) whose row of b holds a's root alone go
     row_roots = [set(roots[row == r].tolist()) for r in range(row.max() + 1)]
     assert kept == {(a, b) for a, b in everything if row_roots[row[b]] != {roots[a]}}
     if choice == "distinct":
-        assert all(map(np.array_equal, grid.far_pairs(roots), grid.far_pairs()))
+        assert all(map(np.array_equal, grid.ring_pairs(RINGS[1], roots), grid.ring_pairs(RINGS[1])))
     if choice == "label":
         assert everything and kept == set()  # the chain along y crosses two cells in one hop

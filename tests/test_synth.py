@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cloudinst.clustering import ClusterParams, cluster_single_set
+from cloudinst import synth
 from cloudinst.core import Source, ground_truth_instances, never_clustered, scenes_equal
 from cloudinst.losses import instance_centroids
 from cloudinst.synth import (
@@ -287,6 +288,16 @@ def test_placement_failure_raises():
                     min_gap=0.5, min_object_points=10)
     with pytest.raises(ValueError, match="could not place"):
         generate_scene(cfg)
+
+
+def test_objects_whose_points_outgrow_memory_are_refused(monkeypatch):
+    # the bound is the machine's memory at the 55 bytes a scene keeps per
+    # point: objects whose fewest points fill it exactly pass, one more is
+    # refused, in a room that would hold them
+    monkeypatch.setattr(synth, "_memory_bytes", lambda: 10 * 60 * 55.0)
+    GenConfig(room=(1e5, 1e5, 2.5), n_objects=10)
+    with pytest.raises(ValueError, match="^n_objects too large: 11 objects of at least 60 points need "):
+        GenConfig(room=(1e5, 1e5, 2.5), n_objects=11)
 
 
 def test_config_validation():
