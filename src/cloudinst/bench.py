@@ -10,7 +10,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .core import OffsetField, Scene
+from .core import OffsetField, Scene, check, is_int
 from .pipeline import PipelineConfig, run_pipeline
 from .scoring import ScorerModel
 from .trace import recording
@@ -42,8 +42,7 @@ def run_bench(
     """Run the pipeline ``repeats`` times (after one unmeasured warm-up) and
     average per-stage wall times from a monotonic clock.
     """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+    check("repeats", repeats, is_int(repeats) and repeats >= 1, "an integer >= 1")
     run_pipeline(scene, offsets, config, model=model)
 
     sums = {s: 0.0 for s in STAGES}

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import ClusterParams
-from .core import SceneError
+from .core import SceneError, check_seed
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -221,8 +221,7 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    if args.seed < 0:  # as numpy's generator would, but naming the flag
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+    check_seed("--seed", args.seed, nonnegative=True)  # as numpy's generator would, naming the flag
     scene, _ = generate_scene(
         GenConfig(
             seed=args.seed, n_objects=3, density=150.0, stuff_density=0.0,

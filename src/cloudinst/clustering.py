@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Cluster, OffsetField, Scene, Source, check_offsets, is_int, never_clustered, refuse,
+    Cluster, OffsetField, Scene, Source, check, check_offsets, is_int, never_clustered, refuse,
     shifted_coords,
 )
 from .spatial import (
@@ -50,8 +50,8 @@ class ClusterParams:
 
     def __post_init__(self):
         check_radius(self.radius)
-        if not (is_int(self.min_points) and self.min_points >= 1):
-            raise ValueError(f"min_points must be an integer >= 1, got {self.min_points}")
+        points = self.min_points
+        check("min_points", points, is_int(points) and points >= 1, "an integer >= 1")
 
 
 def _roots(comp: np.ndarray, nodes: np.ndarray) -> np.ndarray:

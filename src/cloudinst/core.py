@@ -7,6 +7,8 @@ copy of the one passed in), so all types are safe to share across threads.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -49,6 +51,29 @@ def is_int(value) -> bool:
     """Whether ``value`` is a Python or numpy integer; a bool (``True`` or
     ``np.True_``) is not."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def check(name: str, value, ok: bool, rule: str) -> None:
+    """ValueError ``"{name} must be {rule}, got {value}"`` unless ``ok``, the
+    caller's range test, holds and ``value``, a number or a sequence of them,
+    is finite (an int beyond the float range is not) and not a bool."""
+    for x in np.asarray(value, dtype=object).ravel():
+        try:
+            ok = ok and isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
+        except OverflowError:
+            ok = False
+    if not ok:
+        raise ValueError(f"{name} must be {rule}, got {value}")
+
+
+def check_seed(name: str, seed, nonnegative: bool) -> None:
+    """ValueError naming ``name`` unless ``seed`` is an integer of any size (a
+    Philox key takes its low 64 bits), and >= 0 where ``nonnegative`` (numpy's
+    generators refuse a negative one); not a bool."""
+    if not is_int(seed):
+        raise ValueError(f"{name} must be an integer, got {seed}")
+    if nonnegative and seed < 0:
+        raise ValueError(f"{name} must be >= 0, got {seed}")
 
 
 def stuff_ids(ids) -> frozenset[int]:

@@ -18,6 +18,7 @@ from .core import (
     GroundTruthInstance,
     InstancePrediction,
     Scene,
+    check,
     check_predictions,
     ground_truth_instances,
 )
@@ -149,8 +150,7 @@ def evaluate(
     0.25; the score filter applies only to the precision/recall numbers
     (mPrec50/mRec50), and must lie in [0, 1].
     """
-    if not 0.0 <= score_filter <= 1.0:
-        raise ValueError(f"score_filter must be in [0, 1], got {score_filter}")
+    check("score_filter", score_filter, 0.0 <= score_filter <= 1.0, "in [0, 1]")
     gt = ground_truth_instances(scene)
     if not gt:
         raise ValueError("scene has no ground-truth instances to evaluate against")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene, check_offsets
+from .core import OffsetField, Scene, check_offsets, int32_ids, refuse
 
 LOG_EPS = 1e-12  # clamp inside log() for cross entropy
 DIR_EPS = 1e-8  # offsets or targets shorter than this skip the direction term
@@ -69,12 +69,15 @@ def offset_targets(scene: Scene) -> OffsetField:
 def semantic_loss(sem_scores: np.ndarray, gt_labels: np.ndarray) -> float:
     """Mean cross entropy of probability rows against labels.
 
-    Points labeled -1 are excluded from the mean.
+    Points labeled -1 are excluded from the mean.  As in a scene, a label that
+    is not an integer in [-1, n_classes) is refused, naming its point.
     """
     scores = np.asarray(sem_scores, dtype=np.float64)
-    labels = np.asarray(gt_labels)
-    if scores.ndim != 2 or labels.shape != (scores.shape[0],):
+    if scores.ndim != 2 or np.shape(gt_labels) != (scores.shape[0],):
         raise ValueError("sem_scores must be (n, n_classes) with one label per row")
+    labels = int32_ids(gt_labels, "semantic label")
+    bad = (labels < -1) | (labels >= scores.shape[1])
+    refuse(bad, "semantic label {v} out of range at point {i}", labels)
     labeled = np.flatnonzero(labels >= 0)
     if labeled.size == 0:
         raise ValueError("no labeled points")

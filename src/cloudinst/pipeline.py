@@ -9,19 +9,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
-from .core import Cluster, InstancePrediction, OffsetField, Scene, Source
+from .core import Cluster, InstancePrediction, OffsetField, Scene, Source, check
 from .scoring import Scorer, ScorerModel, check_scorer_inputs, family_iou, score_clusters
 from .trace import span
 
 # PipelineConfig.cluster_sets -> the coordinate sets clustered
 _SOURCES = {"p": (Source.ORIGINAL,), "q": (Source.SHIFTED,), "both": (Source.ORIGINAL, Source.SHIFTED)}
-
-
-def _check_nms_iou(iou_thresh: float) -> None:
-    """ValueError unless the NMS IoU threshold lies in (0, 1]: at 0 or NaN
-    NMS keeps only the first cluster, above 1 it keeps every one."""
-    if not 0.0 < iou_thresh <= 1.0:
-        raise ValueError(f"nms_iou must be in (0, 1], got {iou_thresh}")
 
 
 @dataclass(frozen=True)
@@ -40,9 +33,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scorer", Scorer(self.scorer))
-        _check_nms_iou(self.nms_iou)
-        if self.min_score is not None and not 0.0 <= self.min_score <= 1.0:
-            raise ValueError(f"min_score must be in [0, 1], got {self.min_score}")
+        check("nms_iou", self.nms_iou, 0.0 < self.nms_iou <= 1.0, "in (0, 1]")  # as nms
+        if self.min_score is not None:
+            check("min_score", self.min_score, 0.0 <= self.min_score <= 1.0, "in [0, 1]")
         if self.cluster_sets not in _SOURCES:
             raise ValueError(f"cluster_sets must be 'p', 'q' or 'both', got {self.cluster_sets!r}")
 
@@ -58,7 +51,8 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     clusters of one source must be disjoint, as every ``cluster_single_set``
     output is; overlapping ones raise ValueError.
     """
-    _check_nms_iou(iou_thresh)
+    # at 0 or NaN NMS would keep only the first cluster, above 1 every one
+    check("nms_iou", iou_thresh, 0.0 < iou_thresh <= 1.0, "in (0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(clusters),):
         raise ValueError(f"got {len(clusters)} clusters but {scores.size} scores")

@@ -29,7 +29,7 @@ import numpy as np
 from .clustering import ClusterParams, cluster_dual_set
 from .core import (
     Cluster, GroundTruthInstance, OffsetField, Scene, _as_readonly, check_offsets,
-    ground_truth_instances, is_int, refuse,
+    check, check_seed, ground_truth_instances, is_int, refuse,
 )
 from .losses import GRAD_TOLERANCE, gradient_check
 
@@ -182,8 +182,7 @@ def cluster_descriptors(
 
 
 def _check_dims(d: int, h: int) -> None:
-    if not is_int(h):
-        raise ValueError(f"hidden must be an integer, got {h}")
+    check("hidden", h, is_int(h), "an integer")
     if d < 1 or h < 1:
         raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
 
@@ -240,6 +239,7 @@ class ScorerModel:
         """Untrained model with identity normalization and small seeded weights."""
         d = DESCRIPTOR_DIM
         _check_dims(d, hidden)
+        check_seed("seed", seed, nonnegative=True)
         rng = np.random.default_rng(seed)
         return cls(
             mean=np.zeros(d),
@@ -379,13 +379,10 @@ def train_scorer(
     positive finite number raise before any clustering.
     """
     _check_dims(DESCRIPTOR_DIM, hidden)
-    for name, value in (("epochs", epochs), ("seed", seed)):
-        if not is_int(value):
-            raise ValueError(f"{name} must be an integer, got {value}")
-        if value < 0:
-            raise ValueError(f"{name} must be >= 0, got {value}")
-    if not (np.isfinite(lr) and lr > 0):
-        raise ValueError(f"lr must be a positive finite number, got {lr}")
+    check("epochs", epochs, is_int(epochs), "an integer")
+    check("epochs", epochs, epochs >= 0, ">= 0")
+    check_seed("seed", seed, nonnegative=True)
+    check("lr", lr, lr > 0, "a positive finite number")
     x, y = harvest_training_set(corpus, cluster_params)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)

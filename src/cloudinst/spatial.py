@@ -31,12 +31,13 @@ oracle) so the two routes agree bit-for-bit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
 import numpy as np
 
-from .core import int32_ids, refuse
+from .core import check, int32_ids, is_int, refuse
 
 # cell side as a fraction of the radius: the cell diagonal is r / 1.0001, so
 # points sharing a cell are strictly within r of each other
@@ -71,19 +72,14 @@ def radius_squared(radius: float) -> np.float32:
 
 
 def check_radius(radius: float) -> None:
-    """Reject a radius unless it is positive and its float32 square is a
-    normal finite number.
-
-    Every distance test compares a float32 square against r*r, and the
+    """ValueError unless ``radius`` is positive with a normal finite float32
+    square.  Every distance test compares a float32 square against r*r, and the
     clique cells rely on that comparison: with r*r rounded to 0 or to inf,
-    points sharing a cell can join although the test keeps them apart.
-    """
+    points sharing a cell can join although the test keeps them apart."""
     with np.errstate(over="ignore", under="ignore"):
         r2 = radius_squared(radius)
-    if not (radius > 0 and np.isfinite(r2) and r2 >= np.finfo(np.float32).tiny):
-        raise ValueError(
-            f"radius must be positive with a normal finite float32 square, got {radius}"
-        )
+    ok = radius > 0 and np.isfinite(r2) and r2 >= np.finfo(np.float32).tiny
+    check("radius", radius, ok, "positive with a normal finite float32 square")
 
 
 def check_labels(n_points: int, labels) -> np.ndarray:
@@ -156,21 +152,26 @@ class GridIndex:
         self._wz = int(kz.max(initial=0)) + _REACH + 1
         self._row_codes, point_row = _unique(ky * self._wz + kz)
         self._wx = int(kx.max(initial=0)) + _REACH + 1
-        self._point_codes = cell_codes = point_row * self._wx + kx  # ball_query reads it
+        cell_codes = point_row * self._wx + kx
 
-        order = np.argsort(cell_codes)
-        self.xyz = np.take(coords.T, order, axis=1)  # a gather: the caller's array is not kept
+        self.order = np.argsort(cell_codes)
+        self.xyz = np.take(coords.T, self.order, axis=1)  # a gather, not the caller's array
         self.xyz.setflags(write=False)
-        sorted_codes = cell_codes[order]
+        sorted_codes = cell_codes[self.order]
         first = np.diff(sorted_codes, prepend=-1) != 0
         pos = np.arange(n)
         starts = np.flatnonzero((pos - np.maximum.accumulate(np.where(first, pos, 0))) % _BLOCK == 0)
-        self.order = order
         self.starts = starts
         self.counts = np.diff(starts, append=n)
         self.node_cell = np.cumsum(first[starts]) - 1
         self.cell_start = np.append(np.flatnonzero(first[starts]), starts.size)
         self._node_codes = sorted_codes[starts]
+
+    @functools.cached_property
+    def _point_codes(self) -> np.ndarray:  # made on the first ball_query, which alone reads it
+        codes = np.empty(self.n_points, np.int64)
+        codes[self.order] = np.repeat(self._node_codes, self.counts)
+        return codes
 
     @property
     def n_points(self) -> int:
@@ -265,7 +266,7 @@ def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
     the 5x5x5 stencil around the center's cell are examined, which covers
     every candidate.
     """
-    if center_idx < 0 or center_idx >= index.n_points:
+    if not (is_int(center_idx) and 0 <= center_idx < index.n_points):  # as brute_force_query
         raise IndexError(f"center index {center_idx} out of range")
     [(_, lo, hi)] = index._row_ranges(index._point_codes[[center_idx]], _FULL_ROWS[None])
     _, nodes = expand_ranges(lo, hi - lo)
@@ -278,8 +279,9 @@ def ball_query(index: GridIndex, center_idx: int) -> np.ndarray:
 
 def brute_force_query(coords: np.ndarray, center_idx: int, radius: float) -> np.ndarray:
     """O(N) oracle for ball_query: same predicate, no index."""
+    check_radius(radius)
     coords = np.asarray(coords, dtype=np.float32)
-    if center_idx < 0 or center_idx >= coords.shape[0]:
+    if not (is_int(center_idx) and 0 <= center_idx < coords.shape[0]):  # as ball_query
         raise IndexError(f"center index {center_idx} out of range")
     with np.errstate(over="ignore"):  # far outliers: inf is not < r2
         d2 = squared_distances(coords, coords[center_idx])

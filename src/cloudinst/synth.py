@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene, check_offsets, is_int, never_clustered
+from .core import OffsetField, Scene, check, check_offsets, check_seed, is_int, never_clustered
 from .losses import offset_targets
 
 # class id -> primitive kind and base full dimensions (meters), cycled
@@ -37,24 +37,8 @@ N_CLASSES = 8
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
     return np.random.Generator(
-        np.random.Philox(key=np.array([seed & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64))
+        np.random.Philox(key=np.array([int(seed) & 0xFFFFFFFFFFFFFFFF, stream], dtype=np.uint64))
     )
-
-
-def _finite(number) -> bool:
-    """Whether ``number`` is a finite float: neither NaN nor inf, nor a
-    Python int beyond the float range."""
-    try:
-        return bool(np.isfinite(float(number)))
-    except OverflowError:
-        return False
-
-
-def _check(name: str, value, ok: bool, rule: str) -> None:
-    """ValueError naming ``name`` unless ``value``, a number or a sequence
-    of them, is finite and ``ok``, the caller's range test."""
-    if not (ok and all(map(_finite, np.asarray(value, dtype=object).ravel()))):
-        raise ValueError(f"{name} must be {rule}, got {value}")
 
 
 def _point_count(planned: float, fields: str) -> int:
@@ -75,16 +59,16 @@ def _memory_bytes() -> float:
 
 
 def _check_label_noise(p_sem: float, temperature: float) -> None:
-    _check("p_sem", p_sem, 0.0 <= p_sem <= 1.0, "in [0, 1]")
-    _check(
+    check("p_sem", p_sem, 0.0 <= p_sem <= 1.0, "in [0, 1]")
+    check(
         "sem_temperature", temperature, 0.0 <= temperature <= _MAX_TEMPERATURE,
         f"in [0, {_MAX_TEMPERATURE}]",
     )
 
 
 def _check_offset_noise(sigma0: float, beta: float) -> None:
-    _check("sigma0", sigma0, sigma0 >= 0, "finite and >= 0")
-    _check("beta", beta, beta >= 0, "finite and >= 0")
+    check("sigma0", sigma0, sigma0 >= 0, "finite and >= 0")
+    check("beta", beta, beta >= 0, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -122,23 +106,22 @@ class GenConfig:
         objects, points = self.n_objects, self.min_object_points
         # a side beyond the float32 range would overflow the scene's coordinates
         top = float(np.finfo(np.float32).max)
-        _check(
+        check(
             "room", room, len(room) == 3 and min(room) > 0 and max(room) <= top,
             f"three positive finite lengths up to {top:.6g}",
         )
-        if not is_int(self.seed):  # any integer: _rng takes its low 64 bits
-            raise ValueError(f"seed must be an integer, got {self.seed}")
-        _check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
-        _check("density", self.density, self.density > 0, "positive and finite")
-        _check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
-        _check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
+        check_seed("seed", self.seed, nonnegative=False)
+        check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
+        check("density", self.density, self.density > 0, "positive and finite")
+        check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
+        check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
         if gap is not None:
-            _check("same_class_gap", gap, gap > 0, "positive and finite")
-        _check(
+            check("same_class_gap", gap, gap > 0, "positive and finite")
+        check(
             "size_scale", scale, len(scale) == 2 and 0 < scale[0] <= scale[1],
             "an increasing positive finite range",
         )
-        _check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
+        check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
         # each object is given at least min_object_points points
         _point_count(float(objects) * points, "n_objects and min_object_points")
         # placed objects are disjoint solids within the room's floor area, each
@@ -160,8 +143,8 @@ class GenConfig:
                 f"n_objects too large: {objects} objects of at least {points} points need "
                 f"{need:.3g} bytes, more than this machine's {memory:.3g} bytes of memory"
             )
-        _check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
-        _check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
+        check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
+        check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)
         _check_offset_noise(self.sigma0, self.beta)
 
@@ -235,14 +218,10 @@ def _sample_surface(
     return pts
 
 
-def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
-    """Build a room scene with oracle semantics, instances, and offsets.
-
-    Instances are spatially disjoint; object points get one-hot semantic
-    scores, stuff points sit on the floor and wall planes with instance id
-    -1, and the returned offsets point every instance point exactly at its
-    instance centroid (zero on stuff).
-    """
+def _place(config: GenConfig) -> list[tuple]:
+    """Each object as (kind, full dimensions, surface area, centre, class id),
+    drawn from stream 0.  A try tests the object against every one placed
+    before it at once, but a partner not against its pair, whose gap it sets."""
     plan_rng = _rng(config.seed, 0)
     lx, ly, lz = config.room
 
@@ -252,27 +231,27 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
     draws = [int(plan_rng.choice(np.asarray(THING_CLASSES))) for _ in range(n_draws)]
     classes = [c for c in draws for _ in range(1 + paired)][: config.n_objects]
 
-    placed: list[dict] = []
+    centers, bounds = np.empty((len(classes), 3)), np.empty(len(classes))
+    placed = []
     for k, class_id in enumerate(classes):
         kind, base = _SHAPES[class_id % len(_SHAPES)]
         scale = plan_rng.uniform(*config.size_scale)
         dims = tuple(d * scale for d in base)
         area, bound, half = _geometry(kind, dims)
         is_partner = paired and k % 2 == 1
-        ok = False
-        for _ in range(MAX_PLACE_TRIES):
+        others = k - is_partner
+        margin = bound + 0.05
+        # an object whose margins leave no room for its centre gets no try
+        fits = is_partner or (lx - 2 * margin > 0 and ly - 2 * margin > 0)
+        for _ in range(MAX_PLACE_TRIES if fits else 0):
             if is_partner:
-                prev = placed[-1]
                 axis = int(plan_rng.integers(0, 2))
                 direction = 1.0 if plan_rng.random() < 0.5 else -1.0
-                touch = prev["half"][axis] + config.same_class_gap + half[axis]
-                center = prev["center"].copy()
+                touch = prev_half[axis] + config.same_class_gap + half[axis]
+                center = centers[k - 1].copy()
                 center[axis] += direction * touch
                 center[2] = half[2] + plan_rng.uniform(0.02, 0.3)
             else:
-                margin = bound + 0.05
-                if lx - 2 * margin <= 0 or ly - 2 * margin <= 0:
-                    break
                 center = np.array(
                     [
                         plan_rng.uniform(margin, lx - margin),
@@ -282,39 +261,38 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
                 )
             if center[2] + bound > lz - 0.02:
                 center[2] = half[2] + 0.02
-            if (
-                center[0] < bound
-                or center[0] > lx - bound
-                or center[1] < bound
-                or center[1] > ly - bound
-            ):
+            if not (bound <= center[0] <= lx - bound and bound <= center[1] <= ly - bound):
                 continue
-            clear = True
-            for other in placed:
-                if is_partner and other is placed[-1]:
-                    continue  # the pair relationship sets its own gap
-                d = float(np.linalg.norm(center - other["center"]))
-                if d - bound - other["bound"] < config.min_gap:
-                    clear = False
-                    break
-            if clear:
-                ok = True
+            # each distance as np.linalg.norm takes it, sqrt(x.dot(x)): a
+            # batched (1, 3) x (3, 1) matmul keeps its bits, a row sum does not
+            gap = (center - centers[:others])[:, None]
+            d = np.sqrt(np.matmul(gap, gap.transpose(0, 2, 1))[:, 0, 0])
+            if not (d - bound - bounds[:others] < config.min_gap).any():
                 break
-        if not ok:
+        else:
             raise ValueError(
                 f"could not place object {k} (class {class_id}) within the room "
                 f"after {MAX_PLACE_TRIES} tries"
             )
-        placed.append(
-            {"kind": kind, "dims": dims, "area": area, "bound": bound, "half": half,
-             "center": center, "class_id": class_id}
-        )
+        centers[k], bounds[k], prev_half = center, bound, half
+        placed.append((kind, dims, area, centers[k], class_id))
+    return placed
 
+
+def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
+    """Build a room scene with oracle semantics, instances, and offsets.
+
+    Instances are spatially disjoint; object points get one-hot semantic
+    scores, stuff points sit on the floor and wall planes with instance id
+    -1, and the returned offsets point every instance point exactly at its
+    instance centroid (zero on stuff).
+    """
+    lx, ly, _ = config.room
     parts = []  # (points, class id, instance id, colour) per object and per plane
-    for k, obj in enumerate(placed):
+    for k, (kind, dims, area, center, class_id) in enumerate(_place(config)):
         obj_rng = _rng(config.seed, 10 + k)
-        n = max(config.min_object_points, _point_count(obj["area"] * config.density, "density"))
-        pts = _sample_surface(obj_rng, obj["kind"], obj["dims"], n)
+        n = max(config.min_object_points, _point_count(area * config.density, "density"))
+        pts = _sample_surface(obj_rng, kind, dims, n)
         if config.density_dip > 0.0 and config.dip_fraction > 0.0:
             # emulate scan-like uneven coverage: the surface beyond a random
             # plane (covering ~dip_fraction of the points) is sampled thinner
@@ -326,7 +304,7 @@ def generate_scene(config: GenConfig) -> tuple[Scene, OffsetField]:
             drop = sparse_side & (obj_rng.random(pts.shape[0]) < config.density_dip)
             if (~drop).sum() >= config.min_object_points:
                 pts = pts[~drop]
-        parts.append((pts + obj["center"], obj["class_id"], k, obj_rng.integers(40, 256, 3)))
+        parts.append((pts + center, class_id, k, obj_rng.integers(40, 256, 3)))
 
     # the floor and the four walls: class, colour range, the axis held at a
     # value, and the two axes the plane spans
@@ -400,6 +378,7 @@ def perturb_semantics(
     holds; evaluate noisy predictions against the clean original scene.
     """
     _check_label_noise(p_sem, temperature)
+    check_seed("seed", seed, nonnegative=False)
     things = sorted(set(range(scene.n_classes)) - scene.stuff_classes)
     if p_sem > 0 and len(things) < 2:
         raise ValueError("need at least 2 non-stuff classes to flip labels")
@@ -448,6 +427,7 @@ def perturb_offsets(
     Stuff and unassigned points are untouched.  Deterministic in the seed.
     """
     _check_offset_noise(sigma0, beta)
+    check_seed("seed", seed, nonnegative=False)
     check_offsets(scene, offsets)
     if sigma0 == 0.0:
         return offsets

@@ -13,7 +13,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 import cloudinst
-from cloudinst import formats
+from cloudinst import formats, synth
 from cloudinst.core import FormatError, OffsetField, Scene, check_offsets
 from cloudinst.spatial import _FINE_FACTOR, radius_squared, squared_distances
 from cloudinst.synth import GenConfig
@@ -105,6 +105,60 @@ def cluster_descriptor(cluster, scene, offsets) -> np.ndarray:
         ],
         dtype=np.float64,
     )
+
+
+def placed_objects(config: GenConfig) -> list[tuple]:
+    """Scalar placement: the reference for ``synth._place``.  A try tests the
+    object against each object placed before it in turn, skipping a
+    partner's pair, by ``np.linalg.norm`` of the centres' difference."""
+    rng = synth._rng(config.seed, 0)
+    lx, ly, lz = config.room
+    paired = config.same_class_gap is not None
+    n_draws = (config.n_objects + 1) // 2 if paired else config.n_objects
+    draws = [int(rng.choice(np.asarray(synth.THING_CLASSES))) for _ in range(n_draws)]
+    classes = [c for c in draws for _ in range(1 + paired)][: config.n_objects]
+    placed = []  # (kind, dims, area, centre, class id, bound, half-widths)
+    for k, class_id in enumerate(classes):
+        kind, base = synth._SHAPES[class_id % len(synth._SHAPES)]
+        scale = rng.uniform(*config.size_scale)
+        dims = tuple(d * scale for d in base)
+        area, bound, half = synth._geometry(kind, dims)
+        pair = placed[-1] if paired and k % 2 == 1 else None
+        margin = bound + 0.05
+        ok = False
+        for _ in range(synth.MAX_PLACE_TRIES):
+            if pair is not None:
+                axis = int(rng.integers(0, 2))
+                direction = 1.0 if rng.random() < 0.5 else -1.0
+                center = pair[3].copy()
+                center[axis] += direction * (pair[6][axis] + config.same_class_gap + half[axis])
+                center[2] = half[2] + rng.uniform(0.02, 0.3)
+            else:
+                if lx - 2 * margin <= 0 or ly - 2 * margin <= 0:
+                    break
+                x, y = rng.uniform(margin, lx - margin), rng.uniform(margin, ly - margin)
+                center = np.array([x, y, half[2] + rng.uniform(0.02, 0.3)])
+            if center[2] + bound > lz - 0.02:
+                center[2] = half[2] + 0.02
+            if center[0] < bound or center[0] > lx - bound:
+                continue
+            if center[1] < bound or center[1] > ly - bound:
+                continue
+            ok = True
+            for other in placed:
+                d = float(np.linalg.norm(center - other[3]))
+                if other is not pair and d - bound - other[5] < config.min_gap:
+                    ok = False
+                    break
+            if ok:
+                break
+        if not ok:
+            raise ValueError(
+                f"could not place object {k} (class {class_id}) within the room "
+                f"after {synth.MAX_PLACE_TRIES} tries"
+            )
+        placed.append((kind, dims, area, center, class_id, bound, half))
+    return [obj[:5] for obj in placed]
 
 
 def walk_rows(lines, lineno, fields) -> list[np.ndarray]:

@@ -236,7 +236,7 @@ def test_bench_reports_six_stages(capsys, tmp_path):
         capsys, "bench", "--scene", str(scene), "--offsets", str(offsets), "--repeats", "0",
     )
     assert code == 2 and out == ""
-    assert "error: repeats must be >= 1" in err
+    assert "error: repeats must be an integer >= 1, got 0" in err
 
 
 def test_gradcheck_passes(capsys):

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,10 +27,14 @@ from cloudinst.core import (
 )
 
 import cloudinst
+from cloudinst.bench import run_bench
 from cloudinst.clustering import ClusterParams, cluster_single_set
+from cloudinst.evaluation import evaluate
 from cloudinst.formats import load_offsets, load_scene, save_offsets, save_scene
-from cloudinst.scoring import ScorerModel
+from cloudinst.pipeline import PipelineConfig, nms
+from cloudinst.scoring import ScorerModel, train_scorer
 from cloudinst.spatial import GridIndex
+from cloudinst.synth import GenConfig, generate_scene, perturb_offsets, perturb_semantics
 
 from conftest import make_scene
 
@@ -444,3 +449,134 @@ def test_one_home_for_naming_a_bad_point():
                 ):
                     found.append((path.stem, func.name))
     assert found == [("core", "refuse"), ("core", "__post_init__")]
+
+
+def test_one_home_for_the_number_rule():
+    # a ValueError reads "<name> must be <rule>, got <value>" only where
+    # core.check builds it, and in the rules of what is not a number: seeds
+    # (any integer), the scorer's "{d}x{h}" dimensions and cluster_sets
+    found = set()
+    for path in sorted(Path(cloudinst.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if not (
+                    isinstance(node, ast.Call) and getattr(node.func, "id", None) == "ValueError"
+                    and node.args
+                ):
+                    continue
+                text = "".join(
+                    part.value for part in ast.walk(node.args[0])
+                    if isinstance(part, ast.Constant) and isinstance(part.value, str)
+                )
+                if re.search("must be .*got", text):
+                    found.add((path.stem, func.name))
+    assert sorted(found) == [
+        ("core", "check"), ("core", "check_seed"), ("pipeline", "__post_init__"),
+        ("scoring", "_check_dims"),
+    ]
+
+
+def _gen(name, wrap=lambda v: v):
+    return name, lambda v, scene, offsets: GenConfig(**{name: wrap(v)})
+
+
+# each field or argument that takes a number, as (name in the message, a
+# call that hands it the value v)
+NUMBER_FIELDS = {
+    "GenConfig.room": _gen("room", lambda v: (5.0, v, 2.5)),
+    "GenConfig.n_objects": _gen("n_objects"),
+    "GenConfig.density": _gen("density"),
+    "GenConfig.stuff_density": _gen("stuff_density"),
+    "GenConfig.min_gap": _gen("min_gap"),
+    "GenConfig.same_class_gap": _gen("same_class_gap"),
+    "GenConfig.size_scale": _gen("size_scale", lambda v: (0.7, v)),
+    "GenConfig.min_object_points": _gen("min_object_points"),
+    "GenConfig.density_dip": _gen("density_dip"),
+    "GenConfig.dip_fraction": _gen("dip_fraction"),
+    "GenConfig.p_sem": _gen("p_sem"),
+    "GenConfig.sem_temperature": _gen("sem_temperature"),
+    "GenConfig.sigma0": _gen("sigma0"),
+    "GenConfig.beta": _gen("beta"),
+    "perturb_semantics.p_sem": ("p_sem", lambda v, s, o: perturb_semantics(s, v, 0.0, 0)),
+    "perturb_semantics.temperature": (
+        "sem_temperature", lambda v, s, o: perturb_semantics(s, 0.5, v, 0)
+    ),
+    "perturb_offsets.sigma0": ("sigma0", lambda v, s, o: perturb_offsets(o, s, v, 0.0, 0)),
+    "perturb_offsets.beta": ("beta", lambda v, s, o: perturb_offsets(o, s, 0.01, v, 0)),
+    "ClusterParams.radius": ("radius", lambda v, s, o: ClusterParams(radius=v)),
+    "ClusterParams.min_points": ("min_points", lambda v, s, o: ClusterParams(min_points=v)),
+    "PipelineConfig.nms_iou": ("nms_iou", lambda v, s, o: PipelineConfig(nms_iou=v)),
+    "PipelineConfig.min_score": ("min_score", lambda v, s, o: PipelineConfig(min_score=v)),
+    "nms.iou_thresh": ("nms_iou", lambda v, s, o: nms([], [], v)),
+    "evaluate.score_filter": ("score_filter", lambda v, s, o: evaluate([], s, score_filter=v)),
+    "run_bench.repeats": ("repeats", lambda v, s, o: run_bench(s, o, PipelineConfig(), repeats=v)),
+    "ScorerModel.default.hidden": ("hidden", lambda v, s, o: ScorerModel.default(hidden=v)),
+    "train_scorer.hidden": ("hidden", lambda v, s, o: train_scorer([], hidden=v)),
+    "train_scorer.epochs": ("epochs", lambda v, s, o: train_scorer([], epochs=v)),
+    "train_scorer.lr": ("lr", lambda v, s, o: train_scorer([], lr=v)),
+}
+
+
+@pytest.mark.parametrize("value", [True, np.True_, float("nan"), float("inf"), -float("inf")], ids=repr)
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_each_number_refuses_a_bool_nan_and_inf_by_name(field, value, simple_scene, zero_offsets):
+    # True once read as 1: a 1 m radius, an IoU threshold of 1, an lr of 1
+    name, call = NUMBER_FIELDS[field]
+    with pytest.raises(ValueError) as err:
+        call(value, simple_scene, zero_offsets)
+    rule, got = str(err.value).rsplit(", got ", 1)
+    assert rule.startswith(f"{name} must be ") and str(value) in got
+
+
+def test_run_bench_refuses_a_repeats_that_is_not_an_integer(simple_scene, zero_offsets):
+    # range(2.5) once raised a TypeError after the warm-up run
+    for repeats in (2.5, 2.0, "3", None):
+        with pytest.raises(ValueError) as err:
+            run_bench(simple_scene, zero_offsets, PipelineConfig(), repeats=repeats)
+        assert str(err.value) == f"repeats must be an integer >= 1, got {repeats}"
+
+
+# each seed, as a call that hands it the seed v; Philox seeds take any
+# integer (their low 64 bits), numpy's any integer >= 0
+PHILOX_SEEDS = {
+    "GenConfig": lambda v, s, o: GenConfig(seed=v, n_objects=1, stuff_density=0.0),
+    "perturb_semantics": lambda v, s, o: perturb_semantics(s, 0.5, 0.0, v),
+    "perturb_offsets": lambda v, s, o: perturb_offsets(o, s, 0.01, 1.0, v),
+    "perturb_offsets (no noise)": lambda v, s, o: perturb_offsets(o, s, 0.0, 1.0, v),
+}
+NUMPY_SEEDS = {
+    "ScorerModel.default": lambda v, s, o: ScorerModel.default(seed=v),
+    "train_scorer": lambda v, s, o: train_scorer([], seed=v),
+}
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, None, True, np.True_, "1"], ids=repr)
+@pytest.mark.parametrize("call", sorted({**PHILOX_SEEDS, **NUMPY_SEEDS}))
+def test_a_seed_that_is_not_an_integer_is_refused_by_name(call, seed, simple_scene, zero_offsets):
+    # a TypeError from the Philox key (or numpy's) before, or none at all
+    with pytest.raises(ValueError) as err:
+        {**PHILOX_SEEDS, **NUMPY_SEEDS}[call](seed, simple_scene, zero_offsets)
+    assert str(err.value) == f"seed must be an integer, got {seed}"
+
+
+@pytest.mark.parametrize("call", sorted(PHILOX_SEEDS))
+def test_a_philox_seed_is_any_integer(call, simple_scene, zero_offsets):
+    # a numpy integer once overflowed in the Philox key's mask: its low 64 bits
+    # are its Python int's
+    for seed, same in [(5, np.int64(5)), (-3, np.int32(-3)), (2**63, np.uint64(2**63))]:
+        for value in (seed, same, seed + 2**64, seed - 2**200):
+            PHILOX_SEEDS[call](value, simple_scene, zero_offsets)
+    scene, _ = generate_scene(GenConfig(seed=-3, n_objects=2))
+    assert scenes_equal(scene, generate_scene(GenConfig(seed=np.int32(-3), n_objects=2))[0])
+    assert scenes_equal(scene, generate_scene(GenConfig(seed=2**64 - 3, n_objects=2))[0])
+
+
+def test_a_numpy_seed_is_any_integer_at_least_zero():
+    assert ScorerModel.default(seed=2**200).hidden == 16
+    assert ScorerModel.default(seed=np.uint64(2**63)).hidden == 16
+    for seed in (-1, np.int64(-1), -(2**200)):
+        with pytest.raises(ValueError) as err:
+            ScorerModel.default(seed=seed)
+        assert str(err.value) == f"seed must be >= 0, got {seed}"

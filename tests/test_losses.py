@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudinst.core import OffsetField
+from cloudinst.core import OffsetField, SceneError
 from cloudinst.losses import (
     LossReport,
     distance_histogram,
@@ -107,6 +107,32 @@ def test_semantic_loss_ignores_unlabeled_and_matches_scalar_oracle():
 def test_semantic_loss_requires_labeled_points():
     with pytest.raises(ValueError, match="no labeled"):
         semantic_loss(np.full((2, 3), 1 / 3), np.array([-1, -1]))
+
+
+@pytest.mark.parametrize(
+    "label,message",
+    [
+        # numpy's IndexError, or silently left out, before labels took the scene's rule
+        (2, "semantic label 2 out of range at point 1"),
+        (5, "semantic label 5 out of range at point 1"),
+        (-2, "semantic label -2 out of range at point 1"),
+        (1.5, "semantic label 1.5 at point 1 is not an integer in the int32 range"),
+        (2**32 + 1, "semantic label 4294967297 at point 1 is not an integer in the int32 range"),
+        (True, "semantic label True at point 1 is not an integer in the int32 range"),
+    ],
+)
+def test_semantic_loss_refuses_a_label_outside_the_scene_rule(label, message):
+    scores = np.full((3, 2), 0.5)
+    with pytest.raises(SceneError) as err:
+        semantic_loss(scores, [0, label, 1])
+    assert str(err.value) == message and err.value.point_index == 1
+
+
+def test_semantic_loss_takes_integral_labels_of_any_dtype():
+    scores = np.array([[0.25, 0.75], [0.5, 0.5], [0.9, 0.1]])
+    expect = semantic_loss(scores, np.array([1, -1, 0], np.int32))
+    for labels in ([1, -1, 0], [1.0, -1.0, 0.0], np.array([1, -1, 0], np.int64)):
+        assert semantic_loss(scores, labels) == expect
 
 
 def test_regression_loss_zero_at_targets():

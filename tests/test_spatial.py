@@ -115,12 +115,57 @@ def test_empty_index_is_valid():
         ball_query(idx, 0)
 
 
-def test_center_index_bounds():
-    idx = build_index(np.zeros((2, 3), dtype=np.float32), 0.03)
-    with pytest.raises(IndexError):
-        ball_query(idx, 5)
-    with pytest.raises(IndexError):
-        brute_force_query(np.zeros((2, 3), dtype=np.float32), -1, 0.03)
+# ball_query and its oracle take one centre rule and one radius rule: -1.0
+# once gave the oracle r*r = 1, True once read as centre 1 (or every point)
+BAD_CENTERS = [-1, 5, True, np.True_, 0.0, 1.5, np.float64(2.0), None]
+BAD_RADII = [-1.0, 0.0, float("nan"), float("inf"), 1e-30, 1e20, True]
+QUERIES = {
+    "ball_query": lambda coords, center, radius: ball_query(build_index(coords, radius), center),
+    "brute_force_query": brute_force_query,
+}
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("center", BAD_CENTERS, ids=repr)
+def test_query_refuses_a_center_that_is_not_an_index_in_range(query, center):
+    coords = np.random.default_rng(0).uniform(0, 0.1, (5, 3)).astype(np.float32)
+    with pytest.raises(IndexError) as err:
+        QUERIES[query](coords, center, 0.05)
+    assert str(err.value) == f"center index {center} out of range"
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("radius", BAD_RADII, ids=repr)
+def test_query_refuses_a_radius_that_build_index_refuses(query, radius):
+    coords = np.random.default_rng(0).uniform(0, 0.1, (5, 3)).astype(np.float32)
+    with pytest.raises(ValueError) as err:
+        QUERIES[query](coords, 0, radius)
+    assert str(err.value) == (
+        f"radius must be positive with a normal finite float32 square, got {radius}"
+    )
+
+
+@pytest.mark.parametrize("query", sorted(QUERIES))
+@pytest.mark.parametrize("center", [0, 4, np.int64(2), np.int32(3), np.uint8(1)], ids=repr)
+def test_query_takes_any_integer_center_in_range(query, center):
+    coords = np.random.default_rng(0).uniform(0, 0.1, (5, 3)).astype(np.float32)
+    expect = brute_force_query(coords, int(center), 0.05)
+    assert center in expect
+    assert np.array_equal(QUERIES[query](coords, center, 0.05), expect)
+
+
+def test_only_a_queried_grid_holds_per_point_codes():
+    # a clustering grid never reads them; ball_query builds them once, and
+    # they are the codes of the nodes the points lie in
+    coords = np.random.default_rng(4).uniform(0, 0.5, (400, 3))
+    idx = build_index(coords, 0.05)
+    labelled = GridIndex(coords, 0.05, np.zeros(400, np.int32))
+    assert "_point_codes" not in vars(idx) and "_point_codes" not in vars(labelled)
+    for center in range(400):
+        assert np.array_equal(ball_query(idx, center), brute_force_query(coords, center, 0.05))
+    codes = vars(idx)["_point_codes"]
+    assert codes is idx._point_codes
+    assert np.array_equal(codes[idx.order], np.repeat(idx._node_codes, idx.counts))
 
 
 def test_float64_input_cast_consistently():

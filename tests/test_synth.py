@@ -1,5 +1,10 @@
+import dataclasses
+import re
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cloudinst.clustering import ClusterParams, cluster_single_set
 from cloudinst import synth
@@ -13,6 +18,8 @@ from cloudinst.synth import (
     perturb_offsets,
     perturb_semantics,
 )
+
+from conftest import placed_objects
 
 
 def small_cfg(**kw):
@@ -281,6 +288,68 @@ def test_scene_without_objects_holds_stuff_only():
     assert np.isin(scene.sem_labels, STUFF_CLASSES).all()
     assert scene.n_instances == 0 and np.all(scene.inst_ids == -1)
     assert np.all(offsets.offsets == 0.0)
+
+
+# rooms from roomy to crowded (where placement often fails), paired or not
+PLACEMENTS = st.builds(
+    GenConfig, seed=st.integers(0, 2**32 - 1),
+    room=st.tuples(st.floats(1.0, 4.0), st.floats(1.0, 4.0), st.floats(0.6, 3.0)),
+    n_objects=st.integers(0, 14), min_gap=st.floats(0.0, 0.3),
+    same_class_gap=st.one_of(st.none(), st.floats(0.001, 0.2)),
+    size_scale=st.sampled_from([(0.3, 0.5), (0.6, 1.0), (0.7, 1.1)]),
+)
+
+
+def same_objects(a, b) -> bool:
+    """The same placed objects, their centres bit for bit."""
+    def key(objects):
+        return [(*obj[:3], obj[3].tobytes(), obj[4]) for obj in objects]
+    return key(a) == key(b)
+
+
+@settings(max_examples=150)
+@given(config=PLACEMENTS)
+def test_placement_matches_the_scalar_loop(config):
+    # the same objects at the same centres, or the same refusal
+    try:
+        expect = placed_objects(config)
+    except ValueError as err:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err))}$"):
+            synth._place(config)
+        return
+    assert same_objects(synth._place(config), expect)
+
+
+@settings(max_examples=100)
+@given(config=PLACEMENTS)
+def test_placement_keeps_a_pair_at_exactly_the_gap(config):
+    # min_gap raised to the least slack the scalar loop left between two
+    # placed objects (a pair of partners aside) decides every try as before,
+    # and leaves that pair at exactly the gap, where a distance one ulp short
+    # refuses the later object
+    try:
+        placed = placed_objects(config)
+    except ValueError:
+        assume(False)
+    paired = config.same_class_gap is not None
+    bounds = [synth._geometry(kind, dims)[1] for kind, dims, *_ in placed]
+    slack = [
+        float(np.linalg.norm(placed[k][3] - placed[j][3])) - bounds[k] - bounds[j]
+        for k in range(len(placed)) for j in range(k) if not (paired and k % 2 and j == k - 1)
+    ]
+    assume(slack)
+    tight = dataclasses.replace(config, min_gap=min(slack))
+    assert same_objects(placed_objects(tight), placed)
+    assert same_objects(synth._place(tight), placed)
+
+
+def test_placement_distances_keep_the_bits_of_linalg_norm():
+    # _place tests each try at once, and its distances must be the ones the
+    # scalar loop took with np.linalg.norm, which a row sum of squares is not
+    rng = np.random.default_rng(7)
+    gap = (rng.uniform(0, 9, (1, 3)) - rng.uniform(0, 9, (20_000, 3)))[:, None]
+    d = np.sqrt(np.matmul(gap, gap.transpose(0, 2, 1))[:, 0, 0])
+    assert d.tobytes() == np.array([np.linalg.norm(v) for v in gap[:, 0]]).tobytes()
 
 
 def test_placement_failure_raises():
