@@ -42,7 +42,7 @@ def run_bench(
     """Run the pipeline ``repeats`` times (after one unmeasured warm-up) and
     average per-stage wall times from a monotonic clock.
     """
-    check("repeats", repeats, is_int(repeats) and repeats >= 1, "an integer >= 1")
+    check("repeats", repeats, lambda n: is_int(n) and n >= 1, "an integer >= 1")
     run_pipeline(scene, offsets, config, model=model)
 
     sums = {s: 0.0 for s in STAGES}

@@ -8,7 +8,9 @@ field of ``GenConfig``, ``ClusterParams`` or ``PipelineConfig`` is stored
 under that field's name, and ``_config`` builds the dataclass from it.  The
 defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
 keyword defaults of ``train_scorer`` and ``run_bench``), and the library
-checks every input: this module parses, dispatches and prints.
+checks every input: this module parses, dispatches and prints.  Where a
+command reads a scene and its offsets, ``_load_inputs`` parses the two files
+at once, in two processes.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import inspect
+import os
+import pickle
+import signal
 import sys
 from pathlib import Path
 
@@ -23,7 +28,7 @@ import numpy as np
 
 from . import bench as bench_mod
 from .clustering import ClusterParams
-from .core import SceneError, check_seed
+from .core import OffsetField, Scene, SceneError, check_seed
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -144,6 +149,49 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     return Path(scene_path).with_suffix(".off1")
 
 
+def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
+    """``load_scene(scene_path)`` and ``load_offsets(offsets_path)`` at once:
+    a forked child parses the offsets while this process parses the scene
+    (numpy's reader holds the GIL, so two threads would take turns).  A
+    scene fault is raised before an offsets fault, each with its loader's
+    message.  A child that ends without a reply leaves the offsets to this
+    process, which also parses both in turn where there is no ``os.fork``."""
+    if not hasattr(os, "fork"):
+        return load_scene(scene_path), load_offsets(offsets_path)
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # the child never unwinds into the caller's code
+            os.close(read_end)
+            try:
+                reply = (True, load_offsets(offsets_path).offsets)
+            except Exception as err:
+                reply = (False, err)
+            with open(write_end, "wb") as pipe:
+                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+        finally:
+            os._exit(0)
+    reply = None
+    try:
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            scene = load_scene(scene_path)
+            try:
+                reply = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):  # the child ended without one
+                pass
+    finally:
+        if reply is None:  # its reply is not wanted or will not come
+            os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    if reply is None:
+        return scene, load_offsets(offsets_path)
+    ok, value = reply
+    if not ok:
+        raise value
+    return scene, OffsetField(value)
+
+
 def _config(cls, args, **overrides):
     """``cls`` built from the entries of ``args`` named after its fields, then
     ``overrides``; a field with no entry keeps its default."""
@@ -178,7 +226,7 @@ def _resolve_model(args, allow_default: bool = False) -> ScorerModel | None:
 
 def _cmd_cluster(args) -> int:
     model = _resolve_model(args)
-    scene, offsets = load_scene(args.scene), load_offsets(args.offsets)
+    scene, offsets = _load_inputs(args.scene, args.offsets)
     preds = run_pipeline(scene, offsets, _pipeline_config(args), model=model)
     if args.out is not None:
         save_predictions(preds, args.out)
@@ -205,7 +253,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_bench(args) -> int:
     model = _resolve_model(args, allow_default=True)
-    scene, offsets = load_scene(args.scene), load_offsets(args.offsets)
+    scene, offsets = _load_inputs(args.scene, args.offsets)
     result = bench_mod.run_bench(
         scene, offsets, _pipeline_config(args), model=model, repeats=args.repeats
     )
@@ -256,7 +304,7 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_train_scorer(args) -> int:
-    corpus = [(load_scene(p), load_offsets(_offsets_path(p, None))) for p in args.scenes]
+    corpus = [_load_inputs(p, _offsets_path(p, None)) for p in args.scenes]
     result = train_scorer(
         corpus, hidden=args.hidden, lr=args.lr, epochs=args.epochs, seed=args.seed,
         cluster_params=_config(ClusterParams, args),

@@ -51,7 +51,7 @@ class ClusterParams:
     def __post_init__(self):
         check_radius(self.radius)
         points = self.min_points
-        check("min_points", points, is_int(points) and points >= 1, "an integer >= 1")
+        check("min_points", points, lambda n: is_int(n) and n >= 1, "an integer >= 1")
 
 
 def _roots(comp: np.ndarray, nodes: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import ClassVar
 
@@ -47,22 +48,47 @@ def argmax_labels(sem_scores: np.ndarray) -> np.ndarray:
     return np.argmax(sem_scores, axis=1).astype(np.int32)
 
 
+def is_bool(value) -> bool:
+    """Whether ``value`` is a bool (``True`` or ``np.True_``), which no rule
+    reads as the number 1."""
+    return isinstance(value, (bool, np.bool_))
+
+
+def bools(values) -> np.ndarray:
+    """Which entries of ``values`` (a number, or an array or nested sequence
+    of them) are bools: each entry of a bool array, and each ``is_bool``
+    entry of a sequence, where ``np.asarray`` would read it as 0 or 1."""
+    arr = np.asarray(values)
+    if arr.dtype == bool:
+        return np.ones(arr.shape, dtype=bool)
+    if arr.dtype == object or (arr.ndim and not isinstance(values, np.ndarray)):
+        return np.vectorize(is_bool, otypes=[bool])(np.asarray(values, dtype=object))
+    return np.zeros(arr.shape, dtype=bool)
+
+
 def is_int(value) -> bool:
-    """Whether ``value`` is a Python or numpy integer; a bool (``True`` or
-    ``np.True_``) is not."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    """Whether ``value`` is a Python or numpy integer; a bool is not."""
+    return isinstance(value, (int, np.integer)) and not is_bool(value)
 
 
-def check(name: str, value, ok: bool, rule: str) -> None:
-    """ValueError ``"{name} must be {rule}, got {value}"`` unless ``ok``, the
-    caller's range test, holds and ``value``, a number or a sequence of them,
-    is finite (an int beyond the float range is not) and not a bool."""
-    for x in np.asarray(value, dtype=object).ravel():
-        try:
-            ok = ok and isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(x)
-        except OverflowError:
-            ok = False
-    if not ok:
+def _finite_number(x) -> bool:
+    try:
+        return isinstance(x, numbers.Real) and math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def check(name: str, value, ok: Callable[..., bool], rule: str) -> None:
+    """ValueError ``"{name} must be {rule}, got {value}"`` unless ``value``, a
+    number or a sequence of them, is finite (an int beyond the float range is
+    not) with no bool (``bools``) and then ``ok(value)``, the caller's range
+    test, holds; it runs only on numbers, so a string is refused by name."""
+    good = not bools(value).any() and all(map(_finite_number, np.asarray(value, dtype=object).flat))
+    try:
+        good = good and ok(value)
+    except TypeError:  # a range test that does not apply, such as len() of a number
+        good = False
+    if not good:
         raise ValueError(f"{name} must be {rule}, got {value}")
 
 
@@ -86,7 +112,7 @@ def stuff_ids(ids) -> frozenset[int]:
             k = int(c)
         except (TypeError, ValueError, OverflowError):
             k = None
-        if k is None or k != c or isinstance(c, (bool, np.bool_)):
+        if k is None or k != c or is_bool(c):
             raise SceneError(f"stuff class id must be an integer, got {c!r}")
         out.add(k)
     return frozenset(out)
@@ -125,7 +151,7 @@ def int32_ids(values, what: str) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         bad = ~((wide >= lo) & (wide <= hi) & (wide == np.floor(wide))) | (arr.dtype.kind == "b")
     if arr.dtype == object:
-        bad |= np.vectorize(lambda x: isinstance(x, (bool, np.bool_)), otypes=[bool])(arr)
+        bad |= bools(arr)
     refuse(bad.ravel(), what + " {v} at point {i} is not an integer in the int32 range", arr.ravel())
     return wide.astype(np.int32)
 
@@ -213,9 +239,11 @@ class Scene:
             raise SceneError("stuff class id out of range")
 
         if scores is not None:
+            as_bool = bools(scores)
             scores = _as_readonly(scores, np.float32)
             if scores.shape != (n, n_classes):
                 raise SceneError("sem_scores must have shape (n_points, n_classes)")
+            refuse(as_bool, "semantic score at point {i} is a bool, not a probability")
             refuse(~np.isfinite(scores), "non-finite semantic score at point {i}")
             refuse(scores < 0, "negative semantic score at point {i}")
             sums = scores.sum(axis=1, dtype=np.float64)
@@ -365,6 +393,8 @@ class InstancePrediction(_Mask):
 
     def __post_init__(self):
         super().__post_init__()
+        if bools(self.score).any():
+            raise SceneError(f"prediction score {self.score} is a bool, not a number in [0, 1]")
         score = float(self.score)
         if not np.isfinite(score) or score < 0.0 or score > 1.0:
             raise SceneError(f"prediction score {score} not in [0, 1]")

@@ -150,7 +150,7 @@ def evaluate(
     0.25; the score filter applies only to the precision/recall numbers
     (mPrec50/mRec50), and must lie in [0, 1].
     """
-    check("score_filter", score_filter, 0.0 <= score_filter <= 1.0, "in [0, 1]")
+    check("score_filter", score_filter, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
     gt = ground_truth_instances(scene)
     if not gt:
         raise ValueError("scene has no ground-truth instances to evaluate against")

@@ -33,9 +33,9 @@ class PipelineConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "scorer", Scorer(self.scorer))
-        check("nms_iou", self.nms_iou, 0.0 < self.nms_iou <= 1.0, "in (0, 1]")  # as nms
+        check("nms_iou", self.nms_iou, lambda x: 0.0 < x <= 1.0, "in (0, 1]")  # as nms
         if self.min_score is not None:
-            check("min_score", self.min_score, 0.0 <= self.min_score <= 1.0, "in [0, 1]")
+            check("min_score", self.min_score, lambda x: 0.0 <= x <= 1.0, "in [0, 1]")
         if self.cluster_sets not in _SOURCES:
             raise ValueError(f"cluster_sets must be 'p', 'q' or 'both', got {self.cluster_sets!r}")
 
@@ -52,7 +52,7 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     output is; overlapping ones raise ValueError.
     """
     # at 0 or NaN NMS would keep only the first cluster, above 1 every one
-    check("nms_iou", iou_thresh, 0.0 < iou_thresh <= 1.0, "in (0, 1]")
+    check("nms_iou", iou_thresh, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
     scores = np.asarray(scores, dtype=np.float64)
     if scores.shape != (len(clusters),):
         raise ValueError(f"got {len(clusters)} clusters but {scores.size} scores")

@@ -182,7 +182,7 @@ def cluster_descriptors(
 
 
 def _check_dims(d: int, h: int) -> None:
-    check("hidden", h, is_int(h), "an integer")
+    check("hidden", h, is_int, "an integer")
     if d < 1 or h < 1:
         raise ValueError(f"scorer model dimensions must be >= 1, got {d}x{h}")
 
@@ -379,10 +379,10 @@ def train_scorer(
     positive finite number raise before any clustering.
     """
     _check_dims(DESCRIPTOR_DIM, hidden)
-    check("epochs", epochs, is_int(epochs), "an integer")
-    check("epochs", epochs, epochs >= 0, ">= 0")
+    check("epochs", epochs, is_int, "an integer")
+    check("epochs", epochs, lambda n: n >= 0, ">= 0")
     check_seed("seed", seed, nonnegative=True)
-    check("lr", lr, lr > 0, "a positive finite number")
+    check("lr", lr, lambda x: x > 0, "a positive finite number")
     x, y = harvest_training_set(corpus, cluster_params)
     mean = x.mean(axis=0)
     std = np.maximum(x.std(axis=0), 1e-8)

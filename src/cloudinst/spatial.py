@@ -76,9 +76,11 @@ def check_radius(radius: float) -> None:
     square.  Every distance test compares a float32 square against r*r, and the
     clique cells rely on that comparison: with r*r rounded to 0 or to inf,
     points sharing a cell can join although the test keeps them apart."""
-    with np.errstate(over="ignore", under="ignore"):
-        r2 = radius_squared(radius)
-    ok = radius > 0 and np.isfinite(r2) and r2 >= np.finfo(np.float32).tiny
+    def ok(r) -> bool:
+        with np.errstate(over="ignore", under="ignore"):
+            r2 = radius_squared(r)
+        return r > 0 and np.isfinite(r2) and r2 >= np.finfo(np.float32).tiny
+
     check("radius", radius, ok, "positive with a normal finite float32 square")
 
 

@@ -59,16 +59,16 @@ def _memory_bytes() -> float:
 
 
 def _check_label_noise(p_sem: float, temperature: float) -> None:
-    check("p_sem", p_sem, 0.0 <= p_sem <= 1.0, "in [0, 1]")
+    check("p_sem", p_sem, lambda p: 0.0 <= p <= 1.0, "in [0, 1]")
     check(
-        "sem_temperature", temperature, 0.0 <= temperature <= _MAX_TEMPERATURE,
+        "sem_temperature", temperature, lambda t: 0.0 <= t <= _MAX_TEMPERATURE,
         f"in [0, {_MAX_TEMPERATURE}]",
     )
 
 
 def _check_offset_noise(sigma0: float, beta: float) -> None:
-    check("sigma0", sigma0, sigma0 >= 0, "finite and >= 0")
-    check("beta", beta, beta >= 0, "finite and >= 0")
+    check("sigma0", sigma0, lambda x: x >= 0, "finite and >= 0")
+    check("beta", beta, lambda x: x >= 0, "finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,21 @@ class GenConfig:
         # a side beyond the float32 range would overflow the scene's coordinates
         top = float(np.finfo(np.float32).max)
         check(
-            "room", room, len(room) == 3 and min(room) > 0 and max(room) <= top,
+            "room", room, lambda r: len(r) == 3 and min(r) > 0 and max(r) <= top,
             f"three positive finite lengths up to {top:.6g}",
         )
         check_seed("seed", self.seed, nonnegative=False)
-        check("n_objects", objects, is_int(objects) and objects >= 0, "an integer >= 0")
-        check("density", self.density, self.density > 0, "positive and finite")
-        check("stuff_density", self.stuff_density, self.stuff_density >= 0, "finite and >= 0")
-        check("min_gap", self.min_gap, self.min_gap >= 0, "finite and >= 0")
+        check("n_objects", objects, lambda n: is_int(n) and n >= 0, "an integer >= 0")
+        check("density", self.density, lambda x: x > 0, "positive and finite")
+        check("stuff_density", self.stuff_density, lambda x: x >= 0, "finite and >= 0")
+        check("min_gap", self.min_gap, lambda x: x >= 0, "finite and >= 0")
         if gap is not None:
-            check("same_class_gap", gap, gap > 0, "positive and finite")
+            check("same_class_gap", gap, lambda x: x > 0, "positive and finite")
         check(
-            "size_scale", scale, len(scale) == 2 and 0 < scale[0] <= scale[1],
+            "size_scale", scale, lambda s: len(s) == 2 and 0 < s[0] <= s[1],
             "an increasing positive finite range",
         )
-        check("min_object_points", points, is_int(points) and points >= 1, "an integer >= 1")
+        check("min_object_points", points, lambda n: is_int(n) and n >= 1, "an integer >= 1")
         # each object is given at least min_object_points points
         _point_count(float(objects) * points, "n_objects and min_object_points")
         # placed objects are disjoint solids within the room's floor area, each
@@ -143,8 +143,8 @@ class GenConfig:
                 f"n_objects too large: {objects} objects of at least {points} points need "
                 f"{need:.3g} bytes, more than this machine's {memory:.3g} bytes of memory"
             )
-        check("density_dip", self.density_dip, 0.0 <= self.density_dip < 1.0, "in [0, 1)")
-        check("dip_fraction", self.dip_fraction, 0.0 <= self.dip_fraction < 1.0, "in [0, 1)")
+        check("density_dip", self.density_dip, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
+        check("dip_fraction", self.dip_fraction, lambda x: 0.0 <= x < 1.0, "in [0, 1)")
         _check_label_noise(self.p_sem, self.sem_temperature)
         _check_offset_noise(self.sigma0, self.beta)
 

@@ -1,7 +1,9 @@
 import argparse
+import contextlib
 import importlib
 import os
 import resource
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -9,10 +11,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cloudinst.cli import _build_parser, dispatch
+from cloudinst import cli
+from cloudinst.cli import _build_parser, _load_inputs, dispatch
 from cloudinst.clustering import ClusterParams
-from cloudinst.formats import load_predictions, load_scene, load_scorer, save_scorer
-from cloudinst.pipeline import PipelineConfig
+from cloudinst.core import FormatError
+from cloudinst.formats import (
+    load_offsets,
+    load_predictions,
+    load_scene,
+    load_scorer,
+    predictions_text,
+    save_scorer,
+)
+from cloudinst.pipeline import PipelineConfig, run_pipeline
+from cloudinst.scoring import Scorer
 from cloudinst.scoring import GRAD_TOLERANCE, ScorerModel
 from cloudinst.synth import GenConfig
 
@@ -463,3 +475,189 @@ def test_cluster_radius_with_underflowing_square_exits_2(capsys, tmp_path):
     )
     assert code == 2
     assert "radius" in err
+
+
+def _after_the_call(log):
+    """What a test runs after each call that loads a scene and its offsets:
+    the call has left no child process, and only this process runs on (a
+    child that unwound into the test would write its own pid to ``log``)."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with open(log, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+
+
+def _spoil(path, lineno):
+    """Replace the first token of line ``lineno`` of ``path`` with ``x``."""
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = "x " + lines[lineno - 1].split(" ", 1)[1]
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("seed,noise", [("7", ()), ("8", ("--sigma0", "0.01", "--beta", "2"))])
+def test_cluster_writes_the_bytes_of_the_loads_in_turn(capsys, tmp_path, seed, noise):
+    scene, offsets = gen_scene(capsys, tmp_path, seed=seed, extra=noise)
+    log, out = tmp_path / "log", tmp_path / "p.pred1"
+    code, _, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets),
+                       "--min-points", "40", "--out", str(out))
+    _after_the_call(log)
+    assert code == 0, err
+    config = PipelineConfig(ClusterParams(min_points=40), scorer=Scorer.ORACLE)
+    preds = run_pipeline(load_scene(scene), load_offsets(offsets), config)
+    assert out.read_text() == predictions_text(preds)
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_faulty_scene_is_named_before_faulty_offsets(capsys, tmp_path):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    _spoil(scene, 9)
+    _spoil(offsets, 5)
+    with pytest.raises(FormatError) as fault:
+        load_scene(scene)
+    log = tmp_path / "log"
+    for _ in range(2):
+        code, out, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets))
+        _after_the_call(log)
+        assert (code, out, err) == (2, "", f"error: {fault.value}\n")
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_faulty_offsets_keep_their_loader_message_and_line(capsys, tmp_path):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    _spoil(offsets, 5)
+    with pytest.raises(FormatError) as fault:
+        load_offsets(offsets)
+    assert str(fault.value).startswith("line 5: ")
+    log = tmp_path / "log"
+    with pytest.raises(FormatError) as err:
+        _load_inputs(scene, offsets)
+    _after_the_call(log)
+    assert str(err.value) == str(fault.value)
+    code, out, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets))
+    _after_the_call(log)
+    assert (code, out, err) == (2, "", f"error: {fault.value}\n")
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_a_missing_offsets_file_keeps_its_os_error(capsys, tmp_path):
+    scene, _ = gen_scene(capsys, tmp_path)
+    missing = tmp_path / "nope.off1"
+    with pytest.raises(OSError) as fault:
+        load_offsets(missing)
+    log = tmp_path / "log"
+    with pytest.raises(type(fault.value)) as err:
+        _load_inputs(scene, missing)
+    _after_the_call(log)
+    assert str(err.value) == str(fault.value)
+    code, out, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(missing))
+    _after_the_call(log)
+    assert (code, out, err) == (2, "", f"error: {fault.value}\n")
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+class _Terminated(Exception):
+    pass
+
+
+def test_a_call_stopped_by_sigterm_leaves_no_child(capsys, tmp_path, monkeypatch):
+    # as perfbench/run.py does, SIGTERM raises in the main thread; here it
+    # arrives while this process parses the scene and the child the offsets
+    scene, offsets = gen_scene(capsys, tmp_path)
+
+    def raise_terminated(*_):
+        raise _Terminated
+
+    def terminated_load_scene(path):
+        os.kill(os.getpid(), signal.SIGTERM)
+        return load_scene(path)
+
+    previous = signal.signal(signal.SIGTERM, raise_terminated)
+    log = tmp_path / "log"
+    try:
+        monkeypatch.setattr(cli, "load_scene", terminated_load_scene)
+        with pytest.raises(_Terminated):
+            _load_inputs(scene, offsets)
+        _after_the_call(log)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs a named pipe")
+def test_a_scene_fault_does_not_wait_for_the_offsets(capsys, tmp_path):
+    # the child blocks opening a named pipe that nothing writes to; as in turn,
+    # the missing scene ends the call at once
+    fifo = tmp_path / "never.off1"
+    os.mkfifo(fifo)
+
+    def hung(*_):
+        raise _Terminated
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    log = tmp_path / "log"
+    try:
+        with pytest.raises(FileNotFoundError):
+            _load_inputs(tmp_path / "nope.sc1", fifo)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+        with contextlib.suppress(OSError):  # opens only while a child still waits on it
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    _after_the_call(log)
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("end", ["exit", "sigterm"])
+def test_a_child_that_ends_without_a_reply_leaves_the_offsets_to_the_parent(
+    capsys, tmp_path, monkeypatch, end
+):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    parent = os.getpid()
+
+    def child_dies(path):
+        if os.getpid() != parent:
+            if end == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGTERM)
+        return load_offsets(path)
+
+    monkeypatch.setattr(cli, "load_offsets", child_dies)
+    log = tmp_path / "log"
+    loaded_scene, loaded = _load_inputs(scene, offsets)
+    _after_the_call(log)
+    np.testing.assert_array_equal(loaded.offsets, load_offsets(offsets).offsets)
+    assert loaded_scene.n_points == loaded.n_points
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_without_fork_the_loads_run_in_turn(capsys, tmp_path, monkeypatch):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    forked = _load_inputs(scene, offsets)
+    monkeypatch.delattr(os, "fork")
+    in_turn = _load_inputs(scene, offsets)
+    np.testing.assert_array_equal(forked[1].offsets, in_turn[1].offsets)
+    assert not forked[1].offsets.flags.writeable
+    np.testing.assert_array_equal(forked[0].coords, in_turn[0].coords)
+
+
+def test_cluster_in_its_own_process_warns_of_nothing_and_leaves_no_child(capsys, tmp_path):
+    # -W error turns a warning about fork (in a process with threads) into a failure
+    scene, offsets = gen_scene(capsys, tmp_path)
+    argv = ["cluster", "--scene", str(scene), "--offsets", str(offsets), "--min-points", "40"]
+    assert dispatch([*argv, "--out", str(tmp_path / "in.pred1")]) == 0
+    out = tmp_path / "own-process.pred1"
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "cloudinst.cli", *argv, "--out", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert (done.returncode, done.stderr) == (0, ""), done.stderr
+    assert out.read_bytes() == (tmp_path / "in.pred1").read_bytes()
+    # a child left running would still hold the command line that names ``out``
+    if Path("/proc").is_dir():
+        for proc in Path("/proc").iterdir():
+            try:
+                assert str(out).encode() not in (proc / "cmdline").read_bytes()
+            except OSError:  # not a process, or one that has ended
+                pass

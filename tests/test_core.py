@@ -85,6 +85,33 @@ def test_score_rows_must_sum_to_one():
         make_scene([[0, 0, 0]], [0], [-1], stuff_classes=frozenset(), sem_scores=scores)
 
 
+@pytest.mark.parametrize(
+    "scores,point",
+    [
+        (np.array([[False, True, False, False]]), 0),
+        ([[0.0, 1.0, 0.0, 0.0], [0.0, True, 0.0, 0.0]], 1),
+        (np.array([[0.0, 1.0, 0.0, 0.0], [0.0, np.True_, 0.0, 0.0]], dtype=object), 1),
+    ],
+    ids=["bool array", "a bool in a list", "a bool in an object array"],
+)
+def test_bool_semantic_scores_are_refused(scores, point):
+    # a bool array was read as the probabilities 0 and 1
+    with pytest.raises(SceneError) as err:
+        make_scene([[0, 0, 0], [1, 0, 0]][: len(scores)], [1] * len(scores), [-1] * len(scores),
+                   stuff_classes=frozenset(), sem_scores=scores)
+    assert str(err.value) == f"semantic score at point {point} is a bool, not a probability"
+    assert err.value.point_index == point
+
+
+@pytest.mark.parametrize("score", [True, np.True_, np.array(True), False], ids=repr)
+def test_a_bool_prediction_score_is_refused(score):
+    # True was stored as a score of 1.0
+    with pytest.raises(SceneError) as err:
+        InstancePrediction(np.array([0, 1]), 1, score)
+    assert str(err.value) == f"prediction score {score} is a bool, not a number in [0, 1]"
+    assert InstancePrediction(np.array([0, 1]), 1, 1).score == 1.0
+
+
 def test_nonfinite_coordinate_rejected():
     with pytest.raises(SceneError, match="non-finite"):
         make_scene([[np.nan, 0, 0]], [1], [-1])
@@ -528,6 +555,35 @@ def test_each_number_refuses_a_bool_nan_and_inf_by_name(field, value, simple_sce
         call(value, simple_scene, zero_offsets)
     rule, got = str(err.value).rsplit(", got ", 1)
     assert rule.startswith(f"{name} must be ") and str(value) in got
+
+
+@pytest.mark.parametrize("field", sorted(NUMBER_FIELDS))
+def test_each_number_refuses_a_string_by_name(field, simple_scene, zero_offsets):
+    # the caller's range test compared the string before check saw it
+    name, call = NUMBER_FIELDS[field]
+    with pytest.raises(ValueError) as err:
+        call("5", simple_scene, zero_offsets)
+    rule, got = str(err.value).rsplit(", got ", 1)
+    assert rule.startswith(f"{name} must be ") and "5" in got
+
+
+@pytest.mark.parametrize(
+    "call,message",
+    [
+        (lambda: ClusterParams(radius="0.03"),
+         "radius must be positive with a normal finite float32 square, got 0.03"),
+        (lambda: PipelineConfig(nms_iou="0.3"), "nms_iou must be in (0, 1], got 0.3"),
+        (lambda: GenConfig(density="5"), "density must be positive and finite, got 5"),
+        (lambda: GenConfig(room=5.0),
+         "room must be three positive finite lengths up to 3.40282e+38, got 5.0"),
+    ],
+    ids=["radius", "nms_iou", "density", "room"],
+)
+def test_a_value_the_range_test_cannot_read_is_refused_by_name(call, message):
+    # each raised a bare TypeError from its comparison (or len) naming no field
+    with pytest.raises(ValueError) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_run_bench_refuses_a_repeats_that_is_not_an_integer(simple_scene, zero_offsets):
