@@ -73,7 +73,7 @@ def is_int(value) -> bool:
 
 def _finite_number(x) -> bool:
     try:
-        return isinstance(x, numbers.Real) and math.isfinite(x)
+        return isinstance(x, numbers.Real) and not is_bool(x) and math.isfinite(x)
     except OverflowError:  # an int beyond the float range
         return False
 
@@ -81,9 +81,9 @@ def _finite_number(x) -> bool:
 def check(name: str, value, ok: Callable[..., bool], rule: str) -> None:
     """ValueError ``"{name} must be {rule}, got {value}"`` unless ``value``, a
     number or a sequence of them, is finite (an int beyond the float range is
-    not) with no bool (``bools``) and then ``ok(value)``, the caller's range
-    test, holds; it runs only on numbers, so a string is refused by name."""
-    good = not bools(value).any() and all(map(_finite_number, np.asarray(value, dtype=object).flat))
+    not) and not a bool (``is_bool``), and then ``ok(value)``, the caller's
+    range test, holds; it runs only on numbers, so a string is refused by name."""
+    good = all(map(_finite_number, np.asarray(value, dtype=object).flat))
     try:
         good = good and ok(value)
     except TypeError:  # a range test that does not apply, such as len() of a number
