@@ -514,12 +514,14 @@ def test_a_faulty_scene_is_named_before_faulty_offsets(capsys, tmp_path):
     _spoil(offsets, 5)
     with pytest.raises(FormatError) as fault:
         load_scene(scene)
+    with pytest.raises(FormatError) as offsets_fault:
+        load_offsets(offsets)
+    assert str(offsets_fault.value) != str(fault.value)
     log = tmp_path / "log"
-    for _ in range(2):
-        code, out, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets))
-        _after_the_call(log)
-        assert (code, out, err) == (2, "", f"error: {fault.value}\n")
-    assert log.read_text() == f"{os.getpid()}\n" * 2
+    code, out, err = run(capsys, "cluster", "--scene", str(scene), "--offsets", str(offsets))
+    _after_the_call(log)
+    assert (code, out, err) == (2, "", f"error: {fault.value}\n")
+    assert log.read_text() == f"{os.getpid()}\n"
 
 
 def test_faulty_offsets_keep_their_loader_message_and_line(capsys, tmp_path):
