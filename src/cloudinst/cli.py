@@ -8,9 +8,10 @@ field of ``GenConfig``, ``ClusterParams`` or ``PipelineConfig`` is stored
 under that field's name, and ``_config`` builds the dataclass from it.  The
 defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
 keyword defaults of ``train_scorer`` and ``run_bench``), and the library
-checks every input: this module parses, dispatches and prints.  Where a
-command reads a scene and its offsets, ``_load_inputs`` parses the two files
-at once, in two processes.
+checks every input: this module parses, dispatches and prints.  ``_beside``
+runs two calls at once in two processes: the loads of a scene and of its
+offsets, and in ``cluster`` the clusterings of the original and the shifted
+set, which the library runs in turn.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .clustering import ClusterParams
-from .core import OffsetField, Scene, SceneError, check_seed
+from .clustering import ClusterParams, cluster_dual_set
+from .core import Cluster, OffsetField, Scene, SceneError, check_offsets, check_seed
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     load_offsets,
@@ -51,9 +52,10 @@ from .losses import (
     offset_regression_loss,
     offset_targets,
 )
-from .pipeline import _SOURCES, PipelineConfig, run_pipeline
+from .pipeline import _SOURCES, PipelineConfig, _predict
 from .scoring import Scorer, ScorerModel, row_widths, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample, generate_scene
+from .trace import record, recording
 
 _GEN = GenConfig()
 _PIPELINE = PipelineConfig()
@@ -113,7 +115,7 @@ def _build_parser() -> _Parser:
     c.add_argument("--set", choices=list(_SOURCES), default=_PIPELINE.cluster_sets,
                    dest="cluster_sets")
     c.add_argument("--min-score", type=float, default=_PIPELINE.min_score)
-    # ignored (clustering is sequential); perfbench/run.py still passes it
+    # ignored; perfbench/run.py still passes it
     c.add_argument("--threads", help=argparse.SUPPRESS)
     c.add_argument("--out", default=None, help="predictions path (default: stdout)")
 
@@ -149,35 +151,38 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     return Path(scene_path).with_suffix(".off1")
 
 
-def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
-    """``load_scene(scene_path)`` and ``load_offsets(offsets_path)`` at once:
-    a forked child parses the offsets while this process parses the scene
-    (numpy's reader holds the GIL, so two threads would take turns).  A
-    scene fault is raised before an offsets fault, each with its loader's
-    message.  A child that ends without a reply leaves the offsets to this
-    process, which also parses both in turn where there is no ``os.fork``."""
+def _beside(first, second):
+    """``(first(), second())``, the two at once: a forked child calls
+    ``second`` and pickles back its value or its fault, and its spans (see
+    ``trace``), while this process calls ``first``.  A fault of ``first`` is
+    raised before one of ``second``, and the child is killed and reaped
+    however this call ends.  A child that ends without a reply leaves
+    ``second`` to this process, which also calls both in turn where there is
+    no ``os.fork``.  It is a process, not a thread: numpy's text reader holds
+    the GIL, and two clusterings in threads keep both peaks in one process."""
     if not hasattr(os, "fork"):
-        return load_scene(scene_path), load_offsets(offsets_path)
+        return first(), second()
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
         try:  # the child never unwinds into the caller's code
             os.close(read_end)
-            try:
-                reply = (True, load_offsets(offsets_path).offsets)
-            except Exception as err:
-                reply = (False, err)
+            with recording() as spans:
+                try:
+                    reply = (True, second())
+                except Exception as err:
+                    reply = (False, err)
             with open(write_end, "wb") as pipe:
-                pickle.dump(reply, pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                pickle.dump((reply, spans), pipe, protocol=pickle.HIGHEST_PROTOCOL)
         finally:
             os._exit(0)
     reply = None
     try:
         os.close(write_end)
         with open(read_end, "rb") as pipe:
-            scene = load_scene(scene_path)
+            value = first()
             try:
-                reply = pickle.load(pipe)
+                reply, spans = pickle.load(pipe)
             except (EOFError, pickle.UnpicklingError):  # the child ended without one
                 pass
     finally:
@@ -185,11 +190,27 @@ def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
             os.kill(pid, signal.SIGKILL)
         os.waitpid(pid, 0)
     if reply is None:
-        return scene, load_offsets(offsets_path)
-    ok, value = reply
+        return value, second()
+    record(spans)
+    ok, other = reply
     if not ok:
-        raise value
-    return scene, OffsetField(value)
+        raise other
+    return value, other
+
+
+def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
+    """``load_scene(scene_path)`` and ``load_offsets(offsets_path)`` at once."""
+    return _beside(lambda: load_scene(scene_path), lambda: load_offsets(offsets_path))
+
+
+def _cluster_beside(scene, offsets, params, sources) -> list[Cluster]:
+    """``cluster_dual_set``, the second of two sets in a child beside the first."""
+    if len(sources) < 2:
+        return cluster_dual_set(scene, offsets, params, sources)
+    check_offsets(scene, offsets)  # a coverage fault before the fork
+    p, q = _beside(lambda: cluster_dual_set(scene, offsets, params, sources[:1]),
+                   lambda: cluster_dual_set(scene, offsets, params, sources[1:]))
+    return p + q
 
 
 def _config(cls, args, **overrides):
@@ -227,7 +248,7 @@ def _resolve_model(args, allow_default: bool = False) -> ScorerModel | None:
 def _cmd_cluster(args) -> int:
     model = _resolve_model(args)
     scene, offsets = _load_inputs(args.scene, args.offsets)
-    preds = run_pipeline(scene, offsets, _pipeline_config(args), model=model)
+    preds = _predict(scene, offsets, _pipeline_config(args), model, _cluster_beside)
     if args.out is not None:
         save_predictions(preds, args.out)
         print(f"wrote {len(preds)} predictions to {args.out}")

@@ -93,8 +93,13 @@ def run_pipeline(
     clustering.  Scoring and NMS run in the spans ``scoring`` and ``nms``;
     see ``trace``.
     """
+    return _predict(scene, offsets, config, model, cluster_dual_set)
+
+
+def _predict(scene, offsets, config, model, cluster) -> list[InstancePrediction]:
+    """``run_pipeline`` with ``cluster``, called as ``cluster_dual_set`` is, in its place."""
     check_scorer_inputs(config.scorer, scene, model)
-    clusters = cluster_dual_set(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
+    clusters = cluster(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
 
     with span("scoring"):
         scores = score_clusters(clusters, scene, offsets, config.scorer, model=model)

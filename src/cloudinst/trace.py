@@ -5,8 +5,8 @@ down to one process) names a region of work, such as ``bq_p``, ``cl_q`` or
 ``nms`` (see ``bench.STAGES``).  ``recording()`` collects the seconds of
 every span run inside it as a dict keyed by span name; a name seen twice
 sums.  The active recorder lives in a ``ContextVar``, so a recorder sees the
-spans of its own thread only.  With no recorder active a span reads no clock
-and records nothing.
+spans of its own thread only; ``record`` adds those of another process to it.
+With no recorder active a span reads no clock and records nothing.
 """
 
 from __future__ import annotations
@@ -42,3 +42,10 @@ def recording():
         yield spans
     finally:
         _RECORDER.reset(token)
+
+
+def record(spans: dict) -> None:
+    """Add ``spans``, seconds per span name as ``recording()`` yields them (say,
+    from another process), to the active recorder, if any."""
+    if (active := _RECORDER.get()) is not None:
+        active.update({name: active.get(name, 0.0) + s for name, s in spans.items()})

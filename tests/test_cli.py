@@ -1,32 +1,40 @@
 import argparse
 import contextlib
 import importlib
+import io
 import os
 import resource
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cloudinst import cli
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cloudinst import cli, clustering, trace
 from cloudinst.cli import _build_parser, _load_inputs, dispatch
 from cloudinst.clustering import ClusterParams
-from cloudinst.core import FormatError
+from cloudinst.core import FormatError, OffsetField, Scene, SceneError, Source
 from cloudinst.formats import (
     load_offsets,
     load_predictions,
     load_scene,
     load_scorer,
     predictions_text,
+    save_offsets,
+    save_scene,
     save_scorer,
 )
 from cloudinst.pipeline import PipelineConfig, run_pipeline
 from cloudinst.scoring import Scorer
 from cloudinst.scoring import GRAD_TOLERANCE, ScorerModel
 from cloudinst.synth import GenConfig
+from conftest import oracle_scenes
 
 
 def run(capsys, *argv):
@@ -644,13 +652,15 @@ def test_without_fork_the_loads_run_in_turn(capsys, tmp_path, monkeypatch):
 
 
 def test_cluster_in_its_own_process_warns_of_nothing_and_leaves_no_child(capsys, tmp_path):
-    # -W error turns a warning about fork (in a process with threads) into a failure
+    # -W always prints every warning, a warning about fork (in a process with
+    # threads) among them; -W error would turn it into an exception that the
+    # interpreter reports nowhere when os.fork raises it
     scene, offsets = gen_scene(capsys, tmp_path)
     argv = ["cluster", "--scene", str(scene), "--offsets", str(offsets), "--min-points", "40"]
     assert dispatch([*argv, "--out", str(tmp_path / "in.pred1")]) == 0
     out = tmp_path / "own-process.pred1"
     done = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "cloudinst.cli", *argv, "--out", str(out)],
+        [sys.executable, "-W", "always", "-m", "cloudinst.cli", *argv, "--out", str(out)],
         capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
     )
@@ -663,3 +673,226 @@ def test_cluster_in_its_own_process_warns_of_nothing_and_leaves_no_child(capsys,
                 assert str(out).encode() not in (proc / "cmdline").read_bytes()
             except OSError:  # not a process, or one that has ended
                 pass
+
+
+# ``cluster`` with ``--set both`` clusters the shifted set Q in a forked child
+# while this process clusters the original set P
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, one entry each."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
+def _cluster_single_set_with(monkeypatch, before):
+    """Make ``cluster_dual_set`` call ``before(source)`` ahead of clustering
+    each set."""
+    single = clustering.cluster_single_set
+
+    def wrapped(coords, sem_labels, stuff_classes, params, source):
+        before(source)
+        return single(coords, sem_labels, stuff_classes, params, source)
+
+    monkeypatch.setattr(clustering, "cluster_single_set", wrapped)
+
+
+def _raise(faults):
+    """A ``before`` for ``_cluster_single_set_with``: raise ``faults[source]``."""
+    def before(source):
+        if source in faults:
+            raise faults[source]
+    return before
+
+
+def _cluster_argv(scene, offsets, *extra):
+    return ["cluster", "--scene", str(scene), "--offsets", str(offsets), "--min-points", "40", *extra]
+
+
+@pytest.mark.parametrize("sets,n_forks", [("p", 1), ("q", 1), ("both", 2)])
+def test_only_both_sets_start_a_child_beside_the_loads(capsys, tmp_path, forks, sets, n_forks):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    forks.clear()
+    log, out = tmp_path / "log", tmp_path / "p.pred1"
+    code, _, err = run(capsys, *_cluster_argv(scene, offsets, "--set", sets, "--out", str(out)))
+    _after_the_call(log)
+    assert code == 0, err
+    assert len(forks) == n_forks
+    config = PipelineConfig(ClusterParams(min_points=40), scorer=Scorer.ORACLE, cluster_sets=sets)
+    assert out.read_text() == predictions_text(run_pipeline(load_scene(scene), load_offsets(offsets), config))
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_q_fault_keeps_its_type_message_and_point_index(capsys, tmp_path, monkeypatch):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: SceneError("q fault at point 17", 17)}))
+    loaded = _load_inputs(scene, offsets)
+    log = tmp_path / "log"
+    with pytest.raises(SceneError) as fault:
+        cli._cluster_beside(*loaded, ClusterParams(min_points=40), (Source.ORIGINAL, Source.SHIFTED))
+    _after_the_call(log)
+    assert (type(fault.value), str(fault.value), fault.value.point_index) == (
+        SceneError, "q fault at point 17", 17
+    )
+    beside = run(capsys, *_cluster_argv(scene, offsets))
+    _after_the_call(log)
+    monkeypatch.delattr(os, "fork")
+    assert beside == run(capsys, *_cluster_argv(scene, offsets)) == (2, "", "error: q fault at point 17\n")
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_faults_before_the_q_child_start_none(capsys, tmp_path, monkeypatch, forks):
+    # a coverage or scorer-input fault ends the call after the loads' fork,
+    # before a Q fault could be made
+    scene, offsets = gen_scene(capsys, tmp_path)
+    other, _ = gen_scene(capsys, tmp_path, "other", seed="8")
+    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: SceneError("q fault")}))
+    log = tmp_path / "log"
+    n = load_scene(scene).n_points
+    uncovered = run(capsys, *_cluster_argv(other, offsets))
+    _after_the_call(log)
+    assert uncovered[:2] == (2, "")
+    assert uncovered[2] == f"error: offset field has {n} points, scene has {load_scene(other).n_points}\n"
+    model = tmp_path / "narrow.scorer"
+    save_scorer(ScorerModel(np.zeros(2), np.ones(2), np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.0), model)
+    narrow = run(capsys, *_cluster_argv(scene, offsets, "--scorer", "model", "--model", str(model)))
+    _after_the_call(log)
+    assert narrow == (2, "", "error: scorer model takes 2-dim descriptors, clusters have 8-dim descriptors\n")
+    assert len(forks) == 2
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_a_p_fault_is_named_before_a_q_fault(capsys, tmp_path, monkeypatch, forks):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    _cluster_single_set_with(monkeypatch, _raise({
+        Source.ORIGINAL: SceneError("p fault", 3), Source.SHIFTED: SceneError("q fault", 4)
+    }))
+    log = tmp_path / "log"
+    assert run(capsys, *_cluster_argv(scene, offsets)) == (2, "", "error: p fault\n")
+    _after_the_call(log)
+    assert len(forks) == 2
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("end", ["exit", "sigterm"])
+def test_a_q_child_that_ends_without_a_reply_leaves_q_to_the_parent(
+    capsys, tmp_path, monkeypatch, end
+):
+    scene, offsets = gen_scene(capsys, tmp_path, seed="8", extra=("--sigma0", "0.01", "--beta", "2"))
+    log, want, got = tmp_path / "log", tmp_path / "want.pred1", tmp_path / "got.pred1"
+    assert run(capsys, *_cluster_argv(scene, offsets, "--out", str(want)))[0] == 0
+    parent = os.getpid()
+
+    def child_dies(source):
+        if os.getpid() != parent:
+            if end == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    _cluster_single_set_with(monkeypatch, child_dies)
+    code, _, err = run(capsys, *_cluster_argv(scene, offsets, "--out", str(got)))
+    _after_the_call(log)
+    assert code == 0, err
+    assert got.read_bytes() == want.read_bytes()
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_sigterm_while_p_clusters_leaves_no_child(capsys, tmp_path, monkeypatch, forks):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    parent = os.getpid()
+
+    def raise_terminated(*_):
+        raise _Terminated
+
+    def terminated_during_p(source):
+        if source == Source.ORIGINAL and os.getpid() == parent:
+            os.kill(parent, signal.SIGTERM)
+
+    _cluster_single_set_with(monkeypatch, terminated_during_p)
+    previous = signal.signal(signal.SIGTERM, raise_terminated)
+    log = tmp_path / "log"
+    try:
+        with pytest.raises(_Terminated):
+            dispatch(_cluster_argv(scene, offsets))
+        _after_the_call(log)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(forks) == 2
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_without_fork_cluster_writes_the_same_bytes_and_spans(capsys, tmp_path, monkeypatch):
+    scene, offsets = gen_scene(capsys, tmp_path, seed="8", extra=("--sigma0", "0.01", "--beta", "2"))
+    outputs, stages = {}, ("bq_p", "cl_p", "bq_q", "cl_q", "scoring", "nms")
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.delattr(os, "fork")
+        out = tmp_path / f"{forked}.pred1"
+        with trace.recording() as spans:
+            assert dispatch(_cluster_argv(scene, offsets, "--out", str(out))) == 0
+        assert all(spans.get(stage, 0.0) > 0.0 for stage in stages), spans
+        outputs[forked] = out.read_bytes()
+    assert outputs[True] == outputs[False]
+
+
+def _outcome(call):
+    """``call()``, or the type and message of the fault it raises."""
+    try:
+        return call()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@settings(max_examples=6)
+@given(data=st.data())
+def test_cluster_writes_what_the_library_predicts_on_oracle_scenes(data):
+    # faults included: an offset near 1.7e308 on a point of a P cluster
+    # overflows the MODEL scorer's descriptors in both
+    drawn = data.draw(oracle_scenes())
+    coords, labels = drawn.in_float32()
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n, n_classes = labels.size, 4
+    scores = np.where(labels[:, None] == np.arange(n_classes), 1.0, 0.0)
+    scores[labels < 0] = 1.0 / n_classes
+    scene = Scene(n_classes, coords, np.zeros((n, 3)), labels, np.full(n, -1), {0}, scores)
+    shift = rng.normal(0.0, drawn.radius, (n, 3))
+    # a few points shifted beyond the float32 range, where no Q cluster holds them
+    far = rng.choice(n, data.draw(st.integers(0, 3)), replace=False)
+    shift[far] = rng.choice([-1.7e308, 1.7e308], (far.size, 3))
+    min_points = data.draw(st.integers(1, 5))
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: str(Path(tmp) / name) for name in ("s.sc1", "s.off1", "m.scorer", "p.pred1")}
+        save_scene(scene, paths["s.sc1"])
+        save_offsets(OffsetField(shift), paths["s.off1"])
+        save_scorer(ScorerModel.default(), paths["m.scorer"])
+        loaded, loaded_offsets = load_scene(paths["s.sc1"]), load_offsets(paths["s.off1"])
+        for scorer, model in [(Scorer.MODEL, ScorerModel.default()), (Scorer.SEMPROB, None)]:
+            argv = [
+                "cluster", "--scene", paths["s.sc1"], "--offsets", paths["s.off1"],
+                "--scorer", scorer.value, "--radius", repr(drawn.radius),
+                "--min-points", str(min_points), "--out", paths["p.pred1"],
+            ] + (["--model", paths["m.scorer"]] if model is not None else [])
+            config = PipelineConfig(ClusterParams(drawn.radius, min_points), scorer=scorer)
+
+            def in_cli():
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = dispatch(argv)
+                return code, err.getvalue() or Path(paths["p.pred1"]).read_text()
+
+            def in_library():
+                try:
+                    return 0, predictions_text(run_pipeline(loaded, loaded_offsets, config, model=model))
+                except (ValueError, OSError, MemoryError) as err:  # as dispatch reports them
+                    return 2, f"error: {err}\n"
+
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(paths["p.pred1"])
+            assert _outcome(in_cli) == _outcome(in_library)

@@ -46,3 +46,13 @@ def test_a_recorder_sees_only_the_spans_of_its_thread():
     assert not worker.is_alive()
     assert set(mine) == {"mine"}
     assert set(seen) == {"theirs"}
+
+
+def test_recorded_spans_of_elsewhere_add_to_the_active_recorder_only(monkeypatch):
+    monkeypatch.setattr(trace, "perf_counter", iter([0.0, 1.0]).__next__)
+    trace.record({"a": 5.0})  # no recorder active: nothing to add to
+    with recording() as spans:
+        with span("a"):
+            pass
+        trace.record({"a": 2.0, "b": 3.0})
+    assert spans == {"a": 3.0, "b": 3.0}
