@@ -726,13 +726,15 @@ def test_only_both_sets_start_a_child_beside_the_loads(capsys, tmp_path, forks, 
     assert code == 0, err
     assert len(forks) == n_forks
     config = PipelineConfig(ClusterParams(min_points=40), scorer=Scorer.ORACLE, cluster_sets=sets)
-    assert out.read_text() == predictions_text(run_pipeline(load_scene(scene), load_offsets(offsets), config))
+    preds = run_pipeline(load_scene(scene), load_offsets(offsets), config)
+    assert out.read_text() == predictions_text(preds)
     assert log.read_text() == f"{os.getpid()}\n"
 
 
 def test_a_q_fault_keeps_its_type_message_and_point_index(capsys, tmp_path, monkeypatch):
     scene, offsets = gen_scene(capsys, tmp_path)
-    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: SceneError("q fault at point 17", 17)}))
+    injected = SceneError("q fault at point 17", 17)
+    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: injected}))
     loaded = _load_inputs(scene, offsets)
     log = tmp_path / "log"
     with pytest.raises(SceneError) as fault:
@@ -744,7 +746,8 @@ def test_a_q_fault_keeps_its_type_message_and_point_index(capsys, tmp_path, monk
     beside = run(capsys, *_cluster_argv(scene, offsets))
     _after_the_call(log)
     monkeypatch.delattr(os, "fork")
-    assert beside == run(capsys, *_cluster_argv(scene, offsets)) == (2, "", "error: q fault at point 17\n")
+    in_turn = run(capsys, *_cluster_argv(scene, offsets))
+    assert beside == in_turn == (2, "", "error: q fault at point 17\n")
     assert log.read_text() == f"{os.getpid()}\n" * 2
 
 
@@ -758,13 +761,15 @@ def test_faults_before_the_q_child_start_none(capsys, tmp_path, monkeypatch, for
     n = load_scene(scene).n_points
     uncovered = run(capsys, *_cluster_argv(other, offsets))
     _after_the_call(log)
-    assert uncovered[:2] == (2, "")
-    assert uncovered[2] == f"error: offset field has {n} points, scene has {load_scene(other).n_points}\n"
+    message = f"offset field has {n} points, scene has {load_scene(other).n_points}"
+    assert uncovered == (2, "", f"error: {message}\n")
     model = tmp_path / "narrow.scorer"
-    save_scorer(ScorerModel(np.zeros(2), np.ones(2), np.zeros((2, 2)), np.zeros(2), np.zeros(2), 0.0), model)
+    zeros = np.zeros(2)
+    save_scorer(ScorerModel(zeros, np.ones(2), np.zeros((2, 2)), zeros, zeros, 0.0), model)
     narrow = run(capsys, *_cluster_argv(scene, offsets, "--scorer", "model", "--model", str(model)))
     _after_the_call(log)
-    assert narrow == (2, "", "error: scorer model takes 2-dim descriptors, clusters have 8-dim descriptors\n")
+    message = "scorer model takes 2-dim descriptors, clusters have 8-dim descriptors"
+    assert narrow == (2, "", f"error: {message}\n")
     assert len(forks) == 2
     assert log.read_text() == f"{os.getpid()}\n" * 2
 
