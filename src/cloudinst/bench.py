@@ -1,8 +1,8 @@
 """Wall-clock benchmark of the inference pipeline, broken down by stage:
 on each coordinate set, building the grid and testing point pairs (``bq_p``,
 ``bq_q``) and merging components into clusters (``cl_p``, ``cl_q``); then
-scoring and NMS.  The stage times are the pipeline's spans, read from one
-``trace.recording()`` per measured run.
+scoring and NMS.  The stage times are the pipeline's spans, summed by one
+``trace.recording()`` around the measured runs.
 """
 
 from __future__ import annotations
@@ -45,21 +45,15 @@ def run_bench(
     check("repeats", repeats, lambda n: is_int(n) and n >= 1, "an integer >= 1")
     run_pipeline(scene, offsets, config, model=model)
 
-    sums = {s: 0.0 for s in STAGES}
-    total = 0.0
-    n_preds = 0
-    for _ in range(repeats):
-        with recording() as spans:
-            t0 = time.perf_counter()
+    with recording() as spans:
+        t0 = time.perf_counter()
+        for _ in range(repeats):
             preds = run_pipeline(scene, offsets, config, model=model)
-            total += time.perf_counter() - t0
-        n_preds = len(preds)
-        for s in STAGES:
-            sums[s] += spans.get(s, 0.0)
+        total = time.perf_counter() - t0
     return BenchResult(
-        stage_ms={s: 1000.0 * sums[s] / repeats for s in STAGES},
+        stage_ms={s: 1000.0 * spans.get(s, 0.0) / repeats for s in STAGES},
         total_ms=1000.0 * total / repeats,
         repeats=repeats,
         n_points=scene.n_points,
-        n_predictions=n_preds,
+        n_predictions=len(preds),
     )

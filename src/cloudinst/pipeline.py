@@ -59,8 +59,6 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     if not np.isfinite(scores).all():
         k = int(np.flatnonzero(~np.isfinite(scores))[0])
         raise ValueError(f"cluster {k} has a non-finite score: {scores[k]}")
-    if not clusters:
-        return []
     order = sorted(
         range(len(clusters)),
         key=lambda k: (-scores[k], clusters[k].source.value, clusters[k].min_index),

@@ -128,7 +128,8 @@ def _forward(x_norm: np.ndarray, w1, b1, w2, b2) -> tuple[np.ndarray, np.ndarray
 def _members(clusters: list[Cluster]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All member indices end to end, with each cluster's size and start."""
     sizes = np.array([c.point_idx.size for c in clusters], dtype=np.int64)
-    return np.concatenate([c.point_idx for c in clusters]), sizes, np.cumsum(sizes) - sizes
+    idx = np.concatenate([*(c.point_idx for c in clusters), np.zeros(0, dtype=np.int64)])
+    return idx, sizes, np.cumsum(sizes) - sizes
 
 
 def _mean_class_prob(clusters, sem_scores, idx, sizes, starts) -> np.ndarray:
@@ -150,11 +151,10 @@ def cluster_descriptors(
     Every entry is translation-invariant in exact arithmetic, and bit-exact
     under a translation that moves every point exactly: the shifted-space
     centroid is taken relative to the cluster's first member, so it does not
-    round at the coordinates' size.
+    round at the coordinates' size.  A distance entry that overflows float64
+    reads as the largest float64.
     """
     check_offsets(scene, offsets)
-    if not clusters:
-        return np.zeros((0, DESCRIPTOR_DIM), dtype=np.float64)
     idx, sizes, starts = _members(clusters)
     out = np.empty((len(clusters), DESCRIPTOR_DIM), dtype=np.float64)
     out[:, 0] = np.log(sizes)
@@ -162,18 +162,21 @@ def cluster_descriptors(
     out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
     # one (m, 3) array at a time, worked in place: q = p + offset, taken
     # relative to the cluster's first member, its difference from the
-    # centroid, and that squared, in one layout, so every sum keeps its order
-    q = offsets.offsets[idx]
-    q += p
-    del p
-    q -= np.repeat(q[starts], sizes, axis=0)
-    q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
-    q *= q
-    dq = np.sqrt(q.sum(axis=1))
-    out[:, 4] = np.add.reduceat(dq, starts) / sizes
-    dq -= np.repeat(out[:, 4], sizes)  # the spread about the mean distance
-    dq *= dq
-    out[:, 5] = np.sqrt(np.add.reduceat(dq, starts) / sizes)
+    # centroid, and that squared, in one layout, so every sum keeps its order;
+    # an offset near the float64 limit overflows here, and is saturated below
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = offsets.offsets[idx]
+        q += p
+        del p
+        q -= np.repeat(q[starts], sizes, axis=0)
+        q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
+        q *= q
+        dq = np.sqrt(q.sum(axis=1))
+        out[:, 4] = np.add.reduceat(dq, starts) / sizes
+        dq -= np.repeat(out[:, 4], sizes)  # the spread about the mean distance
+        dq *= dq
+        out[:, 5] = np.sqrt(np.add.reduceat(dq, starts) / sizes)
+    out[:, 4:6][~np.isfinite(out[:, 4:6])] = np.finfo(np.float64).max
     out[:, 6] = 1.0
     if scene.sem_scores is not None:
         out[:, 6] = _mean_class_prob(clusters, scene.sem_scores, idx, sizes, starts)
@@ -251,9 +254,12 @@ class ScorerModel:
         )
 
     def scores(self, descriptors: np.ndarray) -> np.ndarray:
-        """Sigmoid network output for raw (unnormalized) descriptors."""
-        x = (np.asarray(descriptors, dtype=np.float64) - self.mean) / self.std
-        return _forward(x, self.w1, self.b1, self.w2, self.b2)[1]
+        """Sigmoid network output for raw (unnormalized) descriptors; each
+        normalized input is clipped to +-1e6, where tanh has long saturated,
+        so a descriptor saturated at the float64 limit still scores."""
+        with np.errstate(over="ignore"):
+            x = (np.asarray(descriptors, dtype=np.float64) - self.mean) / self.std
+        return _forward(np.clip(x, -1e6, 1e6), self.w1, self.b1, self.w2, self.b2)[1]
 
 
 def check_scorer_inputs(scorer: Scorer, scene: Scene, model: ScorerModel | None = None) -> None:
@@ -285,8 +291,6 @@ def score_clusters(
     against the scene's own instances."""
     scorer = Scorer(scorer)
     check_scorer_inputs(scorer, scene, model)
-    if not clusters:
-        return np.zeros(0, dtype=np.float64)
     if scorer is Scorer.ORACLE:
         return best_ious(clusters, ground_truth_instances(scene))
     if scorer is Scorer.SEMPROB:

@@ -349,18 +349,13 @@ def _soften_scores(
 ) -> np.ndarray:
     """One-hot-around-the-label rows softened by a temperature.
 
-    The off-label mass is exp(-1/T) relative to the label mass, so the
-    arg-max stays strictly at the label for any allowed temperature.
+    The off-label mass is exp(-1/T) relative to the label mass, and 0 at
+    T = 0, so the arg-max stays strictly at the label for any allowed
+    temperature.  Rows labelled -1 keep their scores.
     """
     out = np.array(scores, dtype=np.float64, copy=True)
     labeled = np.flatnonzero(labels >= 0)
-    if labeled.size == 0:
-        return out.astype(np.float32)
-    if temperature <= 0.0:
-        out[labeled] = 0.0
-        out[labeled, labels[labeled]] = 1.0
-        return out.astype(np.float32)
-    off = np.exp(-1.0 / temperature)
+    off = np.exp(-1.0 / temperature) if temperature else 0.0
     z = 1.0 + (n_classes - 1) * off
     out[labeled] = off / z
     out[labeled, labels[labeled]] = 1.0 / z
@@ -389,19 +384,16 @@ def perturb_semantics(
     rng = _rng(seed, 101)
     if p_sem > 0 and eligible.size:
         flip = eligible[rng.random(eligible.size) < p_sem]
-        if flip.size:
-            things_arr = np.asarray(things, dtype=np.int32)
-            cur_pos = np.searchsorted(things_arr, labels[flip])
-            draw = rng.integers(0, len(things) - 1, flip.size)
-            draw = draw + (draw >= cur_pos)
-            labels[flip] = things_arr[draw]
-            insts[flip] = -1
+        things_arr = np.asarray(things, dtype=np.int32)
+        cur_pos = np.searchsorted(things_arr, labels[flip])
+        draw = rng.integers(0, len(things) - 1, flip.size)
+        draw = draw + (draw >= cur_pos)
+        labels[flip] = things_arr[draw]
+        insts[flip] = -1
 
     # keep surviving instance ids contiguous
     live = insts >= 0
-    if live.any():
-        uniq = np.unique(insts[live])
-        insts[live] = np.searchsorted(uniq, insts[live])
+    insts[live] = np.searchsorted(np.unique(insts[live]), insts[live])
 
     scores = scene.sem_scores
     if scores is not None:
@@ -433,11 +425,9 @@ def perturb_offsets(
         return offsets
     out = np.array(offsets.offsets, copy=True)
     on_inst = np.flatnonzero(scene.inst_ids >= 0)
-    if on_inst.size:
-        d = np.linalg.norm(offset_targets(scene).offsets[on_inst], axis=1)
-        stdev = sigma0 * (1.0 + beta * d)
-        rng = _rng(seed, 202)
-        out[on_inst] += rng.standard_normal((on_inst.size, 3)) * stdev[:, None]
+    d = np.linalg.norm(offset_targets(scene).offsets[on_inst], axis=1)
+    stdev = sigma0 * (1.0 + beta * d)
+    out[on_inst] += _rng(seed, 202).standard_normal((on_inst.size, 3)) * stdev[:, None]
     return OffsetField(out)
 
 
@@ -454,7 +444,5 @@ def generate_sample(config: GenConfig) -> tuple[Scene, Scene, OffsetField]:
         observed = perturb_semantics(
             clean, config.p_sem, config.sem_temperature, config.seed
         )
-    offsets = oracle
-    if config.sigma0 > 0:
-        offsets = perturb_offsets(oracle, clean, config.sigma0, config.beta, config.seed)
+    offsets = perturb_offsets(oracle, clean, config.sigma0, config.beta, config.seed)
     return clean, observed, offsets

@@ -445,6 +445,16 @@ def oracle_scenes(draw, radius=None):
     )
 
 
+def float64_limit_offset_scene():
+    """300 points of one label in a 0.3 m cube, one of them offset by 1.7e308
+    in x: finite, yet the shifted-space distances of its P cluster overflow."""
+    n = 300
+    coords = np.random.default_rng(0).uniform(0.0, 0.3, (n, 3))
+    offsets = np.zeros((n, 3))
+    offsets[0, 0] = 1.7e308
+    return make_scene(coords, np.ones(n), np.zeros(n)), OffsetField(offsets)
+
+
 @pytest.fixture
 def simple_scene():
     # two instances of class 1 plus stuff floor points of class 0

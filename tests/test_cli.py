@@ -34,7 +34,7 @@ from cloudinst.pipeline import PipelineConfig, run_pipeline
 from cloudinst.scoring import Scorer
 from cloudinst.scoring import GRAD_TOLERANCE, ScorerModel
 from cloudinst.synth import GenConfig
-from conftest import oracle_scenes
+from conftest import float64_limit_offset_scene, oracle_scenes
 
 
 def run(capsys, *argv):
@@ -855,11 +855,29 @@ def _outcome(call):
         return type(err), str(err)
 
 
+def test_cluster_scores_an_offset_near_the_float64_limit(capsys, tmp_path):
+    # the offset overflows its P cluster's shifted-space distances, and
+    # MODEL scores that cluster all the same
+    scene, offsets = float64_limit_offset_scene()
+    paths = {name: tmp_path / name for name in ("s.sc1", "s.off1", "m.scorer", "p.pred1")}
+    save_scene(scene, paths["s.sc1"])
+    save_offsets(offsets, paths["s.off1"])
+    save_scorer(ScorerModel.default(), paths["m.scorer"])
+    code, _, err = run(
+        capsys, "cluster", "--scene", str(paths["s.sc1"]), "--offsets", str(paths["s.off1"]),
+        "--scorer", "model", "--model", str(paths["m.scorer"]), "--radius", "0.05",
+        "--min-points", "1", "--out", str(paths["p.pred1"]),
+    )
+    assert (code, err) == (0, "")
+    preds = load_predictions(paths["p.pred1"])
+    assert preds and all(0.0 <= p.score <= 1.0 for p in preds)
+
+
 @settings(max_examples=6)
 @given(data=st.data())
 def test_cluster_writes_what_the_library_predicts_on_oracle_scenes(data):
-    # faults included: an offset near 1.7e308 on a point of a P cluster
-    # overflows the MODEL scorer's descriptors in both
+    # an offset near 1.7e308 on a point of a P cluster saturates the MODEL
+    # scorer's descriptors in both
     drawn = data.draw(oracle_scenes())
     coords, labels = drawn.in_float32()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

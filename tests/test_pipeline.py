@@ -15,11 +15,13 @@ from cloudinst.losses import offset_targets
 from cloudinst import pipeline
 from cloudinst.bench import STAGES
 from cloudinst.pipeline import PipelineConfig, nms, run_pipeline
-from cloudinst.scoring import Scorer, ScorerModel, score_clusters
+from cloudinst.scoring import Scorer, ScorerModel, cluster_descriptors, score_clusters
 from cloudinst.synth import THING_CLASSES, GenConfig, generate_sample, generate_scene
 from cloudinst.trace import recording
 
-from conftest import disjoint_masks, iou, make_scene, small_rooms, two_object_scene
+from conftest import (
+    disjoint_masks, float64_limit_offset_scene, iou, make_scene, small_rooms, two_object_scene,
+)
 
 
 def cl(idx, cls=1, source=Source.ORIGINAL):
@@ -68,6 +70,7 @@ def test_nms_disjoint_all_kept():
     kept = nms(clusters, np.array([0.5, 0.9, 0.1]), 0.3)
     assert sorted(kept) == [0, 1, 2]
     assert kept == [1, 0, 2]  # kept order follows descending score
+    assert nms([], [], 0.3) == []
 
 
 def test_nms_tie_breaks_original_then_min_index():
@@ -338,6 +341,26 @@ def test_far_offset_outlier_keeps_scene_running():
     coords[k] = [np.nan, 0.0, 0.0]
     with pytest.raises(ValueError, match="non-finite"):
         cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, Source.ORIGINAL)
+
+
+def test_an_offset_near_the_float64_limit_keeps_model_scores_finite():
+    # the offset overflows its P cluster's shifted-space distances, which
+    # then read the largest float64; MODEL scores that cluster all the same,
+    # also where normalizing by a narrow stdev overflows again
+    scene, offsets = float64_limit_offset_scene()
+    params = ClusterParams(0.05, 1)
+    clusters = cluster_dual_set(scene, offsets, params)
+    held = [k for k, c in enumerate(clusters) if c.source is Source.ORIGINAL and 0 in c.point_idx]
+    descriptors = cluster_descriptors(clusters, scene, offsets)
+    assert np.isfinite(descriptors).all()
+    assert descriptors[held[0], 4] == descriptors[held[0], 5] == np.finfo(np.float64).max
+    wide = ScorerModel.default()
+    for model in (wide, dataclasses.replace(wide, std=np.full(8, 1e-3))):
+        scores = score_clusters(clusters, scene, offsets, Scorer.MODEL, model=model)
+        assert np.isfinite(scores).all()
+        config = PipelineConfig(params, scorer=Scorer.MODEL)
+        preds = run_pipeline(scene, offsets, config, model=model)
+        assert preds and all(0.0 <= p.score <= 1.0 for p in preds)
 
 
 def _permuted(scene, offsets, perm):

@@ -258,6 +258,9 @@ def test_cluster_descriptors_match_scalar_reference(seed, sizes, big, with_score
 
 def test_cluster_descriptors_of_no_clusters(simple_scene, zero_offsets):
     assert cluster_descriptors([], simple_scene, zero_offsets).shape == (0, 8)
+    for scorer in Scorer:
+        scores = score_clusters([], simple_scene, zero_offsets, scorer, model=ScorerModel.default())
+        assert (scores.dtype, scores.shape) == (np.float64, (0,)), scorer
 
 
 def _allocating_descriptors(clusters, scene, offsets) -> np.ndarray:

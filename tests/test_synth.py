@@ -68,6 +68,10 @@ def test_perturb_semantics_identity_and_total_flip():
     scene, _ = generate_scene(small_cfg(seed=1))
     same = perturb_semantics(scene, p_sem=0.0, temperature=0.0, seed=5)
     assert scenes_equal(scene, same)
+    # a draw that flips no point, and a scene with no point to flip or renumber
+    assert scenes_equal(scene, perturb_semantics(scene, p_sem=1e-12, temperature=0.0, seed=5))
+    stuff, _ = generate_scene(small_cfg(n_objects=0))
+    assert scenes_equal(stuff, perturb_semantics(stuff, p_sem=0.5, temperature=0.0, seed=5))
     flipped = perturb_semantics(scene, p_sem=1.0, temperature=0.0, seed=5)
     mask = ~never_clustered(scene.sem_labels, scene.stuff_classes)
     assert np.all(flipped.sem_labels[mask] != scene.sem_labels[mask])
@@ -75,6 +79,17 @@ def test_perturb_semantics_identity_and_total_flip():
         flipped.sem_labels[~mask], scene.sem_labels[~mask]
     )
     assert flipped.n_instances == 0  # flipped points leave their instances
+
+
+def test_soften_scores_at_zero_temperature_is_one_hot_and_keeps_unlabelled_rows():
+    scores = np.random.default_rng(0).random((6, 4)).astype(np.float32)
+    labels = np.array([2, -1, 0, 3, -1, 1])
+    got = synth._soften_scores(scores, labels, 4, 0.0)
+    labeled = labels >= 0
+    assert got.dtype == np.float32
+    assert np.array_equal(got[labeled], np.eye(4, dtype=np.float32)[labels[labeled]])
+    assert np.array_equal(got[~labeled], scores[~labeled])
+    assert np.array_equal(synth._soften_scores(scores, np.full(6, -1), 4, 0.0), scores)
 
 
 def test_perturb_semantics_flip_fraction_binomial():
@@ -122,6 +137,10 @@ def test_perturb_offsets_identity_and_determinism():
     assert np.array_equal(a.offsets, b.offsets)
     stuff = never_clustered(scene.sem_labels, scene.stuff_classes)
     assert np.array_equal(a.offsets[stuff], offsets.offsets[stuff])
+    # a scene with no instance point has no offset to perturb
+    bare, zero = generate_scene(small_cfg(n_objects=0))
+    noisy = perturb_offsets(zero, bare, 0.01, 2.0, seed=1)
+    assert noisy is not zero and np.array_equal(noisy.offsets, zero.offsets)
 
 
 def test_perturb_offsets_stdev_matches_formula():
