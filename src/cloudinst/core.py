@@ -287,7 +287,7 @@ class Scene:
 
     @property
     def n_instances(self) -> int:
-        return int(self.inst_ids.max() + 1) if self.inst_ids.size else 0
+        return int(self.inst_ids.max(initial=-1)) + 1
 
 
 def scenes_equal(a: Scene, b: Scene) -> bool:

@@ -106,9 +106,7 @@ def average_precision(precision: np.ndarray, recall: np.ndarray) -> float:
     envelope to the right of each step.  Empty curves give 0."""
     precision = np.asarray(precision, dtype=np.float64)
     recall = np.asarray(recall, dtype=np.float64)
-    if precision.size == 0:
-        return 0.0
-    mrec = np.concatenate(([0.0], recall, [recall[-1]]))
+    mrec = np.concatenate(([0.0], recall, recall[-1:]))
     mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.flatnonzero(mrec[1:] != mrec[:-1])
     return float(((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]).sum())

@@ -113,15 +113,19 @@ def offset_regression_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
 
 
 def _direction_terms(pred: OffsetField, scene: Scene) -> tuple[np.ndarray, ...]:
-    """Instance mask, masked offsets o and targets t, their norms, and where
-    both norms reach DIR_EPS: what the direction loss and its gradient share."""
+    """Instance mask, masked offsets o (each row times its power-of-two
+    ``scale``) and targets t, their norms, the scales, and where both unscaled
+    norms reach DIR_EPS.  A row whose largest component reaches 1 is scaled
+    into [0.5, 1): exact, and no square overflows (LAPACK's dnrm2, Blue 1978)."""
     check_offsets(scene, pred)
     mask, targets = _instance_mask_and_targets(scene)
     o = pred.offsets[mask]
+    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(o).max(axis=1))[1], 0))
+    o *= scale[:, None]
     t = targets[mask]
     no = np.linalg.norm(o, axis=1)
     nt = np.linalg.norm(t, axis=1)
-    return mask, o, t, no, nt, (no >= DIR_EPS) & (nt >= DIR_EPS)
+    return mask, o, t, no, nt, scale, (no >= DIR_EPS * scale) & (nt >= DIR_EPS)
 
 
 def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
@@ -131,7 +135,7 @@ def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
     Points where either vector is shorter than DIR_EPS contribute 0 (the
     cosine is undefined there), but still count in the mean's denominator.
     """
-    mask, o, t, no, nt, valid = _direction_terms(pred, scene)
+    mask, o, t, no, nt, _, valid = _direction_terms(pred, scene)
     cos = np.zeros(o.shape[0], dtype=np.float64)
     cos[valid] = (o[valid] * t[valid]).sum(axis=1) / (no[valid] * nt[valid])
     return float(-cos.mean())
@@ -139,13 +143,13 @@ def offset_direction_loss(pred: OffsetField, scene: Scene) -> float:
 
 def offset_direction_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
     """d(offset_direction_loss)/d(offsets), zero on guarded points."""
-    mask, o, t, no, nt, valid = _direction_terms(pred, scene)
+    mask, o, t, no, nt, scale, valid = _direction_terms(pred, scene)
     g = np.zeros_like(o)
     ov, tv = o[valid], t[valid]
     nov = no[valid][:, None]
     that = tv / nt[valid][:, None]
     dot = (ov * that).sum(axis=1, keepdims=True)
-    g[valid] = -(that / nov - dot * ov / nov**3) / mask.sum()
+    g[valid] = -(that / nov - dot * ov / nov**3) / mask.sum() * scale[valid][:, None]
     grad = np.zeros((scene.n_points, 3), dtype=np.float64)
     grad[mask] = g
     return grad

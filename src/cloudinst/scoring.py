@@ -84,7 +84,7 @@ def soft_labels(ious: np.ndarray) -> np.ndarray:
     """Score targets from IoUs: 0 below ``SOFT_LOW``, 1 above ``SOFT_HIGH``,
     linear between.  An IoU outside [0, 1], NaN included, raises."""
     ious = np.asarray(ious, dtype=np.float64)
-    if ious.size and not (ious.min() >= 0.0 and ious.max() <= 1.0):
+    if not ((ious >= 0.0) & (ious <= 1.0)).all():
         raise ValueError("IoU outside [0, 1]")
     return np.clip((ious - SOFT_LOW) / (SOFT_HIGH - SOFT_LOW), 0.0, 1.0)
 
@@ -151,8 +151,8 @@ def cluster_descriptors(
     Every entry is translation-invariant in exact arithmetic, and bit-exact
     under a translation that moves every point exactly: the shifted-space
     centroid is taken relative to the cluster's first member, so it does not
-    round at the coordinates' size.  A distance entry that overflows float64
-    reads as the largest float64.
+    round at the coordinates' size.  Offsets are read within the float32
+    range, in which clustering reads coordinates, so no sum or square overflows.
     """
     check_offsets(scene, offsets)
     idx, sizes, starts = _members(clusters)
@@ -162,21 +162,20 @@ def cluster_descriptors(
     out[:, 1:4] = np.maximum.reduceat(p, starts) - np.minimum.reduceat(p, starts)
     # one (m, 3) array at a time, worked in place: q = p + offset, taken
     # relative to the cluster's first member, its difference from the
-    # centroid, and that squared, in one layout, so every sum keeps its order;
-    # an offset near the float64 limit overflows here, and is saturated below
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = offsets.offsets[idx]
-        q += p
-        del p
-        q -= np.repeat(q[starts], sizes, axis=0)
-        q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
-        q *= q
-        dq = np.sqrt(q.sum(axis=1))
-        out[:, 4] = np.add.reduceat(dq, starts) / sizes
-        dq -= np.repeat(out[:, 4], sizes)  # the spread about the mean distance
-        dq *= dq
-        out[:, 5] = np.sqrt(np.add.reduceat(dq, starts) / sizes)
-    out[:, 4:6][~np.isfinite(out[:, 4:6])] = np.finfo(np.float64).max
+    # centroid, and that squared, in one layout, so every sum keeps its order
+    q = offsets.offsets[idx]
+    limit = np.finfo(np.float32).max  # a point shifted beyond it joins no Q cluster
+    np.clip(q, -limit, limit, out=q)
+    q += p
+    del p
+    q -= np.repeat(q[starts], sizes, axis=0)
+    q -= np.repeat(np.add.reduceat(q, starts) / sizes[:, None], sizes, axis=0)
+    q *= q
+    dq = np.sqrt(q.sum(axis=1))
+    out[:, 4] = np.add.reduceat(dq, starts) / sizes
+    dq -= np.repeat(out[:, 4], sizes)  # the spread about the mean distance
+    dq *= dq
+    out[:, 5] = np.sqrt(np.add.reduceat(dq, starts) / sizes)
     out[:, 6] = 1.0
     if scene.sem_scores is not None:
         out[:, 6] = _mean_class_prob(clusters, scene.sem_scores, idx, sizes, starts)
@@ -256,7 +255,7 @@ class ScorerModel:
     def scores(self, descriptors: np.ndarray) -> np.ndarray:
         """Sigmoid network output for raw (unnormalized) descriptors; each
         normalized input is clipped to +-1e6, where tanh has long saturated,
-        so a descriptor saturated at the float64 limit still scores."""
+        so a model whose mean and stdev overflow an input still scores."""
         with np.errstate(over="ignore"):
             x = (np.asarray(descriptors, dtype=np.float64) - self.mean) / self.std
         return _forward(np.clip(x, -1e6, 1e6), self.w1, self.b1, self.w2, self.b2)[1]

@@ -144,9 +144,8 @@ class GridIndex:
         if labels is not None:
             labels = check_labels(n, labels).astype(np.int64)
 
-        keys = np.floor(coords.astype(np.float64) / (self.radius * _FINE_FACTOR))
-        kx, ky, kz = (_ranks(keys[:, axis]) for axis in range(3))
-        del keys  # the largest array of the build goes once it is ranked
+        side = self.radius * _FINE_FACTOR
+        kx, ky, kz = (_ranks(np.floor(coords[:, a].astype(np.float64) / side)) for a in range(3))
         if labels is not None:
             # each label gets its own block of y keys, spaced so that no row
             # of the stencil reaches from one label into another
@@ -186,7 +185,7 @@ class GridIndex:
     @property
     def n_cells(self) -> int:
         """Occupied cells, counted once per label they hold."""
-        return int(self.node_cell[-1]) + 1 if self.n_nodes else 0
+        return self.cell_start.size - 1
 
     def _row_ranges(self, codes: np.ndarray, rows: np.ndarray, roots=None):
         """The node ranges [lo, hi) that cover the stencil rows around the
@@ -203,8 +202,6 @@ class GridIndex:
         target = self._row_codes[own] + dy[:, None] * self._wz + dz[:, None]
         at = np.minimum(np.searchsorted(self._row_codes, target), self._row_codes.size - 1)
         k, u = np.nonzero(self._row_codes[at] == target)
-        if not k.size:  # no neighbour row: nothing to search
-            return iter(())
         if roots is not None:
             # the root of row u (from node run[u]), or -1 where it holds more than one
             low, high = np.minimum.reduceat(roots, run), np.maximum.reduceat(roots, run)

@@ -287,6 +287,20 @@ def test_train_scorer_writes_loadable_model(capsys, tmp_path):
     assert "loss" in out
 
 
+def test_train_scorer_trains_on_an_offset_near_the_float64_limit(capsys, tmp_path):
+    # it once ended in "non-finite scorer model weights"
+    scene, offsets = float64_limit_offset_scene()
+    save_scene(scene, tmp_path / "s.sc1")
+    save_offsets(offsets, tmp_path / "s.off1")
+    code, out, err = run(
+        capsys, "train-scorer", str(tmp_path / "s.sc1"), "--out", str(tmp_path / "m.scorer"),
+        "--radius", "0.05", "--min-points", "1",
+    )
+    assert (code, err) == (0, "")
+    assert "trained on 10 clusters" in out
+    load_scorer(tmp_path / "m.scorer")
+
+
 def test_train_scorer_with_zero_hidden_units_exits_2(capsys, tmp_path):
     scene, _ = gen_scene(capsys, tmp_path)
     model_path = tmp_path / "m.scorer"
@@ -856,8 +870,8 @@ def _outcome(call):
 
 
 def test_cluster_scores_an_offset_near_the_float64_limit(capsys, tmp_path):
-    # the offset overflows its P cluster's shifted-space distances, and
-    # MODEL scores that cluster all the same
+    # the descriptors read the offset clipped to the float32 range, and
+    # MODEL scores its P cluster
     scene, offsets = float64_limit_offset_scene()
     paths = {name: tmp_path / name for name in ("s.sc1", "s.off1", "m.scorer", "p.pred1")}
     save_scene(scene, paths["s.sc1"])
@@ -876,8 +890,8 @@ def test_cluster_scores_an_offset_near_the_float64_limit(capsys, tmp_path):
 @settings(max_examples=6)
 @given(data=st.data())
 def test_cluster_writes_what_the_library_predicts_on_oracle_scenes(data):
-    # an offset near 1.7e308 on a point of a P cluster saturates the MODEL
-    # scorer's descriptors in both
+    # an offset near 1.7e308 on a point of a P cluster is read within the
+    # float32 range by the MODEL scorer's descriptors in both
     drawn = data.draw(oracle_scenes())
     coords, labels = drawn.in_float32()
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))

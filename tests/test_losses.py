@@ -21,7 +21,7 @@ from cloudinst.losses import (
 )
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import make_scene
+from conftest import float64_limit_offset_scene, make_scene
 
 
 def scene_one_instance(points, extra_stuff=True):
@@ -180,6 +180,20 @@ def test_direction_loss_scale_invariance():
     b = offset_direction_loss(OffsetField(pred * 7.0), scene)
     assert abs(a - b) <= 1e-6
     assert -1.0 <= a <= 1.0
+    # an offset near the float64 limit reads as it does scaled by 2**-1000,
+    # which is exact: the norm it takes does not overflow
+    scene, offsets = float64_limit_offset_scene()
+    scaled = OffsetField(np.ldexp(offsets.offsets, -1000))
+    assert offset_direction_loss(offsets, scene) == offset_direction_loss(scaled, scene) != 0.0
+
+
+def test_direction_gradient_at_the_float64_limit_is_the_scaled_one():
+    # the gradient of a cosine scales as one over the offset's length
+    scene, offsets = float64_limit_offset_scene()
+    grad = offset_direction_grad(offsets, scene)
+    scaled = offset_direction_grad(OffsetField(np.ldexp(offsets.offsets, -1000)), scene)
+    assert np.isfinite(grad[0]).all() and grad[0].any()
+    assert np.array_equal(grad, np.ldexp(scaled, -1000))
 
 
 def test_direction_loss_degenerate_offsets_contribute_zero():

@@ -122,6 +122,10 @@ def test_nms_matches_reference_on_fuzz():
         scores = np.round(rng.uniform(0, 1, len(clusters)), 1)  # force ties
         for thresh in (0.3, 0.5):
             assert nms(clusters, scores, thresh) == reference_nms(clusters, scores, thresh)
+        for source in Source:  # the clusters of one source alone
+            one = [k for k, c in enumerate(clusters) if c.source is source]
+            sub = [clusters[k] for k in one]
+            assert nms(sub, scores[one], 0.3) == reference_nms(sub, scores[one], 0.3)
 
 
 def test_nms_refuses_overlapping_clusters_of_one_source():
@@ -344,16 +348,18 @@ def test_far_offset_outlier_keeps_scene_running():
 
 
 def test_an_offset_near_the_float64_limit_keeps_model_scores_finite():
-    # the offset overflows its P cluster's shifted-space distances, which
-    # then read the largest float64; MODEL scores that cluster all the same,
-    # also where normalizing by a narrow stdev overflows again
+    # the descriptors read the offset clipped to the float32 range, so its P
+    # cluster's shifted-space distances stay finite; MODEL scores that cluster,
+    # also where normalizing by a narrow stdev overflows
     scene, offsets = float64_limit_offset_scene()
     params = ClusterParams(0.05, 1)
     clusters = cluster_dual_set(scene, offsets, params)
-    held = [k for k, c in enumerate(clusters) if c.source is Source.ORIGINAL and 0 in c.point_idx]
     descriptors = cluster_descriptors(clusters, scene, offsets)
+    limit = np.finfo(np.float32).max
+    clipped = OffsetField(np.clip(offsets.offsets, -limit, limit))
+    assert not np.array_equal(clipped.offsets, offsets.offsets)
+    assert np.array_equal(descriptors, cluster_descriptors(clusters, scene, clipped))
     assert np.isfinite(descriptors).all()
-    assert descriptors[held[0], 4] == descriptors[held[0], 5] == np.finfo(np.float64).max
     wide = ScorerModel.default()
     for model in (wide, dataclasses.replace(wide, std=np.full(8, 1e-3))):
         scores = score_clusters(clusters, scene, offsets, Scorer.MODEL, model=model)

@@ -1,6 +1,7 @@
 import ast
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +32,8 @@ from cloudinst.scoring import (
 from cloudinst.synth import GenConfig, generate_sample
 
 from conftest import (
-    best_iou, cluster_descriptor, disjoint_masks, iou, make_scene, package_uses, two_object_scene,
+    best_iou, cluster_descriptor, disjoint_masks, float64_limit_offset_scene, iou, make_scene,
+    package_uses, two_object_scene,
 )
 
 
@@ -144,12 +146,13 @@ def test_soft_label_monotone_continuous_clamped():
 
 
 def test_score_targets_enforce_ramp_consistency():
-    for bad in ([1.5], [np.nan, 0.5]):
+    for bad in ([1.5], [np.nan, 0.5], [np.nan]):
         with pytest.raises(ValueError, match="IoU outside"):
             soft_labels(np.array(bad))
         with pytest.raises(ValueError, match="IoU outside"):
             score_loss(np.full(len(bad), 0.5), np.array(bad))
     assert soft_labels(np.array([0.0, 0.5, 1.0])).tolist() == [0.0, 0.5, 1.0]
+    assert soft_labels(np.array([])).shape == (0,)
 
 
 def test_score_loss_values():
@@ -535,6 +538,16 @@ def test_train_scorer_rejects_bad_schedule(kwargs, message):
 
     with pytest.raises(ValueError, match=f"^{message}$"):
         train_scorer(corpus(), **kwargs)
+
+
+def test_train_scorer_trains_on_an_offset_near_the_float64_limit():
+    # the descriptors read that offset within the float32 range, so their
+    # spread over the corpus stays finite; it once overflowed in ``x.std``
+    data = corpus(range(2)) + [float64_limit_offset_scene()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        model = train_scorer(data, hidden=8, epochs=20, cluster_params=ClusterParams(0.05, 1)).model
+    assert all(np.isfinite(getattr(model, f.name)).all() for f in dataclasses.fields(model))
 
 
 def test_train_scorer_empty_corpus_rejected():

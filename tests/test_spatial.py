@@ -113,6 +113,14 @@ def test_empty_index_is_valid():
     assert idx.n_cells == 0
     with pytest.raises(IndexError):
         ball_query(idx, 0)
+    # labelled grids with no pair to find: no points, one, and two far apart
+    for n in (0, 1, 2):
+        grid = GridIndex(np.arange(n)[:, None] * np.full(3, 10.0), 0.03, np.arange(n))
+        assert grid.n_cells == n
+        for rows in RINGS:
+            for roots in (None, np.arange(grid.n_nodes)):
+                a, b = grid.ring_pairs(rows, roots)
+                assert a.dtype == b.dtype == np.int32 and a.size == b.size == 0
 
 
 # ball_query and its oracle take one centre rule and one radius rule: -1.0
