@@ -50,7 +50,7 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
     every score must be finite, since NaN has no place in that order.  The
     clusters of one source must be disjoint, as every ``cluster_single_set``
     output is; overlapping ones raise ValueError.  The IoUs come from one
-    rule, ``family_iou`` of every cluster against each source's clusters.
+    rule, ``family_iou`` of each source's clusters against the other's.
     """
     # at 0 or NaN NMS would keep only the first cluster, above 1 every one
     check("nms_iou", iou_thresh, lambda x: 0.0 < x <= 1.0, "in (0, 1]")
@@ -64,13 +64,13 @@ def nms(clusters: list[Cluster], scores: np.ndarray, iou_thresh: float) -> list[
         range(len(clusters)),
         key=lambda k: (-scores[k], clusters[k].source.value, clusters[k].min_index),
     )
-    # each source is a disjoint family, whose columns hold every cluster's
-    # IoU with its members
+    # each source is a disjoint family, the family of the other's rows; within
+    # one the IoU is 0 off the diagonal, and k is checked before it is kept
     masks = [c.point_idx for c in clusters]
-    ious = np.empty((len(clusters), len(clusters)))
-    for source in Source:
-        cols = [k for k, c in enumerate(clusters) if c.source == source]
-        ious[:, cols] = family_iou(masks, [masks[k] for k in cols])
+    sets = [[k for k, c in enumerate(clusters) if c.source == source] for source in Source]
+    ious = np.zeros((len(clusters), len(clusters)))
+    for rows, cols in (sets, sets[::-1]):
+        ious[np.ix_(rows, cols)] = family_iou([masks[k] for k in rows], [masks[k] for k in cols])
     kept: list[int] = []
     for k in order:
         if (ious[k, kept] < iou_thresh).all():

@@ -6,6 +6,7 @@ import pytest
 
 from cloudinst.core import OffsetField, SceneError
 from cloudinst.losses import (
+    DIR_EPS,
     LossReport,
     distance_histogram,
     gradient_check,
@@ -194,6 +195,35 @@ def test_direction_gradient_at_the_float64_limit_is_the_scaled_one():
     scaled = offset_direction_grad(OffsetField(np.ldexp(offsets.offsets, -1000)), scene)
     assert np.isfinite(grad[0]).all() and grad[0].any()
     assert np.array_equal(grad, np.ldexp(scaled, -1000))
+
+
+def test_direction_rescaling_keeps_the_unscaled_values():
+    # rows below 1 m keep scale 1 and the bits of the plain formulas below;
+    # from 1 m the power-of-two scale cancels exactly in the cosine, and the
+    # gradient moves by rounding at most, since numpy's x**3 is not exactly
+    # scale-covariant
+    scene, _ = generate_scene(GenConfig(seed=5, n_objects=3, density=300.0,
+                                        stuff_density=10.0, min_object_points=25))
+    rng = np.random.default_rng(5)
+    pred = rng.uniform(-1, 1, (scene.n_points, 3))
+    pred *= np.where(rng.random(scene.n_points) < 0.5, 0.9, 1e3)[:, None]
+    mask = scene.inst_ids >= 0
+    o, t = pred[mask], offset_targets(scene).offsets[mask]
+    no, nt = np.linalg.norm(o, axis=1), np.linalg.norm(t, axis=1)
+    valid = (no >= DIR_EPS) & (nt >= DIR_EPS)
+    cos = np.zeros(o.shape[0])
+    cos[valid] = (o[valid] * t[valid]).sum(axis=1) / (no[valid] * nt[valid])
+    assert offset_direction_loss(OffsetField(pred), scene) == float(-cos.mean())
+    ov, nov = o[valid], no[valid][:, None]
+    that = t[valid] / nt[valid][:, None]
+    dot = (ov * that).sum(axis=1, keepdims=True)
+    ref = np.zeros_like(pred)
+    ref[np.flatnonzero(mask)[valid]] = -(that / nov - dot * ov / nov**3) / mask.sum()
+    grad = offset_direction_grad(OffsetField(pred), scene)
+    small = np.abs(pred).max(axis=1) < 1.0
+    assert small.sum() > 100 and (~small & mask).sum() > 100
+    assert np.array_equal(grad[small], ref[small])
+    assert (np.abs(grad - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True)).all()
 
 
 def test_direction_loss_degenerate_offsets_contribute_zero():

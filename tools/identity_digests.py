@@ -14,8 +14,8 @@ Prints one ``name sha256`` line per artifact:
   the input's ``truth`` scene.
 
 Run it on two checkouts and diff the outputs: an empty diff means the change
-kept every artifact.  It reads perfbench's input code and writes only to a
-temporary directory.
+kept every artifact.  It reads perfbench's input code and its ``run.cli``
+and writes only to a temporary directory.
 """
 
 from __future__ import annotations
@@ -28,9 +28,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
-import contextlib  # noqa: E402
 import hashlib  # noqa: E402
-import io  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -40,7 +38,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import bench_inputs  # noqa: E402
 import cloudinst as ci  # noqa: E402
-from cloudinst.cli import dispatch  # noqa: E402
+import run  # noqa: E402  (perfbench/run.py)
 
 DEFAULT_RUNS = [(w, s) for w in sorted(bench_inputs.WORKLOADS) for s in (1, 2, 3)]
 SCORERS = ("model", "semprob", "oracle")
@@ -61,13 +59,12 @@ def sha256(data: bytes) -> str:
 
 
 def cli(args: list[str]) -> str:
-    """stdout of one in-process ``cloudinst`` command; RuntimeError unless it exits 0."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = dispatch(args)
+    """Output of one in-process ``cloudinst`` command (perfbench's ``run.cli``);
+    RuntimeError unless it exits 0."""
+    code, out = run.cli(args)
     if code != 0:
-        raise RuntimeError(f"cloudinst {' '.join(args)} exited {code}: {err.getvalue().strip()}")
-    return out.getvalue()
+        raise RuntimeError(f"cloudinst {' '.join(args)} exited {code}: {out.strip()}")
+    return out
 
 
 def digests(runs, tmp: Path):
@@ -83,6 +80,8 @@ def digests(runs, tmp: Path):
             yield f"{run}/{path.name}", sha256(path.read_bytes())
         for name in SCORERS:
             pred = out / f"{name}.pred1"
+            # not run.cluster_args, which is fixed to --scorer model: the CLI
+            # refuses --model beside the other scorers
             model = ["--model", str(scorer)] if name == "model" else []
             cli(["cluster", "--scene", paths["scene"], "--offsets", paths["offsets"],
                  "--scorer", name, *model, "--out", str(pred)])
