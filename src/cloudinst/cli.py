@@ -10,8 +10,9 @@ defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
 keyword defaults of ``train_scorer`` and ``run_bench``), and the library
 checks every input: this module parses, dispatches and prints.  ``_beside``
 runs two calls at once in two processes: the loads of a scene and of its
-offsets, and in ``cluster`` the clusterings of the original and the shifted
-set, which the library runs in turn.
+offsets, in ``cluster`` the clusterings of the original and the shifted
+set, and in ``evaluate`` the two ranges of the truth scene's rows
+(``formats._load_scene``), which the library runs in turn or whole.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, OffsetField, Scene, SceneError, check_offsets, check_seed
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
+    _load_scene,
     load_offsets,
     load_predictions,
     load_scene,
@@ -151,17 +153,20 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     return Path(scene_path).with_suffix(".off1")
 
 
-def _beside(first, second):
+def _beside(first, second, out=None):
     """``(first(), second())``, the two at once: a forked child calls
     ``second`` and pickles back its value or its fault, and its spans (see
-    ``trace``), while this process calls ``first``.  A fault of ``first`` is
-    raised before one of ``second``, and the child is killed and reaped
-    however this call ends.  A child that ends without a reply leaves
-    ``second`` to this process, which also calls both in turn where there is
-    no ``os.fork``.  It is a process, not a thread: numpy's text reader holds
-    the GIL, and two clusterings in threads keep both peaks in one process."""
+    ``trace``), while this process calls ``first``.  ``out``, an array that
+    ``second`` fills, comes back after the reply as its raw bytes, straight
+    into this process's ``out``.  A fault of ``first`` is raised before one
+    of ``second``, and the child is killed and reaped however this call
+    ends.  A child that ends without a whole reply leaves ``second`` to this
+    process, which also calls both in turn where there is no ``os.fork``.
+    It is a process, not a thread: numpy's text reader holds the GIL, and
+    two clusterings in threads keep both peaks in one process."""
     if not hasattr(os, "fork"):
         return first(), second()
+    raw = bytearray() if out is None else out.view(np.uint8)
     read_end, write_end = os.pipe()
     pid = os.fork()
     if pid == 0:
@@ -174,6 +179,8 @@ def _beside(first, second):
                     reply = (False, err)
             with open(write_end, "wb") as pipe:
                 pickle.dump((reply, spans), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+                if reply[0]:
+                    pipe.write(raw)
         finally:
             os._exit(0)
     reply = None
@@ -183,6 +190,8 @@ def _beside(first, second):
             value = first()
             try:
                 reply, spans = pickle.load(pipe)
+                if reply[0] and pipe.readinto(raw) < len(raw):
+                    reply = None
             except (EOFError, pickle.UnpicklingError):  # the child ended without one
                 pass
     finally:
@@ -258,7 +267,7 @@ def _cmd_cluster(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    scene = load_scene(args.scene)
+    scene = _load_scene(args.scene, _beside)
     r = evaluate(load_predictions(args.preds), scene, score_filter=args.score_filter)
     rows = [
         [str(c), r.ap_classwise[c], r.ap[c][0.5], r.ap[c][0.25], r.prec50_classwise[c], r.rec50_classwise[c]]

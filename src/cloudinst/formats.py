@@ -8,11 +8,14 @@ it reads every numeric field, header integers included.
 Loaders stream.  One pass of fixed-size reads over the open file refuses a
 non-ASCII byte, counts the lines and keeps only the header lines and the
 first body line; the C reader then takes a table's rows straight from the
-same file (prediction and scorer rows are read one line at a time).  The
-file's list of lines is built only to name a fault, when the reader refuses
-the rows: halving the refused block finds the first line it refuses, and
+same file (prediction and scorer rows are read one line at a time).  A
+range's list of lines is built only to name a fault, when the reader refuses
+its rows: halving the refused block finds the first line it refuses, and
 that line's tokens, read one by one, name the fault.  Loaders raise only
-``FormatError``, naming the first faulty line.
+``FormatError``, naming the first faulty line.  The scan also marks a cut
+near the file's middle, where ``_load_scene`` can read a scene's rows as two
+ranges through a caller's two-process runner; ``load_scene`` reads them
+whole, in this process.
 
 Writers write one block of rows at a time, and all are byte-stable: the
 same object always serializes to the same bytes, and every numeric field
@@ -24,8 +27,8 @@ from __future__ import annotations
 
 import colorsys
 import io
+import os
 import re
-import sys
 import warnings
 from contextlib import contextmanager
 from itertools import islice
@@ -50,13 +53,25 @@ def _open(path):
     return open(path, encoding="ascii", errors="surrogateescape")
 
 
-def _scan(fh, keep: int) -> tuple[list[str], int]:
-    """The first ``keep`` lines of the text file ``fh`` and its line count,
-    from one pass of ``_READ``-character reads that holds no text but those
-    lines and one read.  A run of empty lines that ends the file is no line:
-    a single trailing newline is the normal write shape."""
-    kept, ends, count = [], 0, 0  # ends: newlines before this read
-    while text := fh.read(_READ):
+def _scan(fh, keep: int) -> tuple[list[str], int, tuple[int, int] | None]:
+    """The first ``keep`` lines of the text file ``fh``, its line count and
+    a cut near its middle, from one pass of ``_READ``-character reads that
+    holds no text but those lines and one read.  A run of empty lines that
+    ends the file is no line: a single trailing newline is the normal write
+    shape.  The cut is the seek cookie and the index of the first line that
+    starts at or after character ``half``, half the file's bytes (None for
+    an empty file): the read that reaches ``half`` ends there and is
+    extended to its line's end, and with universal newlines only the
+    cookie, not a byte offset, marks where that line starts."""
+    kept, ends, count, cut = [], 0, 0, None  # ends: newlines before this read
+    half, done = os.fstat(fh.fileno()).st_size // 2, 0
+    while text := fh.read(min(_READ, half - done) if done < half else _READ):
+        done += len(text)
+        if cut is None and done >= half:
+            if not text.endswith("\n"):
+                text += fh.readline()
+            # past the file's last line if the extension reached its end
+            cut = fh.tell(), ends + text.count("\n") + (not text.endswith("\n"))
         if not text.isascii():
             pos = re.search("[^\x00-\x7f]", text).start()
             lineno = ends + text.count("\n", 0, pos) + 1
@@ -68,7 +83,7 @@ def _scan(fh, keep: int) -> tuple[list[str], int]:
         if trail < len(text):  # the last line with text so far ends here
             count = ends + breaks - trail + 1
         ends += breaks
-    return "".join(kept).split("\n", keep)[: min(keep, count)], count
+    return "".join(kept).split("\n", keep)[: min(keep, count)], count, cut
 
 
 def _header(lines: list[str], lineno: int, tag: str, *names: str) -> list[int]:
@@ -97,21 +112,49 @@ def _count(n_lines: int, head: int, count: int, what: str) -> None:
         )
 
 
-def _table(fh, lines: list[str], head: int, count: int, fields) -> list[np.ndarray]:
+def _table(fh, lines: list[str], head: int, count: int, fields, halves=None) -> list[np.ndarray]:
     """The ``count`` rows that follow the ``head`` header lines of the text
     file ``fh`` and end it, ``lines`` being its first lines, read as
-    ``_read_rows`` reads them: the C reader takes them straight from the
-    file, sizing its table once, and the file's line list is built only for
-    ``_bisect`` to name the fault when the reader refuses them."""
+    ``_read_rows`` reads them (``_rows``).  With ``halves``, ``(beside, path,
+    cut)``, ``cut`` from ``_scan``: when the cut falls between two rows,
+    ``beside(first, second, out)`` runs the reads of the rows before it and
+    of the rows from it, the second through its own handle on ``path``, into
+    one table whose rows from the cut are ``out`` (``cli._beside`` returns
+    them from a forked child as raw bytes).  Each range names its own first
+    fault, so a fault before the cut is the first fault when ``first``
+    raises before ``second``."""
     if not count:
         return _read_rows([], head + 1, fields)
     _fits(lines[head], head + 1, fields)
-    fh.seek(0)
-    cols = _c_rows(fh, fields, head, count)
-    if cols is not None:
-        return cols
-    fh.seek(0)
-    _bisect(_scan(fh, sys.maxsize)[0][head:], head + 1, fields)
+    beside, path, (start, cut) = halves or (None, None, (0, 0))
+    if not head < cut < head + count:
+        return _groups(_rows(fh, 0, head, count, head + 1, fields))
+    table, n = np.empty(count, _dtype(fields)), cut - head
+
+    def first():
+        table[:n] = _rows(fh, 0, head, n, head + 1, fields)
+
+    def second():
+        with _open(path) as own:
+            table[n:] = _rows(own, start, 0, count - n, cut + 1, fields)
+
+    beside(first, second, table[n:])
+    return _groups(table)
+
+
+def _rows(fh, start, skip: int, count: int, lineno: int, fields) -> np.ndarray:
+    """The ``count`` rows that follow the ``skip`` lines after the seek
+    cookie ``start`` of the text file ``fh`` as one table (``_c_rows``), the
+    first row being line ``lineno`` of the file: the C reader takes them
+    straight from the file, sizing its table once, and their line list is
+    built only for ``_bisect`` to name the fault when the reader refuses
+    them."""
+    fh.seek(start)
+    table = _c_rows(islice(fh, skip + count), fields, skip, count)
+    if table is not None:
+        return table
+    fh.seek(start)
+    _bisect(_scan(fh, skip + count)[0][skip:], lineno, fields)
 
 
 def _body_lines(fh, head: int):
@@ -153,7 +196,7 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     _fits(lines[0], lineno, fields)
     table = _c_rows(lines, fields)
     if table is not None:
-        return table
+        return _groups(table)
     _bisect(lines, lineno, fields)
 
 
@@ -180,29 +223,36 @@ def _fits(line: str, lineno: int, fields) -> None:
         _fault(line, lineno, fields)
 
 
-def _c_rows(text, fields, skip: int = 0, count: int | None = None) -> list[np.ndarray] | None:
+def _c_rows(text, fields, skip: int = 0, count: int | None = None) -> np.ndarray | None:
     """The rows of ``text`` through ``_loadtxt``: all of a list of lines, or
-    the ``count`` rows that follow the ``skip`` first lines of a text file.
-    Each group comes back as a view of the table (the objects built from
-    them keep copies); None for a table it refuses or miscounts (the reader
-    skips blank lines)."""
+    the ``count`` rows that follow the ``skip`` first lines of an iterable of
+    lines; None for a table it refuses or miscounts (the reader skips blank
+    lines)."""
     count = len(text) if count is None else count
     table = _loadtxt(text, fields, skip, count)
-    if table is None or len(table) != count:
-        return None
-    return [table[f"f{k}"] for k in range(len(fields))]
+    return None if table is None or len(table) != count else table
+
+
+def _groups(table: np.ndarray) -> list[np.ndarray]:
+    """Each group of a table of ``_dtype(fields)`` as a view of it (the
+    objects built from them keep copies)."""
+    return [table[name] for name in table.dtype.names]
+
+
+def _dtype(fields) -> np.dtype:
+    """The table of ``fields``: each group one subarray field of its dtype."""
+    return np.dtype([(f"f{k}", dt, (n,)) for k, (_, dt, n) in enumerate(fields)])
 
 
 def _loadtxt(text, fields, skip: int = 0, count: int | None = None):
     """``count`` rows of ``text`` after its ``skip`` first lines (all rows
-    by default) through numpy's C reader, each group one subarray field of
-    its dtype, or None for text it refuses or warns about."""
-    dtype = [(f"f{k}", dt, (n,)) for k, (_, dt, n) in enumerate(fields)]
+    by default) through numpy's C reader, as a table of ``_dtype(fields)``,
+    or None for text it refuses or warns about."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             return np.loadtxt(
-                text, dtype=dtype, comments=None, skiprows=skip, max_rows=count, ndmin=1
+                text, dtype=_dtype(fields), comments=None, skiprows=skip, max_rows=count, ndmin=1
             )
     except (ValueError, Warning):
         return None
@@ -277,8 +327,14 @@ def load_scene(path) -> Scene:
     Any invariant violation is an error naming the offending line, never a
     silent fix.
     """
+    return _load_scene(path)
+
+
+def _load_scene(path, beside=None) -> Scene:
+    """``load_scene(path)``, its table's rows read in two ranges by
+    ``beside`` if given (see ``_table``)."""
     with _open(path) as fh:
-        lines, n_lines = _scan(fh, 4)
+        lines, n_lines, cut = _scan(fh, 4)
         if n_lines < 3:
             raise FormatError("line 1: truncated file, expected SC1 header")
         n_points, n_classes = _header(lines, 1, "SC1", "n_points", "n_classes")
@@ -305,7 +361,8 @@ def load_scene(path) -> Scene:
         fields += [("sem label", np.int32, 1), ("instance id", np.int32, 1)]
         if has_scores:
             fields.append(("score", np.float32, n_classes))
-        coords, colors, labels, insts, *scores = _table(fh, lines, 3, n_points, fields)
+        halves = beside and (beside, path, cut)
+        coords, colors, labels, insts, *scores = _table(fh, lines, 3, n_points, fields, halves)
     with _point_lines(4):
         return Scene(
             n_classes=n_classes,
@@ -326,7 +383,7 @@ def save_offsets(offsets: OffsetField, path) -> None:
 def load_offsets(path) -> OffsetField:
     """Parse a format v1 offset file: ``OFF1 <n>`` then n ``dx dy dz`` lines."""
     with _open(path) as fh:
-        lines, n_lines = _scan(fh, 2)
+        lines, n_lines, _ = _scan(fh, 2)
         (n,) = _header(lines, 1, "OFF1", "n_points")
         if n < 0:
             raise FormatError("line 1: n_points must be >= 0")
@@ -365,7 +422,7 @@ def load_predictions(path) -> list[InstancePrediction]:
     head = [("class", np.int64, 1), ("score", np.float64, 1), ("point count", np.int64, 1)]
     preds = []
     with _open(path) as fh:
-        lines, n_lines = _scan(fh, 1)
+        lines, n_lines, _ = _scan(fh, 1)
         (m,) = _header(lines, 1, "PRED1", "prediction count")
         if m < 0:
             raise FormatError("line 1: prediction count must be >= 0")
@@ -398,7 +455,7 @@ def load_scorer(path) -> ScorerModel:
     of ``scoring.row_widths(dim, hidden)`` values each: mean, std, the rows
     of w1, b1, w2 and b2."""
     with _open(path) as fh:
-        lines, n_lines = _scan(fh, 1)
+        lines, n_lines, _ = _scan(fh, 1)
         d, h = _header(lines, 1, "SCORER1", "dim", "hidden")
         if d < 1 or h < 1:
             raise FormatError("line 1: dimensions must be >= 1")

@@ -92,12 +92,21 @@ def _instance_mask_and_targets(scene: Scene) -> tuple[np.ndarray, np.ndarray]:
     return mask, offset_targets(scene).offsets
 
 
+def _scale(peak):
+    """The power of two that scales ``peak`` (>= 0) into [0.5, 1) when it
+    reaches 1, else 1: scaling by it is exact, and no sum or square of
+    values up to ``peak`` overflows once scaled (LAPACK's dnrm2, Blue 1978)."""
+    return np.ldexp(1.0, -np.maximum(np.frexp(peak)[1], 0))
+
+
 def offset_regression_loss(pred: OffsetField, scene: Scene) -> float:
-    """Mean L1 norm of the offset residual over instance points."""
+    """Mean L1 norm of the offset residual over instance points, summed at
+    the ``_scale`` of its largest component."""
     check_offsets(scene, pred)
     mask, targets = _instance_mask_and_targets(scene)
-    res = pred.offsets[mask] - targets[mask]
-    return float(np.abs(res).sum(axis=1).mean())
+    res = np.abs(pred.offsets[mask] - targets[mask])
+    scale = _scale(res.max())
+    return float((res * scale).sum(axis=1).mean() / scale)
 
 
 def offset_regression_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
@@ -113,14 +122,13 @@ def offset_regression_grad(pred: OffsetField, scene: Scene) -> np.ndarray:
 
 
 def _direction_terms(pred: OffsetField, scene: Scene) -> tuple[np.ndarray, ...]:
-    """Instance mask, masked offsets o (each row times its power-of-two
-    ``scale``) and targets t, their norms, the scales, and where both unscaled
-    norms reach DIR_EPS.  A row whose largest component reaches 1 is scaled
-    into [0.5, 1): exact, and no square overflows (LAPACK's dnrm2, Blue 1978)."""
+    """Instance mask, masked offsets o (each row times the ``_scale`` of its
+    largest component) and targets t, their norms, the scales, and where both
+    unscaled norms reach DIR_EPS."""
     check_offsets(scene, pred)
     mask, targets = _instance_mask_and_targets(scene)
     o = pred.offsets[mask]
-    scale = np.ldexp(1.0, -np.maximum(np.frexp(np.abs(o).max(axis=1))[1], 0))
+    scale = _scale(np.abs(o).max(axis=1))
     o *= scale[:, None]
     t = targets[mask]
     no = np.linalg.norm(o, axis=1)

@@ -210,9 +210,9 @@ def load_by_lines(load, path):
     lines = read_lines(path)
 
     def scan(fh, keep):
-        return lines[:keep], len(lines)
+        return lines[:keep], len(lines), None
 
-    def table(fh, kept, head, count, fields):
+    def table(fh, kept, head, count, fields, halves=None):
         return formats._read_rows(lines[head:], head + 1, fields)
 
     def body_lines(fh, head):

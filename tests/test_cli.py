@@ -8,6 +8,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -16,10 +17,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinst import cli, clustering, trace
+from cloudinst import cli, clustering, formats, trace
 from cloudinst.cli import _build_parser, _load_inputs, dispatch
 from cloudinst.clustering import ClusterParams
 from cloudinst.core import FormatError, OffsetField, Scene, SceneError, Source
+from cloudinst.evaluation import evaluate
 from cloudinst.formats import (
     load_offsets,
     load_predictions,
@@ -859,6 +861,158 @@ def test_without_fork_cluster_writes_the_same_bytes_and_spans(capsys, tmp_path, 
         assert all(spans.get(stage, 0.0) > 0.0 for stage in stages), spans
         outputs[forked] = out.read_bytes()
     assert outputs[True] == outputs[False]
+
+
+# ``evaluate`` parses the second range of its scene's rows in a forked child
+# while this process parses the first
+
+
+def _evaluate_inputs(capsys, tmp_path):
+    """A scene, its predictions and the table ``evaluate`` prints when it
+    loads the scene with ``load_scene``."""
+    scene, offsets = gen_scene(capsys, tmp_path)
+    preds = tmp_path / "p.pred1"
+    assert run(capsys, *_cluster_argv(scene, offsets, "--out", str(preds)))[0] == 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_load_scene", lambda path, beside: load_scene(path))
+        code, want, err = run(capsys, "evaluate", "--scene", str(scene), "--preds", str(preds))
+    assert code == 0, err
+    return scene, preds, want
+
+
+def _rows_with(monkeypatch, before):
+    """Make the scene's range reads call ``before(skip)`` first: a skip of
+    the header lines reads the first range, 0 the second."""
+    rows = formats._rows
+
+    def wrapped(fh, start, skip, *args):
+        before(skip)
+        return rows(fh, start, skip, *args)
+
+    monkeypatch.setattr(formats, "_rows", wrapped)
+
+
+def test_evaluate_reads_its_scene_beside_a_child_and_prints_the_same_table(
+    capsys, tmp_path, forks
+):
+    scene, preds, want = _evaluate_inputs(capsys, tmp_path)
+    log = tmp_path / "log"
+    forks.clear()
+    for _ in range(2):
+        assert run(capsys, "evaluate", "--scene", str(scene), "--preds", str(preds)) == (0, want, "")
+        _after_the_call(log)
+    assert len(forks) == 2
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_the_library_never_forks(capsys, tmp_path, forks):
+    scene, preds, _ = _evaluate_inputs(capsys, tmp_path)
+    forks.clear()
+    evaluate(load_predictions(preds), load_scene(scene))
+    assert forks == []
+
+
+@pytest.mark.parametrize("at", ["first", "second"])
+def test_an_evaluate_fault_in_either_range_is_the_loader_message(capsys, tmp_path, forks, at):
+    scene, preds, _ = _evaluate_inputs(capsys, tmp_path)
+    n = load_scene(scene).n_points
+    _spoil(scene, 5 if at == "first" else n + 3)
+    with pytest.raises(FormatError) as fault:
+        load_scene(scene)
+    assert str(fault.value).startswith(f"line {5 if at == 'first' else n + 3}: ")
+    log = tmp_path / "log"
+    forks.clear()
+    code, out, err = run(capsys, "evaluate", "--scene", str(scene), "--preds", str(preds))
+    _after_the_call(log)
+    assert (code, out, err) == (2, "", f"error: {fault.value}\n")
+    assert len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("end", ["exit", "sigterm"])
+def test_an_evaluate_child_that_ends_without_a_reply_leaves_its_range_to_the_parent(
+    capsys, tmp_path, monkeypatch, forks, end
+):
+    scene, preds, want = _evaluate_inputs(capsys, tmp_path)
+    parent = os.getpid()
+
+    def child_dies(skip):
+        if os.getpid() != parent:
+            if end == "exit":
+                os._exit(3)
+            os.kill(os.getpid(), signal.SIGTERM)
+
+    _rows_with(monkeypatch, child_dies)
+    log = tmp_path / "log"
+    forks.clear()
+    assert run(capsys, "evaluate", "--scene", str(scene), "--preds", str(preds)) == (0, want, "")
+    _after_the_call(log)
+    assert len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_child_that_ends_amid_its_raw_bytes_leaves_second_to_the_parent(tmp_path, forks):
+    # the child's alarm ends it while it blocks on a full pipe, this process
+    # still in ``first``: the bytes that came are not taken for the array
+    out, parent = np.zeros(1 << 20), os.getpid()
+
+    def second():
+        out[:] = np.arange(out.size)
+        if os.getpid() != parent:
+            signal.signal(signal.SIGALRM, signal.SIG_DFL)
+            signal.setitimer(signal.ITIMER_REAL, 0.05)
+
+    log = tmp_path / "log"
+    assert cli._beside(lambda: time.sleep(0.5), second, out) == (None, None)
+    _after_the_call(log)
+    assert np.array_equal(out, np.arange(out.size)) and len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_a_sigterm_while_evaluate_parses_its_range_leaves_no_child(
+    capsys, tmp_path, monkeypatch, forks
+):
+    scene, preds, _ = _evaluate_inputs(capsys, tmp_path)
+    parent = os.getpid()
+
+    def raise_terminated(*_):
+        raise _Terminated
+
+    def terminated_in_the_first_range(skip):
+        if skip and os.getpid() == parent:
+            os.kill(parent, signal.SIGTERM)
+
+    _rows_with(monkeypatch, terminated_in_the_first_range)
+    previous = signal.signal(signal.SIGTERM, raise_terminated)
+    log = tmp_path / "log"
+    forks.clear()
+    try:
+        with pytest.raises(_Terminated):
+            dispatch(["evaluate", "--scene", str(scene), "--preds", str(preds)])
+        _after_the_call(log)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+    assert len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def test_evaluate_in_its_own_process_warns_of_nothing_and_leaves_no_child(capsys, tmp_path):
+    # -W always, as for cluster: a warning about fork would be printed
+    scene, preds, want = _evaluate_inputs(capsys, tmp_path)
+    argv = ["evaluate", "--scene", str(scene), "--preds", str(preds)]
+    done = subprocess.run(
+        [sys.executable, "-W", "always", "-m", "cloudinst.cli", *argv],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+    )
+    assert (done.returncode, done.stderr, done.stdout) == (0, "", want), done.stderr
+    # a child left running would still hold the command line that names ``preds``
+    if Path("/proc").is_dir():
+        for proc in Path("/proc").iterdir():
+            try:
+                assert str(preds).encode() not in (proc / "cmdline").read_bytes()
+            except OSError:  # not a process, or one that has ended
+                pass
 
 
 def _outcome(call):

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -6,13 +7,12 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cloudinst.core import FormatError, InstancePrediction, OffsetField, Scene, SceneError
-from cloudinst import formats
+from cloudinst import cli, formats
 from cloudinst.formats import (
     _read_rows,
     export_ply,
     load_offsets,
     load_predictions,
-    load_scene,
     load_scorer,
     save_offsets,
     save_predictions,
@@ -24,6 +24,38 @@ from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
 from conftest import load_by_lines, make_scene, package_uses, traced_peak, walk_rows
+
+
+def _split(path, fork: bool = True):
+    """``formats._load_scene(path)`` through ``cli._beside``, as ``cloudinst
+    evaluate`` reads its scene, with or without ``os.fork``: its parts or its
+    FormatError message (``_loaded``), and the rows of its first range (None
+    when it read the rows whole)."""
+    ranges, rows = [], formats._rows
+
+    def beside(*calls):
+        ranges.append(None)
+        return cli._beside(*calls)
+
+    def counted_rows(fh, start, skip, count, *args):
+        ranges.append(count)  # the first range's read comes first, in this process
+        return rows(fh, start, skip, count, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(formats, "_rows", counted_rows)
+        if not fork:
+            patch.delattr(os, "fork")
+        outcome = _loaded(lambda p: formats._load_scene(p, beside), path)
+    return outcome, ranges[1] if ranges[:1] == [None] else None
+
+
+def load_scene(path) -> Scene:
+    """``formats.load_scene(path)``, which the split reader must match, with
+    and without ``os.fork``: every scene case of this file goes through both."""
+    want = _loaded(formats.load_scene, path)
+    assert _split(path, True)[0] == _split(path, False)[0] == want
+    return formats.load_scene(path)
+
 
 VALID_TWO_POINT = """SC1 2 3
 STUFF 1 0
@@ -828,6 +860,90 @@ def test_streamed_loaders_on_line_ends_blank_lines_and_row_counts(
         assert re.search(VARIANTS[variant].format(line=HEAD[kind] + 2), outcome)
 
 
+# --- the split reader: a scene's rows in two ranges, cut near its middle ----
+
+
+def _rows_text(n: int, end: str = "\n", **rows: str) -> str:
+    """A scene of ``n`` rows, each x its index, with ``end`` line ends and
+    row ``k`` replaced by ``rows[f"r{k}"]`` (negative k from the end)."""
+    body = [f"{k} 0.5 0 10 20 30 1 {k % 2}" for k in range(n)]
+    for key, row in rows.items():
+        body[int(key[1:])] = row
+    return "".join(line + end for line in [f"SC1 {n} 3", "STUFF 1 0", "SCORES 0", *body])
+
+
+# one case per fault mix: the rows that replace good ones, and where the
+# fault is named (None: the scene loads)
+_SPLIT_CASES = {
+    "clean": ({}, None),
+    "blank in the first range": ({"r0": ""}, "^line 4: expected 8 fields, got 0$"),
+    "blank in the second range": ({"r-2": ""}, "^line {before_last}: expected 8 fields, got 0$"),
+    "fault in the first range": ({"r1": "0 zz 0 1 2 3 1 0"}, "^line 5: y is not a number: 'zz'$"),
+    "fault in the second range": ({"r-1": "0 0 zz 1 2 3 1 0"}, "^line {last}: z is not"),
+    "faults in both": ({"r1": "0 zz 0 1 2 3 1 0", "r-1": "0 0 0 1 2"}, "^line 5: y is not"),
+    "a Scene fault before a parse fault": (
+        {"r0": "0 0 0 1 2 3 7 0", "r-1": "0 0 0 1 2 3 x 0"},
+        "^line {last}: sem label is not an integer: 'x'$",
+    ),
+    "a Scene fault": ({"r0": "0 0 0 1 2 3 7 0"}, "^line 4: semantic label 7 out of range"),
+    "non-ASCII in the second range": ({"r-1": "7\xe9 0 0 1 2 3 1 0"}, "^line {last}: non-ASCII"),
+}
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("case", sorted(_SPLIT_CASES))
+def test_split_reader_names_the_first_fault_of_either_range(tmp_path, case, n, end, fork):
+    rows, error = _SPLIT_CASES[case]
+    path = tmp_path / "s.sc1"
+    path.write_bytes(_rows_text(n, end, **rows).encode("latin-1"))
+    outcome, first = _split(path, fork)
+    assert outcome == _loaded(formats.load_scene, path)
+    if error is None:
+        assert isinstance(outcome, list) and 0 < first < n
+    else:
+        assert re.search(error.format(last=n + 3, before_last=n + 2), outcome)
+        assert first is None or 0 < first < n
+
+
+@pytest.mark.parametrize("fork", [True, False])
+@pytest.mark.parametrize("n,trail", [(0, ""), (1, ""), (2, ""), (7, ""), (4, "\n\r\n\n")])
+def test_split_reader_on_row_counts_and_trailing_blank_lines(tmp_path, n, trail, fork):
+    path = tmp_path / "s.sc1"
+    path.write_text(_rows_text(n) + trail)
+    outcome, first = _split(path, fork)
+    assert outcome == _loaded(formats.load_scene, path)
+    assert first is None if n < 2 else 0 < first < n
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_split_reader_at_every_cut_read_and_decoder_chunk_edge(tmp_path, monkeypatch, end):
+    # padding the first row moves half the file over every character of a
+    # line, its line end (a CR LF pair too) among them; a read ends there, or
+    # ends a line there at one byte per read; small decoder chunks end
+    # between the CR and the LF of a pair, where the decoder holds the CR
+    path, opened, firsts = tmp_path / "s.sc1", formats._open, set()
+
+    def chunked(size):
+        def open_(p):
+            fh = opened(p)
+            fh._CHUNK_SIZE = size
+            return fh
+        return open_
+
+    for pad in range(45):
+        path.write_text(_rows_text(5, end, r0="0 0.5 0 10 20 30 1 0" + " " * pad), newline="")
+        want = _loaded(formats.load_scene, path)
+        for read, chunk in [(1, 1), (2, 8192), (formats._READ, 2), (formats._READ, 8192)]:
+            monkeypatch.setattr(formats, "_READ", read)
+            monkeypatch.setattr(formats, "_open", chunked(chunk))
+            outcome, first = _split(path, fork=pad % 9 == 0)
+            assert outcome == want and 0 < first < 5, (pad, read, chunk)
+            firsts.add(first)
+    assert len(firsts) > 1
+
+
 @pytest.mark.parametrize(
     "kind,text,error",
     [
@@ -878,7 +994,7 @@ def test_loads_peak_within_4_5x_their_arrays(saved_scene):
     # no whole-file text and no line list: the C reader's table, then the
     # objects' own copies and their checks
     scene, path = saved_scene
-    loaded, peak = traced_peak(load_scene, path)
+    loaded, peak = traced_peak(formats.load_scene, path)
     arrays = [loaded.coords, loaded.colors, loaded.sem_labels, loaded.inst_ids, loaded.sem_scores]
     assert scenes_equal(loaded, scene)
     assert peak <= 4.5 * sum(a.nbytes for a in arrays)

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +225,30 @@ def test_direction_rescaling_keeps_the_unscaled_values():
     assert small.sum() > 100 and (~small & mask).sum() > 100
     assert np.array_equal(grad[small], ref[small])
     assert (np.abs(grad - ref) <= 1e-14 * np.abs(ref).max(axis=1, keepdims=True)).all()
+
+
+def test_regression_loss_of_an_offset_near_the_float64_limit_is_finite():
+    # the first point's L1 residual (3.4e308) is beyond float64; the mean over
+    # the two points is not
+    scene = make_scene([[0, 0, 0], [1, 0, 0]], [1, 1], [0, 0])
+    pred = OffsetField([[1.7e308, 1.7e308, 0.0], [0.0, 0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert offset_regression_loss(pred, scene) == 1.7e308
+
+
+def test_regression_rescaling_keeps_the_unscaled_value():
+    # the power-of-two scale of the largest residual cancels exactly in the
+    # sums and the mean, with residuals both below and above 1 m
+    scene, _ = generate_scene(GenConfig(seed=5, n_objects=3, density=300.0,
+                                        stuff_density=10.0, min_object_points=25))
+    rng = np.random.default_rng(5)
+    pred = rng.uniform(-1, 1, (scene.n_points, 3))
+    pred *= np.where(rng.random(scene.n_points) < 0.5, 0.01, 1e3)[:, None]
+    mask = scene.inst_ids >= 0
+    res = np.abs(pred[mask] - offset_targets(scene).offsets[mask])
+    assert (res.max(axis=1) < 1.0).sum() > 100 and (res.max(axis=1) >= 1.0).sum() > 100
+    assert offset_regression_loss(OffsetField(pred), scene) == float(res.sum(axis=1).mean())
 
 
 def test_direction_loss_degenerate_offsets_contribute_zero():

@@ -11,7 +11,12 @@ Prints one ``name sha256`` line per artifact:
 * the ``.pred1`` that ``cloudinst cluster`` writes on each input with
   ``--scorer model`` (that scorer), ``semprob`` and ``oracle``;
 * the table that ``cloudinst evaluate`` prints for each ``.pred1`` against
-  the input's ``truth`` scene.
+  the input's ``truth`` scene;
+* what ``cloudinst evaluate`` prints for four faulty copies of that scene,
+  each with the first token of one row spoiled: a row in the first half of
+  the file, one in the second half, the first row that starts at half the
+  file's bytes (where a reader that splits the file would cut it), and the
+  last row.
 
 Run it on two checkouts and diff the outputs: an empty diff means the change
 kept every artifact.  It reads perfbench's input code and its ``run.cli``
@@ -42,6 +47,7 @@ import run  # noqa: E402  (perfbench/run.py)
 
 DEFAULT_RUNS = [(w, s) for w in sorted(bench_inputs.WORKLOADS) for s in (1, 2, 3)]
 SCORERS = ("model", "semprob", "oracle")
+FAULTS = ("first", "second", "split", "last")
 
 
 def workload_seed(text: str) -> tuple[str, int]:
@@ -67,17 +73,32 @@ def cli(args: list[str]) -> str:
     return out
 
 
+def faulty_scenes(scene: Path, out: Path):
+    """(name, path) of copies of the scene file ``scene``, a ``FAULTS`` row
+    of each spoiled: its first token becomes ``x``."""
+    text = scene.read_text()
+    lines = text.split("\n")
+    n_rows = len(lines) - 4  # three header lines and the empty piece after the last newline
+    split = text.count("\n", 0, text.index("\n", len(text.encode()) // 2 - 1) + 1)
+    for name, at in zip(FAULTS, (3 + n_rows // 4, 3 + 3 * n_rows // 4, split, 2 + n_rows)):
+        spoiled = list(lines)
+        spoiled[at] = "x " + spoiled[at].split(" ", 1)[1]
+        path = out / f"fault-{name}.sc1"
+        path.write_text("\n".join(spoiled))
+        yield name, path
+
+
 def digests(runs, tmp: Path):
     """(name, sha256) of every artifact of ``runs``, in print order."""
     scorer = tmp / "model.scorer"
     ci.save_scorer(ci.train_scorer(bench_inputs.training_corpus()).model, scorer)
     yield "scorer", sha256(scorer.read_bytes())
     for workload, seed in runs:
-        run = f"{workload}:{seed}"
-        out = tmp / run.replace(":", "-")
+        tag = f"{workload}:{seed}"
+        out = tmp / tag.replace(":", "-")
         paths = bench_inputs.write_inputs(workload, seed, out)["paths"]
         for path in sorted(out.iterdir()):
-            yield f"{run}/{path.name}", sha256(path.read_bytes())
+            yield f"{tag}/{path.name}", sha256(path.read_bytes())
         for name in SCORERS:
             pred = out / f"{name}.pred1"
             # not run.cluster_args, which is fixed to --scorer model: the CLI
@@ -85,9 +106,12 @@ def digests(runs, tmp: Path):
             model = ["--model", str(scorer)] if name == "model" else []
             cli(["cluster", "--scene", paths["scene"], "--offsets", paths["offsets"],
                  "--scorer", name, *model, "--out", str(pred)])
-            yield f"{run}/{pred.name}", sha256(pred.read_bytes())
+            yield f"{tag}/{pred.name}", sha256(pred.read_bytes())
             table = cli(["evaluate", "--scene", paths["truth"], "--preds", str(pred)])
-            yield f"{run}/{name}.evaluate", sha256(table.encode())
+            yield f"{tag}/{name}.evaluate", sha256(table.encode())
+        for name, scene in faulty_scenes(Path(paths["truth"]), tmp):
+            code, message = run.cli(["evaluate", "--scene", str(scene), "--preds", str(pred)])
+            yield f"{tag}/fault-{name}.evaluate", sha256(f"{code} {message}".encode())
 
 
 def main(argv=None) -> int:
