@@ -10,9 +10,11 @@ defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
 keyword defaults of ``train_scorer`` and ``run_bench``), and the library
 checks every input: this module parses, dispatches and prints.  ``_beside``
 runs two calls at once in two processes: the loads of a scene and of its
-offsets, in ``cluster`` the clusterings of the original and the shifted
-set, and in ``evaluate`` the two ranges of the truth scene's rows
-(``formats._load_scene``), which the library runs in turn or whole.
+offsets; in ``cluster`` the original set's clustering, as jobs of whole
+labels that both processes take from one queue, beside the shifted set's
+(``_cluster_beside``); and in ``evaluate`` the two ranges of the truth
+scene's rows (``formats._load_scene``).  The library runs each in turn or
+whole.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from . import bench as bench_mod
-from .clustering import ClusterParams, cluster_dual_set
-from .core import Cluster, OffsetField, Scene, SceneError, check_offsets, check_seed
+from .clustering import ClusterParams, _active_points, _cluster_points, cluster_dual_set
+from .core import Cluster, OffsetField, Scene, SceneError, Source, check_offsets, check_seed
 from .evaluation import PR_SCORE_FILTER, evaluate
 from .formats import (
     _load_scene,
@@ -62,6 +64,7 @@ from .trace import record, recording
 _GEN = GenConfig()
 _PIPELINE = PipelineConfig()
 _CLUSTER = ClusterParams()
+_JOBS = 16  # most jobs P is split into; one byte each, so all fit a pipe at once
 
 
 def _default(fn, name: str):
@@ -161,14 +164,20 @@ def _beside(first, second, out=None):
     into this process's ``out``.  A fault of ``first`` is raised before one
     of ``second``, and the child is killed and reaped however this call
     ends.  A child that ends without a whole reply leaves ``second`` to this
-    process, which also calls both in turn where there is no ``os.fork``.
+    process, which also calls both in turn where there is no ``os.fork`` or
+    it fails.
     It is a process, not a thread: numpy's text reader holds the GIL, and
     two clusterings in threads keep both peaks in one process."""
     if not hasattr(os, "fork"):
         return first(), second()
     raw = bytearray() if out is None else out.view(np.uint8)
     read_end, write_end = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # EAGAIN or ENOMEM: no second process to be had
+        os.close(read_end)
+        os.close(write_end)
+        return first(), second()
     if pid == 0:
         try:  # the child never unwinds into the caller's code
             os.close(read_end)
@@ -213,13 +222,48 @@ def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
 
 
 def _cluster_beside(scene, offsets, params, sources) -> list[Cluster]:
-    """``cluster_dual_set``, the second of two sets in a child beside the first."""
+    """``cluster_dual_set``, its original set P as jobs of whole labels in a
+    queue that this process and a child drain, the child after it clusters
+    the shifted set Q.  The jobs go largest first (Graham 1969), so the last
+    ones taken are small; a job the child took and sent no reply for is run
+    here."""
     if len(sources) < 2:
         return cluster_dual_set(scene, offsets, params, sources)
     check_offsets(scene, offsets)  # a coverage fault before the fork
-    p, q = _beside(lambda: cluster_dual_set(scene, offsets, params, sources[:1]),
-                   lambda: cluster_dual_set(scene, offsets, params, sources[1:]))
-    return p + q
+    coords, labels, active = _active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
+    job, n_jobs = _label_jobs(labels[active])
+
+    def run(j):
+        return _cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL)
+
+    def drain():
+        done = {}
+        while claimed := os.read(queue, 1):
+            done[claimed[0]] = run(claimed[0])
+        return done
+
+    queue, write_end = os.pipe()
+    try:
+        with open(write_end, "wb") as fill:  # at most _JOBS bytes: fills no pipe
+            fill.write(bytes(range(n_jobs)))
+        mine, (q, theirs) = _beside(
+            drain, lambda: (cluster_dual_set(scene, offsets, params, (Source.SHIFTED,)), drain())
+        )
+    finally:
+        os.close(queue)
+    mine.update(theirs)
+    p = [c for j in range(n_jobs) for c in (mine[j] if j in mine else run(j))]
+    return sorted(p, key=lambda c: c.min_index) + q
+
+
+def _label_jobs(labels) -> tuple[np.ndarray, int]:
+    """The job of each of ``labels``, and the job count: one job per label,
+    but the labels past the ``_JOBS - 1`` largest share the last; job 0 holds
+    the most points, and so on down."""
+    _, label, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    group = np.minimum(np.argsort(np.argsort(-counts, kind="stable")), _JOBS - 1)
+    sizes = np.bincount(group, counts)
+    return np.argsort(np.argsort(-sizes, kind="stable"))[group][label], sizes.size
 
 
 def _config(cls, args, **overrides):

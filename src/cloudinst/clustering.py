@@ -185,7 +185,14 @@ def cluster_single_set(
     on the shifted one), component merging and cluster assembly in ``cl_p``
     (``cl_q``); see ``trace``.
     """
-    coords32, sem_labels, active_idx = _active_points(coords, sem_labels, stuff_classes)
+    return _cluster_points(*_active_points(coords, sem_labels, stuff_classes), params, source)
+
+
+def _cluster_points(coords32, sem_labels, active_idx, params, source) -> list[Cluster]:
+    """``cluster_single_set`` on the points ``active_idx`` (ascending) of the
+    float32 ``coords32`` and int32 ``sem_labels`` that ``_active_points``
+    returns: their clusters, members as indices of those arrays.  The points
+    of any one label are clustered alike whichever others are given."""
     tag = "p" if source == Source.ORIGINAL else "q"
 
     with span(f"bq_{tag}"):

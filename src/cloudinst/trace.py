@@ -6,7 +6,9 @@ down to one process) names a region of work, such as ``bq_p``, ``cl_q`` or
 every span run inside it as a dict keyed by span name; a name seen twice
 sums.  The active recorder lives in a ``ContextVar``, so a recorder sees the
 spans of its own thread only; ``record`` adds those of another process to it.
-With no recorder active a span reads no clock and records nothing.
+Spans recorded in two processes at once sum their work, not wall time: a
+name run in both can add up to more seconds than the call took.  With no
+recorder active a span reads no clock and records nothing.
 """
 
 from __future__ import annotations

@@ -1,9 +1,11 @@
 import argparse
 import contextlib
+import errno
 import importlib
 import io
 import os
 import resource
+import select
 import signal
 import subprocess
 import sys
@@ -19,7 +21,7 @@ from hypothesis import strategies as st
 
 from cloudinst import cli, clustering, formats, trace
 from cloudinst.cli import _build_parser, _load_inputs, dispatch
-from cloudinst.clustering import ClusterParams
+from cloudinst.clustering import ClusterParams, cluster_dual_set
 from cloudinst.core import FormatError, OffsetField, Scene, SceneError, Source
 from cloudinst.evaluation import evaluate
 from cloudinst.formats import (
@@ -708,20 +710,21 @@ def forks(monkeypatch):
     return calls
 
 
-def _cluster_single_set_with(monkeypatch, before):
-    """Make ``cluster_dual_set`` call ``before(source)`` ahead of clustering
-    each set."""
-    single = clustering.cluster_single_set
+def _cluster_points_with(monkeypatch, before):
+    """Make every clustering call ``before(source)`` ahead of each run of the
+    kernel: a whole set, or one job of P's labels in ``cli._cluster_beside``."""
+    kernel = clustering._cluster_points
 
-    def wrapped(coords, sem_labels, stuff_classes, params, source):
+    def wrapped(coords, sem_labels, active_idx, params, source):
         before(source)
-        return single(coords, sem_labels, stuff_classes, params, source)
+        return kernel(coords, sem_labels, active_idx, params, source)
 
-    monkeypatch.setattr(clustering, "cluster_single_set", wrapped)
+    monkeypatch.setattr(clustering, "_cluster_points", wrapped)
+    monkeypatch.setattr(cli, "_cluster_points", wrapped)
 
 
 def _raise(faults):
-    """A ``before`` for ``_cluster_single_set_with``: raise ``faults[source]``."""
+    """A ``before`` for ``_cluster_points_with``: raise ``faults[source]``."""
     def before(source):
         if source in faults:
             raise faults[source]
@@ -737,10 +740,11 @@ def test_only_both_sets_start_a_child_beside_the_loads(capsys, tmp_path, forks, 
     scene, offsets = gen_scene(capsys, tmp_path)
     forks.clear()
     log, out = tmp_path / "log", tmp_path / "p.pred1"
+    fds = _open_fds()
     code, _, err = run(capsys, *_cluster_argv(scene, offsets, "--set", sets, "--out", str(out)))
     _after_the_call(log)
     assert code == 0, err
-    assert len(forks) == n_forks
+    assert len(forks) == n_forks and _open_fds() == fds
     config = PipelineConfig(ClusterParams(min_points=40), scorer=Scorer.ORACLE, cluster_sets=sets)
     preds = run_pipeline(load_scene(scene), load_offsets(offsets), config)
     assert out.read_text() == predictions_text(preds)
@@ -750,7 +754,7 @@ def test_only_both_sets_start_a_child_beside_the_loads(capsys, tmp_path, forks, 
 def test_a_q_fault_keeps_its_type_message_and_point_index(capsys, tmp_path, monkeypatch):
     scene, offsets = gen_scene(capsys, tmp_path)
     injected = SceneError("q fault at point 17", 17)
-    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: injected}))
+    _cluster_points_with(monkeypatch, _raise({Source.SHIFTED: injected}))
     loaded = _load_inputs(scene, offsets)
     log = tmp_path / "log"
     with pytest.raises(SceneError) as fault:
@@ -772,7 +776,7 @@ def test_faults_before_the_q_child_start_none(capsys, tmp_path, monkeypatch, for
     # before a Q fault could be made
     scene, offsets = gen_scene(capsys, tmp_path)
     other, _ = gen_scene(capsys, tmp_path, "other", seed="8")
-    _cluster_single_set_with(monkeypatch, _raise({Source.SHIFTED: SceneError("q fault")}))
+    _cluster_points_with(monkeypatch, _raise({Source.SHIFTED: SceneError("q fault")}))
     log = tmp_path / "log"
     n = load_scene(scene).n_points
     uncovered = run(capsys, *_cluster_argv(other, offsets))
@@ -792,13 +796,14 @@ def test_faults_before_the_q_child_start_none(capsys, tmp_path, monkeypatch, for
 
 def test_a_p_fault_is_named_before_a_q_fault(capsys, tmp_path, monkeypatch, forks):
     scene, offsets = gen_scene(capsys, tmp_path)
-    _cluster_single_set_with(monkeypatch, _raise({
+    _cluster_points_with(monkeypatch, _raise({
         Source.ORIGINAL: SceneError("p fault", 3), Source.SHIFTED: SceneError("q fault", 4)
     }))
     log = tmp_path / "log"
+    fds = _open_fds()
     assert run(capsys, *_cluster_argv(scene, offsets)) == (2, "", "error: p fault\n")
     _after_the_call(log)
-    assert len(forks) == 2
+    assert len(forks) == 2 and _open_fds() == fds
     assert log.read_text() == f"{os.getpid()}\n"
 
 
@@ -817,7 +822,7 @@ def test_a_q_child_that_ends_without_a_reply_leaves_q_to_the_parent(
                 os._exit(3)
             os.kill(os.getpid(), signal.SIGTERM)
 
-    _cluster_single_set_with(monkeypatch, child_dies)
+    _cluster_points_with(monkeypatch, child_dies)
     code, _, err = run(capsys, *_cluster_argv(scene, offsets, "--out", str(got)))
     _after_the_call(log)
     assert code == 0, err
@@ -836,16 +841,17 @@ def test_a_sigterm_while_p_clusters_leaves_no_child(capsys, tmp_path, monkeypatc
         if source == Source.ORIGINAL and os.getpid() == parent:
             os.kill(parent, signal.SIGTERM)
 
-    _cluster_single_set_with(monkeypatch, terminated_during_p)
+    _cluster_points_with(monkeypatch, terminated_during_p)
     previous = signal.signal(signal.SIGTERM, raise_terminated)
     log = tmp_path / "log"
+    fds = _open_fds()
     try:
         with pytest.raises(_Terminated):
             dispatch(_cluster_argv(scene, offsets))
         _after_the_call(log)
     finally:
         signal.signal(signal.SIGTERM, previous)
-    assert len(forks) == 2
+    assert len(forks) == 2 and _open_fds() == fds
     assert log.read_text() == f"{os.getpid()}\n"
 
 
@@ -861,6 +867,190 @@ def test_without_fork_cluster_writes_the_same_bytes_and_spans(capsys, tmp_path, 
         assert all(spans.get(stage, 0.0) > 0.0 for stage in stages), spans
         outputs[forked] = out.read_bytes()
     assert outputs[True] == outputs[False]
+
+
+# P's labels go as jobs into one queue, which this process drains while the
+# child clusters Q and then drains what is left
+
+
+def _open_fds():
+    """The file descriptors this process holds open."""
+    return sorted(os.listdir("/proc/self/fd")) if Path("/proc/self/fd").is_dir() else []
+
+
+def _as_tuples(clusters):
+    return [(c.point_idx.tolist(), c.class_id, c.source) for c in clusters]
+
+
+def _beside_equals_dual_set(scene, offsets, params):
+    """``cli._cluster_beside`` gives ``cluster_dual_set``'s clusters, with a
+    child and in turn, and leaves no child and no descriptor."""
+    both = (Source.ORIGINAL, Source.SHIFTED)
+    want = _as_tuples(cluster_dual_set(scene, offsets, params, both))
+    for forked in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not forked:
+                patch.delattr(os, "fork")
+            fds = _open_fds()
+            got = _as_tuples(cli._cluster_beside(scene, offsets, params, both))
+            assert _open_fds() == fds
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert got == want
+
+
+@settings(max_examples=10)
+@given(data=st.data())
+def test_shared_labels_give_the_dual_set_clusters_on_oracle_scenes(data):
+    drawn = data.draw(oracle_scenes())
+    coords, labels = drawn.in_float32()
+    n = labels.size
+    scores = np.where(labels[:, None] == np.arange(4), 1.0, 0.0)
+    scores[labels < 0] = 0.25
+    scene = Scene(4, coords, np.zeros((n, 3)), labels, np.full(n, -1), {0}, scores)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    offsets = OffsetField(rng.normal(0.0, drawn.radius, (n, 3)))
+    _beside_equals_dual_set(scene, offsets, ClusterParams(drawn.radius, data.draw(st.integers(1, 5))))
+
+
+def _scene_of_labels(n_labels, n=3000, seed=0):
+    """Points in a 0.3 m cube, each of a label drawn from 1 to ``n_labels``
+    (0, the stuff class, when ``n_labels`` is 0), and offsets that shift them
+    a little."""
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(1, n_labels + 1, n) if n_labels else np.zeros(n, dtype=np.int64)
+    scene = Scene(max(n_labels, 1) + 1, rng.uniform(0.0, 0.3, (n, 3)), np.zeros((n, 3)),
+                  labels, np.full(n, -1), {0})
+    return scene, OffsetField(rng.normal(0.0, 0.01, (n, 3)))
+
+
+@pytest.mark.parametrize("n_labels", [0, 1, 2, cli._JOBS, cli._JOBS + 1, 3 * cli._JOBS])
+def test_shared_labels_give_the_dual_set_clusters_for_any_label_count(n_labels):
+    # no active point, one label, and more labels than jobs, the smallest of
+    # them sharing the last job; the queue is filled before the fork, so a
+    # fill that blocked would hang here, and the alarm ends it
+    assert cli._JOBS <= 256 and cli._JOBS <= select.PIPE_BUF
+    scene, offsets = _scene_of_labels(n_labels)
+
+    def hung(*_):
+        raise _Terminated
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        _beside_equals_dual_set(scene, offsets, ClusterParams(0.03, 2))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("n_labels", [1, 2, cli._JOBS - 1, cli._JOBS, cli._JOBS + 1, 100])
+def test_label_jobs_go_largest_first_and_the_smallest_labels_share_the_last(n_labels):
+    rng = np.random.default_rng(n_labels)
+    labels = np.repeat(rng.permutation(n_labels) * 1000, rng.integers(1, 50, n_labels))
+    rng.shuffle(labels)
+    job, n_jobs = cli._label_jobs(labels)
+    assert n_jobs == min(n_labels, cli._JOBS) and set(job.tolist()) == set(range(n_jobs))
+    assert (np.diff(np.bincount(job)) <= 0).all()
+    job_of = {label: job[labels == label][0] for label in set(labels.tolist())}
+    assert all((job[labels == label] == j).all() for label, j in job_of.items())
+    # ties in size go to the smaller label
+    ranked = sorted(job_of, key=lambda label: (-(labels == label).sum(), label))
+    alone = {job_of[label] for label in ranked[: cli._JOBS - 1]}
+    shared = {job_of[label] for label in ranked[cli._JOBS - 1 :]}
+    assert len(alone) == min(n_labels, cli._JOBS - 1) and len(shared) <= 1 and not alone & shared
+
+
+def _claimed_by_the_child(claims, parent, then):
+    """A ``before`` for ``_cluster_points_with``: in the child, a P job notes
+    its claim in ``claims`` and calls ``then()``; this process waits in its
+    first P job until the child has claimed one."""
+    def before(source):
+        if source != Source.ORIGINAL:
+            return
+        if os.getpid() != parent:
+            claims.write_text("claimed")
+            then()
+        deadline = time.monotonic() + 30
+        while not claims.exists() and time.monotonic() < deadline:
+            time.sleep(0.005)
+    return before
+
+
+@pytest.mark.parametrize("end", ["exit", "sigterm"])
+def test_p_jobs_a_child_claimed_and_sent_no_reply_for_run_in_the_parent(
+    capsys, tmp_path, monkeypatch, forks, end
+):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    log, want, got = tmp_path / "log", tmp_path / "want.pred1", tmp_path / "got.pred1"
+    # at r = 0.05 m the original set holds clusters of both its labels
+    wide = ("--radius", "0.05")
+    assert run(capsys, *_cluster_argv(scene, offsets, *wide, "--out", str(want)))[0] == 0
+    claims, parent = tmp_path / "claims", os.getpid()
+
+    def die():
+        if end == "exit":
+            os._exit(3)
+        os.kill(os.getpid(), signal.SIGTERM)
+
+    loaded, params, both = _load_inputs(scene, offsets), ClusterParams(0.05, 40), tuple(Source)
+    clusters = _as_tuples(cluster_dual_set(*loaded, params, both))
+    _cluster_points_with(monkeypatch, _claimed_by_the_child(claims, parent, die))
+    fds = _open_fds()
+    # NMS may hide a lost P cluster behind its Q twin in the .pred1: the
+    # clusters are compared too
+    assert _as_tuples(cli._cluster_beside(*loaded, params, both)) == clusters
+    _after_the_call(log)
+    assert claims.exists()
+    claims.unlink()
+    forks.clear()
+    code, _, err = run(capsys, *_cluster_argv(scene, offsets, *wide, "--out", str(got)))
+    _after_the_call(log)
+    assert (code, err, _open_fds(), len(forks)) == (0, "", fds, 2)
+    assert claims.exists()
+    assert got.read_bytes() == want.read_bytes()
+    assert log.read_text() == f"{os.getpid()}\n" * 2
+
+
+def test_a_p_fault_in_a_job_the_child_claimed_keeps_its_type_message_and_point_index(
+    capsys, tmp_path, monkeypatch
+):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    claims, parent = tmp_path / "claims", os.getpid()
+
+    def fault():
+        raise SceneError("p fault at point 5", 5)
+
+    _cluster_points_with(monkeypatch, _claimed_by_the_child(claims, parent, fault))
+    loaded = _load_inputs(scene, offsets)
+    log = tmp_path / "log"
+    fds = _open_fds()
+    with pytest.raises(SceneError) as err:
+        cli._cluster_beside(*loaded, ClusterParams(0.05, 40), (Source.ORIGINAL, Source.SHIFTED))
+    _after_the_call(log)
+    assert (type(err.value), str(err.value), err.value.point_index) == (SceneError, "p fault at point 5", 5)
+    assert _open_fds() == fds and claims.exists()
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("command", ["cluster", "evaluate"])
+def test_a_fork_that_fails_runs_both_calls_in_turn(capsys, tmp_path, monkeypatch, command):
+    # as where there is no os.fork: both pipe ends are closed, nothing leaks
+    scene, offsets = gen_scene(capsys, tmp_path)
+    preds = tmp_path / "p.pred1"
+    cluster = _cluster_argv(scene, offsets, "--scorer", "semprob", "--out", str(preds))
+    argv = cluster if command == "cluster" else ["evaluate", "--scene", str(scene), "--preds", str(preds)]
+    assert run(capsys, *cluster)[0] == 0
+    want = run(capsys, *argv), preds.read_bytes()
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    fds = _open_fds()
+    got = run(capsys, *argv), preds.read_bytes()
+    assert _open_fds() == fds
+    assert got == want and want[0][0] == 0
 
 
 # ``evaluate`` parses the second range of its scene's rows in a forked child

@@ -191,6 +191,25 @@ def test_every_oracle_scene_holds_every_family(radius, data):
     assert np.abs(coords[beyond]).max() > np.finfo(np.float32).max and labels[beyond] == 1
 
 
+@settings(max_examples=10)
+@given(data=st.data())
+def test_the_kernel_on_any_split_of_the_labels_gives_the_clusters_of_the_whole(data):
+    # ``cli._cluster_beside`` runs P's labels as jobs through this seam
+    scene = data.draw(oracle_scenes())
+    params = ClusterParams(scene.radius, data.draw(st.integers(1, 5)))
+    coords, labels, active = clustering._active_points(scene.coords, scene.labels, {0})
+    group = np.array(data.draw(st.lists(st.integers(0, 2), min_size=4, max_size=4)))
+    job = group[labels[active]]
+    split = [
+        c for j in range(3)
+        for c in clustering._cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL)
+    ]
+    whole = cluster_single_set(scene.coords, scene.labels, {0}, params, Source.ORIGINAL)
+    as_tuples = [(c.point_idx.tolist(), c.class_id, c.source) for c in whole]
+    assert [(c.point_idx.tolist(), c.class_id, c.source)
+            for c in sorted(split, key=lambda c: c.min_index)] == as_tuples
+
+
 def test_every_round_but_the_last_fills_its_budget(monkeypatch):
     # the shifted set of a scene with boundary-weighted offset noise: dense
     # piles and a halo, so that most node pairs die by a merge before their

@@ -19,7 +19,8 @@ def test_identity_digests_names_every_artifact_of_one_input():
     assert all(re.fullmatch("[0-9a-f]{64}", digest) for _, digest in lines)
     inputs = ["scene.off1", "scene.sc1", "warm.off1", "warm.sc1"]
     preds = [f"{s}.{kind}" for s in ("model", "semprob", "oracle") for kind in ("pred1", "evaluate")]
+    alone = ["semprob-p.pred1", "semprob-q.pred1"]
     faults = [f"fault-{at}.evaluate" for at in ("first", "second", "split", "last")]
-    names = ["scorer", *(f"clean:1/{n}" for n in inputs + preds + faults)]
+    names = ["scorer", *(f"clean:1/{n}" for n in inputs + preds + alone + faults)]
     assert [name for name, _ in lines] == names
     assert len({digest for _, digest in lines[-4:]}) == 4  # four lines named

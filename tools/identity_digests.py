@@ -9,7 +9,9 @@ Prints one ``name sha256`` line per artifact:
   seeds 1-3 when no argument is given);
 * the scorer file that ``train_scorer(training_corpus())`` saves;
 * the ``.pred1`` that ``cloudinst cluster`` writes on each input with
-  ``--scorer model`` (that scorer), ``semprob`` and ``oracle``;
+  ``--scorer model`` (that scorer), ``semprob`` and ``oracle``, and with
+  ``--scorer semprob`` on one coordinate set alone, ``--set p`` and
+  ``--set q``: each way through the command's clustering;
 * the table that ``cloudinst evaluate`` prints for each ``.pred1`` against
   the input's ``truth`` scene;
 * what ``cloudinst evaluate`` prints for four faulty copies of that scene,
@@ -47,6 +49,7 @@ import run  # noqa: E402  (perfbench/run.py)
 
 DEFAULT_RUNS = [(w, s) for w in sorted(bench_inputs.WORKLOADS) for s in (1, 2, 3)]
 SCORERS = ("model", "semprob", "oracle")
+SETS = ("p", "q")
 FAULTS = ("first", "second", "split", "last")
 
 
@@ -109,6 +112,11 @@ def digests(runs, tmp: Path):
             yield f"{tag}/{pred.name}", sha256(pred.read_bytes())
             table = cli(["evaluate", "--scene", paths["truth"], "--preds", str(pred)])
             yield f"{tag}/{name}.evaluate", sha256(table.encode())
+        for sets in SETS:
+            alone = out / f"semprob-{sets}.pred1"
+            cli(["cluster", "--scene", paths["scene"], "--offsets", paths["offsets"],
+                 "--scorer", "semprob", "--set", sets, "--out", str(alone)])
+            yield f"{tag}/{alone.name}", sha256(alone.read_bytes())
         for name, scene in faulty_scenes(Path(paths["truth"]), tmp):
             code, message = run.cli(["evaluate", "--scene", str(scene), "--preds", str(pred)])
             yield f"{tag}/fault-{name}.evaluate", sha256(f"{code} {message}".encode())
