@@ -9,9 +9,9 @@ under that field's name, and ``_config`` builds the dataclass from it.  The
 defaults are read from the library (those three, ``GRAD_TOLERANCE`` and the
 keyword defaults of ``train_scorer`` and ``run_bench``), and the library
 checks every input: this module parses, dispatches and prints.  ``_beside``
-runs two calls at once in two processes: the loads of a scene and of its
-offsets; in ``cluster`` the original set's clustering, as jobs of whole
-labels that both processes take from one queue, beside the shifted set's
+runs a list of jobs on two processes, which take them from one queue: the
+loads of a scene and of its offsets; in ``cluster`` the shifted set's
+clustering and the original set's, as jobs of whole labels
 (``_cluster_beside``); and in ``evaluate`` the two ranges of the truth
 scene's rows (``formats._load_scene``).  The library runs each in turn or
 whole.
@@ -64,7 +64,7 @@ from .trace import record, recording
 _GEN = GenConfig()
 _PIPELINE = PipelineConfig()
 _CLUSTER = ClusterParams()
-_JOBS = 16  # most jobs P is split into; one byte each, so all fit a pipe at once
+_JOBS = 16  # most jobs P is split into (``_beside`` takes at most 256)
 
 
 def _default(fn, name: str):
@@ -156,104 +156,99 @@ def _offsets_path(scene_path: str, explicit: str | None) -> Path:
     return Path(scene_path).with_suffix(".off1")
 
 
-def _beside(first, second, out=None):
-    """``(first(), second())``, the two at once: a forked child calls
-    ``second`` and pickles back its value or its fault, and its spans (see
-    ``trace``), while this process calls ``first``.  ``out``, an array that
-    ``second`` fills, comes back after the reply as its raw bytes, straight
-    into this process's ``out``.  A fault of ``first`` is raised before one
-    of ``second``, and the child is killed and reaped however this call
-    ends.  A child that ends without a whole reply leaves ``second`` to this
-    process, which also calls both in turn where there is no ``os.fork`` or
-    it fails.
+def _beside(jobs):
+    """``[job() for job in jobs]`` (two to 256 jobs) on two processes: this
+    one calls ``jobs[0]`` and a forked child ``jobs[1]``, then each takes the
+    rest in order from one queue, a pipe of one-byte job ids filled before
+    the fork (a read of one byte is atomic, so each job goes to one process).
+    The child pickles back ``{index: value}`` or its fault, and its spans
+    (see ``trace``).  A job left with no value runs here: the child ended
+    without a reply, or there is no ``os.fork`` or it fails.  This process
+    meets the jobs in the order ``jobs[0]``, ``jobs[2:]``, ``jobs[1]``, and
+    raises a fault of its own before the child's, as in turn; the child is
+    killed and reaped however this call ends.
     It is a process, not a thread: numpy's text reader holds the GIL, and
     two clusterings in threads keep both peaks in one process."""
-    if not hasattr(os, "fork"):
-        return first(), second()
-    raw = bytearray() if out is None else out.view(np.uint8)
-    read_end, write_end = os.pipe()
+    done, reply, pid = {}, None, None
+
+    def take(first):
+        done[first] = jobs[first]()
+        while claimed := os.read(queue, 1):
+            done[claimed[0]] = jobs[claimed[0]]()
+
+    queue, fill = os.pipe()
     try:
-        pid = os.fork()
-    except OSError:  # EAGAIN or ENOMEM: no second process to be had
-        os.close(read_end)
-        os.close(write_end)
-        return first(), second()
-    if pid == 0:
-        try:  # the child never unwinds into the caller's code
-            os.close(read_end)
-            with recording() as spans:
+        with open(fill, "wb") as ids:  # at most 254 bytes: fills no pipe
+            ids.write(bytes(range(2, len(jobs))))
+        read_end, write_end = os.pipe()
+        try:
+            pid = os.fork() if hasattr(os, "fork") else None
+        except OSError:  # EAGAIN or ENOMEM: no second process to be had
+            pass
+        if pid == 0:
+            try:  # the child never unwinds into the caller's code
+                os.close(read_end)
+                with recording() as spans:
+                    try:
+                        take(1)
+                        reply = True, done
+                    except Exception as err:
+                        reply = False, err
+                with open(write_end, "wb") as pipe:
+                    pickle.dump((reply, spans), pipe, protocol=pickle.HIGHEST_PROTOCOL)
+            finally:
+                os._exit(0)
+        try:
+            os.close(write_end)
+            with open(read_end, "rb") as pipe:
+                take(0)
                 try:
-                    reply = (True, second())
-                except Exception as err:
-                    reply = (False, err)
-            with open(write_end, "wb") as pipe:
-                pickle.dump((reply, spans), pipe, protocol=pickle.HIGHEST_PROTOCOL)
-                if reply[0]:
-                    pipe.write(raw)
+                    reply, spans = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):  # no child, or it ended without one
+                    pass
         finally:
-            os._exit(0)
-    reply = None
-    try:
-        os.close(write_end)
-        with open(read_end, "rb") as pipe:
-            value = first()
-            try:
-                reply, spans = pickle.load(pipe)
-                if reply[0] and pipe.readinto(raw) < len(raw):
-                    reply = None
-            except (EOFError, pickle.UnpicklingError):  # the child ended without one
-                pass
+            if pid:
+                if reply is None:  # its reply is not wanted or will not come
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
     finally:
-        if reply is None:  # its reply is not wanted or will not come
-            os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-    if reply is None:
-        return value, second()
-    record(spans)
-    ok, other = reply
-    if not ok:
-        raise other
-    return value, other
+        os.close(queue)
+    if reply is not None:
+        record(spans)
+        ok, theirs = reply
+        if not ok:
+            raise theirs
+        done.update(theirs)
+    for k in (0, *range(2, len(jobs)), 1):
+        if k not in done:
+            done[k] = jobs[k]()
+    return [done[k] for k in range(len(jobs))]
 
 
 def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
     """``load_scene(scene_path)`` and ``load_offsets(offsets_path)`` at once."""
-    return _beside(lambda: load_scene(scene_path), lambda: load_offsets(offsets_path))
+    return tuple(_beside([lambda: load_scene(scene_path), lambda: load_offsets(offsets_path)]))
 
 
 def _cluster_beside(scene, offsets, params, sources) -> list[Cluster]:
-    """``cluster_dual_set``, its original set P as jobs of whole labels in a
-    queue that this process and a child drain, the child after it clusters
-    the shifted set Q.  The jobs go largest first (Graham 1969), so the last
-    ones taken are small; a job the child took and sent no reply for is run
-    here."""
+    """``cluster_dual_set`` as the jobs of one ``_beside`` call: the original
+    set P's largest label, the shifted set Q whole, then P's other labels,
+    largest first (Graham 1969), so the last jobs taken are small."""
     if len(sources) < 2:
         return cluster_dual_set(scene, offsets, params, sources)
     check_offsets(scene, offsets)  # a coverage fault before the fork
     coords, labels, active = _active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
     job, n_jobs = _label_jobs(labels[active])
 
-    def run(j):
-        return _cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL)
+    def p(j):
+        return lambda: _cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL)
 
-    def drain():
-        done = {}
-        while claimed := os.read(queue, 1):
-            done[claimed[0]] = run(claimed[0])
-        return done
+    def q():
+        return cluster_dual_set(scene, offsets, params, (Source.SHIFTED,))
 
-    queue, write_end = os.pipe()
-    try:
-        with open(write_end, "wb") as fill:  # at most _JOBS bytes: fills no pipe
-            fill.write(bytes(range(n_jobs)))
-        mine, (q, theirs) = _beside(
-            drain, lambda: (cluster_dual_set(scene, offsets, params, (Source.SHIFTED,)), drain())
-        )
-    finally:
-        os.close(queue)
-    mine.update(theirs)
-    p = [c for j in range(n_jobs) for c in (mine[j] if j in mine else run(j))]
-    return sorted(p, key=lambda c: c.min_index) + q
+    done = _beside([p(0), q, *map(p, range(1, n_jobs))])
+    original = [c for part in done[:1] + done[2:] for c in part]
+    return sorted(original, key=lambda c: c.min_index) + done[1]
 
 
 def _label_jobs(labels) -> tuple[np.ndarray, int]:

@@ -14,8 +14,8 @@ its rows: halving the refused block finds the first line it refuses, and
 that line's tokens, read one by one, name the fault.  Loaders raise only
 ``FormatError``, naming the first faulty line.  The scan also marks a cut
 near the file's middle, where ``_load_scene`` can read a scene's rows as two
-ranges through a caller's two-process runner; ``load_scene`` reads them
-whole, in this process.
+ranges, two jobs of a caller's runner; ``load_scene`` reads them whole, in
+this process.
 
 Writers write one block of rows at a time, and all are byte-stable: the
 same object always serializes to the same bytes, and every numeric field
@@ -117,12 +117,12 @@ def _table(fh, lines: list[str], head: int, count: int, fields, halves=None) -> 
     file ``fh`` and end it, ``lines`` being its first lines, read as
     ``_read_rows`` reads them (``_rows``).  With ``halves``, ``(beside, path,
     cut)``, ``cut`` from ``_scan``: when the cut falls between two rows,
-    ``beside(first, second, out)`` runs the reads of the rows before it and
-    of the rows from it, the second through its own handle on ``path``, into
-    one table whose rows from the cut are ``out`` (``cli._beside`` returns
-    them from a forked child as raw bytes).  Each range names its own first
-    fault, so a fault before the cut is the first fault when ``first``
-    raises before ``second``."""
+    ``beside([first, second])`` runs the reads of the rows before it and of
+    the rows from it, the second through its own handle on ``path``.
+    ``first`` reads its rows straight into the table, and ``second`` returns
+    its rows (from a forked child, pickled, in ``cli._beside``), which are
+    copied in after them.  Each range names its own first fault, so a fault
+    before the cut is the first fault when ``first``'s is raised first."""
     if not count:
         return _read_rows([], head + 1, fields)
     _fits(lines[head], head + 1, fields)
@@ -136,9 +136,9 @@ def _table(fh, lines: list[str], head: int, count: int, fields, halves=None) -> 
 
     def second():
         with _open(path) as own:
-            table[n:] = _rows(own, start, 0, count - n, cut + 1, fields)
+            return _rows(own, start, 0, count - n, cut + 1, fields)
 
-    beside(first, second, table[n:])
+    table[n:] = beside([first, second])[1]
     return _groups(table)
 
 

@@ -1141,21 +1141,104 @@ def test_an_evaluate_child_that_ends_without_a_reply_leaves_its_range_to_the_par
     assert log.read_text() == f"{os.getpid()}\n"
 
 
-def test_a_child_that_ends_amid_its_raw_bytes_leaves_second_to_the_parent(tmp_path, forks):
+def test_a_child_that_ends_amid_its_pickled_reply_leaves_its_job_to_the_parent(tmp_path, forks):
     # the child's alarm ends it while it blocks on a full pipe, this process
-    # still in ``first``: the bytes that came are not taken for the array
-    out, parent = np.zeros(1 << 20), os.getpid()
+    # still in its first job: the part of the reply that came is not taken
+    parent, here = os.getpid(), []
 
     def second():
-        out[:] = np.arange(out.size)
-        if os.getpid() != parent:
+        if os.getpid() == parent:
+            here.append(1)
+        else:
             signal.signal(signal.SIGALRM, signal.SIG_DFL)
             signal.setitimer(signal.ITIMER_REAL, 0.05)
+        return np.arange(1 << 20)
 
     log = tmp_path / "log"
-    assert cli._beside(lambda: time.sleep(0.5), second, out) == (None, None)
+    first, got = cli._beside([lambda: time.sleep(0.5), second])
     _after_the_call(log)
-    assert np.array_equal(out, np.arange(out.size)) and len(forks) == 1
+    assert first is None and np.array_equal(got, np.arange(1 << 20))
+    assert here == [1] and len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+def _fork_as(monkeypatch, fork):
+    """Leave ``os.fork`` as it is (``present``), take it away (``missing``)
+    or make it raise ``EAGAIN`` (``failing``)."""
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    elif fork == "failing":
+        def fails():
+            raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fails)
+
+
+@pytest.mark.parametrize("fork", ["present", "missing", "failing"])
+@pytest.mark.parametrize("end", ["reply", "exit-1", "exit-2", "sigterm"])
+@pytest.mark.parametrize("n_jobs", [2, 3, 17])
+def test_beside_returns_each_job_value_and_leaves_no_child_or_descriptor(
+    tmp_path, monkeypatch, n_jobs, end, fork
+):
+    # the child replies, exits after its first or second job, or ends by
+    # SIGTERM in its first; this process meets the jobs as it would in turn,
+    # jobs[0], jobs[2:], then jobs[1], those the child left included
+    parent, mine, theirs = os.getpid(), [], []
+
+    def job(k):
+        def call():
+            time.sleep(0.002)
+            if os.getpid() == parent:
+                mine.append(k)
+            else:
+                theirs.append(k)
+                if end == "sigterm":
+                    os.kill(os.getpid(), signal.SIGTERM)
+                if end == f"exit-{len(theirs)}":
+                    os._exit(3)
+            return k, np.full(k, float(k))
+        return call
+
+    _fork_as(monkeypatch, fork)
+    log, fds = tmp_path / "log", _open_fds()
+    got = cli._beside([job(k) for k in range(n_jobs)])
+    _after_the_call(log)
+    assert [(k, v.tolist()) for k, v in got] == [(k, [float(k)] * k) for k in range(n_jobs)]
+    assert _open_fds() == fds and len(set(mine)) == len(mine) and mine[0] == 0
+    assert 1 not in mine[:-1]  # the last job this process meets, rerun or not
+    if fork != "present":
+        assert mine == [0, *range(2, n_jobs), 1]
+    elif end in ("reply", "exit-1", "sigterm"):
+        assert (1 in mine) == (end != "reply")
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
+@pytest.mark.parametrize("fork", ["present", "missing", "failing"])
+def test_a_fault_in_the_smallest_p_job_is_raised_before_a_q_fault(tmp_path, monkeypatch, forks, fork):
+    # in turn P's jobs come before Q, which is jobs[1]: a runner that ran
+    # what is left in index order would raise the Q fault
+    scene, offsets = _scene_of_labels(5)
+    _, labels, active = clustering._active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
+    job, n_jobs = cli._label_jobs(labels[active])
+    smallest = labels[active][job == n_jobs - 1][0]
+    kernel = clustering._cluster_points
+
+    def faulty(coords, sem_labels, active_idx, params, source):
+        if source == Source.SHIFTED:
+            raise SceneError("q fault", 4)
+        if sem_labels[active_idx[0]] == smallest:
+            raise SceneError("p fault", 3)
+        return kernel(coords, sem_labels, active_idx, params, source)
+
+    monkeypatch.setattr(clustering, "_cluster_points", faulty)
+    monkeypatch.setattr(cli, "_cluster_points", faulty)
+    _fork_as(monkeypatch, fork)
+    log, fds = tmp_path / "log", _open_fds()
+    with pytest.raises(SceneError) as fault:
+        cli._cluster_beside(scene, offsets, ClusterParams(0.03, 2), (Source.ORIGINAL, Source.SHIFTED))
+    _after_the_call(log)
+    assert (str(fault.value), fault.value.point_index) == ("p fault", 3)
+    assert n_jobs == 5 and _open_fds() == fds and len(forks) == (fork == "present")
     assert log.read_text() == f"{os.getpid()}\n"
 
 

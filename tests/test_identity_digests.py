@@ -1,5 +1,5 @@
 """Smoke test: tools/identity_digests.py prints one digest per artifact of
-the inputs it is given, and a different one for each faulty scene."""
+the inputs it is given, and a different one for each faulty file."""
 
 import re
 import subprocess
@@ -21,6 +21,7 @@ def test_identity_digests_names_every_artifact_of_one_input():
     preds = [f"{s}.{kind}" for s in ("model", "semprob", "oracle") for kind in ("pred1", "evaluate")]
     alone = ["semprob-p.pred1", "semprob-q.pred1"]
     faults = [f"fault-{at}.evaluate" for at in ("first", "second", "split", "last")]
-    names = ["scorer", *(f"clean:1/{n}" for n in inputs + preds + alone + faults)]
+    faults.append("fault-offsets.cluster")
+    names = ["scorer", "train-scorer", *(f"clean:1/{n}" for n in inputs + preds + alone + faults)]
     assert [name for name, _ in lines] == names
-    assert len({digest for _, digest in lines[-4:]}) == 4  # four lines named
+    assert len({digest for _, digest in lines[-5:]}) == 5  # five lines named

@@ -7,7 +7,9 @@ Prints one ``name sha256`` line per artifact:
 * the files perfbench's ``bench_inputs.write_inputs`` writes for each
   workload and seed (``clean``, ``offset-noise`` and ``label-noise`` at
   seeds 1-3 when no argument is given);
-* the scorer file that ``train_scorer(training_corpus())`` saves;
+* the scorer file that ``train_scorer(training_corpus())`` saves, and the
+  one that ``cloudinst train-scorer`` writes from that corpus saved as
+  ``.sc1``/``.off1`` files, which loads each scene and its offsets at once;
 * the ``.pred1`` that ``cloudinst cluster`` writes on each input with
   ``--scorer model`` (that scorer), ``semprob`` and ``oracle``, and with
   ``--scorer semprob`` on one coordinate set alone, ``--set p`` and
@@ -18,7 +20,9 @@ Prints one ``name sha256`` line per artifact:
   each with the first token of one row spoiled: a row in the first half of
   the file, one in the second half, the first row that starts at half the
   file's bytes (where a reader that splits the file would cut it), and the
-  last row.
+  last row;
+* what ``cloudinst cluster`` prints for a copy of the offsets with the first
+  token of a row spoiled, a fault of the load that runs beside the scene's.
 
 Run it on two checkouts and diff the outputs: an empty diff means the change
 kept every artifact.  It reads perfbench's input code and its ``run.cli``
@@ -76,26 +80,40 @@ def cli(args: list[str]) -> str:
     return out
 
 
+def spoiled(lines: list[str], at: int, path: Path) -> Path:
+    """``path``, written with ``lines`` joined by newlines, the first token
+    of ``lines[at]`` made ``x``."""
+    lines = list(lines)
+    lines[at] = "x " + lines[at].split(" ", 1)[1]
+    path.write_text("\n".join(lines))
+    return path
+
+
 def faulty_scenes(scene: Path, out: Path):
     """(name, path) of copies of the scene file ``scene``, a ``FAULTS`` row
-    of each spoiled: its first token becomes ``x``."""
+    of each spoiled."""
     text = scene.read_text()
     lines = text.split("\n")
     n_rows = len(lines) - 4  # three header lines and the empty piece after the last newline
     split = text.count("\n", 0, text.index("\n", len(text.encode()) // 2 - 1) + 1)
     for name, at in zip(FAULTS, (3 + n_rows // 4, 3 + 3 * n_rows // 4, split, 2 + n_rows)):
-        spoiled = list(lines)
-        spoiled[at] = "x " + spoiled[at].split(" ", 1)[1]
-        path = out / f"fault-{name}.sc1"
-        path.write_text("\n".join(spoiled))
-        yield name, path
+        yield name, spoiled(lines, at, out / f"fault-{name}.sc1")
 
 
 def digests(runs, tmp: Path):
     """(name, sha256) of every artifact of ``runs``, in print order."""
     scorer = tmp / "model.scorer"
-    ci.save_scorer(ci.train_scorer(bench_inputs.training_corpus()).model, scorer)
+    corpus = bench_inputs.training_corpus()
+    ci.save_scorer(ci.train_scorer(corpus).model, scorer)
     yield "scorer", sha256(scorer.read_bytes())
+    scenes = []
+    for k, (scene, offsets) in enumerate(corpus):
+        scenes.append(str(tmp / f"corpus-{k}.sc1"))
+        ci.save_scene(scene, scenes[-1])
+        ci.save_offsets(offsets, tmp / f"corpus-{k}.off1")
+    trained = tmp / "trained.scorer"
+    cli(["train-scorer", *scenes, "--out", str(trained)])
+    yield "train-scorer", sha256(trained.read_bytes())
     for workload, seed in runs:
         tag = f"{workload}:{seed}"
         out = tmp / tag.replace(":", "-")
@@ -120,6 +138,10 @@ def digests(runs, tmp: Path):
         for name, scene in faulty_scenes(Path(paths["truth"]), tmp):
             code, message = run.cli(["evaluate", "--scene", str(scene), "--preds", str(pred)])
             yield f"{tag}/fault-{name}.evaluate", sha256(f"{code} {message}".encode())
+        lines = Path(paths["offsets"]).read_text().split("\n")
+        offsets = spoiled(lines, len(lines) // 2, tmp / "fault.off1")
+        code, message = run.cli(["cluster", "--scene", paths["scene"], "--offsets", str(offsets)])
+        yield f"{tag}/fault-offsets.cluster", sha256(f"{code} {message}".encode())
 
 
 def main(argv=None) -> int:
