@@ -144,13 +144,13 @@ def _table(fh, lines: list[str], head: int, count: int, fields, halves=None) -> 
 
 def _rows(fh, start, skip: int, count: int, lineno: int, fields) -> np.ndarray:
     """The ``count`` rows that follow the ``skip`` lines after the seek
-    cookie ``start`` of the text file ``fh`` as one table (``_c_rows``), the
+    cookie ``start`` of the text file ``fh`` as one table (``_loadtxt``), the
     first row being line ``lineno`` of the file: the C reader takes them
     straight from the file, sizing its table once, and their line list is
     built only for ``_bisect`` to name the fault when the reader refuses
     them."""
     fh.seek(start)
-    table = _c_rows(islice(fh, skip + count), fields, skip, count)
+    table = _loadtxt(islice(fh, skip + count), fields, skip, count)
     if table is not None:
         return table
     fh.seek(start)
@@ -182,7 +182,7 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
     ``fields`` lists its columns as ``(name, dtype, count)`` groups, and each
     group comes back as one ``(len(lines), count)`` array of its dtype.  A
     group's ``name`` names each of its columns, or is a tuple of ``count``
-    names, one per column.  numpy's C reader (``_c_rows``) parses the table
+    names, one per column.  numpy's C reader (``_loadtxt``) parses the table
     in one call, and what it accepts is the grammar of every field; when it
     refuses the table, ``_bisect`` names the fault.  A table of no columns is
     a run of blank lines.
@@ -194,7 +194,7 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
                 _fault(line, lineno + at, fields)
         return [np.zeros((len(lines), count), dtype) for _, dtype, count in fields]
     _fits(lines[0], lineno, fields)
-    table = _c_rows(lines, fields)
+    table = _loadtxt(lines, fields)
     if table is not None:
         return _groups(table)
     _bisect(lines, lineno, fields)
@@ -202,13 +202,13 @@ def _read_rows(lines: list[str], lineno: int, fields) -> list[np.ndarray]:
 
 def _bisect(lines: list[str], lineno: int, fields) -> NoReturn:
     """Name the fault of ``lines``, the first of them line ``lineno`` of the
-    file, a table of ``fields`` that ``_c_rows`` refuses: halving the refused
+    file, a table of ``fields`` that ``_loadtxt`` refuses: halving the refused
     block down to one line finds the first line it refuses, and ``_fault``
     names what is wrong there."""
     done, bad = 0, len(lines)  # lines[:done] read; lines[done:bad] refused
     while bad - done > 1:
         mid = (done + bad) // 2
-        if _c_rows(lines[done:mid], fields) is None:
+        if _loadtxt(lines[done:mid], fields) is None:
             bad = mid
         else:
             done = mid
@@ -223,16 +223,6 @@ def _fits(line: str, lineno: int, fields) -> None:
         _fault(line, lineno, fields)
 
 
-def _c_rows(text, fields, skip: int = 0, count: int | None = None) -> np.ndarray | None:
-    """The rows of ``text`` through ``_loadtxt``: all of a list of lines, or
-    the ``count`` rows that follow the ``skip`` first lines of an iterable of
-    lines; None for a table it refuses or miscounts (the reader skips blank
-    lines)."""
-    count = len(text) if count is None else count
-    table = _loadtxt(text, fields, skip, count)
-    return None if table is None or len(table) != count else table
-
-
 def _groups(table: np.ndarray) -> list[np.ndarray]:
     """Each group of a table of ``_dtype(fields)`` as a view of it (the
     objects built from them keep copies)."""
@@ -244,23 +234,26 @@ def _dtype(fields) -> np.dtype:
     return np.dtype([(f"f{k}", dt, (n,)) for k, (_, dt, n) in enumerate(fields)])
 
 
-def _loadtxt(text, fields, skip: int = 0, count: int | None = None):
-    """``count`` rows of ``text`` after its ``skip`` first lines (all rows
-    by default) through numpy's C reader, as a table of ``_dtype(fields)``,
-    or None for text it refuses or warns about."""
+def _loadtxt(text, fields, skip: int = 0, count: int | None = None) -> np.ndarray | None:
+    """The ``count`` rows that follow the ``skip`` first lines of ``text``,
+    an iterable of lines (by default all of a list of lines), through
+    numpy's C reader as a table of ``_dtype(fields)``; None for text it
+    refuses, warns about or miscounts (the reader skips blank lines)."""
+    count = len(text) if count is None else count
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(
+            table = np.loadtxt(
                 text, dtype=_dtype(fields), comments=None, skiprows=skip, max_rows=count, ndmin=1
             )
     except (ValueError, Warning):
         return None
+    return table if len(table) == count else None
 
 
 def _fault(line: str, lineno: int, fields) -> NoReturn:
     """Raise the ``FormatError`` of ``line``, line ``lineno`` of the file,
-    which ``_c_rows`` refuses: its wrong field count, or the first token the
+    which ``_loadtxt`` refuses: its wrong field count, or the first token the
     C reader refuses alone in its column's dtype."""
     toks = line.split()
     width = sum(count for _, _, count in fields)

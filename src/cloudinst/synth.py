@@ -128,7 +128,7 @@ class GenConfig:
         # below 0.3 m plus its height: a necessary bound on their count, checked
         # before a class is drawn for each
         slab = room[0] * room[1] * (0.3 + scale[1] * max(base[-1] for _, base in _SHAPES))
-        smallest = scale[0] ** 3 * min(_volume(kind, base) for kind, base in _SHAPES)
+        smallest = scale[0] ** 3 * min(_geometry(kind, base)[3] for kind, base in _SHAPES)
         if objects * smallest > slab:
             raise ValueError(
                 f"n_objects too large: {objects} objects of at least {smallest:.3g} m^3 "
@@ -149,26 +149,19 @@ class GenConfig:
         _check_offset_noise(self.sigma0, self.beta)
 
 
-def _geometry(kind: str, dims: tuple[float, ...]) -> tuple[float, float, tuple[float, ...]]:
-    """(surface area, bounding radius, half-widths along x, y, z) of a
-    primitive of full dimensions ``dims``."""
+def _geometry(kind: str, dims: tuple[float, ...]) -> tuple[float, float, tuple[float, ...], float]:
+    """(surface area, bounding radius, half-widths along x, y, z, volume) of
+    a primitive of full dimensions ``dims``."""
     if kind == "box":
         a, b, c = dims
-        half = (a / 2.0, b / 2.0, c / 2.0)
-        return 2.0 * (a * b + b * c + c * a), float(np.linalg.norm(dims)) / 2.0, half
+        area = 2.0 * (a * b + b * c + c * a)
+        return area, float(np.linalg.norm(dims)) / 2.0, (a / 2.0, b / 2.0, c / 2.0), a * b * c
     r = dims[0] / 2.0
     if kind == "sphere":
-        return 4.0 * np.pi * r * r, r, (r, r, r)
+        return 4.0 * np.pi * r * r, r, (r, r, r), 4.0 / 3.0 * np.pi * r**3
     h = dims[1]
-    return 2.0 * np.pi * r * h + 2.0 * np.pi * r * r, float(np.hypot(r, h / 2.0)), (r, r, h / 2.0)
-
-
-def _volume(kind: str, dims: tuple[float, ...]) -> float:
-    """Volume of a primitive of full dimensions ``dims`` (see ``_geometry``)."""
-    if kind == "box":
-        return float(np.prod(dims))
-    r = dims[0] / 2.0
-    return 4.0 / 3.0 * np.pi * r**3 if kind == "sphere" else np.pi * r * r * dims[1]
+    area = 2.0 * np.pi * r * h + 2.0 * np.pi * r * r
+    return area, float(np.hypot(r, h / 2.0)), (r, r, h / 2.0), np.pi * r * r * h
 
 
 def _sample_surface(
@@ -237,7 +230,7 @@ def _place(config: GenConfig) -> list[tuple]:
         kind, base = _SHAPES[class_id % len(_SHAPES)]
         scale = plan_rng.uniform(*config.size_scale)
         dims = tuple(d * scale for d in base)
-        area, bound, half = _geometry(kind, dims)
+        area, bound, half, _ = _geometry(kind, dims)
         is_partner = paired and k % 2 == 1
         others = k - is_partner
         margin = bound + 0.05

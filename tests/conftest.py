@@ -122,7 +122,7 @@ def placed_objects(config: GenConfig) -> list[tuple]:
         kind, base = synth._SHAPES[class_id % len(synth._SHAPES)]
         scale = rng.uniform(*config.size_scale)
         dims = tuple(d * scale for d in base)
-        area, bound, half = synth._geometry(kind, dims)
+        area, bound, half, _ = synth._geometry(kind, dims)
         pair = placed[-1] if paired and k % 2 == 1 else None
         margin = bound + 0.05
         ok = False

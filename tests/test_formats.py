@@ -747,18 +747,19 @@ def test_read_rows_bisects_to_the_fault_in_few_reader_calls(monkeypatch):
     # times on fewer than 2n lines in all, and the fault namer runs once
     fields = [("a", np.int32, 1), ("b", np.float64, 2)]
     lines = [f"{k} {k / 7!r} -{k}" for k in range(40_000)]
-    c_rows, fault = formats._c_rows, formats._fault
+    loadtxt, fault = formats._loadtxt, formats._fault
     read, named = [], []
 
-    def counting_c_rows(lines, fields):
-        read.append(len(lines))
-        return c_rows(lines, fields)
+    def counting_loadtxt(lines, fields, *args):
+        if not named:  # the fault namer's one-token reads are not the bisection's
+            read.append(len(lines))
+        return loadtxt(lines, fields, *args)
 
     def counting_fault(line, lineno, fields):
         named.append(lineno)
         fault(line, lineno, fields)
 
-    monkeypatch.setattr(formats, "_c_rows", counting_c_rows)
+    monkeypatch.setattr(formats, "_loadtxt", counting_loadtxt)
     monkeypatch.setattr(formats, "_fault", counting_fault)
     for at, token in [(40_000, "zz"), (20_000, "1_0"), (1, "zz")]:
         table = list(lines)
@@ -780,13 +781,19 @@ def test_a_refused_body_goes_straight_to_the_bisection(tmp_path, monkeypatch):
     lines = path.read_text().split("\n")
     lines[-2] = "1 2 zz"
     path.write_text("\n".join(lines))
-    c_rows, read = formats._c_rows, []
+    loadtxt, fault, read, named = formats._loadtxt, formats._fault, [], []
 
-    def counting_c_rows(text, fields, *args):
-        read.append(len(text) if isinstance(text, list) else -1)
-        return c_rows(text, fields, *args)
+    def counting_loadtxt(text, fields, *args):
+        if not named:  # the fault namer's one-token reads are not the bisection's
+            read.append(len(text) if isinstance(text, list) else -1)
+        return loadtxt(text, fields, *args)
 
-    monkeypatch.setattr(formats, "_c_rows", counting_c_rows)
+    def counting_fault(line, lineno, fields):
+        named.append(lineno)
+        fault(line, lineno, fields)
+
+    monkeypatch.setattr(formats, "_loadtxt", counting_loadtxt)
+    monkeypatch.setattr(formats, "_fault", counting_fault)
     with pytest.raises(FormatError, match=f"^line {len(lines) - 1}: offset is not a number: 'zz'$"):
         load_offsets(path)
     assert read.count(-1) == 1 and max(read) <= offsets.n_points // 2

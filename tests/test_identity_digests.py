@@ -21,7 +21,8 @@ def test_identity_digests_names_every_artifact_of_one_input():
     preds = [f"{s}.{kind}" for s in ("model", "semprob", "oracle") for kind in ("pred1", "evaluate")]
     alone = ["semprob-p.pred1", "semprob-q.pred1"]
     faults = [f"fault-{at}.evaluate" for at in ("first", "second", "split", "last")]
-    faults.append("fault-offsets.cluster")
+    faults += ["fault-offsets.cluster", "fault-pred-header.evaluate", "fault-pred-index.evaluate",
+               "fault-scorer.cluster"]
     names = ["scorer", "train-scorer", *(f"clean:1/{n}" for n in inputs + preds + alone + faults)]
     assert [name for name, _ in lines] == names
-    assert len({digest for _, digest in lines[-5:]}) == 5  # five lines named
+    assert len({digest for _, digest in lines[-8:]}) == 8  # eight lines named

@@ -378,6 +378,20 @@ def test_placement_failure_raises():
         generate_scene(cfg)
 
 
+@pytest.mark.parametrize("kind, base", synth._SHAPES)
+def test_geometry_volume_is_the_closed_form(kind, base):
+    # the one geometry record carries the volume that the room-capacity bound
+    # reads: a box a*b*c, a sphere pi*d^3/6, a cylinder pi*d^2*h/4
+    closed = {
+        "box": lambda a, b, c: a * b * c,
+        "sphere": lambda d: np.pi * d**3 / 6.0,
+        "cylinder": lambda d, h: np.pi * d * d * h / 4.0,
+    }[kind]
+    for scale in (0.7, 1.0, 1.1):
+        dims = tuple(d * scale for d in base)
+        assert synth._geometry(kind, dims)[3] == pytest.approx(closed(*dims), rel=1e-12)
+
+
 def test_objects_whose_points_outgrow_memory_are_refused(monkeypatch):
     # the bound is the machine's memory at the 55 bytes a scene keeps per
     # point: objects whose fewest points fill it exactly pass, one more is

@@ -22,7 +22,11 @@ Prints one ``name sha256`` line per artifact:
   file's bytes (where a reader that splits the file would cut it), and the
   last row;
 * what ``cloudinst cluster`` prints for a copy of the offsets with the first
-  token of a row spoiled, a fault of the load that runs beside the scene's.
+  token of a row spoiled, a fault of the load that runs beside the scene's;
+* what ``cloudinst evaluate`` prints for two faulty copies of the last
+  ``.pred1``, its first header row or its first index row spoiled, and what
+  ``cloudinst cluster --scorer model`` prints for a copy of the scorer with
+  one row spoiled: the faults of the files read one line at a time.
 
 Run it on two checkouts and diff the outputs: an empty diff means the change
 kept every artifact.  It reads perfbench's input code and its ``run.cli``
@@ -55,6 +59,7 @@ DEFAULT_RUNS = [(w, s) for w in sorted(bench_inputs.WORKLOADS) for s in (1, 2, 3
 SCORERS = ("model", "semprob", "oracle")
 SETS = ("p", "q")
 FAULTS = ("first", "second", "split", "last")
+PRED_FAULTS = (("pred-header", 1), ("pred-index", 2))  # (name, line index) of a .pred1
 
 
 def workload_seed(text: str) -> tuple[str, int]:
@@ -142,6 +147,16 @@ def digests(runs, tmp: Path):
         offsets = spoiled(lines, len(lines) // 2, tmp / "fault.off1")
         code, message = run.cli(["cluster", "--scene", paths["scene"], "--offsets", str(offsets)])
         yield f"{tag}/fault-offsets.cluster", sha256(f"{code} {message}".encode())
+        lines = pred.read_text().split("\n")
+        for name, at in PRED_FAULTS:
+            preds = spoiled(lines, at, tmp / f"fault-{name}.pred1")
+            code, message = run.cli(["evaluate", "--scene", paths["truth"], "--preds", str(preds)])
+            yield f"{tag}/fault-{name}.evaluate", sha256(f"{code} {message}".encode())
+        lines = scorer.read_text().split("\n")
+        model = spoiled(lines, len(lines) // 2, tmp / "fault.scorer")
+        code, message = run.cli(["cluster", "--scene", paths["scene"], "--offsets", paths["offsets"],
+                                 "--scorer", "model", "--model", str(model)])
+        yield f"{tag}/fault-scorer.cluster", sha256(f"{code} {message}".encode())
 
 
 def main(argv=None) -> int:
