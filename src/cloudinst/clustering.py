@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    Cluster, OffsetField, Scene, Source, check, check_offsets, is_int, never_clustered, refuse,
-    shifted_coords,
+    Cluster, OffsetField, Scene, Source, _id_groups, check, check_offsets, is_int, never_clustered,
+    refuse, shifted_coords,
 )
 from .spatial import (
     RINGS, GridIndex, check_labels, check_radius, expand_ranges, radius_squared, squared_distances,
@@ -143,11 +143,11 @@ def _join_close_pairs(comp: np.ndarray, grid: GridIndex, rows, by_root: bool, ta
 def _clusters_from_components(
     comp: np.ndarray, global_idx: np.ndarray, sem_labels: np.ndarray, min_points: int, source: Source
 ) -> list[Cluster]:
-    """Group points by component id, size-filter, and order canonically."""
-    sel = np.flatnonzero(np.bincount(comp)[comp] > min_points)
-    order = sel[np.argsort(comp[sel], kind="stable")]
-    groups = np.split(global_idx[order], np.flatnonzero(np.diff(comp[order])) + 1)
-    clusters = [Cluster(m, int(sem_labels[m[0]]), source) for m in groups if m.size]
+    """The runs of ``_id_groups`` over ``comp`` (components of at most ``min_points``
+    points masked to -1) as clusters of the points ``global_idx``, by first member."""
+    members, starts = _id_groups(np.where(np.bincount(comp)[comp] > min_points, comp, -1))
+    groups = np.split(global_idx[members], starts)[1:]
+    clusters = [Cluster(m, int(sem_labels[m[0]]), source) for m in groups]
     return sorted(clusters, key=lambda c: c.min_index)
 
 

@@ -10,7 +10,7 @@ import enum
 import math
 import numbers
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import ClassVar
 
 import numpy as np
@@ -177,12 +177,12 @@ def _as_readonly(arr, dtype=None) -> np.ndarray:
     return arr
 
 
-def _instance_groups(inst_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The points with an instance id (>= 0) ordered by id, ascending within
-    an id, and the position where each id's run starts in that order."""
-    on_inst = np.flatnonzero(inst_ids >= 0)
-    members = on_inst[np.argsort(inst_ids[on_inst], kind="stable")]
-    return members, np.flatnonzero(np.diff(inst_ids[members], prepend=-1))
+def _id_groups(ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The points whose id is >= 0, ordered by id and ascending within an id
+    (an instance's or a cluster's run), and the position where each run starts."""
+    on_id = np.flatnonzero(ids >= 0)
+    members = on_id[np.argsort(ids[on_id], kind="stable")]
+    return members, np.flatnonzero(np.diff(ids[members], prepend=-1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,7 +260,7 @@ class Scene:
         refuse(on_instance & (labels == -1), "instance point {i} is unlabeled")
         on_stuff = on_instance & np.isin(labels, np.fromiter(stuff, dtype=np.int32))
         refuse(on_stuff, "instance point {i} has a stuff-class label")
-        members, starts = _instance_groups(insts)
+        members, starts = _id_groups(insts)
         uniq = insts[members[starts]]
         if uniq.max(initial=-1) != uniq.size - 1:  # distinct ids >= 0: one is above its rank
             gap = uniq[np.argmax(uniq != np.arange(uniq.size))]
@@ -291,23 +291,10 @@ class Scene:
 
 
 def scenes_equal(a: Scene, b: Scene) -> bool:
-    """Exact equality of two scenes, including optional scores."""
-    if a.n_classes != b.n_classes or a.stuff_classes != b.stuff_classes:
-        return False
-    if a.n_points != b.n_points:
-        return False
-    if not (
-        np.array_equal(a.coords, b.coords)
-        and np.array_equal(a.colors, b.colors)
-        and np.array_equal(a.sem_labels, b.sem_labels)
-        and np.array_equal(a.inst_ids, b.inst_ids)
-    ):
-        return False
-    if (a.sem_scores is None) != (b.sem_scores is None):
-        return False
-    if a.sem_scores is not None and not np.array_equal(a.sem_scores, b.sem_scores):
-        return False
-    return True
+    """Exact equality of two scenes: ``np.array_equal`` on each field, so
+    absent scores equal only absent scores and arrays of two point counts
+    differ."""
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(Scene))
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,7 +407,6 @@ class GroundTruthInstance(_Mask):
 
 def ground_truth_instances(scene: Scene) -> list[GroundTruthInstance]:
     """Extract instance masks from a scene, ordered by instance id."""
-    members, starts = _instance_groups(scene.inst_ids)
-    return [
-        GroundTruthInstance(m, int(scene.sem_labels[m[0]])) for m in np.split(members, starts)[1:]
-    ]
+    members, starts = _id_groups(scene.inst_ids)
+    groups = np.split(members, starts)[1:]
+    return [GroundTruthInstance(m, int(scene.sem_labels[m[0]])) for m in groups]

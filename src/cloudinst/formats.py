@@ -26,6 +26,7 @@ their storage precision).
 from __future__ import annotations
 
 import colorsys
+import errno
 import io
 import os
 import re
@@ -47,10 +48,14 @@ _DIGITS = re.compile("[+-]?[0-9]+")  # an integer token the reader refuses only 
 
 
 def _open(path):
-    """``path`` as ASCII text.  Universal newlines end a line at a CR or a
-    CR LF too, and a byte above 0x7f decodes to the lone surrogate
-    U+DC80 + (byte - 0x80), which ``_scan`` names."""
-    return open(path, encoding="ascii", errors="surrogateescape")
+    """``path`` as ASCII text; an OSError (ESPIPE) naming it, before any read,
+    if it cannot seek (a pipe).  Universal newlines end a line at a CR or CR LF
+    too, and a byte above 0x7f decodes to U+DC80 + (byte - 0x80), which ``_scan`` names."""
+    fh = open(path, encoding="ascii", errors="surrogateescape")
+    if not fh.seekable():
+        fh.close()
+        raise OSError(errno.ESPIPE, "input must be a seekable file", path)
+    return fh
 
 
 def _scan(fh, keep: int) -> tuple[list[str], int, tuple[int, int] | None]:

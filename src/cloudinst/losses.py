@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import OffsetField, Scene, check_offsets, int32_ids, refuse
+from .core import OffsetField, Scene, _id_groups, check_offsets, int32_ids, refuse
 
 LOG_EPS = 1e-12  # clamp inside log() for cross entropy
 DIR_EPS = 1e-8  # offsets or targets shorter than this skip the direction term
@@ -34,17 +34,13 @@ class LossReport:
 
 
 def instance_centroids(scene: Scene) -> np.ndarray:
-    """Mean coordinate of each instance, shape (n_instances, 3), float64."""
-    m = scene.n_instances
-    if m == 0:
+    """Mean coordinate of each instance, shape (n_instances, 3), float64: the
+    float64 sum of its run of ``_id_groups`` (``np.add.reduceat``) over its length."""
+    if scene.n_instances == 0:
         raise ValueError("scene has no instances")
-    on_inst = scene.inst_ids >= 0
-    ids = scene.inst_ids[on_inst].astype(np.int64)
-    pts = scene.coords[on_inst].astype(np.float64)
-    sums = np.zeros((m, 3), dtype=np.float64)
-    np.add.at(sums, ids, pts)
-    counts = np.bincount(ids, minlength=m).astype(np.float64)
-    return sums / counts[:, None]
+    members, starts = _id_groups(scene.inst_ids)
+    sums = np.add.reduceat(scene.coords[members].astype(np.float64), starts)
+    return sums / np.diff(starts, append=members.size)[:, None]
 
 
 # offset_targets per scene: a Scene is frozen and its arrays are read-only

@@ -10,7 +10,7 @@ results are reproducible no matter how generation is scheduled.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -392,15 +392,7 @@ def perturb_semantics(
     if scores is not None:
         scores = _soften_scores(scores, labels, scene.n_classes, temperature)
 
-    return Scene(
-        n_classes=scene.n_classes,
-        coords=scene.coords,
-        colors=scene.colors,
-        sem_labels=labels,
-        inst_ids=insts,
-        stuff_classes=scene.stuff_classes,
-        sem_scores=scores,
-    )
+    return replace(scene, sem_labels=labels, inst_ids=insts, sem_scores=scores)
 
 
 def perturb_offsets(

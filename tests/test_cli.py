@@ -118,6 +118,24 @@ def test_cluster_oracle_without_instances_rejected(capsys, tmp_path):
     assert "oracle" in err
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize("flag", ["--scene", "--preds"])
+def test_evaluate_refuses_a_pipe_by_name(capsys, tmp_path, flag):
+    # as a shell's <(cat x.sc1) passes it: a pipe, which the loaders cannot seek
+    scene, _ = gen_scene(capsys, tmp_path)
+    preds = tmp_path / "p.pred1"
+    preds.write_text(predictions_text([]))
+    r, w = os.pipe()
+    os.close(w)
+    files = {"--scene": str(scene), "--preds": str(preds), flag: f"/dev/fd/{r}"}
+    try:
+        code, out, err = run(capsys, "evaluate", *[a for item in files.items() for a in item])
+    finally:
+        os.close(r)
+    assert code == 2 and out == ""
+    assert err == f"error: [Errno {errno.ESPIPE}] input must be a seekable file: '/dev/fd/{r}'\n"
+
+
 def test_cluster_model_requires_model_file(capsys, tmp_path):
     scene, offsets = gen_scene(capsys, tmp_path)
     code, _, err = run(

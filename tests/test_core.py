@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import os
 import re
 import subprocess
@@ -287,6 +288,40 @@ def test_scenes_equal(simple_scene):
         simple_scene.coords, simple_scene.sem_labels, simple_scene.inst_ids
     )
     assert scenes_equal(simple_scene, other)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        "n_classes", "coords", "colors", "sem_labels", "inst_ids", "stuff_classes", "sem_scores",
+        "sem_scores absent", "n_points",
+    ],
+)
+def test_scenes_equal_tells_apart_scenes_one_field_apart(simple_scene, change):
+    # each pair but the last is one scene and a copy with one field replaced
+    scored, bare = simple_scene, dataclasses.replace(simple_scene, sem_scores=None)
+    coords, colors = scored.coords.copy(), scored.colors.copy()
+    coords[3, 1] = 0.25
+    colors[0, 2] = 17
+    scores = scored.sem_scores.copy()
+    scores[0] = [0.1, 0.9, 0.0, 0.0]  # still arg-max 1
+    one_more = np.vstack([scored.coords, [[2.0, 2.0, 0.0]]])
+    pairs = {
+        "n_classes": (bare, dataclasses.replace(bare, n_classes=5)),
+        "coords": (scored, dataclasses.replace(scored, coords=coords)),
+        "colors": (scored, dataclasses.replace(scored, colors=colors)),
+        "sem_labels": (bare, dataclasses.replace(bare, sem_labels=[1, 1, 1, 1, 1, 0, 2])),
+        "inst_ids": (scored, dataclasses.replace(scored, inst_ids=[1, 1, 1, 0, 0, -1, -1])),
+        "stuff_classes": (scored, dataclasses.replace(scored, stuff_classes={0, 3})),
+        "sem_scores": (scored, dataclasses.replace(scored, sem_scores=scores)),
+        "sem_scores absent": (scored, bare),
+        "n_points": (scored, make_scene(
+            one_more, [*scored.sem_labels, 0], [*scored.inst_ids, -1]
+        )),
+    }
+    a, b = pairs[change]
+    assert scenes_equal(a, dataclasses.replace(a)) and scenes_equal(b, dataclasses.replace(b))
+    assert not scenes_equal(a, b) and not scenes_equal(b, a)
 
 
 def test_offset_field_validation():

@@ -1,3 +1,4 @@
+import errno
 import os
 import re
 
@@ -312,6 +313,34 @@ def test_valid_files_load(tmp_path):
         path = tmp_path / f"v.{kind}"
         path.write_text(text)
         LOADERS[kind](path)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+@pytest.mark.parametrize(
+    "kind,load",
+    [
+        ("sc1", formats.load_scene),
+        ("sc1", lambda path: formats._load_scene(path, cli._beside)),
+        ("off1", load_offsets),
+        ("pred1", load_predictions),
+        ("scorer", load_scorer),
+    ],
+    ids=["sc1", "sc1 in two ranges", "off1", "pred1", "scorer"],
+)
+def test_a_pipe_is_refused_by_name_before_any_read(kind, load):
+    # the scan's cut and every table read seek: a valid file through a pipe
+    # is refused when it is opened, and the pipe still holds every byte
+    r, w = os.pipe()
+    os.write(w, VALID[kind].encode())
+    os.close(w)
+    path = f"/dev/fd/{r}"
+    try:
+        with pytest.raises(OSError, match=re.escape(f"seekable file: '{path}'")) as err:
+            load(path)
+        assert err.value.errno == errno.ESPIPE and err.value.filename == path
+        assert os.read(r, 1 << 16) == VALID[kind].encode()
+    finally:
+        os.close(r)
 
 
 @pytest.mark.parametrize(

@@ -21,7 +21,7 @@ from cloudinst.losses import (
     semantic_loss,
     total_loss,
 )
-from cloudinst.synth import GenConfig, generate_scene
+from cloudinst.synth import GenConfig, generate_sample, generate_scene
 
 from conftest import float64_limit_offset_scene, make_scene
 
@@ -55,6 +55,41 @@ def test_centroid_permutation_stability():
     perm = rng.permutation(500)
     scene2 = scene_one_instance(pts[perm].tolist(), extra_stuff=False)
     assert np.abs(instance_centroids(scene2)[0] - base).max() <= 1e-9
+
+
+def _add_at_centroids(scene):
+    """The centroids as ``np.add.at`` sums, row by row, over ``np.bincount``
+    counts: the reference of ``instance_centroids``."""
+    on_inst = scene.inst_ids >= 0
+    ids = scene.inst_ids[on_inst].astype(np.int64)
+    sums = np.zeros((scene.n_instances, 3), dtype=np.float64)
+    np.add.at(sums, ids, scene.coords[on_inst].astype(np.float64))
+    return sums / np.bincount(ids, minlength=scene.n_instances).astype(np.float64)[:, None]
+
+
+@pytest.mark.parametrize("p_sem", [0.0, 0.2])
+@pytest.mark.parametrize("seed", range(5))
+def test_centroids_are_bit_equal_to_the_add_at_sums(seed, p_sem):
+    # np.add.reduceat sums a run pairwise, but these rooms' float32
+    # coordinates sum exactly in float64, so the order cannot show. Label
+    # noise drops flipped points from their instances and renumbers the rest
+    _, observed, _ = generate_sample(GenConfig(seed=seed, p_sem=p_sem, sem_temperature=0.5))
+    assert observed.n_instances
+    got = instance_centroids(observed)
+    assert got.dtype == np.float64 and got.tobytes() == _add_at_centroids(observed).tobytes()
+
+
+def test_centroids_match_the_add_at_sums_within_float64_rounding():
+    # coordinates over 23 decades, whose float64 sums round: a sum of n terms
+    # errs by at most (n - 1) eps times the sum of their magnitudes, so two
+    # orders of summation give means at most 2 eps times that sum apart
+    rng = np.random.default_rng(3)
+    coords = rng.uniform(-1, 1, (2000, 3)) * 10.0 ** rng.integers(-20, 3, (2000, 1))
+    scene = make_scene(coords, np.ones(2000), rng.integers(0, 4, 2000))
+    magnitudes = np.zeros((scene.n_instances, 3))
+    np.add.at(magnitudes, scene.inst_ids, np.abs(scene.coords.astype(np.float64)))
+    gap = np.abs(instance_centroids(scene) - _add_at_centroids(scene))
+    assert np.all(gap <= 2 * np.finfo(np.float64).eps * magnitudes)
 
 
 def test_centroids_require_instances():
