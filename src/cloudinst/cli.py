@@ -412,7 +412,7 @@ def dispatch(argv: list[str]) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, OSError, MemoryError) as err:  # SceneError and FormatError are ValueErrors
-        print(f"error: {err}", file=sys.stderr)
+        print(f"error: {str(err) or type(err).__name__}", file=sys.stderr)
         return 2
 
 

@@ -79,7 +79,6 @@ def _greedy_match(
     n_gt = len(gt_cls)
     taken = np.zeros(n_gt, dtype=bool)
     matched = np.full(len(order), -1, dtype=np.int64)
-    tp = np.zeros(len(order), dtype=np.float64)
     for i in range(len(order)):
         if n_gt:
             row = np.where(taken, -1.0, ious[i])
@@ -87,8 +86,7 @@ def _greedy_match(
             if row[best] >= iou_thresh:
                 taken[best] = True
                 matched[i] = gt_cls[best]
-                tp[i] = 1.0
-    cum_tp = np.cumsum(tp)
+    cum_tp = np.cumsum(matched >= 0, dtype=np.float64)
     ranks = np.arange(1, len(order) + 1, dtype=np.float64)
     precision = cum_tp / ranks
     recall = cum_tp / n_gt if n_gt else np.zeros(len(order))

@@ -30,6 +30,7 @@ import errno
 import io
 import os
 import re
+import stat
 import warnings
 from contextlib import contextmanager
 from itertools import islice
@@ -44,32 +45,37 @@ _F32 = "%.9g"  # round-trips float32
 _F64 = "%.17g"  # round-trips float64
 _CHUNK = 512  # rows formatted at once: bounds the Python objects held
 _READ = 1 << 16  # characters per read of a loader's scan: bounds the text held
+_LONG = 256 * _READ  # characters a kept line may run before the scan refuses it
 _DIGITS = re.compile("[+-]?[0-9]+")  # an integer token the reader refuses only for its range
 
 
 def _open(path):
-    """``path`` as ASCII text; an OSError (ESPIPE) naming it, before any read,
-    if it cannot seek (a pipe).  Universal newlines end a line at a CR or CR LF
-    too, and a byte above 0x7f decodes to U+DC80 + (byte - 0x80), which ``_scan`` names."""
+    """``path`` as ASCII text; an OSError (EINVAL) naming it, before any read,
+    unless it is a regular file (a pipe cannot seek, a device need not end).
+    Universal newlines end a line at a CR or CR LF too, and a byte above 0x7f
+    decodes to U+DC80 + (byte - 0x80), which ``_scan`` names."""
     fh = open(path, encoding="ascii", errors="surrogateescape")
-    if not fh.seekable():
+    if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
         fh.close()
-        raise OSError(errno.ESPIPE, "input must be a seekable file", path)
+        raise OSError(errno.EINVAL, "input must be a regular file", path)
     return fh
 
 
 def _scan(fh, keep: int) -> tuple[list[str], int, tuple[int, int] | None]:
     """The first ``keep`` lines of the text file ``fh``, its line count and
     a cut near its middle, from one pass of ``_READ``-character reads that
-    holds no text but those lines and one read.  A run of empty lines that
-    ends the file is no line: a single trailing newline is the normal write
-    shape.  The cut is the seek cookie and the index of the first line that
-    starts at or after character ``half``, half the file's bytes (None for
-    an empty file): the read that reaches ``half`` ends there and is
-    extended to its line's end, and with universal newlines only the
-    cookie, not a byte offset, marks where that line starts."""
+    holds no text but those lines and one read.  A line still to be kept
+    is refused, naming it, when a read ends more than ``_LONG`` characters
+    into it, so a file that never ends a line (all NUL, say) holds no more
+    than that.  A run of empty lines that ends the file is no line: a single
+    trailing newline is the normal write shape.  The cut is the seek cookie
+    and the index of the first line that starts at or after character
+    ``half``, half the file's bytes (None for an empty file): the read that
+    reaches ``half`` ends there and is extended to its line's end, and with
+    universal newlines only the cookie, not a byte offset, marks where that
+    line starts."""
     kept, ends, count, cut = [], 0, 0, None  # ends: newlines before this read
-    half, done = os.fstat(fh.fileno()).st_size // 2, 0
+    half, done, unended = os.fstat(fh.fileno()).st_size // 2, 0, 0  # unended: text since a newline
     while text := fh.read(min(_READ, half - done) if done < half else _READ):
         done += len(text)
         if cut is None and done >= half:
@@ -81,9 +87,12 @@ def _scan(fh, keep: int) -> tuple[list[str], int, tuple[int, int] | None]:
             pos = re.search("[^\x00-\x7f]", text).start()
             lineno = ends + text.count("\n", 0, pos) + 1
             raise FormatError(f"line {lineno}: non-ASCII byte 0x{ord(text[pos]) - 0xDC00:02x}")
+        breaks = text.count("\n")
+        unended = len(text) - 1 - text.rfind("\n") + (0 if breaks else unended)
+        if unended > _LONG and ends + breaks < keep:
+            raise FormatError(f"line {ends + breaks + 1}: no line end within {_LONG} characters")
         if ends < keep:
             kept.append(text)
-        breaks = text.count("\n")
         trail = len(text) - len(text.rstrip("\n"))
         if trail < len(text):  # the last line with text so far ends here
             count = ends + breaks - trail + 1

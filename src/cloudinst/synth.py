@@ -167,48 +167,36 @@ def _geometry(kind: str, dims: tuple[float, ...]) -> tuple[float, float, tuple[f
 def _sample_surface(
     rng: np.random.Generator, kind: str, dims: tuple[float, ...], n: int
 ) -> np.ndarray:
+    """``n`` points uniform by area on a primitive's surface, centred at the
+    origin.  Box face f holds axis f // 2 at +-half-width (+ for even f), ``u``
+    and ``v`` the other two axes, lower first.  A cylinder point is a radius and
+    a height: r and a draw on the side, r * sqrt(u) and +-h/2 on a cap."""
     if kind == "box":
-        hx, hy, hz = dims[0] / 2.0, dims[1] / 2.0, dims[2] / 2.0
-        areas = np.array([hy * hz, hy * hz, hx * hz, hx * hz, hx * hy, hx * hy])
+        half = np.array(dims) / 2.0
+        areas = np.repeat(half[[1, 0, 0]] * half[[2, 2, 1]], 2)
         face = rng.choice(6, size=n, p=areas / areas.sum())
-        u = rng.uniform(-1.0, 1.0, n)
-        v = rng.uniform(-1.0, 1.0, n)
+        u, v = rng.uniform(-1.0, 1.0, (2, n))
+        axis, rows = face // 2, np.arange(n)
+        lower = (axis == 0).astype(np.intp)
+        upper = 3 - axis - lower
         pts = np.empty((n, 3))
-        sign = np.where(face % 2 == 0, 1.0, -1.0)
-        for f, (fixed, aa, bb, ha, hb) in enumerate(
-            [(0, 1, 2, hy, hz), (0, 1, 2, hy, hz),
-             (1, 0, 2, hx, hz), (1, 0, 2, hx, hz),
-             (2, 0, 1, hx, hy), (2, 0, 1, hx, hy)]
-        ):
-            m = face == f
-            half_fixed = (hx, hy, hz)[fixed]
-            pts[m, fixed] = sign[m] * half_fixed
-            pts[m, aa] = u[m] * ha
-            pts[m, bb] = v[m] * hb
+        pts[rows, axis] = np.where(face % 2 == 0, 1.0, -1.0) * half[axis]
+        pts[rows, lower] = u * half[lower]
+        pts[rows, upper] = v * half[upper]
         return pts
     if kind == "sphere":
-        r = dims[0] / 2.0
         v = rng.standard_normal((n, 3))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        return v * r
-    r = dims[0] / 2.0
-    h = dims[1]
-    lateral = 2.0 * np.pi * r * h
-    caps = np.pi * r * r
+        return v / np.linalg.norm(v, axis=1, keepdims=True) * (dims[0] / 2.0)
+    r, h = dims[0] / 2.0, dims[1]
+    lateral, caps = 2.0 * np.pi * r * h, np.pi * r * r
     part = rng.choice(3, size=n, p=np.array([lateral, caps, caps]) / (lateral + 2 * caps))
-    pts = np.empty((n, 3))
     theta = rng.uniform(0.0, 2.0 * np.pi, n)
-    m = part == 0
-    pts[m, 0] = r * np.cos(theta[m])
-    pts[m, 1] = r * np.sin(theta[m])
-    pts[m, 2] = rng.uniform(-h / 2.0, h / 2.0, int(m.sum()))
-    for p, zsign in ((1, 1.0), (2, -1.0)):
-        m = part == p
-        rad = r * np.sqrt(rng.uniform(0.0, 1.0, int(m.sum())))
-        pts[m, 0] = rad * np.cos(theta[m])
-        pts[m, 1] = rad * np.sin(theta[m])
-        pts[m, 2] = zsign * h / 2.0
-    return pts
+    order = np.argsort(part, kind="stable")  # draws: the side's, the top cap's, the bottom's
+    side = int(np.count_nonzero(part == 0))
+    radius, height = np.full(n, r), np.where(part == 1, h / 2.0, -h / 2.0)
+    height[order[:side]] = rng.uniform(-h / 2.0, h / 2.0, side)
+    radius[order[side:]] *= np.sqrt(rng.uniform(0.0, 1.0, n - side))
+    return np.stack([radius * np.cos(theta), radius * np.sin(theta), height], axis=1)
 
 
 def _place(config: GenConfig) -> list[tuple]:
@@ -363,12 +351,14 @@ def perturb_semantics(
 
     Flipped points leave their ground-truth instance (instance id becomes
     -1, remaining ids are kept contiguous) so every scene invariant still
-    holds; evaluate noisy predictions against the clean original scene.
+    holds; evaluate noisy predictions against the clean original scene.  A
+    class's rank among the thing classes maps through the sorted stuff ids.
     """
     _check_label_noise(p_sem, temperature)
     check_seed("seed", seed, nonnegative=False)
-    things = sorted(set(range(scene.n_classes)) - scene.stuff_classes)
-    if p_sem > 0 and len(things) < 2:
+    stuff = np.array(sorted(scene.stuff_classes), dtype=np.int64)
+    n_things = scene.n_classes - stuff.size
+    if p_sem > 0 and n_things < 2:
         raise ValueError("need at least 2 non-stuff classes to flip labels")
 
     labels = np.array(scene.sem_labels, copy=True)
@@ -377,11 +367,11 @@ def perturb_semantics(
     rng = _rng(seed, 101)
     if p_sem > 0 and eligible.size:
         flip = eligible[rng.random(eligible.size) < p_sem]
-        things_arr = np.asarray(things, dtype=np.int32)
-        cur_pos = np.searchsorted(things_arr, labels[flip])
-        draw = rng.integers(0, len(things) - 1, flip.size)
-        draw = draw + (draw >= cur_pos)
-        labels[flip] = things_arr[draw]
+        rank = labels[flip] - np.searchsorted(stuff, labels[flip])
+        draw = rng.integers(0, n_things - 1, flip.size)
+        draw = draw + (draw >= rank)
+        # the k-th thing class: k plus the stuff ids with at most k thing classes below
+        labels[flip] = draw + np.searchsorted(stuff - np.arange(stuff.size), draw, side="right")
         insts[flip] = -1
 
     # keep surviving instance ids contiguous

@@ -2,7 +2,11 @@
 and scalar references for the library's vectorised paths."""
 
 import ast
+import os
 import re
+import resource
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from typing import NamedTuple
@@ -51,6 +55,19 @@ def traced_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def run_alone(code: str, *argv) -> list[str]:
+    """The lines that ``python -c code *argv`` prints, run in a process of its
+    own in a 1 GiB address space: a test of a memory bound that failed would
+    stop there, not fill the host."""
+    run = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)], capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src")),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()
 
 
 def iou(a, b) -> float:

@@ -121,7 +121,7 @@ def test_cluster_oracle_without_instances_rejected(capsys, tmp_path):
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
 @pytest.mark.parametrize("flag", ["--scene", "--preds"])
 def test_evaluate_refuses_a_pipe_by_name(capsys, tmp_path, flag):
-    # as a shell's <(cat x.sc1) passes it: a pipe, which the loaders cannot seek
+    # as a shell's <(cat x.sc1) passes it: a pipe, not a regular file the loaders can seek
     scene, _ = gen_scene(capsys, tmp_path)
     preds = tmp_path / "p.pred1"
     preds.write_text(predictions_text([]))
@@ -133,7 +133,21 @@ def test_evaluate_refuses_a_pipe_by_name(capsys, tmp_path, flag):
     finally:
         os.close(r)
     assert code == 2 and out == ""
-    assert err == f"error: [Errno {errno.ESPIPE}] input must be a seekable file: '/dev/fd/{r}'\n"
+    assert err == f"error: [Errno {errno.EINVAL}] input must be a regular file: '/dev/fd/{r}'\n"
+
+
+def test_an_error_without_text_prints_its_type(capsys, tmp_path, monkeypatch):
+    # a bare MemoryError printed "error: " and nothing else
+    scene, _ = gen_scene(capsys, tmp_path)
+    preds = tmp_path / "p.pred1"
+    preds.write_text(predictions_text([]))
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "evaluate", out_of_memory)
+    code, out, err = run(capsys, "evaluate", "--scene", str(scene), "--preds", str(preds))
+    assert (code, out, err) == (2, "", "error: MemoryError\n")
 
 
 def test_cluster_model_requires_model_file(capsys, tmp_path):

@@ -36,7 +36,11 @@ def test_stuff_id_beyond_int64_masks_nothing(huge):
 
 
 @pytest.mark.parametrize(
-    "labels", [[1.5, 1.2], np.array([1, 2**32 + 1]), [1, 2**40], ["1", "1"], np.array([True, True])]
+    "labels",
+    [
+        [1.5, 1.2], np.array([1, 2**32 + 1]), [1, 2**40], ["1", "1"], np.array([True, True]),
+        np.array(["x", 1], dtype=object),  # no float64 cast: "labels must be integers"
+    ],
 )
 def test_labels_outside_int32_integers_rejected(labels):
     # [1.5, 1.2] and [1, 2**32 + 1] were read as one cluster of class 1
@@ -521,6 +525,11 @@ def test_length_mismatch_rejected():
     with pytest.raises(ValueError, match="labels"):
         cluster_single_set(
             np.zeros((3, 3), dtype=np.float32), np.zeros(2, np.int32), set(),
+            ClusterParams(), Source.ORIGINAL,
+        )
+    with pytest.raises(ValueError, match=r"^coords must have shape \(n_points, 3\)$"):
+        cluster_single_set(
+            np.zeros((3, 2), dtype=np.float32), np.zeros(3, np.int32), set(),
             ClusterParams(), Source.ORIGINAL,
         )
 

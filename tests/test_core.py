@@ -267,6 +267,28 @@ def test_labels_and_ids_not_one_per_point_rejected_before_their_values(field, va
     assert err.value.point_index is None
 
 
+@pytest.mark.parametrize(
+    "field,values,message",
+    [
+        ("coords", np.zeros((2, 2)), "coords must have shape (n_points, 3)"),
+        ("coords", np.zeros(6), "coords must have shape (n_points, 3)"),
+        ("colors", np.zeros((3, 3)), "colors must have shape (n_points, 3)"),
+        ("colors", np.zeros((2, 4)), "colors must have shape (n_points, 3)"),
+        ("sem_scores", np.full((2, 2), 0.5), "sem_scores must have shape (n_points, n_classes)"),
+        ("sem_scores", np.full((3, 3), 1 / 3), "sem_scores must have shape (n_points, n_classes)"),
+    ],
+)
+def test_arrays_not_shaped_per_point_rejected(field, values, message):
+    fields = dict(
+        n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
+        sem_labels=[1, 1], inst_ids=[-1, -1],
+    )
+    fields[field] = values
+    with pytest.raises(SceneError) as err:
+        Scene(**fields)
+    assert str(err.value) == message and err.value.point_index is None
+
+
 def test_integral_float_labels_and_ids_are_stored_as_int32():
     scene = Scene(
         n_classes=3, coords=np.zeros((2, 3)), colors=np.zeros((2, 3)),
@@ -349,6 +371,8 @@ def test_cluster_validation():
         Cluster(point_idx=[3, 3], class_id=1, source=Source.ORIGINAL)
     with pytest.raises(SceneError, match="at least one"):
         Cluster(point_idx=[], class_id=1, source=Source.ORIGINAL)
+    with pytest.raises(SceneError, match="^cluster contains a negative point index$"):
+        Cluster(point_idx=[-1, 3], class_id=1, source=Source.ORIGINAL)
 
 
 def test_prediction_score_range():

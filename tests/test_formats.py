@@ -24,7 +24,7 @@ from cloudinst.core import scenes_equal
 from cloudinst.scoring import ScorerModel
 from cloudinst.synth import GenConfig, generate_scene
 
-from conftest import load_by_lines, make_scene, package_uses, traced_peak, walk_rows
+from conftest import load_by_lines, make_scene, package_uses, run_alone, traced_peak, walk_rows
 
 
 def _split(path, fork: bool = True):
@@ -335,12 +335,87 @@ def test_a_pipe_is_refused_by_name_before_any_read(kind, load):
     os.close(w)
     path = f"/dev/fd/{r}"
     try:
-        with pytest.raises(OSError, match=re.escape(f"seekable file: '{path}'")) as err:
+        with pytest.raises(OSError, match=re.escape(f"regular file: '{path}'")) as err:
             load(path)
-        assert err.value.errno == errno.ESPIPE and err.value.filename == path
+        assert err.value.errno == errno.EINVAL and err.value.filename == path
         assert os.read(r, 1 << 16) == VALID[kind].encode()
     finally:
         os.close(r)
+
+
+# each loader as a call on ``path``, run in a process of its own
+LOADER_CALLS = {
+    "sc1": "formats.load_scene(path)",
+    "sc1 in two ranges": "formats._load_scene(path, cli._beside)",
+    "off1": "formats.load_offsets(path)",
+    "pred1": "formats.load_predictions(path)",
+    "scorer": "formats.load_scorer(path)",
+}
+
+
+def _load_alone(call: str, path) -> tuple[str, int]:
+    """``call`` on ``path`` in a process of its own (``run_alone``): what it
+    raised, or "loaded", and the peak of the memory it traced, in bytes."""
+    outcome, peak = run_alone(
+        "import sys, tracemalloc\n"
+        "from cloudinst import cli, formats\n"
+        "path = sys.argv[1]\n"
+        "tracemalloc.start()\n"
+        "try:\n"
+        f"    {call}\n"
+        "    print('loaded')\n"
+        "except Exception as err:\n"
+        "    print(f'{type(err).__name__}: {err}')\n"
+        "print(tracemalloc.get_traced_memory()[1])\n",
+        path,
+    )
+    return outcome, int(peak)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+@pytest.mark.parametrize("call", LOADER_CALLS.values(), ids=LOADER_CALLS.keys())
+def test_a_device_is_refused_by_name_before_any_read(call):
+    # /dev/zero never ends a line, and its scan held every read
+    outcome, _ = _load_alone(call, "/dev/zero")
+    assert outcome == f"OSError: [Errno {errno.EINVAL}] input must be a regular file: '/dev/zero'"
+
+
+@pytest.mark.parametrize("call", LOADER_CALLS.values(), ids=LOADER_CALLS.keys())
+def test_a_gibibyte_of_zeros_is_refused_at_line_1_in_bounded_memory(tmp_path, call):
+    # a sparse file: NUL is ASCII, and no newline ends line 1
+    path = tmp_path / "zeros"
+    with open(path, "wb") as out:
+        out.truncate(1 << 30)
+    outcome, peak = _load_alone(call, path)
+    assert outcome == f"FormatError: line 1: no line end within {formats._LONG} characters"
+    assert peak < formats._LONG + (16 << 20)
+
+
+ROWS_10 = "0 0 0\n" * 10  # rows that keep half the file beyond the lines tested
+
+
+@pytest.mark.parametrize(
+    "text,error",
+    [
+        ("OFF1 10" + " " * 5 + "\n" + ROWS_10, None),  # line 1 of 12 characters
+        ("OFF1 10" + " " * 9 + "\n" + ROWS_10, "line 1: no line end within 12 characters"),
+        ("OFF1 1" + " " * 20, "line 1: no line end within 12 characters"),
+        ("OFF1 10\n0 0 0" + " " * 15 + "\n" + ROWS_10[6:], "line 2: no line end within 12 characters"),
+        ("OFF1 10\n0 0 0\n0 0 0" + " " * 30 + "\n" + ROWS_10[12:], None),  # a line not kept
+    ],
+    ids=["12 characters", "16 characters", "no line end", "line 2", "line 3 not kept"],
+)
+def test_the_scan_refuses_a_kept_line_longer_than_its_bound(tmp_path, monkeypatch, text, error):
+    # reads of 4 characters: a line is refused when a read ends more than 12 into it
+    monkeypatch.setattr(formats, "_READ", 4)
+    monkeypatch.setattr(formats, "_LONG", 12)
+    path = tmp_path / "long.off1"
+    path.write_text(text)
+    if error is None:
+        assert load_offsets(path).n_points == 10
+    else:
+        with pytest.raises(FormatError, match=f"^{error}$"):
+            load_offsets(path)
 
 
 @pytest.mark.parametrize(

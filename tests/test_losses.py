@@ -98,6 +98,20 @@ def test_centroids_require_instances():
         instance_centroids(scene)
 
 
+@pytest.mark.parametrize(
+    "loss",
+    [
+        offset_regression_loss, offset_regression_grad, offset_direction_loss,
+        offset_direction_grad, lambda pred, scene: distance_histogram(scene),
+    ],
+    ids=["regression", "regression grad", "direction", "direction grad", "histogram"],
+)
+def test_offset_losses_require_instance_points(loss):
+    scene = make_scene([[0, 0, 0], [1, 0, 0]], [0, 1], [-1, -1])
+    with pytest.raises(ValueError, match="^scene has no instance points$"):
+        loss(OffsetField(np.zeros((2, 3))), scene)
+
+
 def test_offset_targets_zero_at_centroid_and_stuff():
     scene = scene_one_instance([[0, 0, 0], [2, 0, 0]])
     targets = offset_targets(scene).offsets
@@ -144,6 +158,14 @@ def test_semantic_loss_ignores_unlabeled_and_matches_scalar_oracle():
 def test_semantic_loss_requires_labeled_points():
     with pytest.raises(ValueError, match="no labeled"):
         semantic_loss(np.full((2, 3), 1 / 3), np.array([-1, -1]))
+
+
+@pytest.mark.parametrize(
+    "scores,labels", [(np.full(3, 1 / 3), [0, 1, 2]), (np.full((2, 3), 1 / 3), [0, 1, 2])]
+)
+def test_semantic_loss_refuses_scores_not_one_row_per_label(scores, labels):
+    with pytest.raises(ValueError, match=r"^sem_scores must be \(n, n_classes\) with one label per row$"):
+        semantic_loss(scores, labels)
 
 
 @pytest.mark.parametrize(
@@ -313,6 +335,17 @@ def test_gradient_check_exact_for_linear():
         return float(w @ x), w
 
     assert gradient_check(f, np.array([0.5, 0.5, 0.5])) <= 1e-10
+
+
+def test_gradient_check_refuses_a_gradient_of_another_shape_and_a_non_finite_value():
+    with pytest.raises(ValueError, match="^gradient shape does not match parameter shape$"):
+        gradient_check(lambda x: (float(x.sum()), np.ones(x.size + 1)), np.zeros(3))
+
+    def f(x):  # finite at x0, infinite one step up component 1
+        return (np.inf if x[1] > 0 else float(x.sum())), np.ones(3)
+
+    with pytest.raises(ValueError, match="^non-finite loss evaluation at component 1$"):
+        gradient_check(f, np.zeros(3))
 
 
 def test_regression_gradient_matches_central_differences():

@@ -21,6 +21,7 @@ from cloudinst.scoring import (
     best_ious,
     cluster_descriptors,
     family_iou,
+    harvest_training_set,
     score_clusters,
     _unpack_params,
     row_widths,
@@ -160,6 +161,8 @@ def test_score_loss_values():
     assert abs(score_loss(np.array([0.5]), np.array([0.5])) - np.log(2)) <= 1e-9
     with pytest.raises(ValueError, match="no clusters"):
         score_loss(np.array([]), np.array([]))
+    with pytest.raises(ValueError, match="^score/target length mismatch$"):
+        score_loss(np.array([0.5, 0.5]), np.array([1.0]))
 
 
 def test_score_loss_matches_scalar_oracle():
@@ -373,6 +376,10 @@ def test_scorer_model_validation_and_roundtrip(tmp_path):
     with pytest.raises(ValueError, match="stdev"):
         ScorerModel(mean=np.zeros(8), std=np.zeros(8), w1=np.zeros((2, 8)),
                     b1=np.zeros(2), w2=np.zeros(2), b2=0.0)
+    shapes = dict(mean=np.zeros(8), std=np.ones(8), w1=np.zeros((2, 8)), b1=np.zeros(2), w2=np.zeros(2))
+    for name, bad in [("std", np.ones(7)), ("w1", np.zeros((2, 7))), ("w1", np.zeros((3, 8))), ("w2", np.zeros(3))]:
+        with pytest.raises(ValueError, match="^inconsistent scorer model shapes$"):
+            ScorerModel(**{**shapes, name: bad}, b2=0.0)
     model = ScorerModel.default(hidden=5, seed=3)
     path = tmp_path / "m.scorer"
     save_scorer(model, path)
@@ -548,6 +555,16 @@ def test_train_scorer_trains_on_an_offset_near_the_float64_limit():
         warnings.simplefilter("error")
         model = train_scorer(data, hidden=8, epochs=20, cluster_params=ClusterParams(0.05, 1)).model
     assert all(np.isfinite(getattr(model, f.name)).all() for f in dataclasses.fields(model))
+
+
+def test_harvest_refuses_a_scene_with_clusters_but_no_instances():
+    # two groups of a thing class, every point unassigned: P clusters them
+    scene = two_object_scene()
+    scene = make_scene(scene.coords, scene.sem_labels, np.full(scene.n_points, -1))
+    offsets = OffsetField(np.zeros((scene.n_points, 3)))
+    assert cluster_dual_set(scene, offsets, ClusterParams(0.03, 1))
+    with pytest.raises(ValueError, match="^training scene has no ground-truth instances$"):
+        harvest_training_set([(scene, offsets)], ClusterParams(0.03, 1))
 
 
 def test_train_scorer_empty_corpus_rejected():

@@ -19,7 +19,7 @@ from cloudinst.synth import (
     perturb_semantics,
 )
 
-from conftest import placed_objects
+from conftest import placed_objects, run_alone
 
 
 def small_cfg(**kw):
@@ -119,6 +119,53 @@ def test_perturb_semantics_flips_stay_non_stuff_and_scores_follow():
     live = noisy.inst_ids[noisy.inst_ids >= 0]
     if live.size:
         assert np.array_equal(np.unique(live), np.arange(live.max() + 1))
+
+
+def _flips_by_class_list(scene, p_sem, seed):
+    """The labels ``perturb_semantics`` draws, from a list of every thing class."""
+    things = np.array(sorted(set(range(scene.n_classes)) - scene.stuff_classes))
+    labels = scene.sem_labels.copy()
+    eligible = np.flatnonzero(~never_clustered(labels, scene.stuff_classes))
+    rng = synth._rng(seed, 101)
+    flip = eligible[rng.random(eligible.size) < p_sem]
+    draw = rng.integers(0, things.size - 1, flip.size)
+    draw += draw >= np.searchsorted(things, labels[flip])
+    labels[flip] = things[draw]
+    return labels
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_label_flips_match_the_class_list_reference(seed):
+    # stuff ids anywhere among the classes, the thing classes between them
+    from conftest import make_scene
+
+    rng = np.random.default_rng(seed)
+    n_classes = int(rng.integers(3, 40))
+    stuff = rng.choice(n_classes, int(rng.integers(0, n_classes - 1)), replace=False)
+    things = np.setdiff1d(np.arange(n_classes), stuff)
+    labels = rng.choice(np.concatenate([things, stuff]), 200)
+    scene = make_scene(
+        rng.random((200, 3)), labels, np.full(200, -1), n_classes=n_classes,
+        stuff_classes=frozenset(stuff.tolist()), sem_scores=None,
+    )
+    noisy = perturb_semantics(scene, p_sem=0.6, temperature=0.0, seed=seed)
+    assert np.array_equal(noisy.sem_labels, _flips_by_class_list(scene, 0.6, seed))
+
+
+def test_label_flips_among_every_int32_class_build_no_class_list():
+    # set(range(n_classes)) raised MemoryError at 2**31 - 1 classes
+    (line,) = run_alone(
+        "from cloudinst import Scene\n"
+        "from cloudinst.synth import perturb_semantics\n"
+        "top = 2**31 - 1\n"
+        "scene = Scene(n_classes=top, coords=[[0, 0, 0], [1, 0, 0]], colors=[[0, 0, 0]] * 2,\n"
+        "              sem_labels=[5, top - 1], inst_ids=[0, 1], stuff_classes={0, 1, top - 2})\n"
+        "print(*perturb_semantics(scene, 1.0, 0.0, 3).sem_labels)\n"
+    )
+    top = 2**31 - 1
+    labels = [int(v) for v in line.split()]
+    assert labels[0] != 5 and labels[1] != top - 1
+    assert all(2 <= v < top and v != top - 2 for v in labels)
 
 
 def test_perturb_semantics_requires_two_thing_classes():
@@ -402,9 +449,22 @@ def test_objects_whose_points_outgrow_memory_are_refused(monkeypatch):
         GenConfig(room=(1e5, 1e5, 2.5), n_objects=11)
 
 
+def test_memory_is_unbounded_where_the_system_does_not_report_it(monkeypatch):
+    def unreported(name):
+        raise ValueError(f"unrecognized configuration name {name}")
+
+    monkeypatch.setattr(synth.os, "sysconf", unreported)
+    assert synth._memory_bytes() == float("inf")
+    # 6e10 points, refused by the bound wherever memory is reported
+    GenConfig(room=(1e5, 1e5, 2.5), n_objects=10**9)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(room=(0, 1, 1))
+    # the default room's floor slab holds ~21 m^3, 10,000 of the smallest objects ~32 m^3
+    with pytest.raises(ValueError, match=r"^n_objects too large: 10000 objects of at least .* do not fit in the "):
+        GenConfig(n_objects=10_000)
     with pytest.raises(ValueError):
         GenConfig(p_sem=1.5)
     with pytest.raises(ValueError):
