@@ -11,10 +11,10 @@ keyword defaults of ``train_scorer`` and ``run_bench``), and the library
 checks every input: this module parses, dispatches and prints.  ``_beside``
 runs a list of jobs on two processes, which take them from one queue: the
 loads of a scene and of its offsets; in ``cluster`` the shifted set's
-clustering and the original set's, as jobs of whole labels
-(``_cluster_beside``); and in ``evaluate`` the two ranges of the truth
-scene's rows (``formats._load_scene``).  The library runs each in turn or
-whole.
+clustering and the original set's, as jobs of whole labels, each scoring
+the clusters it finds (``_cluster_beside``); and in ``evaluate`` the two
+ranges of the truth scene's rows (``formats._load_scene``).  The library
+runs each in turn or whole.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ from .losses import (
     offset_regression_loss,
     offset_targets,
 )
-from .pipeline import _SOURCES, PipelineConfig, _predict
+from .pipeline import _SOURCES, PipelineConfig, _cluster_then_score, _predict, _scoring
 from .scoring import Scorer, ScorerModel, row_widths, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample, generate_scene
 from .trace import record, recording
@@ -230,25 +230,35 @@ def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
     return tuple(_beside([lambda: load_scene(scene_path), lambda: load_offsets(offsets_path)]))
 
 
-def _cluster_beside(scene, offsets, params, sources) -> list[Cluster]:
-    """``cluster_dual_set`` as the jobs of one ``_beside`` call: the original
-    set P's largest label, the shifted set Q whole, then P's other labels,
-    largest first (Graham 1969), so the last jobs taken are small."""
+def _cluster_beside(scene, offsets, config, model) -> tuple[list[Cluster], np.ndarray]:
+    """``pipeline._cluster_then_score`` as the jobs of one ``_beside`` call,
+    each of which scores the clusters it finds: the original set P's
+    largest label, the shifted set Q whole, then P's other labels, largest
+    first (Graham 1969), so the last jobs taken are small."""
+    sources, params = _SOURCES[config.cluster_sets], config.cluster_params
     if len(sources) < 2:
-        return cluster_dual_set(scene, offsets, params, sources)
+        return _cluster_then_score(scene, offsets, config, model)
     check_offsets(scene, offsets)  # a coverage fault before the fork
     coords, labels, active = _active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
     job, n_jobs = _label_jobs(labels[active])
 
+    score = _scoring(scene, offsets, config, model)
+
+    def scored(clusters):
+        return clusters, score(clusters)
+
     def p(j):
-        return lambda: _cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL)
+        return lambda: scored(_cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL))
 
     def q():
-        return cluster_dual_set(scene, offsets, params, (Source.SHIFTED,))
+        return scored(cluster_dual_set(scene, offsets, params, (Source.SHIFTED,)))
 
     done = _beside([p(0), q, *map(p, range(1, n_jobs))])
-    original = [c for part in done[:1] + done[2:] for c in part]
-    return sorted(original, key=lambda c: c.min_index) + done[1]
+    parts, (shifted, shifted_scores) = done[:1] + done[2:], done[1]
+    original = [c for part, _ in parts for c in part]
+    order = sorted(range(len(original)), key=lambda k: original[k].min_index)
+    scores = np.concatenate([s for _, s in parts])[order]
+    return [original[k] for k in order] + shifted, np.concatenate([scores, shifted_scores])
 
 
 def _label_jobs(labels) -> tuple[np.ndarray, int]:

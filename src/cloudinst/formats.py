@@ -7,8 +7,9 @@ it reads every numeric field, header integers included.
 
 Loaders stream.  One pass of fixed-size reads over the open file refuses a
 non-ASCII byte, counts the lines and keeps only the header lines and the
-first body line; the C reader then takes a table's rows straight from the
-same file (prediction and scorer rows are read one line at a time).  A
+first body line; the C reader then reads a table's rows from the same file,
+through its own handle opened by the descriptor's name (prediction and
+scorer rows are read one line at a time).  A
 range's list of lines is built only to name a fault, when the reader refuses
 its rows: halving the refused block finds the first line it refuses, and
 that line's tokens, read one by one, name the fault.  Loaders raise only
@@ -47,6 +48,7 @@ _CHUNK = 512  # rows formatted at once: bounds the Python objects held
 _READ = 1 << 16  # characters per read of a loader's scan: bounds the text held
 _LONG = 256 * _READ  # characters a kept line may run before the scan refuses it
 _DIGITS = re.compile("[+-]?[0-9]+")  # an integer token the reader refuses only for its range
+_FD = "/dev/fd"  # a directory of names for the open descriptors, where the system has one
 
 
 def _open(path):
@@ -159,12 +161,24 @@ def _table(fh, lines: list[str], head: int, count: int, fields, halves=None) -> 
 def _rows(fh, start, skip: int, count: int, lineno: int, fields) -> np.ndarray:
     """The ``count`` rows that follow the ``skip`` lines after the seek
     cookie ``start`` of the text file ``fh`` as one table (``_loadtxt``), the
-    first row being line ``lineno`` of the file: the C reader takes them
-    straight from the file, sizing its table once, and their line list is
-    built only for ``_bisect`` to name the fault when the reader refuses
+    first row being line ``lineno`` of the file.  The C reader sizes its
+    table once and reads the rows from its own handle on the file, opened
+    by the descriptor's name under ``_FD``: never by the user's path, which
+    numpy would open through a decompressor for a name ending in ``.gz``,
+    say.  The name reopens the file or shares ``fh``'s offset, as the
+    system has it, so ``fh`` is put at the file's start and the reader
+    skips the ``lineno - 1`` lines before the range.  Where the descriptor
+    has no such name (no ``_FD``, or one that lists only descriptors 0-2)
+    it takes the range's lines from ``fh``, one at a time.  Their line list
+    is built only for ``_bisect`` to name the fault when the reader refuses
     them."""
-    fh.seek(start)
-    table = _loadtxt(islice(fh, skip + count), fields, skip, count)
+    name = f"{_FD}/{fh.fileno()}"
+    if os.path.exists(name):
+        fh.seek(0)
+        table = _loadtxt(name, fields, lineno - 1, count)
+    else:
+        fh.seek(start)
+        table = _loadtxt(islice(fh, skip + count), fields, skip, count)
     if table is not None:
         return table
     fh.seek(start)
@@ -250,9 +264,10 @@ def _dtype(fields) -> np.dtype:
 
 def _loadtxt(text, fields, skip: int = 0, count: int | None = None) -> np.ndarray | None:
     """The ``count`` rows that follow the ``skip`` first lines of ``text``,
-    an iterable of lines (by default all of a list of lines), through
-    numpy's C reader as a table of ``_dtype(fields)``; None for text it
-    refuses, warns about or miscounts (the reader skips blank lines)."""
+    an iterable of lines (by default all of a list of lines) or a file's
+    name, through numpy's C reader as a table of ``_dtype(fields)``; None
+    for text it refuses, warns about or miscounts (the reader skips blank
+    lines)."""
     count = len(text) if count is None else count
     try:
         with warnings.catch_warnings():

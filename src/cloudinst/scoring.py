@@ -288,13 +288,22 @@ def score_clusters(
 ) -> np.ndarray:
     """Score each cluster in [0, 1] with the selected scorer; ORACLE scores
     against the scene's own instances."""
+    return _scorer(scene, offsets, scorer, model)(clusters)
+
+
+def _scorer(scene: Scene, offsets: OffsetField, scorer: Scorer, model: ScorerModel | None = None):
+    """``score_clusters`` on ``scene`` as a function of the clusters alone,
+    which reads ORACLE's instances once for every call.  Each score reads
+    only its own cluster's members, so the clusters may come in any
+    batches."""
     scorer = Scorer(scorer)
     check_scorer_inputs(scorer, scene, model)
     if scorer is Scorer.ORACLE:
-        return best_ious(clusters, ground_truth_instances(scene))
+        gt = ground_truth_instances(scene)
+        return lambda clusters: best_ious(clusters, gt)
     if scorer is Scorer.SEMPROB:
-        return _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
-    return model.scores(cluster_descriptors(clusters, scene, offsets))
+        return lambda clusters: _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
+    return lambda clusters: model.scores(cluster_descriptors(clusters, scene, offsets))
 
 
 def _unpack_params(theta: np.ndarray, dim: int):

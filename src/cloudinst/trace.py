@@ -7,7 +7,10 @@ every span run inside it as a dict keyed by span name; a name seen twice
 sums.  The active recorder lives in a ``ContextVar``, so a recorder sees the
 spans of its own thread only; ``record`` adds those of another process to it.
 Spans recorded in two processes at once sum their work, not wall time: a
-name run in both can add up to more seconds than the call took.  With no
+name run in both can add up to more seconds than the call took.  In
+``cloudinst cluster`` that holds for ``bq_p`` and ``cl_p``, whose labels
+both processes cluster, and for ``scoring``, since each job scores the
+clusters it finds.  With no
 recorder active a span reads no clock and records nothing.
 """
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cloudinst import cli, clustering, formats, trace
+from cloudinst import cli, clustering, formats, pipeline, trace
 from cloudinst.cli import _build_parser, _load_inputs, dispatch
 from cloudinst.clustering import ClusterParams, cluster_dual_set
 from cloudinst.core import FormatError, OffsetField, Scene, SceneError, Source
@@ -790,7 +790,7 @@ def test_a_q_fault_keeps_its_type_message_and_point_index(capsys, tmp_path, monk
     loaded = _load_inputs(scene, offsets)
     log = tmp_path / "log"
     with pytest.raises(SceneError) as fault:
-        cli._cluster_beside(*loaded, ClusterParams(min_points=40), (Source.ORIGINAL, Source.SHIFTED))
+        _clusters_beside(*loaded, ClusterParams(min_points=40))
     _after_the_call(log)
     assert (type(fault.value), str(fault.value), fault.value.point_index) == (
         SceneError, "q fault at point 17", 17
@@ -910,6 +910,12 @@ def _open_fds():
     return sorted(os.listdir("/proc/self/fd")) if Path("/proc/self/fd").is_dir() else []
 
 
+def _clusters_beside(scene, offsets, params):
+    """The clusters of ``cli._cluster_beside`` on both sets, which it scores
+    with the default model, as any scene allows."""
+    return cli._cluster_beside(scene, offsets, PipelineConfig(params), ScorerModel.default())[0]
+
+
 def _as_tuples(clusters):
     return [(c.point_idx.tolist(), c.class_id, c.source) for c in clusters]
 
@@ -924,11 +930,29 @@ def _beside_equals_dual_set(scene, offsets, params):
             if not forked:
                 patch.delattr(os, "fork")
             fds = _open_fds()
-            got = _as_tuples(cli._cluster_beside(scene, offsets, params, both))
+            got = _as_tuples(_clusters_beside(scene, offsets, params))
             assert _open_fds() == fds
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         assert got == want
+
+
+@pytest.mark.parametrize("scorer", list(Scorer))
+def test_the_jobs_score_their_clusters_as_the_library_scores_them_in_turn(capsys, tmp_path, scorer):
+    # each job of ``cli._cluster_beside`` scores the clusters it finds: the
+    # scores keep their bits and follow their clusters into one order
+    scene, offsets = gen_scene(capsys, tmp_path, seed="8", extra=("--sigma0", "0.01", "--beta", "2"))
+    loaded, model = _load_inputs(scene, offsets), ScorerModel.default()
+    config = PipelineConfig(ClusterParams(0.05, 5), scorer=scorer)
+    clusters, scores = pipeline._cluster_then_score(*loaded, config, model)
+    assert len({(c.source, c.class_id) for c in clusters}) > 3
+    for forked in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            if not forked:
+                patch.delattr(os, "fork")
+            got, got_scores = cli._cluster_beside(*loaded, config, model)
+        assert _as_tuples(got) == _as_tuples(clusters)
+        assert got_scores.dtype == scores.dtype and got_scores.tolist() == scores.tolist()
 
 
 @settings(max_examples=10)
@@ -1031,7 +1055,7 @@ def test_p_jobs_a_child_claimed_and_sent_no_reply_for_run_in_the_parent(
     fds = _open_fds()
     # NMS may hide a lost P cluster behind its Q twin in the .pred1: the
     # clusters are compared too
-    assert _as_tuples(cli._cluster_beside(*loaded, params, both)) == clusters
+    assert _as_tuples(_clusters_beside(*loaded, params)) == clusters
     _after_the_call(log)
     assert claims.exists()
     claims.unlink()
@@ -1058,7 +1082,7 @@ def test_a_p_fault_in_a_job_the_child_claimed_keeps_its_type_message_and_point_i
     log = tmp_path / "log"
     fds = _open_fds()
     with pytest.raises(SceneError) as err:
-        cli._cluster_beside(*loaded, ClusterParams(0.05, 40), (Source.ORIGINAL, Source.SHIFTED))
+        _clusters_beside(*loaded, ClusterParams(0.05, 40))
     _after_the_call(log)
     assert (type(err.value), str(err.value), err.value.point_index) == (SceneError, "p fault at point 5", 5)
     assert _open_fds() == fds and claims.exists()
@@ -1267,7 +1291,7 @@ def test_a_fault_in_the_smallest_p_job_is_raised_before_a_q_fault(tmp_path, monk
     _fork_as(monkeypatch, fork)
     log, fds = tmp_path / "log", _open_fds()
     with pytest.raises(SceneError) as fault:
-        cli._cluster_beside(scene, offsets, ClusterParams(0.03, 2), (Source.ORIGINAL, Source.SHIFTED))
+        _clusters_beside(scene, offsets, ClusterParams(0.03, 2))
     _after_the_call(log)
     assert (str(fault.value), fault.value.point_index) == ("p fault", 3)
     assert n_jobs == 5 and _open_fds() == fds and len(forks) == (fork == "present")

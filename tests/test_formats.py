@@ -1088,6 +1088,123 @@ def test_a_row_wider_than_its_line_is_named_before_the_reader_runs(
         LOADERS[kind](path)
 
 
+# --- the file route: numpy's reader on its own handle, named by descriptor --
+
+
+def _route_bodies(head: str, rows: list[str], wide: str) -> dict:
+    """Files of ``head`` then ``rows`` (``wide``, a token that overflows the
+    last column, replaces a row's last token), each with one departure from
+    the written shape: line ends, an edit of a row in either range of a
+    file read as two (rows 1 and -2), trailing empty lines or no last
+    newline."""
+    edits = {
+        "blank": lambda row: "",
+        "spaces": lambda row: " \t ",
+        "vt": lambda row: row.replace(" ", "\v"),
+        "ff": lambda row: row.replace(" ", "\f"),
+        "fs": lambda row: row.replace(" ", "\x1c"),
+        "nul": lambda row: row[:2] + "\x00" + row[2:],
+        "short": lambda row: row.rsplit(" ", 1)[0],
+        "long": lambda row: row + " 1",
+        "overflow": lambda row: row.rsplit(" ", 1)[0] + " " + wide,
+        "underscore": lambda row: "1_0 " + row.split(" ", 1)[1],
+        "hex": lambda row: "0x1 " + row.split(" ", 1)[1],
+    }
+    text = "\n".join([head, *rows]) + "\n"
+    bodies = {"crlf": text.replace("\n", "\r\n"), "cr": text.replace("\n", "\r")}
+    bodies |= {"trailing empty lines": text + "\n \n\r\n", "no last newline": text[:-1]}
+    for name, edit in edits.items():
+        for at in (1, len(rows) - 2):
+            edited = rows[:at] + [edit(rows[at])] + rows[at + 1 :]
+            bodies[f"{name} at row {at}"] = "\n".join([head, *edited]) + "\n"
+    return bodies
+
+
+_ROUTE_BODIES = {
+    "sc1": _route_bodies(
+        "SC1 8 3\nSTUFF 1 0\nSCORES 0", [f"{k} 0.5 0 10 20 30 1 {k % 2}" for k in range(8)], "2147483648"
+    ),
+    "off1": _route_bodies("OFF1 8", [f"0.{k} -0.25 1e-17" for k in range(8)], "1e400"),
+}
+_ROUTE_LOADERS = {
+    "sc1": [formats.load_scene, lambda path: formats._load_scene(path, cli._beside)],
+    "off1": [formats.load_offsets],
+}
+
+
+@pytest.mark.skipif(not os.path.isdir(formats._FD), reason="no names for open descriptors")
+@pytest.mark.parametrize(
+    "kind,body", [(kind, body) for kind in _ROUTE_BODIES for body in _ROUTE_BODIES[kind]]
+)
+def test_the_file_route_reads_as_the_line_route(tmp_path, kind, body):
+    path = tmp_path / f"r.{kind}"
+    path.write_bytes(_ROUTE_BODIES[kind][body].encode())
+    (tmp_path / "fd").mkdir()  # names no descriptor: the line route
+    for load in _ROUTE_LOADERS[kind]:
+        by_file = _loaded(load, path)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(formats, "_FD", str(tmp_path / "fd"))
+            assert _loaded(load, path) == by_file
+
+
+@pytest.mark.skipif(not os.path.isdir(formats._FD), reason="no names for open descriptors")
+def test_a_blank_line_in_the_first_range_is_refused_at_its_line(tmp_path):
+    # with no blank line counted towards max_rows, numpy's reader would read
+    # the first range one row into the second: it warns, and _loadtxt refuses
+    path = tmp_path / "s.sc1"
+    path.write_text(_rows_text(8, r1=""))
+    outcome, first = _split(path)
+    assert outcome == "line 5: expected 8 fields, got 0" and 1 < first < 8
+    fields = [("row", np.float64, 8)]
+    with formats._open(path) as fh:
+        name = f"{formats._FD}/{fh.fileno()}"
+        with pytest.warns(UserWarning, match="will not be counted towards `max_rows="):
+            np.loadtxt(name, comments=None, skiprows=3, max_rows=first, ndmin=2)
+        assert formats._loadtxt(name, fields, 3, first) is None
+
+
+@pytest.mark.skipif(not os.path.isdir(formats._FD), reason="no names for open descriptors")
+@pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+def test_numpy_reads_a_table_by_descriptor_never_by_an_archive_name(tmp_path, monkeypatch, suffix):
+    # numpy opens a name that ends in an archive suffix through its
+    # decompressor, which would refuse these plain-text files with an OSError
+    names = _loadtxt_names(monkeypatch)
+    for kind in ("sc1", "off1"):
+        path = tmp_path / f"v.{kind}{suffix}"
+        path.write_text(VALID[kind])
+        names.clear()
+        LOADERS[kind](path)
+        tables = [name for name in names if isinstance(name, str)]
+        assert tables and all(re.fullmatch(f"{formats._FD}/[0-9]+", name) for name in tables)
+
+
+def test_a_descriptor_with_no_name_is_read_line_by_line(tmp_path, monkeypatch):
+    # a /dev/fd that lists only some descriptors (0 to 2 on a BSD without
+    # fdescfs) names none of a loader's, so the loader takes the line route
+    paths = {kind: tmp_path / f"v.{kind}" for kind in ("sc1", "off1")}
+    for kind, path in paths.items():
+        path.write_text(VALID[kind])
+    want = {kind: _loaded(LOADERS[kind], path) for kind, path in paths.items()}
+    (tmp_path / "fd").mkdir()
+    monkeypatch.setattr(formats, "_FD", str(tmp_path / "fd"))
+    names = _loadtxt_names(monkeypatch)
+    assert {kind: _loaded(LOADERS[kind], path) for kind, path in paths.items()} == want
+    assert names and not any(isinstance(name, str) for name in names)
+
+
+def _loadtxt_names(monkeypatch) -> list:
+    """What each later call of ``np.loadtxt`` is handed, a file's name or
+    an iterable of lines."""
+    names, loadtxt = [], np.loadtxt
+
+    def seen(text, *args, **kwargs):
+        names.append(text)
+        return loadtxt(text, *args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", seen)
+    return names
+
+
 # --- memory: loaders hold their arrays and a table, writers one block -------
 
 

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cloudinst
@@ -312,15 +312,37 @@ def test_cluster_descriptors_bit_equal_the_allocating_expression(seed, with_scor
     sizes=st.lists(st.integers(1, 300), min_size=2, max_size=40),
     hidden=st.integers(1, 32),
 )
-def test_a_model_score_does_not_depend_on_its_batch(seed, sizes, hidden):
-    # each cluster scored alone gets the bits it gets in its batch: the
-    # forward pass sums each row's products in one order, where ``@`` takes
-    # another BLAS path for another row count
+@pytest.mark.parametrize("scorer", list(Scorer))
+def test_a_score_does_not_depend_on_its_batch(scorer, seed, sizes, hidden):
+    # each cluster gets the bits it gets in its batch when scored alone, by
+    # source, or by the jobs of ``cli._cluster_beside`` (Q whole, P by
+    # label), which score what they find: every scorer reduces over each
+    # cluster's own members, and the forward pass sums each row's products
+    # in one order, where ``@`` takes another BLAS path for another row count
     scene, offsets, clusters = descriptor_inputs(seed, sizes, with_scores=True)
+    labels = scene.sem_labels
+    thing = ~np.isin(labels, list(scene.stuff_classes))
+    key = labels * 3 + np.random.default_rng(seed).integers(0, 3, labels.size)
+    inst = np.full(labels.size, -1)
+    inst[thing] = np.unique(key[thing], return_inverse=True)[1]  # up to 3 instances a label
+    scene = dataclasses.replace(scene, inst_ids=inst)
+    assume(scorer is not Scorer.ORACLE or scene.n_instances)
     model = ScorerModel.default(hidden, seed)
-    batch = score_clusters(clusters, scene, offsets, Scorer.MODEL, model)
-    alone = [score_clusters([c], scene, offsets, Scorer.MODEL, model)[0] for c in clusters]
-    assert batch.tolist() == alone
+    batch = score_clusters(clusters, scene, offsets, scorer, model).tolist()
+
+    def job(c):
+        return c.source, c.class_id if c.source is Source.ORIGINAL else None
+
+    partitions = {
+        "alone": [[c] for c in clusters],
+        "by source": [[c for c in clusters if c.source is s] for s in Source],
+        "by job": [[c for c in clusters if job(c) == j] for j in {job(c) for c in clusters}],
+    }
+    for name, parts in partitions.items():
+        scores = {}
+        for part in parts:
+            scores.update(zip(map(id, part), score_clusters(part, scene, offsets, scorer, model)))
+        assert [scores[id(c)] for c in clusters] == batch, name
 
 
 def test_descriptor_spread_of_a_collapsed_cloud():

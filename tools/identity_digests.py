@@ -20,7 +20,11 @@ Prints one ``name sha256`` line per artifact:
   each with the first token of one row spoiled: a row in the first half of
   the file, one in the second half, the first row that starts at half the
   file's bytes (where a reader that splits the file would cut it), and the
-  last row;
+  last row; and for two more, with a row in the first or the second half
+  made an empty line (numpy's reader skips an empty line, so it would read
+  a range one row past its end);
+* the ``.pred1`` that ``cloudinst cluster --scorer semprob`` writes on the
+  input's scene and offsets with every line ended by CR LF;
 * what ``cloudinst cluster`` prints for a copy of the offsets with the first
   token of a row spoiled, a fault of the load that runs beside the scene's;
 * what ``cloudinst evaluate`` prints for two faulty copies of the last
@@ -59,6 +63,7 @@ DEFAULT_RUNS = [(w, s) for w in sorted(bench_inputs.WORKLOADS) for s in (1, 2, 3
 SCORERS = ("model", "semprob", "oracle")
 SETS = ("p", "q")
 FAULTS = ("first", "second", "split", "last")
+BLANKS = ("blank-first", "blank-second")  # a row made an empty line
 PRED_FAULTS = (("pred-header", 1), ("pred-index", 2))  # (name, line index) of a .pred1
 
 
@@ -85,11 +90,11 @@ def cli(args: list[str]) -> str:
     return out
 
 
-def spoiled(lines: list[str], at: int, path: Path) -> Path:
+def spoiled(lines: list[str], at: int, path: Path, row: str | None = None) -> Path:
     """``path``, written with ``lines`` joined by newlines, the first token
-    of ``lines[at]`` made ``x``."""
+    of ``lines[at]`` made ``x``, or the line made ``row`` if given."""
     lines = list(lines)
-    lines[at] = "x " + lines[at].split(" ", 1)[1]
+    lines[at] = "x " + lines[at].split(" ", 1)[1] if row is None else row
     path.write_text("\n".join(lines))
     return path
 
@@ -103,6 +108,8 @@ def faulty_scenes(scene: Path, out: Path):
     split = text.count("\n", 0, text.index("\n", len(text.encode()) // 2 - 1) + 1)
     for name, at in zip(FAULTS, (3 + n_rows // 4, 3 + 3 * n_rows // 4, split, 2 + n_rows)):
         yield name, spoiled(lines, at, out / f"fault-{name}.sc1")
+    for name, at in zip(BLANKS, (3 + n_rows // 4, 3 + 3 * n_rows // 4)):
+        yield name, spoiled(lines, at, out / f"fault-{name}.sc1", "")
 
 
 def digests(runs, tmp: Path):
@@ -140,6 +147,12 @@ def digests(runs, tmp: Path):
             cli(["cluster", "--scene", paths["scene"], "--offsets", paths["offsets"],
                  "--scorer", "semprob", "--set", sets, "--out", str(alone)])
             yield f"{tag}/{alone.name}", sha256(alone.read_bytes())
+        crlf = {key: tmp / f"crlf-{Path(paths[key]).name}" for key in ("scene", "offsets")}
+        for key, path in crlf.items():
+            path.write_bytes(Path(paths[key]).read_bytes().replace(b"\n", b"\r\n"))
+        cli(["cluster", "--scene", str(crlf["scene"]), "--offsets", str(crlf["offsets"]),
+             "--scorer", "semprob", "--out", str(out / "crlf.pred1")])
+        yield f"{tag}/crlf.pred1", sha256((out / "crlf.pred1").read_bytes())
         for name, scene in faulty_scenes(Path(paths["truth"]), tmp):
             code, message = run.cli(["evaluate", "--scene", str(scene), "--preds", str(pred)])
             yield f"{tag}/fault-{name}.evaluate", sha256(f"{code} {message}".encode())
