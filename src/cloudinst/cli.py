@@ -14,7 +14,8 @@ loads of a scene and of its offsets; in ``cluster`` the shifted set's
 clustering and the original set's, as jobs of whole labels, each scoring
 the clusters it finds (``_cluster_beside``); and in ``evaluate`` the two
 ranges of the truth scene's rows (``formats._load_scene``).  The library
-runs each in turn or whole.
+runs each whole and in turn, and hands ``pipeline._predict`` the clusters
+and scores that ``cluster`` hands it.
 """
 
 from __future__ import annotations
@@ -56,8 +57,8 @@ from .losses import (
     offset_regression_loss,
     offset_targets,
 )
-from .pipeline import _SOURCES, PipelineConfig, _cluster_then_score, _predict, _scoring
-from .scoring import Scorer, ScorerModel, row_widths, scorer_objective, train_scorer
+from .pipeline import _SOURCES, PipelineConfig, _predict
+from .scoring import Scorer, ScorerModel, _scorer, row_widths, scorer_objective, train_scorer
 from .synth import GenConfig, generate_sample, generate_scene
 from .trace import record, recording
 
@@ -231,34 +232,32 @@ def _load_inputs(scene_path, offsets_path) -> tuple[Scene, OffsetField]:
 
 
 def _cluster_beside(scene, offsets, config, model) -> tuple[list[Cluster], np.ndarray]:
-    """``pipeline._cluster_then_score`` as the jobs of one ``_beside`` call,
-    each of which scores the clusters it finds: the original set P's
-    largest label, the shifted set Q whole, then P's other labels, largest
-    first (Graham 1969), so the last jobs taken are small."""
+    """The clusters of ``config``'s sets and their scores, in job order, for
+    ``pipeline._predict``.  One set is one whole job; both are the jobs of
+    one ``_beside`` call, each scoring the clusters it finds: the original
+    set P's largest label, the shifted set Q whole, then P's other labels,
+    largest first (Graham 1969), so the last jobs taken are small.  Scorer
+    inputs, then offset coverage, are checked before any clustering."""
     sources, params = _SOURCES[config.cluster_sets], config.cluster_params
-    if len(sources) < 2:
-        return _cluster_then_score(scene, offsets, config, model)
-    check_offsets(scene, offsets)  # a coverage fault before the fork
-    coords, labels, active = _active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
-    job, n_jobs = _label_jobs(labels[active])
-
-    score = _scoring(scene, offsets, config, model)
+    score = _scorer(scene, offsets, config.scorer, model)
 
     def scored(clusters):
         return clusters, score(clusters)
 
+    def whole(source):
+        return lambda: scored(cluster_dual_set(scene, offsets, params, (source,)))
+
+    if len(sources) < 2:
+        return whole(*sources)()
+    check_offsets(scene, offsets)  # a coverage fault before the fork
+    coords, labels, active = _active_points(scene.coords, scene.sem_labels, scene.stuff_classes)
+    job, n_jobs = _label_jobs(labels[active])
+
     def p(j):
         return lambda: scored(_cluster_points(coords, labels, active[job == j], params, Source.ORIGINAL))
 
-    def q():
-        return scored(cluster_dual_set(scene, offsets, params, (Source.SHIFTED,)))
-
-    done = _beside([p(0), q, *map(p, range(1, n_jobs))])
-    parts, (shifted, shifted_scores) = done[:1] + done[2:], done[1]
-    original = [c for part, _ in parts for c in part]
-    order = sorted(range(len(original)), key=lambda k: original[k].min_index)
-    scores = np.concatenate([s for _, s in parts])[order]
-    return [original[k] for k in order] + shifted, np.concatenate([scores, shifted_scores])
+    parts, scores = zip(*_beside([p(0), whole(Source.SHIFTED), *map(p, range(1, n_jobs))]))
+    return [c for part in parts for c in part], np.concatenate(scores)
 
 
 def _label_jobs(labels) -> tuple[np.ndarray, int]:
@@ -306,7 +305,8 @@ def _resolve_model(args, allow_default: bool = False) -> ScorerModel | None:
 def _cmd_cluster(args) -> int:
     model = _resolve_model(args)
     scene, offsets = _load_inputs(args.scene, args.offsets)
-    preds = _predict(scene, offsets, _pipeline_config(args), model, _cluster_beside)
+    config = _pipeline_config(args)
+    preds = _predict(*_cluster_beside(scene, offsets, config, model), config)
     if args.out is not None:
         save_predictions(preds, args.out)
         print(f"wrote {len(preds)} predictions to {args.out}")

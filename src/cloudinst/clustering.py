@@ -272,11 +272,15 @@ def cluster_dual_set(
     Runs the same algorithm on the original coordinates and on the
     offset-shifted ones (both by default), in the order given; the cluster
     lists are concatenated without deduplication (overlaps are resolved
-    later by scored NMS).
+    later by scored NMS).  A source named twice raises ValueError, since
+    NMS takes each source's clusters as one disjoint family.
     """
+    sources = [Source(s) for s in sources]
+    if repeated := [s for k, s in enumerate(sources) if s in sources[:k]]:
+        raise ValueError(f"sources name {repeated[0].name} twice")
     check_offsets(scene, offsets)
     clusters = []
-    for source in map(Source, sources):
+    for source in sources:
         coords = scene.coords if source == Source.ORIGINAL else shifted_coords(scene, offsets)
         clusters += cluster_single_set(coords, scene.sem_labels, scene.stuff_classes, params, source)
     return clusters

@@ -10,7 +10,7 @@ import numpy as np
 
 from .clustering import ClusterParams, cluster_dual_set
 from .core import Cluster, InstancePrediction, OffsetField, Scene, Source, check
-from .scoring import Scorer, ScorerModel, _scorer, check_scorer_inputs, family_iou
+from .scoring import Scorer, ScorerModel, _scorer, family_iou
 from .trace import span
 
 # PipelineConfig.cluster_sets -> the coordinate sets clustered
@@ -87,41 +87,21 @@ def run_pipeline(
     """Cluster, score, suppress, and emit final instance predictions.
 
     Each prediction carries its cluster's semantic class and the score it
-    won NMS with.  Deterministic for fixed inputs and config.  Offsets that
-    do not cover the scene and inputs the scorer lacks raise before any
-    clustering.  Scoring and NMS run in the spans ``scoring`` and ``nms``;
-    see ``trace``.
+    won NMS with.  Deterministic for fixed inputs and config.  Inputs the
+    scorer lacks, then offsets that do not cover the scene, raise before
+    any clustering.  Scoring and NMS run in the spans ``scoring`` and
+    ``nms``; see ``trace``.
     """
-    return _predict(scene, offsets, config, model, _cluster_then_score)
-
-
-def _cluster_then_score(scene, offsets, config, model) -> tuple[list[Cluster], np.ndarray]:
-    """The clusters of ``config``'s sets (``cluster_dual_set``), then their scores."""
+    score = _scorer(scene, offsets, config.scorer, model)
     clusters = cluster_dual_set(scene, offsets, config.cluster_params, _SOURCES[config.cluster_sets])
-    return clusters, _scoring(scene, offsets, config, model)(clusters)
+    return _predict(clusters, score(clusters), config)
 
 
-def _scoring(scene, offsets, config, model):
-    """``score_clusters`` with ``config``'s scorer as a function of the
-    clusters alone, called once or per batch; what it reads of the scene
-    alone is read here, once.  Both run in the span ``scoring``."""
-    with span("scoring"):
-        score = _scorer(scene, offsets, config.scorer, model)
-
-    def scored(clusters) -> np.ndarray:
-        with span("scoring"):
-            return score(clusters)
-
-    return scored
-
-
-def _predict(scene, offsets, config, model, cluster) -> list[InstancePrediction]:
-    """``run_pipeline`` with ``cluster(scene, offsets, config, model)`` in
-    place of ``_cluster_then_score``: it returns the clusters of
-    ``config``'s sets and their scores, found in any order or process, since
-    each cluster's score reads only its own members."""
-    check_scorer_inputs(config.scorer, scene, model)
-    clusters, scores = cluster(scene, offsets, config, model)
+def _predict(clusters, scores, config: PipelineConfig) -> list[InstancePrediction]:
+    """The tail ``run_pipeline`` and ``cloudinst cluster`` share: NMS over
+    ``clusters`` and their ``scores``, ``config``'s ``min_score`` filter,
+    then the predictions.  The clusters may come in any order, since ``nms``
+    visits them in a total one: score, source, then ``min_index``."""
     with span("nms"):
         kept = nms(clusters, scores, config.nms_iou)
 

@@ -32,6 +32,7 @@ from .core import (
     check, check_seed, ground_truth_instances, is_int, refuse,
 )
 from .losses import GRAD_TOLERANCE, gradient_check
+from .trace import span
 
 SCORE_EPS = 1e-7  # clamp inside the BCE
 SOFT_LOW = 0.25  # soft-label ramp thresholds theta_l, theta_h of the paper
@@ -287,23 +288,30 @@ def score_clusters(
     model: ScorerModel | None = None,
 ) -> np.ndarray:
     """Score each cluster in [0, 1] with the selected scorer; ORACLE scores
-    against the scene's own instances."""
+    against the scene's own instances.  Runs in the span ``scoring``."""
     return _scorer(scene, offsets, scorer, model)(clusters)
 
 
 def _scorer(scene: Scene, offsets: OffsetField, scorer: Scorer, model: ScorerModel | None = None):
     """``score_clusters`` on ``scene`` as a function of the clusters alone,
-    which reads ORACLE's instances once for every call.  Each score reads
-    only its own cluster's members, so the clusters may come in any
-    batches."""
+    called once or per batch; it checks the scorer's inputs and reads
+    ORACLE's instances here, once.  Each score reads only its own cluster's
+    members, so the clusters may come in any batches.  Both this call and
+    each call of what it returns run in the span ``scoring``."""
     scorer = Scorer(scorer)
-    check_scorer_inputs(scorer, scene, model)
-    if scorer is Scorer.ORACLE:
-        gt = ground_truth_instances(scene)
-        return lambda clusters: best_ious(clusters, gt)
-    if scorer is Scorer.SEMPROB:
-        return lambda clusters: _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
-    return lambda clusters: model.scores(cluster_descriptors(clusters, scene, offsets))
+    with span("scoring"):
+        check_scorer_inputs(scorer, scene, model)
+        gt = ground_truth_instances(scene) if scorer is Scorer.ORACLE else None
+
+    def scored(clusters) -> np.ndarray:
+        with span("scoring"):
+            if scorer is Scorer.ORACLE:
+                return best_ious(clusters, gt)
+            if scorer is Scorer.SEMPROB:
+                return _mean_class_prob(clusters, scene.sem_scores, *_members(clusters))
+            return model.scores(cluster_descriptors(clusters, scene, offsets))
+
+    return scored
 
 
 def _unpack_params(theta: np.ndarray, dim: int):

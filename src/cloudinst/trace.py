@@ -9,8 +9,9 @@ spans of its own thread only; ``record`` adds those of another process to it.
 Spans recorded in two processes at once sum their work, not wall time: a
 name run in both can add up to more seconds than the call took.  In
 ``cloudinst cluster`` that holds for ``bq_p`` and ``cl_p``, whose labels
-both processes cluster, and for ``scoring``, since each job scores the
-clusters it finds.  With no
+both processes cluster, and for ``scoring``, which the scorer records
+itself (``scoring._scorer``), so ``score_clusters``, ``run_pipeline`` and
+each job that scores the clusters it finds report it alike.  With no
 recorder active a span reads no clock and records nothing.
 """
 

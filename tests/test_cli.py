@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import errno
 import importlib
 import io
@@ -35,7 +36,7 @@ from cloudinst.formats import (
     save_scorer,
 )
 from cloudinst.pipeline import PipelineConfig, run_pipeline
-from cloudinst.scoring import Scorer
+from cloudinst.scoring import Scorer, score_clusters
 from cloudinst.scoring import GRAD_TOLERANCE, ScorerModel
 from cloudinst.synth import GenConfig
 from conftest import float64_limit_offset_scene, oracle_scenes
@@ -826,6 +827,23 @@ def test_faults_before_the_q_child_start_none(capsys, tmp_path, monkeypatch, for
     assert log.read_text() == f"{os.getpid()}\n" * 2
 
 
+@pytest.mark.parametrize("sets", list(pipeline._SOURCES))
+def test_a_scorer_fault_comes_after_the_loads_and_before_any_clustering(
+    capsys, tmp_path, monkeypatch, forks, sets
+):
+    scene, offsets = gen_scene(capsys, tmp_path)
+    bare = tmp_path / "bare.sc1"
+    save_scene(dataclasses.replace(load_scene(scene), sem_scores=None), bare)
+    _cluster_points_with(monkeypatch, _raise({source: AssertionError("clustered") for source in Source}))
+    log = tmp_path / "log"
+    forks.clear()
+    argv = _cluster_argv(bare, offsets, "--scorer", "semprob", "--set", sets)
+    assert run(capsys, *argv) == (2, "", "error: semprob scoring needs a scene with sem_scores\n")
+    _after_the_call(log)
+    assert len(forks) == 1
+    assert log.read_text() == f"{os.getpid()}\n"
+
+
 def test_a_p_fault_is_named_before_a_q_fault(capsys, tmp_path, monkeypatch, forks):
     scene, offsets = gen_scene(capsys, tmp_path)
     _cluster_points_with(monkeypatch, _raise({
@@ -916,8 +934,12 @@ def _clusters_beside(scene, offsets, params):
     return cli._cluster_beside(scene, offsets, PipelineConfig(params), ScorerModel.default())[0]
 
 
-def _as_tuples(clusters):
-    return [(c.point_idx.tolist(), c.class_id, c.source) for c in clusters]
+def _as_tuples(clusters, scores=None):
+    """Each cluster as (source, members, class), and its score if given,
+    sorted by source and first member: ``cli._cluster_beside`` returns its
+    jobs' clusters in job order, and ``nms`` takes them in any order."""
+    scores = [None] * len(clusters) if scores is None else scores.tolist()
+    return sorted((c.source, c.point_idx.tolist(), c.class_id, s) for c, s in zip(clusters, scores))
 
 
 def _beside_equals_dual_set(scene, offsets, params):
@@ -939,20 +961,21 @@ def _beside_equals_dual_set(scene, offsets, params):
 
 @pytest.mark.parametrize("scorer", list(Scorer))
 def test_the_jobs_score_their_clusters_as_the_library_scores_them_in_turn(capsys, tmp_path, scorer):
-    # each job of ``cli._cluster_beside`` scores the clusters it finds: the
-    # scores keep their bits and follow their clusters into one order
+    # each job of ``cli._cluster_beside`` scores the clusters it finds: each
+    # cluster keeps the score's bits it gets from one whole call
     scene, offsets = gen_scene(capsys, tmp_path, seed="8", extra=("--sigma0", "0.01", "--beta", "2"))
     loaded, model = _load_inputs(scene, offsets), ScorerModel.default()
     config = PipelineConfig(ClusterParams(0.05, 5), scorer=scorer)
-    clusters, scores = pipeline._cluster_then_score(*loaded, config, model)
+    clusters = cluster_dual_set(*loaded, config.cluster_params)
+    scores = score_clusters(clusters, *loaded, scorer, model)
     assert len({(c.source, c.class_id) for c in clusters}) > 3
     for forked in (True, False):
         with pytest.MonkeyPatch.context() as patch:
             if not forked:
                 patch.delattr(os, "fork")
             got, got_scores = cli._cluster_beside(*loaded, config, model)
-        assert _as_tuples(got) == _as_tuples(clusters)
-        assert got_scores.dtype == scores.dtype and got_scores.tolist() == scores.tolist()
+        assert got_scores.dtype == scores.dtype
+        assert _as_tuples(got, got_scores) == _as_tuples(clusters, scores)
 
 
 @settings(max_examples=10)

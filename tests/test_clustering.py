@@ -502,6 +502,14 @@ def test_zero_offsets_doubles_clusters(simple_scene, zero_offsets):
         assert cp.class_id == cq.class_id
 
 
+@pytest.mark.parametrize("source", list(Source), ids=lambda s: s.name)
+def test_a_source_named_twice_is_refused_by_name(simple_scene, zero_offsets, source):
+    # its clusters would come twice, and NMS takes each source's as one
+    # disjoint family
+    with pytest.raises(ValueError, match=f"^sources name {source.name} twice$"):
+        cluster_dual_set(simple_scene, zero_offsets, ClusterParams(0.03, 1), (source, Source.ORIGINAL, source))
+
+
 def test_adjacent_objects_merge_in_p_separate_in_q():
     # two same-class objects 0.02 m apart: original coordinates merge them,
     # shifted coordinates pull each onto its own centroid

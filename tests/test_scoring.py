@@ -31,6 +31,7 @@ from cloudinst.scoring import (
     train_scorer,
 )
 from cloudinst.synth import GenConfig, generate_sample
+from cloudinst.trace import recording
 
 from conftest import (
     best_iou, cluster_descriptor, disjoint_masks, float64_limit_offset_scene, iou, make_scene,
@@ -377,6 +378,16 @@ def test_score_clusters_variants(simple_scene, zero_offsets):
         clusters, simple_scene, zero_offsets, Scorer.MODEL, model=zero_model
     )
     assert np.allclose(model_scores, 0.5)
+
+
+@pytest.mark.parametrize("scorer", list(Scorer))
+def test_score_clusters_records_a_scoring_span(simple_scene, zero_offsets, scorer):
+    # the span is the scorer's own, so the library and each job of
+    # ``cloudinst cluster`` report it alike
+    clusters = [cl(np.array([0, 1, 2])), cl(np.array([3, 4]))]
+    with recording() as spans:
+        score_clusters(clusters, simple_scene, zero_offsets, scorer, ScorerModel.default())
+    assert set(spans) == {"scoring"} and spans["scoring"] > 0.0
 
 
 def test_score_clusters_missing_inputs(simple_scene, zero_offsets):
